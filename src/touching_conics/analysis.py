@@ -4,6 +4,17 @@ A critical point of the governing radius function is exactly where the
 normal bundle of the corresponding rational curve degenerates from
 O(1)+O(1) to O+O(2), so the counting done here carries all the geometric
 content consumed by the classifier.
+
+Both are exact.  With D = Q^2 - f, s = sqrt(D) and u = s - Q (so that
+(Q + s) u = -f, and u > 0 where f < 0), the radius functions read
+
+    h0 = |f|^(1/2) / |u|            h1 = sqrt(2) |u|^(1/2) / |L1|
+    h2 = |f|^(1/2) / |L1 L2|        h3 = 1 / h1 with l1 = m,
+
+m being the form missing from the triple (the four forms multiply to f).
+Critical points are roots of polynomials in lam built from f, Q and the
+forms; an endpoint limit is Zero or Infinity by the sign of the function's
+vanishing order there, read off the valuations of f, u and the forms.
 """
 
 from __future__ import annotations
@@ -13,68 +24,21 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .config import DEFAULT_TOL, Tolerances
-from .errors import (
-    DomainError,
-    InputError,
-    PreconditionError,
-    UnclassifiableLimitError,
-    UnstableScanError,
-)
+from .errors import DomainError, InputError, PreconditionError, UnclassifiableLimitError
+from .poly import RealPolynomial, companion_roots, deflate, derivative
 from .resolution import HKind, LinearForm, ResolutionChoice, all_resolutions, h_function
-from .surface import Interval, SurfaceParams, f_value, intervals
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    grid: int = 1200
-    tol: float = DEFAULT_TOL.critical_bisect
-    deriv_step: float = DEFAULT_TOL.deriv_step
-    max_doublings: int = 2
-
-
-@dataclass(frozen=True)
-class CriticalPoint:
-    location: float
-    derivative_residual: float
-
-
-@dataclass(frozen=True)
-class CriticalReport:
-    interval: tuple[float, float]
-    count: int
-    points: tuple[CriticalPoint, ...]
-    grid_used: int
-
-    @property
-    def locations(self) -> tuple[float, ...]:
-        return tuple(p.location for p in self.points)
+from .surface import Interval, Q_restricted, SurfaceParams, f_poly, f_value, intervals, q_value, s_minus_q
 
 
 class LimitKind(enum.Enum):
     ZERO = "Zero"
-    FINITE = "Finite"
     INFINITY = "Infinity"
 
-
-@dataclass(frozen=True)
-class LimitClass:
-    kind: LimitKind
-    value: float | None = None
-
-    def reciprocal_matches(self, other: "LimitClass", rel: float = 1e-3) -> bool:
-        """Class-level reciprocity: Zero pairs with Infinity and vice versa;
-        two finite limits must be reciprocal values."""
-        if self.kind is LimitKind.ZERO:
-            return other.kind is LimitKind.INFINITY
-        if self.kind is LimitKind.INFINITY:
-            return other.kind is LimitKind.ZERO
-        if other.kind is not LimitKind.FINITE:
-            return False
-        assert self.value is not None and other.value is not None
-        if self.value == 0.0 or other.value == 0.0:
-            return False
-        return abs(self.value * other.value - 1.0) <= rel
+    @property
+    def reciprocal(self) -> "LimitKind":
+        """The class of 1/h: the exceptional-curve coordinates on either side
+        of a crossing are glued reciprocally, so Zero pairs with Infinity."""
+        return LimitKind.INFINITY if self is LimitKind.ZERO else LimitKind.ZERO
 
 
 class NormalBundleVerdict(enum.Enum):
@@ -99,176 +63,6 @@ _FAMILY_TO_KIND = {
 }
 
 
-# ---------------------------------------------------------------------------
-# generic scanning machinery
-
-
-def _tan_nodes(lo: float, hi: float, n: int) -> list[float]:
-    """Interior nodes of (lo, hi), uniform in the arctangent compactification
-    with geometric stacks near both ends."""
-    t_lo = math.atan(lo) if math.isfinite(lo) else -0.5 * math.pi
-    t_hi = math.atan(hi) if math.isfinite(hi) else 0.5 * math.pi
-    span = t_hi - t_lo
-    ts = [t_lo + span * (k + 1) / (n + 1) for k in range(n)]
-    tail = span / (n + 1)
-    for k in range(1, 41):
-        tail *= 0.5
-        if tail < 1e-14 * max(1.0, abs(t_lo), abs(t_hi)):
-            break
-        ts.append(t_lo + tail)
-        ts.append(t_hi - tail)
-    ts = sorted(set(ts))
-    return [math.tan(t) for t in ts if t_lo < t < t_hi]
-
-
-def _central_diff(h: Callable[[float], float], x: float, step_scale: float) -> float:
-    d = step_scale * (1.0 + abs(x))
-    return (h(x + d) - h(x - d)) / (2.0 * d)
-
-
-def _scan_once(
-    h: Callable[[float], float],
-    lo: float,
-    hi: float,
-    n: int,
-    cfg: ScanConfig,
-) -> list[CriticalPoint]:
-    xs = _tan_nodes(lo, hi, n)
-    vals = []
-    nodes = []
-    for x in xs:
-        try:
-            v = h(x)
-        except (DomainError, ValueError, OverflowError, ZeroDivisionError):
-            continue
-        if math.isfinite(v):
-            nodes.append(x)
-            vals.append(v)
-    if len(nodes) < 3:
-        raise InputError("fewer than 3 valid grid points in the scan interval")
-
-    found: list[CriticalPoint] = []
-    slopes = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    last_sign = 0
-    last_idx = -1
-    for i, s in enumerate(slopes):
-        if s == 0.0:
-            # exact float ties straddle flat extrema; the sign tracker below
-            # still sees the change across the tie
-            continue
-        sign = 1 if s > 0.0 else -1
-        if last_sign != 0 and sign != last_sign:
-            a, b = nodes[last_idx], nodes[i + 1]
-            pt = _refine_bracket(h, a, b, cfg)
-            if pt is not None:
-                if not found or abs(pt.location - found[-1].location) > 100.0 * cfg.tol * (
-                    1.0 + abs(pt.location)
-                ):
-                    found.append(pt)
-        last_sign, last_idx = sign, i
-    return found
-
-
-def _refine_bracket(h, a: float, b: float, cfg: ScanConfig) -> CriticalPoint | None:
-    ga = _central_diff(h, a, cfg.deriv_step)
-    gb = _central_diff(h, b, cfg.deriv_step)
-    if not (math.isfinite(ga) and math.isfinite(gb)) or (ga > 0.0) == (gb > 0.0):
-        return None
-    while (b - a) > cfg.tol * (1.0 + abs(a) + abs(b)):
-        mid = 0.5 * (a + b)
-        gm = _central_diff(h, mid, cfg.deriv_step)
-        if gm == 0.0:
-            a = b = mid
-            break
-        if (gm > 0.0) == (ga > 0.0):
-            a, ga = mid, gm
-        else:
-            b, gb = mid, gm
-    loc = 0.5 * (a + b)
-    return CriticalPoint(location=loc, derivative_residual=abs(_central_diff(h, loc, cfg.deriv_step)))
-
-
-def critical_points(
-    h: Callable[[float], float],
-    interval: tuple[float, float],
-    cfg: ScanConfig = ScanConfig(),
-) -> CriticalReport:
-    """Bracketed sign changes of the numerical derivative on an open interval.
-
-    The interval is compactified through arctangent so unbounded ends get a
-    genuine asymptotic tail.  The count must be stable under grid doubling;
-    if it keeps changing the scan aborts rather than report a guess.
-    """
-    lo, hi = interval
-    if not lo < hi:
-        raise InputError(f"empty interval {interval}")
-    n = cfg.grid
-    prev = _scan_once(h, lo, hi, n, cfg)
-    for _ in range(cfg.max_doublings):
-        cur = _scan_once(h, lo, hi, 2 * n, cfg)
-        if len(cur) == len(prev):
-            return CriticalReport(interval=interval, count=len(cur), points=tuple(cur), grid_used=2 * n)
-        prev, n = cur, 2 * n
-    raise UnstableScanError(f"critical-point count on {interval} unstable under refinement")
-
-
-def endpoint_limit(
-    h: Callable[[float], float],
-    endpoint: float,
-    side: str,
-    cfg: Tolerances = DEFAULT_TOL,
-) -> LimitClass:
-    """One-sided limit classified from a geometric approach ladder.
-
-    Finite endpoints are approached at distances 10^-1 .. 10^-10; infinite
-    ones at radii 10^1 .. 10^10 (the square-root rates that occur here need
-    the extra decades to clear the thresholds).  Zero and Infinity demand a
-    monotone trend over the last four decades; a finite limit must have
-    stabilized; anything else raises rather than guesses.
-    """
-    if side not in ("left", "right"):
-        raise InputError("side must be 'left' or 'right'")
-    sign = 1.0 if side == "right" else -1.0
-    xs = []
-    if math.isfinite(endpoint):
-        xs = [endpoint + sign * 10.0 ** (-k) for k in range(1, 11)]
-    else:
-        direction = 1.0 if endpoint > 0 else -1.0
-        xs = [direction * 10.0**k for k in range(1, 11)]
-    vals = []
-    for x in xs:
-        try:
-            v = h(x)
-        except (DomainError, ValueError, OverflowError, ZeroDivisionError):
-            continue
-        if math.isfinite(v):
-            vals.append(v)
-    if len(vals) < 6:
-        raise UnclassifiableLimitError("not enough valid samples on the approach ladder")
-    tail = vals[-5:]
-    decreasing = all(tail[i + 1] < tail[i] for i in range(4))
-    increasing = all(tail[i + 1] > tail[i] for i in range(4))
-    if decreasing and abs(tail[-1]) < cfg.limit_low:
-        return LimitClass(LimitKind.ZERO)
-    if increasing and tail[-1] > cfg.limit_high:
-        return LimitClass(LimitKind.INFINITY)
-    if abs(tail[-1] - tail[-2]) <= 1e-3 * (1.0 + abs(tail[-1])):
-        value = tail[-1]
-        d1, d2 = tail[-1] - tail[-2], tail[-2] - tail[-3]
-        if d2 != 0.0:
-            ratio = d1 / d2
-            if 0.0 < abs(ratio) < 0.9:
-                value = tail[-1] + d1 * ratio / (1.0 - ratio)
-        return LimitClass(LimitKind.FINITE, value)
-    raise UnclassifiableLimitError(
-        f"no monotone trend toward a class at {endpoint} ({side}); last values {tail}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# the radius-function tables
-
-
 def h_handle(
     kind: HKind, choice: ResolutionChoice, params: SurfaceParams
 ) -> Callable[[float], float]:
@@ -283,76 +77,149 @@ def _triple_key(choice: ResolutionChoice) -> frozenset:
     return frozenset(choice.forms())
 
 
-def _choice_for_ell1(ell1: LinearForm) -> ResolutionChoice:
-    rest = [f for f in LinearForm if f is not ell1]
-    return ResolutionChoice(ell1, rest[0], rest[1])
+def _product(polys) -> RealPolynomial:
+    out = RealPolynomial((1.0,))
+    for p in polys:
+        out = out * p
+    return out
 
 
-def _choice_for_pair(pair: frozenset) -> ResolutionChoice:
-    a, b = sorted(pair, key=lambda f: f.value)
-    rest = [f for f in LinearForm if f not in pair]
-    return ResolutionChoice(a, b, rest[0])
+def _sign_changes(
+    candidates, lo: float, hi: float, g: Callable[[float], float]
+) -> tuple[float, ...]:
+    """The candidates in (lo, hi) across which g changes sign.
+
+    Every zero of g in the interval must be a candidate.  g is sampled once
+    between consecutive candidates and once beyond each outermost one, so a
+    candidate that is no zero of g, or a zero of even order, shows no change
+    whatever its distance from the real axis was."""
+    xs = sorted({c for c in candidates if lo < c < hi})
+    if not xs:
+        return ()
+    first = 0.5 * (lo + xs[0]) if math.isfinite(lo) else xs[0] - 1.0 - abs(xs[0])
+    last = 0.5 * (xs[-1] + hi) if math.isfinite(hi) else xs[-1] + 1.0 + abs(xs[-1])
+    samples = [first] + [0.5 * (a + b) for a, b in zip(xs, xs[1:])] + [last]
+    found = []
+    prev = 0
+    for i, x in enumerate(samples):
+        v = g(x)
+        sign = (v > 0.0) - (v < 0.0)
+        if sign and prev and sign != prev:
+            found.append(xs[i - 1])
+        prev = sign or prev
+    return tuple(found)
 
 
-def _choice_for_triple(triple: frozenset) -> ResolutionChoice:
-    a, b, c = sorted(triple, key=lambda f: f.value)
-    return ResolutionChoice(a, b, c)
+class RadiusAnalysis:
+    """Exact critical points and endpoint limits of the radius functions of
+    one parameter set, keyed by the data they depend on (h1: first form; h2:
+    unordered pair; h3: unordered triple).  Critical points are memoized, so
+    one instance serves every stage of a run."""
 
-
-class HScanCache:
-    """Memoizes critical-point counts and endpoint limits of the radius
-    functions, keyed by the data they actually depend on (h1: first form;
-    h2: unordered pair; h3: unordered triple)."""
-
-    def __init__(self, params: SurfaceParams, scan: ScanConfig = ScanConfig(), cfg: Tolerances = DEFAULT_TOL):
+    def __init__(self, params: SurfaceParams):
         self.params = params
-        self.scan = scan
-        self.cfg = cfg
         self.partition = intervals(params)
-        self._counts: dict = {}
-        self._limits: dict = {}
+        self.f = f_poly(params)
+        self.q = Q_restricted(params)
+        self._forms = {form: form.polynomial(params) for form in LinearForm}
+        self._critical: dict = {}
 
-    def _handle(self, kind: HKind, key) -> Callable[[float], float]:
+    def span(self, which: Interval, kind: HKind | None = None) -> tuple[float, float]:
+        """Bounds of the interval; h2 is smooth through the double root, so
+        for h2 the two halves of I4 are one interval."""
+        if kind is HKind.H2 and which in (Interval.I4MINUS, Interval.I4PLUS):
+            return (self.partition.i4minus[0], math.inf)
+        return self.partition.bounds(which)
+
+    def critical(self, kind: HKind, key, span: tuple[float, float]) -> tuple[float, ...]:
+        """Critical points of the radius function on the open span, ascending."""
+        if kind is HKind.H3:
+            kind, key = HKind.H1, self._missing(key)
+        k = (kind, key, span)
+        if k not in self._critical:
+            poly, sign = self._derivative_data(kind, key)
+            roots = [float(r.real) for r in companion_roots(poly.coefficients)]
+            self._critical[k] = _sign_changes(roots, span[0], span[1], sign)
+        return self._critical[k]
+
+    def _derivative_data(self, kind: HKind, key) -> tuple[RealPolynomial, Callable[[float], float]]:
+        """A polynomial whose real roots include every critical point, and a
+        function with the sign of the derivative up to a factor of constant
+        sign on each interval of the partition."""
+        q, dq = self.q, derivative(self.q)
         if kind is HKind.H0:
-            choice = all_resolutions()[0]
-        elif kind is HKind.H1:
-            choice = _choice_for_ell1(key)
-        elif kind is HKind.H2:
-            choice = _choice_for_pair(key)
+            # h0 increases with Q / sqrt(f), whose derivative has the sign of
+            # 2 f Q' - f' Q; that vanishes at the double root, an interval
+            # end, so the factor is divided out
+            num = self.f * dq.scale(2.0) - derivative(self.f) * q
+            poly = deflate(num, self.partition.lambda0)
+            return poly, poly
+        if kind is HKind.H2:
+            # h2^2 = R / P with P = L1 L2 and R the product of the other forms
+            p = _product(self._forms[form] for form in key)
+            r = _product(self._forms[form] for form in LinearForm if form not in key)
+            poly = derivative(r) * p - r * derivative(p)
+            return poly, poly
+        # h1^2 = 2 u / L1^2.  Its derivative has the sign of A + s C, where
+        # A = L1 D' - 4 L1' D and C = 4 L1' Q - 2 L1 Q'; with f = L1 R this is
+        # L1 E + u C, E = 3 L1' R - L1 R'.  A^2 - D C^2 = L1 (L1 E^2 - 2 Q C E
+        # + R C^2); the factor L1 is left out, as its root is an interval end
+        # where h1 blows up rather than turns.
+        ell = self._forms[key]
+        dell = derivative(ell)
+        r = _product(self._forms[form] for form in LinearForm if form is not key)
+        e = (dell * r).scale(3.0) - ell * derivative(r)
+        c = (dell * q).scale(4.0) - (ell * dq).scale(2.0)
+        poly = ell * e * e - (q * c * e).scale(2.0) + r * c * c
+        params = self.params
+        return poly, lambda x: ell(x) * e(x) + s_minus_q(params, x) * c(x)
+
+    def _missing(self, triple: frozenset) -> LinearForm:
+        return next(form for form in LinearForm if form not in triple)
+
+    def limit(self, kind: HKind, key, edge: float, side: str) -> LimitKind:
+        """One-sided limit at a root of f (-1, 0 or b/a) or at +-infinity.
+
+        The class follows the sign of the vanishing order of the function
+        there.  Every order in the h-tables is a nonzero half-integer for
+        admissible parameters; an order of zero (a finite nonzero limit, which
+        needs Q <= 0 at a root of f or q0 < 0) raises UnclassifiableLimitError."""
+        if side not in ("left", "right"):
+            raise InputError("side must be 'left' or 'right'")
+        if math.isinf(edge):
+            f_sign = 1 if edge > 0 else -1
+        elif edge in {form.zero_at(self.params) for form in LinearForm}:
+            slope = derivative(self.f)(edge)
+            f_sign = (1 if slope > 0.0 else -1) * (1 if side == "right" else -1)
         else:
-            choice = _choice_for_triple(key)
-        return h_handle(kind, choice, self.params)
+            raise InputError(f"limits are classified at the roots of f and at infinity, not at {edge}")
+        if f_sign != (1 if kind in (HKind.H0, HKind.H2) else -1):
+            raise DomainError(f"{kind.value} is not defined on the {side} of {edge}")
+        order = self._order(kind, key, edge)
+        if order == 0.0:
+            raise UnclassifiableLimitError(
+                f"{kind.value} has vanishing order 0 at {edge} ({side}): the limit is finite and nonzero"
+            )
+        return LimitKind.ZERO if order > 0.0 else LimitKind.INFINITY
 
-    def scan_interval(self, which: Interval) -> tuple[float, float]:
-        lo, hi = self.partition.bounds(which)
-        excl = self.cfg.lambda0_exclusion
-        lam0 = self.partition.lambda0
-        if which is Interval.I4MINUS:
-            hi = lam0 - excl
-        elif which is Interval.I4PLUS:
-            lo = lam0 + excl
-        return (lo, hi)
-
-    def count(self, kind: HKind, key, which: Interval) -> CriticalReport:
-        k = (kind, key, which)
-        if k not in self._counts:
-            self._counts[k] = critical_points(self._handle(kind, key), self.scan_interval(which), self.scan)
-        return self._counts[k]
-
-    def count_i4_full(self, kind: HKind, key) -> CriticalReport:
-        """Scan of all of (b/a, infinity) for functions smooth through the
-        double root (h2)."""
-        k = (kind, key, "I4full")
-        if k not in self._counts:
-            lo = self.partition.bounds(Interval.I4MINUS)[0]
-            self._counts[k] = critical_points(self._handle(kind, key), (lo, math.inf), self.scan)
-        return self._counts[k]
-
-    def limit(self, kind: HKind, key, endpoint: float, side: str) -> LimitClass:
-        k = (kind, key, endpoint, side)
-        if k not in self._limits:
-            self._limits[k] = endpoint_limit(self._handle(kind, key), endpoint, side, self.cfg)
-        return self._limits[k]
+    def _order(self, kind: HKind, key, edge: float) -> float:
+        """Vanishing order of the radius function at the edge, where a growth
+        like |lam|^d at infinity counts as order -d."""
+        if kind is HKind.H3:
+            return -self._order(HKind.H1, self._missing(key), edge)
+        if math.isinf(edge):
+            forms = {form: 0.0 if form is LinearForm.X1 else -1.0 for form in LinearForm}
+            ord_u = -1.0 if self.params.q0 > 0.0 else -2.0
+        else:
+            forms = {form: float(form.zero_at(self.params) == edge) for form in LinearForm}
+            q = q_value(self.params, edge)
+            ord_u = 1.0 if q > 0.0 else (0.5 if q == 0.0 else 0.0)
+        ord_f = sum(forms.values())
+        if kind is HKind.H0:
+            return 0.5 * ord_f - ord_u
+        if kind is HKind.H1:
+            return 0.5 * ord_u - forms[key]
+        return 0.5 * ord_f - sum(forms[form] for form in key)
 
 
 @dataclass(frozen=True)
@@ -425,7 +292,7 @@ _H2_TABLE: list[tuple[frozenset, int, int, tuple]] = [
 ]
 
 
-def _edge(cache: HScanCache, token, params: SurfaceParams) -> float:
+def _edge(token, params: SurfaceParams) -> float:
     if token == "-inf":
         return -math.inf
     if token == "+inf":
@@ -439,36 +306,23 @@ def _pair_label(key: frozenset) -> str:
     return "{" + ",".join(sorted(f.value for f in key)) + "}"
 
 
-def verify_h_tables(
-    params: SurfaceParams,
-    scan: ScanConfig = ScanConfig(),
-    cfg: Tolerances = DEFAULT_TOL,
-) -> HTableReport:
+def verify_h_tables(params: SurfaceParams, cache: RadiusAnalysis | None = None) -> HTableReport:
     """Recompute every critical-point count and endpoint limit the
     classification relies on, and compare with the expected tables."""
-    cache = HScanCache(params, scan, cfg)
+    cache = cache or RadiusAnalysis(params)
     rows: list[TableRow] = []
 
-    def count_row(fn: str, label: str, kind: HKind, key, which: Interval, expected: int, i4_full: bool = False):
-        rep = cache.count_i4_full(kind, key) if i4_full else cache.count(kind, key, which)
-        name = "I4" if i4_full else which.value
-        rows.append(
-            TableRow(fn, label, f"count on {name}", str(expected), str(rep.count), rep.count == expected)
-        )
+    def count_row(fn: str, label: str, kind: HKind, key, which: Interval, expected: int, name: str = ""):
+        count = len(cache.critical(kind, key, cache.span(which, kind)))
+        check = f"count on {name or which.value}"
+        rows.append(TableRow(fn, label, check, str(expected), str(count), count == expected))
 
     def limit_row(fn: str, label: str, kind: HKind, key, token, side, expected: LimitKind):
-        edge = _edge(cache, token, params)
+        edge = _edge(token, params)
         use_side = side if side else ("right" if edge > 0 else "left")
         got = cache.limit(kind, key, edge, use_side)
         rows.append(
-            TableRow(
-                fn,
-                label,
-                f"limit at {token} ({use_side})",
-                expected.value,
-                got.kind.value,
-                got.kind is expected,
-            )
+            TableRow(fn, label, f"limit at {token} ({use_side})", expected.value, got.value, got is expected)
         )
 
     count_row("h0", "-", HKind.H0, None, Interval.I2, 1)
@@ -495,7 +349,7 @@ def verify_h_tables(
     for pair, c2, c4, limits in _H2_TABLE:
         label = _pair_label(pair)
         count_row("h2", label, HKind.H2, pair, Interval.I2, c2)
-        count_row("h2", label, HKind.H2, pair, Interval.I2, c4, i4_full=True)
+        count_row("h2", label, HKind.H2, pair, Interval.I4MINUS, c4, name="I4")
         for token, side, expected in limits:
             limit_row("h2", label, HKind.H2, pair, token, side, expected)
 
@@ -511,15 +365,13 @@ def normal_bundle_at(
     choice: ResolutionChoice,
     params: SurfaceParams,
     lam: float,
-    scan: ScanConfig = ScanConfig(),
-    cfg: Tolerances = DEFAULT_TOL,
     match_tol: float = 1e-6,
-    cache: HScanCache | None = None,
+    cache: RadiusAnalysis | None = None,
 ) -> NormalBundleVerdict:
     """Degenerate exactly when lam sits at a critical point of the governing
     radius function; Balanced otherwise."""
     hkind = _FAMILY_TO_KIND[kind]
-    cache = cache or HScanCache(params, scan, cfg)
+    cache = cache or RadiusAnalysis(params)
     part = cache.partition
     f = f_value(params, lam)
     if hkind in (HKind.H0, HKind.H2) and f <= 0.0:
@@ -542,32 +394,26 @@ def normal_bundle_at(
             candidates.append(which)
     if not candidates:
         raise DomainError(f"lam={lam} sits on an interval boundary")
-    which = candidates[0]
-    if hkind is HKind.H2 and which in (Interval.I4MINUS, Interval.I4PLUS):
-        rep = cache.count_i4_full(hkind, key)
-    else:
-        rep = cache.count(hkind, key, which)
-    for pt in rep.points:
-        if abs(lam - pt.location) <= match_tol * (1.0 + abs(lam)):
+    for loc in cache.critical(hkind, key, cache.span(candidates[0], hkind)):
+        if abs(lam - loc) <= match_tol * (1.0 + abs(lam)):
             return NormalBundleVerdict.DEGENERATE
     return NormalBundleVerdict.BALANCED
 
 
-def h0_critical_on_i2(params: SurfaceParams, scan: ScanConfig = ScanConfig()) -> float:
+def h0_critical_on_i2(params: SurfaceParams, cache: RadiusAnalysis | None = None) -> float:
     """The unique degeneration location of the generic family inside I2."""
-    rep = critical_points(
-        h_handle(HKind.H0, all_resolutions()[0], params), (-1.0, 0.0), scan
-    )
-    if rep.count != 1:
-        raise PreconditionError(f"expected a unique critical point on I2, found {rep.count}")
-    return rep.points[0].location
+    cache = cache or RadiusAnalysis(params)
+    locs = cache.critical(HKind.H0, None, cache.span(Interval.I2))
+    if len(locs) != 1:
+        raise PreconditionError(f"expected a unique critical point on I2, found {len(locs)}")
+    return locs[0]
 
 
 def h0_pairing(
     params: SurfaceParams,
     lam: float,
-    scan: ScanConfig = ScanConfig(),
     tol: float = 1e-12,
+    cache: RadiusAnalysis | None = None,
 ) -> float:
     """The partner plane of a broken fibration: for non-critical lam in I2,
     the unique mu on the other side of the critical point with equal h0.
@@ -577,7 +423,7 @@ def h0_pairing(
     blow-up endpoint (where it is positive)."""
     if not -1.0 < lam < 0.0:
         raise DomainError(f"pairing is defined for lam in I2, got {lam}")
-    crit = h0_critical_on_i2(params, scan)
+    crit = h0_critical_on_i2(params, cache)
     if abs(lam - crit) <= 1e-9:
         raise DomainError("lam is the critical plane; no partner exists")
     h = h_handle(HKind.H0, all_resolutions()[0], params)

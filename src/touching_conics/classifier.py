@@ -21,15 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .analysis import (
-    HScanCache,
-    LimitClass,
-    LimitKind,
-    ScanConfig,
-    _pair_key,
-    _triple_key,
-)
-from .config import DEFAULT_TOL, Tolerances
+from .analysis import LimitKind, RadiusAnalysis, _pair_key, _triple_key
 from .errors import PreconditionError, UnclassifiableLimitError
 from .resolution import HKind, LinearForm, ResolutionChoice, all_resolutions
 from .surface import Interval, SurfaceParams
@@ -133,7 +125,7 @@ def assign_types(params: SurfaceParams) -> TypeAssignment:
     )
 
 
-def _limit_or_none(cache: HScanCache, kind: HKind, key, edge: float, side: str):
+def _limit_or_none(cache: RadiusAnalysis, kind: HKind, key, edge: float, side: str):
     try:
         return cache.limit(kind, key, edge, side)
     except UnclassifiableLimitError as exc:
@@ -143,8 +135,8 @@ def _limit_or_none(cache: HScanCache, kind: HKind, key, edge: float, side: str):
 def _match_reason(
     code: str,
     crossing: str,
-    inner: LimitClass | Exception,
-    outer: LimitClass | Exception,
+    inner: LimitKind | Exception,
+    outer: LimitKind | Exception,
     inner_name: str,
     outer_name: str,
 ) -> tuple[Reason | None, bool]:
@@ -154,29 +146,21 @@ def _match_reason(
             Reason(code, f"unclassifiable limit at {crossing}", str(inner if isinstance(inner, Exception) else outer)),
             True,
         )
-    if inner.reciprocal_matches(outer):
+    if outer is inner.reciprocal:
         return None, False
     return (
         Reason(
             code,
-            f"limit mismatch at {crossing}: {inner_name} -> {inner.kind.value} "
-            f"needs {outer_name} -> {_reciprocal_name(inner.kind)}, got {outer.kind.value}",
-            f"{inner.kind.value}/{outer.kind.value}",
+            f"limit mismatch at {crossing}: {inner_name} -> {inner.value} "
+            f"needs {outer_name} -> {inner.reciprocal.value}, got {outer.value}",
+            f"{inner.value}/{outer.value}",
         ),
         False,
     )
 
 
-def _reciprocal_name(kind: LimitKind) -> str:
-    if kind is LimitKind.ZERO:
-        return LimitKind.INFINITY.value
-    if kind is LimitKind.INFINITY:
-        return LimitKind.ZERO.value
-    return "reciprocal Finite"
-
-
 def _trace(
-    cache: HScanCache,
+    cache: RadiusAnalysis,
     choice: ResolutionChoice,
     hyp: Hypothesis,
 ) -> EliminationTrace:
@@ -188,11 +172,9 @@ def _trace(
     ell1 = choice.ell1
 
     # A: orbit-family degeneration inside I2
-    rep = cache.count(HKind.H2, pair, Interval.I2)
-    if rep.count > 0:
-        reasons.append(
-            Reason("A", f"h2 of {sorted(f.value for f in pair)} has a critical point on I2", rep.points[0].location)
-        )
+    locs = cache.critical(HKind.H2, pair, cache.span(Interval.I2))
+    if locs:
+        reasons.append(Reason("A", f"h2 of {sorted(f.value for f in pair)} has a critical point on I2", locs[0]))
 
     # B: degeneration of the chosen special components
     if hyp is Hypothesis.PLUS_OVER_I1:
@@ -201,12 +183,12 @@ def _trace(
     else:
         govern_i1 = (HKind.H3, triple, "h3")
         govern_i3 = (HKind.H1, ell1, f"h1 (l1={ell1.value})")
-    rep = cache.count(govern_i1[0], govern_i1[1], Interval.I1)
-    if rep.count > 0:
-        reasons.append(Reason("B", f"{govern_i1[2]} has a critical point on I1", rep.points[0].location))
-    rep = cache.count(govern_i3[0], govern_i3[1], Interval.I3)
-    if rep.count > 0:
-        reasons.append(Reason("B", f"{govern_i3[2]} has a critical point on I3", rep.points[0].location))
+    locs = cache.critical(govern_i1[0], govern_i1[1], cache.span(Interval.I1))
+    if locs:
+        reasons.append(Reason("B", f"{govern_i1[2]} has a critical point on I1", locs[0]))
+    locs = cache.critical(govern_i3[0], govern_i3[1], cache.span(Interval.I3))
+    if locs:
+        reasons.append(Reason("B", f"{govern_i3[2]} has a critical point on I3", locs[0]))
 
     # C: reciprocal gluing of the limits across lambda = -1 and lambda = 0
     h2_at_m1 = _limit_or_none(cache, HKind.H2, pair, -1.0, "right")
@@ -240,18 +222,13 @@ def _trace(
     return EliminationTrace(choice=choice, hypothesis=hyp, verdict=verdict, reasons=tuple(reasons))
 
 
-def eliminate(
-    params: SurfaceParams,
-    scan: ScanConfig = ScanConfig(),
-    cfg: Tolerances = DEFAULT_TOL,
-    cache: HScanCache | None = None,
-) -> EliminationOutcome:
+def eliminate(params: SurfaceParams, cache: RadiusAnalysis | None = None) -> EliminationOutcome:
     """Run all 24 x 2 hypothesis checks with full traces.
 
     Any unclassifiable limit makes the whole outcome inconclusive rather than
     promoting a silent survivor.
     """
-    cache = cache or HScanCache(params, scan, cfg)
+    cache = cache or RadiusAnalysis(params)
     traces = []
     survivors = []
     inconclusive = False
@@ -283,9 +260,7 @@ EXPECTED_SURVIVORS = (
 def component_schedule(
     choice: ResolutionChoice,
     params: SurfaceParams,
-    scan: ScanConfig = ScanConfig(),
-    cfg: Tolerances = DEFAULT_TOL,
-    cache: HScanCache | None = None,
+    cache: RadiusAnalysis | None = None,
 ) -> ComponentSchedule:
     """Which irreducible component carries the candidate fibers per interval.
 
@@ -298,7 +273,7 @@ def component_schedule(
     singles out the reciprocal-radius side.  By convention Plus over I4 names
     the component meeting the fixed line in the larger circle.
     """
-    cache = cache or HScanCache(params, scan, cfg)
+    cache = cache or RadiusAnalysis(params)
     matching = [tr for tr in (_trace(cache, choice, h) for h in Hypothesis) if tr.verdict is Verdict.SURVIVES]
     if not matching:
         raise PreconditionError(f"{choice.label()} is not a surviving resolution")
@@ -311,12 +286,7 @@ def component_schedule(
         govern = (HKind.H1, choice.ell1)
     ba = params.b / params.a
     lim = cache.limit(govern[0], govern[1], ba, "left")
-    if lim.kind is LimitKind.ZERO:
-        i4minus = ComponentChoice.MINUS
-    elif lim.kind is LimitKind.INFINITY:
-        i4minus = ComponentChoice.PLUS
-    else:
-        raise PreconditionError(f"no shrink matching at b/a: governing limit is {lim.kind.value}")
+    i4minus = ComponentChoice.MINUS if lim is LimitKind.ZERO else ComponentChoice.PLUS
     i4plus = ComponentChoice.PLUS if i4minus is ComponentChoice.MINUS else ComponentChoice.MINUS
     return ComponentSchedule(i1=i1, i2=ComponentChoice.BOTH, i3=i3, i4minus=i4minus, i4plus=i4plus)
 
@@ -328,17 +298,13 @@ class ClassificationReport:
     schedules: tuple[tuple[ResolutionChoice, Hypothesis, ComponentSchedule], ...]
 
 
-def classify(
-    params: SurfaceParams,
-    scan: ScanConfig = ScanConfig(),
-    cfg: Tolerances = DEFAULT_TOL,
-) -> ClassificationReport:
+def classify(params: SurfaceParams, cache: RadiusAnalysis | None = None) -> ClassificationReport:
     """Full pipeline: type table, elimination with traces, and the component
     schedules of the survivors."""
-    cache = HScanCache(params, scan, cfg)
-    outcome = eliminate(params, scan, cfg, cache=cache)
+    cache = cache or RadiusAnalysis(params)
+    outcome = eliminate(params, cache=cache)
     schedules = tuple(
-        (choice, hyp, component_schedule(choice, params, scan, cfg, cache=cache))
+        (choice, hyp, component_schedule(choice, params, cache=cache))
         for choice, hyp in outcome.survivors
     )
     return ClassificationReport(

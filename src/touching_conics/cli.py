@@ -18,9 +18,8 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .analysis import ScanConfig, h0_critical_on_i2, h0_pairing, psi_check, verify_h_tables
+from .analysis import RadiusAnalysis, h0_critical_on_i2, h0_pairing, psi_check, verify_h_tables
 from .classifier import EXPECTED_SURVIVORS, classify
-from .config import DEFAULT_TOL, Tolerances
 from .conics import (
     ConicCoeffs,
     generic_conic,
@@ -37,7 +36,6 @@ from .errors import (
     PreconditionError,
     RealityError,
     UnclassifiableLimitError,
-    UnstableScanError,
 )
 from .resolution import HKind, LinearForm, ResolutionChoice, all_resolutions, h_function
 from .surface import (
@@ -72,7 +70,6 @@ class RunConfig:
     alpha: float | None = None
     resolution: str | None = None
     grid: int = 24
-    tol: float = DEFAULT_TOL.equality_rel
     out: str | None = None
     fmt: str = "json"
     timings: bool = False
@@ -85,17 +82,23 @@ class RunConfig:
             "alpha": self.alpha,
             "resolution": self.resolution,
             "grid": self.grid,
-            "tol": self.tol,
             "out": self.out,
             "format": self.fmt,
         }
+
+
+def _number(text: str, where: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InputError(f"{where}: {text.strip()!r} is not a number") from None
 
 
 def _parse_params_arg(text: str) -> SurfaceParams:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 5:
         raise InputError("--params expects q0,q1,q2,a,b")
-    q0, q1, q2, a, b = (float(p) for p in parts)
+    q0, q1, q2, a, b = (_number(p, "--params") for p in parts)
     return SurfaceParams(q0, q1, q2, a, b)
 
 
@@ -106,11 +109,11 @@ def _parse_params_file(path: str) -> SurfaceParams:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" in line:
-                key, val = line.split("=", 1)
-            else:
-                key, val = line.split(None, 1)
-            values[key.strip()] = float(val.strip())
+            parts = line.split("=", 1) if "=" in line else line.split(None, 1)
+            if len(parts) != 2:
+                raise InputError(f"params file line {line!r} is not 'key = value'")
+            key = parts[0].strip()
+            values[key] = _number(parts[1], f"params file key {key}")
     try:
         return SurfaceParams(values["q0"], values["q1"], values["q2"], values["a"], values["b"])
     except KeyError as exc:
@@ -135,8 +138,8 @@ def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _validation_dict(params: SurfaceParams, cfg_tol: Tolerances) -> tuple[dict, bool]:
-    rep = validate(params, cfg_tol)
+def _validation_dict(params: SurfaceParams) -> tuple[dict, bool]:
+    rep = validate(params)
     body = {
         "condition_i": {
             "passed": rep.condition_i.passed,
@@ -185,8 +188,8 @@ def _conic_record(conic: ConicCoeffs, label: str, lam: float | None, knob: float
     }
 
 
-def _htable_rows(params: SurfaceParams, scan: ScanConfig, tol: Tolerances):
-    rep = verify_h_tables(params, scan, tol)
+def _htable_rows(params: SurfaceParams, cache: RadiusAnalysis | None = None):
+    rep = verify_h_tables(params, cache)
     rows = [
         {
             "function": r.function,
@@ -201,8 +204,8 @@ def _htable_rows(params: SurfaceParams, scan: ScanConfig, tol: Tolerances):
     return rows, rep.passed
 
 
-def _classification_dict(params: SurfaceParams, scan: ScanConfig, tol: Tolerances) -> tuple[dict, bool, bool]:
-    rep = classify(params, scan, tol)
+def _classification_dict(params: SurfaceParams, cache: RadiusAnalysis) -> tuple[dict, bool, bool]:
+    rep = classify(params, cache)
     body = {
         "type_assignment": [
             {"interval": name, "type": kind.value, "justification": why}
@@ -237,21 +240,21 @@ def _classification_dict(params: SurfaceParams, scan: ScanConfig, tol: Tolerance
             }
             for ch, hyp, s in rep.schedules
         ],
-        "broken_pairing": _pairing_samples(params, scan),
+        "broken_pairing": _pairing_samples(params, cache),
     }
     ok = set(rep.outcome.survivors) == set(EXPECTED_SURVIVORS) and not rep.outcome.inconclusive
     return body, ok, rep.outcome.inconclusive
 
 
-def _pairing_samples(params: SurfaceParams, scan: ScanConfig) -> dict:
+def _pairing_samples(params: SurfaceParams, cache: RadiusAnalysis) -> dict:
     """A few partner planes of the degenerate-radius pairing inside I2."""
-    crit = h0_critical_on_i2(params, scan)
+    crit = h0_critical_on_i2(params, cache)
     samples = []
     for k in range(1, 5):
         lam = -1.0 + k * 0.18
         if abs(lam - crit) < 1e-3:
             continue
-        samples.append({"lambda": lam, "mu": h0_pairing(params, lam, scan)})
+        samples.append({"lambda": lam, "mu": h0_pairing(params, lam, cache=cache)})
     return {"critical_lambda": crit, "samples": samples}
 
 
@@ -306,10 +309,10 @@ def _envelope(cfg: RunConfig, body: dict, timings: dict | None) -> dict:
 # subcommands
 
 
-def _cmd_validate(cfg: RunConfig, tol: Tolerances) -> int:
+def _cmd_validate(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     t0 = time.perf_counter()
-    body, ok = _validation_dict(params, tol)
+    body, ok = _validation_dict(params)
     doc = _envelope(
         cfg,
         {"validation": body, "singular_locus": _singular_dict(params)},
@@ -319,18 +322,18 @@ def _cmd_validate(cfg: RunConfig, tol: Tolerances) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _cmd_search_params(cfg: RunConfig, args, tol: Tolerances) -> int:
+def _cmd_search_params(cfg: RunConfig, args) -> int:
     search = SearchConfig(
         a=args.a, b=args.b, lambda0=args.lambda0, q0_min=args.q0_min, q0_max=args.q0_max,
         q0_steps=args.q0_steps,
     )
     t0 = time.perf_counter()
     try:
-        params = find_valid_params(search, tol)
+        params = find_valid_params(search)
     except NotFoundError as exc:
         _emit(_envelope(cfg, {"search": {"found": False, "error": str(exc)}}, None), cfg)
         return EXIT_FAIL
-    body, ok = _validation_dict(params, tol)
+    body, ok = _validation_dict(params)
     doc = _envelope(
         cfg,
         {"search": {"found": True, "params": params.as_dict()}, "validation": body},
@@ -340,7 +343,7 @@ def _cmd_search_params(cfg: RunConfig, args, tol: Tolerances) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _cmd_conic(cfg: RunConfig, args, tol: Tolerances) -> int:
+def _cmd_conic(cfg: RunConfig, args) -> int:
     params = _require_params(cfg)
     if cfg.lam is None:
         raise InputError("--lambda required")
@@ -361,7 +364,7 @@ def _cmd_conic(cfg: RunConfig, args, tol: Tolerances) -> int:
     return EXIT_OK
 
 
-def _cmd_tangency(cfg: RunConfig, tol: Tolerances) -> int:
+def _cmd_tangency(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     if cfg.lam is None:
         raise InputError("--lambda required")
@@ -396,7 +399,7 @@ def _cmd_tangency(cfg: RunConfig, tol: Tolerances) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _cmd_hscan(cfg: RunConfig, tol: Tolerances) -> int:
+def _cmd_hscan(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     part = intervals(params)
     choices = [_parse_resolution(cfg.resolution)] if cfg.resolution else all_resolutions()
@@ -433,10 +436,10 @@ def _cmd_hscan(cfg: RunConfig, tol: Tolerances) -> int:
     return EXIT_OK
 
 
-def _cmd_critical(cfg: RunConfig, tol: Tolerances) -> int:
+def _cmd_critical(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     t0 = time.perf_counter()
-    rows, ok = _htable_rows(params, ScanConfig(), tol)
+    rows, ok = _htable_rows(params)
     doc = _envelope(
         cfg, {"rows": rows, "passed": ok}, {"h_tables_s": round(time.perf_counter() - t0, 3)}
     )
@@ -444,12 +447,12 @@ def _cmd_critical(cfg: RunConfig, tol: Tolerances) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _cmd_classify(cfg: RunConfig, tol: Tolerances) -> int:
+def _cmd_classify(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     t0 = time.perf_counter()
     try:
-        body, ok, inconclusive = _classification_dict(params, ScanConfig(), tol)
-    except (UnclassifiableLimitError, UnstableScanError) as exc:
+        body, ok, inconclusive = _classification_dict(params, RadiusAnalysis(params))
+    except UnclassifiableLimitError as exc:
         _emit(_envelope(cfg, {"classification": {"inconclusive": True, "error": str(exc)}}, None), cfg)
         return EXIT_INCONCLUSIVE
     doc = _envelope(
@@ -467,21 +470,22 @@ def _cmd_psi(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _cmd_report(cfg: RunConfig, tol: Tolerances) -> int:
+def _cmd_report(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     timings = {}
     t0 = time.perf_counter()
-    validation, ok_v = _validation_dict(params, tol)
+    validation, ok_v = _validation_dict(params)
     timings["validate_s"] = round(time.perf_counter() - t0, 3)
     sing = _singular_dict(params)
     t0 = time.perf_counter()
-    h_rows, ok_h = _htable_rows(params, ScanConfig(), tol)
+    cache = RadiusAnalysis(params)
+    h_rows, ok_h = _htable_rows(params, cache)
     timings["h_tables_s"] = round(time.perf_counter() - t0, 3)
     t0 = time.perf_counter()
     inconclusive = False
     try:
-        classification, ok_c, inconclusive = _classification_dict(params, ScanConfig(), tol)
-    except (UnclassifiableLimitError, UnstableScanError) as exc:
+        classification, ok_c, inconclusive = _classification_dict(params, cache)
+    except UnclassifiableLimitError as exc:
         classification, ok_c, inconclusive = {"inconclusive": True, "error": str(exc)}, False, True
     timings["classify_s"] = round(time.perf_counter() - t0, 3)
     psi, ok_p = _psi_dict()
@@ -513,7 +517,6 @@ _COMMON_DEFAULTS = {
     "alpha": None,
     "resolution": None,
     "grid": 24,
-    "tol": DEFAULT_TOL.equality_rel,
     "out": None,
     "fmt": "json",
     "timings": False,
@@ -531,7 +534,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--alpha", type=float, help="orbit family parameter")
     common.add_argument("--resolution", help="ELL1,ELL2,ELL3 out of X0,X1,X0plusX1,AX0minusBX1")
     common.add_argument("--grid", type=int, help="sample density (>= 16)")
-    common.add_argument("--tol", type=float, help="equality tolerance")
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument("--format", dest="fmt", choices=("json", "csv"))
     common.add_argument("--timings", action="store_true", help="embed wall-clock timings in the report")
@@ -571,12 +573,8 @@ def run(argv: list[str]) -> int:
         if not hasattr(args, key):
             setattr(args, key, value)
 
-    tol = DEFAULT_TOL if args.tol == DEFAULT_TOL.equality_rel else Tolerances(equality_rel=args.tol)
     if args.grid < 16:
         sys.stderr.write("grid density must be at least 16\n")
-        return EXIT_USAGE
-    if args.tol <= 0.0:
-        sys.stderr.write("tolerances must be positive\n")
         return EXIT_USAGE
 
     cfg = RunConfig(
@@ -585,7 +583,6 @@ def run(argv: list[str]) -> int:
         alpha=args.alpha,
         resolution=args.resolution,
         grid=args.grid,
-        tol=args.tol,
         out=args.out,
         fmt=args.fmt,
         timings=args.timings,
@@ -599,29 +596,29 @@ def run(argv: list[str]) -> int:
             cfg.params = _parse_params_file(args.params_file).as_dict()
 
         if args.command == "validate":
-            return _cmd_validate(cfg, tol)
+            return _cmd_validate(cfg)
         if args.command == "search-params":
-            return _cmd_search_params(cfg, args, tol)
+            return _cmd_search_params(cfg, args)
         if args.command == "conic":
-            return _cmd_conic(cfg, args, tol)
+            return _cmd_conic(cfg, args)
         if args.command == "tangency":
-            return _cmd_tangency(cfg, tol)
+            return _cmd_tangency(cfg)
         if args.command == "hscan":
-            return _cmd_hscan(cfg, tol)
+            return _cmd_hscan(cfg)
         if args.command == "critical":
-            return _cmd_critical(cfg, tol)
+            return _cmd_critical(cfg)
         if args.command == "classify":
-            return _cmd_classify(cfg, tol)
+            return _cmd_classify(cfg)
         if args.command == "psi":
             return _cmd_psi(cfg)
-        return _cmd_report(cfg, tol)
+        return _cmd_report(cfg)
     except (InputError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (InvalidParameterError, DomainError, RealityError, PreconditionError, NotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL
-    except (UnclassifiableLimitError, UnstableScanError) as exc:
+    except UnclassifiableLimitError as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return EXIT_INCONCLUSIVE
 

@@ -14,10 +14,6 @@ class Tolerances:
     polish_tol         target for |p| and |p'| after polishing a double root
     degenerate_det     |det| threshold for a reducible conic, after normalization
     grid_floor         floor spacing of the admissibility scan grid
-    deriv_step         central-difference step scale: h = deriv_step * (1 + |x|)
-    critical_bisect    bisection width for refined critical points
-    limit_low          one-sided limit classified Zero below this
-    limit_high         one-sided limit classified Infinity above this
     lambda0_exclusion  radius excluded around the double-root plane when scanning
     """
 
@@ -26,10 +22,6 @@ class Tolerances:
     polish_tol: float = 1e-10
     degenerate_det: float = 1e-10
     grid_floor: float = 1e-4
-    deriv_step: float = 1e-6
-    critical_bisect: float = 1e-9
-    limit_low: float = 1e-4
-    limit_high: float = 1e4
     lambda0_exclusion: float = 1e-3
 
 

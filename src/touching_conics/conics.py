@@ -29,7 +29,7 @@ from .errors import (
     InputError,
     PreconditionError,
 )
-from .poly import cluster_roots, companion_roots
+from .poly import cluster_roots, companion_roots, evaluate
 from .surface import SurfaceParams, disc_value, f_value, q_value, s_minus_q, sqrt_disc
 
 _SWAP23 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
@@ -328,7 +328,7 @@ def verify_touching(
         pinf_mult = 0
         for members in cluster_roots(roots, tol):
             center = sum(members) / len(members)
-            res = max(abs(_ceval(norm, z)) for z in members)
+            res = max(abs(evaluate(norm, z)) for z in members)
             residual = max(residual, res)
             if abs(center) <= tol:
                 pinf_mult = len(members)
@@ -374,13 +374,6 @@ def _normalized_or_zero(coeffs) -> tuple[complex, ...]:
     if top == 0.0:
         return tuple(complex(c) for c in coeffs)
     return tuple(complex(c) / top for c in coeffs)
-
-
-def _ceval(coeffs, z):
-    acc = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,4 @@ class NotFoundError(RuntimeError):
 
 
 class UnclassifiableLimitError(RuntimeError):
-    """One-sided limit did not show a monotone trend; never silently guessed."""
-
-
-class UnstableScanError(RuntimeError):
-    """Critical-point count kept changing under grid refinement."""
+    """One-sided limit is neither Zero nor Infinity; never silently guessed."""

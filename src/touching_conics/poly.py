@@ -81,10 +81,12 @@ class RootCluster:
     residual: float
 
 
-def evaluate(p: RealPolynomial, x: float) -> float:
-    """Horner evaluation; exact for degree 0."""
+def evaluate(p, x):
+    """Horner evaluation of a RealPolynomial or of an ascending coefficient
+    sequence, at a real or complex point; exact for degree 0."""
+    coeffs = p.coefficients if isinstance(p, RealPolynomial) else p
     acc = 0.0
-    for c in reversed(p.coefficients):
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
@@ -95,18 +97,13 @@ def derivative(p: RealPolynomial) -> RealPolynomial:
     return RealPolynomial(tuple(k * c for k, c in enumerate(p.coefficients) if k > 0))
 
 
-def _eval_complex(coeffs, z):
-    acc = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def companion_roots(coeffs) -> list[complex]:
     """All complex roots of a polynomial given by ascending coefficients.
 
-    Eigenvalues of the companion matrix, each polished by one Newton step
-    (the step is kept only when it actually reduces |p|).
+    Eigenvalues of the companion matrix, each polished by one Newton step.
+    The step is kept only when it reduces |p| and lands nearer its own
+    eigenvalue than any other: near a multiple root p' almost vanishes and
+    an unguarded step can jump onto a different root.
     """
     cs = [complex(c) for c in coeffs]
     while len(cs) > 1 and cs[-1] == 0:
@@ -124,12 +121,17 @@ def companion_roots(coeffs) -> list[complex]:
     dcs = [k * cs[k] for k in range(1, len(cs))]
     polished = []
     for r in roots:
-        pr = _eval_complex(cs, r)
-        dpr = _eval_complex(dcs, r)
+        pr = evaluate(cs, r)
+        dpr = evaluate(dcs, r)
         if abs(dpr) > 0:
             cand = r - pr / dpr
-            if abs(_eval_complex(cs, cand)) < abs(pr):
-                r = cand
+            if abs(evaluate(cs, cand)) < abs(pr):
+                step = abs(cand - r)
+                for other in roots:
+                    if other is not r and abs(cand - other) <= step:
+                        break
+                else:
+                    r = cand
         polished.append(r)
     return polished
 
@@ -160,7 +162,7 @@ def root_clusters(coeffs, tol: float) -> list[RootCluster]:
     out = []
     for members in cluster_roots(roots, tol):
         center = _centroid(members)
-        res = max(abs(_eval_complex(cs, m)) for m in members)
+        res = max(abs(evaluate(cs, m)) for m in members)
         out.append(RootCluster(value=center, multiplicity=len(members), residual=res))
     out.sort(key=lambda c: (c.value.real, c.value.imag))
     return out
@@ -213,15 +215,15 @@ def two_double_roots_criterion(a1, a2, a3, a4, tol: float = DEFAULT_TOL.equality
     )
 
 
-def has_two_double_roots(
-    a1: float, a2: float, a3: float, a4: float, tol: float = DEFAULT_TOL.equality_rel
-) -> bool:
-    """Real-coefficient form of the two-double-roots test for a monic quartic."""
-    return two_double_roots_criterion(float(a1), float(a2), float(a3), float(a4), tol)
-
-
-def central_difference(f, x: float, h: float) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
+def deflate(p: RealPolynomial, root: float) -> RealPolynomial:
+    """Quotient of p by (x - root), by synthetic division; the remainder,
+    which vanishes when root is a root of p, is dropped."""
+    out = [0.0] * p.degree
+    acc = 0.0
+    for k in range(p.degree, 0, -1):
+        acc = acc * root + p.coefficients[k]
+        out[k - 1] = acc
+    return RealPolynomial(tuple(out))
 
 
 def poly_from_roots(roots) -> RealPolynomial:

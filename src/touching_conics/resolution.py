@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, RealityError
+from .poly import RealPolynomial, evaluate
 from .series import TruncatedSeries
 from .surface import SurfaceParams, disc_value, f_value, q_value, s_minus_q, sqrt_disc
 
@@ -48,6 +49,16 @@ class LinearForm(enum.Enum):
         if self is LinearForm.X0_PLUS_X1:
             return lam + 1.0
         return params.a * lam - params.b
+
+    def polynomial(self, params: SurfaceParams) -> RealPolynomial:
+        """The restricted value as a polynomial in lam."""
+        if self is LinearForm.X0:
+            return RealPolynomial((0.0, 1.0))
+        if self is LinearForm.X1:
+            return RealPolynomial((1.0,))
+        if self is LinearForm.X0_PLUS_X1:
+            return RealPolynomial((1.0, 1.0))
+        return RealPolynomial((-params.b, params.a))
 
     def zero_at(self, params: SurfaceParams) -> float | None:
         """Where the restricted value vanishes (None for X1)."""
@@ -272,15 +283,8 @@ def cover_residual(pres: SeriesPresentation, params: SurfaceParams, x1: complex)
     series; should vanish to one order beyond the truncation."""
     q = q_value(params, pres.lam)
     f = f_value(params, pres.lam)
-    xi = _eval(pres.xi, x1)
-    eta = _eval(pres.eta, x1)
+    xi = evaluate(pres.xi, x1)
+    eta = evaluate(pres.eta, x1)
     z = 0.5 * (xi + eta)
-    w = _eval(pres.x2, x1) + q * x1 * x1
+    w = evaluate(pres.x2, x1) + q * x1 * x1
     return abs(z * z + w * w - f * x1**4)
-
-
-def _eval(coeffs, x):
-    acc = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
+from .poly import evaluate
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,7 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out))
 
     def __call__(self, x: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return evaluate(self.coeffs, x)
 
     def _check(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:

@@ -137,16 +137,8 @@ def q_value(params: SurfaceParams, lam: float) -> float:
     return (params.q0 * lam + params.q1) * lam + params.q2
 
 
-def q_prime(params: SurfaceParams, lam: float) -> float:
-    return 2.0 * params.q0 * lam + params.q1
-
 def f_value(params: SurfaceParams, lam: float) -> float:
     return lam * (lam + 1.0) * (params.a * lam - params.b)
-
-
-def f_prime(params: SurfaceParams, lam: float) -> float:
-    a, b = params.a, params.b
-    return 3.0 * a * lam * lam + 2.0 * (a - b) * lam - b
 
 
 def disc_value(params: SurfaceParams, lam: float) -> float:

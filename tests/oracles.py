@@ -7,9 +7,14 @@ back into the clustering or validation paths it certifies.
 
 from __future__ import annotations
 
+import enum
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+
+from touching_conics.errors import DomainError, InputError, UnclassifiableLimitError
 
 
 def dense_grid_certificate(params, lam0: float, n: int = 100_001) -> dict:
@@ -121,3 +126,238 @@ def grid_minimum_on_slice(m: np.ndarray, n: int = 60) -> float:
             y = np.array([t, z, z.conjugate()])
             best = min(best, float((y @ m @ y).real))
     return best
+
+
+# ---------------------------------------------------------------------------
+# the numeric critical-point scanner and endpoint-limit ladder
+#
+# Numeric counterparts of analysis.RadiusAnalysis, which works from
+# polynomials and valuations.  They touch the radius functions only through
+# point evaluations, so they cross-check the exact path independently.
+
+
+class UnstableScanError(RuntimeError):
+    """Critical-point count kept changing under grid refinement."""
+
+
+@dataclass(frozen=True)
+class ScanConfig:
+    grid: int = 1200
+    tol: float = 1e-9
+    deriv_step: float = 1e-6
+    max_doublings: int = 2
+
+
+@dataclass(frozen=True)
+class CriticalPoint:
+    location: float
+    derivative_residual: float
+
+
+@dataclass(frozen=True)
+class CriticalReport:
+    interval: tuple[float, float]
+    count: int
+    points: tuple[CriticalPoint, ...]
+    grid_used: int
+
+
+class LimitKind(enum.Enum):
+    ZERO = "Zero"
+    FINITE = "Finite"
+    INFINITY = "Infinity"
+
+
+@dataclass(frozen=True)
+class LimitClass:
+    kind: LimitKind
+    value: float | None = None
+
+    def reciprocal_matches(self, other: "LimitClass", rel: float = 1e-3) -> bool:
+        """Class-level reciprocity: Zero pairs with Infinity and vice versa;
+        two finite limits must be reciprocal values."""
+        if self.kind is LimitKind.ZERO:
+            return other.kind is LimitKind.INFINITY
+        if self.kind is LimitKind.INFINITY:
+            return other.kind is LimitKind.ZERO
+        if other.kind is not LimitKind.FINITE:
+            return False
+        assert self.value is not None and other.value is not None
+        if self.value == 0.0 or other.value == 0.0:
+            return False
+        return abs(self.value * other.value - 1.0) <= rel
+
+
+def _tan_nodes(lo: float, hi: float, n: int) -> list[float]:
+    """Interior nodes of (lo, hi), uniform in the arctangent compactification
+    with geometric stacks near both ends."""
+    t_lo = math.atan(lo) if math.isfinite(lo) else -0.5 * math.pi
+    t_hi = math.atan(hi) if math.isfinite(hi) else 0.5 * math.pi
+    span = t_hi - t_lo
+    ts = [t_lo + span * (k + 1) / (n + 1) for k in range(n)]
+    tail = span / (n + 1)
+    for k in range(1, 41):
+        tail *= 0.5
+        if tail < 1e-14 * max(1.0, abs(t_lo), abs(t_hi)):
+            break
+        ts.append(t_lo + tail)
+        ts.append(t_hi - tail)
+    ts = sorted(set(ts))
+    return [math.tan(t) for t in ts if t_lo < t < t_hi]
+
+
+def _central_diff(h: Callable[[float], float], x: float, step_scale: float) -> float:
+    d = step_scale * (1.0 + abs(x))
+    return (h(x + d) - h(x - d)) / (2.0 * d)
+
+
+def _scan_once(
+    h: Callable[[float], float],
+    lo: float,
+    hi: float,
+    n: int,
+    cfg: ScanConfig,
+) -> list[CriticalPoint]:
+    xs = _tan_nodes(lo, hi, n)
+    vals = []
+    nodes = []
+    for x in xs:
+        try:
+            v = h(x)
+        except (DomainError, ValueError, OverflowError, ZeroDivisionError):
+            continue
+        if math.isfinite(v):
+            nodes.append(x)
+            vals.append(v)
+    if len(nodes) < 3:
+        raise InputError("fewer than 3 valid grid points in the scan interval")
+
+    found: list[CriticalPoint] = []
+    slopes = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
+    last_sign = 0
+    last_idx = -1
+    for i, s in enumerate(slopes):
+        if s == 0.0:
+            # exact float ties straddle flat extrema; the sign tracker below
+            # still sees the change across the tie
+            continue
+        sign = 1 if s > 0.0 else -1
+        if last_sign != 0 and sign != last_sign:
+            a, b = nodes[last_idx], nodes[i + 1]
+            pt = _refine_bracket(h, a, b, cfg)
+            if pt is not None:
+                if not found or abs(pt.location - found[-1].location) > 100.0 * cfg.tol * (
+                    1.0 + abs(pt.location)
+                ):
+                    found.append(pt)
+        last_sign, last_idx = sign, i
+    return found
+
+
+def _refine_bracket(h, a: float, b: float, cfg: ScanConfig) -> CriticalPoint | None:
+    ga = _central_diff(h, a, cfg.deriv_step)
+    gb = _central_diff(h, b, cfg.deriv_step)
+    if not (math.isfinite(ga) and math.isfinite(gb)) or (ga > 0.0) == (gb > 0.0):
+        return None
+    while (b - a) > cfg.tol * (1.0 + abs(a) + abs(b)):
+        mid = 0.5 * (a + b)
+        gm = _central_diff(h, mid, cfg.deriv_step)
+        if gm == 0.0:
+            a = b = mid
+            break
+        if (gm > 0.0) == (ga > 0.0):
+            a, ga = mid, gm
+        else:
+            b, gb = mid, gm
+    loc = 0.5 * (a + b)
+    return CriticalPoint(location=loc, derivative_residual=abs(_central_diff(h, loc, cfg.deriv_step)))
+
+
+def critical_points(
+    h: Callable[[float], float],
+    interval: tuple[float, float],
+    cfg: ScanConfig = ScanConfig(),
+) -> CriticalReport:
+    """Bracketed sign changes of the numerical derivative on an open interval.
+
+    The interval is compactified through arctangent so unbounded ends get a
+    genuine asymptotic tail.  The count must be stable under grid doubling;
+    if it keeps changing the scan aborts rather than report a guess.
+    """
+    lo, hi = interval
+    if not lo < hi:
+        raise InputError(f"empty interval {interval}")
+    n = cfg.grid
+    prev = _scan_once(h, lo, hi, n, cfg)
+    for _ in range(cfg.max_doublings):
+        cur = _scan_once(h, lo, hi, 2 * n, cfg)
+        if len(cur) == len(prev):
+            return CriticalReport(interval=interval, count=len(cur), points=tuple(cur), grid_used=2 * n)
+        prev, n = cur, 2 * n
+    raise UnstableScanError(f"critical-point count on {interval} unstable under refinement")
+
+
+def endpoint_limit(
+    h: Callable[[float], float],
+    endpoint: float,
+    side: str,
+    limit_low: float = 1e-4,
+    limit_high: float = 1e4,
+) -> LimitClass:
+    """One-sided limit classified from a geometric approach ladder.
+
+    Finite endpoints are approached at distances 10^-1 .. 10^-10; infinite
+    ones at radii 10^1 .. 10^10 (the square-root rates that occur here need
+    the extra decades to clear the thresholds).  Zero and Infinity demand a
+    monotone trend over the last four decades; a finite limit must have
+    stabilized; anything else raises rather than guesses.
+    """
+    if side not in ("left", "right"):
+        raise InputError("side must be 'left' or 'right'")
+    sign = 1.0 if side == "right" else -1.0
+    xs = []
+    if math.isfinite(endpoint):
+        xs = [endpoint + sign * 10.0 ** (-k) for k in range(1, 11)]
+    else:
+        direction = 1.0 if endpoint > 0 else -1.0
+        xs = [direction * 10.0**k for k in range(1, 11)]
+    vals = []
+    for x in xs:
+        try:
+            v = h(x)
+        except (DomainError, ValueError, OverflowError, ZeroDivisionError):
+            continue
+        if math.isfinite(v):
+            vals.append(v)
+    if len(vals) < 6:
+        raise UnclassifiableLimitError("not enough valid samples on the approach ladder")
+    tail = vals[-5:]
+    decreasing = all(tail[i + 1] < tail[i] for i in range(4))
+    increasing = all(tail[i + 1] > tail[i] for i in range(4))
+    if decreasing and abs(tail[-1]) < limit_low:
+        return LimitClass(LimitKind.ZERO)
+    if increasing and tail[-1] > limit_high:
+        return LimitClass(LimitKind.INFINITY)
+    if abs(tail[-1] - tail[-2]) <= 1e-3 * (1.0 + abs(tail[-1])):
+        value = tail[-1]
+        d1, d2 = tail[-1] - tail[-2], tail[-2] - tail[-3]
+        if d2 != 0.0:
+            ratio = d1 / d2
+            if 0.0 < abs(ratio) < 0.9:
+                value = tail[-1] + d1 * ratio / (1.0 - ratio)
+        return LimitClass(LimitKind.FINITE, value)
+    raise UnclassifiableLimitError(
+        f"no monotone trend toward a class at {endpoint} ({side}); last values {tail}"
+    )
+
+
+def vanishing_order(h: Callable[[float], float], endpoint: float, side: str) -> float:
+    """Local exponent of h at a one-sided endpoint, from two samples close to
+    it: h ~ |lam - e|^k near a finite end gives k; h ~ |lam|^d toward
+    infinity gives -d."""
+    if math.isfinite(endpoint):
+        sign = 1.0 if side == "right" else -1.0
+        near, far = endpoint + sign * 1e-9, endpoint + sign * 1e-7
+        return math.log(h(near) / h(far)) / math.log(1e-2)
+    far, farther = math.copysign(1e7, endpoint), math.copysign(1e9, endpoint)
+    return -math.log(h(farther) / h(far)) / math.log(1e2)

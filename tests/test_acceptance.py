@@ -15,14 +15,14 @@ import numpy as np
 
 from oracles import (
     central_difference,
+    critical_points,
     dense_grid_certificate,
+    endpoint_limit,
     expand_from_roots,
     expand_two_double_roots,
     quartic_double_double,
 )
 from touching_conics.analysis import (
-    critical_points,
-    endpoint_limit,
     h0_pairing,
     h_handle,
     k_profile,
@@ -38,7 +38,7 @@ from touching_conics.conics import (
     special_conic,
     verify_touching,
 )
-from touching_conics.poly import has_two_double_roots
+from touching_conics.poly import two_double_roots_criterion
 from touching_conics.resolution import (
     Bfun,
     HKind,
@@ -97,7 +97,7 @@ def test_acceptance_2_double_root_criterion():
             v = u * u / 4.0 + rng.uniform(0.3, 2.0)
             coeffs = expand_from_roots(list(np.roots([1.0, u, v])) * 2)
         a4, a3, a2, a1, _ = coeffs
-        mine = has_two_double_roots(a1, a2, a3, a4, tol=1e-9)
+        mine = two_double_roots_criterion(a1, a2, a3, a4, tol=1e-9)
         if mine != quartic_double_double(coeffs):
             disagreements += 1
     for _ in range(500):
@@ -106,7 +106,7 @@ def test_acceptance_2_double_root_criterion():
             roots = rng.uniform(-3.0, 3.0, size=4)
         coeffs = expand_from_roots(list(roots))
         a4, a3, a2, a1, _ = coeffs
-        mine = has_two_double_roots(a1, a2, a3, a4, tol=1e-9)
+        mine = two_double_roots_criterion(a1, a2, a3, a4, tol=1e-9)
         if mine != quartic_double_double(coeffs):
             disagreements += 1
     _gate(2, f"double-root criterion ({disagreements} disagreements)", disagreements == 0)

@@ -3,20 +3,24 @@ degeneration utilities."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from oracles import central_difference
-from touching_conics.analysis import (
-    FamilyLabel,
-    HScanCache,
+from oracles import (
     LimitKind,
-    NormalBundleVerdict,
     ScanConfig,
+    central_difference,
     critical_points,
     endpoint_limit,
+    vanishing_order,
+)
+from touching_conics.analysis import (
+    FamilyLabel,
+    NormalBundleVerdict,
+    RadiusAnalysis,
     h0_critical_on_i2,
     h0_pairing,
     h_handle,
@@ -27,7 +31,7 @@ from touching_conics.analysis import (
 )
 from touching_conics.errors import DomainError, InputError, UnclassifiableLimitError
 from touching_conics.resolution import HKind, LinearForm, ResolutionChoice, all_resolutions
-from touching_conics.surface import f_value, intervals, q_value
+from touching_conics.surface import SearchConfig, f_value, intervals, params_for_q0, q_value
 
 
 CH0 = all_resolutions()[0]
@@ -153,7 +157,7 @@ def test_normal_bundle_domain_check(params_star):
 
 def test_degenerate_set_has_measure_zero(params_star):
     ch = ResolutionChoice(LinearForm.X1, LinearForm.X0_PLUS_X1, LinearForm.X0)
-    cache = HScanCache(params_star)
+    cache = RadiusAnalysis(params_star)
     grid = np.linspace(-0.999, -0.001, 1000)
     hits = sum(
         normal_bundle_at(FamilyLabel.GEN_PLUS, ch, params_star, float(lam), cache=cache)
@@ -199,3 +203,101 @@ def test_derivative_residuals_at_reported_criticals(params_star):
     h = h_handle(HKind.H0, CH0, params_star)
     for pt in rep.points:
         assert abs(central_difference(h, pt.location, 1e-6)) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the exact counts and limits against the numeric scanner and ladder
+
+_F_NEGATIVE_ENDS = ((-math.inf, "left"), (-1.0, "left"), (0.0, "right"), ("b/a", "left"))
+_F_POSITIVE_ENDS = ((-1.0, "right"), (0.0, "left"), ("b/a", "right"), (math.inf, "right"))
+
+
+def _oracle_sets(params_draws):
+    return list(params_draws) + [
+        params_for_q0(SearchConfig(a=0.5, b=0.5, lambda0=6.0), 1.85),
+        params_for_q0(SearchConfig(a=0.5, b=3.0, lambda0=7.5), 0.95),
+    ]
+
+
+def _functions():
+    """(kind, cache key, a resolution realizing it, table label) for every
+    radius function the tables and the classifier read."""
+    out = [(HKind.H0, None, CH0, "-")]
+    for ell1 in LinearForm:
+        rest = [f for f in LinearForm if f is not ell1]
+        out.append((HKind.H1, ell1, ResolutionChoice(ell1, *rest[:2]), ell1.value))
+        out.append((HKind.H3, frozenset(rest), ResolutionChoice(*rest), _label(rest)))
+    for l1, l2 in itertools.combinations(LinearForm, 2):
+        rest = [f for f in LinearForm if f not in (l1, l2)]
+        out.append((HKind.H2, frozenset((l1, l2)), ResolutionChoice(l1, l2, rest[0]), _label((l1, l2))))
+    return out
+
+
+def _label(forms) -> str:
+    return "{" + ",".join(sorted(f.value for f in forms)) + "}"
+
+
+def _spans(kind, cache):
+    part = cache.partition
+    if kind is HKind.H0:
+        # the scanner cannot evaluate h0 on the double-root plane itself
+        return [(part.i2, part.i2), (part.i4minus, (part.i4minus[0], part.lambda0 - 1e-3)),
+                (part.i4plus, (part.lambda0 + 1e-3, math.inf))]
+    if kind is HKind.H2:
+        return [(part.i2, part.i2), ((part.i4minus[0], math.inf),) * 2]
+    return [(part.i1, part.i1), (part.i3, part.i3)]
+
+
+@pytest.mark.parametrize("which", range(5))
+def test_exact_analysis_matches_oracles(params_draws, which):
+    params = _oracle_sets(params_draws)[which]
+    cache = RadiusAnalysis(params)
+    expected = {(r.function, r.choice, r.check): r.expected for r in verify_h_tables(params, cache).rows}
+    ba = params.b / params.a
+    for kind, key, choice, label in _functions():
+        h = h_handle(kind, choice, params)
+        for span, scan_span in _spans(kind, cache):
+            exact = cache.critical(kind, key, span)
+            oracle = critical_points(h, scan_span)
+            assert len(exact) == oracle.count, (kind, label, span)
+            for x, pt in zip(exact, oracle.points):
+                assert abs(x - pt.location) < 1e-7 * (1.0 + abs(x))
+        ends = _F_POSITIVE_ENDS if kind in (HKind.H0, HKind.H2) else _F_NEGATIVE_ENDS
+        for token, side in ends:
+            edge = ba if token == "b/a" else token
+            got = cache.limit(kind, key, edge, side)
+            try:
+                ladder = endpoint_limit(h, edge, side).kind
+            except UnclassifiableLimitError:
+                ladder = None
+            if ladder in (LimitKind.ZERO, LimitKind.INFINITY):
+                assert got.value == ladder.value, (kind, label, edge, side)
+                continue
+            # the ladder stops at 1e-10 and its 1e-4 / 1e4 thresholds: where
+            # it settles on Finite or gives up, the table and the local
+            # exponent decide
+            name = token if isinstance(token, str) else {-math.inf: "-inf", math.inf: "+inf"}.get(token, str(token))
+            row = expected.get((kind.value, label, f"limit at {name} ({side})"))
+            if row is not None:
+                assert got.value == row, (kind, label, edge, side)
+            order = vanishing_order(h, edge, side)
+            assert abs(abs(order) - 0.5) < 0.05 and (order > 0) == (got.value == "Zero"), (kind, label, edge, order)
+
+
+def test_h3_is_the_reciprocal_of_h1(params_star):
+    for missing in LinearForm:
+        rest = [f for f in LinearForm if f is not missing]
+        h1 = h_handle(HKind.H1, ResolutionChoice(missing, *rest[:2]), params_star)
+        h3 = h_handle(HKind.H3, ResolutionChoice(*rest), params_star)
+        for lam in (-7.0, -2.0, -1.1, 0.1, 0.5, 0.9):
+            assert abs(h1(lam) * h3(lam) - 1.0) < 1e-15
+
+
+def test_limit_rejects_regular_points_and_wrong_sides(params_star):
+    cache = RadiusAnalysis(params_star)
+    with pytest.raises(InputError):
+        cache.limit(HKind.H1, LinearForm.X0, -0.5, "left")
+    with pytest.raises(DomainError):
+        cache.limit(HKind.H1, LinearForm.X0, 0.0, "left")
+    with pytest.raises(DomainError):
+        cache.limit(HKind.H2, frozenset((LinearForm.X0, LinearForm.X1)), -math.inf, "left")

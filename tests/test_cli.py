@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from touching_conics.analysis import RadiusAnalysis
 from touching_conics.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
+from touching_conics.surface import SearchConfig, params_for_q0
+
+SURVIVOR_NAMES = {"(X1, X0plusX1, X0)", "(AX0minusBX1, X0, X0plusX1)"}
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +150,73 @@ def test_report_timings_opt_in(star_arg, tmp_path):
     out = tmp_path / "rt.json"
     assert run(["--params", star_arg, "--timings", "--out", str(out), "report"]) == EXIT_OK
     assert "timings" in _load(out)
+
+
+def test_malformed_numbers_are_usage_errors(tmp_path):
+    assert run(["--params", "1,2,x,4,5", "validate"]) == EXIT_USAGE
+    cfgfile = tmp_path / "params.cfg"
+    cfgfile.write_text("q0 = 1\nq1 = abc\nq2 = 3\na = 1\nb = 1\n")
+    assert run(["--params-file", str(cfgfile), "validate"]) == EXIT_USAGE
+
+
+def test_params_file_line_without_value(tmp_path):
+    cfgfile = tmp_path / "params.cfg"
+    cfgfile.write_text("q0\n")
+    assert run(["--params-file", str(cfgfile), "validate"]) == EXIT_USAGE
+
+
+def test_report_builds_one_analysis(star_arg, tmp_path, monkeypatch):
+    built = []
+    init = RadiusAnalysis.__init__
+
+    def counting(self, params):
+        built.append(params)
+        init(self, params)
+
+    monkeypatch.setattr(RadiusAnalysis, "__init__", counting)
+    assert run(["--params", star_arg, "--out", str(tmp_path / "r.json"), "report"]) == EXIT_OK
+    assert len(built) == 1
+
+
+def _q0_set(a, b, lambda0, q0):
+    p = params_for_q0(SearchConfig(a=a, b=b, lambda0=lambda0), q0)
+    return f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}"
+
+
+def test_report_large_q2_set_is_certified(tmp_path):
+    # large q2: h1 (l1 = X0) grows like |lam|^(-1/2) at 0+, yet is only
+    # about 9e3 at lam = 1e-10, below a sampled "Infinity" threshold of 1e4
+    out = tmp_path / "r.json"
+    assert run(["--params", _q0_set(0.5, 0.5, 6.0, 1.85), "--out", str(out), "report"]) == EXIT_OK
+    doc = _load(out)
+    assert doc["h_tables"]["passed"]
+    assert not doc["classification"]["inconclusive"]
+    assert {s["resolution"] for s in doc["classification"]["survivors"]} == SURVIVOR_NAMES
+
+
+def test_report_two_critical_points_on_i3(tmp_path):
+    # h1 with l1 = X0 has a local minimum and a local maximum on I3 here, off
+    # the paper's table; no survivor's constraint reads that row
+    out = tmp_path / "r.json"
+    assert run(["--params", _q0_set(0.5, 3.0, 7.5, 0.95), "--out", str(out), "report"]) == EXIT_FAIL
+    doc = _load(out)
+    failing = {(r["function"], r["choice"], r["check"], r["computed"]) for r in doc["h_tables"]["rows"] if not r["passed"]}
+    assert failing == {("h1", "X0", "count on I3", "2"), ("h3", "{AX0minusBX1,X0plusX1,X1}", "count on I3", "2")}
+    assert {s["resolution"] for s in doc["classification"]["survivors"]} == SURVIVOR_NAMES
+    assert doc["validation"]["passed"]
+
+
+def test_python_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "touching_conics", "psi"], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_OK
+    assert json.loads(proc.stdout)["psi"]["passed"]
+
+
+def test_tangency_plane_with_double_contact_passes(params_draws, tmp_path):
+    p = params_draws[2]
+    arg = f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}"
+    out = tmp_path / "t.json"
+    assert run(["--params", arg, "--lambda", "-5.75", "--grid", "256", "--out", str(out), "tangency"]) == EXIT_OK
+    assert all(r["passed"] for r in _load(out)["rows"])

@@ -160,6 +160,19 @@ def test_verify_touching_special_structure(params_star):
     assert abs(z2 - (-1.0 / (gp * z1.conjugate()))) < 1e-5
 
 
+def test_verify_touching_special_near_double_root_contact(params_draws):
+    # the contact at the fixed point is a double root of the branch quartic,
+    # where p' almost vanishes: an unguarded Newton polish moves the other
+    # double contact onto it
+    params = params_draws[2]
+    lam, theta = -5.75, 2.0 * math.pi * 248 / 256
+    rep = verify_touching(special_conic(params, lam, theta), params, lam)
+    assert rep.kind is ConicType.SPECIAL
+    for br in rep.branches:
+        finite = [m for z, m in br.contacts if not isinstance(z, str)]
+        assert finite == [2]
+
+
 def test_verify_touching_orbit_containment_boundary(params_star):
     lam = -0.5
     q = q_value(params_star, lam)

@@ -11,7 +11,6 @@ from touching_conics.poly import (
     RealPolynomial,
     derivative,
     evaluate,
-    has_two_double_roots,
     poly_from_roots,
     real_roots_with_multiplicity,
     root_clusters,
@@ -93,9 +92,9 @@ def test_multiplicity_sum_equals_degree():
 
 
 def test_two_double_roots_examples():
-    assert has_two_double_roots(0.0, -2.0, 0.0, 1.0)        # (x-1)^2 (x+1)^2
-    assert has_two_double_roots(-6.0, 13.0, -12.0, 4.0)     # (x-1)^2 (x-2)^2
-    assert not has_two_double_roots(0.0, 0.0, 0.0, 1.0)     # x^4 + 1
+    assert two_double_roots_criterion(0.0, -2.0, 0.0, 1.0)        # (x-1)^2 (x+1)^2
+    assert two_double_roots_criterion(-6.0, 13.0, -12.0, 4.0)     # (x-1)^2 (x-2)^2
+    assert not two_double_roots_criterion(0.0, 0.0, 0.0, 1.0)     # x^4 + 1
 
 
 def test_two_double_roots_randomized_planted():
@@ -104,7 +103,7 @@ def test_two_double_roots_randomized_planted():
         alpha = rng.uniform(-3.0, 3.0)
         beta = alpha + rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
         a4, a3, a2, a1, _ = expand_two_double_roots(alpha, beta)
-        assert has_two_double_roots(a1, a2, a3, a4)
+        assert two_double_roots_criterion(a1, a2, a3, a4)
 
 
 def test_two_double_roots_randomized_simple():
@@ -114,7 +113,7 @@ def test_two_double_roots_randomized_simple():
         while np.min(np.diff(np.sort(roots))) < 0.1:
             roots = rng.uniform(-3.0, 3.0, size=4)
         a4, a3, a2, a1, _ = expand_from_roots(list(roots))
-        assert not has_two_double_roots(a1, a2, a3, a4)
+        assert not two_double_roots_criterion(a1, a2, a3, a4)
 
 
 def test_two_double_roots_agrees_with_clustering():
@@ -131,7 +130,7 @@ def test_two_double_roots_agrees_with_clustering():
         clusters = root_clusters(coeffs, 1e-6)
         by_clusters = sorted(c.multiplicity for c in clusters) == [2, 2]
         a4, a3, a2, a1, _ = coeffs
-        assert has_two_double_roots(a1, a2, a3, a4) == by_clusters == True
+        assert two_double_roots_criterion(a1, a2, a3, a4) == by_clusters == True
 
 
 def test_complex_criterion_rejects_three_simple():
