@@ -26,7 +26,7 @@ from typing import Callable
 
 from .errors import DomainError, InputError, PreconditionError, UnclassifiableLimitError
 from .poly import RealPolynomial, companion_roots, deflate, derivative
-from .resolution import HKind, LinearForm, ResolutionChoice, all_resolutions, h_function
+from .resolution import HKind, LinearForm, ResolutionChoice, h_function
 from .surface import Interval, Q_restricted, SurfaceParams, f_poly, f_value, intervals, q_value, s_minus_q
 
 
@@ -409,40 +409,29 @@ def h0_critical_on_i2(params: SurfaceParams, cache: RadiusAnalysis | None = None
     return locs[0]
 
 
-def h0_pairing(
-    params: SurfaceParams,
-    lam: float,
-    tol: float = 1e-12,
-    cache: RadiusAnalysis | None = None,
-) -> float:
+def h0_pairing(params: SurfaceParams, lam: float, cache: RadiusAnalysis | None = None) -> float:
     """The partner plane of a broken fibration: for non-critical lam in I2,
     the unique mu on the other side of the critical point with equal h0.
 
-    Bisection of h0(mu) - h0(lam) between the critical point (where the
-    difference is negative, the critical point being the minimum) and the
-    blow-up endpoint (where it is positive)."""
+    On I2, h0 = g + sqrt(g^2 - 1) with g = Q / sqrt(f), so h0(mu) = h0(lam)
+    exactly where Q(mu)^2 - c f(mu) = 0, c = Q(lam)^2 / f(lam).  g falls to
+    its minimum at the critical point and grows without bound toward both
+    ends of I2, so this quartic has one root on each side of the critical
+    point inside I2: lam and the partner.  Of the roots whose real part lies
+    on the far side, the partner is the one nearest the real axis."""
     if not -1.0 < lam < 0.0:
         raise DomainError(f"pairing is defined for lam in I2, got {lam}")
+    cache = cache or RadiusAnalysis(params)
     crit = h0_critical_on_i2(params, cache)
     if abs(lam - crit) <= 1e-9:
         raise DomainError("lam is the critical plane; no partner exists")
-    h = h_handle(HKind.H0, all_resolutions()[0], params)
-    target = h(lam)
-
-    # h0 - target is negative at the critical plane (the minimum) and grows
-    # without bound toward the end of I2 on the far side of the critical point
-    x_in = crit
-    x_out = 0.0 if lam < crit else -1.0
-    for _ in range(200):
-        mid = 0.5 * (x_in + x_out)
-        g = h(mid) - target
-        if abs(x_in - x_out) <= tol * (1.0 + abs(mid)):
-            return mid
-        if g < 0.0:
-            x_in = mid
-        else:
-            x_out = mid
-    return 0.5 * (x_in + x_out)
+    c = q_value(params, lam) ** 2 / f_value(params, lam)
+    quartic = cache.q * cache.q - cache.f.scale(c)
+    lo, hi = (crit, 0.0) if lam < crit else (-1.0, crit)
+    roots = [r for r in companion_roots(quartic.coefficients) if lo < r.real < hi]
+    if not roots:
+        raise PreconditionError(f"no partner of {lam} in ({lo}, {hi})")
+    return float(min(roots, key=lambda r: abs(r.imag)).real)
 
 
 # ---------------------------------------------------------------------------

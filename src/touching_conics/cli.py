@@ -450,11 +450,7 @@ def _cmd_critical(cfg: RunConfig) -> int:
 def _cmd_classify(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     t0 = time.perf_counter()
-    try:
-        body, ok, inconclusive = _classification_dict(params, RadiusAnalysis(params))
-    except UnclassifiableLimitError as exc:
-        _emit(_envelope(cfg, {"classification": {"inconclusive": True, "error": str(exc)}}, None), cfg)
-        return EXIT_INCONCLUSIVE
+    body, ok, inconclusive = _classification_dict(params, RadiusAnalysis(params))
     doc = _envelope(
         cfg, {"classification": body}, {"classify_s": round(time.perf_counter() - t0, 3)}
     )
@@ -478,15 +474,21 @@ def _cmd_report(cfg: RunConfig) -> int:
     timings["validate_s"] = round(time.perf_counter() - t0, 3)
     sing = _singular_dict(params)
     t0 = time.perf_counter()
-    cache = RadiusAnalysis(params)
-    h_rows, ok_h = _htable_rows(params, cache)
-    timings["h_tables_s"] = round(time.perf_counter() - t0, 3)
-    t0 = time.perf_counter()
     inconclusive = False
     try:
+        cache = RadiusAnalysis(params)
+    except PreconditionError as exc:
+        # not admissible: the later stages are not computed, and say why
+        error = f"not computed: {exc}"
+        h_tables = {"rows": [], "passed": False, "error": error}
+        classification = {"error": error, "inconclusive": False, "survivors": []}
+        ok_h = ok_c = False
+    else:
+        h_rows, ok_h = _htable_rows(params, cache)
+        h_tables = {"rows": h_rows, "passed": ok_h}
+        timings["h_tables_s"] = round(time.perf_counter() - t0, 3)
+        t0 = time.perf_counter()
         classification, ok_c, inconclusive = _classification_dict(params, cache)
-    except UnclassifiableLimitError as exc:
-        classification, ok_c, inconclusive = {"inconclusive": True, "error": str(exc)}, False, True
     timings["classify_s"] = round(time.perf_counter() - t0, 3)
     psi, ok_p = _psi_dict()
     doc = _envelope(
@@ -494,7 +496,7 @@ def _cmd_report(cfg: RunConfig) -> int:
         {
             "validation": validation,
             "singular_locus": sing,
-            "h_tables": {"rows": h_rows, "passed": ok_h},
+            "h_tables": h_tables,
             "classification": classification,
             "psi": psi,
         },

@@ -136,7 +136,7 @@ class LinfIntersections:
 # constructors
 
 
-def branch_factors(params: SurfaceParams, lam: float, cfg: Tolerances = DEFAULT_TOL) -> tuple[complex, complex]:
+def branch_factors(params: SurfaceParams, lam: float) -> tuple[complex, complex]:
     """(g_minus, g_plus) = (Q - sqrt(f), Q + sqrt(f)).
 
     Real for f > 0, a conjugate pair for f < 0.  Raises when the two factors
@@ -151,7 +151,7 @@ def branch_factors(params: SurfaceParams, lam: float, cfg: Tolerances = DEFAULT_
     return q - root, q + root
 
 
-def generic_conic(params: SurfaceParams, lam: float, theta: float, cfg: Tolerances = DEFAULT_TOL) -> ConicCoeffs:
+def generic_conic(params: SurfaceParams, lam: float, theta: float) -> ConicCoeffs:
     """Member of the circle family avoiding both fixed points:
 
         2 (Q^2 - f) y1^2 + sqrt(f) e^{i t} y2^2 + 2 Q y2 y3 + sqrt(f) e^{-i t} y3^2.
@@ -176,7 +176,7 @@ def generic_conic(params: SurfaceParams, lam: float, theta: float, cfg: Toleranc
     return ConicCoeffs.from_matrix(m)
 
 
-def special_conic(params: SurfaceParams, lam: float, theta: float, cfg: Tolerances = DEFAULT_TOL) -> ConicCoeffs:
+def special_conic(params: SurfaceParams, lam: float, theta: float) -> ConicCoeffs:
     """Member of the circle family through both fixed points:
 
         sqrt(Q^2 - f) y1^2 + B e^{i t} y1 y2 + B e^{-i t} y1 y3 + y2 y3,
@@ -279,7 +279,7 @@ def verify_touching(
         raise DegenerateConicError(
             "conic matrix is singular: the conic is a union of lines (reducible member of the family)"
         )
-    gm, gp = branch_factors(params, lam, cfg)
+    gm, gp = branch_factors(params, lam)
 
     alpha = orbit_alpha(conic)
     if alpha is not None:
@@ -467,7 +467,7 @@ def special_positivity_bound(params: SurfaceParams, lam: float) -> float:
     return float(np.linalg.eigvalsh(quad)[0]) / top
 
 
-def linf_radii(params: SurfaceParams, lam: float, cfg: Tolerances = DEFAULT_TOL) -> LinfIntersections:
+def linf_radii(params: SurfaceParams, lam: float) -> LinfIntersections:
     """Where the generic family meets the fixed line, as radii in y2/y3.
 
     The two radii are h0 = (Q + sqrt(Q^2 - f)) / sqrt(f) and its reciprocal;

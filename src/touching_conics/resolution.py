@@ -27,7 +27,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, RealityError
 from .poly import RealPolynomial, evaluate
 from .series import TruncatedSeries
@@ -131,13 +130,7 @@ def _form_values(choice: ResolutionChoice, params: SurfaceParams, lam: float, co
     return vals
 
 
-def h_function(
-    kind: HKind,
-    choice: ResolutionChoice,
-    params: SurfaceParams,
-    lam: float,
-    cfg: Tolerances = DEFAULT_TOL,
-) -> float:
+def h_function(kind: HKind, choice: ResolutionChoice, params: SurfaceParams, lam: float) -> float:
     """Evaluate one of the four radius functions for the given resolution."""
     f = f_value(params, lam)
     if kind is HKind.H0:

@@ -20,12 +20,13 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import InvalidParameterError, NotFoundError, PreconditionError
-from .poly import RealPolynomial, RootCluster, derivative, evaluate, root_clusters
+from .poly import RealPolynomial, RootCluster, companion_roots, deflate, derivative, evaluate, root_clusters
 
-# Clustering radius used when separating the structural multiplicities of the
-# degree-4 tangency polynomial.  Floating-point triple roots split by roughly
-# (machine eps)^(1/3) ~ 1e-5, so the generic 1e-7 radius is too tight here;
-# distinct structural roots are order-1 apart.
+# Clustering radius used by singular_locus when separating the structural
+# multiplicities of the degree-4 tangency polynomial of arbitrary input.
+# Floating-point triple roots split by roughly (machine eps)^(1/3) ~ 1e-5, so
+# the generic 1e-7 radius is too tight here; distinct structural roots are
+# order-1 apart.
 STRUCTURAL_CLUSTER_TOL = 1e-4
 
 
@@ -117,7 +118,7 @@ class SearchConfig:
 
     The target double-root location and a, b are fixed; the leading
     Q-coefficient is swept over [q0_min, q0_max] in q0_steps equal steps and
-    the first candidate certified on a dense grid wins.
+    the first admissible candidate wins.
     """
 
     a: float = 1.0
@@ -126,7 +127,6 @@ class SearchConfig:
     q0_min: float = 0.05
     q0_max: float = 5.0
     q0_steps: int = 100
-    grid_points: int = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -200,45 +200,8 @@ def _require_ab(params: SurfaceParams) -> None:
         raise InvalidParameterError(f"need a > 0 and b > 0, got a={params.a}, b={params.b}")
 
 
-def _grid_with_refinement(params: SurfaceParams, lam0: float, floor: float) -> np.ndarray:
-    """Scan grid covering every feature of the quartic: a dense base grid on a
-    box containing all critical points, with geometric refinement stacked near
-    the roots of f and near lam0."""
-    p = discriminant_poly(params)
-    crit = [c.value.real for c in root_clusters(derivative(p).coefficients, 1e-6) if abs(c.value.imag) < 1e-6]
-    lo = min([-10.0, lam0 - 1.0] + [c - 1.0 for c in crit])
-    hi = max([lam0 + 10.0, params.b / params.a + 1.0] + [c + 1.0 for c in crit])
-    n = max(64, int((hi - lo) / floor))
-    base = np.linspace(lo, hi, min(n, 400_000))
-    special = [-1.0, 0.0, params.b / params.a, lam0]
-    extra = []
-    for s in special:
-        d = np.logspace(-9, 0, 40)
-        extra.append(s + d)
-        extra.append(s - d)
-    return np.unique(np.concatenate([base] + extra))
-
-
-def _disc_on_grid(params: SurfaceParams, grid: np.ndarray) -> np.ndarray:
-    q = (params.q0 * grid + params.q1) * grid + params.q2
-    f = grid * (grid + 1.0) * (params.a * grid - params.b)
-    return q * q - f
-
-
-def _double_root_cluster(params: SurfaceParams) -> RootCluster | None:
-    """The unique real multiplicity-2 cluster of the tangency quartic, or None."""
-    p = discriminant_poly(params)
-    if p.degree < 4:
-        return None
-    clusters = root_clusters(p.coefficients, STRUCTURAL_CLUSTER_TOL)
-    real = [c for c in clusters if abs(c.value.imag) <= STRUCTURAL_CLUSTER_TOL * (1.0 + abs(c.value))]
-    if len(real) != 1 or real[0].multiplicity != 2:
-        return None
-    return real[0]
-
-
-def _polish_double_root(params: SurfaceParams, x0: float, cfg: Tolerances) -> float:
-    """Newton on (Q^2 - f)' starting from the cluster centroid."""
+def _polish_double_root(params: SurfaceParams, x0: float) -> float:
+    """Newton on (Q^2 - f)' starting from x0."""
     p = discriminant_poly(params)
     dp = derivative(p)
     ddp = derivative(dp)
@@ -255,85 +218,91 @@ def _polish_double_root(params: SurfaceParams, x0: float, cfg: Tolerances) -> fl
     return x
 
 
-def lambda0(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> float:
-    """The unique real double root of Q^2 - f, polished so that both the
-    quartic and its derivative vanish there to cfg.polish_tol."""
-    _require_ab(params)
-    cluster = _double_root_cluster(params)
-    if cluster is None:
-        raise PreconditionError("parameters do not satisfy condition (i): no unique real double root")
-    lam = float(_polish_double_root(params, float(cluster.value.real), cfg))
-    p = discriminant_poly(params)
-    scale = 1.0 + abs(lam) ** 4 * (1.0 + params.q0 * params.q0)
-    if abs(evaluate(p, lam)) > cfg.polish_tol * scale or abs(evaluate(derivative(p), lam)) > cfg.polish_tol * scale:
-        raise PreconditionError("double-root polish did not converge")
-    return lam
-
-
 def validate(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> ValidationReport:
-    """Check the two admissibility conditions and the interval normalization.
+    """Check the two admissibility conditions and the interval normalization,
+    exactly.  With D = Q^2 - f, a quartic of leading coefficient q0^2:
 
-    condition_i:    Q^2 - f >= 0 on R, vanishing only at one real point, with
-                    multiplicity exactly two (multiplicity 3 or 4 is a hard
-                    failure, surfaced through the witness).
-    condition_star: Q(lam) > sqrt(f(lam)) wherever f >= 0, except at the
-                    double root itself.
+    lambda0:        the real root of the cubic D' where D is least, after a
+                    Newton polish; it is the double root when D and D'
+                    vanish there to cfg.polish_tol.
+    condition_i:    D >= 0 on R, vanishing only at lambda0, to order two, and
+                    Q = +sqrt(f) > 0 there.  Deflating D twice at lambda0
+                    leaves a quadratic r; D has no other real root exactly
+                    when disc r < 0, and no second double root when D is
+                    above the same tolerance at the vertex of r.
+    condition_star: Q > sqrt(f) wherever f >= 0, except at the double root.
+                    Given (i), Q^2 > f off lambda0, so this holds exactly
+                    when Q > 0 on [-1, 0] and [b/a, inf): q0 > 0, Q > 0 at
+                    -1, 0 and b/a, and no real root of Q lies in either set.
     lambda0_in_i4:  the double root sits right of b/a, so the interval
                     formulas downstream apply literally.
+
+    Each failure carries as witness the offending point: the least point of
+    D, a further real root of D, an endpoint or a root of Q.
     """
     _require_ab(params)
-
+    not_evaluated = CheckResult(False, None, "not evaluated: needs condition (i)")
     p = discriminant_poly(params)
-    if p.degree < 4 or params.q0 == 0.0:
+    if p.degree < 4:
         return ValidationReport(
             condition_i=CheckResult(False, None, "degree of Q^2 - f dropped below 4 (q0 = 0); cannot be >= 0 on R"),
-            condition_star=CheckResult(False, None, "not evaluated"),
-            lambda0_in_i4=CheckResult(False, None, "not evaluated"),
+            condition_star=not_evaluated,
+            lambda0_in_i4=not_evaluated,
         )
 
-    cluster = _double_root_cluster(params)
-    if cluster is None:
-        clusters = root_clusters(p.coefficients, STRUCTURAL_CLUSTER_TOL)
-        real = [c for c in clusters if abs(c.value.imag) <= STRUCTURAL_CLUSTER_TOL * (1.0 + abs(c.value))]
-        witness = real[0].value.real if real else None
-        mults = sorted(c.multiplicity for c in real)
+    def tol(x: float) -> float:
+        return cfg.polish_tol * (1.0 + abs(x) ** 4 * (1.0 + params.q0 * params.q0))
+
+    dp = derivative(p)
+    lam0 = min(
+        (_polish_double_root(params, float(r.real)) for r in companion_roots(dp.coefficients)),
+        key=lambda x: evaluate(p, x),
+    )
+    d0 = evaluate(p, lam0)
+    if max(abs(d0), abs(evaluate(dp, lam0))) > tol(lam0):
+        what = "< 0" if d0 < 0.0 else "> 0 at its least point: no real double root"
         return ValidationReport(
-            condition_i=CheckResult(False, witness, f"real root multiplicities {mults} != [2]"),
-            condition_star=CheckResult(False, None, "not evaluated"),
-            lambda0_in_i4=CheckResult(False, None, "not evaluated"),
+            condition_i=CheckResult(False, lam0, f"Q^2 - f = {d0:.3e} {what}"),
+            condition_star=not_evaluated,
+            lambda0_in_i4=not_evaluated,
         )
-
-    lam0 = float(_polish_double_root(params, float(cluster.value.real), cfg))
-    grid = _grid_with_refinement(params, lam0, cfg.grid_floor)
-    disc = _disc_on_grid(params, grid)
-    scale = 1.0 + np.abs(grid) ** 4 * (1.0 + params.q0**2)
-    bad = np.nonzero(disc < -1e-9 * scale)[0]
-    away = np.abs(grid - lam0) > cfg.lambda0_exclusion
-    if bad.size and np.any(away[bad]):
-        w = float(grid[bad[np.argmax(away[bad])]])
-        cond_i = CheckResult(False, w, f"Q^2 - f = {float(_disc_on_grid(params, np.array([w]))[0]):.3e} < 0")
-    else:
-        cond_i = CheckResult(True, lam0, "unique real double root; nonnegative on scan grid")
 
     fl0 = f_value(params, lam0)
     ql0 = q_value(params, lam0)
-    if cond_i.passed and (fl0 <= 0.0 or abs(ql0 - math.sqrt(fl0)) > 1e-6 * (1.0 + abs(ql0))):
+    # Q^2 - f = (lam - lam0)^2 r; at the vertex v of r, (v - lam0)^2 r(v) is
+    # <= 0 when disc r >= 0, and within the double-root tolerance when v is a
+    # second double root
+    c, b, a = deflate(deflate(p, lam0), lam0).coefficients
+    v = -b / (2.0 * a)
+    dv = (v - lam0) ** 2 * (c - b * b / (4.0 * a))
+    if dv <= tol(v):
+        cond_i = CheckResult(False, v, f"Q^2 - f = (lam - lambda0)^2 r is {dv:.3e} at the vertex of r: a further real root")
+    elif not (fl0 > 0.0 and ql0 > 0.0):
         cond_i = CheckResult(False, lam0, f"at the double root f={fl0:.3e}, Q={ql0:.3e}; need Q = +sqrt(f) > 0")
-
-    f_grid = grid * (grid + 1.0) * (params.a * grid - params.b)
-    q_grid = (params.q0 * grid + params.q1) * grid + params.q2
-    mask = (f_grid >= 0.0) & (np.abs(grid - lam0) > cfg.lambda0_exclusion)
-    gap = q_grid[mask] - np.sqrt(np.maximum(f_grid[mask], 0.0))
-    if params.q0 <= 0.0:
-        cond_star = CheckResult(False, float(grid[-1]), "q0 <= 0: Q < sqrt(f) for large lam")
-    elif np.all(gap > 0.0):
-        cond_star = CheckResult(True, None, "Q - sqrt(f) > 0 on the scan grid where f >= 0")
     else:
-        idx = np.nonzero(gap <= 0.0)[0][0]
-        w = float(grid[mask][idx])
-        cond_star = CheckResult(False, w, f"Q - sqrt(f) = {float(gap[idx]):.3e} <= 0")
+        cond_i = CheckResult(True, lam0, "unique real double root: Q^2 - f = (lam - lambda0)^2 r with r > 0")
 
-    if lam0 > params.b / params.a:
+    ba = params.b / params.a
+    if not cond_i.passed:
+        cond_star = not_evaluated
+    elif params.q0 <= 0.0:
+        cond_star = CheckResult(False, None, "q0 <= 0: Q < sqrt(f) for large lam")
+    else:
+        cond_star = CheckResult(True, None, "Q > 0 on [-1, 0] and [b/a, inf), so Q > sqrt(f) there off the double root")
+        for end in (-1.0, 0.0, ba):
+            if not q_value(params, end) > 0.0:
+                cond_star = CheckResult(False, end, f"Q = {q_value(params, end):.3e} <= 0 at the root {end:.12g} of f")
+                break
+        else:
+            # the sign of the discriminant decides whether Q has real roots
+            real = params.q1 * params.q1 >= 4.0 * params.q0 * params.q2
+            roots = companion_roots((params.q2, params.q1, params.q0)) if real else []
+            for root in sorted(float(r.real) for r in roots):
+                if -1.0 <= root <= 0.0 or root >= ba:
+                    cond_star = CheckResult(False, root, "Q vanishes where f >= 0")
+                    break
+
+    if lam0 > ba:
         in_i4 = CheckResult(True, lam0, "")
     else:
         in_i4 = CheckResult(
@@ -351,12 +320,25 @@ def validate(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> Validation
     )
 
 
+def lambda0(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> float:
+    """The double root of Q^2 - f; raises PreconditionError, naming the
+    failed condition, unless validate() passes."""
+    rep = validate(params, cfg)
+    for name, check in (
+        ("condition (i)", rep.condition_i),
+        ("condition (*)", rep.condition_star),
+        ("lambda0 > b/a", rep.lambda0_in_i4),
+    ):
+        if not check.passed:
+            raise PreconditionError(f"parameters not admissible: {name} fails: {check.detail}")
+    return rep.lambda0
+
+
 def intervals(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> IntervalPartition:
-    """The five open intervals cut by -1, 0, b/a and the double root."""
+    """The five open intervals cut by -1, 0, b/a and the double root; raises
+    PreconditionError unless validate() passes."""
     lam0 = lambda0(params, cfg)
     ba = params.b / params.a
-    if not lam0 > ba:
-        raise PreconditionError(f"double root {lam0} not right of b/a = {ba}")
     return IntervalPartition(
         lambda0=lam0,
         i1=(-math.inf, -1.0),
@@ -367,7 +349,7 @@ def intervals(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> IntervalP
     )
 
 
-def singular_locus(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> list[SingularPoint]:
+def singular_locus(params: SurfaceParams) -> list[SingularPoint]:
     """Singular points of the quartic surface.
 
     The two fixed points of the circle action are always present and are
@@ -390,7 +372,7 @@ def singular_locus(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> list
             continue
         lam = float(cl.value.real)
         if cl.multiplicity == 2:
-            lam = float(_polish_double_root(params, lam, cfg))
+            lam = float(_polish_double_root(params, lam))
         kind = SingularKind.ODP if cl.multiplicity == 2 else SingularKind.NON_ODP
         out.append(
             SingularPoint(f"A(lam={lam:.12g})", kind, lam=lam, multiplicity=cl.multiplicity)
@@ -433,8 +415,7 @@ def find_valid_params(search: SearchConfig, cfg: Tolerances = DEFAULT_TOL) -> Su
     """First admissible parameter set along the deterministic q0 sweep.
 
     Candidates satisfy the double-root constraints at the target lambda0 by
-    construction; each is accepted only after validate() passes and a dense
-    uniform grid re-check of both admissibility conditions succeeds.  Raises
+    construction; the first that validate() passes is returned.  Raises
     NotFoundError carrying the best near-miss.
     """
     if search.q0_steps < 1 or search.q0_max < search.q0_min:
@@ -446,7 +427,7 @@ def find_valid_params(search: SearchConfig, cfg: Tolerances = DEFAULT_TOL) -> Su
     for q0 in qs:
         cand = params_for_q0(search, float(q0))
         report = validate(cand, cfg)
-        if report.passed and _dense_grid_ok(cand, report.lambda0, search.grid_points, cfg):
+        if report.passed:
             return cand
         score = sum(int(c.passed) for c in (report.condition_i, report.condition_star, report.lambda0_in_i4))
         fail = report.condition_i if not report.condition_i.passed else report.condition_star
@@ -456,19 +437,3 @@ def find_valid_params(search: SearchConfig, cfg: Tolerances = DEFAULT_TOL) -> Su
     raise NotFoundError(
         f"sweep exhausted; best near-miss {best[1].as_dict()} violating near lam={best[2]}"
     )
-
-
-def _dense_grid_ok(params: SurfaceParams, lam0: float, n: int, cfg: Tolerances) -> bool:
-    """Uniform dense-grid certification of both conditions (the sweep's
-    acceptance gate; the adaptive scan in validate() is refined where it
-    matters, this one is brute)."""
-    lo, hi = -10.0 - abs(lam0), lam0 + 10.0
-    grid = np.linspace(lo, hi, n)
-    disc = _disc_on_grid(params, grid)
-    scale = 1.0 + np.abs(grid) ** 4 * (1.0 + params.q0**2)
-    if np.any((disc < -1e-9 * scale) & (np.abs(grid - lam0) > cfg.lambda0_exclusion)):
-        return False
-    f_grid = grid * (grid + 1.0) * (params.a * grid - params.b)
-    q_grid = (params.q0 * grid + params.q1) * grid + params.q2
-    mask = (f_grid >= 0.0) & (np.abs(grid - lam0) > cfg.lambda0_exclusion)
-    return bool(np.all(q_grid[mask] - np.sqrt(np.maximum(f_grid[mask], 0.0)) > 0.0) and params.q0 > 0.0)

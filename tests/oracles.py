@@ -361,3 +361,17 @@ def vanishing_order(h: Callable[[float], float], endpoint: float, side: str) -> 
         return math.log(h(near) / h(far)) / math.log(1e-2)
     far, farther = math.copysign(1e7, endpoint), math.copysign(1e9, endpoint)
     return -math.log(h(farther) / h(far)) / math.log(1e2)
+
+
+def pairing_by_bisection(h: Callable[[float], float], lam: float, crit: float, tol: float = 1e-13) -> float:
+    """The mu on the far side of crit in (-1, 0) with h(mu) = h(lam), by
+    bisection between crit (h's minimum) and the end of I2 where h blows up."""
+    target = h(lam)
+    x_in, x_out = crit, (0.0 if lam < crit else -1.0)
+    while abs(x_in - x_out) > tol * (1.0 + abs(x_in)):
+        mid = 0.5 * (x_in + x_out)
+        if h(mid) < target:
+            x_in = mid
+        else:
+            x_out = mid
+    return 0.5 * (x_in + x_out)

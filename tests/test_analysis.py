@@ -15,6 +15,7 @@ from oracles import (
     central_difference,
     critical_points,
     endpoint_limit,
+    pairing_by_bisection,
     vanishing_order,
 )
 from touching_conics.analysis import (
@@ -176,6 +177,18 @@ def test_h0_pairing(params_star):
         mu = h0_pairing(params_star, lam)
         assert (lam - crit) * (mu - crit) < 0.0  # opposite sides
         assert abs(h(mu) - h(lam)) < 1e-8
+
+
+def test_h0_pairing_matches_bisection(params_draws):
+    for params in params_draws:
+        cache = RadiusAnalysis(params)
+        crit = h0_critical_on_i2(params, cache)
+        h = h_handle(HKind.H0, CH0, params)
+        for lam in (-0.82, -0.64, -0.46, -0.28, -0.1):
+            if abs(lam - crit) < 1e-3:
+                continue
+            mu = h0_pairing(params, lam, cache=cache)
+            assert abs(mu - pairing_by_bisection(h, lam, crit)) <= 1e-9 * abs(mu)
 
 
 def test_h0_pairing_rejects_critical_plane(params_star):

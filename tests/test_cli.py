@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -220,3 +221,52 @@ def test_tangency_plane_with_double_contact_passes(params_draws, tmp_path):
     out = tmp_path / "t.json"
     assert run(["--params", arg, "--lambda", "-5.75", "--grid", "256", "--out", str(out), "tangency"]) == EXIT_OK
     assert all(r["passed"] for r in _load(out)["rows"])
+
+
+def _readme_commands() -> list[list[str]]:
+    """The concrete command lines of the README's examples block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("Examples:", 1)[1].split("```")[1]
+    return [
+        shlex.split(line)[1:]
+        for line in block.splitlines()
+        if line.startswith("touching-conics ") and "..." not in line
+    ]
+
+
+def test_readme_examples_run(tmp_path):
+    commands = _readme_commands()
+    assert sorted(w for c in commands for w in c if w in ("search-params", "report")) == ["report", "search-params"]
+    for argv in commands:
+        out = tmp_path / "out.json"
+        argv[argv.index("--out") + 1] = str(out)
+        assert run(argv) == EXIT_OK, argv
+        assert _load(out)["validation"]["passed"]
+
+
+def test_readme_example_rounded_to_8_digits_fails_condition_i(tmp_path):
+    # rounding splits the double root into a complex pair 2 +- 1.26e-4 i
+    arg = "0.65,-0.3546344,0.55875855,1,1"
+    out = tmp_path / "r.json"
+    assert run(["--params", arg, "--out", str(out), "validate"]) == EXIT_FAIL
+    cond = _load(out)["validation"]["condition_i"]
+    assert not cond["passed"] and "no real double root" in cond["detail"]
+    assert run(["--params", arg, "--out", str(out), "report"]) == EXIT_FAIL
+    doc = _load(out)
+    assert doc["validation"]["condition_i"]["detail"] == cond["detail"]
+    for part in ("h_tables", "classification"):
+        assert "condition (i)" in doc[part]["error"]
+    assert not doc["h_tables"]["passed"] and doc["h_tables"]["rows"] == []
+
+
+def test_report_on_a_set_with_q_negative_at_minus_one_writes_a_document(tmp_path):
+    # vanishing order 0 at -1: the h-tables are not computed, and say why
+    out = tmp_path / "r.json"
+    assert run(["--params", _q0_set(1.0, 1.0, 2.0, 0.3), "--out", str(out), "report"]) == EXIT_FAIL
+    doc = _load(out)
+    star = doc["validation"]["condition_star"]
+    assert not star["passed"] and star["witness"] == -1.0
+    assert len(doc["singular_locus"]) == 3 and doc["psi"]["passed"]
+    assert "condition (*)" in doc["h_tables"]["error"] and not doc["h_tables"]["passed"]
+    assert "condition (*)" in doc["classification"]["error"]
+    assert doc["classification"]["survivors"] == [] and not doc["classification"]["inconclusive"]

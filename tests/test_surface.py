@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from touching_conics.surface import (
     find_valid_params,
     intervals,
     lambda0,
+    params_for_q0,
     Q_restricted,
     q_value,
     SingularKind,
@@ -200,3 +202,61 @@ def test_grid_positivity_invariant(params_star):
     assert np.all(disc >= -1e-9 * scale)
     low = grid[disc < 1e-4 * scale]
     assert np.all(np.abs(low - lam0) < 0.1)
+
+
+def _search_targets(n: int, seed: int) -> list[SearchConfig]:
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        a, b = np.exp(rng.uniform(math.log(0.25), math.log(4.0), 2))
+        out.append(SearchConfig(a=float(a), b=float(b), lambda0=float(b / a + rng.uniform(0.25, 6.25))))
+    return out
+
+
+def test_exact_admissibility_agrees_with_grid_oracle():
+    verdicts = []
+    for search in _search_targets(20, 11):
+        for q0 in np.linspace(0.05, 5.0, 25):
+            p = params_for_q0(search, float(q0))
+            cert = dense_grid_certificate(p, search.lambda0)
+            verdicts.append(validate(p).passed)
+            assert verdicts[-1] == (cert["condition_i"] and cert["condition_star"]), p
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_validate_passes_iff_lambda0_returns(params_draws):
+    found = list(params_draws) + [find_valid_params(s) for s in _search_targets(5, 3)]
+    for p in found:
+        for eps in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+            for sign in (1.0, -1.0):
+                moved = replace(p, q2=p.q2 * (1.0 + sign * eps))
+                if validate(moved).passed:
+                    assert lambda0(moved) == validate(moved).lambda0
+                else:
+                    with pytest.raises(PreconditionError):
+                        lambda0(moved)
+                    with pytest.raises(PreconditionError):
+                        intervals(moved)
+
+
+def test_reference_draws_keep_q0(params_draws):
+    assert [p.q0 for p in params_draws] == [0.6500000000000001, 0.9414141414141415, 0.4]
+
+
+def test_condition_star_needs_the_sign_of_q_not_only_its_roots():
+    # Q < 0 on all of I2, and its one root right of -1 lies in I3
+    p = params_for_q0(SearchConfig(), 0.25)
+    rep = validate(p)
+    assert rep.condition_i.passed
+    assert not rep.condition_star.passed and rep.condition_star.witness == -1.0
+    with pytest.raises(PreconditionError, match=r"condition \(\*\)"):
+        lambda0(p)
+
+
+def test_two_double_roots_fail_condition_i():
+    # Q^2 - f = (lam - 4 - sqrt 7)^2 (lam - 4 + sqrt 7)^2 / 36: two real double roots
+    p = SurfaceParams(1.0 / 6.0, 5.0 / 3.0, -1.5, 1.0, 1.0)
+    assert len([pt for pt in singular_locus(p) if pt.kind is SingularKind.ODP]) == 2
+    rep = validate(p)
+    assert not rep.condition_i.passed
+    assert min(abs(rep.condition_i.witness - (4.0 + s * math.sqrt(7.0))) for s in (1.0, -1.0)) < 1e-6
