@@ -22,25 +22,19 @@ import enum
 from dataclasses import dataclass
 
 from .analysis import LimitKind, RadiusAnalysis, _pair_key, _triple_key
+from .conics import ConicType
 from .errors import PreconditionError, UnclassifiableLimitError
 from .resolution import HKind, LinearForm, ResolutionChoice, all_resolutions
 from .surface import Interval, SurfaceParams
-
-
-class ConicTypeLabel(enum.Enum):
-    GENERIC = "Generic"
-    SPECIAL = "Special"
-    ORBIT = "Orbit"
-    LINE_IMAGE = "Line-image"
 
 
 @dataclass(frozen=True)
 class TypeAssignment:
     """Which touching-conic family carries the candidate fibers per interval."""
 
-    by_interval: tuple[tuple[str, ConicTypeLabel, str], ...]
+    by_interval: tuple[tuple[str, ConicType, str], ...]
 
-    def label(self, interval: str) -> ConicTypeLabel:
+    def label(self, interval: str) -> ConicType:
         for name, kind, _ in self.by_interval:
             if name == interval:
                 return kind
@@ -115,12 +109,12 @@ def assign_types(params: SurfaceParams) -> TypeAssignment:
     """
     return TypeAssignment(
         by_interval=(
-            ("I1", ConicTypeLabel.SPECIAL, "f < 0 on I1: only special and orbit conics exist, and orbit circles on the middle exceptional curve are claimed by I2"),
-            ("I2", ConicTypeLabel.ORBIT, "the generic-family radius has a critical point inside I2, so its components degenerate there and cannot all be fibers"),
-            ("I3", ConicTypeLabel.SPECIAL, "f < 0 on I3: same dichotomy as I1"),
-            ("I4minus", ConicTypeLabel.GENERIC, "f > 0 right of b/a and the generic radius is critical-point free off the double root"),
-            ("I4plus", ConicTypeLabel.GENERIC, "same as I4minus, on the far side of the double root"),
-            ("lambda0", ConicTypeLabel.LINE_IMAGE, "on the double-root plane the conic family degenerates to a line through the surface node"),
+            ("I1", ConicType.SPECIAL, "f < 0 on I1: only special and orbit conics exist, and orbit circles on the middle exceptional curve are claimed by I2"),
+            ("I2", ConicType.ORBIT, "the generic-family radius has a critical point inside I2, so its components degenerate there and cannot all be fibers"),
+            ("I3", ConicType.SPECIAL, "f < 0 on I3: same dichotomy as I1"),
+            ("I4minus", ConicType.GENERIC, "f > 0 right of b/a and the generic radius is critical-point free off the double root"),
+            ("I4plus", ConicType.GENERIC, "same as I4minus, on the far side of the double root"),
+            ("lambda0", ConicType.LINE_IMAGE, "on the double-root plane the conic family degenerates to a line through the surface node"),
         )
     )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -542,7 +543,10 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, and building it costs about a tenth of a report."""
     common = _common_flags()
     ap = _Parser(prog="touching-conics", description=__doc__, parents=[common])
     sub = ap.add_subparsers(dest="command", required=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .errors import (
     DegenerateConicError,
     DegeneratePlaneError,
@@ -29,10 +29,17 @@ from .errors import (
     InputError,
     PreconditionError,
 )
-from .poly import cluster_roots, companion_roots, evaluate
+from .poly import evaluate, two_double_roots_criterion
 from .surface import SurfaceParams, disc_value, f_value, q_value, s_minus_q, sqrt_disc
 
 _SWAP23 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
+
+# Columns map (t, u, v) to the real-slice point (t, u + iv, u - iv).
+_REAL_SLICE = np.array([[1, 0, 0], [0, 1, 1j], [0, 1, -1j]])
+
+# Relative size (about 4500 ulps) below which a difference of branch factors
+# or a conic determinant counts as zero.
+REL_EPS = 1e-12
 
 
 class ConicType(enum.Enum):
@@ -41,6 +48,7 @@ class ConicType(enum.Enum):
     ORBIT = "Orbit"
     NOT_TOUCHING = "NotTouching"
     CONTAINED_IN_B = "ContainedInB"
+    LINE_IMAGE = "Line-image"
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,7 @@ class BranchRecord:
                     polynomial, scaled to max modulus 1
     contacts        (location, multiplicity) pairs; location is the affine
                     y1/y3 value, or the labels 'Pinf' / 'PinfBar'
-    residual        max |restriction| over the root clusters
+    residual        max |restriction| over the finite contacts
     """
 
     branch: str
@@ -108,13 +116,6 @@ class TangencyReport:
     pinf_contact: int
     pinfbar_contact: int
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Resolution of the cross-check grid on the real slice."""
-
-    grid: int = 48
 
 
 @dataclass(frozen=True)
@@ -139,14 +140,21 @@ class LinfIntersections:
 def branch_factors(params: SurfaceParams, lam: float) -> tuple[complex, complex]:
     """(g_minus, g_plus) = (Q - sqrt(f), Q + sqrt(f)).
 
-    Real for f > 0, a conjugate pair for f < 0.  Raises when the two factors
-    coincide, i.e. on the double-root plane.
+    Real for f > 0, a conjugate pair for f < 0.  For f > 0 the factor of
+    smaller modulus is taken as (Q^2 - f) / (the larger one): near the
+    double-root plane Q - sqrt(f) cancels to a few digits, and the contact
+    test needs the restriction's coefficients to full relative precision.
+    Raises when the two factors coincide, i.e. on the double-root plane.
     """
     q = q_value(params, lam)
     f = f_value(params, lam)
     d = q * q - f
-    if abs(d) <= 1e-12 * (1.0 + q * q + abs(f)):
+    if abs(d) <= REL_EPS * (1.0 + q * q + abs(f)):
         raise DegeneratePlaneError(f"branch factors coincide at lam={lam} (Q^2 - f = {d:.3e})")
+    if f > 0.0:
+        big = q + math.copysign(math.sqrt(f), q)
+        small = d / big
+        return (complex(small), complex(big)) if q >= 0.0 else (complex(big), complex(small))
     root = cmath.sqrt(complex(f))
     return q - root, q + root
 
@@ -160,7 +168,7 @@ def generic_conic(params: SurfaceParams, lam: float, theta: float) -> ConicCoeff
     if f <= 0.0:
         raise DomainError(f"no generic family at lam={lam}: f = {f:.3e} <= 0")
     d = disc_value(params, lam)
-    if d <= 1e-12 * (1.0 + q_value(params, lam) ** 2 + abs(f)):
+    if d <= REL_EPS * (1.0 + q_value(params, lam) ** 2 + abs(f)):
         raise DomainError(f"no generic family at lam={lam}: Q^2 - f = {d:.3e} vanishes")
     sf = math.sqrt(f)
     q = q_value(params, lam)
@@ -251,31 +259,56 @@ def _restriction(conic: ConicCoeffs, g: complex) -> tuple[complex, ...]:
     return (h, d, a - g * e, -g * b, c * g * g)
 
 
-def verify_touching(
-    conic: ConicCoeffs,
-    params: SurfaceParams,
-    lam: float,
-    tol: float = 1e-5,
-    cfg: Tolerances = DEFAULT_TOL,
-) -> TangencyReport:
+def _square_root_roots(coeffs) -> list[complex] | None:
+    """Roots of the square root when the polynomial (ascending, nonzero
+    constant term) is a constant times a square, else None.  Degree 2 needs
+    b^2 = 4ac and degree 4 two double roots, both to the equality tolerance;
+    degree 0 is the empty square and odd degrees never are squares."""
+    deg = len(coeffs) - 1
+    if deg == 0:
+        return []
+    if deg == 2:
+        c, b, a = coeffs
+        if abs(b * b - 4.0 * a * c) > DEFAULT_TOL.equality_rel * max(abs(b * b), abs(4.0 * a * c)):
+            return None
+        return [-b / (2.0 * a)]
+    if deg == 4:
+        a4, a3, a2, a1 = (c / coeffs[4] for c in coeffs[:4])
+        if not two_double_roots_criterion(a1, a2, a3, a4):
+            return None
+        # x^4 + a1 x^3 + ... = (x^2 + p x + r)^2; roots of the quadratic
+        # without cancellation, the second one from the product r
+        p = 0.5 * a1
+        r = 0.5 * (a2 - p * p)
+        s = cmath.sqrt(p * p - 4.0 * r)
+        if abs(p - s) > abs(p + s):
+            s = -s
+        z = -0.5 * (p + s)
+        return [z, r / z]
+    return None
+
+
+def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> TangencyReport:
     """Contact analysis of the conic against the plane section of the surface.
 
-    Each branch substitution produces a quartic in the chart coordinate whose
-    root multiplicities are read off by clustering; a drop in degree is
-    contact at the second fixed point, a root at the origin is contact at the
-    first.  Touching requires every finite contact to be at least double; the
-    type label follows the total fixed-point contact (0, 2 or 4).
+    Substituting each branch x2 = -g x1^2 gives a quartic in the chart
+    coordinate x1 = y1/y3.  Its exactly vanishing low coefficients are the
+    contact at the first fixed point (x1 = 0), its exactly vanishing top
+    coefficients, the degree drop, the contact at the second: the families'
+    matrices carry literal zeros there.  Every other contact is even exactly
+    when what remains is a constant times a square; its contacts are then
+    the roots of the square root, each double.  The type label follows the
+    total fixed-point contact (0, 2 or 4).
 
-    The clustering radius tol is deliberately coarse: a numerically split
-    double root can wander sqrt(eps) times the branch condition number, which
-    approaches 1e-5 close to the plane where the family degenerates, while
-    genuinely distinct contacts of these families stay unit-scale apart.
+    A conic is reducible when |det| is within REL_EPS of the Hadamard bound,
+    the product of the row norms; for the generic family that ratio is
+    (Q^2 - f) / (f + Q^2), which generic_conic keeps above REL_EPS.
 
     The orbit-shaped conics are certified symbolically: substituting
     y2 y3 = alpha y1^2 leaves ((alpha + Q)^2 - f) y1^4, so containment in the
     surface is the vanishing of that residual.
     """
-    if abs(conic.det()) < cfg.degenerate_det:
+    if abs(conic.det()) <= REL_EPS * float(np.prod(np.linalg.norm(conic.m, axis=1))):
         raise DegenerateConicError(
             "conic matrix is singular: the conic is a union of lines (reducible member of the family)"
         )
@@ -306,8 +339,7 @@ def verify_touching(
     touching = True
     for name, g in (("g-", gm), ("g+", gp)):
         rest = _restriction(conic, g)
-        top = max(abs(c) for c in rest)
-        if top <= 1e-12:
+        if not any(rest):
             return TangencyReport(
                 ConicType.CONTAINED_IN_B,
                 tuple(records),
@@ -316,26 +348,17 @@ def verify_touching(
                 f"branch {name} restriction vanishes identically",
             )
         norm = _normalized(rest)
-        # degree drops are exact zeros for the families at hand; a tiny but
-        # honest leading coefficient must stay a quartic
-        deg = 4
-        while deg > 0 and abs(norm[deg]) <= 1e-12:
-            deg -= 1
-        pinfbar_mult = 4 - deg
-        roots = companion_roots(norm[: deg + 1])
-        contacts: list[tuple[object, int]] = []
-        residual = 0.0
-        pinf_mult = 0
-        for members in cluster_roots(roots, tol):
-            center = sum(members) / len(members)
-            res = max(abs(evaluate(norm, z)) for z in members)
-            residual = max(residual, res)
-            if abs(center) <= tol:
-                pinf_mult = len(members)
-            else:
-                contacts.append((complex(center), len(members)))
-                if len(members) < 2:
-                    touching = False
+        nonzero = [k for k, c in enumerate(norm) if c != 0]
+        pinf_mult = nonzero[0]
+        pinfbar_mult = 4 - nonzero[-1]
+        roots = _square_root_roots(norm[nonzero[0] : nonzero[-1] + 1])
+        if roots is None:
+            touching = False
+            roots = []
+        contacts: list[tuple[object, int]] = [
+            (complex(z), 2) for z in sorted(roots, key=lambda z: (z.real, z.imag))
+        ]
+        residual = max((abs(evaluate(norm, z)) for z in roots), default=0.0)
         if pinf_mult:
             contacts.append(("Pinf", pinf_mult))
         if pinfbar_mult:
@@ -348,7 +371,7 @@ def verify_touching(
 
     if not touching:
         kind = ConicType.NOT_TOUCHING
-        detail = "a transversal intersection point exists"
+        detail = "a contact of odd order exists"
     elif pinf_total == 0 and pinfbar_total == 0:
         kind = ConicType.GENERIC
         detail = ""
@@ -384,54 +407,22 @@ def real_slice_gram(conic: ConicCoeffs) -> np.ndarray:
     """The real quadratic form induced on the real slice.
 
     Points fixed by the real structure can be written (t, z, conj z) with t
-    real; after a unimodular rescaling of the matrix the restriction of the
-    conic form there is a real quadratic form in (t, Re z, Im z).  Returns its
-    symmetric 3x3 Gram matrix.
+    real; after a unimodular rescaling mu of the matrix the restriction of
+    the conic form there is a real quadratic form in (t, Re z, Im z).  With P
+    the map from (t, Re z, Im z) to the point, its symmetric 3x3 Gram matrix
+    is Re(P^T (mu m) P).
     """
     if not conic.is_real(1e-8):
         raise PreconditionError("conic is not invariant under the real structure")
-    c = conic.reality_factor()
-    mu = cmath.exp(0.5j * cmath.phase(c))
-    m = conic.m * mu
-
-    def form(t: float, u: float, v: float) -> float:
-        y = np.array([t, u + 1j * v, u - 1j * v], dtype=complex)
-        return float((y @ m @ y).real)
-
-    basis = np.eye(3)
-    gram = np.empty((3, 3))
-    for i in range(3):
-        gram[i, i] = form(*basis[i])
-    for i in range(3):
-        for j in range(i + 1, 3):
-            gram[i, j] = gram[j, i] = 0.5 * (
-                form(*(basis[i] + basis[j])) - gram[i, i] - gram[j, j]
-            )
-    return gram
+    mu = cmath.exp(0.5j * cmath.phase(conic.reality_factor()))
+    return (_REAL_SLICE.T @ (mu * conic.m) @ _REAL_SLICE).real
 
 
-def min_real_form(conic: ConicCoeffs, sampler: SamplerConfig = SamplerConfig()) -> float:
+def min_real_form(conic: ConicCoeffs) -> float:
     """Global minimum of the induced real form over the unit sphere of the
-    real slice; strictly positive means the conic has no real point.
-
-    The restriction is an honest quadratic form in three real variables, so
-    the minimum is its smallest Gram eigenvalue; a grid scan at the sampler
-    resolution guards the reduction.
-    """
-    gram = real_slice_gram(conic)
-    eig = float(np.linalg.eigvalsh(gram)[0])
-    n = max(8, sampler.grid)
-    us = np.linspace(0.0, math.pi, n)
-    vs = np.linspace(0.0, 2.0 * math.pi, 2 * n)
-    uu, vv = np.meshgrid(us, vs)
-    dirs = np.stack(
-        [np.cos(uu), np.sin(uu) * np.cos(vv), np.sin(uu) * np.sin(vv)], axis=-1
-    ).reshape(-1, 3)
-    vals = np.einsum("ni,ij,nj->n", dirs, gram, dirs)
-    grid_min = float(vals.min())
-    if grid_min < eig - 1e-9 * (1.0 + abs(eig)):
-        raise RuntimeError("grid scan undercut the eigenvalue bound; Gram reduction is wrong")
-    return eig
+    real slice, i.e. the smallest Gram eigenvalue; strictly positive means
+    the conic has no real point."""
+    return float(np.linalg.eigvalsh(real_slice_gram(conic))[0])
 
 
 def generic_positivity_bound(params: SurfaceParams, lam: float) -> float:

@@ -1,9 +1,9 @@
 """Univariate polynomial arithmetic and multiplicity-aware root finding.
 
 Real-coefficient polynomials are the primary citizens (degree <= 8 is all this
-project ever needs); the root clustering helpers also accept complex
-coefficient sequences because branch restrictions of conics are genuinely
-complex.
+project ever needs); evaluation, companion roots, root clustering and the
+two-double-roots criterion also accept complex coefficient sequences because
+branch restrictions of conics are genuinely complex.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
-from .errors import InputError
+from .config import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -168,32 +167,6 @@ def root_clusters(coeffs, tol: float) -> list[RootCluster]:
     return out
 
 
-def real_roots_with_multiplicity(
-    p: RealPolynomial, tol: float | None = None, cfg: Tolerances = DEFAULT_TOL
-) -> list[RootCluster]:
-    """Real roots of p grouped by multiplicity.
-
-    A cluster counts as real when its centroid sits on the real axis within
-    the clustering radius; its value is reported with the imaginary part
-    dropped.  Raises InputError for constant input.
-    """
-    if p.degree < 1:
-        raise InputError("root finding needs degree >= 1")
-    tol = cfg.root_cluster_rel if tol is None else tol
-    clusters = root_clusters(p.coefficients, tol)
-    out = []
-    for cl in clusters:
-        if abs(cl.value.imag) <= tol * (1.0 + abs(cl.value)):
-            out.append(
-                RootCluster(
-                    value=complex(cl.value.real, 0.0),
-                    multiplicity=cl.multiplicity,
-                    residual=cl.residual,
-                )
-            )
-    return out
-
-
 def _close(lhs: complex, rhs: complex, tol: float, floor: float) -> bool:
     return abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), floor)
 
@@ -224,18 +197,3 @@ def deflate(p: RealPolynomial, root: float) -> RealPolynomial:
         acc = acc * root + p.coefficients[k]
         out[k - 1] = acc
     return RealPolynomial(tuple(out))
-
-
-def poly_from_roots(roots) -> RealPolynomial:
-    """Monic real polynomial with the given (conjugation-closed) roots."""
-    coeffs = [1.0 + 0.0j]
-    for r in roots:
-        nxt = [0.0 + 0.0j] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= complex(r) * c
-        coeffs = nxt
-    imag = max(abs(c.imag) for c in coeffs)
-    if imag > 1e-9 * max(1.0, max(abs(c) for c in coeffs)):
-        raise InputError("root set is not closed under conjugation")
-    return RealPolynomial(tuple(c.real for c in coeffs))

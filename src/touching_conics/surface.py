@@ -218,6 +218,20 @@ def _polish_double_root(params: SurfaceParams, x0: float) -> float:
     return x
 
 
+def _double_root_tol(params: SurfaceParams, x: float, cfg: Tolerances) -> float:
+    """Size below which D = Q^2 - f and D' count as zero at x, scaled like
+    the terms of D there."""
+    return cfg.polish_tol * (1.0 + abs(x) ** 4 * (1.0 + params.q0 * params.q0))
+
+
+def _is_double_root(
+    params: SurfaceParams, p: RealPolynomial, dp: RealPolynomial, x: float, cfg: Tolerances
+) -> bool:
+    """Whether D = p and D' = dp both vanish at x: the one double-root test,
+    applied by validate at lambda0 and by singular_locus to each axis point."""
+    return max(abs(evaluate(p, x)), abs(evaluate(dp, x))) <= _double_root_tol(params, x, cfg)
+
+
 def validate(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> ValidationReport:
     """Check the two admissibility conditions and the interval normalization,
     exactly.  With D = Q^2 - f, a quartic of leading coefficient q0^2:
@@ -250,16 +264,13 @@ def validate(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> Validation
             lambda0_in_i4=not_evaluated,
         )
 
-    def tol(x: float) -> float:
-        return cfg.polish_tol * (1.0 + abs(x) ** 4 * (1.0 + params.q0 * params.q0))
-
     dp = derivative(p)
     lam0 = min(
         (_polish_double_root(params, float(r.real)) for r in companion_roots(dp.coefficients)),
         key=lambda x: evaluate(p, x),
     )
-    d0 = evaluate(p, lam0)
-    if max(abs(d0), abs(evaluate(dp, lam0))) > tol(lam0):
+    if not _is_double_root(params, p, dp, lam0, cfg):
+        d0 = evaluate(p, lam0)
         what = "< 0" if d0 < 0.0 else "> 0 at its least point: no real double root"
         return ValidationReport(
             condition_i=CheckResult(False, lam0, f"Q^2 - f = {d0:.3e} {what}"),
@@ -275,7 +286,7 @@ def validate(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> Validation
     c, b, a = deflate(deflate(p, lam0), lam0).coefficients
     v = -b / (2.0 * a)
     dv = (v - lam0) ** 2 * (c - b * b / (4.0 * a))
-    if dv <= tol(v):
+    if dv <= _double_root_tol(params, v, cfg):
         cond_i = CheckResult(False, v, f"Q^2 - f = (lam - lambda0)^2 r is {dv:.3e} at the vertex of r: a further real root")
     elif not (fl0 > 0.0 and ql0 > 0.0):
         cond_i = CheckResult(False, lam0, f"at the double root f={fl0:.3e}, Q={ql0:.3e}; need Q = +sqrt(f) > 0")
@@ -355,7 +366,9 @@ def singular_locus(params: SurfaceParams) -> list[SingularPoint]:
     The two fixed points of the circle action are always present and are
     elliptic of type E7~.  Every real multiple root of the tangency quartic
     contributes a point on the axis; it is an ordinary double point exactly
-    when the multiplicity is two.
+    when the multiplicity is two.  A root pair found by clustering counts as
+    a double root only when its polished point passes validate's double-root
+    test, so a pair split off the real axis lists no point.
     """
     _require_ab(params)
     out = [
@@ -365,6 +378,7 @@ def singular_locus(params: SurfaceParams) -> list[SingularPoint]:
     p = discriminant_poly(params)
     if p.degree < 1:
         return out
+    dp = derivative(p)
     for cl in root_clusters(p.coefficients, STRUCTURAL_CLUSTER_TOL):
         if cl.multiplicity < 2:
             continue
@@ -373,6 +387,8 @@ def singular_locus(params: SurfaceParams) -> list[SingularPoint]:
         lam = float(cl.value.real)
         if cl.multiplicity == 2:
             lam = float(_polish_double_root(params, lam))
+            if not _is_double_root(params, p, dp, lam, DEFAULT_TOL):
+                continue
         kind = SingularKind.ODP if cl.multiplicity == 2 else SingularKind.NON_ODP
         out.append(
             SingularPoint(f"A(lam={lam:.12g})", kind, lam=lam, multiplicity=cl.multiplicity)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from scratch: brute-force grids,
 raw companion-matrix roots through numpy, greedy pairing.  None of it calls
-back into the clustering or validation paths it certifies.
+back into the clustering or validation paths it certifies, except the two
+test-only polynomial helpers `real_roots_with_multiplicity` (a real-axis view
+of `poly.root_clusters`, which its tests exercise) and `poly_from_roots`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from touching_conics.errors import DomainError, InputError, UnclassifiableLimitError
+from touching_conics.poly import RealPolynomial, RootCluster, root_clusters
 
 
 def dense_grid_certificate(params, lam0: float, n: int = 100_001) -> dict:
@@ -99,6 +102,43 @@ def expand_from_roots(roots):
     return [float(c) for c in coeffs.real]
 
 
+def real_roots_with_multiplicity(p: RealPolynomial, tol: float = 1e-7) -> list[RootCluster]:
+    """Real roots of p grouped by multiplicity.
+
+    A cluster counts as real when its centroid sits on the real axis within
+    the clustering radius; its value is reported with the imaginary part
+    dropped.  Raises InputError for constant input.
+    """
+    if p.degree < 1:
+        raise InputError("root finding needs degree >= 1")
+    out = []
+    for cl in root_clusters(p.coefficients, tol):
+        if abs(cl.value.imag) <= tol * (1.0 + abs(cl.value)):
+            out.append(
+                RootCluster(
+                    value=complex(cl.value.real, 0.0),
+                    multiplicity=cl.multiplicity,
+                    residual=cl.residual,
+                )
+            )
+    return out
+
+
+def poly_from_roots(roots) -> RealPolynomial:
+    """Monic real polynomial with the given (conjugation-closed) roots."""
+    coeffs = [1.0 + 0.0j]
+    for r in roots:
+        nxt = [0.0 + 0.0j] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] += c
+            nxt[i] -= complex(r) * c
+        coeffs = nxt
+    imag = max(abs(c.imag) for c in coeffs)
+    if imag > 1e-9 * max(1.0, max(abs(c) for c in coeffs)):
+        raise InputError("root set is not closed under conjugation")
+    return RealPolynomial(tuple(c.real for c in coeffs))
+
+
 def conic_through_points(points) -> np.ndarray:
     """Symmetric matrix of a conic through five general points."""
     rows = []
@@ -111,6 +151,25 @@ def conic_through_points(points) -> np.ndarray:
 
 def central_difference(fn, x: float, h: float) -> float:
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+def polarized_gram(m: np.ndarray) -> np.ndarray:
+    """Gram matrix of Re(y^T m y) on the real slice y = (t, u + iv, u - iv),
+    by polarization of the form on the basis vectors and their sums."""
+
+    def form(x) -> float:
+        t, u, v = x
+        y = np.array([t, u + 1j * v, u - 1j * v], dtype=complex)
+        return float((y @ m @ y).real)
+
+    basis = np.eye(3)
+    gram = np.empty((3, 3))
+    for i in range(3):
+        gram[i, i] = form(basis[i])
+    for i in range(3):
+        for j in range(i + 1, 3):
+            gram[i, j] = gram[j, i] = 0.5 * (form(basis[i] + basis[j]) - gram[i, i] - gram[j, j])
+    return gram
 
 
 def grid_minimum_on_slice(m: np.ndarray, n: int = 60) -> float:

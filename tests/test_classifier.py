@@ -8,7 +8,6 @@ from touching_conics.analysis import h_handle
 from touching_conics.classifier import (
     EXPECTED_SURVIVORS,
     ComponentChoice,
-    ConicTypeLabel,
     Hypothesis,
     Verdict,
     assign_types,
@@ -16,6 +15,7 @@ from touching_conics.classifier import (
     component_schedule,
     eliminate,
 )
+from touching_conics.conics import ConicType
 from touching_conics.errors import PreconditionError
 from touching_conics.resolution import HKind, LinearForm, ResolutionChoice
 from oracles import central_difference
@@ -27,12 +27,12 @@ SURVIVOR_MINUS = ResolutionChoice(LinearForm.AX0_MINUS_BX1, LinearForm.X0, Linea
 
 def test_assign_types(params_star):
     ta = assign_types(params_star)
-    assert ta.label("I1") is ConicTypeLabel.SPECIAL
-    assert ta.label("I2") is ConicTypeLabel.ORBIT
-    assert ta.label("I3") is ConicTypeLabel.SPECIAL
-    assert ta.label("I4minus") is ConicTypeLabel.GENERIC
-    assert ta.label("I4plus") is ConicTypeLabel.GENERIC
-    assert ta.label("lambda0") is ConicTypeLabel.LINE_IMAGE
+    assert ta.label("I1") is ConicType.SPECIAL
+    assert ta.label("I2") is ConicType.ORBIT
+    assert ta.label("I3") is ConicType.SPECIAL
+    assert ta.label("I4minus") is ConicType.GENERIC
+    assert ta.label("I4plus") is ConicType.GENERIC
+    assert ta.label("lambda0") is ConicType.LINE_IMAGE
     assert all(why for _, _, why in ta.by_interval)
 
 
@@ -129,4 +129,4 @@ def test_classify_bundle(params_star):
     rep = classify(params_star)
     assert len(rep.schedules) == 2
     assert {hyp for _, hyp, _ in rep.schedules} == {Hypothesis.PLUS_OVER_I1, Hypothesis.MINUS_OVER_I1}
-    assert rep.assignment.label("I2") is ConicTypeLabel.ORBIT
+    assert rep.assignment.label("I2") is ConicType.ORBIT

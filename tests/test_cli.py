@@ -13,7 +13,7 @@ import pytest
 
 from touching_conics.analysis import RadiusAnalysis
 from touching_conics.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
-from touching_conics.surface import SearchConfig, params_for_q0
+from touching_conics.surface import SearchConfig, lambda0, params_for_q0
 
 SURVIVOR_NAMES = {"(X1, X0plusX1, X0)", "(AX0minusBX1, X0, X0plusX1)"}
 
@@ -67,6 +67,18 @@ def test_usage_errors():
     assert run(["--grid", "4", "psi"]) == EXIT_USAGE
     assert run(["--tol", "-1", "psi"]) == EXIT_USAGE
     assert run(["validate"]) == EXIT_USAGE  # params required
+
+
+def test_parser_is_reused_across_runs(star_arg, capsys):
+    argv = ["--params", star_arg, "--lambda", "-0.5", "tangency"]
+    assert run(argv) == EXIT_OK
+    first = capsys.readouterr().out
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == first
+    assert run(["frobnicate"]) == EXIT_USAGE
+    assert run(["--params", star_arg, "tangency"]) == EXIT_USAGE  # --lambda required
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == first
 
 
 def test_search_params(tmp_path):
@@ -221,6 +233,27 @@ def test_tangency_plane_with_double_contact_passes(params_draws, tmp_path):
     out = tmp_path / "t.json"
     assert run(["--params", arg, "--lambda", "-5.75", "--grid", "256", "--out", str(out), "tangency"]) == EXIT_OK
     assert all(r["passed"] for r in _load(out)["rows"])
+
+
+def test_tangency_near_plane_boundaries(params_draws, capsys):
+    # the generic conics here are smooth (det = -2 (Q^2 - f)^2) and every
+    # contact is double, however thin the margin to lambda0, -1, 0 or b/a
+    for p in params_draws:
+        arg = f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}"
+        lam0 = lambda0(p)
+        planes = [lam0 + s * 10.0**-k for k in (3, 4, 5) for s in (1.0, -1.0)]
+        planes += [e + s * 10.0**-k for e in (-1.0, 0.0, p.b / p.a) for k in range(3, 10) for s in (1.0, -1.0)]
+        for lam in planes:
+            assert run(["--params", arg, f"--lambda={lam!r}", "tangency"]) == EXIT_OK, lam
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["passed"] and all(r["passed"] for r in doc["rows"]), lam
+
+
+def test_tangency_a_thousandth_off_lambda0(star_arg, tmp_path):
+    out = tmp_path / "t.json"
+    assert run(["--params", star_arg, "--lambda", "2.001", "--out", str(out), "tangency"]) == EXIT_OK
+    doc = _load(out)
+    assert doc["passed"] and all(r["type"] in ("Generic", "Orbit", "ContainedInB") for r in doc["rows"])
 
 
 def _readme_commands() -> list[list[str]]:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import conic_through_points, grid_minimum_on_slice
+from oracles import conic_through_points, grid_minimum_on_slice, polarized_gram, quartic_double_double
 from touching_conics.conics import (
     ConicCoeffs,
     ConicType,
@@ -18,6 +18,7 @@ from touching_conics.conics import (
     linf_radii,
     min_real_form,
     orbit_conic,
+    real_slice_gram,
     special_conic,
     special_positivity_bound,
     verify_touching,
@@ -173,6 +174,28 @@ def test_verify_touching_special_near_double_root_contact(params_draws):
         assert finite == [2]
 
 
+def test_verify_touching_agrees_with_root_pairing_oracle(params_draws):
+    # generic conics over a plane sweep of I2 and I4, and the same conics
+    # with the y1^2 coefficient moved by 0.1%, which splits every contact
+    agree = {True: 0, False: 0}
+    for p in params_draws:
+        part = intervals(p)
+        spans = [part.i2, part.i4minus, (part.lambda0, part.lambda0 + 5.0)]
+        for lo, hi in spans:
+            for lam in np.linspace(lo, hi, 8)[1:-1]:
+                for theta in np.linspace(0.0, 2.0 * math.pi, 5)[:-1]:
+                    conic = generic_conic(p, lam, theta)
+                    moved = conic.m.copy()
+                    moved[0, 0] *= 1.001
+                    for c in (conic, ConicCoeffs.from_matrix(moved)):
+                        rep = verify_touching(c, p, lam)
+                        for br in rep.branches:
+                            oracle = quartic_double_double(br.restriction)
+                            assert oracle == (rep.kind is ConicType.GENERIC), (lam, theta)
+                            agree[oracle] += 1
+    assert agree[True] and agree[False]
+
+
 def test_verify_touching_orbit_containment_boundary(params_star):
     lam = -0.5
     q = q_value(params_star, lam)
@@ -244,6 +267,17 @@ def test_min_real_form_matches_brute_grid(params_star):
     brute = grid_minimum_on_slice(m)
     assert brute >= eig - 1e-9
     assert brute - eig < 5e-3  # the grid comes close to the true minimum
+
+
+def test_real_slice_gram_matches_polarization(params_draws):
+    # the closed form and the polarization sum the same products in another
+    # order: entries of |m| <= 1 agree to a few ulps
+    for p in params_draws:
+        conics = [generic_conic(p, -0.5, t) for t in (0.0, 1.1, 4.0)]
+        conics += [special_conic(p, -2.0, t) for t in (0.3, 2.5)] + [orbit_conic(-0.7), orbit_conic(1.3)]
+        for conic in conics:
+            m = conic.m * cmath.exp(0.5j * cmath.phase(conic.reality_factor()))
+            assert np.abs(real_slice_gram(conic) - polarized_gram(m)).max() <= 8 * np.finfo(float).eps
 
 
 def test_min_real_form_requires_reality():

@@ -5,14 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import central_difference, expand_from_roots, expand_two_double_roots
+from oracles import (
+    central_difference,
+    expand_from_roots,
+    expand_two_double_roots,
+    poly_from_roots,
+    real_roots_with_multiplicity,
+)
 from touching_conics.errors import InputError
 from touching_conics.poly import (
     RealPolynomial,
     derivative,
     evaluate,
-    poly_from_roots,
-    real_roots_with_multiplicity,
     root_clusters,
     two_double_roots_criterion,
 )

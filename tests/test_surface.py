@@ -170,6 +170,14 @@ def test_singular_locus_triple_root_is_not_odp():
     assert not validate(TRIPLE_ROOT_PARAMS).passed
 
 
+def test_singular_locus_lists_an_odp_only_where_validate_finds_a_double_root():
+    # the README set rounded to 8 digits: the double root of Q^2 - f split
+    # into 2 +- 1.26e-4 i, so the axis carries no singular point
+    p = SurfaceParams(0.65, -0.3546344, 0.55875855, 1.0, 1.0)
+    assert not validate(p).condition_i.passed
+    assert [pt.location for pt in singular_locus(p)] == ["Pinf", "PinfBar"]
+
+
 def test_no_complex_multiple_roots_for_params_star(params_star):
     assert complex_multiple_roots(params_star) == []
     assert all(p.lam is None or abs(p.lam - 2.0) < 1e-6 for p in singular_locus(params_star))
