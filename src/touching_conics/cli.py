@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -86,6 +87,11 @@ class RunConfig:
             "out": self.out,
             "format": self.fmt,
         }
+
+
+def _elapsed(t0: float) -> float:
+    """Seconds since t0, to the microsecond."""
+    return round(time.perf_counter() - t0, 6)
 
 
 def _number(text: str, where: str) -> float:
@@ -317,7 +323,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
     doc = _envelope(
         cfg,
         {"validation": body, "singular_locus": _singular_dict(params)},
-        {"validate_s": round(time.perf_counter() - t0, 3)},
+        {"validate_s": _elapsed(t0)},
     )
     _emit(doc, cfg)
     return EXIT_OK if ok else EXIT_FAIL
@@ -338,7 +344,7 @@ def _cmd_search_params(cfg: RunConfig, args) -> int:
     doc = _envelope(
         cfg,
         {"search": {"found": True, "params": params.as_dict()}, "validation": body},
-        {"search_s": round(time.perf_counter() - t0, 3)},
+        {"search_s": _elapsed(t0)},
     )
     _emit(doc, cfg)
     return EXIT_OK if ok else EXIT_FAIL
@@ -369,6 +375,7 @@ def _cmd_tangency(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     if cfg.lam is None:
         raise InputError("--lambda required")
+    t0 = time.perf_counter()
     lam = cfg.lam
     f = f_value(params, lam)
     rows = []
@@ -396,7 +403,8 @@ def _cmd_tangency(cfg: RunConfig) -> int:
             good = rep.kind.value == "Special"
             ok &= good
             rows.append({"family": "special", "knob": theta, "type": rep.kind.value, "passed": good})
-    _emit(_envelope(cfg, {"rows": rows, "passed": ok}, None), cfg)
+    timings = {"tangency_s": _elapsed(t0), "conics": len(rows)}
+    _emit(_envelope(cfg, {"rows": rows, "passed": ok}, timings), cfg)
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -442,7 +450,7 @@ def _cmd_critical(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     rows, ok = _htable_rows(params)
     doc = _envelope(
-        cfg, {"rows": rows, "passed": ok}, {"h_tables_s": round(time.perf_counter() - t0, 3)}
+        cfg, {"rows": rows, "passed": ok}, {"h_tables_s": _elapsed(t0)}
     )
     _emit(doc, cfg)
     return EXIT_OK if ok else EXIT_FAIL
@@ -453,7 +461,7 @@ def _cmd_classify(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     body, ok, inconclusive = _classification_dict(params, RadiusAnalysis(params))
     doc = _envelope(
-        cfg, {"classification": body}, {"classify_s": round(time.perf_counter() - t0, 3)}
+        cfg, {"classification": body}, {"classify_s": _elapsed(t0)}
     )
     _emit(doc, cfg)
     if inconclusive:
@@ -472,7 +480,7 @@ def _cmd_report(cfg: RunConfig) -> int:
     timings = {}
     t0 = time.perf_counter()
     validation, ok_v = _validation_dict(params)
-    timings["validate_s"] = round(time.perf_counter() - t0, 3)
+    timings["validate_s"] = _elapsed(t0)
     sing = _singular_dict(params)
     t0 = time.perf_counter()
     inconclusive = False
@@ -487,10 +495,10 @@ def _cmd_report(cfg: RunConfig) -> int:
     else:
         h_rows, ok_h = _htable_rows(params, cache)
         h_tables = {"rows": h_rows, "passed": ok_h}
-        timings["h_tables_s"] = round(time.perf_counter() - t0, 3)
+        timings["h_tables_s"] = _elapsed(t0)
         t0 = time.perf_counter()
         classification, ok_c, inconclusive = _classification_dict(params, cache)
-    timings["classify_s"] = round(time.perf_counter() - t0, 3)
+    timings["classify_s"] = _elapsed(t0)
     psi, ok_p = _psi_dict()
     doc = _envelope(
         cfg,
@@ -543,6 +551,23 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
+# argparse reads a value such as "-1e-08" as an option, since only "-"
+# followed by digits or a point counts as a negative number there, so such a
+# value of these flags is joined to its flag: "--lambda=-1e-08".
+_SIGNED_FLAGS = frozenset({"--lambda", "--theta", "--alpha"})
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _join_negative_numbers(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_FLAGS and _NEGATIVE_NUMBER.fullmatch(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The command-line parser, built once per process: parsing keeps no
@@ -572,7 +597,7 @@ def build_parser() -> _Parser:
 def run(argv: list[str]) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_negative_numbers(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     for key, value in _COMMON_DEFAULTS.items():

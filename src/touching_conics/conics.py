@@ -63,9 +63,14 @@ class ConicCoeffs:
         m = np.asarray(m, dtype=complex)
         if m.shape != (3, 3):
             raise InputError("conic matrix must be 3x3")
-        if not np.allclose(m, m.T, atol=1e-12 * (1 + np.abs(m).max())):
+        rows = m.tolist()
+        try:
+            top = max(abs(z) for row in rows for z in row)
+            symmetric = _symmetric(rows, 1e-12 * (1.0 + top))
+        except OverflowError:
+            raise InputError("conic matrix entries exceed the float range") from None
+        if not symmetric:
             raise InputError("conic matrix must be symmetric")
-        top = np.abs(m).max()
         if top == 0.0:
             raise InputError("zero matrix is not a conic")
         return ConicCoeffs(m / top)
@@ -90,6 +95,21 @@ class ConicCoeffs:
         ms = _SWAP23 @ np.conj(self.m) @ _SWAP23
         i, j = np.unravel_index(np.argmax(np.abs(self.m)), (3, 3))
         return complex(ms[i, j] / self.m[i, j])
+
+
+def _isclose(x: complex, y: complex, atol: float) -> bool:
+    """numpy.isclose(x, y, rtol=1e-5, atol=atol) on Python numbers."""
+    return x == y or (abs(x - y) <= atol + 1e-5 * abs(y) and cmath.isfinite(y))
+
+
+def _symmetric(rows, atol: float) -> bool:
+    """numpy.allclose(m, m.T, atol=atol) on the nested rows of m: each
+    off-diagonal pair close in both orders, and no NaN on the diagonal."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        x, y = rows[i][j], rows[j][i]
+        if not (_isclose(x, y, atol) and _isclose(y, x, atol)):
+            return False
+    return all(rows[k][k] == rows[k][k] for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -223,40 +243,39 @@ def orbit_conic(alpha: float) -> ConicCoeffs:
     return ConicCoeffs.from_matrix(m)
 
 
-def orbit_alpha(conic: ConicCoeffs, tol: float = 1e-10) -> float | None:
-    """Recover alpha if the conic has the orbit shape, else None."""
-    m = conic.m
-    off = max(abs(m[0, 1]), abs(m[0, 2]), abs(m[1, 1]), abs(m[2, 2]))
-    if off > tol or abs(m[1, 2]) <= tol:
+def _orbit_alpha(rows, tol: float = 1e-10) -> float | None:
+    """Recover alpha if the conic (nested rows of its matrix) has the orbit
+    shape, else None."""
+    off = max(abs(rows[0][1]), abs(rows[0][2]), abs(rows[1][1]), abs(rows[2][2]))
+    if off > tol or abs(rows[1][2]) <= tol:
         return None
-    ratio = -m[0, 0] / (2.0 * m[1, 2])
+    ratio = -rows[0][0] / (2.0 * rows[1][2])
     if abs(ratio.imag) > 1e-9 * (1.0 + abs(ratio)):
         return None
-    return float(ratio.real)
+    return ratio.real
 
 
 # ---------------------------------------------------------------------------
 # tangency certification
 
 
-def _affine_coeffs(conic: ConicCoeffs) -> tuple[complex, ...]:
-    """(a, b, c, d, e, h) of a x1^2 + b x1 x2 + c x2^2 + d x1 + e x2 + h in the
-    chart x1 = y1/y3, x2 = y2/y3."""
-    m = conic.m
-    return (
-        m[0, 0],
-        2.0 * m[0, 1],
-        m[1, 1],
-        2.0 * m[0, 2],
-        2.0 * m[1, 2],
-        m[2, 2],
-    )
+def _restriction(rows, g: complex) -> tuple[complex, ...]:
+    """Substitute the branch x2 = -g x1^2 into the conic, given by the nested
+    rows of its matrix, in the chart x1 = y1/y3, x2 = y2/y3; ascending
+    coefficients, degree 4."""
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = rows
+    return (m22, 2.0 * m02, m00 - g * (2.0 * m12), -g * (2.0 * m01), m11 * g * g)
 
 
-def _restriction(conic: ConicCoeffs, g: complex) -> tuple[complex, ...]:
-    """Substitute the branch x2 = -g x1^2; ascending coefficients, degree 4."""
-    a, b, c, d, e, h = _affine_coeffs(conic)
-    return (h, d, a - g * e, -g * b, c * g * g)
+def _degenerate(rows) -> bool:
+    """|det| within REL_EPS of the Hadamard bound, the product of the row
+    norms; det by cofactors along the first row."""
+    (a, b, c), (d, e, f), (g, h, k) = rows
+    det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+    bound = 1.0
+    for x, y, z in rows:
+        bound *= math.hypot(x.real, x.imag, y.real, y.imag, z.real, z.imag)
+    return abs(det) <= REL_EPS * bound
 
 
 def _square_root_roots(coeffs) -> list[complex] | None:
@@ -307,14 +326,18 @@ def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> Ta
     The orbit-shaped conics are certified symbolically: substituting
     y2 y3 = alpha y1^2 leaves ((alpha + Q)^2 - f) y1^4, so containment in the
     surface is the vanishing of that residual.
+
+    All of it runs on the matrix read once as nested Python complex numbers:
+    on a 3x3 matrix, numpy scalar arithmetic costs more than the arithmetic.
     """
-    if abs(conic.det()) <= REL_EPS * float(np.prod(np.linalg.norm(conic.m, axis=1))):
+    rows = conic.m.tolist()
+    if _degenerate(rows):
         raise DegenerateConicError(
             "conic matrix is singular: the conic is a union of lines (reducible member of the family)"
         )
     gm, gp = branch_factors(params, lam)
 
-    alpha = orbit_alpha(conic)
+    alpha = _orbit_alpha(rows)
     if alpha is not None:
         q = q_value(params, lam)
         f = f_value(params, lam)
@@ -323,7 +346,7 @@ def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> Ta
         records = tuple(
             BranchRecord(
                 branch=name,
-                restriction=_normalized_or_zero(_restriction(conic, g)),
+                restriction=_normalized(_restriction(rows, g)),
                 contacts=(("Pinf", 2), ("PinfBar", 2)),
                 residual=0.0,
             )
@@ -338,7 +361,7 @@ def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> Ta
     pinfbar_total = 0
     touching = True
     for name, g in (("g-", gm), ("g+", gp)):
-        rest = _restriction(conic, g)
+        rest = _restriction(rows, g)
         if not any(rest):
             return TangencyReport(
                 ConicType.CONTAINED_IN_B,
@@ -388,15 +411,9 @@ def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> Ta
 
 
 def _normalized(coeffs) -> tuple[complex, ...]:
-    top = max(abs(c) for c in coeffs)
-    return tuple(complex(c) / top for c in coeffs)
-
-
-def _normalized_or_zero(coeffs) -> tuple[complex, ...]:
-    top = max(abs(c) for c in coeffs)
-    if top == 0.0:
-        return tuple(complex(c) for c in coeffs)
-    return tuple(complex(c) / top for c in coeffs)
+    """Scaled to max modulus 1; all-zero coefficients are kept as they are."""
+    top = max(map(abs, coeffs)) or 1.0
+    return tuple([c / top for c in coeffs])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -147,6 +148,21 @@ def conic_through_points(points) -> np.ndarray:
     null = np.linalg.svd(np.array(rows))[2][-1].conj()
     a, b, c, d, e, h = null
     return np.array([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, h]])
+
+
+def allclose_symmetric(m) -> bool:
+    """The symmetry test `ConicCoeffs.from_matrix` made through numpy."""
+    m = np.asarray(m, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # atol is NaN or inf on such entries
+        return bool(np.allclose(m, m.T, atol=1e-12 * (1 + np.abs(m).max())))
+
+
+def lapack_degenerate(m, rel_eps: float) -> bool:
+    """The degeneracy test `verify_touching` made through numpy: |det| by LU
+    factorization against the product of the row norms."""
+    m = np.asarray(m, dtype=complex)
+    return bool(abs(np.linalg.det(m)) <= rel_eps * float(np.prod(np.linalg.norm(m, axis=1))))
 
 
 def central_difference(fn, x: float, h: float) -> float:

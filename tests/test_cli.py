@@ -162,7 +162,28 @@ def test_report_bundle_and_determinism(star_arg, tmp_path):
 def test_report_timings_opt_in(star_arg, tmp_path):
     out = tmp_path / "rt.json"
     assert run(["--params", star_arg, "--timings", "--out", str(out), "report"]) == EXIT_OK
-    assert "timings" in _load(out)
+    timings = _load(out)["timings"]
+    assert set(timings) == {"validate_s", "h_tables_s", "classify_s"}
+    # to the microsecond: every stage takes more than one, none reads 0
+    assert all(0.0 < v == round(v, 6) for v in timings.values())
+
+
+def test_tangency_timings_opt_in(star_arg, tmp_path):
+    argv = ["--params", star_arg, "--lambda", "-0.5", "--grid", "32"]
+    plain = tmp_path / "t.json"
+    assert run(argv + ["--out", str(plain), "tangency"]) == EXIT_OK
+    first = plain.read_bytes()
+    assert "timings" not in _load(plain)
+    assert run(argv + ["--out", str(plain), "tangency"]) == EXIT_OK
+    assert plain.read_bytes() == first
+    untimed = _load(plain)
+    assert run(argv + ["--timings", "--out", str(plain), "tangency"]) == EXIT_OK
+    doc = _load(plain)
+    # 32 generic and 31 orbit conics on an f > 0 plane
+    assert doc["timings"]["conics"] == len(doc["rows"]) == 63
+    assert 0.0 < doc["timings"]["tangency_s"] == round(doc["timings"]["tangency_s"], 6)
+    del doc["timings"]
+    assert doc == untimed
 
 
 def test_malformed_numbers_are_usage_errors(tmp_path):
@@ -303,3 +324,20 @@ def test_report_on_a_set_with_q_negative_at_minus_one_writes_a_document(tmp_path
     assert "condition (*)" in doc["h_tables"]["error"] and not doc["h_tables"]["passed"]
     assert "condition (*)" in doc["classification"]["error"]
     assert doc["classification"]["survivors"] == [] and not doc["classification"]["inconclusive"]
+
+
+@pytest.mark.parametrize(
+    "flag, key, value, tail",
+    [
+        ("--lambda", "lambda", "-1e-08", ["tangency"]),
+        ("--theta", "theta", "-1e-3", ["--lambda", "-0.5", "conic", "--type", "generic"]),
+        ("--alpha", "alpha", "-2.5E-1", ["--lambda", "-0.5", "conic", "--type", "orbit"]),
+    ],
+)
+def test_negative_exponent_values_parse_like_the_equals_form(star_arg, capsys, flag, key, value, tail):
+    # argparse alone reads "-1e-08" as an option and stops with a usage error
+    assert run(["--params", star_arg, f"{flag}={value}"] + tail) == EXIT_OK
+    joined = capsys.readouterr()
+    assert run(["--params", star_arg, flag, value] + tail) == EXIT_OK
+    assert capsys.readouterr() == joined
+    assert json.loads(joined.out)["config"][key] == float(value)

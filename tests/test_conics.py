@@ -8,8 +8,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import conic_through_points, grid_minimum_on_slice, polarized_gram, quartic_double_double
+from oracles import (
+    allclose_symmetric,
+    conic_through_points,
+    grid_minimum_on_slice,
+    lapack_degenerate,
+    polarized_gram,
+    quartic_double_double,
+)
 from touching_conics.conics import (
+    REL_EPS,
     ConicCoeffs,
     ConicType,
     branch_factors,
@@ -27,6 +35,7 @@ from touching_conics.errors import (
     DegenerateConicError,
     DegeneratePlaneError,
     DomainError,
+    InputError,
     PreconditionError,
 )
 from touching_conics.poly import two_double_roots_criterion
@@ -221,6 +230,96 @@ def test_verify_touching_degenerate_conic(params_star):
     line_pair[0, 1] = line_pair[1, 0] = 0.5  # y1 * y2 = 0
     with pytest.raises(DegenerateConicError):
         verify_touching(ConicCoeffs.from_matrix(line_pair), params_star, -0.5)
+
+
+def _accepted(m) -> bool:
+    try:
+        ConicCoeffs.from_matrix(m)
+    except InputError:
+        return False
+    return True
+
+
+def test_symmetry_check_matches_allclose_oracle():
+    # one off-diagonal entry moved from its mirror by a multiple of the
+    # tolerance atol + 1e-5 |m_ji|, atol = 1e-12 (1 + max |m|), over seven
+    # decades of scale, with complex and with real entries
+    rng = np.random.default_rng(23)
+    verdicts = {True: 0, False: 0}
+    for real in (False, True):
+        for _ in range(40):
+            a = rng.normal(size=(3, 3)) + (0.0 if real else 1j * rng.normal(size=(3, 3)))
+            m = (a + a.T) * 10.0 ** rng.uniform(-3.0, 4.0)
+            i, j = [(0, 1), (0, 2), (1, 2)][rng.integers(3)]
+            if rng.random() < 0.3:
+                m[j, i] = 0.0  # the absolute part of the tolerance alone
+            tol = 1e-12 * (1.0 + np.abs(m).max()) + 1e-5 * abs(m[j, i])
+            step = rng.choice([1.0, -1.0]) if real else cmath.exp(2j * math.pi * rng.random())
+            for factor in (0.5, 0.99, 1.01, 2.0):
+                moved = m.astype(complex)
+                moved[i, j] = m[j, i] + factor * tol * step
+                expected = allclose_symmetric(moved)
+                assert _accepted(moved) == expected, (real, factor, moved)
+                verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False]
+    for m in (
+        [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 1j], [0.0, -1j, 1.0]],
+        [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, math.inf, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ):
+        assert not allclose_symmetric(m)
+        with pytest.raises(InputError):
+            ConicCoeffs.from_matrix(m)
+    # moduli beyond the float range: numpy scaled these to a zero matrix
+    with pytest.raises(InputError):
+        ConicCoeffs.from_matrix(np.full((3, 3), 1.5e308 + 1.5e308j))
+
+
+def _raises_degenerate(conic, params, lam) -> bool:
+    try:
+        verify_touching(conic, params, lam)
+    except DegenerateConicError:
+        return True
+    return False
+
+
+def test_degeneracy_verdict_matches_lapack_oracle(params_draws):
+    rng = np.random.default_rng(31)
+
+    def sym(scale=1.0):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        return scale * (a + a.T)
+
+    def line_pair():
+        u = rng.normal(size=3) + 1j * rng.normal(size=3)
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        return np.outer(u, v) + np.outer(v, u)
+
+    cases = []
+    for p in params_draws:
+        cases += [(p, -0.5, generic_conic(p, -0.5, t)) for t in (0.0, 1.1, 4.0)]
+        cases += [(p, -2.0, special_conic(p, -2.0, t)) for t in (0.3, 2.5)]
+        cases += [(p, -0.5, orbit_conic(a)) for a in (-0.7, 1.3)]
+    p = params_draws[0]
+    cases += [(p, -0.5, ConicCoeffs.from_matrix(sym())) for _ in range(30)]
+    # a line pair moved off degeneracy by 1e-4 .. 1e-16: both verdicts
+    for k in range(4, 17):
+        cases.append((p, -0.5, ConicCoeffs.from_matrix(line_pair() + sym(10.0**-k))))
+    verdicts = {True: 0, False: 0}
+    for params, lam, conic in cases:
+        expected = lapack_degenerate(conic.m, REL_EPS)
+        assert _raises_degenerate(conic, params, lam) == expected, conic.m
+        verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False]
+    pairs = [line_pair() for _ in range(10)]
+    pairs.append(np.diag([1.0, 0.0, 0.0]))  # the double line y1^2
+    pairs.append(np.diag([0.0, 1.0, -1.0]))  # (y2 - y3)(y2 + y3)
+    for m in pairs:
+        conic = ConicCoeffs.from_matrix(m)
+        assert lapack_degenerate(conic.m, REL_EPS)
+        with pytest.raises(DegenerateConicError):
+            verify_touching(conic, p, -0.5)
 
 
 def test_completeness_mixed_term_forces_double_line(params_star):
