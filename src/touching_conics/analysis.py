@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, InputError, PreconditionError, UnclassifiableLimitError
+from .errors import DomainError, InputError, PreconditionError
 from .poly import RealPolynomial, companion_roots, deflate, derivative
 from .resolution import HKind, LinearForm, ResolutionChoice, h_function
 from .surface import Interval, Q_restricted, SurfaceParams, f_poly, f_value, intervals, q_value, s_minus_q
@@ -181,9 +181,7 @@ class RadiusAnalysis:
         """One-sided limit at a root of f (-1, 0 or b/a) or at +-infinity.
 
         The class follows the sign of the vanishing order of the function
-        there.  Every order in the h-tables is a nonzero half-integer for
-        admissible parameters; an order of zero (a finite nonzero limit, which
-        needs Q <= 0 at a root of f or q0 < 0) raises UnclassifiableLimitError."""
+        there, which is +-1/2, so the limit is never finite and nonzero."""
         if side not in ("left", "right"):
             raise InputError("side must be 'left' or 'right'")
         if math.isinf(edge):
@@ -195,25 +193,23 @@ class RadiusAnalysis:
             raise InputError(f"limits are classified at the roots of f and at infinity, not at {edge}")
         if f_sign != (1 if kind in (HKind.H0, HKind.H2) else -1):
             raise DomainError(f"{kind.value} is not defined on the {side} of {edge}")
-        order = self._order(kind, key, edge)
-        if order == 0.0:
-            raise UnclassifiableLimitError(
-                f"{kind.value} has vanishing order 0 at {edge} ({side}): the limit is finite and nonzero"
-            )
-        return LimitKind.ZERO if order > 0.0 else LimitKind.INFINITY
+        return LimitKind.ZERO if self._order(kind, key, edge) > 0.0 else LimitKind.INFINITY
 
     def _order(self, kind: HKind, key, edge: float) -> float:
         """Vanishing order of the radius function at the edge, where a growth
-        like |lam|^d at infinity counts as order -d."""
+        like |lam|^d at infinity counts as order -d.
+
+        u = -f / (Q + s) vanishes to order 1 at each root of f and grows like
+        |lam| at infinity, because an instance exists only for parameters
+        that pass validate: Q > 0 at -1, 0 and b/a, and q0 > 0."""
         if kind is HKind.H3:
             return -self._order(HKind.H1, self._missing(key), edge)
         if math.isinf(edge):
             forms = {form: 0.0 if form is LinearForm.X1 else -1.0 for form in LinearForm}
-            ord_u = -1.0 if self.params.q0 > 0.0 else -2.0
+            ord_u = -1.0
         else:
             forms = {form: float(form.zero_at(self.params) == edge) for form in LinearForm}
-            q = q_value(self.params, edge)
-            ord_u = 1.0 if q > 0.0 else (0.5 if q == 0.0 else 0.0)
+            ord_u = 1.0
         ord_f = sum(forms.values())
         if kind is HKind.H0:
             return 0.5 * ord_f - ord_u
@@ -359,13 +355,18 @@ def verify_h_tables(params: SurfaceParams, cache: RadiusAnalysis | None = None) 
 # ---------------------------------------------------------------------------
 # normal-bundle verdicts and the broken-pairing utility
 
+# Relative distance within which a plane counts as a critical one.  Callers
+# name a critical plane by a float from another route (a bisection or a
+# numeric scan agrees with the exact root to about 1e-7), and the window is
+# still narrow enough that of a thousand planes across I2 at most one is in it.
+_CRITICAL_MATCH_REL = 1e-6
+
 
 def normal_bundle_at(
     kind: FamilyLabel,
     choice: ResolutionChoice,
     params: SurfaceParams,
     lam: float,
-    match_tol: float = 1e-6,
     cache: RadiusAnalysis | None = None,
 ) -> NormalBundleVerdict:
     """Degenerate exactly when lam sits at a critical point of the governing
@@ -395,7 +396,7 @@ def normal_bundle_at(
     if not candidates:
         raise DomainError(f"lam={lam} sits on an interval boundary")
     for loc in cache.critical(hkind, key, cache.span(candidates[0], hkind)):
-        if abs(lam - loc) <= match_tol * (1.0 + abs(lam)):
+        if abs(lam - loc) <= _CRITICAL_MATCH_REL * (1.0 + abs(lam)):
             return NormalBundleVerdict.DEGENERATE
     return NormalBundleVerdict.BALANCED
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .analysis import LimitKind, RadiusAnalysis, _pair_key, _triple_key
 from .conics import ConicType
-from .errors import PreconditionError, UnclassifiableLimitError
+from .errors import PreconditionError
 from .resolution import HKind, LinearForm, ResolutionChoice, all_resolutions
 from .surface import Interval, SurfaceParams
 
@@ -49,7 +49,6 @@ class Hypothesis(enum.Enum):
 class Verdict(enum.Enum):
     SURVIVES = "Survives"
     ELIMINATED = "Eliminated"
-    INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,6 @@ class EliminationTrace:
 class EliminationOutcome:
     survivors: tuple[tuple[ResolutionChoice, Hypothesis], ...]
     traces: tuple[EliminationTrace, ...]
-    inconclusive: bool
 
 
 class ComponentChoice(enum.Enum):
@@ -119,37 +117,22 @@ def assign_types(params: SurfaceParams) -> TypeAssignment:
     )
 
 
-def _limit_or_none(cache: RadiusAnalysis, kind: HKind, key, edge: float, side: str):
-    try:
-        return cache.limit(kind, key, edge, side)
-    except UnclassifiableLimitError as exc:
-        return exc
-
-
 def _match_reason(
     code: str,
     crossing: str,
-    inner: LimitKind | Exception,
-    outer: LimitKind | Exception,
+    inner: LimitKind,
+    outer: LimitKind,
     inner_name: str,
     outer_name: str,
-) -> tuple[Reason | None, bool]:
-    """(reason, inconclusive) for one boundary-matching constraint."""
-    if isinstance(inner, Exception) or isinstance(outer, Exception):
-        return (
-            Reason(code, f"unclassifiable limit at {crossing}", str(inner if isinstance(inner, Exception) else outer)),
-            True,
-        )
+) -> Reason | None:
+    """The reason one boundary-matching constraint fires, if it does."""
     if outer is inner.reciprocal:
-        return None, False
-    return (
-        Reason(
-            code,
-            f"limit mismatch at {crossing}: {inner_name} -> {inner.value} "
-            f"needs {outer_name} -> {inner.reciprocal.value}, got {outer.value}",
-            f"{inner.value}/{outer.value}",
-        ),
-        False,
+        return None
+    return Reason(
+        code,
+        f"limit mismatch at {crossing}: {inner_name} -> {inner.value} "
+        f"needs {outer_name} -> {inner.reciprocal.value}, got {outer.value}",
+        f"{inner.value}/{outer.value}",
     )
 
 
@@ -158,9 +141,7 @@ def _trace(
     choice: ResolutionChoice,
     hyp: Hypothesis,
 ) -> EliminationTrace:
-    params = cache.params
     reasons: list[Reason] = []
-    inconclusive = False
     pair = _pair_key(choice)
     triple = _triple_key(choice)
     ell1 = choice.ell1
@@ -185,58 +166,40 @@ def _trace(
         reasons.append(Reason("B", f"{govern_i3[2]} has a critical point on I3", locs[0]))
 
     # C: reciprocal gluing of the limits across lambda = -1 and lambda = 0
-    h2_at_m1 = _limit_or_none(cache, HKind.H2, pair, -1.0, "right")
-    h2_at_0 = _limit_or_none(cache, HKind.H2, pair, 0.0, "left")
+    h2_at_m1 = cache.limit(HKind.H2, pair, -1.0, "right")
+    h2_at_0 = cache.limit(HKind.H2, pair, 0.0, "left")
     if hyp is Hypothesis.PLUS_OVER_I1:
-        inner_m1 = _limit_or_none(cache, HKind.H1, ell1, -1.0, "left")
+        inner_m1 = cache.limit(HKind.H1, ell1, -1.0, "left")
         inner_m1_name = f"h1 (l1={ell1.value}) at -1-"
-        outer_0 = _limit_or_none(cache, HKind.H3, triple, 0.0, "right")
+        outer_0 = cache.limit(HKind.H3, triple, 0.0, "right")
         outer_0_name = "h3 at 0+"
     else:
-        inner_m1 = _limit_or_none(cache, HKind.H3, triple, -1.0, "left")
+        inner_m1 = cache.limit(HKind.H3, triple, -1.0, "left")
         inner_m1_name = "h3 at -1-"
-        outer_0 = _limit_or_none(cache, HKind.H1, ell1, 0.0, "right")
+        outer_0 = cache.limit(HKind.H1, ell1, 0.0, "right")
         outer_0_name = f"h1 (l1={ell1.value}) at 0+"
+    for reason in (
+        _match_reason("C", "lambda = -1", inner_m1, h2_at_m1, inner_m1_name, "h2 at -1+"),
+        _match_reason("C", "lambda = 0", h2_at_0, outer_0, "h2 at 0-", outer_0_name),
+    ):
+        if reason:
+            reasons.append(reason)
 
-    reason, inc = _match_reason("C", "lambda = -1", inner_m1, h2_at_m1, inner_m1_name, "h2 at -1+")
-    if reason:
-        reasons.append(reason)
-    inconclusive |= inc
-    reason, inc = _match_reason("C", "lambda = 0", h2_at_0, outer_0, "h2 at 0-", outer_0_name)
-    if reason:
-        reasons.append(reason)
-    inconclusive |= inc
-
-    if inconclusive:
-        verdict = Verdict.INCONCLUSIVE
-    elif reasons:
-        verdict = Verdict.ELIMINATED
-    else:
-        verdict = Verdict.SURVIVES
+    verdict = Verdict.ELIMINATED if reasons else Verdict.SURVIVES
     return EliminationTrace(choice=choice, hypothesis=hyp, verdict=verdict, reasons=tuple(reasons))
 
 
 def eliminate(params: SurfaceParams, cache: RadiusAnalysis | None = None) -> EliminationOutcome:
     """Run all 24 x 2 hypothesis checks with full traces.
 
-    Any unclassifiable limit makes the whole outcome inconclusive rather than
-    promoting a silent survivor.
+    Every verdict is decided: building the cache requires admissible
+    parameters, and on those every endpoint limit is Zero or Infinity, so
+    each hypothesis either survives or is eliminated with its reasons.
     """
     cache = cache or RadiusAnalysis(params)
-    traces = []
-    survivors = []
-    inconclusive = False
-    for choice in all_resolutions():
-        for hyp in Hypothesis:
-            tr = _trace(cache, choice, hyp)
-            traces.append(tr)
-            if tr.verdict is Verdict.SURVIVES:
-                survivors.append((choice, hyp))
-            elif tr.verdict is Verdict.INCONCLUSIVE:
-                inconclusive = True
-    return EliminationOutcome(
-        survivors=tuple(survivors), traces=tuple(traces), inconclusive=inconclusive
-    )
+    traces = tuple(_trace(cache, choice, hyp) for choice in all_resolutions() for hyp in Hypothesis)
+    survivors = tuple((t.choice, t.hypothesis) for t in traces if t.verdict is Verdict.SURVIVES)
+    return EliminationOutcome(survivors=survivors, traces=traces)
 
 
 EXPECTED_SURVIVORS = (

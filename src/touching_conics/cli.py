@@ -1,9 +1,11 @@
 """Command-line surface and structured report emission.
 
-Exit status: 0 all checks passed, 1 some check failed, 2 inconclusive
-numerics, 3 usage error.  Reports are JSON (optionally CSV for hscan rows)
-and are byte-identical across reruns with the same configuration; wall-clock
-timings are only embedded when explicitly requested.
+Exit status: 0 all checks passed, 1 some check failed, 3 usage error.
+Inadmissible parameters are a failed check: the later stages are not
+computed.  On admissible ones every endpoint limit is Zero or Infinity, so
+no verdict is left undecided.  Reports are JSON (optionally CSV for hscan
+rows) and are byte-identical across reruns with the same configuration;
+wall-clock timings are only embedded when explicitly requested.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from . import __version__
 from .analysis import RadiusAnalysis, h0_critical_on_i2, h0_pairing, psi_check, verify_h_tables
@@ -37,7 +39,6 @@ from .errors import (
     NotFoundError,
     PreconditionError,
     RealityError,
-    UnclassifiableLimitError,
 )
 from .resolution import HKind, LinearForm, ResolutionChoice, all_resolutions, h_function
 from .surface import (
@@ -55,7 +56,6 @@ SCHEMA = "report-v1"
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 
@@ -145,30 +145,15 @@ def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _record(rep) -> dict:
+    """A report dataclass as a JSON object: its fields, in their order, and
+    its pass flag.  A nested report dataclass is left to _json_safe."""
+    return {**vars(rep), "passed": rep.passed}
+
+
 def _validation_dict(params: SurfaceParams) -> tuple[dict, bool]:
     rep = validate(params)
-    body = {
-        "condition_i": {
-            "passed": rep.condition_i.passed,
-            "witness": rep.condition_i.witness,
-            "detail": rep.condition_i.detail,
-        },
-        "condition_star": {
-            "passed": rep.condition_star.passed,
-            "witness": rep.condition_star.witness,
-            "detail": rep.condition_star.detail,
-        },
-        "lambda0_in_i4": {
-            "passed": rep.lambda0_in_i4.passed,
-            "witness": rep.lambda0_in_i4.witness,
-            "detail": rep.lambda0_in_i4.detail,
-        },
-        "lambda0": rep.lambda0,
-        "f_at_lambda0": rep.f_at_lambda0,
-        "q_at_lambda0": rep.q_at_lambda0,
-        "passed": rep.passed,
-    }
-    return body, rep.passed
+    return _record(rep), rep.passed
 
 
 def _singular_dict(params: SurfaceParams) -> list[dict]:
@@ -197,21 +182,10 @@ def _conic_record(conic: ConicCoeffs, label: str, lam: float | None, knob: float
 
 def _htable_rows(params: SurfaceParams, cache: RadiusAnalysis | None = None):
     rep = verify_h_tables(params, cache)
-    rows = [
-        {
-            "function": r.function,
-            "choice": r.choice,
-            "check": r.check,
-            "expected": r.expected,
-            "computed": r.computed,
-            "passed": r.passed,
-        }
-        for r in rep.rows
-    ]
-    return rows, rep.passed
+    return [_record(r) for r in rep.rows], rep.passed
 
 
-def _classification_dict(params: SurfaceParams, cache: RadiusAnalysis) -> tuple[dict, bool, bool]:
+def _classification_dict(params: SurfaceParams, cache: RadiusAnalysis) -> tuple[dict, bool]:
     rep = classify(params, cache)
     body = {
         "type_assignment": [
@@ -221,7 +195,8 @@ def _classification_dict(params: SurfaceParams, cache: RadiusAnalysis) -> tuple[
         "survivors": [
             {"resolution": ch.label(), "hypothesis": hyp.value} for ch, hyp in rep.outcome.survivors
         ],
-        "inconclusive": rep.outcome.inconclusive,
+        # kept in the report-v1 schema; every verdict is decided
+        "inconclusive": False,
         "traces": [
             {
                 "resolution": t.choice.label(),
@@ -249,8 +224,7 @@ def _classification_dict(params: SurfaceParams, cache: RadiusAnalysis) -> tuple[
         ],
         "broken_pairing": _pairing_samples(params, cache),
     }
-    ok = set(rep.outcome.survivors) == set(EXPECTED_SURVIVORS) and not rep.outcome.inconclusive
-    return body, ok, rep.outcome.inconclusive
+    return body, set(rep.outcome.survivors) == set(EXPECTED_SURVIVORS)
 
 
 def _pairing_samples(params: SurfaceParams, cache: RadiusAnalysis) -> dict:
@@ -267,23 +241,14 @@ def _pairing_samples(params: SurfaceParams, cache: RadiusAnalysis) -> dict:
 
 def _psi_dict() -> tuple[dict, bool]:
     rep = psi_check()
-    return (
-        {
-            "k_at_zero": rep.k_at_zero,
-            "monotone": rep.monotone,
-            "sup_value": rep.sup_value,
-            "sup_below_one": rep.sup_below_one,
-            "limit_ok": rep.limit_ok,
-            "boundary_derivative": rep.boundary_derivative,
-            "passed": rep.passed,
-        },
-        rep.passed,
-    )
+    return _record(rep), rep.passed
 
 
 def _json_safe(x):
     if isinstance(x, float) and not math.isfinite(x):
         return repr(x)
+    if is_dataclass(x):
+        return vars(x)
     return x
 
 
@@ -459,13 +424,11 @@ def _cmd_critical(cfg: RunConfig) -> int:
 def _cmd_classify(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     t0 = time.perf_counter()
-    body, ok, inconclusive = _classification_dict(params, RadiusAnalysis(params))
+    body, ok = _classification_dict(params, RadiusAnalysis(params))
     doc = _envelope(
         cfg, {"classification": body}, {"classify_s": _elapsed(t0)}
     )
     _emit(doc, cfg)
-    if inconclusive:
-        return EXIT_INCONCLUSIVE
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -483,7 +446,6 @@ def _cmd_report(cfg: RunConfig) -> int:
     timings["validate_s"] = _elapsed(t0)
     sing = _singular_dict(params)
     t0 = time.perf_counter()
-    inconclusive = False
     try:
         cache = RadiusAnalysis(params)
     except PreconditionError as exc:
@@ -497,7 +459,7 @@ def _cmd_report(cfg: RunConfig) -> int:
         h_tables = {"rows": h_rows, "passed": ok_h}
         timings["h_tables_s"] = _elapsed(t0)
         t0 = time.perf_counter()
-        classification, ok_c, inconclusive = _classification_dict(params, cache)
+        classification, ok_c = _classification_dict(params, cache)
     timings["classify_s"] = _elapsed(t0)
     psi, ok_p = _psi_dict()
     doc = _envelope(
@@ -512,26 +474,15 @@ def _cmd_report(cfg: RunConfig) -> int:
         timings,
     )
     _emit(doc, cfg)
-    if inconclusive:
-        return EXIT_INCONCLUSIVE
     return EXIT_OK if (ok_v and ok_h and ok_c and ok_p) else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 
 
-_COMMON_DEFAULTS = {
-    "params": None,
-    "params_file": None,
-    "lam": None,
-    "theta": 0.0,
-    "alpha": None,
-    "resolution": None,
-    "grid": 24,
-    "out": None,
-    "fmt": "json",
-    "timings": False,
-}
+# every common flag stores to the RunConfig field of its name, except that
+# --params and --params-file both end up in RunConfig.params, as a dict
+_COMMON_DEFAULTS = {f.name: f.default for f in fields(RunConfig)} | {"params_file": None}
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -608,16 +559,7 @@ def run(argv: list[str]) -> int:
         sys.stderr.write("grid density must be at least 16\n")
         return EXIT_USAGE
 
-    cfg = RunConfig(
-        lam=args.lam,
-        theta=args.theta,
-        alpha=args.alpha,
-        resolution=args.resolution,
-        grid=args.grid,
-        out=args.out,
-        fmt=args.fmt,
-        timings=args.timings,
-    )
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "params"})
     try:
         if args.params and args.params_file:
             raise InputError("pass only one of --params / --params-file")
@@ -649,9 +591,6 @@ def run(argv: list[str]) -> int:
     except (InvalidParameterError, DomainError, RealityError, PreconditionError, NotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL
-    except UnclassifiableLimitError as exc:
-        sys.stderr.write(f"inconclusive: {exc}\n")
-        return EXIT_INCONCLUSIVE
 
 
 def main() -> None:

@@ -31,7 +31,3 @@ class PreconditionError(RuntimeError):
 
 class NotFoundError(RuntimeError):
     """Search exhausted its budget without an admissible candidate."""
-
-
-class UnclassifiableLimitError(RuntimeError):
-    """One-sided limit is neither Zero nor Infinity; never silently guessed."""

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from touching_conics.surface import SearchConfig, find_valid_params
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a failure replays without stored state.  Hypothesis still
+# caches the literals it mines from local modules under .hypothesis/constants.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

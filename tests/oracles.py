@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from touching_conics.errors import DomainError, InputError, UnclassifiableLimitError
+from touching_conics.errors import DomainError, InputError
 from touching_conics.poly import RealPolynomial, RootCluster, root_clusters
 
 
@@ -215,6 +215,11 @@ class UnstableScanError(RuntimeError):
     """Critical-point count kept changing under grid refinement."""
 
 
+class LadderGaveUpError(RuntimeError):
+    """The approach ladder found no class for a one-sided limit; it raises
+    rather than guesses."""
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     grid: int = 1200
@@ -405,7 +410,7 @@ def endpoint_limit(
         if math.isfinite(v):
             vals.append(v)
     if len(vals) < 6:
-        raise UnclassifiableLimitError("not enough valid samples on the approach ladder")
+        raise LadderGaveUpError("not enough valid samples on the approach ladder")
     tail = vals[-5:]
     decreasing = all(tail[i + 1] < tail[i] for i in range(4))
     increasing = all(tail[i + 1] > tail[i] for i in range(4))
@@ -421,7 +426,7 @@ def endpoint_limit(
             if 0.0 < abs(ratio) < 0.9:
                 value = tail[-1] + d1 * ratio / (1.0 - ratio)
         return LimitClass(LimitKind.FINITE, value)
-    raise UnclassifiableLimitError(
+    raise LadderGaveUpError(
         f"no monotone trend toward a class at {endpoint} ({side}); last values {tail}"
     )
 

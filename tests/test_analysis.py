@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    LadderGaveUpError,
     LimitKind,
     ScanConfig,
     central_difference,
@@ -30,7 +31,7 @@ from touching_conics.analysis import (
     psi_check,
     verify_h_tables,
 )
-from touching_conics.errors import DomainError, InputError, UnclassifiableLimitError
+from touching_conics.errors import DomainError, InputError
 from touching_conics.resolution import HKind, LinearForm, ResolutionChoice, all_resolutions
 from touching_conics.surface import SearchConfig, f_value, intervals, params_for_q0, q_value
 
@@ -77,7 +78,7 @@ def test_endpoint_limit_finite():
 
 
 def test_endpoint_limit_unclassifiable():
-    with pytest.raises(UnclassifiableLimitError):
+    with pytest.raises(LadderGaveUpError):
         endpoint_limit(lambda x: math.sin(1.0 / x), 0.0, "right")
 
 
@@ -281,7 +282,7 @@ def test_exact_analysis_matches_oracles(params_draws, which):
             got = cache.limit(kind, key, edge, side)
             try:
                 ladder = endpoint_limit(h, edge, side).kind
-            except UnclassifiableLimitError:
+            except LadderGaveUpError:
                 ladder = None
             if ladder in (LimitKind.ZERO, LimitKind.INFINITY):
                 assert got.value == ladder.value, (kind, label, edge, side)

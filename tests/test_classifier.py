@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
+import itertools
+import json
+import math
 
-from touching_conics.analysis import h_handle
+import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
+
+from touching_conics.analysis import RadiusAnalysis, h_handle
 from touching_conics.classifier import (
     EXPECTED_SURVIVORS,
     ComponentChoice,
@@ -15,9 +22,11 @@ from touching_conics.classifier import (
     component_schedule,
     eliminate,
 )
+from touching_conics.cli import EXIT_FAIL, run
 from touching_conics.conics import ConicType
-from touching_conics.errors import PreconditionError
+from touching_conics.errors import NotFoundError, PreconditionError
 from touching_conics.resolution import HKind, LinearForm, ResolutionChoice
+from touching_conics.surface import SearchConfig, find_valid_params, q_value
 from oracles import central_difference
 
 
@@ -38,7 +47,6 @@ def test_assign_types(params_star):
 
 def test_eliminate_exactly_two_survivors(params_star):
     out = eliminate(params_star)
-    assert not out.inconclusive
     assert set(out.survivors) == set(EXPECTED_SURVIVORS)
     assert len(out.traces) == 48
     eliminated = [t for t in out.traces if t.verdict is Verdict.ELIMINATED]
@@ -97,7 +105,6 @@ def test_elimination_deterministic_replay(params_star):
 def test_survivors_stable_across_draws(params_draws):
     for params in params_draws:
         out = eliminate(params)
-        assert not out.inconclusive
         assert set(out.survivors) == set(EXPECTED_SURVIVORS)
 
 
@@ -130,3 +137,64 @@ def test_classify_bundle(params_star):
     assert len(rep.schedules) == 2
     assert {hyp for _, hyp, _ in rep.schedules} == {Hypothesis.PLUS_OVER_I1, Hypothesis.MINUS_OVER_I1}
     assert rep.assignment.label("I2") is ConicType.ORBIT
+
+
+# ---------------------------------------------------------------------------
+# no limit is ever finite and nonzero: every vanishing order is +-1/2 on the
+# admissible region, and a set with Q = 0 at a root of f is not admissible
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _keys(kind: HKind):
+    if kind is HKind.H0:
+        return [None]
+    if kind is HKind.H1:
+        return list(LinearForm)
+    size = 2 if kind is HKind.H2 else 3
+    return [frozenset(c) for c in itertools.combinations(LinearForm, size)]
+
+
+@given(
+    a=_log_uniform(0.1, 10.0),
+    b=_log_uniform(0.1, 10.0),
+    gap=_log_uniform(0.02, 20.0),
+    q0_min=st.floats(0.01, 5.0),
+)
+def test_every_vanishing_order_is_half_on_the_admissible_region(a, b, gap, q0_min):
+    target = SearchConfig(a=a, b=b, lambda0=b / a + gap, q0_min=q0_min, q0_max=50.0 * q0_min)
+    try:
+        params = find_valid_params(target)
+    except NotFoundError:
+        reject()
+    cache = RadiusAnalysis(params)
+    roots = (-1.0, 0.0, params.b / params.a)
+    # what the orders rest on: u = -f / (Q + s) vanishes to order 1 at each
+    # root of f and grows like |lam| at infinity
+    assert params.q0 > 0.0 and all(q_value(params, e) > 0.0 for e in roots)
+    for kind in HKind:
+        for key in _keys(kind):
+            for edge in (-math.inf, math.inf, *roots):
+                assert abs(cache._order(kind, key, edge)) == 0.5, (kind, key, edge)
+    assert set(classify(params, cache).outcome.survivors) == set(EXPECTED_SURVIVORS)
+
+
+@pytest.mark.parametrize("root", ["-1", "0", "b/a"])
+def test_q_vanishing_at_a_root_of_f_fails_condition_i(params_star, tmp_path, root):
+    e = params_star.b / params_star.a if root == "b/a" else float(root)
+    # q2 cancels the rest of q_value's Horner sum exactly
+    q2 = -((params_star.q0 * e + params_star.q1) * e)
+    params = dataclasses.replace(params_star, q2=q2)
+    assert q_value(params, e) == 0.0
+    with pytest.raises(PreconditionError, match=r"condition \(i\)"):
+        RadiusAnalysis(params)
+    out = tmp_path / "r.json"
+    arg = ",".join(repr(x) for x in (params.q0, params.q1, params.q2, params.a, params.b))
+    assert run(["--params", arg, "--out", str(out), "report"]) == EXIT_FAIL
+    doc = json.loads(out.read_text())
+    assert not doc["validation"]["condition_i"]["passed"]
+    assert doc["h_tables"] == {"rows": [], "passed": False, "error": doc["classification"]["error"]}
+    assert "condition (i)" in doc["classification"]["error"]
+    assert doc["classification"]["survivors"] == [] and doc["classification"]["inconclusive"] is False
