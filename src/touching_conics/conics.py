@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL
 from .errors import (
     DegenerateConicError,
     DegeneratePlaneError,
@@ -29,7 +28,7 @@ from .errors import (
     InputError,
     PreconditionError,
 )
-from .poly import evaluate, two_double_roots_criterion
+from .poly import evaluate, square_root_roots
 from .surface import SurfaceParams, disc_value, f_value, q_value, s_minus_q, sqrt_disc
 
 _SWAP23 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
@@ -243,14 +242,15 @@ def orbit_conic(alpha: float) -> ConicCoeffs:
     return ConicCoeffs.from_matrix(m)
 
 
-def _orbit_alpha(rows, tol: float = 1e-10) -> float | None:
+def _orbit_alpha(rows) -> float | None:
     """Recover alpha if the conic (nested rows of its matrix) has the orbit
-    shape, else None."""
-    off = max(abs(rows[0][1]), abs(rows[0][2]), abs(rows[1][1]), abs(rows[2][2]))
-    if off > tol or abs(rows[1][2]) <= tol:
+    shape, else None.  orbit_conic writes literal zeros and from_matrix
+    scales by a positive real, so the shape and the reality of alpha are
+    read exactly."""
+    if rows[0][1] != 0 or rows[0][2] != 0 or rows[1][1] != 0 or rows[2][2] != 0 or rows[1][2] == 0:
         return None
     ratio = -rows[0][0] / (2.0 * rows[1][2])
-    if abs(ratio.imag) > 1e-9 * (1.0 + abs(ratio)):
+    if ratio.imag != 0:
         return None
     return ratio.real
 
@@ -276,35 +276,6 @@ def _degenerate(rows) -> bool:
     for x, y, z in rows:
         bound *= math.hypot(x.real, x.imag, y.real, y.imag, z.real, z.imag)
     return abs(det) <= REL_EPS * bound
-
-
-def _square_root_roots(coeffs) -> list[complex] | None:
-    """Roots of the square root when the polynomial (ascending, nonzero
-    constant term) is a constant times a square, else None.  Degree 2 needs
-    b^2 = 4ac and degree 4 two double roots, both to the equality tolerance;
-    degree 0 is the empty square and odd degrees never are squares."""
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return []
-    if deg == 2:
-        c, b, a = coeffs
-        if abs(b * b - 4.0 * a * c) > DEFAULT_TOL.equality_rel * max(abs(b * b), abs(4.0 * a * c)):
-            return None
-        return [-b / (2.0 * a)]
-    if deg == 4:
-        a4, a3, a2, a1 = (c / coeffs[4] for c in coeffs[:4])
-        if not two_double_roots_criterion(a1, a2, a3, a4):
-            return None
-        # x^4 + a1 x^3 + ... = (x^2 + p x + r)^2; roots of the quadratic
-        # without cancellation, the second one from the product r
-        p = 0.5 * a1
-        r = 0.5 * (a2 - p * p)
-        s = cmath.sqrt(p * p - 4.0 * r)
-        if abs(p - s) > abs(p + s):
-            s = -s
-        z = -0.5 * (p + s)
-        return [z, r / z]
-    return None
 
 
 def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> TangencyReport:
@@ -374,7 +345,7 @@ def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> Ta
         nonzero = [k for k, c in enumerate(norm) if c != 0]
         pinf_mult = nonzero[0]
         pinfbar_mult = 4 - nonzero[-1]
-        roots = _square_root_roots(norm[nonzero[0] : nonzero[-1] + 1])
+        roots = square_root_roots(norm[nonzero[0] : nonzero[-1] + 1])
         if roots is None:
             touching = False
             roots = []

@@ -1,13 +1,15 @@
-"""Univariate polynomial arithmetic and multiplicity-aware root finding.
+"""Univariate polynomial arithmetic, companion-matrix roots and the exact
+square tests.
 
 Real-coefficient polynomials are the primary citizens (degree <= 8 is all this
-project ever needs); evaluation, companion roots, root clustering and the
-two-double-roots criterion also accept complex coefficient sequences because
-branch restrictions of conics are genuinely complex.
+project ever needs); evaluation, companion roots, the two-double-roots
+criterion and the square test also accept complex coefficient sequences
+because branch restrictions of conics are genuinely complex.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,20 +68,6 @@ class RealPolynomial:
         return RealPolynomial(tuple(k * c for c in self.coefficients))
 
 
-@dataclass(frozen=True)
-class RootCluster:
-    """A group of numerically coincident roots.
-
-    value         cluster centroid
-    multiplicity  number of roots in the cluster
-    residual      max |p| over the cluster members
-    """
-
-    value: complex
-    multiplicity: int
-    residual: float
-
-
 def evaluate(p, x):
     """Horner evaluation of a RealPolynomial or of an ascending coefficient
     sequence, at a real or complex point; exact for degree 0."""
@@ -135,38 +123,6 @@ def companion_roots(coeffs) -> list[complex]:
     return polished
 
 
-def cluster_roots(roots, tol: float) -> list[list[complex]]:
-    """Single-linkage clustering with radius tol * (1 + |root|)."""
-    clusters: list[list[complex]] = []
-    for r in sorted(roots, key=lambda z: (z.real, z.imag)):
-        placed = False
-        for cl in clusters:
-            if any(abs(r - m) <= tol * (1.0 + abs(m)) for m in cl):
-                cl.append(r)
-                placed = True
-                break
-        if not placed:
-            clusters.append([r])
-    return clusters
-
-
-def _centroid(members) -> complex:
-    return sum(members) / len(members)
-
-
-def root_clusters(coeffs, tol: float) -> list[RootCluster]:
-    """All roots of the (complex) polynomial, grouped into clusters."""
-    roots = companion_roots(coeffs)
-    cs = [complex(c) for c in coeffs]
-    out = []
-    for members in cluster_roots(roots, tol):
-        center = _centroid(members)
-        res = max(abs(evaluate(cs, m)) for m in members)
-        out.append(RootCluster(value=center, multiplicity=len(members), residual=res))
-    out.sort(key=lambda c: (c.value.real, c.value.imag))
-    return out
-
-
 def _close(lhs: complex, rhs: complex, tol: float, floor: float) -> bool:
     return abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), floor)
 
@@ -186,6 +142,36 @@ def two_double_roots_criterion(a1, a2, a3, a4, tol: float = DEFAULT_TOL.equality
     return _close(4.0 * a1 * a2, a1**3 + 8.0 * a3, tol, s**3) and _close(
         a1 * a1 * a4, a3 * a3, tol, s**6
     )
+
+
+def square_root_roots(coeffs) -> list[complex] | None:
+    """Roots of the square root when the polynomial (ascending, nonzero
+    leading coefficient, and for degree 4 a nonzero constant term) is a
+    constant times a square, else None.  Degree 2 needs b^2 = 4ac and degree
+    4 two double roots, both to the equality tolerance; degree 0 is the empty
+    square and odd degrees never are squares."""
+    deg = len(coeffs) - 1
+    if deg == 0:
+        return []
+    if deg == 2:
+        c, b, a = coeffs
+        if abs(b * b - 4.0 * a * c) > DEFAULT_TOL.equality_rel * max(abs(b * b), abs(4.0 * a * c)):
+            return None
+        return [-b / (2.0 * a)]
+    if deg == 4:
+        a4, a3, a2, a1 = (c / coeffs[4] for c in coeffs[:4])
+        if not two_double_roots_criterion(a1, a2, a3, a4):
+            return None
+        # x^4 + a1 x^3 + ... = (x^2 + p x + r)^2; roots of the quadratic
+        # without cancellation, the second one from the product r
+        p = 0.5 * a1
+        r = 0.5 * (a2 - p * p)
+        s = cmath.sqrt(p * p - 4.0 * r)
+        if abs(p - s) > abs(p + s):
+            s = -s
+        z = -0.5 * (p + s)
+        return [z, r / z]
+    return None
 
 
 def deflate(p: RealPolynomial, root: float) -> RealPolynomial:

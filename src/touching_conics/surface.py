@@ -20,14 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import InvalidParameterError, NotFoundError, PreconditionError
-from .poly import RealPolynomial, RootCluster, companion_roots, deflate, derivative, evaluate, root_clusters
-
-# Clustering radius used by singular_locus when separating the structural
-# multiplicities of the degree-4 tangency polynomial of arbitrary input.
-# Floating-point triple roots split by roughly (machine eps)^(1/3) ~ 1e-5, so
-# the generic 1e-7 radius is too tight here; distinct structural roots are
-# order-1 apart.
-STRUCTURAL_CLUSTER_TOL = 1e-4
+from .poly import RealPolynomial, companion_roots, deflate, derivative, evaluate, square_root_roots
 
 
 @dataclass(frozen=True)
@@ -224,12 +217,23 @@ def _double_root_tol(params: SurfaceParams, x: float, cfg: Tolerances) -> float:
     return cfg.polish_tol * (1.0 + abs(x) ** 4 * (1.0 + params.q0 * params.q0))
 
 
-def _is_double_root(
-    params: SurfaceParams, p: RealPolynomial, dp: RealPolynomial, x: float, cfg: Tolerances
-) -> bool:
-    """Whether D = p and D' = dp both vanish at x: the one double-root test,
-    applied by validate at lambda0 and by singular_locus to each axis point."""
-    return max(abs(evaluate(p, x)), abs(evaluate(dp, x))) <= _double_root_tol(params, x, cfg)
+def _vanishing_order(params: SurfaceParams, derivs, x: float, cfg: Tolerances) -> int:
+    """How many of D, D', D'', ... (derivs, in that order) vanish at x before
+    the first that does not, to the double-root tolerance: the one
+    multiplicity test.  validate asks it for 2 at lambda0 (D and D' vanish,
+    a double root), singular_locus for the multiplicity of each axis point."""
+    tol = _double_root_tol(params, x, cfg)
+    return next((k for k, d in enumerate(derivs) if abs(evaluate(d, x)) > tol), len(derivs))
+
+
+def _double_root_candidates(params: SurfaceParams, p: RealPolynomial, dp: RealPolynomial) -> list[float]:
+    """The real parts of the roots of D' = dp, each Newton-polished, least
+    D = p first: validate takes the first as lambda0, singular_locus the
+    first that passes the double-root test."""
+    return sorted(
+        (_polish_double_root(params, float(r.real)) for r in companion_roots(dp.coefficients)),
+        key=lambda x: evaluate(p, x),
+    )
 
 
 def validate(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> ValidationReport:
@@ -265,11 +269,8 @@ def validate(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> Validation
         )
 
     dp = derivative(p)
-    lam0 = min(
-        (_polish_double_root(params, float(r.real)) for r in companion_roots(dp.coefficients)),
-        key=lambda x: evaluate(p, x),
-    )
-    if not _is_double_root(params, p, dp, lam0, cfg):
+    lam0 = _double_root_candidates(params, p, dp)[0]
+    if _vanishing_order(params, (p, dp), lam0, cfg) < 2:
         d0 = evaluate(p, lam0)
         what = "< 0" if d0 < 0.0 else "> 0 at its least point: no real double root"
         return ValidationReport(
@@ -364,11 +365,15 @@ def singular_locus(params: SurfaceParams) -> list[SingularPoint]:
     """Singular points of the quartic surface.
 
     The two fixed points of the circle action are always present and are
-    elliptic of type E7~.  Every real multiple root of the tangency quartic
-    contributes a point on the axis; it is an ordinary double point exactly
-    when the multiplicity is two.  A root pair found by clustering counts as
-    a double root only when its polished point passes validate's double-root
-    test, so a pair split off the real axis lists no point.
+    elliptic of type E7~.  Each real root of multiplicity m >= 2 of the
+    tangency quartic D = Q^2 - f is a point on the axis, an ordinary double
+    point exactly when m = 2; it is a root of D^(m-1) where D, ..., D^(m-1)
+    all pass validate's double-root tolerance.  A root with m = 3 or 4 is
+    the root of D''' or a root of D'', and leaves no other multiple root.
+    Otherwise the double root is the first of validate's candidates that
+    passes, validate's lambda0 on admissible input, and a second one is the
+    root of D / (lam - lambda0)^2 when that quadratic is a constant times a
+    square.
     """
     _require_ab(params)
     out = [
@@ -376,35 +381,28 @@ def singular_locus(params: SurfaceParams) -> list[SingularPoint]:
         SingularPoint("PinfBar", SingularKind.ELLIPTIC_E7),
     ]
     p = discriminant_poly(params)
-    if p.degree < 1:
-        return out
     dp = derivative(p)
-    for cl in root_clusters(p.coefficients, STRUCTURAL_CLUSTER_TOL):
-        if cl.multiplicity < 2:
-            continue
-        if abs(cl.value.imag) > STRUCTURAL_CLUSTER_TOL * (1.0 + abs(cl.value)):
-            continue
-        lam = float(cl.value.real)
-        if cl.multiplicity == 2:
-            lam = float(_polish_double_root(params, lam))
-            if not _is_double_root(params, p, dp, lam, DEFAULT_TOL):
-                continue
-        kind = SingularKind.ODP if cl.multiplicity == 2 else SingularKind.NON_ODP
-        out.append(
-            SingularPoint(f"A(lam={lam:.12g})", kind, lam=lam, multiplicity=cl.multiplicity)
-        )
-    return out
+    ddp = derivative(dp)
+    dddp = derivative(ddp)
+    # a root of D is a root of at most deg D - 1 of its derivatives
+    derivs = (p, dp, ddp, dddp)[: p.degree]
 
+    def axis_point(lam: float, multiplicity: int) -> SingularPoint:
+        kind = SingularKind.ODP if multiplicity == 2 else SingularKind.NON_ODP
+        return SingularPoint(f"A(lam={lam:.12g})", kind, lam=lam, multiplicity=multiplicity)
 
-def complex_multiple_roots(params: SurfaceParams) -> list[RootCluster]:
-    """Non-real multiple roots of the tangency quartic, listed separately from
-    the real axis points."""
-    p = discriminant_poly(params)
-    return [
-        cl
-        for cl in root_clusters(p.coefficients, STRUCTURAL_CLUSTER_TOL)
-        if cl.multiplicity >= 2 and abs(cl.value.imag) > STRUCTURAL_CLUSTER_TOL * (1.0 + abs(cl.value))
-    ]
+    for r in companion_roots(dddp.coefficients) + companion_roots(ddp.coefficients):
+        lam = float(r.real)
+        m = _vanishing_order(params, derivs, lam, DEFAULT_TOL)
+        if m > 2:
+            return out + [axis_point(lam, m)]
+
+    cands = _double_root_candidates(params, p, dp)
+    first = next((x for x in cands if _vanishing_order(params, (p, dp), x, DEFAULT_TOL) == 2), None)
+    if first is None:
+        return out
+    second = square_root_roots(deflate(deflate(p, first), first).coefficients) or []
+    return out + [axis_point(lam, 2) for lam in sorted([first, *second])]
 
 
 def tangency_coefficients(a: float, b: float, lam0: float) -> tuple[float, float]:

@@ -1,10 +1,9 @@
 """Independent oracles the tests check production code against.
 
 Everything here is deliberately written from scratch: brute-force grids,
-raw companion-matrix roots through numpy, greedy pairing.  None of it calls
-back into the clustering or validation paths it certifies, except the two
-test-only polynomial helpers `real_roots_with_multiplicity` (a real-axis view
-of `poly.root_clusters`, which its tests exercise) and `poly_from_roots`.
+raw companion-matrix roots through numpy, greedy pairing, single-linkage
+root clustering.  None of it calls back into the validation paths it
+certifies; the clustering starts from `poly.companion_roots`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from touching_conics.errors import DomainError, InputError
-from touching_conics.poly import RealPolynomial, RootCluster, root_clusters
+from touching_conics.poly import RealPolynomial, companion_roots, evaluate
 
 
 def dense_grid_certificate(params, lam0: float, n: int = 100_001) -> dict:
@@ -101,6 +100,48 @@ def expand_from_roots(roots):
         coeffs = np.convolve(coeffs, np.array([-r, 1.0 + 0.0j]))
     assert np.abs(coeffs.imag).max() < 1e-9 * max(1.0, np.abs(coeffs).max())
     return [float(c) for c in coeffs.real]
+
+
+@dataclass(frozen=True)
+class RootCluster:
+    """A group of numerically coincident roots.
+
+    value         cluster centroid
+    multiplicity  number of roots in the cluster
+    residual      max |p| over the cluster members
+    """
+
+    value: complex
+    multiplicity: int
+    residual: float
+
+
+def cluster_roots(roots, tol: float) -> list[list[complex]]:
+    """Single-linkage clustering with radius tol * (1 + |root|)."""
+    clusters: list[list[complex]] = []
+    for r in sorted(roots, key=lambda z: (z.real, z.imag)):
+        placed = False
+        for cl in clusters:
+            if any(abs(r - m) <= tol * (1.0 + abs(m)) for m in cl):
+                cl.append(r)
+                placed = True
+                break
+        if not placed:
+            clusters.append([r])
+    return clusters
+
+
+def root_clusters(coeffs, tol: float) -> list[RootCluster]:
+    """All roots of the (complex) polynomial, grouped into clusters."""
+    roots = companion_roots(coeffs)
+    cs = [complex(c) for c in coeffs]
+    out = []
+    for members in cluster_roots(roots, tol):
+        center = sum(members) / len(members)
+        res = max(abs(evaluate(cs, m)) for m in members)
+        out.append(RootCluster(value=center, multiplicity=len(members), residual=res))
+    out.sort(key=lambda c: (c.value.real, c.value.imag))
+    return out
 
 
 def real_roots_with_multiplicity(p: RealPolynomial, tol: float = 1e-7) -> list[RootCluster]:

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, root clustering, and the two-double-roots test."""
+"""Polynomial arithmetic, the root-clustering oracle, and the two-double-roots test."""
 
 from __future__ import annotations
 
@@ -11,13 +11,13 @@ from oracles import (
     expand_two_double_roots,
     poly_from_roots,
     real_roots_with_multiplicity,
+    root_clusters,
 )
 from touching_conics.errors import InputError
 from touching_conics.poly import (
     RealPolynomial,
     derivative,
     evaluate,
-    root_clusters,
     two_double_roots_criterion,
 )
 

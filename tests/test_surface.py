@@ -7,15 +7,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
-from oracles import dense_grid_certificate
+from oracles import dense_grid_certificate, poly_from_roots, root_clusters
 from touching_conics.errors import InvalidParameterError, NotFoundError, PreconditionError
-from touching_conics.poly import evaluate, root_clusters
+from touching_conics.poly import evaluate
 from touching_conics.surface import (
-    STRUCTURAL_CLUSTER_TOL,
     SearchConfig,
+    SingularPoint,
     SurfaceParams,
-    complex_multiple_roots,
     discriminant_poly,
     f_poly,
     f_value,
@@ -29,6 +30,11 @@ from touching_conics.surface import (
     singular_locus,
     validate,
 )
+
+# clustering radius of the reference multiplicities: floating-point triple
+# roots split by about (machine eps)^(1/3) ~ 1e-5, distinct roots here are
+# order-1 apart
+CLUSTER_TOL = 1e-4
 
 # frozen fsolve solution planting a triple root of Q^2 - f at lam = 2 (a = b = 1)
 TRIPLE_ROOT_PARAMS = SurfaceParams(
@@ -79,7 +85,7 @@ def test_discriminant_pointwise_identity():
 
 
 def test_params_star_has_unique_double_root(params_star):
-    clusters = root_clusters(discriminant_poly(params_star).coefficients, STRUCTURAL_CLUSTER_TOL)
+    clusters = root_clusters(discriminant_poly(params_star).coefficients, CLUSTER_TOL)
     real = [c for c in clusters if abs(c.value.imag) < 1e-4]
     assert len(real) == 1 and real[0].multiplicity == 2
     cert = dense_grid_certificate(params_star, 2.0)
@@ -179,8 +185,96 @@ def test_singular_locus_lists_an_odp_only_where_validate_finds_a_double_root():
 
 
 def test_no_complex_multiple_roots_for_params_star(params_star):
-    assert complex_multiple_roots(params_star) == []
+    clusters = root_clusters(discriminant_poly(params_star).coefficients, CLUSTER_TOL)
+    nonreal = [c for c in clusters if abs(c.value.imag) > CLUSTER_TOL * (1.0 + abs(c.value))]
+    assert all(c.multiplicity < 2 for c in nonreal)
     assert all(p.lam is None or abs(p.lam - 2.0) < 1e-6 for p in singular_locus(params_star))
+
+
+def _params_with_roots(roots, q0: float, sign_q2: float, sign_q1: float) -> SurfaceParams | None:
+    """(q0, q1, q2, a, b) with Q^2 - f = q0^2 prod(lam - root), or None when
+    that choice of signs has no real solution with a, b > 0.
+
+    Matching the coefficients of Q^2 - f = q0^2 (lam^4 + e3 lam^3 + ...):
+    q2^2 = q0^2 e0, a = 2 q0 q1 - q0^2 e3, b = q0^2 e1 - 2 q1 q2, and
+    q1^2 - 2 (q0 + q2) q1 + 2 q0 q2 + q0^2 (e3 + e1 - e2) = 0.
+    """
+    k = q0 * q0
+    e0, e1, e2, e3, _ = poly_from_roots(roots).coefficients
+    if e0 < 0.0:
+        return None
+    q2 = sign_q2 * q0 * math.sqrt(e0)
+    h = q0 * q0 + q2 * q2 - k * (e3 + e1 - e2)
+    if h < 0.0:
+        return None
+    q1 = q0 + q2 + sign_q1 * math.sqrt(h)
+    a = 2.0 * q0 * q1 - k * e3
+    b = k * e1 - 2.0 * q1 * q2
+    if not (a > 0.0 and b > 0.0):
+        return None
+    return SurfaceParams(q0, q1, q2, a, b)
+
+
+def _constructed_quartics(rng, structure: str, n: int):
+    """n parameter sets whose quartic Q^2 - f has the given root structure,
+    with every two distinct roots u, v at least 0.1 (1 + max |u|, |v|)
+    apart; yields the parameters and the expected (kind, multiplicity,
+    lam) of each axis point."""
+    mults = {"2,1,1": (2, 1, 1), "2,c,c": (2, 1, 1), "2,2": (2, 2), "3,1": (3, 1), "4": (4,)}[structure]
+    made = 0
+    while made < n:
+        xs = rng.uniform(-3.0, 3.0, size=3)
+        if structure == "2,c,c":
+            feats = [complex(xs[0]), complex(xs[1], abs(xs[2])), complex(xs[1], -abs(xs[2]))]
+        else:
+            feats = [complex(x) for x in xs[: len(mults)]]
+        if any(
+            abs(u - v) < 0.1 * (1.0 + max(abs(u), abs(v))) for i, u in enumerate(feats) for v in feats[i + 1 :]
+        ):
+            continue
+        roots = [z for z, m in zip(feats, mults) for _ in range(m)]
+        p = _params_with_roots(roots, rng.uniform(0.2, 3.0), rng.choice([-1.0, 1.0]), rng.choice([-1.0, 1.0]))
+        if p is None:
+            continue
+        made += 1
+        axis = sorted(z.real for z, m in zip(feats, mults) if m > 1)
+        kind = SingularKind.ODP if mults[0] == 2 else SingularKind.NON_ODP
+        yield p, [(kind, mults[0], lam) for lam in axis]
+
+
+@pytest.mark.parametrize("structure", ["2,1,1", "2,c,c", "2,2", "3,1", "4"])
+def test_singular_locus_on_constructed_quartics(structure):
+    rng = np.random.default_rng(17)
+    for p, expected in _constructed_quartics(rng, structure, 60):
+        pts = singular_locus(p)
+        assert [pt.kind for pt in pts[:2]] == [SingularKind.ELLIPTIC_E7] * 2
+        got = pts[2:]
+        assert [(pt.kind, pt.multiplicity) for pt in got] == [e[:2] for e in expected], p
+        assert all(abs(pt.lam - e[2]) <= 1e-6 for pt, e in zip(got, expected)), p
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@given(
+    a=_log_uniform(0.1, 10.0),
+    b=_log_uniform(0.1, 10.0),
+    gap=_log_uniform(0.02, 20.0),
+    q0_min=st.floats(0.01, 5.0),
+)
+def test_singular_locus_node_is_lambda0_on_the_admissible_region(a, b, gap, q0_min):
+    target = SearchConfig(a=a, b=b, lambda0=b / a + gap, q0_min=q0_min, q0_max=50.0 * q0_min)
+    try:
+        params = find_valid_params(target)
+    except NotFoundError:
+        reject()
+    lam0 = validate(params).lambda0
+    assert singular_locus(params) == [
+        SingularPoint("Pinf", SingularKind.ELLIPTIC_E7),
+        SingularPoint("PinfBar", SingularKind.ELLIPTIC_E7),
+        SingularPoint(f"A(lam={lam0:.12g})", SingularKind.ODP, lam=lam0, multiplicity=2),
+    ]
 
 
 def test_find_valid_params_deterministic(params_star):
