@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL
+from .errors import DomainError
+
+# Relative tolerance of the exact-algebra identities of the square tests.  A
+# coefficient computed in floats carries a relative error of a few ulps (1e-16)
+# per operation; 1e-9 leaves seven orders of magnitude for the few dozen
+# operations behind each coefficient of a branch restriction.
+EQUALITY_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,8 @@ def companion_roots(coeffs) -> list[complex]:
         return []
     lead = cs[-1]
     monic = [c / lead for c in cs]
+    if not all(cmath.isfinite(c) for c in monic):
+        raise DomainError(f"roots need finite coefficients over the leading one, of size {abs(lead):.3e}")
     comp = np.zeros((n, n), dtype=complex)
     if n > 1:
         comp[1:, :-1] = np.eye(n - 1)
@@ -127,7 +135,7 @@ def _close(lhs: complex, rhs: complex, tol: float, floor: float) -> bool:
     return abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), floor)
 
 
-def two_double_roots_criterion(a1, a2, a3, a4, tol: float = DEFAULT_TOL.equality_rel) -> bool:
+def two_double_roots_criterion(a1, a2, a3, a4, tol: float = EQUALITY_REL) -> bool:
     """Whether x^4 + a1 x^3 + a2 x^2 + a3 x + a4 factors as (x-u)^2 (x-v)^2.
 
     Exact algebra: with a1 != 0 the conditions are 4*a1*a2 = a1^3 + 8*a3 and
@@ -155,7 +163,7 @@ def square_root_roots(coeffs) -> list[complex] | None:
         return []
     if deg == 2:
         c, b, a = coeffs
-        if abs(b * b - 4.0 * a * c) > DEFAULT_TOL.equality_rel * max(abs(b * b), abs(4.0 * a * c)):
+        if abs(b * b - 4.0 * a * c) > EQUALITY_REL * max(abs(b * b), abs(4.0 * a * c)):
             return None
         return [-b / (2.0 * a)]
     if deg == 4:

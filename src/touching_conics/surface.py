@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import InvalidParameterError, NotFoundError, PreconditionError
 from .poly import RealPolynomial, companion_roots, deflate, derivative, evaluate, square_root_roots
 
@@ -187,8 +186,17 @@ def discriminant_poly(params: SurfaceParams) -> RealPolynomial:
 # ---------------------------------------------------------------------------
 # admissibility
 
+# Size, relative to the terms of D = Q^2 - f, below which D and D' count as
+# zero at a polished double root.  Rounding leaves them near 1e-16 of those
+# terms at a true double root.  The README set rounded to 8 digits splits it
+# into a complex pair, with D = 3.5e-8 at its least point, about 1e-9 of the
+# terms there.
+POLISH_TOL = 1e-10
+
 
 def _require_ab(params: SurfaceParams) -> None:
+    if not all(math.isfinite(v) for v in vars(params).values()):
+        raise InvalidParameterError(f"parameters must be finite, got {params.as_dict()}")
     if not (params.a > 0.0 and params.b > 0.0):
         raise InvalidParameterError(f"need a > 0 and b > 0, got a={params.a}, b={params.b}")
 
@@ -211,18 +219,18 @@ def _polish_double_root(params: SurfaceParams, x0: float) -> float:
     return x
 
 
-def _double_root_tol(params: SurfaceParams, x: float, cfg: Tolerances) -> float:
+def _double_root_tol(params: SurfaceParams, x: float) -> float:
     """Size below which D = Q^2 - f and D' count as zero at x, scaled like
     the terms of D there."""
-    return cfg.polish_tol * (1.0 + abs(x) ** 4 * (1.0 + params.q0 * params.q0))
+    return POLISH_TOL * (1.0 + abs(x) ** 4 * (1.0 + params.q0 * params.q0))
 
 
-def _vanishing_order(params: SurfaceParams, derivs, x: float, cfg: Tolerances) -> int:
+def _vanishing_order(params: SurfaceParams, derivs, x: float) -> int:
     """How many of D, D', D'', ... (derivs, in that order) vanish at x before
     the first that does not, to the double-root tolerance: the one
     multiplicity test.  validate asks it for 2 at lambda0 (D and D' vanish,
     a double root), singular_locus for the multiplicity of each axis point."""
-    tol = _double_root_tol(params, x, cfg)
+    tol = _double_root_tol(params, x)
     return next((k for k, d in enumerate(derivs) if abs(evaluate(d, x)) > tol), len(derivs))
 
 
@@ -236,13 +244,13 @@ def _double_root_candidates(params: SurfaceParams, p: RealPolynomial, dp: RealPo
     )
 
 
-def validate(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> ValidationReport:
+def validate(params: SurfaceParams) -> ValidationReport:
     """Check the two admissibility conditions and the interval normalization,
     exactly.  With D = Q^2 - f, a quartic of leading coefficient q0^2:
 
     lambda0:        the real root of the cubic D' where D is least, after a
                     Newton polish; it is the double root when D and D'
-                    vanish there to cfg.polish_tol.
+                    vanish there to POLISH_TOL.
     condition_i:    D >= 0 on R, vanishing only at lambda0, to order two, and
                     Q = +sqrt(f) > 0 there.  Deflating D twice at lambda0
                     leaves a quadratic r; D has no other real root exactly
@@ -270,7 +278,7 @@ def validate(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> Validation
 
     dp = derivative(p)
     lam0 = _double_root_candidates(params, p, dp)[0]
-    if _vanishing_order(params, (p, dp), lam0, cfg) < 2:
+    if _vanishing_order(params, (p, dp), lam0) < 2:
         d0 = evaluate(p, lam0)
         what = "< 0" if d0 < 0.0 else "> 0 at its least point: no real double root"
         return ValidationReport(
@@ -287,7 +295,7 @@ def validate(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> Validation
     c, b, a = deflate(deflate(p, lam0), lam0).coefficients
     v = -b / (2.0 * a)
     dv = (v - lam0) ** 2 * (c - b * b / (4.0 * a))
-    if dv <= _double_root_tol(params, v, cfg):
+    if dv <= _double_root_tol(params, v):
         cond_i = CheckResult(False, v, f"Q^2 - f = (lam - lambda0)^2 r is {dv:.3e} at the vertex of r: a further real root")
     elif not (fl0 > 0.0 and ql0 > 0.0):
         cond_i = CheckResult(False, lam0, f"at the double root f={fl0:.3e}, Q={ql0:.3e}; need Q = +sqrt(f) > 0")
@@ -332,10 +340,10 @@ def validate(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> Validation
     )
 
 
-def lambda0(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> float:
+def lambda0(params: SurfaceParams) -> float:
     """The double root of Q^2 - f; raises PreconditionError, naming the
     failed condition, unless validate() passes."""
-    rep = validate(params, cfg)
+    rep = validate(params)
     for name, check in (
         ("condition (i)", rep.condition_i),
         ("condition (*)", rep.condition_star),
@@ -346,10 +354,10 @@ def lambda0(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> float:
     return rep.lambda0
 
 
-def intervals(params: SurfaceParams, cfg: Tolerances = DEFAULT_TOL) -> IntervalPartition:
+def intervals(params: SurfaceParams) -> IntervalPartition:
     """The five open intervals cut by -1, 0, b/a and the double root; raises
     PreconditionError unless validate() passes."""
-    lam0 = lambda0(params, cfg)
+    lam0 = lambda0(params)
     ba = params.b / params.a
     return IntervalPartition(
         lambda0=lam0,
@@ -393,12 +401,12 @@ def singular_locus(params: SurfaceParams) -> list[SingularPoint]:
 
     for r in companion_roots(dddp.coefficients) + companion_roots(ddp.coefficients):
         lam = float(r.real)
-        m = _vanishing_order(params, derivs, lam, DEFAULT_TOL)
+        m = _vanishing_order(params, derivs, lam)
         if m > 2:
             return out + [axis_point(lam, m)]
 
     cands = _double_root_candidates(params, p, dp)
-    first = next((x for x in cands if _vanishing_order(params, (p, dp), x, DEFAULT_TOL) == 2), None)
+    first = next((x for x in cands if _vanishing_order(params, (p, dp), x) == 2), None)
     if first is None:
         return out
     second = square_root_roots(deflate(deflate(p, first), first).coefficients) or []
@@ -425,7 +433,7 @@ def params_for_q0(search: SearchConfig, q0: float) -> SurfaceParams:
     return SurfaceParams(q0=q0, q1=q1, q2=q2, a=search.a, b=search.b)
 
 
-def find_valid_params(search: SearchConfig, cfg: Tolerances = DEFAULT_TOL) -> SurfaceParams:
+def find_valid_params(search: SearchConfig) -> SurfaceParams:
     """First admissible parameter set along the deterministic q0 sweep.
 
     Candidates satisfy the double-root constraints at the target lambda0 by
@@ -440,7 +448,7 @@ def find_valid_params(search: SearchConfig, cfg: Tolerances = DEFAULT_TOL) -> Su
     qs = np.linspace(search.q0_min, search.q0_max, search.q0_steps)
     for q0 in qs:
         cand = params_for_q0(search, float(q0))
-        report = validate(cand, cfg)
+        report = validate(cand)
         if report.passed:
             return cand
         score = sum(int(c.passed) for c in (report.condition_i, report.condition_star, report.lambda0_in_i4))

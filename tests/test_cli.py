@@ -341,3 +341,47 @@ def test_negative_exponent_values_parse_like_the_equals_form(star_arg, capsys, f
     assert run(["--params", star_arg, flag, value] + tail) == EXIT_OK
     assert capsys.readouterr() == joined
     assert json.loads(joined.out)["config"][key] == float(value)
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--params", "nan,0,1,1,1", "report"], EXIT_USAGE, "error: --params: 'nan' is not a finite number"),
+        (["--params", "1,-inf,1,1,1", "validate"], EXIT_USAGE, "error: --params: '-inf' is not a finite number"),
+        (["--params", "1e400,0,1,1,1", "validate"], EXIT_USAGE, "error: --params: '1e400' is not a finite number"),
+        (["--params-file", "FILE", "validate"], EXIT_USAGE, "error: params file key q1: 'inf' is not a finite number"),
+        (["search-params", "--q0-min", "nan"], EXIT_USAGE, "argument --q0-min: 'nan' is not a finite number"),
+        (["--params", "STAR", "--lambda", "3", "--alpha", "inf", "conic", "--type", "orbit"], EXIT_USAGE,
+         "argument --alpha: 'inf' is not a finite number"),
+        (["--params", "STAR", "--lambda", "nan", "tangency"], EXIT_USAGE, "argument --lambda: 'nan' is not a finite number"),
+        (["--params", "STAR", "--theta=-inf", "--lambda", "1", "conic", "--type", "generic"], EXIT_USAGE,
+         "argument --theta: '-inf' is not a finite number"),
+        # finite, but D's coefficients overflow once divided by the leading one
+        (["--params", "1e-160,0,1,1,1", "validate"], EXIT_FAIL, "error: roots need finite coefficients"),
+        (["--params", "1,1e200,1,1,1", "validate"], EXIT_FAIL, "error: roots need finite coefficients"),
+    ],
+    ids=["params-nan", "params-inf", "params-overflow", "params-file-inf", "q0-min-nan", "alpha-inf", "lambda-nan",
+         "theta-inf", "leading-underflow", "coefficient-overflow"],
+)
+def test_numbers_the_program_cannot_use_end_in_an_error_line(star_arg, tmp_path, capsys, argv, code, message):
+    cfgfile = tmp_path / "params.cfg"
+    cfgfile.write_text("q0 = 1\nq1 = inf\nq2 = 1\na = 1\nb = 1\n")
+    argv = [{"STAR": star_arg, "FILE": str(cfgfile)}.get(a, a) for a in argv]
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err.splitlines()[0]
+
+
+def test_report_is_built_from_the_subcommands_sections(params_draws, capsys):
+    for p in params_draws:
+        docs = {}
+        for command in ("report", "validate", "critical", "classify", "psi"):
+            run(["--params", f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}", command])
+            docs[command] = json.loads(capsys.readouterr().out)
+        report = docs["report"]
+        assert report["validation"] == docs["validate"]["validation"]
+        assert report["singular_locus"] == docs["validate"]["singular_locus"]
+        assert report["h_tables"] == {key: docs["critical"][key] for key in ("rows", "passed")}
+        assert report["classification"] == docs["classify"]["classification"]
+        assert report["psi"] == docs["psi"]["psi"]

@@ -13,9 +13,10 @@ from oracles import (
     real_roots_with_multiplicity,
     root_clusters,
 )
-from touching_conics.errors import InputError
+from touching_conics.errors import DomainError, InputError
 from touching_conics.poly import (
     RealPolynomial,
+    companion_roots,
     derivative,
     evaluate,
     two_double_roots_criterion,
@@ -93,6 +94,13 @@ def test_multiplicity_sum_equals_degree():
     p = RealPolynomial(tuple(expand_from_roots([1.0, 1.0, -2.0, 0.5])))
     clusters = root_clusters(p.coefficients, 1e-7)
     assert sum(c.multiplicity for c in clusters) == 4
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 1.0, 1e-320), (1.0, float("inf"), 1.0), (1e300, 1.0, 1e-300)])
+def test_companion_roots_refuses_a_monic_form_that_is_not_finite(coeffs):
+    # dividing by the leading coefficient overflows, or a coefficient already has
+    with pytest.raises(DomainError, match="finite"):
+        companion_roots(coeffs)
 
 
 def test_two_double_roots_examples():

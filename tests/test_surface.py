@@ -118,6 +118,13 @@ def test_validate_rejects_nonpositive_ab():
         validate(SurfaceParams(1, 0, 1, -1.0, 1.0))
 
 
+@pytest.mark.parametrize("params", [(math.nan, 0, 1, 1, 1), (1, math.inf, 1, 1, 1), (1, 0, 1, 1, -math.inf)])
+def test_validate_and_singular_locus_reject_non_finite_params(params):
+    for check in (validate, singular_locus):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            check(SurfaceParams(*params))
+
+
 def test_lambda0_hits_target(params_star):
     lam0 = lambda0(params_star)
     assert abs(lam0 - 2.0) < 1e-8
