@@ -14,7 +14,9 @@ Both are exact.  With D = Q^2 - f, s = sqrt(D) and u = s - Q (so that
 m being the form missing from the triple (the four forms multiply to f).
 Critical points are roots of polynomials in lam built from f, Q and the
 forms; an endpoint limit is Zero or Infinity by the sign of the function's
-vanishing order there, read off the valuations of f, u and the forms.
+vanishing order there, read off the valuations of f, u and the forms.  On
+admissible input those valuations depend only on which forms vanish at the
+edge, so a limit is a function of (kind, key, edge) alone.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable
 
 from .errors import DomainError, InputError, PreconditionError
 from .poly import RealPolynomial, companion_roots, deflate, derivative
-from .resolution import HKind, LinearForm, ResolutionChoice, h_function
+from .resolution import Edge, HKind, LinearForm, ResolutionChoice
 from .surface import Interval, Q_restricted, SurfaceParams, f_poly, f_value, intervals, q_value, s_minus_q
 
 
@@ -39,34 +41,6 @@ class LimitKind(enum.Enum):
         """The class of 1/h: the exceptional-curve coordinates on either side
         of a crossing are glued reciprocally, so Zero pairs with Infinity."""
         return LimitKind.INFINITY if self is LimitKind.ZERO else LimitKind.ZERO
-
-
-class NormalBundleVerdict(enum.Enum):
-    BALANCED = "O(1)+O(1)"
-    DEGENERATE = "O+O(2)"
-
-
-class FamilyLabel(enum.Enum):
-    GEN_PLUS = "GenPlus"
-    GEN_MINUS = "GenMinus"
-    SP_PLUS = "SpPlus"
-    SP_MINUS = "SpMinus"
-    ORBIT = "Orbit"
-
-
-_FAMILY_TO_KIND = {
-    FamilyLabel.GEN_PLUS: HKind.H0,
-    FamilyLabel.GEN_MINUS: HKind.H0,
-    FamilyLabel.SP_PLUS: HKind.H1,
-    FamilyLabel.SP_MINUS: HKind.H3,
-    FamilyLabel.ORBIT: HKind.H2,
-}
-
-
-def h_handle(
-    kind: HKind, choice: ResolutionChoice, params: SurfaceParams
-) -> Callable[[float], float]:
-    return lambda lam: h_function(kind, choice, params, lam)
 
 
 def _pair_key(choice: ResolutionChoice) -> frozenset:
@@ -111,10 +85,10 @@ def _sign_changes(
 
 
 class RadiusAnalysis:
-    """Exact critical points and endpoint limits of the radius functions of
-    one parameter set, keyed by the data they depend on (h1: first form; h2:
-    unordered pair; h3: unordered triple).  Critical points are memoized, so
-    one instance serves every stage of a run."""
+    """Exact critical points of the radius functions of one parameter set,
+    keyed by the data they depend on (h1: first form; h2: unordered pair; h3:
+    unordered triple).  They are memoized, so one instance serves every stage
+    of a run."""
 
     def __init__(self, params: SurfaceParams):
         self.params = params
@@ -134,7 +108,7 @@ class RadiusAnalysis:
     def critical(self, kind: HKind, key, span: tuple[float, float]) -> tuple[float, ...]:
         """Critical points of the radius function on the open span, ascending."""
         if kind is HKind.H3:
-            kind, key = HKind.H1, self._missing(key)
+            kind, key = HKind.H1, _missing(key)
         k = (kind, key, span)
         if k not in self._critical:
             poly, sign = self._derivative_data(kind, key)
@@ -174,48 +148,65 @@ class RadiusAnalysis:
         params = self.params
         return poly, lambda x: ell(x) * e(x) + s_minus_q(params, x) * c(x)
 
-    def _missing(self, triple: frozenset) -> LinearForm:
-        return next(form for form in LinearForm if form not in triple)
 
-    def limit(self, kind: HKind, key, edge: float, side: str) -> LimitKind:
-        """One-sided limit at a root of f (-1, 0 or b/a) or at +-infinity.
+def _missing(triple: frozenset) -> LinearForm:
+    return next(form for form in LinearForm if form not in triple)
 
-        The class follows the sign of the vanishing order of the function
-        there, which is +-1/2, so the limit is never finite and nonzero."""
-        if side not in ("left", "right"):
-            raise InputError("side must be 'left' or 'right'")
-        if math.isinf(edge):
-            f_sign = 1 if edge > 0 else -1
-        elif edge in {form.zero_at(self.params) for form in LinearForm}:
-            slope = derivative(self.f)(edge)
-            f_sign = (1 if slope > 0.0 else -1) * (1 if side == "right" else -1)
-        else:
-            raise InputError(f"limits are classified at the roots of f and at infinity, not at {edge}")
-        if f_sign != (1 if kind in (HKind.H0, HKind.H2) else -1):
-            raise DomainError(f"{kind.value} is not defined on the {side} of {edge}")
-        return LimitKind.ZERO if self._order(kind, key, edge) > 0.0 else LimitKind.INFINITY
 
-    def _order(self, kind: HKind, key, edge: float) -> float:
-        """Vanishing order of the radius function at the edge, where a growth
-        like |lam|^d at infinity counts as order -d.
+# per edge, the side on which f > 0 and the side on which f < 0; at an
+# infinity the side names that end of the line, and None marks the sign f
+# does not take there.  f = lam (lam + 1) (a lam - b) with a, b > 0 has a
+# positive leading coefficient and simple roots -1 < 0 < b/a.
+_SIDES = {
+    Edge.MINUS_INF: (None, "left"),
+    Edge.MINUS_ONE: ("right", "left"),
+    Edge.ZERO: ("left", "right"),
+    Edge.B_OVER_A: ("right", "left"),
+    Edge.PLUS_INF: ("right", None),
+}
 
-        u = -f / (Q + s) vanishes to order 1 at each root of f and grows like
-        |lam| at infinity, because an instance exists only for parameters
-        that pass validate: Q > 0 at -1, 0 and b/a, and q0 > 0."""
-        if kind is HKind.H3:
-            return -self._order(HKind.H1, self._missing(key), edge)
-        if math.isinf(edge):
-            forms = {form: 0.0 if form is LinearForm.X1 else -1.0 for form in LinearForm}
-            ord_u = -1.0
-        else:
-            forms = {form: float(form.zero_at(self.params) == edge) for form in LinearForm}
-            ord_u = 1.0
-        ord_f = sum(forms.values())
-        if kind is HKind.H0:
-            return 0.5 * ord_f - ord_u
-        if kind is HKind.H1:
-            return 0.5 * ord_u - forms[key]
-        return 0.5 * ord_f - sum(forms[form] for form in key)
+
+def domain_side(kind: HKind, edge: Edge) -> str:
+    """The side of the edge on which the radius function lives: h0 and h2
+    where f > 0, h1 and h3 where f < 0.  Raises DomainError at the infinity
+    next to which it is not defined: -inf for h0 and h2, +inf for h1 and h3."""
+    positive, negative = _SIDES[edge]
+    side = positive if kind in (HKind.H0, HKind.H2) else negative
+    if side is None:
+        raise DomainError(f"{kind.value} is not defined next to {edge.value}")
+    return side
+
+
+def limit(kind: HKind, key, edge: Edge) -> LimitKind:
+    """Limit of the radius function at the edge, from the side it lives on.
+
+    The class follows the sign of the vanishing order of the function there,
+    which is +-1/2, so the limit is never finite and nonzero."""
+    domain_side(kind, edge)
+    return LimitKind.ZERO if _order(kind, key, edge) > 0.0 else LimitKind.INFINITY
+
+
+def _order(kind: HKind, key, edge: Edge) -> float:
+    """Vanishing order of the radius function at the edge, where a growth like
+    |lam|^d at infinity counts as order -d.
+
+    u = -f / (Q + s) vanishes to order 1 at each root of f and grows like
+    |lam| at infinity on admissible parameters, the only ones a
+    RadiusAnalysis accepts: Q > 0 at -1, 0 and b/a, and q0 > 0."""
+    if kind is HKind.H3:
+        return -_order(HKind.H1, _missing(key), edge)
+    if edge in (Edge.MINUS_INF, Edge.PLUS_INF):
+        forms = {form: 0.0 if form is LinearForm.X1 else -1.0 for form in LinearForm}
+        ord_u = -1.0
+    else:
+        forms = {form: float(form.zero is edge) for form in LinearForm}
+        ord_u = 1.0
+    ord_f = sum(forms.values())
+    if kind is HKind.H0:
+        return 0.5 * ord_f - ord_u
+    if kind is HKind.H1:
+        return 0.5 * ord_u - forms[key]
+    return 0.5 * ord_f - sum(forms[form] for form in key)
 
 
 @dataclass(frozen=True)
@@ -243,18 +234,18 @@ class HTableReport:
 # expected critical-point counts (interval I1, I3) per first form, and the
 # stated endpoint behavior of h1
 _H1_TABLE: dict[LinearForm, tuple[int, int, tuple]] = {
-    LinearForm.X1: (0, 1, (("-inf", None, LimitKind.INFINITY), (-1.0, "left", LimitKind.ZERO))),
-    LinearForm.X0: (1, 0, ((0.0, "right", LimitKind.INFINITY), ("b/a", "left", LimitKind.ZERO))),
-    LinearForm.X0_PLUS_X1: (0, 1, (("-inf", None, LimitKind.ZERO), (-1.0, "left", LimitKind.INFINITY))),
-    LinearForm.AX0_MINUS_BX1: (1, 0, ((0.0, "right", LimitKind.ZERO), ("b/a", "left", LimitKind.INFINITY))),
+    LinearForm.X1: (0, 1, ((Edge.MINUS_INF, LimitKind.INFINITY), (Edge.MINUS_ONE, LimitKind.ZERO))),
+    LinearForm.X0: (1, 0, ((Edge.ZERO, LimitKind.INFINITY), (Edge.B_OVER_A, LimitKind.ZERO))),
+    LinearForm.X0_PLUS_X1: (0, 1, ((Edge.MINUS_INF, LimitKind.ZERO), (Edge.MINUS_ONE, LimitKind.INFINITY))),
+    LinearForm.AX0_MINUS_BX1: (1, 0, ((Edge.ZERO, LimitKind.ZERO), (Edge.B_OVER_A, LimitKind.INFINITY))),
 }
 
 # per unordered triple {l1, l2, l3}, keyed by the missing form
 _H3_TABLE: dict[LinearForm, tuple[int, int, tuple]] = {
-    LinearForm.X1: (0, 1, (("-inf", None, LimitKind.ZERO), (-1.0, "left", LimitKind.INFINITY))),
-    LinearForm.X0: (1, 0, ((0.0, "right", LimitKind.ZERO), ("b/a", "left", LimitKind.INFINITY))),
-    LinearForm.X0_PLUS_X1: (0, 1, (("-inf", None, LimitKind.INFINITY), (-1.0, "left", LimitKind.ZERO))),
-    LinearForm.AX0_MINUS_BX1: (1, 0, ((0.0, "right", LimitKind.INFINITY), ("b/a", "left", LimitKind.ZERO))),
+    LinearForm.X1: (0, 1, ((Edge.MINUS_INF, LimitKind.ZERO), (Edge.MINUS_ONE, LimitKind.INFINITY))),
+    LinearForm.X0: (1, 0, ((Edge.ZERO, LimitKind.ZERO), (Edge.B_OVER_A, LimitKind.INFINITY))),
+    LinearForm.X0_PLUS_X1: (0, 1, ((Edge.MINUS_INF, LimitKind.INFINITY), (Edge.MINUS_ONE, LimitKind.ZERO))),
+    LinearForm.AX0_MINUS_BX1: (1, 0, ((Edge.ZERO, LimitKind.INFINITY), (Edge.B_OVER_A, LimitKind.ZERO))),
 }
 
 # per unordered pair {l1, l2}: counts on (I2, I4) and the stated limits
@@ -263,39 +254,29 @@ _H2_TABLE: list[tuple[frozenset, int, int, tuple]] = [
         frozenset((LinearForm.X0, LinearForm.X1)),
         0,
         0,
-        ((-1.0, "right", LimitKind.ZERO), (0.0, "left", LimitKind.INFINITY), ("b/a", "right", LimitKind.ZERO), ("+inf", None, LimitKind.INFINITY)),
+        ((Edge.MINUS_ONE, LimitKind.ZERO), (Edge.ZERO, LimitKind.INFINITY), (Edge.B_OVER_A, LimitKind.ZERO), (Edge.PLUS_INF, LimitKind.INFINITY)),
     ),
     (
         frozenset((LinearForm.X0_PLUS_X1, LinearForm.AX0_MINUS_BX1)),
         0,
         0,
-        ((-1.0, "right", LimitKind.INFINITY), (0.0, "left", LimitKind.ZERO), ("b/a", "right", LimitKind.INFINITY), ("+inf", None, LimitKind.ZERO)),
+        ((Edge.MINUS_ONE, LimitKind.INFINITY), (Edge.ZERO, LimitKind.ZERO), (Edge.B_OVER_A, LimitKind.INFINITY), (Edge.PLUS_INF, LimitKind.ZERO)),
     ),
     (
         frozenset((LinearForm.X1, LinearForm.X0_PLUS_X1)),
         0,
         0,
-        ((-1.0, "right", LimitKind.INFINITY), (0.0, "left", LimitKind.ZERO), ("b/a", "right", LimitKind.ZERO), ("+inf", None, LimitKind.INFINITY)),
+        ((Edge.MINUS_ONE, LimitKind.INFINITY), (Edge.ZERO, LimitKind.ZERO), (Edge.B_OVER_A, LimitKind.ZERO), (Edge.PLUS_INF, LimitKind.INFINITY)),
     ),
     (
         frozenset((LinearForm.X0, LinearForm.AX0_MINUS_BX1)),
         0,
         0,
-        ((-1.0, "right", LimitKind.ZERO), (0.0, "left", LimitKind.INFINITY), ("b/a", "right", LimitKind.INFINITY)),
+        ((Edge.MINUS_ONE, LimitKind.ZERO), (Edge.ZERO, LimitKind.INFINITY), (Edge.B_OVER_A, LimitKind.INFINITY)),
     ),
     (frozenset((LinearForm.X0, LinearForm.X0_PLUS_X1)), 1, 1, ()),
     (frozenset((LinearForm.X1, LinearForm.AX0_MINUS_BX1)), 1, 1, ()),
 ]
-
-
-def _edge(token, params: SurfaceParams) -> float:
-    if token == "-inf":
-        return -math.inf
-    if token == "+inf":
-        return math.inf
-    if token == "b/a":
-        return params.b / params.a
-    return float(token)
 
 
 def _pair_label(key: frozenset) -> str:
@@ -313,92 +294,44 @@ def verify_h_tables(params: SurfaceParams, cache: RadiusAnalysis | None = None) 
         check = f"count on {name or which.value}"
         rows.append(TableRow(fn, label, check, str(expected), str(count), count == expected))
 
-    def limit_row(fn: str, label: str, kind: HKind, key, token, side, expected: LimitKind):
-        edge = _edge(token, params)
-        use_side = side if side else ("right" if edge > 0 else "left")
-        got = cache.limit(kind, key, edge, use_side)
-        rows.append(
-            TableRow(fn, label, f"limit at {token} ({use_side})", expected.value, got.value, got is expected)
-        )
+    def limit_row(fn: str, label: str, kind: HKind, key, edge: Edge, expected: LimitKind):
+        got = limit(kind, key, edge)
+        check = f"limit at {edge.value} ({domain_side(kind, edge)})"
+        rows.append(TableRow(fn, label, check, expected.value, got.value, got is expected))
 
     count_row("h0", "-", HKind.H0, None, Interval.I2, 1)
     count_row("h0", "-", HKind.H0, None, Interval.I4MINUS, 0)
     count_row("h0", "-", HKind.H0, None, Interval.I4PLUS, 0)
-    limit_row("h0", "-", HKind.H0, None, -1.0, "right", LimitKind.INFINITY)
-    limit_row("h0", "-", HKind.H0, None, 0.0, "left", LimitKind.INFINITY)
+    limit_row("h0", "-", HKind.H0, None, Edge.MINUS_ONE, LimitKind.INFINITY)
+    limit_row("h0", "-", HKind.H0, None, Edge.ZERO, LimitKind.INFINITY)
 
     for ell1, (c1, c3, limits) in _H1_TABLE.items():
         label = ell1.value
         count_row("h1", label, HKind.H1, ell1, Interval.I1, c1)
         count_row("h1", label, HKind.H1, ell1, Interval.I3, c3)
-        for token, side, expected in limits:
-            limit_row("h1", label, HKind.H1, ell1, token, side, expected)
+        for edge, expected in limits:
+            limit_row("h1", label, HKind.H1, ell1, edge, expected)
 
     for missing, (c1, c3, limits) in _H3_TABLE.items():
         triple = frozenset(f for f in LinearForm if f is not missing)
         label = _pair_label(triple)
         count_row("h3", label, HKind.H3, triple, Interval.I1, c1)
         count_row("h3", label, HKind.H3, triple, Interval.I3, c3)
-        for token, side, expected in limits:
-            limit_row("h3", label, HKind.H3, triple, token, side, expected)
+        for edge, expected in limits:
+            limit_row("h3", label, HKind.H3, triple, edge, expected)
 
     for pair, c2, c4, limits in _H2_TABLE:
         label = _pair_label(pair)
         count_row("h2", label, HKind.H2, pair, Interval.I2, c2)
         count_row("h2", label, HKind.H2, pair, Interval.I4MINUS, c4, name="I4")
-        for token, side, expected in limits:
-            limit_row("h2", label, HKind.H2, pair, token, side, expected)
+        for edge, expected in limits:
+            limit_row("h2", label, HKind.H2, pair, edge, expected)
 
     return HTableReport(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
-# normal-bundle verdicts and the broken-pairing utility
-
-# Relative distance within which a plane counts as a critical one.  Callers
-# name a critical plane by a float from another route (a bisection or a
-# numeric scan agrees with the exact root to about 1e-7), and the window is
-# still narrow enough that of a thousand planes across I2 at most one is in it.
-_CRITICAL_MATCH_REL = 1e-6
-
-
-def normal_bundle_at(
-    kind: FamilyLabel,
-    choice: ResolutionChoice,
-    params: SurfaceParams,
-    lam: float,
-    cache: RadiusAnalysis | None = None,
-) -> NormalBundleVerdict:
-    """Degenerate exactly when lam sits at a critical point of the governing
-    radius function; Balanced otherwise."""
-    hkind = _FAMILY_TO_KIND[kind]
-    cache = cache or RadiusAnalysis(params)
-    part = cache.partition
-    f = f_value(params, lam)
-    if hkind in (HKind.H0, HKind.H2) and f <= 0.0:
-        raise DomainError(f"family {kind.value} lives where f > 0; f({lam}) = {f:.3e}")
-    if hkind in (HKind.H1, HKind.H3) and f >= 0.0:
-        raise DomainError(f"family {kind.value} lives where f < 0; f({lam}) = {f:.3e}")
-    if hkind is HKind.H0:
-        key = None
-    elif hkind is HKind.H1:
-        key = choice.ell1
-    elif hkind is HKind.H2:
-        key = _pair_key(choice)
-    else:
-        key = _triple_key(choice)
-
-    candidates: list[Interval] = []
-    for which in Interval:
-        lo, hi = part.bounds(which)
-        if lo < lam < hi:
-            candidates.append(which)
-    if not candidates:
-        raise DomainError(f"lam={lam} sits on an interval boundary")
-    for loc in cache.critical(hkind, key, cache.span(candidates[0], hkind)):
-        if abs(lam - loc) <= _CRITICAL_MATCH_REL * (1.0 + abs(lam)):
-            return NormalBundleVerdict.DEGENERATE
-    return NormalBundleVerdict.BALANCED
+# the broken pairing of the generic family inside I2
 
 
 def h0_critical_on_i2(params: SurfaceParams, cache: RadiusAnalysis | None = None) -> float:

@@ -21,10 +21,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .analysis import LimitKind, RadiusAnalysis, _pair_key, _triple_key
+from .analysis import LimitKind, RadiusAnalysis, _pair_key, _triple_key, limit
 from .conics import ConicType
 from .errors import PreconditionError
-from .resolution import HKind, LinearForm, ResolutionChoice, all_resolutions
+from .resolution import Edge, HKind, LinearForm, ResolutionChoice, all_resolutions
 from .surface import Interval, SurfaceParams
 
 
@@ -166,17 +166,17 @@ def _trace(
         reasons.append(Reason("B", f"{govern_i3[2]} has a critical point on I3", locs[0]))
 
     # C: reciprocal gluing of the limits across lambda = -1 and lambda = 0
-    h2_at_m1 = cache.limit(HKind.H2, pair, -1.0, "right")
-    h2_at_0 = cache.limit(HKind.H2, pair, 0.0, "left")
+    h2_at_m1 = limit(HKind.H2, pair, Edge.MINUS_ONE)
+    h2_at_0 = limit(HKind.H2, pair, Edge.ZERO)
     if hyp is Hypothesis.PLUS_OVER_I1:
-        inner_m1 = cache.limit(HKind.H1, ell1, -1.0, "left")
+        inner_m1 = limit(HKind.H1, ell1, Edge.MINUS_ONE)
         inner_m1_name = f"h1 (l1={ell1.value}) at -1-"
-        outer_0 = cache.limit(HKind.H3, triple, 0.0, "right")
+        outer_0 = limit(HKind.H3, triple, Edge.ZERO)
         outer_0_name = "h3 at 0+"
     else:
-        inner_m1 = cache.limit(HKind.H3, triple, -1.0, "left")
+        inner_m1 = limit(HKind.H3, triple, Edge.MINUS_ONE)
         inner_m1_name = "h3 at -1-"
-        outer_0 = cache.limit(HKind.H1, ell1, 0.0, "right")
+        outer_0 = limit(HKind.H1, ell1, Edge.ZERO)
         outer_0_name = f"h1 (l1={ell1.value}) at 0+"
     for reason in (
         _match_reason("C", "lambda = -1", inner_m1, h2_at_m1, inner_m1_name, "h2 at -1+"),
@@ -241,8 +241,7 @@ def component_schedule(
     else:
         i1, i3 = ComponentChoice.MINUS, ComponentChoice.PLUS
         govern = (HKind.H1, choice.ell1)
-    ba = params.b / params.a
-    lim = cache.limit(govern[0], govern[1], ba, "left")
+    lim = limit(govern[0], govern[1], Edge.B_OVER_A)
     i4minus = ComponentChoice.MINUS if lim is LimitKind.ZERO else ComponentChoice.PLUS
     i4plus = ComponentChoice.PLUS if i4minus is ComponentChoice.MINUS else ComponentChoice.MINUS
     return ComponentSchedule(i1=i1, i2=ComponentChoice.BOTH, i3=i3, i4minus=i4minus, i4plus=i4plus)

@@ -140,9 +140,17 @@ def _require_params(args) -> SurfaceParams:
     return args.params
 
 
-def _require_lambda(args) -> float:
+def _require_lambda(args, alpha: float | None = None) -> float:
+    """--lambda, on a plane whose conics stay inside the float range.  They
+    are built from sums and doublings of Q^2 and |f| there, and of
+    (alpha + Q)^2 for an orbit conic, so four times each must be finite."""
     if args.lam is None:
         raise InputError("--lambda required")
+    q, f = q_value(args.params, args.lam), f_value(args.params, args.lam)
+    if not math.isfinite(4.0 * (q * q + abs(f))):
+        raise DomainError(f"Q^2 + |f| at lambda={args.lam!r} overflows the float range")
+    if alpha is not None and not math.isfinite(4.0 * (alpha + q) * (alpha + q)):
+        raise DomainError(f"(alpha + Q)^2 at alpha={alpha!r} overflows the float range")
     return args.lam
 
 
@@ -264,7 +272,7 @@ def _cmd_search_params(args):
 
 def _cmd_conic(args):
     params = _require_params(args)
-    lam = _require_lambda(args)
+    lam = _require_lambda(args, args.alpha if args.type == "orbit" else None)
     knob = args.theta
     if args.type == "orbit":
         knob = args.alpha if args.alpha is not None else -q_value(params, lam)

@@ -96,7 +96,9 @@ def companion_roots(coeffs) -> list[complex]:
     Eigenvalues of the companion matrix, each polished by one Newton step.
     The step is kept only when it reduces |p| and lands nearer its own
     eigenvalue than any other: near a multiple root p' almost vanishes and
-    an unguarded step can jump onto a different root.
+    an unguarded step can jump onto a different root.  Where evaluating p
+    overflows, the comparison fails on inf or NaN and the eigenvalue is kept
+    as it is; the caller sees the overflow in its own arithmetic.
     """
     cs = [complex(c) for c in coeffs]
     while len(cs) > 1 and cs[-1] == 0:
@@ -115,19 +117,20 @@ def companion_roots(coeffs) -> list[complex]:
     roots = list(np.linalg.eigvals(comp))
     dcs = [k * cs[k] for k in range(1, len(cs))]
     polished = []
-    for r in roots:
-        pr = evaluate(cs, r)
-        dpr = evaluate(dcs, r)
-        if abs(dpr) > 0:
-            cand = r - pr / dpr
-            if abs(evaluate(cs, cand)) < abs(pr):
-                step = abs(cand - r)
-                for other in roots:
-                    if other is not r and abs(cand - other) <= step:
-                        break
-                else:
-                    r = cand
-        polished.append(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in roots:
+            pr = evaluate(cs, r)
+            dpr = evaluate(dcs, r)
+            if abs(dpr) > 0:
+                cand = r - pr / dpr
+                if abs(evaluate(cs, cand)) < abs(pr):
+                    step = abs(cand - r)
+                    for other in roots:
+                        if other is not r and abs(cand - other) <= step:
+                            break
+                    else:
+                        r = cand
+            polished.append(r)
     return polished
 
 

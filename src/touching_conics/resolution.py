@@ -33,6 +33,17 @@ from .series import TruncatedSeries
 from .surface import SurfaceParams, disc_value, f_value, q_value, s_minus_q, sqrt_disc
 
 
+class Edge(enum.Enum):
+    """An end of the intervals on which f keeps its sign: a root of f or an
+    infinity.  Each value is the edge's label in the h tables."""
+
+    MINUS_INF = "-inf"
+    MINUS_ONE = "-1.0"
+    ZERO = "0.0"
+    B_OVER_A = "b/a"
+    PLUS_INF = "+inf"
+
+
 class LinearForm(enum.Enum):
     X0 = "X0"
     X1 = "X1"
@@ -59,15 +70,16 @@ class LinearForm(enum.Enum):
             return RealPolynomial((1.0, 1.0))
         return RealPolynomial((-params.b, params.a))
 
-    def zero_at(self, params: SurfaceParams) -> float | None:
-        """Where the restricted value vanishes (None for X1)."""
+    @property
+    def zero(self) -> Edge | None:
+        """The edge where the restricted value vanishes (None for X1)."""
         if self is LinearForm.X0:
-            return 0.0
+            return Edge.ZERO
         if self is LinearForm.X1:
             return None
         if self is LinearForm.X0_PLUS_X1:
-            return -1.0
-        return params.b / params.a
+            return Edge.MINUS_ONE
+        return Edge.B_OVER_A
 
     @staticmethod
     def parse(name: str) -> "LinearForm":

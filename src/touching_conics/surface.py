@@ -221,8 +221,15 @@ def _polish_double_root(params: SurfaceParams, x0: float) -> float:
 
 def _double_root_tol(params: SurfaceParams, x: float) -> float:
     """Size below which D = Q^2 - f and D' count as zero at x, scaled like
-    the terms of D there."""
-    return POLISH_TOL * (1.0 + abs(x) ** 4 * (1.0 + params.q0 * params.q0))
+    the terms of D there.  Raises where those terms leave the float range,
+    since an infinite or NaN tolerance would count any value there as zero."""
+    try:
+        tol = POLISH_TOL * (1.0 + abs(x) ** 4 * (1.0 + params.q0 * params.q0))
+    except OverflowError:
+        tol = math.inf
+    if not tol < math.inf:
+        raise InvalidParameterError(f"the terms of Q^2 - f overflow the float range at lam={x:.3e}")
+    return tol
 
 
 def _vanishing_order(params: SurfaceParams, derivs, x: float) -> int:
@@ -294,8 +301,9 @@ def validate(params: SurfaceParams) -> ValidationReport:
     # second double root
     c, b, a = deflate(deflate(p, lam0), lam0).coefficients
     v = -b / (2.0 * a)
+    tol = _double_root_tol(params, v)  # first: it raises where dv would overflow
     dv = (v - lam0) ** 2 * (c - b * b / (4.0 * a))
-    if dv <= _double_root_tol(params, v):
+    if dv <= tol:
         cond_i = CheckResult(False, v, f"Q^2 - f = (lam - lambda0)^2 r is {dv:.3e} at the vertex of r: a further real root")
     elif not (fl0 > 0.0 and ql0 > 0.0):
         cond_i = CheckResult(False, lam0, f"at the double root f={fl0:.3e}, Q={ql0:.3e}; need Q = +sqrt(f) > 0")

@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch: brute-force grids,
 raw companion-matrix roots through numpy, greedy pairing, single-linkage
 root clustering.  None of it calls back into the validation paths it
-certifies; the clustering starts from `poly.companion_roots`.
+certifies; the clustering starts from `poly.companion_roots`.  The last
+section, the radius-function handles and normal-bundle verdicts, is the
+exception: those wrap the package for the tests.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ from typing import Callable
 
 import numpy as np
 
+from touching_conics.analysis import RadiusAnalysis, _pair_key, _triple_key
 from touching_conics.errors import DomainError, InputError
 from touching_conics.poly import RealPolynomial, companion_roots, evaluate
+from touching_conics.resolution import HKind, ResolutionChoice, h_function
+from touching_conics.surface import Interval, SurfaceParams, f_value
 
 
 def dense_grid_certificate(params, lam0: float, n: int = 100_001) -> dict:
@@ -496,3 +501,80 @@ def pairing_by_bisection(h: Callable[[float], float], lam: float, crit: float, t
         else:
             x_out = mid
     return 0.5 * (x_in + x_out)
+
+
+# ---------------------------------------------------------------------------
+# radius-function handles and normal-bundle verdicts.  Unlike the oracles
+# above these call the package: they are the tests' view of it, and no path
+# from the command line needs them.
+
+
+def h_handle(kind: HKind, choice: ResolutionChoice, params: SurfaceParams) -> Callable[[float], float]:
+    return lambda lam: h_function(kind, choice, params, lam)
+
+
+class NormalBundleVerdict(enum.Enum):
+    BALANCED = "O(1)+O(1)"
+    DEGENERATE = "O+O(2)"
+
+
+class FamilyLabel(enum.Enum):
+    GEN_PLUS = "GenPlus"
+    GEN_MINUS = "GenMinus"
+    SP_PLUS = "SpPlus"
+    SP_MINUS = "SpMinus"
+    ORBIT = "Orbit"
+
+
+_FAMILY_TO_KIND = {
+    FamilyLabel.GEN_PLUS: HKind.H0,
+    FamilyLabel.GEN_MINUS: HKind.H0,
+    FamilyLabel.SP_PLUS: HKind.H1,
+    FamilyLabel.SP_MINUS: HKind.H3,
+    FamilyLabel.ORBIT: HKind.H2,
+}
+
+# Relative distance within which a plane counts as a critical one.  Callers
+# name a critical plane by a float from another route (a bisection or a
+# numeric scan agrees with the exact root to about 1e-7), and the window is
+# still narrow enough that of a thousand planes across I2 at most one is in it.
+_CRITICAL_MATCH_REL = 1e-6
+
+
+def normal_bundle_at(
+    kind: FamilyLabel,
+    choice: ResolutionChoice,
+    params: SurfaceParams,
+    lam: float,
+    cache: RadiusAnalysis | None = None,
+) -> NormalBundleVerdict:
+    """Degenerate exactly when lam sits at a critical point of the governing
+    radius function; Balanced otherwise."""
+    hkind = _FAMILY_TO_KIND[kind]
+    cache = cache or RadiusAnalysis(params)
+    part = cache.partition
+    f = f_value(params, lam)
+    if hkind in (HKind.H0, HKind.H2) and f <= 0.0:
+        raise DomainError(f"family {kind.value} lives where f > 0; f({lam}) = {f:.3e}")
+    if hkind in (HKind.H1, HKind.H3) and f >= 0.0:
+        raise DomainError(f"family {kind.value} lives where f < 0; f({lam}) = {f:.3e}")
+    if hkind is HKind.H0:
+        key = None
+    elif hkind is HKind.H1:
+        key = choice.ell1
+    elif hkind is HKind.H2:
+        key = _pair_key(choice)
+    else:
+        key = _triple_key(choice)
+
+    candidates: list[Interval] = []
+    for which in Interval:
+        lo, hi = part.bounds(which)
+        if lo < lam < hi:
+            candidates.append(which)
+    if not candidates:
+        raise DomainError(f"lam={lam} sits on an interval boundary")
+    for loc in cache.critical(hkind, key, cache.span(candidates[0], hkind)):
+        if abs(lam - loc) <= _CRITICAL_MATCH_REL * (1.0 + abs(lam)):
+            return NormalBundleVerdict.DEGENERATE
+    return NormalBundleVerdict.BALANCED

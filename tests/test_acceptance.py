@@ -20,11 +20,11 @@ from oracles import (
     endpoint_limit,
     expand_from_roots,
     expand_two_double_roots,
+    h_handle,
     quartic_double_double,
 )
 from touching_conics.analysis import (
     h0_pairing,
-    h_handle,
     k_profile,
     psi_check,
     verify_h_tables,

@@ -10,29 +10,31 @@ import numpy as np
 import pytest
 
 from oracles import (
+    FamilyLabel,
     LadderGaveUpError,
     LimitKind,
+    NormalBundleVerdict,
     ScanConfig,
     central_difference,
     critical_points,
     endpoint_limit,
+    h_handle,
+    normal_bundle_at,
     pairing_by_bisection,
     vanishing_order,
 )
 from touching_conics.analysis import (
-    FamilyLabel,
-    NormalBundleVerdict,
     RadiusAnalysis,
+    domain_side,
     h0_critical_on_i2,
     h0_pairing,
-    h_handle,
     k_profile,
-    normal_bundle_at,
+    limit,
     psi_check,
     verify_h_tables,
 )
 from touching_conics.errors import DomainError, InputError
-from touching_conics.resolution import HKind, LinearForm, ResolutionChoice, all_resolutions
+from touching_conics.resolution import Edge, HKind, LinearForm, ResolutionChoice, all_resolutions
 from touching_conics.surface import SearchConfig, f_value, intervals, params_for_q0, q_value
 
 
@@ -222,8 +224,8 @@ def test_derivative_residuals_at_reported_criticals(params_star):
 # ---------------------------------------------------------------------------
 # the exact counts and limits against the numeric scanner and ladder
 
-_F_NEGATIVE_ENDS = ((-math.inf, "left"), (-1.0, "left"), (0.0, "right"), ("b/a", "left"))
-_F_POSITIVE_ENDS = ((-1.0, "right"), (0.0, "left"), ("b/a", "right"), (math.inf, "right"))
+_F_NEGATIVE_ENDS = ((Edge.MINUS_INF, "left"), (Edge.MINUS_ONE, "left"), (Edge.ZERO, "right"), (Edge.B_OVER_A, "left"))
+_F_POSITIVE_ENDS = ((Edge.MINUS_ONE, "right"), (Edge.ZERO, "left"), (Edge.B_OVER_A, "right"), (Edge.PLUS_INF, "right"))
 
 
 def _oracle_sets(params_draws):
@@ -267,7 +269,8 @@ def test_exact_analysis_matches_oracles(params_draws, which):
     params = _oracle_sets(params_draws)[which]
     cache = RadiusAnalysis(params)
     expected = {(r.function, r.choice, r.check): r.expected for r in verify_h_tables(params, cache).rows}
-    ba = params.b / params.a
+    at = {Edge.MINUS_INF: -math.inf, Edge.MINUS_ONE: -1.0, Edge.ZERO: 0.0, Edge.B_OVER_A: params.b / params.a,
+          Edge.PLUS_INF: math.inf}
     for kind, key, choice, label in _functions():
         h = h_handle(kind, choice, params)
         for span, scan_span in _spans(kind, cache):
@@ -277,11 +280,11 @@ def test_exact_analysis_matches_oracles(params_draws, which):
             for x, pt in zip(exact, oracle.points):
                 assert abs(x - pt.location) < 1e-7 * (1.0 + abs(x))
         ends = _F_POSITIVE_ENDS if kind in (HKind.H0, HKind.H2) else _F_NEGATIVE_ENDS
-        for token, side in ends:
-            edge = ba if token == "b/a" else token
-            got = cache.limit(kind, key, edge, side)
+        for edge, side in ends:
+            assert domain_side(kind, edge) == side, (kind, edge)
+            got = limit(kind, key, edge)
             try:
-                ladder = endpoint_limit(h, edge, side).kind
+                ladder = endpoint_limit(h, at[edge], side).kind
             except LadderGaveUpError:
                 ladder = None
             if ladder in (LimitKind.ZERO, LimitKind.INFINITY):
@@ -290,11 +293,10 @@ def test_exact_analysis_matches_oracles(params_draws, which):
             # the ladder stops at 1e-10 and its 1e-4 / 1e4 thresholds: where
             # it settles on Finite or gives up, the table and the local
             # exponent decide
-            name = token if isinstance(token, str) else {-math.inf: "-inf", math.inf: "+inf"}.get(token, str(token))
-            row = expected.get((kind.value, label, f"limit at {name} ({side})"))
+            row = expected.get((kind.value, label, f"limit at {edge.value} ({side})"))
             if row is not None:
                 assert got.value == row, (kind, label, edge, side)
-            order = vanishing_order(h, edge, side)
+            order = vanishing_order(h, at[edge], side)
             assert abs(abs(order) - 0.5) < 0.05 and (order > 0) == (got.value == "Zero"), (kind, label, edge, order)
 
 
@@ -307,11 +309,14 @@ def test_h3_is_the_reciprocal_of_h1(params_star):
             assert abs(h1(lam) * h3(lam) - 1.0) < 1e-15
 
 
-def test_limit_rejects_regular_points_and_wrong_sides(params_star):
-    cache = RadiusAnalysis(params_star)
-    with pytest.raises(InputError):
-        cache.limit(HKind.H1, LinearForm.X0, -0.5, "left")
+def test_limit_rejects_regular_points_and_wrong_sides():
+    # an edge is a root of f or an infinity, and its side is derived, so only
+    # the infinity next to which a function is not defined is left to reject
     with pytest.raises(DomainError):
-        cache.limit(HKind.H1, LinearForm.X0, 0.0, "left")
+        limit(HKind.H1, LinearForm.X0, Edge.PLUS_INF)
     with pytest.raises(DomainError):
-        cache.limit(HKind.H2, frozenset((LinearForm.X0, LinearForm.X1)), -math.inf, "left")
+        limit(HKind.H3, frozenset((LinearForm.X0, LinearForm.X1, LinearForm.X0_PLUS_X1)), Edge.PLUS_INF)
+    with pytest.raises(DomainError):
+        limit(HKind.H2, frozenset((LinearForm.X0, LinearForm.X1)), Edge.MINUS_INF)
+    with pytest.raises(DomainError):
+        limit(HKind.H0, None, Edge.MINUS_INF)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
-from touching_conics.analysis import RadiusAnalysis, h_handle
+from touching_conics.analysis import RadiusAnalysis, _order, domain_side
 from touching_conics.classifier import (
     EXPECTED_SURVIVORS,
     ComponentChoice,
@@ -25,9 +25,10 @@ from touching_conics.classifier import (
 from touching_conics.cli import EXIT_FAIL, run
 from touching_conics.conics import ConicType
 from touching_conics.errors import NotFoundError, PreconditionError
-from touching_conics.resolution import HKind, LinearForm, ResolutionChoice
-from touching_conics.surface import SearchConfig, find_valid_params, q_value
-from oracles import central_difference
+from touching_conics.poly import derivative
+from touching_conics.resolution import Edge, HKind, LinearForm, ResolutionChoice
+from touching_conics.surface import SearchConfig, f_poly, find_valid_params, q_value
+from oracles import central_difference, h_handle
 
 
 SURVIVOR_PLUS = ResolutionChoice(LinearForm.X1, LinearForm.X0_PLUS_X1, LinearForm.X0)
@@ -174,10 +175,21 @@ def test_every_vanishing_order_is_half_on_the_admissible_region(a, b, gap, q0_mi
     # what the orders rest on: u = -f / (Q + s) vanishes to order 1 at each
     # root of f and grows like |lam| at infinity
     assert params.q0 > 0.0 and all(q_value(params, e) > 0.0 for e in roots)
+    # what the side of each limit rests on: f is a cubic with a positive
+    # leading coefficient, so f < 0 toward -inf and f > 0 toward +inf, and at
+    # each root f > 0 on the side the table gives for h0 and h2
+    f = f_poly(params)
+    assert f.degree == 3 and f.coefficients[-1] > 0.0
+    assert domain_side(HKind.H1, Edge.MINUS_INF) == domain_side(HKind.H3, Edge.MINUS_INF) == "left"
+    assert domain_side(HKind.H0, Edge.PLUS_INF) == domain_side(HKind.H2, Edge.PLUS_INF) == "right"
+    for edge, x in zip((Edge.MINUS_ONE, Edge.ZERO, Edge.B_OVER_A), roots):
+        positive = "right" if derivative(f)(x) > 0.0 else "left"
+        assert domain_side(HKind.H0, edge) == domain_side(HKind.H2, edge) == positive, edge
+        assert domain_side(HKind.H1, edge) == domain_side(HKind.H3, edge) != positive, edge
     for kind in HKind:
         for key in _keys(kind):
-            for edge in (-math.inf, math.inf, *roots):
-                assert abs(cache._order(kind, key, edge)) == 0.5, (kind, key, edge)
+            for edge in Edge:
+                assert abs(_order(kind, key, edge)) == 0.5, (kind, key, edge)
     assert set(classify(params, cache).outcome.survivors) == set(EXPECTED_SURVIVORS)
 
 

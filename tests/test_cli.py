@@ -359,9 +359,25 @@ def test_negative_exponent_values_parse_like_the_equals_form(star_arg, capsys, f
         # finite, but D's coefficients overflow once divided by the leading one
         (["--params", "1e-160,0,1,1,1", "validate"], EXIT_FAIL, "error: roots need finite coefficients"),
         (["--params", "1,1e200,1,1,1", "validate"], EXIT_FAIL, "error: roots need finite coefficients"),
+        # finite, but the terms built from them overflow: never a singular
+        # point or a conic at an overflowed location
+        (["--params", "1,0,1,1e300,1", "validate"], EXIT_FAIL,
+         "error: the terms of Q^2 - f overflow the float range at lam=2.500e+299"),
+        (["--params", "1e-84,0,1,1,1", "validate"], EXIT_FAIL,
+         "error: the terms of Q^2 - f overflow the float range at lam=5.000e+167"),
+        (["--params", "STAR", "--lambda", "1", "--alpha", "1e160", "conic", "--type", "orbit"], EXIT_FAIL,
+         "error: (alpha + Q)^2 at alpha=1e+160 overflows the float range"),
+        (["--params", "STAR", "--lambda", "1", "--alpha", "1e300", "conic", "--type", "orbit"], EXIT_FAIL,
+         "error: (alpha + Q)^2 at alpha=1e+300 overflows the float range"),
+        (["--params", "STAR", "--lambda", "1e200", "tangency"], EXIT_FAIL,
+         "error: Q^2 + |f| at lambda=1e+200 overflows the float range"),
+        (["--params", "STAR", "--lambda", "1e300", "conic", "--type", "generic"], EXIT_FAIL,
+         "error: Q^2 + |f| at lambda=1e+300 overflows the float range"),
     ],
     ids=["params-nan", "params-inf", "params-overflow", "params-file-inf", "q0-min-nan", "alpha-inf", "lambda-nan",
-         "theta-inf", "leading-underflow", "coefficient-overflow"],
+         "theta-inf", "leading-underflow", "coefficient-overflow", "double-root-terms-overflow",
+         "vertex-terms-overflow", "orbit-residual-overflow", "orbit-residual-far-overflow", "tangency-plane-overflow",
+         "conic-plane-overflow"],
 )
 def test_numbers_the_program_cannot_use_end_in_an_error_line(star_arg, tmp_path, capsys, argv, code, message):
     cfgfile = tmp_path / "params.cfg"
@@ -371,6 +387,16 @@ def test_numbers_the_program_cannot_use_end_in_an_error_line(star_arg, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err.splitlines()[0]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_report_bytes_equal_the_golden_documents(params_draws, capsys, which):
+    # tests/golden holds the report stdout of the three reference draws; a
+    # deliberate change of the document regenerates them
+    p = params_draws[which]
+    assert run(["--params", f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}", "report"]) == EXIT_OK
+    golden = Path(__file__).parent / "golden" / f"report_{which}.json"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 
 def test_report_is_built_from_the_subcommands_sections(params_draws, capsys):

@@ -12,6 +12,7 @@ import pytest
 from touching_conics.errors import DomainError, RealityError
 from touching_conics.resolution import (
     Bfun,
+    Edge,
     HKind,
     LinearForm,
     ResolutionChoice,
@@ -46,10 +47,14 @@ def test_resolution_choice_rejects_repeats():
 
 
 def test_linear_form_zeros(params_star):
-    assert LinearForm.X0.zero_at(params_star) == 0.0
-    assert LinearForm.X1.zero_at(params_star) is None
-    assert LinearForm.X0_PLUS_X1.zero_at(params_star) == -1.0
-    assert LinearForm.AX0_MINUS_BX1.zero_at(params_star) == params_star.b / params_star.a
+    assert LinearForm.X0.zero is Edge.ZERO
+    assert LinearForm.X1.zero is None
+    assert LinearForm.X0_PLUS_X1.zero is Edge.MINUS_ONE
+    assert LinearForm.AX0_MINUS_BX1.zero is Edge.B_OVER_A
+    # each zero is a root of the restricted value
+    at = {Edge.MINUS_ONE: -1.0, Edge.ZERO: 0.0, Edge.B_OVER_A: params_star.b / params_star.a}
+    for form in (LinearForm.X0, LinearForm.X0_PLUS_X1, LinearForm.AX0_MINUS_BX1):
+        assert form.restricted(params_star, at[form.zero]) == 0.0
 
 
 def test_B_definition_identities(params_star):
