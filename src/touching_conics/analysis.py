@@ -22,6 +22,7 @@ edge, so a limit is a function of (kind, key, edge) alone.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -85,10 +86,14 @@ def _sign_changes(
 
 
 class RadiusAnalysis:
-    """Exact critical points of the radius functions of one parameter set,
-    keyed by the data they depend on (h1: first form; h2: unordered pair; h3:
-    unordered triple).  They are memoized, so one instance serves every stage
-    of a run."""
+    """Exact critical points of the radius functions of one parameter set.
+
+    A radius function is keyed by the data it depends on (h1: first form;
+    h2: unordered pair; h3: unordered triple, read as h1 of the missing
+    form, since h3 = 1/h1 there).  Two memos serve every stage of a run:
+    the companion roots of the critical polynomial and the derivative's
+    sign function per (kind, key), built once per radius function, and the
+    critical points per (kind, key, span), read off those roots."""
 
     def __init__(self, params: SurfaceParams):
         self.params = params
@@ -96,7 +101,13 @@ class RadiusAnalysis:
         self.f = f_poly(params)
         self.q = Q_restricted(params)
         self._forms = {form: form.polynomial(params) for form in LinearForm}
+        self._roots: dict = {}
         self._critical: dict = {}
+
+    def work_counts(self) -> dict[str, int]:
+        """Distinct radius functions whose critical polynomial was solved,
+        and distinct spans whose critical points were served, so far."""
+        return {"critical_polynomials": len(self._roots), "critical_spans": len(self._critical)}
 
     def span(self, which: Interval, kind: HKind | None = None) -> tuple[float, float]:
         """Bounds of the interval; h2 is smooth through the double root, so
@@ -111,8 +122,10 @@ class RadiusAnalysis:
             kind, key = HKind.H1, _missing(key)
         k = (kind, key, span)
         if k not in self._critical:
-            poly, sign = self._derivative_data(kind, key)
-            roots = [float(r.real) for r in companion_roots(poly.coefficients)]
+            if (kind, key) not in self._roots:
+                poly, sign = self._derivative_data(kind, key)
+                self._roots[kind, key] = ([float(r.real) for r in companion_roots(poly.coefficients)], sign)
+            roots, sign = self._roots[kind, key]
             self._critical[k] = _sign_changes(roots, span[0], span[1], sign)
         return self._critical[k]
 
@@ -177,11 +190,14 @@ def domain_side(kind: HKind, edge: Edge) -> str:
     return side
 
 
+@functools.cache
 def limit(kind: HKind, key, edge: Edge) -> LimitKind:
     """Limit of the radius function at the edge, from the side it lives on.
 
     The class follows the sign of the vanishing order of the function there,
-    which is +-1/2, so the limit is never finite and nonzero."""
+    which is +-1/2, so the limit is never finite and nonzero.  It depends on
+    enums and frozensets only, so it is worked out once per process; an
+    undefined pair raises on every call, as exceptions are not cached."""
     domain_side(kind, edge)
     return LimitKind.ZERO if _order(kind, key, edge) > 0.0 else LimitKind.INFINITY
 
@@ -399,12 +415,15 @@ class PsiReport:
         )
 
 
+@functools.cache
 def psi_check(samples: int = 1000) -> PsiReport:
     """Monotonicity and boundary behavior of the radial profile.
 
     Strict increase on a log-spaced grid, k(0) = 0, values capped below 1
     with k(10^6) within 1e-5 of it, and a nonvanishing derivative of k(1/s)
-    at s = 0 (numerically, the one-sided difference quotient)."""
+    at s = 0 (numerically, the one-sided difference quotient).  It depends
+    on no parameter set, so each sample count is checked once per process;
+    the frozen report is shared."""
     if samples < 10:
         raise InputError("need at least 10 samples")
     rs = [10.0 ** (-6.0 + 12.0 * i / (samples - 1)) for i in range(samples)]

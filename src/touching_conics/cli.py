@@ -33,6 +33,7 @@ from .conics import (
     verify_touching,
 )
 from .errors import (
+    DegenerateConicError,
     DomainError,
     InputError,
     InvalidParameterError,
@@ -416,7 +417,7 @@ def _cmd_report(args):
         body["h_tables"], ok_h, t_h = _cmd_critical(args, cache)
         classification, ok_c, t_c = _cmd_classify(args, cache)
         body |= classification
-        timings |= t_h | t_c
+        timings |= t_h | t_c | cache.work_counts()
         ok = ok and ok_h and ok_c
     psi, ok_p, _ = _cmd_psi(args)
     return body | psi, ok and ok_p, timings
@@ -525,7 +526,9 @@ def run(argv: list[str]) -> int:
     except (InputError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (InvalidParameterError, DomainError, RealityError, PreconditionError, NotFoundError) as exc:
+    except (
+        InvalidParameterError, DomainError, DegenerateConicError, RealityError, PreconditionError, NotFoundError
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL
     return EXIT_OK if passed else EXIT_FAIL

@@ -40,6 +40,13 @@ _REAL_SLICE = np.array([[1, 0, 0], [0, 1, 1j], [0, 1, -1j]])
 # or a conic determinant counts as zero.
 REL_EPS = 1e-12
 
+# Share of its larger term below which the x1^2 coefficient of a branch
+# restriction, a difference, has cancelled past the precision the square
+# tests read: it keeps fewer than ten digits, and its rounding error passes
+# a tenth of their 1e-9 equality tolerance.  Both families reach it far out,
+# where sqrt|f| is small beside Q and the share falls like |lam|^(-1/2).
+CANCELLATION_FLOOR = 1e-6
+
 
 class ConicType(enum.Enum):
     GENERIC = "Generic"
@@ -292,7 +299,9 @@ def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> Ta
 
     A conic is reducible when |det| is within REL_EPS of the Hadamard bound,
     the product of the row norms; for the generic family that ratio is
-    (Q^2 - f) / (f + Q^2), which generic_conic keeps above REL_EPS.
+    (Q^2 - f) / (f + Q^2), which generic_conic keeps above REL_EPS.  A
+    restriction whose x1^2 coefficient cancels below CANCELLATION_FLOOR of
+    its terms raises DomainError: its square test would read rounding.
 
     The orbit-shaped conics are certified symbolically: substituting
     y2 y3 = alpha y1^2 leaves ((alpha + Q)^2 - f) y1^4, so containment in the
@@ -304,7 +313,8 @@ def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> Ta
     rows = conic.m.tolist()
     if _degenerate(rows):
         raise DegenerateConicError(
-            "conic matrix is singular: the conic is a union of lines (reducible member of the family)"
+            f"conic matrix is singular: |det| is at most {REL_EPS:g} times its Hadamard bound, so the conic "
+            "cannot be told from a union of lines"
         )
     gm, gp = branch_factors(params, lam)
 
@@ -340,6 +350,13 @@ def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> Ta
                 pinf_total,
                 pinfbar_total,
                 f"branch {name} restriction vanishes identically",
+            )
+        # rest[2] = m00 - 2 g m12 cancels only where its two terms are close,
+        # so comparing it with |m00| alone finds the same cancellations
+        if abs(rest[2]) < CANCELLATION_FLOOR * abs(rows[0][0]):
+            raise DomainError(
+                f"lost precision at lam={lam!r}: the x1^2 coefficient of the branch {name} restriction keeps "
+                f"{abs(rest[2] / rows[0][0]):.1e} of its terms, below {CANCELLATION_FLOOR:g}"
             )
         norm = _normalized(rest)
         nonzero = [k for k, c in enumerate(norm) if c != 0]

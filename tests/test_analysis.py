@@ -320,3 +320,34 @@ def test_limit_rejects_regular_points_and_wrong_sides():
         limit(HKind.H2, frozenset((LinearForm.X0, LinearForm.X1)), Edge.MINUS_INF)
     with pytest.raises(DomainError):
         limit(HKind.H0, None, Edge.MINUS_INF)
+
+
+def test_memoized_limits_and_psi_are_transparent():
+    # limit and psi_check are worked out once per process: the memo returns
+    # what the function computes, and an undefined pair or a bad sample count
+    # raises on every call, as exceptions are not cached
+    keys = {
+        HKind.H0: [None],
+        HKind.H1: list(LinearForm),
+        HKind.H2: [frozenset(c) for c in itertools.combinations(LinearForm, 2)],
+        HKind.H3: [frozenset(c) for c in itertools.combinations(LinearForm, 3)],
+    }
+    undefined = 0
+    for kind, edge in itertools.product(HKind, Edge):
+        for key in keys[kind]:
+            try:
+                expected = limit.__wrapped__(kind, key, edge)
+            except DomainError:
+                undefined += 1
+                for _ in range(2):
+                    with pytest.raises(DomainError):
+                        limit(kind, key, edge)
+                continue
+            assert limit(kind, key, edge) is expected
+            assert limit(kind, key, edge) is expected
+    # every radius function is undefined next to exactly one infinity
+    assert undefined == sum(len(k) for k in keys.values())
+    assert psi_check() == psi_check.__wrapped__()
+    for _ in range(2):
+        with pytest.raises(InputError):
+            psi_check(5)

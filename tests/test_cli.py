@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from touching_conics import analysis
 from touching_conics.analysis import RadiusAnalysis
 from touching_conics.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from touching_conics.surface import SearchConfig, lambda0, params_for_q0
@@ -161,11 +162,18 @@ def test_report_bundle_and_determinism(star_arg, tmp_path):
 
 def test_report_timings_opt_in(star_arg, tmp_path):
     out = tmp_path / "rt.json"
+    assert run(["--params", star_arg, "--out", str(out), "report"]) == EXIT_OK
+    untimed = _load(out)
     assert run(["--params", star_arg, "--timings", "--out", str(out), "report"]) == EXIT_OK
-    timings = _load(out)["timings"]
-    assert set(timings) == {"validate_s", "h_tables_s", "classify_s"}
+    doc = _load(out)
+    timings = doc.pop("timings")
+    assert doc == untimed
+    stages = {key: timings.pop(key) for key in ("validate_s", "h_tables_s", "classify_s")}
     # to the microsecond: every stage takes more than one, none reads 0
-    assert all(0.0 < v == round(v, 6) for v in timings.values())
+    assert all(0.0 < v == round(v, 6) for v in stages.values())
+    # 1 + 4 + 6 radius functions (h3 is h1 of the missing form) over
+    # 3 + 8 + 12 spans (h1 and h3 share theirs)
+    assert timings == {"critical_polynomials": 11, "critical_spans": 23}
 
 
 def test_tangency_timings_opt_in(star_arg, tmp_path):
@@ -210,6 +218,20 @@ def test_report_builds_one_analysis(star_arg, tmp_path, monkeypatch):
     monkeypatch.setattr(RadiusAnalysis, "__init__", counting)
     assert run(["--params", star_arg, "--out", str(tmp_path / "r.json"), "report"]) == EXIT_OK
     assert len(built) == 1
+
+
+def test_report_solves_each_radius_function_once(star_arg, capsys, monkeypatch):
+    # one companion-root call per distinct (kind, key), h3 read as h1 of the
+    # missing form, plus one per broken-pairing sample, in every report
+    calls = []
+    roots = analysis.companion_roots
+    monkeypatch.setattr(analysis, "companion_roots", lambda coeffs: calls.append(coeffs) or roots(coeffs))
+    for _ in range(2):
+        calls.clear()
+        assert run(["--params", star_arg, "report"]) == EXIT_OK
+        samples = json.loads(capsys.readouterr().out)["classification"]["broken_pairing"]["samples"]
+        assert len(samples) == 4
+        assert len(calls) == 11 + len(samples)
 
 
 def _q0_set(a, b, lambda0, q0):
@@ -373,11 +395,22 @@ def test_negative_exponent_values_parse_like_the_equals_form(star_arg, capsys, f
          "error: Q^2 + |f| at lambda=1e+200 overflows the float range"),
         (["--params", "STAR", "--lambda", "1e300", "conic", "--type", "generic"], EXIT_FAIL,
          "error: Q^2 + |f| at lambda=1e+300 overflows the float range"),
+        # finite, but so far out that sqrt|f| is lost beside Q: the special
+        # conic is singular to its tolerance, the generic conic's contact
+        # test would read rounding
+        (["--params", "STAR", "--lambda=-1e13", "conic", "--type", "special"], EXIT_FAIL,
+         "error: conic matrix is singular: |det| is at most 1e-12 times its Hadamard bound"),
+        (["--params", "STAR", "--lambda=-1e13", "tangency"], EXIT_FAIL,
+         "error: conic matrix is singular: |det| is at most 1e-12 times its Hadamard bound"),
+        (["--params", "STAR", "--lambda", "1e50", "conic", "--type", "generic"], EXIT_FAIL,
+         "error: lost precision at lam=1e+50: the x1^2 coefficient of the branch g- restriction keeps 0.0e+00"),
+        (["--params", "STAR", "--lambda", "1e50", "tangency"], EXIT_FAIL, "error: lost precision at lam=1e+50"),
     ],
     ids=["params-nan", "params-inf", "params-overflow", "params-file-inf", "q0-min-nan", "alpha-inf", "lambda-nan",
          "theta-inf", "leading-underflow", "coefficient-overflow", "double-root-terms-overflow",
          "vertex-terms-overflow", "orbit-residual-overflow", "orbit-residual-far-overflow", "tangency-plane-overflow",
-         "conic-plane-overflow"],
+         "conic-plane-overflow", "special-far-plane", "tangency-far-negative-plane", "generic-far-plane",
+         "tangency-far-plane"],
 )
 def test_numbers_the_program_cannot_use_end_in_an_error_line(star_arg, tmp_path, capsys, argv, code, message):
     cfgfile = tmp_path / "params.cfg"

@@ -218,6 +218,26 @@ def test_verify_touching_orbit_containment_boundary(params_star):
         assert rep.pinf_contact == 4 and rep.pinfbar_contact == 4
 
 
+def test_far_planes_certify_or_end_in_an_error(params_star):
+    # far out sqrt|f| is small beside Q: the x1^2 coefficient of each branch
+    # restriction cancels (to exactly 0 at 1e50) and the special conic nears
+    # its singularity tolerance; past 1e12 that is an error, never a verdict
+    # read off rounding
+    families = ((1.0, generic_conic, ConicType.GENERIC), (-1.0, special_conic, ConicType.SPECIAL))
+    for k in range(1, 75):
+        for sign, make, kind in families:
+            lam = sign * 10.0**k
+            conic = make(params_star, lam, 0.3)
+            if k <= 12:
+                assert verify_touching(conic, params_star, lam).kind is kind, lam
+            elif kind is ConicType.GENERIC:
+                with pytest.raises(DomainError, match="lost precision"):
+                    verify_touching(conic, params_star, lam)
+            else:
+                with pytest.raises(DegenerateConicError):
+                    verify_touching(conic, params_star, lam)
+
+
 def test_verify_touching_random_conic(params_star):
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
