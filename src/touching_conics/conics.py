@@ -40,10 +40,10 @@ _REAL_SLICE = np.array([[1, 0, 0], [0, 1, 1j], [0, 1, -1j]])
 # or a conic determinant counts as zero.
 REL_EPS = 1e-12
 
-# Share of its larger term below which the x1^2 coefficient of a branch
-# restriction, a difference, has cancelled past the precision the square
-# tests read: it keeps fewer than ten digits, and its rounding error passes
-# a tenth of their 1e-9 equality tolerance.  Both families reach it far out,
+# Share of m00 below which the x1^2 coefficient m00 - 2 g m12 of a branch
+# restriction has cancelled past the precision the square tests read: it
+# keeps fewer than ten digits, and its rounding error passes a tenth of
+# their 1e-9 equality tolerance.  Both families reach it far out,
 # where sqrt|f| is small beside Q and the share falls like |lam|^(-1/2).
 CANCELLATION_FLOOR = 1e-6
 
