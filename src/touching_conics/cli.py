@@ -24,14 +24,7 @@ from dataclasses import is_dataclass
 from . import __version__
 from .analysis import RadiusAnalysis, h0_critical_on_i2, h0_pairing, psi_check, verify_h_tables
 from .classifier import EXPECTED_SURVIVORS, classify
-from .conics import (
-    ConicCoeffs,
-    generic_conic,
-    min_real_form,
-    orbit_conic,
-    special_conic,
-    verify_touching,
-)
+from .conics import REALITY_TOL, ConicCoeffs, Plane, min_real_form, orbit_conic
 from .errors import (
     DegenerateConicError,
     DomainError,
@@ -42,16 +35,7 @@ from .errors import (
     RealityError,
 )
 from .resolution import HKind, LinearForm, ResolutionChoice, all_resolutions, h_function
-from .surface import (
-    SearchConfig,
-    SurfaceParams,
-    f_value,
-    find_valid_params,
-    intervals,
-    q_value,
-    singular_locus,
-    validate,
-)
+from .surface import SearchConfig, SurfaceParams, find_valid_params, intervals, singular_locus, validate
 
 SCHEMA = "report-v1"
 
@@ -141,18 +125,17 @@ def _require_params(args) -> SurfaceParams:
     return args.params
 
 
-def _require_lambda(args, alpha: float | None = None) -> float:
-    """--lambda, on a plane whose conics stay inside the float range.  They
-    are built from sums and doublings of Q^2 and |f| there, and of
-    (alpha + Q)^2 for an orbit conic, so four times each must be finite."""
+def _require_plane(args, alpha: float | None = None) -> Plane:
+    """The plane of --lambda.  Plane refuses one where the families' entries
+    overflow; an orbit conic's residual is built from (alpha + Q)^2, so four
+    times that must be finite too."""
+    params = _require_params(args)
     if args.lam is None:
         raise InputError("--lambda required")
-    q, f = q_value(args.params, args.lam), f_value(args.params, args.lam)
-    if not math.isfinite(4.0 * (q * q + abs(f))):
-        raise DomainError(f"Q^2 + |f| at lambda={args.lam!r} overflows the float range")
-    if alpha is not None and not math.isfinite(4.0 * (alpha + q) * (alpha + q)):
+    plane = Plane(params, args.lam)
+    if alpha is not None and not math.isfinite(4.0 * (alpha + plane.q) * (alpha + plane.q)):
         raise DomainError(f"(alpha + Q)^2 at alpha={alpha!r} overflows the float range")
-    return args.lam
+    return plane
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -165,11 +148,11 @@ def _record(rep) -> dict:
     return {**vars(rep), "passed": rep.passed}
 
 
-# each conic family's constructor, as a function of (params, lam, knob)
+# each conic family's constructor, as a function of (plane, knob)
 _CONICS = {
-    "generic": generic_conic,
-    "special": special_conic,
-    "orbit": lambda params, lam, alpha: orbit_conic(alpha),
+    "generic": Plane.generic,
+    "special": Plane.special,
+    "orbit": lambda plane, alpha: orbit_conic(alpha),
 }
 
 
@@ -179,9 +162,9 @@ def _conic_record(conic: ConicCoeffs, label: str, lam: float | None, knob: float
         "lambda": lam,
         "theta_or_alpha": knob,
         "type": label,
-        "matrix": [[_complex_pair(conic.m[i, j]) for j in range(3)] for i in range(3)],
+        "matrix": [[_complex_pair(z) for z in row] for row in conic.rows],
         "det": _complex_pair(det),
-        "min_real_form": min_real_form(conic) if conic.is_real(1e-8) else None,
+        "min_real_form": min_real_form(conic) if conic.is_real(REALITY_TOL) else None,
     }
 
 
@@ -272,35 +255,32 @@ def _cmd_search_params(args):
 
 
 def _cmd_conic(args):
-    params = _require_params(args)
-    lam = _require_lambda(args, args.alpha if args.type == "orbit" else None)
+    plane = _require_plane(args, args.alpha if args.type == "orbit" else None)
     knob = args.theta
     if args.type == "orbit":
-        knob = args.alpha if args.alpha is not None else -q_value(params, lam)
-    conic = _CONICS[args.type](params, lam, knob)
-    record = _conic_record(conic, args.type, lam, knob)
-    record["tangency"] = verify_touching(conic, params, lam).kind.value
+        knob = args.alpha if args.alpha is not None else -plane.q
+    conic = _CONICS[args.type](plane, knob)
+    record = _conic_record(conic, args.type, plane.lam, knob)
+    record["tangency"] = plane.conic_type(conic).value
     return {"conic": record}, True, None
 
 
 def _cmd_tangency(args):
-    params = _require_params(args)
-    lam = _require_lambda(args)
+    plane = _require_plane(args)
     t0 = time.perf_counter()
     n = args.grid
-    f = f_value(params, lam)
     angles = [2.0 * math.pi * k / n for k in range(n)]
-    if f > 0.0:
-        q = q_value(params, lam)
-        sf = math.sqrt(f)
-        alphas = [-q - sf + 2.0 * sf * k / n for k in range(1, n)]
+    if plane.f > 0.0:
+        sf = math.sqrt(plane.f)
+        alphas = [-plane.q - sf + 2.0 * sf * k / n for k in range(1, n)]
         sweeps = [("generic", angles, ("Generic",)), ("orbit", alphas, ("Orbit", "ContainedInB"))]
     else:
         sweeps = [("special", angles, ("Special",))]
     rows = []
     for family, knobs, accepted in sweeps:
+        make = _CONICS[family]
         for knob in knobs:
-            kind = verify_touching(_CONICS[family](params, lam, knob), params, lam).kind.value
+            kind = plane.conic_type(make(plane, knob)).value
             rows.append({"family": family, "knob": knob, "type": kind, "passed": kind in accepted})
     ok = all(r["passed"] for r in rows)
     return {"rows": rows, "passed": ok}, ok, {"tangency_s": _elapsed(t0), "conics": len(rows)}

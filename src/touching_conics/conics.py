@@ -10,6 +10,11 @@ restricting to each branch, and certifies emptiness of the real locus.
 
 Plane coordinates are ordered (y1, y2, y3); the real structure acts by
 (y1 : y2 : y3) -> (conj y1 : conj y3 : conj y2).
+
+A conic's matrix is kept as nested Python complex rows, and the surface data
+of a plane is read once per `Plane`: on a 3x3 matrix, numpy's cost per call
+exceeds the arithmetic, and a family sweep builds hundreds of conics on one
+plane.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +36,7 @@ from .errors import (
     PreconditionError,
 )
 from .poly import evaluate, square_root_roots
-from .surface import SurfaceParams, disc_value, f_value, q_value, s_minus_q, sqrt_disc
+from .surface import SurfaceParams, f_value, q_value, s_minus_q, sqrt_disc
 
 _SWAP23 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
 
@@ -47,6 +54,19 @@ REL_EPS = 1e-12
 # where sqrt|f| is small beside Q and the share falls like |lam|^(-1/2).
 CANCELLATION_FLOOR = 1e-6
 
+# Size of the orbit residual (alpha + Q)^2 - f, relative to its terms, up to
+# which an orbit conic lies on the surface.  A float alpha cannot make the
+# residual vanish exactly: the alphas -Q +- sqrt(f) leave a few ulps of the
+# terms, and 1e-9 keeps seven orders of magnitude above that.
+ORBIT_CONTAINMENT_REL = 1e-9
+
+# Mismatch, relative to the largest entry, up to which the conjugated and
+# swapped matrix is a unimodular multiple of the matrix, for the real-slice
+# form.  The families' matrices miss invariance by the rounding of exp and
+# sqrt, a few ulps; the Gram matrix drops what is left of the imaginary part,
+# so its least eigenvalue moves by about this share of the largest entry.
+REALITY_TOL = 1e-8
+
 
 class ConicType(enum.Enum):
     GENERIC = "Generic"
@@ -60,12 +80,13 @@ class ConicType(enum.Enum):
 @dataclass(frozen=True)
 class ConicCoeffs:
     """Symmetric 3x3 complex coefficient matrix, scaled so the entry of
-    largest modulus has modulus one."""
+    largest modulus has modulus one, as nested rows of Python complex
+    numbers."""
 
-    m: np.ndarray
+    rows: tuple[tuple[complex, complex, complex], ...]
 
     @staticmethod
-    def from_matrix(m: np.ndarray) -> "ConicCoeffs":
+    def from_matrix(m) -> "ConicCoeffs":
         m = np.asarray(m, dtype=complex)
         if m.shape != (3, 3):
             raise InputError("conic matrix must be 3x3")
@@ -74,12 +95,24 @@ class ConicCoeffs:
             top = max(abs(z) for row in rows for z in row)
             symmetric = _symmetric(rows, 1e-12 * (1.0 + top))
         except OverflowError:
-            raise InputError("conic matrix entries exceed the float range") from None
+            top, symmetric = math.inf, True
         if not symmetric:
             raise InputError("conic matrix must be symmetric")
         if top == 0.0:
             raise InputError("zero matrix is not a conic")
-        return ConicCoeffs(m / top)
+        # an infinite entry passes the symmetry test (inf == inf) and would
+        # scale to NaN
+        if top == math.inf:
+            raise InputError("conic matrix entries exceed the float range")
+        return _conic(rows)
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """The matrix as a read-only numpy array, built on first use, for the
+        determinant, the reality test and the real-slice form."""
+        m = np.array(self.rows, dtype=complex)
+        m.flags.writeable = False
+        return m
 
     def det(self) -> complex:
         return complex(np.linalg.det(self.m))
@@ -101,6 +134,21 @@ class ConicCoeffs:
         ms = _SWAP23 @ np.conj(self.m) @ _SWAP23
         i, j = np.unravel_index(np.argmax(np.abs(self.m)), (3, 3))
         return complex(ms[i, j] / self.m[i, j])
+
+
+def _conic(rows) -> ConicCoeffs:
+    """The conic of a finite, symmetric, nonzero 3x3 matrix, given by its
+    nested rows of Python complex or float numbers, scaled so the entry of
+    largest modulus has modulus one.
+
+    The scaling rounds as numpy's m / top: a complex division by top + 0j,
+    which multiplies by the reciprocal (Smith's method with a zero ratio).
+    Plain z / top rounds differently, and the exported matrix would change.
+    """
+    r0, r1, r2 = rows
+    s = 1.0 / max(map(abs, (*r0, *r1, *r2)))
+    e = [complex((z.real + z.imag * 0.0) * s, (z.imag - z.real * 0.0) * s) for z in (*r0, *r1, *r2)]
+    return ConicCoeffs((tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9])))
 
 
 def _isclose(x: complex, y: complex, atol: float) -> bool:
@@ -144,114 +192,193 @@ class TangencyReport:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class LinfIntersections:
-    """Radii and base intersection points of the generic family on the fixed
-    line y0 = y1 = 0, in the affine coordinate y2/y3."""
+class _Contact(NamedTuple):
+    """What decides a conic's type.  branches holds, per branch examined,
+    (name, normalised restriction, roots of its square root or None, contact
+    at Pinf, contact at PinfBar); it is None for an orbit-shaped conic, whose
+    type is read off alpha."""
 
-    h0: float
-    h0_inv: float
-    x2_outer: float
-    x2_inner: float
+    kind: ConicType
+    detail: str
+    pinf: int
+    pinfbar: int
+    branches: tuple | None
 
-    def points(self, theta: float) -> tuple[complex, complex]:
-        rot = cmath.exp(-1j * theta)
-        return self.x2_outer * rot, self.x2_inner * rot
+
+# ---------------------------------------------------------------------------
+# one plane: its surface data, the families on it, and the type of a conic
+
+
+class Plane:
+    """The surface data on the invariant plane y0 = lam y1, each value read
+    once: Q and f on construction, and on first use the branch factors and
+    the entries each circle family takes from them.  A value whose domain
+    check fails is not kept, so every use raises the same error.
+
+    The families' entries are sums and doublings of Q^2 and |f|, so a plane
+    where four times their sum overflows is refused: on every other plane
+    the families' matrices are finite, and symmetric by construction.
+    """
+
+    def __init__(self, params: SurfaceParams, lam: float):
+        self.params = params
+        self.lam = lam
+        self.q = q = q_value(params, lam)
+        self.f = f = f_value(params, lam)
+        if not math.isfinite(4.0 * (q * q + abs(f))):
+            raise DomainError(f"Q^2 + |f| at lambda={lam!r} overflows the float range")
+
+    @cached_property
+    def branch_factors(self) -> tuple[complex, complex]:
+        """(g_minus, g_plus) = (Q - sqrt(f), Q + sqrt(f)).
+
+        Real for f > 0, a conjugate pair for f < 0.  For f > 0 the factor of
+        smaller modulus is taken as (Q^2 - f) / (the larger one): near the
+        double-root plane Q - sqrt(f) cancels to a few digits, and the contact
+        test needs the restriction's coefficients to full relative precision.
+        Raises when the two factors coincide, i.e. on the double-root plane.
+        """
+        q, f = self.q, self.f
+        d = q * q - f
+        if abs(d) <= REL_EPS * (1.0 + q * q + abs(f)):
+            raise DegeneratePlaneError(f"branch factors coincide at lam={self.lam} (Q^2 - f = {d:.3e})")
+        if f > 0.0:
+            big = q + math.copysign(math.sqrt(f), q)
+            small = d / big
+            return (complex(small), complex(big)) if q >= 0.0 else (complex(big), complex(small))
+        root = cmath.sqrt(complex(f))
+        return q - root, q + root
+
+    @cached_property
+    def _generic_entries(self) -> tuple[float, float, float]:
+        """(2 (Q^2 - f), sqrt(f), Q), where the generic family exists."""
+        q, f = self.q, self.f
+        if f <= 0.0:
+            raise DomainError(f"no generic family at lam={self.lam}: f = {f:.3e} <= 0")
+        d = q * q - f
+        if d <= REL_EPS * (1.0 + q**2 + abs(f)):
+            raise DomainError(f"no generic family at lam={self.lam}: Q^2 - f = {d:.3e} vanishes")
+        return 2.0 * d, math.sqrt(f), q
+
+    @cached_property
+    def _special_entries(self) -> tuple[float, float]:
+        """(sqrt(Q^2 - f), B / 2), where the special family exists."""
+        if self.f >= 0.0:
+            raise DomainError(f"no special family at lam={self.lam}: f = {self.f:.3e} >= 0")
+        s = sqrt_disc(self.params, self.lam)
+        return s, 0.5 * math.sqrt(0.5 * s_minus_q(self.params, self.lam))
+
+    def generic(self, theta: float) -> ConicCoeffs:
+        """Member of the circle family avoiding both fixed points:
+
+            2 (Q^2 - f) y1^2 + sqrt(f) e^{i t} y2^2 + 2 Q y2 y3 + sqrt(f) e^{-i t} y3^2.
+        """
+        two_d, sf, q = self._generic_entries
+        rot = cmath.exp(1j * theta)
+        return _conic(((two_d, 0.0, 0.0), (0.0, sf * rot, q), (0.0, q, sf / rot)))
+
+    def special(self, theta: float) -> ConicCoeffs:
+        """Member of the circle family through both fixed points:
+
+            sqrt(Q^2 - f) y1^2 + B e^{i t} y1 y2 + B e^{-i t} y1 y3 + y2 y3,
+
+        with B = sqrt((sqrt(Q^2 - f) - Q) / 2); all square roots positive.
+        """
+        s, half_b = self._special_entries
+        rot = cmath.exp(1j * theta)
+        return _conic(((s, half_b * rot, half_b / rot), (half_b * rot, 0.0, 0.5), (half_b / rot, 0.5, 0.0)))
+
+    def conic_type(self, conic: ConicCoeffs) -> ConicType:
+        """The type verify_touching reports, without its contact records."""
+        return self._contact(conic.rows).kind
+
+    def _contact(self, rows) -> _Contact:
+        """The one decision of a conic's type; see verify_touching."""
+        if _degenerate(rows):
+            raise DegenerateConicError(
+                f"conic matrix is singular: |det| is at most {REL_EPS:g} times its Hadamard bound, so the conic "
+                "cannot be told from a union of lines"
+            )
+        gm, gp = self.branch_factors
+
+        alpha = _orbit_alpha(rows)
+        if alpha is not None:
+            resid = (alpha + self.q) ** 2 - self.f
+            scale = 1.0 + (alpha + self.q) ** 2 + abs(self.f)
+            if abs(resid) <= ORBIT_CONTAINMENT_REL * scale:
+                return _Contact(ConicType.CONTAINED_IN_B, "orbit conic lies on the surface", 4, 4, None)
+            return _Contact(ConicType.ORBIT, f"orbit residual {resid:.6e}", 4, 4, None)
+
+        branches = []
+        pinf_total = 0
+        pinfbar_total = 0
+        touching = True
+        for name, g in (("g-", gm), ("g+", gp)):
+            rest = _restriction(rows, g)
+            if not any(rest):
+                return _Contact(
+                    ConicType.CONTAINED_IN_B,
+                    f"branch {name} restriction vanishes identically",
+                    pinf_total,
+                    pinfbar_total,
+                    tuple(branches),
+                )
+            # rest[2] = m00 - 2 g m12 cancels only where its two terms are
+            # close, so comparing it with |m00| alone finds the same
+            # cancellations
+            if abs(rest[2]) < CANCELLATION_FLOOR * abs(rows[0][0]):
+                raise DomainError(
+                    f"lost precision at lam={self.lam!r}: the x1^2 coefficient of the branch {name} restriction "
+                    f"keeps {abs(rest[2] / rows[0][0]):.1e} of its terms, below {CANCELLATION_FLOOR:g}"
+                )
+            norm = _normalized(rest)
+            nonzero = [k for k, c in enumerate(norm) if c != 0]
+            pinf_mult = nonzero[0]
+            pinfbar_mult = 4 - nonzero[-1]
+            roots = square_root_roots(norm[nonzero[0] : nonzero[-1] + 1])
+            touching = touching and roots is not None
+            pinf_total += pinf_mult
+            pinfbar_total += pinfbar_mult
+            branches.append((name, norm, roots, pinf_mult, pinfbar_mult))
+
+        if not touching:
+            kind, detail = ConicType.NOT_TOUCHING, "a contact of odd order exists"
+        elif pinf_total == 0 and pinfbar_total == 0:
+            kind, detail = ConicType.GENERIC, ""
+        elif pinf_total == 2 and pinfbar_total == 2:
+            kind, detail = ConicType.SPECIAL, ""
+        elif pinf_total == 4 and pinfbar_total == 4:
+            kind, detail = ConicType.ORBIT, ""
+        else:
+            kind = ConicType.NOT_TOUCHING
+            detail = f"unbalanced fixed-point contact ({pinf_total}, {pinfbar_total})"
+        return _Contact(kind, detail, pinf_total, pinfbar_total, tuple(branches))
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def branch_factors(params: SurfaceParams, lam: float) -> tuple[complex, complex]:
-    """(g_minus, g_plus) = (Q - sqrt(f), Q + sqrt(f)).
-
-    Real for f > 0, a conjugate pair for f < 0.  For f > 0 the factor of
-    smaller modulus is taken as (Q^2 - f) / (the larger one): near the
-    double-root plane Q - sqrt(f) cancels to a few digits, and the contact
-    test needs the restriction's coefficients to full relative precision.
-    Raises when the two factors coincide, i.e. on the double-root plane.
-    """
-    q = q_value(params, lam)
-    f = f_value(params, lam)
-    d = q * q - f
-    if abs(d) <= REL_EPS * (1.0 + q * q + abs(f)):
-        raise DegeneratePlaneError(f"branch factors coincide at lam={lam} (Q^2 - f = {d:.3e})")
-    if f > 0.0:
-        big = q + math.copysign(math.sqrt(f), q)
-        small = d / big
-        return (complex(small), complex(big)) if q >= 0.0 else (complex(big), complex(small))
-    root = cmath.sqrt(complex(f))
-    return q - root, q + root
-
-
 def generic_conic(params: SurfaceParams, lam: float, theta: float) -> ConicCoeffs:
-    """Member of the circle family avoiding both fixed points:
-
-        2 (Q^2 - f) y1^2 + sqrt(f) e^{i t} y2^2 + 2 Q y2 y3 + sqrt(f) e^{-i t} y3^2.
-    """
-    f = f_value(params, lam)
-    if f <= 0.0:
-        raise DomainError(f"no generic family at lam={lam}: f = {f:.3e} <= 0")
-    d = disc_value(params, lam)
-    if d <= REL_EPS * (1.0 + q_value(params, lam) ** 2 + abs(f)):
-        raise DomainError(f"no generic family at lam={lam}: Q^2 - f = {d:.3e} vanishes")
-    sf = math.sqrt(f)
-    q = q_value(params, lam)
-    rot = cmath.exp(1j * theta)
-    m = np.array(
-        [
-            [2.0 * d, 0.0, 0.0],
-            [0.0, sf * rot, q],
-            [0.0, q, sf / rot],
-        ],
-        dtype=complex,
-    )
-    return ConicCoeffs.from_matrix(m)
+    """Plane(params, lam).generic(theta)."""
+    return Plane(params, lam).generic(theta)
 
 
 def special_conic(params: SurfaceParams, lam: float, theta: float) -> ConicCoeffs:
-    """Member of the circle family through both fixed points:
-
-        sqrt(Q^2 - f) y1^2 + B e^{i t} y1 y2 + B e^{-i t} y1 y3 + y2 y3,
-
-    with B = sqrt((sqrt(Q^2 - f) - Q) / 2); all square roots positive.
-    """
-    f = f_value(params, lam)
-    if f >= 0.0:
-        raise DomainError(f"no special family at lam={lam}: f = {f:.3e} >= 0")
-    s = sqrt_disc(params, lam)
-    bcoef = math.sqrt(0.5 * s_minus_q(params, lam))
-    rot = cmath.exp(1j * theta)
-    m = np.array(
-        [
-            [s, 0.5 * bcoef * rot, 0.5 * bcoef / rot],
-            [0.5 * bcoef * rot, 0.0, 0.5],
-            [0.5 * bcoef / rot, 0.5, 0.0],
-        ],
-        dtype=complex,
-    )
-    return ConicCoeffs.from_matrix(m)
+    """Plane(params, lam).special(theta)."""
+    return Plane(params, lam).special(theta)
 
 
 def orbit_conic(alpha: float) -> ConicCoeffs:
     """The orbit-closure conic y2 y3 = alpha y1^2."""
     if alpha == 0.0:
         raise DomainError("alpha = 0 gives a line pair, not a conic")
-    m = np.array(
-        [
-            [-alpha, 0.0, 0.0],
-            [0.0, 0.0, 0.5],
-            [0.0, 0.5, 0.0],
-        ],
-        dtype=complex,
-    )
-    return ConicCoeffs.from_matrix(m)
+    return _conic(((-alpha, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.5, 0.0)))
 
 
 def _orbit_alpha(rows) -> float | None:
     """Recover alpha if the conic (nested rows of its matrix) has the orbit
-    shape, else None.  orbit_conic writes literal zeros and from_matrix
+    shape, else None.  orbit_conic writes literal zeros and the normaliser
     scales by a positive real, so the shape and the reality of alpha are
     read exactly."""
     if rows[0][1] != 0 or rows[0][2] != 0 or rows[1][1] != 0 or rows[2][2] != 0 or rows[1][2] == 0:
@@ -276,13 +403,29 @@ def _restriction(rows, g: complex) -> tuple[complex, ...]:
 
 def _degenerate(rows) -> bool:
     """|det| within REL_EPS of the Hadamard bound, the product of the row
-    norms; det by cofactors along the first row."""
+    norms, of the matrix balanced by the congruence S m S, S = diag(s_i) with
+    s_i = 2^-e_i and e_i half the binary exponent of row i's norm.
+
+    Rows whose scales differ by a factor k lower the ratio of |det| to the
+    bound by about k, so without the congruence a smooth conic far out reads
+    as a line pair.  The congruence keeps the rank, and with powers of two
+    it is exact: det(S m S) = det(m) (s_0 s_1 s_2)^2, with det by cofactors
+    along the first row, and row i of S m S has norm s_i |row_i S|.
+    """
     (a, b, c), (d, e, f), (g, h, k) = rows
+    (ma, mb, mc), (md, me, mf), (mg, mh, mk) = [map(abs, row) for row in rows]
+    s0 = math.ldexp(1.0, -(math.frexp(math.hypot(ma, mb, mc))[1] // 2))
+    s1 = math.ldexp(1.0, -(math.frexp(math.hypot(md, me, mf))[1] // 2))
+    s2 = math.ldexp(1.0, -(math.frexp(math.hypot(mg, mh, mk))[1] // 2))
     det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
-    bound = 1.0
-    for x, y, z in rows:
-        bound *= math.hypot(x.real, x.imag, y.real, y.imag, z.real, z.imag)
-    return abs(det) <= REL_EPS * bound
+    norms = (
+        math.hypot(ma * s0, mb * s1, mc * s2)
+        * math.hypot(md * s0, me * s1, mf * s2)
+        * math.hypot(mg * s0, mh * s1, mk * s2)
+    )
+    # |det(S m S)| / prod_i s_i |row_i S|, multiplied out so that no
+    # partial product overflows
+    return abs(det) * s0 * s1 * s2 <= REL_EPS * norms
 
 
 def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> TangencyReport:
@@ -298,32 +441,23 @@ def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> Ta
     total fixed-point contact (0, 2 or 4).
 
     A conic is reducible when |det| is within REL_EPS of the Hadamard bound,
-    the product of the row norms; for the generic family that ratio is
-    (Q^2 - f) / (f + Q^2), which generic_conic keeps above REL_EPS.  A
-    restriction whose x1^2 coefficient cancels below CANCELLATION_FLOOR of
-    its terms raises DomainError: its square test would read rounding.
+    the product of the row norms, once the rows are balanced by a diagonal
+    congruence; for the generic family that ratio is (Q^2 - f) / (f + Q^2),
+    which the generic family keeps above REL_EPS.  A restriction whose x1^2
+    coefficient cancels below CANCELLATION_FLOOR of its terms raises
+    DomainError: its square test would read rounding.
 
     The orbit-shaped conics are certified symbolically: substituting
     y2 y3 = alpha y1^2 leaves ((alpha + Q)^2 - f) y1^4, so containment in the
-    surface is the vanishing of that residual.
+    surface is the vanishing of that residual, to ORBIT_CONTAINMENT_REL.
 
-    All of it runs on the matrix read once as nested Python complex numbers:
-    on a 3x3 matrix, numpy scalar arithmetic costs more than the arithmetic.
+    The type is Plane.conic_type's; this adds the contact records: the
+    sorted finite contacts, their residuals and the fixed-point contacts.
     """
-    rows = conic.m.tolist()
-    if _degenerate(rows):
-        raise DegenerateConicError(
-            f"conic matrix is singular: |det| is at most {REL_EPS:g} times its Hadamard bound, so the conic "
-            "cannot be told from a union of lines"
-        )
-    gm, gp = branch_factors(params, lam)
-
-    alpha = _orbit_alpha(rows)
-    if alpha is not None:
-        q = q_value(params, lam)
-        f = f_value(params, lam)
-        resid = (alpha + q) ** 2 - f
-        scale = 1.0 + (alpha + q) ** 2 + abs(f)
+    plane = Plane(params, lam)
+    rows = conic.rows
+    contact = plane._contact(rows)
+    if contact.branches is None:
         records = tuple(
             BranchRecord(
                 branch=name,
@@ -331,71 +465,22 @@ def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> Ta
                 contacts=(("Pinf", 2), ("PinfBar", 2)),
                 residual=0.0,
             )
-            for name, g in (("g-", gm), ("g+", gp))
+            for name, g in zip(("g-", "g+"), plane.branch_factors)
         )
-        if abs(resid) <= 1e-9 * scale:
-            return TangencyReport(ConicType.CONTAINED_IN_B, records, 4, 4, "orbit conic lies on the surface")
-        return TangencyReport(ConicType.ORBIT, records, 4, 4, f"orbit residual {resid:.6e}")
-
-    records = []
-    pinf_total = 0
-    pinfbar_total = 0
-    touching = True
-    for name, g in (("g-", gm), ("g+", gp)):
-        rest = _restriction(rows, g)
-        if not any(rest):
-            return TangencyReport(
-                ConicType.CONTAINED_IN_B,
-                tuple(records),
-                pinf_total,
-                pinfbar_total,
-                f"branch {name} restriction vanishes identically",
-            )
-        # rest[2] = m00 - 2 g m12 cancels only where its two terms are close,
-        # so comparing it with |m00| alone finds the same cancellations
-        if abs(rest[2]) < CANCELLATION_FLOOR * abs(rows[0][0]):
-            raise DomainError(
-                f"lost precision at lam={lam!r}: the x1^2 coefficient of the branch {name} restriction keeps "
-                f"{abs(rest[2] / rows[0][0]):.1e} of its terms, below {CANCELLATION_FLOOR:g}"
-            )
-        norm = _normalized(rest)
-        nonzero = [k for k, c in enumerate(norm) if c != 0]
-        pinf_mult = nonzero[0]
-        pinfbar_mult = 4 - nonzero[-1]
-        roots = square_root_roots(norm[nonzero[0] : nonzero[-1] + 1])
-        if roots is None:
-            touching = False
-            roots = []
-        contacts: list[tuple[object, int]] = [
-            (complex(z), 2) for z in sorted(roots, key=lambda z: (z.real, z.imag))
-        ]
-        residual = max((abs(evaluate(norm, z)) for z in roots), default=0.0)
-        if pinf_mult:
-            contacts.append(("Pinf", pinf_mult))
-        if pinfbar_mult:
-            contacts.append(("PinfBar", pinfbar_mult))
-        pinf_total += pinf_mult
-        pinfbar_total += pinfbar_mult
-        records.append(
-            BranchRecord(branch=name, restriction=norm, contacts=tuple(contacts), residual=residual)
-        )
-
-    if not touching:
-        kind = ConicType.NOT_TOUCHING
-        detail = "a contact of odd order exists"
-    elif pinf_total == 0 and pinfbar_total == 0:
-        kind = ConicType.GENERIC
-        detail = ""
-    elif pinf_total == 2 and pinfbar_total == 2:
-        kind = ConicType.SPECIAL
-        detail = ""
-    elif pinf_total == 4 and pinfbar_total == 4:
-        kind = ConicType.ORBIT
-        detail = ""
     else:
-        kind = ConicType.NOT_TOUCHING
-        detail = f"unbalanced fixed-point contact ({pinf_total}, {pinfbar_total})"
-    return TangencyReport(kind, tuple(records), pinf_total, pinfbar_total, detail)
+        records = tuple(_branch_record(*branch) for branch in contact.branches)
+    return TangencyReport(contact.kind, records, contact.pinf, contact.pinfbar, contact.detail)
+
+
+def _branch_record(name: str, norm, roots, pinf_mult: int, pinfbar_mult: int) -> BranchRecord:
+    roots = roots or []
+    contacts: list[tuple[object, int]] = [(complex(z), 2) for z in sorted(roots, key=lambda z: (z.real, z.imag))]
+    residual = max((abs(evaluate(norm, z)) for z in roots), default=0.0)
+    if pinf_mult:
+        contacts.append(("Pinf", pinf_mult))
+    if pinfbar_mult:
+        contacts.append(("PinfBar", pinfbar_mult))
+    return BranchRecord(branch=name, restriction=norm, contacts=tuple(contacts), residual=residual)
 
 
 def _normalized(coeffs) -> tuple[complex, ...]:
@@ -417,7 +502,7 @@ def real_slice_gram(conic: ConicCoeffs) -> np.ndarray:
     the map from (t, Re z, Im z) to the point, its symmetric 3x3 Gram matrix
     is Re(P^T (mu m) P).
     """
-    if not conic.is_real(1e-8):
+    if not conic.is_real(REALITY_TOL):
         raise PreconditionError("conic is not invariant under the real structure")
     mu = cmath.exp(0.5j * cmath.phase(conic.reality_factor()))
     return (_REAL_SLICE.T @ (mu * conic.m) @ _REAL_SLICE).real
@@ -428,61 +513,3 @@ def min_real_form(conic: ConicCoeffs) -> float:
     real slice, i.e. the smallest Gram eigenvalue; strictly positive means
     the conic has no real point."""
     return float(np.linalg.eigvalsh(real_slice_gram(conic))[0])
-
-
-def generic_positivity_bound(params: SurfaceParams, lam: float) -> float:
-    """Closed-form positive lower bound for the generic family's real form.
-
-    From Q > sqrt(f):  form >= (Q^2 - f) t^2 + (Q - sqrt(f)) |y2|^2; the
-    smaller coefficient bounds the minimum.  Rescaled by the same factor the
-    conic constructor uses, so it is directly comparable to min_real_form.
-    """
-    f = f_value(params, lam)
-    if f <= 0.0:
-        raise DomainError("bound applies where f > 0")
-    d = disc_value(params, lam)
-    q = q_value(params, lam)
-    top = max(2.0 * d, math.sqrt(f), q)
-    return min(d, q - math.sqrt(f)) / top
-
-
-def special_positivity_bound(params: SurfaceParams, lam: float) -> float:
-    """Closed-form positive lower bound for the special family's real form.
-
-    Completing the square gives form >= (|y2| - B t)^2 + ((s + Q)/2) t^2 with
-    s = sqrt(Q^2 - f); the bound is the least eigenvalue of that quadratic in
-    (t, |y2|), rescaled like the constructor's matrix."""
-    f = f_value(params, lam)
-    if f >= 0.0:
-        raise DomainError("bound applies where f < 0")
-    s = sqrt_disc(params, lam)
-    q = q_value(params, lam)
-    b2 = 0.5 * s_minus_q(params, lam)
-    quad = np.array([[b2 + 0.5 * (s + q), -math.sqrt(b2)], [-math.sqrt(b2), 1.0]])
-    top = max(s, 0.5 * math.sqrt(b2), 0.5)
-    return float(np.linalg.eigvalsh(quad)[0]) / top
-
-
-def linf_radii(params: SurfaceParams, lam: float) -> LinfIntersections:
-    """Where the generic family meets the fixed line, as radii in y2/y3.
-
-    The two radii are h0 = (Q + sqrt(Q^2 - f)) / sqrt(f) and its reciprocal;
-    the intersection points at family angle t sit at x2 = base * e^{-i t}.
-    """
-    f = f_value(params, lam)
-    if f <= 0.0:
-        raise DomainError(f"fixed-line radii need f > 0; f({lam}) = {f:.3e}")
-    d = disc_value(params, lam)
-    if d <= 0.0:
-        raise DomainError(f"fixed-line radii undefined on the double-root plane (Q^2 - f = {d:.3e})")
-    q = q_value(params, lam)
-    s = math.sqrt(d)
-    sf = math.sqrt(f)
-    h0 = (q + s) / sf
-    h0_inv = sf / (q + s)
-    return LinfIntersections(
-        h0=h0,
-        h0_inv=h0_inv,
-        x2_outer=(-q - s) / sf,
-        x2_inner=(-q + s) / sf,
-    )

@@ -4,12 +4,14 @@ Everything here is deliberately written from scratch: brute-force grids,
 raw companion-matrix roots through numpy, greedy pairing, single-linkage
 root clustering.  None of it calls back into the validation paths it
 certifies; the clustering starts from `poly.companion_roots`.  The last
-section, the radius-function handles and normal-bundle verdicts, is the
-exception: those wrap the package for the tests.
+two sections, the radius-function handles and normal-bundle verdicts, and
+the closed forms of the conic families, are the exception: those wrap the
+package for the tests.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import warnings
@@ -22,7 +24,7 @@ from touching_conics.analysis import RadiusAnalysis, _pair_key, _triple_key
 from touching_conics.errors import DomainError, InputError
 from touching_conics.poly import RealPolynomial, companion_roots, evaluate
 from touching_conics.resolution import HKind, ResolutionChoice, h_function
-from touching_conics.surface import Interval, SurfaceParams, f_value
+from touching_conics.surface import Interval, SurfaceParams, disc_value, f_value, q_value, s_minus_q, sqrt_disc
 
 
 def dense_grid_certificate(params, lam0: float, n: int = 100_001) -> dict:
@@ -205,9 +207,13 @@ def allclose_symmetric(m) -> bool:
 
 
 def lapack_degenerate(m, rel_eps: float) -> bool:
-    """The degeneracy test `verify_touching` made through numpy: |det| by LU
-    factorization against the product of the row norms."""
+    """The degeneracy test `verify_touching` made through numpy: the matrix
+    balanced by the congruence with diag(2^-e_i), e_i half the binary
+    exponent of row i's norm, then |det| by LU factorization against the
+    product of the row norms."""
     m = np.asarray(m, dtype=complex)
+    s = np.array([2.0 ** -(math.frexp(n)[1] // 2) for n in np.linalg.norm(m, axis=1)])
+    m = s[:, None] * m * s[None, :]
     return bool(abs(np.linalg.det(m)) <= rel_eps * float(np.prod(np.linalg.norm(m, axis=1))))
 
 
@@ -578,3 +584,82 @@ def normal_bundle_at(
         if abs(lam - loc) <= _CRITICAL_MATCH_REL * (1.0 + abs(lam)):
             return NormalBundleVerdict.DEGENERATE
     return NormalBundleVerdict.BALANCED
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the conic families on one plane: where the generic family
+# meets the fixed line, and lower bounds of the families' real forms.  No
+# path from the command line needs them; min_real_form certifies the forms.
+
+
+@dataclass(frozen=True)
+class LinfIntersections:
+    """Radii and base intersection points of the generic family on the fixed
+    line y0 = y1 = 0, in the affine coordinate y2/y3."""
+
+    h0: float
+    h0_inv: float
+    x2_outer: float
+    x2_inner: float
+
+    def points(self, theta: float) -> tuple[complex, complex]:
+        rot = cmath.exp(-1j * theta)
+        return self.x2_outer * rot, self.x2_inner * rot
+
+
+def generic_positivity_bound(params: SurfaceParams, lam: float) -> float:
+    """Closed-form positive lower bound for the generic family's real form.
+
+    From Q > sqrt(f):  form >= (Q^2 - f) t^2 + (Q - sqrt(f)) |y2|^2; the
+    smaller coefficient bounds the minimum.  Rescaled by the same factor the
+    conic constructor uses, so it is directly comparable to min_real_form.
+    """
+    f = f_value(params, lam)
+    if f <= 0.0:
+        raise DomainError("bound applies where f > 0")
+    d = disc_value(params, lam)
+    q = q_value(params, lam)
+    top = max(2.0 * d, math.sqrt(f), q)
+    return min(d, q - math.sqrt(f)) / top
+
+
+def special_positivity_bound(params: SurfaceParams, lam: float) -> float:
+    """Closed-form positive lower bound for the special family's real form.
+
+    Completing the square gives form >= (|y2| - B t)^2 + ((s + Q)/2) t^2 with
+    s = sqrt(Q^2 - f); the bound is the least eigenvalue of that quadratic in
+    (t, |y2|), rescaled like the constructor's matrix."""
+    f = f_value(params, lam)
+    if f >= 0.0:
+        raise DomainError("bound applies where f < 0")
+    s = sqrt_disc(params, lam)
+    q = q_value(params, lam)
+    b2 = 0.5 * s_minus_q(params, lam)
+    quad = np.array([[b2 + 0.5 * (s + q), -math.sqrt(b2)], [-math.sqrt(b2), 1.0]])
+    top = max(s, 0.5 * math.sqrt(b2), 0.5)
+    return float(np.linalg.eigvalsh(quad)[0]) / top
+
+
+def linf_radii(params: SurfaceParams, lam: float) -> LinfIntersections:
+    """Where the generic family meets the fixed line, as radii in y2/y3.
+
+    The two radii are h0 = (Q + sqrt(Q^2 - f)) / sqrt(f) and its reciprocal;
+    the intersection points at family angle t sit at x2 = base * e^{-i t}.
+    """
+    f = f_value(params, lam)
+    if f <= 0.0:
+        raise DomainError(f"fixed-line radii need f > 0; f({lam}) = {f:.3e}")
+    d = disc_value(params, lam)
+    if d <= 0.0:
+        raise DomainError(f"fixed-line radii undefined on the double-root plane (Q^2 - f = {d:.3e})")
+    q = q_value(params, lam)
+    s = math.sqrt(d)
+    sf = math.sqrt(f)
+    h0 = (q + s) / sf
+    h0_inv = sf / (q + s)
+    return LinfIntersections(
+        h0=h0,
+        h0_inv=h0_inv,
+        x2_outer=(-q - s) / sf,
+        x2_inner=(-q + s) / sf,
+    )
