@@ -30,7 +30,7 @@ from typing import Callable
 from .errors import DomainError, InputError, PreconditionError
 from .poly import RealPolynomial, companion_roots, deflate, derivative
 from .resolution import Edge, HKind, LinearForm, ResolutionChoice
-from .surface import Interval, Q_restricted, SurfaceParams, f_poly, f_value, intervals, q_value, s_minus_q
+from .surface import Interval, IntervalPartition, Q_restricted, SurfaceParams, f_poly, f_value, q_value, s_minus_q
 
 
 class LimitKind(enum.Enum):
@@ -86,7 +86,7 @@ def _sign_changes(
 
 
 class RadiusAnalysis:
-    """Exact critical points of the radius functions of one parameter set.
+    """Exact critical points of the radius functions of one admissible set and its partition.
 
     A radius function is keyed by the data it depends on (h1: first form;
     h2: unordered pair; h3: unordered triple, read as h1 of the missing
@@ -95,9 +95,9 @@ class RadiusAnalysis:
     sign function per (kind, key), built once per radius function, and the
     critical points per (kind, key, span), read off those roots."""
 
-    def __init__(self, params: SurfaceParams):
+    def __init__(self, params: SurfaceParams, partition: IntervalPartition):
         self.params = params
-        self.partition = intervals(params)
+        self.partition = partition
         self.f = f_poly(params)
         self.q = Q_restricted(params)
         self._forms = {form: form.polynomial(params) for form in LinearForm}
@@ -207,8 +207,8 @@ def _order(kind: HKind, key, edge: Edge) -> float:
     |lam|^d at infinity counts as order -d.
 
     u = -f / (Q + s) vanishes to order 1 at each root of f and grows like
-    |lam| at infinity on admissible parameters, the only ones a
-    RadiusAnalysis accepts: Q > 0 at -1, 0 and b/a, and q0 > 0."""
+    |lam| at infinity on admissible parameters, the only ones
+    surface.partition accepts: Q > 0 at -1, 0 and b/a, and q0 > 0."""
     if kind is HKind.H3:
         return -_order(HKind.H1, _missing(key), edge)
     if edge in (Edge.MINUS_INF, Edge.PLUS_INF):
@@ -299,14 +299,13 @@ def _pair_label(key: frozenset) -> str:
     return "{" + ",".join(sorted(f.value for f in key)) + "}"
 
 
-def verify_h_tables(params: SurfaceParams, cache: RadiusAnalysis | None = None) -> HTableReport:
+def verify_h_tables(analysis: RadiusAnalysis) -> HTableReport:
     """Recompute every critical-point count and endpoint limit the
     classification relies on, and compare with the expected tables."""
-    cache = cache or RadiusAnalysis(params)
     rows: list[TableRow] = []
 
     def count_row(fn: str, label: str, kind: HKind, key, which: Interval, expected: int, name: str = ""):
-        count = len(cache.critical(kind, key, cache.span(which, kind)))
+        count = len(analysis.critical(kind, key, analysis.span(which, kind)))
         check = f"count on {name or which.value}"
         rows.append(TableRow(fn, label, check, str(expected), str(count), count == expected))
 
@@ -349,17 +348,22 @@ def verify_h_tables(params: SurfaceParams, cache: RadiusAnalysis | None = None) 
 # ---------------------------------------------------------------------------
 # the broken pairing of the generic family inside I2
 
+# A plane this close to the critical one counts as it: the pairing quartic
+# has a double root there, and lam is its own partner.  The partner stays
+# undetermined out to about 1e-8 (sqrt of the machine epsilon) on params_star,
+# where g = Q / sqrt(f) is within rounding of its minimum.
+CRITICAL_PLANE_TOL = 1e-9
 
-def h0_critical_on_i2(params: SurfaceParams, cache: RadiusAnalysis | None = None) -> float:
+
+def h0_critical_on_i2(analysis: RadiusAnalysis) -> float:
     """The unique degeneration location of the generic family inside I2."""
-    cache = cache or RadiusAnalysis(params)
-    locs = cache.critical(HKind.H0, None, cache.span(Interval.I2))
+    locs = analysis.critical(HKind.H0, None, analysis.span(Interval.I2))
     if len(locs) != 1:
         raise PreconditionError(f"expected a unique critical point on I2, found {len(locs)}")
     return locs[0]
 
 
-def h0_pairing(params: SurfaceParams, lam: float, cache: RadiusAnalysis | None = None) -> float:
+def h0_pairing(analysis: RadiusAnalysis, lam: float) -> float:
     """The partner plane of a broken fibration: for non-critical lam in I2,
     the unique mu on the other side of the critical point with equal h0.
 
@@ -371,12 +375,11 @@ def h0_pairing(params: SurfaceParams, lam: float, cache: RadiusAnalysis | None =
     on the far side, the partner is the one nearest the real axis."""
     if not -1.0 < lam < 0.0:
         raise DomainError(f"pairing is defined for lam in I2, got {lam}")
-    cache = cache or RadiusAnalysis(params)
-    crit = h0_critical_on_i2(params, cache)
-    if abs(lam - crit) <= 1e-9:
+    crit = h0_critical_on_i2(analysis)
+    if abs(lam - crit) <= CRITICAL_PLANE_TOL:
         raise DomainError("lam is the critical plane; no partner exists")
-    c = q_value(params, lam) ** 2 / f_value(params, lam)
-    quartic = cache.q * cache.q - cache.f.scale(c)
+    c = q_value(analysis.params, lam) ** 2 / f_value(analysis.params, lam)
+    quartic = analysis.q * analysis.q - analysis.f.scale(c)
     lo, hi = (crit, 0.0) if lam < crit else (-1.0, crit)
     roots = [r for r in companion_roots(quartic.coefficients) if lo < r.real < hi]
     if not roots:

@@ -25,7 +25,7 @@ from .analysis import LimitKind, RadiusAnalysis, _pair_key, _triple_key, limit
 from .conics import ConicType
 from .errors import PreconditionError
 from .resolution import Edge, HKind, LinearForm, ResolutionChoice, all_resolutions
-from .surface import Interval, SurfaceParams
+from .surface import Interval
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class ComponentSchedule:
         return (first, 2, third)
 
 
-def assign_types(params: SurfaceParams) -> TypeAssignment:
+def assign_types() -> TypeAssignment:
     """The interval-to-family table for candidate fiber images.
 
     Fixed for every admissible parameter set: the special families exist only
@@ -136,18 +136,14 @@ def _match_reason(
     )
 
 
-def _trace(
-    cache: RadiusAnalysis,
-    choice: ResolutionChoice,
-    hyp: Hypothesis,
-) -> EliminationTrace:
+def _trace(analysis: RadiusAnalysis, choice: ResolutionChoice, hyp: Hypothesis) -> EliminationTrace:
     reasons: list[Reason] = []
     pair = _pair_key(choice)
     triple = _triple_key(choice)
     ell1 = choice.ell1
 
     # A: orbit-family degeneration inside I2
-    locs = cache.critical(HKind.H2, pair, cache.span(Interval.I2))
+    locs = analysis.critical(HKind.H2, pair, analysis.span(Interval.I2))
     if locs:
         reasons.append(Reason("A", f"h2 of {sorted(f.value for f in pair)} has a critical point on I2", locs[0]))
 
@@ -158,10 +154,10 @@ def _trace(
     else:
         govern_i1 = (HKind.H3, triple, "h3")
         govern_i3 = (HKind.H1, ell1, f"h1 (l1={ell1.value})")
-    locs = cache.critical(govern_i1[0], govern_i1[1], cache.span(Interval.I1))
+    locs = analysis.critical(govern_i1[0], govern_i1[1], analysis.span(Interval.I1))
     if locs:
         reasons.append(Reason("B", f"{govern_i1[2]} has a critical point on I1", locs[0]))
-    locs = cache.critical(govern_i3[0], govern_i3[1], cache.span(Interval.I3))
+    locs = analysis.critical(govern_i3[0], govern_i3[1], analysis.span(Interval.I3))
     if locs:
         reasons.append(Reason("B", f"{govern_i3[2]} has a critical point on I3", locs[0]))
 
@@ -189,15 +185,14 @@ def _trace(
     return EliminationTrace(choice=choice, hypothesis=hyp, verdict=verdict, reasons=tuple(reasons))
 
 
-def eliminate(params: SurfaceParams, cache: RadiusAnalysis | None = None) -> EliminationOutcome:
+def eliminate(analysis: RadiusAnalysis) -> EliminationOutcome:
     """Run all 24 x 2 hypothesis checks with full traces.
 
-    Every verdict is decided: building the cache requires admissible
-    parameters, and on those every endpoint limit is Zero or Infinity, so
+    Every verdict is decided: the analysis holds an admissible set's
+    partition, and on those sets every endpoint limit is Zero or Infinity, so
     each hypothesis either survives or is eliminated with its reasons.
     """
-    cache = cache or RadiusAnalysis(params)
-    traces = tuple(_trace(cache, choice, hyp) for choice in all_resolutions() for hyp in Hypothesis)
+    traces = tuple(_trace(analysis, choice, hyp) for choice in all_resolutions() for hyp in Hypothesis)
     survivors = tuple((t.choice, t.hypothesis) for t in traces if t.verdict is Verdict.SURVIVES)
     return EliminationOutcome(survivors=survivors, traces=traces)
 
@@ -214,11 +209,7 @@ EXPECTED_SURVIVORS = (
 )
 
 
-def component_schedule(
-    choice: ResolutionChoice,
-    params: SurfaceParams,
-    cache: RadiusAnalysis | None = None,
-) -> ComponentSchedule:
+def component_schedule(choice: ResolutionChoice, analysis: RadiusAnalysis) -> ComponentSchedule:
     """Which irreducible component carries the candidate fibers per interval.
 
     I1 follows the surviving hypothesis and I3 is its opposite; over I2 both
@@ -230,8 +221,7 @@ def component_schedule(
     singles out the reciprocal-radius side.  By convention Plus over I4 names
     the component meeting the fixed line in the larger circle.
     """
-    cache = cache or RadiusAnalysis(params)
-    matching = [tr for tr in (_trace(cache, choice, h) for h in Hypothesis) if tr.verdict is Verdict.SURVIVES]
+    matching = [tr for tr in (_trace(analysis, choice, h) for h in Hypothesis) if tr.verdict is Verdict.SURVIVES]
     if not matching:
         raise PreconditionError(f"{choice.label()} is not a surviving resolution")
     hyp = matching[0].hypothesis
@@ -254,15 +244,9 @@ class ClassificationReport:
     schedules: tuple[tuple[ResolutionChoice, Hypothesis, ComponentSchedule], ...]
 
 
-def classify(params: SurfaceParams, cache: RadiusAnalysis | None = None) -> ClassificationReport:
+def classify(analysis: RadiusAnalysis) -> ClassificationReport:
     """Full pipeline: type table, elimination with traces, and the component
     schedules of the survivors."""
-    cache = cache or RadiusAnalysis(params)
-    outcome = eliminate(params, cache=cache)
-    schedules = tuple(
-        (choice, hyp, component_schedule(choice, params, cache=cache))
-        for choice, hyp in outcome.survivors
-    )
-    return ClassificationReport(
-        assignment=assign_types(params), outcome=outcome, schedules=schedules
-    )
+    outcome = eliminate(analysis)
+    schedules = tuple((choice, hyp, component_schedule(choice, analysis)) for choice, hyp in outcome.survivors)
+    return ClassificationReport(assignment=assign_types(), outcome=outcome, schedules=schedules)

@@ -35,7 +35,7 @@ from .errors import (
     RealityError,
 )
 from .resolution import HKind, LinearForm, ResolutionChoice, all_resolutions, h_function
-from .surface import SearchConfig, SurfaceParams, find_valid_params, intervals, singular_locus, validate
+from .surface import SearchConfig, SurfaceParams, find_valid_params, intervals, partition, singular_locus, validate
 
 SCHEMA = "report-v1"
 
@@ -168,15 +168,21 @@ def _conic_record(conic: ConicCoeffs, label: str, lam: float | None, knob: float
     }
 
 
-def _pairing_samples(params: SurfaceParams, cache: RadiusAnalysis) -> dict:
+# A pairing sample this close to the critical plane is skipped: there the
+# sample and its partner merge into a double root of the pairing quartic,
+# and 1e-3 apart they are simple roots, far outside CRITICAL_PLANE_TOL.
+PAIRING_SAMPLE_MARGIN = 1e-3
+
+
+def _pairing_samples(analysis: RadiusAnalysis) -> dict:
     """A few partner planes of the degenerate-radius pairing inside I2."""
-    crit = h0_critical_on_i2(params, cache)
+    crit = h0_critical_on_i2(analysis)
     samples = []
     for k in range(1, 5):
         lam = -1.0 + k * 0.18
-        if abs(lam - crit) < 1e-3:
+        if abs(lam - crit) < PAIRING_SAMPLE_MARGIN:
             continue
-        samples.append({"lambda": lam, "mu": h0_pairing(params, lam, cache=cache)})
+        samples.append({"lambda": lam, "mu": h0_pairing(analysis, lam)})
     return {"critical_lambda": crit, "samples": samples}
 
 
@@ -225,18 +231,29 @@ def _envelope(args, body: dict, timings: dict | None) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands: each returns (body, passed, timings or None), and run() wraps
 # the body in the envelope, writes it and exits 0 when passed, else 1.
-# report's sections are the bodies of validate, critical, classify and psi.
+# report's sections are the bodies of validate, critical, classify and psi;
+# critical and classify are sections of one RadiusAnalysis.
 
 
-def _cmd_validate(args):
-    params = _require_params(args)
+def _validation(params: SurfaceParams):
+    """validate's section, and the report the later stages partition by."""
     t0 = time.perf_counter()
     rep = validate(params)
     sing = [
         {"location": pt.location, "kind": pt.kind.value, "lambda": pt.lam, "multiplicity": pt.multiplicity}
         for pt in singular_locus(params)
     ]
-    return {"validation": _record(rep), "singular_locus": sing}, rep.passed, {"validate_s": _elapsed(t0)}
+    return rep, {"validation": _record(rep), "singular_locus": sing}, {"validate_s": _elapsed(t0)}
+
+
+def _cmd_validate(args):
+    rep, body, timings = _validation(_require_params(args))
+    return body, rep.passed, timings
+
+
+def _analysis(args) -> RadiusAnalysis:
+    params = _require_params(args)
+    return RadiusAnalysis(params, intervals(params))
 
 
 def _cmd_search_params(args):
@@ -322,18 +339,15 @@ def _cmd_hscan(args):
     return {"rows": rows}, True, None
 
 
-def _cmd_critical(args, cache: RadiusAnalysis | None = None):
-    params = _require_params(args)
+def _critical(analysis: RadiusAnalysis):
     t0 = time.perf_counter()
-    rep = verify_h_tables(params, cache)
+    rep = verify_h_tables(analysis)
     return {"rows": [_record(r) for r in rep.rows], "passed": rep.passed}, rep.passed, {"h_tables_s": _elapsed(t0)}
 
 
-def _cmd_classify(args, cache: RadiusAnalysis | None = None):
-    params = _require_params(args)
+def _classification(analysis: RadiusAnalysis):
     t0 = time.perf_counter()
-    cache = cache or RadiusAnalysis(params)
-    rep = classify(params, cache)
+    rep = classify(analysis)
     body = {
         "type_assignment": [
             {"interval": name, "type": kind.value, "justification": why}
@@ -369,7 +383,7 @@ def _cmd_classify(args, cache: RadiusAnalysis | None = None):
             }
             for ch, hyp, s in rep.schedules
         ],
-        "broken_pairing": _pairing_samples(params, cache),
+        "broken_pairing": _pairing_samples(analysis),
     }
     ok = set(rep.outcome.survivors) == set(EXPECTED_SURVIVORS)
     return {"classification": body}, ok, {"classify_s": _elapsed(t0)}
@@ -382,10 +396,10 @@ def _cmd_psi(args):
 
 def _cmd_report(args):
     params = _require_params(args)
-    body, ok, timings = _cmd_validate(args)
+    rep, body, timings = _validation(params)
     t0 = time.perf_counter()
     try:
-        cache = RadiusAnalysis(params)
+        analysis = RadiusAnalysis(params, partition(params, rep))
     except PreconditionError as exc:
         # not admissible: the later stages are not computed, and say why
         error = f"not computed: {exc}"
@@ -394,11 +408,11 @@ def _cmd_report(args):
         timings["classify_s"] = _elapsed(t0)
         ok = False
     else:
-        body["h_tables"], ok_h, t_h = _cmd_critical(args, cache)
-        classification, ok_c, t_c = _cmd_classify(args, cache)
+        body["h_tables"], ok_h, t_h = _critical(analysis)
+        classification, ok_c, t_c = _classification(analysis)
         body |= classification
-        timings |= t_h | t_c | cache.work_counts()
-        ok = ok and ok_h and ok_c
+        timings |= t_h | t_c | analysis.work_counts()
+        ok = ok_h and ok_c
     psi, ok_p, _ = _cmd_psi(args)
     return body | psi, ok and ok_p, timings
 
@@ -441,15 +455,17 @@ def _common_flags() -> argparse.ArgumentParser:
 
 # argparse reads a value such as "-1e-08" as an option, since only "-"
 # followed by digits or a point counts as a negative number there, so such a
-# value of these flags is joined to its flag: "--lambda=-1e-08".
-_SIGNED_FLAGS = frozenset({"--lambda", "--theta", "--alpha"})
+# value of these flags is joined to its flag: "--lambda=-1e-08"; a --params
+# list is, when its first piece is one: "--params=-0.5,0.1,1,1,1".
+_SIGNED_FLAGS = frozenset({"--lambda", "--theta", "--alpha", "--params"})
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
 def _join_negative_numbers(argv: list[str]) -> list[str]:
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _SIGNED_FLAGS and _NEGATIVE_NUMBER.fullmatch(tok):
+        head = tok.split(",", 1)[0] if out and out[-1] == "--params" else tok
+        if out and out[-1] in _SIGNED_FLAGS and _NEGATIVE_NUMBER.fullmatch(head):
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
@@ -481,8 +497,8 @@ def build_parser() -> _Parser:
     cp.add_argument("--type", choices=("generic", "special", "orbit"), required=True)
     command("tangency", _cmd_tangency, "verify the touching structure over a family sweep")
     command("hscan", _cmd_hscan, "radius-function samples over the legal windows")
-    command("critical", _cmd_critical, "critical-point and limit tables")
-    command("classify", _cmd_classify, "type assignment, elimination, component schedules")
+    command("critical", lambda args: _critical(_analysis(args)), "critical-point and limit tables")
+    command("classify", lambda args: _classification(_analysis(args)), "type assignment, elimination, component schedules")
     command("psi", _cmd_psi, "radial-profile checks of the line correspondence")
     command("report", _cmd_report, "full pipeline bundle")
     return ap

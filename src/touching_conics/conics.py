@@ -123,17 +123,20 @@ class ConicCoeffs:
         Conjugating and swapping the last two coordinates must reproduce the
         matrix up to a unimodular scalar.
         """
-        ms = _SWAP23 @ np.conj(self.m) @ _SWAP23
-        i, j = np.unravel_index(np.argmax(np.abs(self.m)), (3, 3))
-        c = ms[i, j] / self.m[i, j]
+        ms, c = self._reality
         return bool(
             abs(abs(c) - 1.0) <= tol and np.abs(ms - c * self.m).max() <= tol * np.abs(self.m).max()
         )
 
     def reality_factor(self) -> complex:
+        return complex(self._reality[1])
+
+    @cached_property
+    def _reality(self):
+        """The conjugate with its last two coordinates swapped, and its ratio to m at m's largest entry."""
         ms = _SWAP23 @ np.conj(self.m) @ _SWAP23
         i, j = np.unravel_index(np.argmax(np.abs(self.m)), (3, 3))
-        return complex(ms[i, j] / self.m[i, j])
+        return ms, ms[i, j] / self.m[i, j]
 
 
 def _conic(rows) -> ConicCoeffs:
@@ -357,16 +360,6 @@ class Plane:
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def generic_conic(params: SurfaceParams, lam: float, theta: float) -> ConicCoeffs:
-    """Plane(params, lam).generic(theta)."""
-    return Plane(params, lam).generic(theta)
-
-
-def special_conic(params: SurfaceParams, lam: float, theta: float) -> ConicCoeffs:
-    """Plane(params, lam).special(theta)."""
-    return Plane(params, lam).special(theta)
 
 
 def orbit_conic(alpha: float) -> ConicCoeffs:

@@ -348,33 +348,36 @@ def validate(params: SurfaceParams) -> ValidationReport:
     )
 
 
-def lambda0(params: SurfaceParams) -> float:
-    """The double root of Q^2 - f; raises PreconditionError, naming the
-    failed condition, unless validate() passes."""
-    rep = validate(params)
+def partition(params: SurfaceParams, report: ValidationReport) -> IntervalPartition:
+    """The five open intervals cut by -1, 0, b/a and the double root of a set
+    whose validate() report is given: the one refusal of inadmissible input.
+    Raises PreconditionError, naming the failed condition, unless it passed."""
     for name, check in (
-        ("condition (i)", rep.condition_i),
-        ("condition (*)", rep.condition_star),
-        ("lambda0 > b/a", rep.lambda0_in_i4),
+        ("condition (i)", report.condition_i),
+        ("condition (*)", report.condition_star),
+        ("lambda0 > b/a", report.lambda0_in_i4),
     ):
         if not check.passed:
             raise PreconditionError(f"parameters not admissible: {name} fails: {check.detail}")
-    return rep.lambda0
-
-
-def intervals(params: SurfaceParams) -> IntervalPartition:
-    """The five open intervals cut by -1, 0, b/a and the double root; raises
-    PreconditionError unless validate() passes."""
-    lam0 = lambda0(params)
     ba = params.b / params.a
     return IntervalPartition(
-        lambda0=lam0,
+        lambda0=report.lambda0,
         i1=(-math.inf, -1.0),
         i2=(-1.0, 0.0),
         i3=(0.0, ba),
-        i4minus=(ba, lam0),
-        i4plus=(lam0, math.inf),
+        i4minus=(ba, report.lambda0),
+        i4plus=(report.lambda0, math.inf),
     )
+
+
+def intervals(params: SurfaceParams) -> IntervalPartition:
+    """partition() of the set's own validate() report."""
+    return partition(params, validate(params))
+
+
+def lambda0(params: SurfaceParams) -> float:
+    """The double root of Q^2 - f: intervals(params).lambda0."""
+    return intervals(params).lambda0
 
 
 def singular_locus(params: SurfaceParams) -> list[SingularPoint]:

@@ -24,7 +24,7 @@ from touching_conics.analysis import RadiusAnalysis, _pair_key, _triple_key
 from touching_conics.errors import DomainError, InputError
 from touching_conics.poly import RealPolynomial, companion_roots, evaluate
 from touching_conics.resolution import HKind, ResolutionChoice, h_function
-from touching_conics.surface import Interval, SurfaceParams, disc_value, f_value, q_value, s_minus_q, sqrt_disc
+from touching_conics.surface import Interval, SurfaceParams, disc_value, f_value, intervals, q_value, s_minus_q, sqrt_disc
 
 
 def dense_grid_certificate(params, lam0: float, n: int = 100_001) -> dict:
@@ -519,6 +519,12 @@ def h_handle(kind: HKind, choice: ResolutionChoice, params: SurfaceParams) -> Ca
     return lambda lam: h_function(kind, choice, params, lam)
 
 
+def analysis_of(params: SurfaceParams) -> RadiusAnalysis:
+    """The analysis of a set and its partition; intervals() refuses
+    inadmissible input, as the command line does."""
+    return RadiusAnalysis(params, intervals(params))
+
+
 class NormalBundleVerdict(enum.Enum):
     BALANCED = "O(1)+O(1)"
     DEGENERATE = "O+O(2)"
@@ -550,16 +556,14 @@ _CRITICAL_MATCH_REL = 1e-6
 def normal_bundle_at(
     kind: FamilyLabel,
     choice: ResolutionChoice,
-    params: SurfaceParams,
+    analysis: RadiusAnalysis,
     lam: float,
-    cache: RadiusAnalysis | None = None,
 ) -> NormalBundleVerdict:
     """Degenerate exactly when lam sits at a critical point of the governing
     radius function; Balanced otherwise."""
     hkind = _FAMILY_TO_KIND[kind]
-    cache = cache or RadiusAnalysis(params)
-    part = cache.partition
-    f = f_value(params, lam)
+    part = analysis.partition
+    f = f_value(analysis.params, lam)
     if hkind in (HKind.H0, HKind.H2) and f <= 0.0:
         raise DomainError(f"family {kind.value} lives where f > 0; f({lam}) = {f:.3e}")
     if hkind in (HKind.H1, HKind.H3) and f >= 0.0:
@@ -580,7 +584,7 @@ def normal_bundle_at(
             candidates.append(which)
     if not candidates:
         raise DomainError(f"lam={lam} sits on an interval boundary")
-    for loc in cache.critical(hkind, key, cache.span(candidates[0], hkind)):
+    for loc in analysis.critical(hkind, key, analysis.span(candidates[0], hkind)):
         if abs(lam - loc) <= _CRITICAL_MATCH_REL * (1.0 + abs(lam)):
             return NormalBundleVerdict.DEGENERATE
     return NormalBundleVerdict.BALANCED

@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from oracles import (
+    analysis_of,
     central_difference,
     critical_points,
     dense_grid_certificate,
@@ -32,10 +33,9 @@ from touching_conics.analysis import (
 from touching_conics.classifier import EXPECTED_SURVIVORS, Hypothesis, Verdict, eliminate
 from touching_conics.conics import (
     ConicType,
-    generic_conic,
+    Plane,
     min_real_form,
     orbit_conic,
-    special_conic,
     verify_touching,
 )
 from touching_conics.poly import two_double_roots_criterion
@@ -140,11 +140,11 @@ def test_acceptance_3_tangency_certification(params_star):
                 d = disc_value(params_star, lam)
                 for theta in thetas:
                     if family is ConicType.GENERIC:
-                        conic = generic_conic(params_star, lam, theta)
+                        conic = Plane(params_star, lam).generic(theta)
                         top = max(2.0 * d, math.sqrt(f), q)
                         expected_det = -2.0 * d * d
                     else:
-                        conic = special_conic(params_star, lam, theta)
+                        conic = Plane(params_star, lam).special(theta)
                         s = math.sqrt(d)
                         top = max(s, 0.5 * Bfun(params_star, lam), 0.5)
                         expected_det = -(q + s) / 8.0
@@ -172,9 +172,9 @@ def test_acceptance_4_no_real_point_certificates(params_star):
             for lam in _interval_samples(*span):
                 for theta in thetas:
                     conic = (
-                        generic_conic(params_star, lam, theta)
+                        Plane(params_star, lam).generic(theta)
                         if family == "generic"
-                        else special_conic(params_star, lam, theta)
+                        else Plane(params_star, lam).special(theta)
                     )
                     ok &= min_real_form(conic) > 0.0
     for alpha in (-1.0, -0.1, -1e-3):
@@ -192,7 +192,7 @@ def test_acceptance_5_h_tables(params_draws):
     ok = True
     failures = []
     for params in params_draws:
-        rep = verify_h_tables(params)
+        rep = verify_h_tables(analysis_of(params))
         ok &= rep.passed
         failures.extend(rep.failures())
     elapsed = time.perf_counter() - t0
@@ -234,7 +234,7 @@ def _reverify_reason(params, trace) -> bool:
 def test_acceptance_6_resolution_elimination(params_draws):
     ok = True
     for params in params_draws:
-        out = eliminate(params)
+        out = eliminate(analysis_of(params))
         ok &= set(out.survivors) == set(EXPECTED_SURVIVORS)
         eliminated = [t for t in out.traces if t.verdict is Verdict.ELIMINATED]
         ok &= len(eliminated) == 46
@@ -254,7 +254,7 @@ def test_acceptance_7_degeneration_locus_and_pairing(params_star):
     lams = [lam for lam in np.linspace(-0.95, -0.05, 12) if abs(lam - crit) > 0.02][:10]
     ok &= len(lams) == 10
     for lam in lams:
-        mu = h0_pairing(params_star, float(lam))
+        mu = h0_pairing(analysis_of(params_star), float(lam))
         ok &= abs(h(mu) - h(float(lam))) < 1e-8
         ok &= (lam - crit) * (mu - crit) < 0.0
     _gate(7, "unique degeneration on I2 and equal-radius pairing", ok)

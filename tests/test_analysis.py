@@ -18,13 +18,13 @@ from oracles import (
     central_difference,
     critical_points,
     endpoint_limit,
+    analysis_of,
     h_handle,
     normal_bundle_at,
     pairing_by_bisection,
     vanishing_order,
 )
 from touching_conics.analysis import (
-    RadiusAnalysis,
     domain_side,
     h0_critical_on_i2,
     h0_pairing,
@@ -99,7 +99,7 @@ def test_endpoint_limit_h2_example(params_star):
 
 
 def test_verify_h_tables_params_star(params_star):
-    rep = verify_h_tables(params_star)
+    rep = verify_h_tables(analysis_of(params_star))
     assert rep.passed, rep.failures()
     assert len(rep.rows) >= 60
     # the stated limit rows alone exceed twenty
@@ -107,7 +107,7 @@ def test_verify_h_tables_params_star(params_star):
 
 
 def test_h_table_specific_rows(params_star):
-    rep = verify_h_tables(params_star)
+    rep = verify_h_tables(analysis_of(params_star))
     row = {(r.function, r.choice, r.check): (r.expected, r.computed) for r in rep.rows}
     assert row[("h2", "{X0,X1}", "limit at -1.0 (right)")] == ("Zero", "Zero")
     assert row[("h2", "{X0,X1}", "limit at 0.0 (left)")] == ("Infinity", "Infinity")
@@ -118,7 +118,7 @@ def test_h_table_specific_rows(params_star):
 
 
 def test_gamma_and_h0_critical_points_coincide(params_star):
-    crit_h0 = h0_critical_on_i2(params_star)
+    crit_h0 = h0_critical_on_i2(analysis_of(params_star))
     gamma = lambda lam: q_value(params_star, lam) ** 2 / f_value(params_star, lam)
     rep = critical_points(gamma, (-1.0, 0.0))
     assert rep.count == 1
@@ -144,27 +144,27 @@ def test_scan_stable_under_doubling(params_star):
 
 
 def test_normal_bundle_verdicts(params_star):
-    crit = h0_critical_on_i2(params_star)
+    crit = h0_critical_on_i2(analysis_of(params_star))
     ch = ResolutionChoice(LinearForm.X1, LinearForm.X0_PLUS_X1, LinearForm.X0)
-    assert normal_bundle_at(FamilyLabel.GEN_PLUS, ch, params_star, crit) is NormalBundleVerdict.DEGENERATE
+    assert normal_bundle_at(FamilyLabel.GEN_PLUS, ch, analysis_of(params_star), crit) is NormalBundleVerdict.DEGENERATE
     part = intervals(params_star)
     lam4 = 0.5 * (part.i4minus[0] + part.lambda0)
-    assert normal_bundle_at(FamilyLabel.GEN_PLUS, ch, params_star, lam4) is NormalBundleVerdict.BALANCED
+    assert normal_bundle_at(FamilyLabel.GEN_PLUS, ch, analysis_of(params_star), lam4) is NormalBundleVerdict.BALANCED
     orbit_ch = ResolutionChoice(LinearForm.X0, LinearForm.X1, LinearForm.X0_PLUS_X1)
-    assert normal_bundle_at(FamilyLabel.ORBIT, orbit_ch, params_star, -0.5) is NormalBundleVerdict.BALANCED
+    assert normal_bundle_at(FamilyLabel.ORBIT, orbit_ch, analysis_of(params_star), -0.5) is NormalBundleVerdict.BALANCED
 
 
 def test_normal_bundle_domain_check(params_star):
     with pytest.raises(DomainError):
-        normal_bundle_at(FamilyLabel.SP_PLUS, CH0, params_star, -0.5)
+        normal_bundle_at(FamilyLabel.SP_PLUS, CH0, analysis_of(params_star), -0.5)
 
 
 def test_degenerate_set_has_measure_zero(params_star):
     ch = ResolutionChoice(LinearForm.X1, LinearForm.X0_PLUS_X1, LinearForm.X0)
-    cache = RadiusAnalysis(params_star)
+    cache = analysis_of(params_star)
     grid = np.linspace(-0.999, -0.001, 1000)
     hits = sum(
-        normal_bundle_at(FamilyLabel.GEN_PLUS, ch, params_star, float(lam), cache=cache)
+        normal_bundle_at(FamilyLabel.GEN_PLUS, ch, cache, float(lam))
         is NormalBundleVerdict.DEGENERATE
         for lam in grid
     )
@@ -172,32 +172,32 @@ def test_degenerate_set_has_measure_zero(params_star):
 
 
 def test_h0_pairing(params_star):
-    crit = h0_critical_on_i2(params_star)
+    crit = h0_critical_on_i2(analysis_of(params_star))
     h = h_handle(HKind.H0, CH0, params_star)
     for lam in (-0.9, -0.6, crit + 0.1, -0.05):
         if abs(lam - crit) < 1e-3:
             continue
-        mu = h0_pairing(params_star, lam)
+        mu = h0_pairing(analysis_of(params_star), lam)
         assert (lam - crit) * (mu - crit) < 0.0  # opposite sides
         assert abs(h(mu) - h(lam)) < 1e-8
 
 
 def test_h0_pairing_matches_bisection(params_draws):
     for params in params_draws:
-        cache = RadiusAnalysis(params)
-        crit = h0_critical_on_i2(params, cache)
+        cache = analysis_of(params)
+        crit = h0_critical_on_i2(cache)
         h = h_handle(HKind.H0, CH0, params)
         for lam in (-0.82, -0.64, -0.46, -0.28, -0.1):
             if abs(lam - crit) < 1e-3:
                 continue
-            mu = h0_pairing(params, lam, cache=cache)
+            mu = h0_pairing(cache, lam)
             assert abs(mu - pairing_by_bisection(h, lam, crit)) <= 1e-9 * abs(mu)
 
 
 def test_h0_pairing_rejects_critical_plane(params_star):
-    crit = h0_critical_on_i2(params_star)
+    crit = h0_critical_on_i2(analysis_of(params_star))
     with pytest.raises(DomainError):
-        h0_pairing(params_star, crit)
+        h0_pairing(analysis_of(params_star), crit)
 
 
 def test_psi_profile():
@@ -267,8 +267,8 @@ def _spans(kind, cache):
 @pytest.mark.parametrize("which", range(5))
 def test_exact_analysis_matches_oracles(params_draws, which):
     params = _oracle_sets(params_draws)[which]
-    cache = RadiusAnalysis(params)
-    expected = {(r.function, r.choice, r.check): r.expected for r in verify_h_tables(params, cache).rows}
+    cache = analysis_of(params)
+    expected = {(r.function, r.choice, r.check): r.expected for r in verify_h_tables(cache).rows}
     at = {Edge.MINUS_INF: -math.inf, Edge.MINUS_ONE: -1.0, Edge.ZERO: 0.0, Edge.B_OVER_A: params.b / params.a,
           Edge.PLUS_INF: math.inf}
     for kind, key, choice, label in _functions():

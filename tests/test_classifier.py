@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
-from touching_conics.analysis import RadiusAnalysis, _order, domain_side
+from touching_conics.analysis import _order, domain_side
 from touching_conics.classifier import (
     EXPECTED_SURVIVORS,
     ComponentChoice,
@@ -28,15 +28,15 @@ from touching_conics.errors import NotFoundError, PreconditionError
 from touching_conics.poly import derivative
 from touching_conics.resolution import Edge, HKind, LinearForm, ResolutionChoice
 from touching_conics.surface import SearchConfig, f_poly, find_valid_params, q_value
-from oracles import central_difference, h_handle
+from oracles import analysis_of, central_difference, h_handle
 
 
 SURVIVOR_PLUS = ResolutionChoice(LinearForm.X1, LinearForm.X0_PLUS_X1, LinearForm.X0)
 SURVIVOR_MINUS = ResolutionChoice(LinearForm.AX0_MINUS_BX1, LinearForm.X0, LinearForm.X0_PLUS_X1)
 
 
-def test_assign_types(params_star):
-    ta = assign_types(params_star)
+def test_assign_types():
+    ta = assign_types()
     assert ta.label("I1") is ConicType.SPECIAL
     assert ta.label("I2") is ConicType.ORBIT
     assert ta.label("I3") is ConicType.SPECIAL
@@ -47,7 +47,7 @@ def test_assign_types(params_star):
 
 
 def test_eliminate_exactly_two_survivors(params_star):
-    out = eliminate(params_star)
+    out = eliminate(analysis_of(params_star))
     assert set(out.survivors) == set(EXPECTED_SURVIVORS)
     assert len(out.traces) == 48
     eliminated = [t for t in out.traces if t.verdict is Verdict.ELIMINATED]
@@ -56,7 +56,7 @@ def test_eliminate_exactly_two_survivors(params_star):
 
 
 def test_eliminate_reason_a_for_bad_pairs(params_star):
-    out = eliminate(params_star)
+    out = eliminate(analysis_of(params_star))
     bad_pairs = (
         {LinearForm.X0, LinearForm.X0_PLUS_X1},
         {LinearForm.X1, LinearForm.AX0_MINUS_BX1},
@@ -70,7 +70,7 @@ def test_eliminate_reason_a_for_bad_pairs(params_star):
 def test_middle_form_cannot_lead_under_plus(params_star):
     # the boundary gluing at lambda = -1 fails for every completion when the
     # sum form comes first under the plus hypothesis
-    out = eliminate(params_star)
+    out = eliminate(analysis_of(params_star))
     for tr in out.traces:
         if tr.hypothesis is Hypothesis.PLUS_OVER_I1 and tr.choice.ell1 is LinearForm.X0_PLUS_X1:
             assert tr.verdict is Verdict.ELIMINATED
@@ -78,7 +78,7 @@ def test_middle_form_cannot_lead_under_plus(params_star):
 
 
 def test_eliminated_witnesses_reverify(params_star):
-    out = eliminate(params_star)
+    out = eliminate(analysis_of(params_star))
     for tr in out.traces:
         if tr.verdict is not Verdict.ELIMINATED:
             continue
@@ -97,22 +97,22 @@ def test_eliminated_witnesses_reverify(params_star):
 
 
 def test_elimination_deterministic_replay(params_star):
-    first = eliminate(params_star)
-    second = eliminate(params_star)
+    first = eliminate(analysis_of(params_star))
+    second = eliminate(analysis_of(params_star))
     assert first.survivors == second.survivors
     assert [t.verdict for t in first.traces] == [t.verdict for t in second.traces]
 
 
 def test_survivors_stable_across_draws(params_draws):
     for params in params_draws:
-        out = eliminate(params)
+        out = eliminate(analysis_of(params))
         assert set(out.survivors) == set(EXPECTED_SURVIVORS)
 
 
 def test_component_schedules(params_star):
-    s1 = component_schedule(SURVIVOR_PLUS, params_star)
+    s1 = component_schedule(SURVIVOR_PLUS, analysis_of(params_star))
     assert (s1.i1, s1.i2, s1.i3) == (ComponentChoice.PLUS, ComponentChoice.BOTH, ComponentChoice.MINUS)
-    s2 = component_schedule(SURVIVOR_MINUS, params_star)
+    s2 = component_schedule(SURVIVOR_MINUS, analysis_of(params_star))
     assert (s2.i1, s2.i3) == (ComponentChoice.MINUS, ComponentChoice.PLUS)
     assert s1.i4minus is not s1.i4plus
     assert s2.i4minus is not s2.i4plus
@@ -122,19 +122,19 @@ def test_component_schedules(params_star):
 def test_component_schedule_rejects_non_survivor(params_star):
     with pytest.raises(PreconditionError):
         component_schedule(
-            ResolutionChoice(LinearForm.X0, LinearForm.X1, LinearForm.X0_PLUS_X1), params_star
+            ResolutionChoice(LinearForm.X0, LinearForm.X1, LinearForm.X0_PLUS_X1), analysis_of(params_star)
         )
 
 
 def test_gamma_progressions_opposite(params_star):
-    s1 = component_schedule(SURVIVOR_PLUS, params_star)
-    s2 = component_schedule(SURVIVOR_MINUS, params_star)
+    s1 = component_schedule(SURVIVOR_PLUS, analysis_of(params_star))
+    s2 = component_schedule(SURVIVOR_MINUS, analysis_of(params_star))
     assert s1.gamma_progression() == (1, 2, 3)
     assert s2.gamma_progression() == (3, 2, 1)
 
 
 def test_classify_bundle(params_star):
-    rep = classify(params_star)
+    rep = classify(analysis_of(params_star))
     assert len(rep.schedules) == 2
     assert {hyp for _, hyp, _ in rep.schedules} == {Hypothesis.PLUS_OVER_I1, Hypothesis.MINUS_OVER_I1}
     assert rep.assignment.label("I2") is ConicType.ORBIT
@@ -170,7 +170,7 @@ def test_every_vanishing_order_is_half_on_the_admissible_region(a, b, gap, q0_mi
         params = find_valid_params(target)
     except NotFoundError:
         reject()
-    cache = RadiusAnalysis(params)
+    cache = analysis_of(params)
     roots = (-1.0, 0.0, params.b / params.a)
     # what the orders rest on: u = -f / (Q + s) vanishes to order 1 at each
     # root of f and grows like |lam| at infinity
@@ -190,7 +190,7 @@ def test_every_vanishing_order_is_half_on_the_admissible_region(a, b, gap, q0_mi
         for key in _keys(kind):
             for edge in Edge:
                 assert abs(_order(kind, key, edge)) == 0.5, (kind, key, edge)
-    assert set(classify(params, cache).outcome.survivors) == set(EXPECTED_SURVIVORS)
+    assert set(classify(cache).outcome.survivors) == set(EXPECTED_SURVIVORS)
 
 
 @pytest.mark.parametrize("root", ["-1", "0", "b/a"])
@@ -201,7 +201,7 @@ def test_q_vanishing_at_a_root_of_f_fails_condition_i(params_star, tmp_path, roo
     params = dataclasses.replace(params_star, q2=q2)
     assert q_value(params, e) == 0.0
     with pytest.raises(PreconditionError, match=r"condition \(i\)"):
-        RadiusAnalysis(params)
+        analysis_of(params)
     out = tmp_path / "r.json"
     arg = ",".join(repr(x) for x in (params.q0, params.q1, params.q2, params.a, params.b))
     assert run(["--params", arg, "--out", str(out), "report"]) == EXIT_FAIL

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shlex
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from touching_conics import analysis
+from touching_conics import analysis, cli, surface
 from touching_conics.analysis import RadiusAnalysis
 from touching_conics.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from touching_conics.surface import SearchConfig, lambda0, params_for_q0
@@ -211,27 +212,34 @@ def test_report_builds_one_analysis(star_arg, tmp_path, monkeypatch):
     built = []
     init = RadiusAnalysis.__init__
 
-    def counting(self, params):
+    def counting(self, params, partition):
         built.append(params)
-        init(self, params)
+        init(self, params, partition)
 
     monkeypatch.setattr(RadiusAnalysis, "__init__", counting)
     assert run(["--params", star_arg, "--out", str(tmp_path / "r.json"), "report"]) == EXIT_OK
     assert len(built) == 1
 
 
-def test_report_solves_each_radius_function_once(star_arg, capsys, monkeypatch):
+def test_report_solves_each_radius_function_once(params_draws, capsys, monkeypatch):
     # one companion-root call per distinct (kind, key), h3 read as h1 of the
-    # missing form, plus one per broken-pairing sample, in every report
+    # missing form, plus one per broken-pairing sample, and one validation,
+    # in every report
     calls = []
     roots = analysis.companion_roots
     monkeypatch.setattr(analysis, "companion_roots", lambda coeffs: calls.append(coeffs) or roots(coeffs))
-    for _ in range(2):
+    validated = []
+    validate = surface.validate
+    for module in (surface, cli):
+        monkeypatch.setattr(module, "validate", lambda params: validated.append(params) or validate(params))
+    for p in params_draws * 2:
         calls.clear()
-        assert run(["--params", star_arg, "report"]) == EXIT_OK
+        validated.clear()
+        assert run(["--params", f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}", "report"]) == EXIT_OK
         samples = json.loads(capsys.readouterr().out)["classification"]["broken_pairing"]["samples"]
         assert len(samples) == 4
         assert len(calls) == 11 + len(samples)
+        assert validated == [p]
 
 
 def _q0_set(a, b, lambda0, q0):
@@ -354,15 +362,20 @@ def test_report_on_a_set_with_q_negative_at_minus_one_writes_a_document(tmp_path
         ("--lambda", "lambda", "-1e-08", ["tangency"]),
         ("--theta", "theta", "-1e-3", ["--lambda", "-0.5", "conic", "--type", "generic"]),
         ("--alpha", "alpha", "-2.5E-1", ["--lambda", "-0.5", "conic", "--type", "orbit"]),
+        # the last --params wins; psi passes whatever the set
+        ("--params", "params", "-0.5,0.1,1,1,1", ["psi"]),
     ],
 )
 def test_negative_exponent_values_parse_like_the_equals_form(star_arg, capsys, flag, key, value, tail):
-    # argparse alone reads "-1e-08" as an option and stops with a usage error
+    # argparse alone reads "-1e-08", or a comma list led by "-0.5", as an
+    # option and stops with a usage error
     assert run(["--params", star_arg, f"{flag}={value}"] + tail) == EXIT_OK
     joined = capsys.readouterr()
     assert run(["--params", star_arg, flag, value] + tail) == EXIT_OK
     assert capsys.readouterr() == joined
-    assert json.loads(joined.out)["config"][key] == float(value)
+    numbers = [float(v) for v in value.split(",")]
+    expected = dict(zip(("q0", "q1", "q2", "a", "b"), numbers)) if key == "params" else numbers[0]
+    assert json.loads(joined.out)["config"][key] == expected
 
 
 @pytest.mark.parametrize(
@@ -420,13 +433,35 @@ def test_numbers_the_program_cannot_use_end_in_an_error_line(star_arg, tmp_path,
     assert message in captured.err.splitlines()[0]
 
 
-@pytest.mark.parametrize("which", range(3))
+# per golden document: the command line, with DRAW0..DRAW2 standing for the
+# reference draws and INADMISSIBLE for params_star with the q2 that makes
+# Q(-1) = 0, and its exit code
+_GOLDEN_RUNS = {
+    0: ("report_0.json", ["--params", "DRAW0", "report"], EXIT_OK),
+    1: ("report_1.json", ["--params", "DRAW1", "report"], EXIT_OK),
+    2: ("report_2.json", ["--params", "DRAW2", "report"], EXIT_OK),
+    "validate": ("validate.json", ["--params", "DRAW0", "validate"], EXIT_OK),
+    "critical": ("critical.json", ["--params", "DRAW0", "critical"], EXIT_OK),
+    "critical_csv": ("critical.csv", ["--params", "DRAW0", "--format", "csv", "critical"], EXIT_OK),
+    "classify": ("classify.json", ["--params", "DRAW0", "classify"], EXIT_OK),
+    "search_params": ("search_params.json", ["search-params"], EXIT_OK),
+    "report_inadmissible": ("report_inadmissible.json", ["--params", "INADMISSIBLE", "report"], EXIT_FAIL),
+}
+
+
+@pytest.mark.parametrize("which", list(_GOLDEN_RUNS))
 def test_report_bytes_equal_the_golden_documents(params_draws, capsys, which):
-    # tests/golden holds the report stdout of the three reference draws; a
-    # deliberate change of the document regenerates them
-    p = params_draws[which]
-    assert run(["--params", f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}", "report"]) == EXIT_OK
-    golden = Path(__file__).parent / "golden" / f"report_{which}.json"
+    # tests/golden holds the stdout of the report of each reference draw and
+    # of the other subcommands; a deliberate change of a document regenerates
+    # it.  The inadmissible report pins the "not computed" error
+    name, argv, code = _GOLDEN_RUNS[which]
+    star = params_draws[0]
+    sets = {f"DRAW{i}": p for i, p in enumerate(params_draws)}
+    sets["INADMISSIBLE"] = dataclasses.replace(star, q2=star.q1 - star.q0)
+    values = {key: f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}" for key, p in sets.items()}
+    argv = [values.get(a, a) for a in argv]
+    assert run(argv) == code
+    golden = Path(__file__).parent / "golden" / name
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 

@@ -24,11 +24,9 @@ from touching_conics.conics import (
     ConicCoeffs,
     ConicType,
     Plane,
-    generic_conic,
     min_real_form,
     orbit_conic,
     real_slice_gram,
-    special_conic,
     verify_touching,
 )
 from touching_conics.errors import (
@@ -102,25 +100,25 @@ def test_special_conic_determinant_closed_form(params_star):
 
 
 def test_generic_conic_periodicity(params_star):
-    c1 = generic_conic(params_star, -0.5, 0.3)
-    c2 = generic_conic(params_star, -0.5, 0.3 + 2.0 * math.pi)
+    c1 = Plane(params_star, -0.5).generic(0.3)
+    c2 = Plane(params_star, -0.5).generic(0.3 + 2.0 * math.pi)
     assert np.abs(c1.m - c2.m).max() < 1e-12
 
 
 def test_generic_conic_domain_errors(params_star):
     with pytest.raises(DomainError):
-        generic_conic(params_star, -2.0, 0.0)  # f < 0
+        Plane(params_star, -2.0).generic(0.0)  # f < 0
     with pytest.raises(DomainError):
-        generic_conic(params_star, 2.0, 0.0)  # double-root plane
+        Plane(params_star, 2.0).generic(0.0)  # double-root plane
 
 
 def test_special_conic_domain_error(params_star):
     with pytest.raises(DomainError):
-        special_conic(params_star, -0.5, 0.0)  # f > 0
+        Plane(params_star, -0.5).special(0.0)  # f > 0
 
 
 def test_special_conic_misses_quadratic_fixed_terms(params_star):
-    c = special_conic(params_star, -2.0, 1.0)
+    c = Plane(params_star, -2.0).special(1.0)
     assert abs(c.m[1, 1]) == 0.0 and abs(c.m[2, 2]) == 0.0
 
 
@@ -138,15 +136,15 @@ def test_orbit_conic_rejects_zero():
 
 def test_reality_invariant_families(params_star):
     for theta in (0.0, math.pi / 3.0, 2.4):
-        assert generic_conic(params_star, -0.5, theta).is_real()
-        assert special_conic(params_star, -2.0, theta).is_real()
+        assert Plane(params_star, -0.5).generic(theta).is_real()
+        assert Plane(params_star, -2.0).special(theta).is_real()
     assert orbit_conic(-1.0).is_real()
 
 
 def test_verify_touching_generic_structure(params_star):
     part = intervals(params_star)
     lam = 0.5 * (part.i4minus[0] + part.lambda0)
-    rep = verify_touching(generic_conic(params_star, lam, 0.0), params_star, lam)
+    rep = verify_touching(Plane(params_star, lam).generic(0.0), params_star, lam)
     assert rep.kind is ConicType.GENERIC
     for br in rep.branches:
         mults = sorted(m for _, m in br.contacts)
@@ -157,7 +155,7 @@ def test_verify_touching_generic_structure(params_star):
 
 
 def test_verify_touching_special_structure(params_star):
-    rep = verify_touching(special_conic(params_star, -2.0, 0.7), params_star, -2.0)
+    rep = verify_touching(Plane(params_star, -2.0).special(0.7), params_star, -2.0)
     assert rep.kind is ConicType.SPECIAL
     assert rep.pinf_contact == 2 and rep.pinfbar_contact == 2
     finite = [[(z, m) for z, m in br.contacts if not isinstance(z, str)] for br in rep.branches]
@@ -176,7 +174,7 @@ def test_verify_touching_special_near_double_root_contact(params_draws):
     # double contact onto it
     params = params_draws[2]
     lam, theta = -5.75, 2.0 * math.pi * 248 / 256
-    rep = verify_touching(special_conic(params, lam, theta), params, lam)
+    rep = verify_touching(Plane(params, lam).special(theta), params, lam)
     assert rep.kind is ConicType.SPECIAL
     for br in rep.branches:
         finite = [m for z, m in br.contacts if not isinstance(z, str)]
@@ -193,7 +191,7 @@ def test_verify_touching_agrees_with_root_pairing_oracle(params_draws):
         for lo, hi in spans:
             for lam in np.linspace(lo, hi, 8)[1:-1]:
                 for theta in np.linspace(0.0, 2.0 * math.pi, 5)[:-1]:
-                    conic = generic_conic(p, lam, theta)
+                    conic = Plane(p, lam).generic(theta)
                     moved = conic.m.copy()
                     moved[0, 0] *= 1.001
                     for c in (conic, ConicCoeffs.from_matrix(moved)):
@@ -223,11 +221,11 @@ def test_far_planes_certify_or_end_in_an_error(params_star):
     # restriction cancels (to exactly 0 at 1e50); past 1e12 that is an error,
     # never a verdict read off rounding.  The special conic's rows differ in
     # scale by about sqrt|lam| there, yet it stays smooth
-    families = ((1.0, generic_conic, ConicType.GENERIC), (-1.0, special_conic, ConicType.SPECIAL))
+    families = ((1.0, Plane.generic, ConicType.GENERIC), (-1.0, Plane.special, ConicType.SPECIAL))
     for k in range(1, 75):
         for sign, make, kind in families:
             lam = sign * 10.0**k
-            conic = make(params_star, lam, 0.3)
+            conic = make(Plane(params_star, lam), 0.3)
             if k <= 12:
                 assert verify_touching(conic, params_star, lam).kind is kind, lam
             else:
@@ -347,8 +345,8 @@ def test_degeneracy_verdict_matches_lapack_oracle(params_draws):
 
     cases = []
     for p in params_draws:
-        cases += [(p, -0.5, generic_conic(p, -0.5, t)) for t in (0.0, 1.1, 4.0)]
-        cases += [(p, -2.0, special_conic(p, -2.0, t)) for t in (0.3, 2.5)]
+        cases += [(p, -0.5, Plane(p, -0.5).generic(t)) for t in (0.0, 1.1, 4.0)]
+        cases += [(p, -2.0, Plane(p, -2.0).special(t)) for t in (0.3, 2.5)]
         cases += [(p, -0.5, orbit_conic(a)) for a in (-0.7, 1.3)]
     p = params_draws[0]
     cases += [(p, -0.5, ConicCoeffs.from_matrix(sym())) for _ in range(30)]
@@ -389,14 +387,14 @@ def test_completeness_mixed_term_forces_double_line(params_star):
 
 def test_min_real_form_positive_generic(params_star):
     for theta in (0.0, 1.0, 2.0, 4.5):
-        val = min_real_form(generic_conic(params_star, -0.5, theta))
+        val = min_real_form(Plane(params_star, -0.5).generic(theta))
         assert val > 0.0
         assert val >= generic_positivity_bound(params_star, -0.5) - 1e-12
 
 
 def test_min_real_form_positive_special(params_star):
     for theta in (0.0, 1.3, 3.9):
-        val = min_real_form(special_conic(params_star, -2.0, theta))
+        val = min_real_form(Plane(params_star, -2.0).special(theta))
         assert val > 0.0
         assert val >= special_positivity_bound(params_star, -2.0) - 1e-12
 
@@ -407,7 +405,7 @@ def test_min_real_form_orbit_sign():
 
 
 def test_min_real_form_matches_brute_grid(params_star):
-    conic = generic_conic(params_star, -0.5, 0.8)
+    conic = Plane(params_star, -0.5).generic(0.8)
     eig = min_real_form(conic)
     # same rescaled matrix the production Gram path uses
     c = conic.reality_factor()
@@ -421,8 +419,8 @@ def test_real_slice_gram_matches_polarization(params_draws):
     # the closed form and the polarization sum the same products in another
     # order: entries of |m| <= 1 agree to a few ulps
     for p in params_draws:
-        conics = [generic_conic(p, -0.5, t) for t in (0.0, 1.1, 4.0)]
-        conics += [special_conic(p, -2.0, t) for t in (0.3, 2.5)] + [orbit_conic(-0.7), orbit_conic(1.3)]
+        conics = [Plane(p, -0.5).generic(t) for t in (0.0, 1.1, 4.0)]
+        conics += [Plane(p, -2.0).special(t) for t in (0.3, 2.5)] + [orbit_conic(-0.7), orbit_conic(1.3)]
         for conic in conics:
             m = conic.m * cmath.exp(0.5j * cmath.phase(conic.reality_factor()))
             assert np.abs(real_slice_gram(conic) - polarized_gram(m)).max() <= 8 * np.finfo(float).eps
@@ -468,9 +466,9 @@ def test_family_sweep_reality_and_classification(params_star):
             for lam in np.linspace(lo + (hi - lo) / 8.0, hi - (hi - lo) / 8.0, 4):
                 for theta in thetas:
                     conic = (
-                        generic_conic(params_star, lam, theta)
+                        Plane(params_star, lam).generic(theta)
                         if kind is ConicType.GENERIC
-                        else special_conic(params_star, lam, theta)
+                        else Plane(params_star, lam).special(theta)
                     )
                     assert conic.is_real()
                     assert verify_touching(conic, params_star, lam).kind is kind
