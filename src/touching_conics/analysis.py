@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -93,7 +94,9 @@ class RadiusAnalysis:
     form, since h3 = 1/h1 there).  Two memos serve every stage of a run:
     the companion roots of the critical polynomial and the derivative's
     sign function per (kind, key), built once per radius function, and the
-    critical points per (kind, key, span), read off those roots."""
+    critical points per (kind, key, span), read off those roots.  A third,
+    per count row (kind, key, interval), keeps the first critical point
+    alone: all the elimination reads of a row."""
 
     def __init__(self, params: SurfaceParams, partition: IntervalPartition):
         self.params = params
@@ -103,11 +106,17 @@ class RadiusAnalysis:
         self._forms = {form: form.polynomial(params) for form in LinearForm}
         self._roots: dict = {}
         self._critical: dict = {}
+        self._first: dict = {}
 
     def work_counts(self) -> dict[str, int]:
         """Distinct radius functions whose critical polynomial was solved,
-        and distinct spans whose critical points were served, so far."""
-        return {"critical_polynomials": len(self._roots), "critical_spans": len(self._critical)}
+        distinct spans whose critical points were served, and distinct count
+        rows whose first critical point was read, so far."""
+        return {
+            "critical_polynomials": len(self._roots),
+            "critical_spans": len(self._critical),
+            "count_rows": len(self._first),
+        }
 
     def span(self, which: Interval, kind: HKind | None = None) -> tuple[float, float]:
         """Bounds of the interval; h2 is smooth through the double root, so
@@ -128,6 +137,15 @@ class RadiusAnalysis:
             roots, sign = self._roots[kind, key]
             self._critical[k] = _sign_changes(roots, span[0], span[1], sign)
         return self._critical[k]
+
+    def first_critical(self, kind: HKind, key, which: Interval) -> float | None:
+        """The least critical point of the radius function on the interval,
+        or None when it has none."""
+        row = (kind, key, which)
+        if row not in self._first:
+            locs = self.critical(kind, key, self.span(which, kind))
+            self._first[row] = locs[0] if locs else None
+        return self._first[row]
 
     def _derivative_data(self, kind: HKind, key) -> tuple[RealPolynomial, Callable[[float], float]]:
         """A polynomial whose real roots include every critical point, and a
@@ -348,11 +366,12 @@ def verify_h_tables(analysis: RadiusAnalysis) -> HTableReport:
 # ---------------------------------------------------------------------------
 # the broken pairing of the generic family inside I2
 
-# A plane this close to the critical one counts as it: the pairing quartic
-# has a double root there, and lam is its own partner.  The partner stays
-# undetermined out to about 1e-8 (sqrt of the machine epsilon) on params_star,
-# where g = Q / sqrt(f) is within rounding of its minimum.
-CRITICAL_PLANE_TOL = 1e-9
+# A plane this close to the critical one counts as it.  There g = Q / sqrt(f)
+# is within rounding of its minimum: g - g_min grows like g'' d^2 / 2 at a
+# distance d, below the rounding of g out to d = sqrt(2 eps g / g''), at most
+# about 1e-8 on the admissible sets tried.  The pairing quartic's roots lam
+# and the partner are not told apart there: they merge, or fall on one side.
+CRITICAL_PLANE_TOL = math.sqrt(sys.float_info.epsilon)
 
 
 def h0_critical_on_i2(analysis: RadiusAnalysis) -> float:

@@ -19,6 +19,8 @@ two of the 48 pairs do.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .analysis import LimitKind, RadiusAnalysis, _pair_key, _triple_key, limit
@@ -136,30 +138,44 @@ def _match_reason(
     )
 
 
-def _trace(analysis: RadiusAnalysis, choice: ResolutionChoice, hyp: Hypothesis) -> EliminationTrace:
-    reasons: list[Reason] = []
+# The count rows the 48 traces read: h2 of each pair on I2, and h1 of each
+# form on I1 and on I3, since h3 of a triple is h1 of its missing form.
+_COUNT_ROWS: tuple[tuple[HKind, object, Interval], ...] = (
+    *((HKind.H2, frozenset(pair), Interval.I2) for pair in itertools.combinations(LinearForm, 2)),
+    *((HKind.H1, form, which) for which in (Interval.I1, Interval.I3) for form in LinearForm),
+)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One trace before it meets a parameter set: per A or B constraint the
+    index of its row in _COUNT_ROWS with the reason's code and description,
+    and the C reasons, which rest on the limits alone."""
+
+    choice: ResolutionChoice
+    hypothesis: Hypothesis
+    reads: tuple[tuple[int, str, str], ...]
+    matches: tuple[Reason, ...]
+
+
+@functools.cache
+def _plan(choice: ResolutionChoice, hyp: Hypothesis) -> _Plan:
+    """The trace of (choice, hyp) apart from its rows' critical points; like
+    limit, a constant of the admissible region, worked out once per process."""
     pair = _pair_key(choice)
     triple = _triple_key(choice)
     ell1 = choice.ell1
 
     # A: orbit-family degeneration inside I2
-    locs = analysis.critical(HKind.H2, pair, analysis.span(Interval.I2))
-    if locs:
-        reasons.append(Reason("A", f"h2 of {sorted(f.value for f in pair)} has a critical point on I2", locs[0]))
+    reads = [((HKind.H2, pair, Interval.I2), "A", f"h2 of {sorted(f.value for f in pair)} has a critical point on I2")]
 
-    # B: degeneration of the chosen special components
-    if hyp is Hypothesis.PLUS_OVER_I1:
-        govern_i1 = (HKind.H1, ell1, f"h1 (l1={ell1.value})")
-        govern_i3 = (HKind.H3, triple, "h3")
-    else:
-        govern_i1 = (HKind.H3, triple, "h3")
-        govern_i3 = (HKind.H1, ell1, f"h1 (l1={ell1.value})")
-    locs = analysis.critical(govern_i1[0], govern_i1[1], analysis.span(Interval.I1))
-    if locs:
-        reasons.append(Reason("B", f"{govern_i1[2]} has a critical point on I1", locs[0]))
-    locs = analysis.critical(govern_i3[0], govern_i3[1], analysis.span(Interval.I3))
-    if locs:
-        reasons.append(Reason("B", f"{govern_i3[2]} has a critical point on I3", locs[0]))
+    # B: degeneration of the chosen special components; h3 reads the row of
+    # h1 of the missing form
+    h1 = (ell1, f"h1 (l1={ell1.value})")
+    h3 = (choice.missing_form(), "h3")
+    govern_i1, govern_i3 = (h1, h3) if hyp is Hypothesis.PLUS_OVER_I1 else (h3, h1)
+    for (form, name), which in ((govern_i1, Interval.I1), (govern_i3, Interval.I3)):
+        reads.append(((HKind.H1, form, which), "B", f"{name} has a critical point on {which.value}"))
 
     # C: reciprocal gluing of the limits across lambda = -1 and lambda = 0
     h2_at_m1 = limit(HKind.H2, pair, Edge.MINUS_ONE)
@@ -174,15 +190,36 @@ def _trace(analysis: RadiusAnalysis, choice: ResolutionChoice, hyp: Hypothesis) 
         inner_m1_name = "h3 at -1-"
         outer_0 = limit(HKind.H1, ell1, Edge.ZERO)
         outer_0_name = f"h1 (l1={ell1.value}) at 0+"
-    for reason in (
+    matches = (
         _match_reason("C", "lambda = -1", inner_m1, h2_at_m1, inner_m1_name, "h2 at -1+"),
         _match_reason("C", "lambda = 0", h2_at_0, outer_0, "h2 at 0-", outer_0_name),
-    ):
-        if reason:
-            reasons.append(reason)
+    )
+    return _Plan(
+        choice=choice,
+        hypothesis=hyp,
+        reads=tuple((_COUNT_ROWS.index(row), code, description) for row, code, description in reads),
+        matches=tuple(reason for reason in matches if reason),
+    )
 
+
+@functools.cache
+def _plans() -> tuple[_Plan, ...]:
+    """The 48 plans, in the order of the traces."""
+    return tuple(_plan(choice, hyp) for choice in all_resolutions() for hyp in Hypothesis)
+
+
+def _firsts(analysis: RadiusAnalysis) -> list[float | None]:
+    """The first critical point, or None, of each count row."""
+    return [analysis.first_critical(kind, key, which) for kind, key, which in _COUNT_ROWS]
+
+
+def _trace(plan: _Plan, firsts: list[float | None]) -> EliminationTrace:
+    reasons = [
+        Reason(code, description, firsts[row]) for row, code, description in plan.reads if firsts[row] is not None
+    ]
+    reasons.extend(plan.matches)
     verdict = Verdict.ELIMINATED if reasons else Verdict.SURVIVES
-    return EliminationTrace(choice=choice, hypothesis=hyp, verdict=verdict, reasons=tuple(reasons))
+    return EliminationTrace(choice=plan.choice, hypothesis=plan.hypothesis, verdict=verdict, reasons=tuple(reasons))
 
 
 def eliminate(analysis: RadiusAnalysis) -> EliminationOutcome:
@@ -190,9 +227,11 @@ def eliminate(analysis: RadiusAnalysis) -> EliminationOutcome:
 
     Every verdict is decided: the analysis holds an admissible set's
     partition, and on those sets every endpoint limit is Zero or Infinity, so
-    each hypothesis either survives or is eliminated with its reasons.
+    each hypothesis either survives or is eliminated with its reasons.  Each
+    of the 14 count rows is read once, and each trace is its plan filled in.
     """
-    traces = tuple(_trace(analysis, choice, hyp) for choice in all_resolutions() for hyp in Hypothesis)
+    firsts = _firsts(analysis)
+    traces = tuple(_trace(plan, firsts) for plan in _plans())
     survivors = tuple((t.choice, t.hypothesis) for t in traces if t.verdict is Verdict.SURVIVES)
     return EliminationOutcome(survivors=survivors, traces=traces)
 
@@ -221,7 +260,8 @@ def component_schedule(choice: ResolutionChoice, analysis: RadiusAnalysis) -> Co
     singles out the reciprocal-radius side.  By convention Plus over I4 names
     the component meeting the fixed line in the larger circle.
     """
-    matching = [tr for tr in (_trace(analysis, choice, h) for h in Hypothesis) if tr.verdict is Verdict.SURVIVES]
+    firsts = _firsts(analysis)
+    matching = [tr for tr in (_trace(_plan(choice, h), firsts) for h in Hypothesis) if tr.verdict is Verdict.SURVIVES]
     if not matching:
         raise PreconditionError(f"{choice.label()} is not a surviving resolution")
     hyp = matching[0].hypothesis

@@ -35,7 +35,7 @@ from .errors import (
     RealityError,
 )
 from .resolution import HKind, LinearForm, ResolutionChoice, all_resolutions, h_function
-from .surface import SearchConfig, SurfaceParams, find_valid_params, intervals, partition, singular_locus, validate
+from .surface import SearchConfig, SurfaceParams, first_admissible, intervals, partition, singular_locus, validate
 
 SCHEMA = "report-v1"
 
@@ -194,6 +194,71 @@ def _json_safe(x):
     return x
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(x, indent: str, out: list[str]) -> None:
+    """Append to out the text of x, nested at indent (a newline and the
+    indentation of x's line), by json.dumps' rules for indent=2,
+    sort_keys=True and default=_json_safe.  A key that is not a str raises
+    TypeError from sorted or from the string encoder."""
+    if isinstance(x, str):
+        out.append(_encode_str(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(x):
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write_json(x[key], inner, out)
+            sep = comma
+        out.append(indent + "}")
+    elif isinstance(x, float):
+        # NaN and the infinities as json writes them with allow_nan on
+        if x - x == 0.0:
+            out.append(float.__repr__(x))
+        else:
+            out.append("NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in x:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = comma
+        out.append(indent + "]")
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    else:
+        safe = _json_safe(x)
+        if safe is x:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        _write_json(safe, indent, out)
+
+
+def _json_text(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True, default=_json_safe) and a
+    newline, the same string from a plain recursive writer: the stdlib
+    encoder takes its pure-Python path whenever indent is set."""
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
 def _emit(doc: dict, args) -> None:
     if args.fmt == "csv" and "rows" in doc:
         buf = io.StringIO()
@@ -203,7 +268,7 @@ def _emit(doc: dict, args) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(doc, indent=2, sort_keys=True, default=_json_safe) + "\n"
+        text = _json_text(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -263,10 +328,9 @@ def _cmd_search_params(args):
     )
     t0 = time.perf_counter()
     try:
-        params = find_valid_params(search)
+        params, rep = first_admissible(search)
     except NotFoundError as exc:
         return {"search": {"found": False, "error": str(exc)}}, False, None
-    rep = validate(params)
     body = {"search": {"found": True, "params": params.as_dict()}, "validation": _record(rep)}
     return body, rep.passed, {"search_s": _elapsed(t0)}
 

@@ -445,7 +445,14 @@ def params_for_q0(search: SearchConfig, q0: float) -> SurfaceParams:
 
 
 def find_valid_params(search: SearchConfig) -> SurfaceParams:
-    """First admissible parameter set along the deterministic q0 sweep.
+    """First admissible parameter set along the deterministic q0 sweep:
+    first_admissible(search) without its report."""
+    return first_admissible(search)[0]
+
+
+def first_admissible(search: SearchConfig) -> tuple[SurfaceParams, ValidationReport]:
+    """First admissible parameter set along the deterministic q0 sweep, and
+    the validate() report that passed it.
 
     Candidates satisfy the double-root constraints at the target lambda0 by
     construction; the first that validate() passes is returned.  Raises
@@ -461,7 +468,7 @@ def find_valid_params(search: SearchConfig) -> SurfaceParams:
         cand = params_for_q0(search, float(q0))
         report = validate(cand)
         if report.passed:
-            return cand
+            return cand, report
         score = sum(int(c.passed) for c in (report.condition_i, report.condition_star, report.lambda0_in_i4))
         fail = report.condition_i if not report.condition_i.passed else report.condition_star
         if best is None or score > best[0]:

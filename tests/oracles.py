@@ -4,9 +4,9 @@ Everything here is deliberately written from scratch: brute-force grids,
 raw companion-matrix roots through numpy, greedy pairing, single-linkage
 root clustering.  None of it calls back into the validation paths it
 certifies; the clustering starts from `poly.companion_roots`.  The last
-two sections, the radius-function handles and normal-bundle verdicts, and
-the closed forms of the conic families, are the exception: those wrap the
-package for the tests.
+three sections, the radius-function handles and normal-bundle verdicts,
+the elimination one trace at a time, and the closed forms of the conic
+families, are the exception: those wrap the package for the tests.
 """
 
 from __future__ import annotations
@@ -20,10 +20,18 @@ from typing import Callable
 
 import numpy as np
 
-from touching_conics.analysis import RadiusAnalysis, _pair_key, _triple_key
+from touching_conics.analysis import RadiusAnalysis, _pair_key, _triple_key, limit
+from touching_conics.classifier import (
+    EliminationOutcome,
+    EliminationTrace,
+    Hypothesis,
+    Reason,
+    Verdict,
+    _match_reason,
+)
 from touching_conics.errors import DomainError, InputError
 from touching_conics.poly import RealPolynomial, companion_roots, evaluate
-from touching_conics.resolution import HKind, ResolutionChoice, h_function
+from touching_conics.resolution import Edge, HKind, ResolutionChoice, all_resolutions, h_function
 from touching_conics.surface import Interval, SurfaceParams, disc_value, f_value, intervals, q_value, s_minus_q, sqrt_disc
 
 
@@ -588,6 +596,69 @@ def normal_bundle_at(
         if abs(lam - loc) <= _CRITICAL_MATCH_REL * (1.0 + abs(lam)):
             return NormalBundleVerdict.DEGENERATE
     return NormalBundleVerdict.BALANCED
+
+
+# ---------------------------------------------------------------------------
+# the elimination one trace at a time: each trace asks the analysis for its
+# three rows and the process for its four limits.  classifier.eliminate reads
+# each count row once and fills in a plan per trace; this is its reference.
+# It calls the package like the section above.
+
+
+def trace_by_lookup(analysis: RadiusAnalysis, choice: ResolutionChoice, hyp: Hypothesis) -> EliminationTrace:
+    reasons: list[Reason] = []
+    pair = _pair_key(choice)
+    triple = _triple_key(choice)
+    ell1 = choice.ell1
+
+    # A: orbit-family degeneration inside I2
+    locs = analysis.critical(HKind.H2, pair, analysis.span(Interval.I2))
+    if locs:
+        reasons.append(Reason("A", f"h2 of {sorted(f.value for f in pair)} has a critical point on I2", locs[0]))
+
+    # B: degeneration of the chosen special components
+    if hyp is Hypothesis.PLUS_OVER_I1:
+        govern_i1 = (HKind.H1, ell1, f"h1 (l1={ell1.value})")
+        govern_i3 = (HKind.H3, triple, "h3")
+    else:
+        govern_i1 = (HKind.H3, triple, "h3")
+        govern_i3 = (HKind.H1, ell1, f"h1 (l1={ell1.value})")
+    locs = analysis.critical(govern_i1[0], govern_i1[1], analysis.span(Interval.I1))
+    if locs:
+        reasons.append(Reason("B", f"{govern_i1[2]} has a critical point on I1", locs[0]))
+    locs = analysis.critical(govern_i3[0], govern_i3[1], analysis.span(Interval.I3))
+    if locs:
+        reasons.append(Reason("B", f"{govern_i3[2]} has a critical point on I3", locs[0]))
+
+    # C: reciprocal gluing of the limits across lambda = -1 and lambda = 0
+    h2_at_m1 = limit(HKind.H2, pair, Edge.MINUS_ONE)
+    h2_at_0 = limit(HKind.H2, pair, Edge.ZERO)
+    if hyp is Hypothesis.PLUS_OVER_I1:
+        inner_m1 = limit(HKind.H1, ell1, Edge.MINUS_ONE)
+        inner_m1_name = f"h1 (l1={ell1.value}) at -1-"
+        outer_0 = limit(HKind.H3, triple, Edge.ZERO)
+        outer_0_name = "h3 at 0+"
+    else:
+        inner_m1 = limit(HKind.H3, triple, Edge.MINUS_ONE)
+        inner_m1_name = "h3 at -1-"
+        outer_0 = limit(HKind.H1, ell1, Edge.ZERO)
+        outer_0_name = f"h1 (l1={ell1.value}) at 0+"
+    for reason in (
+        _match_reason("C", "lambda = -1", inner_m1, h2_at_m1, inner_m1_name, "h2 at -1+"),
+        _match_reason("C", "lambda = 0", h2_at_0, outer_0, "h2 at 0-", outer_0_name),
+    ):
+        if reason:
+            reasons.append(reason)
+
+    verdict = Verdict.ELIMINATED if reasons else Verdict.SURVIVES
+    return EliminationTrace(choice=choice, hypothesis=hyp, verdict=verdict, reasons=tuple(reasons))
+
+
+def eliminate_by_lookup(analysis: RadiusAnalysis) -> EliminationOutcome:
+    """classifier.eliminate's outcome, built trace by trace."""
+    traces = tuple(trace_by_lookup(analysis, choice, hyp) for choice in all_resolutions() for hyp in Hypothesis)
+    survivors = tuple((t.choice, t.hypothesis) for t in traces if t.verdict is Verdict.SURVIVES)
+    return EliminationOutcome(survivors=survivors, traces=traces)
 
 
 # ---------------------------------------------------------------------------

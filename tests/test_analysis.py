@@ -200,6 +200,28 @@ def test_h0_pairing_rejects_critical_plane(params_star):
         h0_pairing(analysis_of(params_star), crit)
 
 
+@pytest.mark.parametrize("offset", [2e-9, -2e-9])
+def test_h0_pairing_rejects_planes_within_rounding_of_the_critical_one(params_star, offset):
+    # g = Q / sqrt(f) is within rounding of its minimum here: the quartic's
+    # roots merge into crit itself (+2e-9) or both fall on one side (-2e-9)
+    cache = analysis_of(params_star)
+    crit = h0_critical_on_i2(cache)
+    with pytest.raises(DomainError, match="critical plane"):
+        h0_pairing(cache, crit + offset)
+
+
+@pytest.mark.parametrize("offset", [1e-7, -1e-7])
+def test_h0_pairing_just_outside_the_critical_window(params_draws, offset):
+    for params in params_draws:
+        cache = analysis_of(params)
+        crit = h0_critical_on_i2(cache)
+        lam = crit + offset
+        mu = h0_pairing(cache, lam)
+        # g is quadratic about its minimum, so the partner mirrors lam
+        assert -1.01 < (mu - crit) / offset < -0.99
+        assert abs(mu - pairing_by_bisection(h_handle(HKind.H0, CH0, params), lam, crit)) <= 1e-9
+
+
 def test_psi_profile():
     rep = psi_check(1000)
     assert rep.passed

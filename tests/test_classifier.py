@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
-from touching_conics.analysis import _order, domain_side
+from touching_conics.analysis import _order, domain_side, verify_h_tables
 from touching_conics.classifier import (
     EXPECTED_SURVIVORS,
     ComponentChoice,
@@ -28,7 +28,7 @@ from touching_conics.errors import NotFoundError, PreconditionError
 from touching_conics.poly import derivative
 from touching_conics.resolution import Edge, HKind, LinearForm, ResolutionChoice
 from touching_conics.surface import SearchConfig, f_poly, find_valid_params, q_value
-from oracles import analysis_of, central_difference, h_handle
+from oracles import analysis_of, central_difference, eliminate_by_lookup, h_handle
 
 
 SURVIVOR_PLUS = ResolutionChoice(LinearForm.X1, LinearForm.X0_PLUS_X1, LinearForm.X0)
@@ -210,3 +210,32 @@ def test_q_vanishing_at_a_root_of_f_fails_condition_i(params_star, tmp_path, roo
     assert doc["h_tables"] == {"rows": [], "passed": False, "error": doc["classification"]["error"]}
     assert "condition (i)" in doc["classification"]["error"]
     assert doc["classification"]["survivors"] == [] and doc["classification"]["inconclusive"] is False
+
+
+# ---------------------------------------------------------------------------
+# the elimination reads each of its 14 count rows once and fills in a plan
+# per trace; its reference in tests/oracles.py looks up each trace's rows
+
+
+@given(a=_log_uniform(0.25, 4.0), b=_log_uniform(0.25, 4.0), gap=st.floats(0.25, 6.25), q0_min=st.floats(0.05, 3.0))
+def test_keyed_elimination_equals_the_per_trace_oracle(a, b, gap, q0_min):
+    # the box of the benchmark's sweep: a, b log-uniform in [1/4, 4],
+    # lambda0 - b/a in [0.25, 6.25], q0_min in [0.05, 3]
+    try:
+        params = find_valid_params(SearchConfig(a=a, b=b, lambda0=b / a + gap, q0_min=q0_min))
+    except NotFoundError:
+        reject()
+    expected = eliminate_by_lookup(analysis_of(params))
+    # every reason compared, witnesses included: A and B carry critical points
+    assert any(r.code in ("A", "B") for t in expected.traces for r in t.reasons)
+    assert eliminate(analysis_of(params)) == expected
+
+
+def test_elimination_reads_14_count_rows(params_draws):
+    for params in params_draws:
+        cache = analysis_of(params)
+        verify_h_tables(cache)
+        assert cache.work_counts()["count_rows"] == 0
+        classify(cache)
+        # h2 of 6 pairs on I2, h1 of 4 forms on I1 and on I3
+        assert cache.work_counts() == {"critical_polynomials": 11, "critical_spans": 23, "count_rows": 14}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from touching_conics import analysis, cli, surface
 from touching_conics.analysis import RadiusAnalysis
@@ -88,6 +91,21 @@ def test_search_params(tmp_path):
     assert run(["--out", str(out), "search-params", "--lambda0", "2.0"]) == EXIT_OK
     doc = _load(out)
     assert doc["search"]["found"]
+    assert doc["validation"]["passed"]
+
+
+def test_search_params_validates_each_candidate_once(tmp_path, monkeypatch):
+    # the default sweep passes its 13th candidate, and the document prints
+    # the report the sweep passed it with
+    validated = []
+    validate = surface.validate
+    for module in (surface, cli):
+        monkeypatch.setattr(module, "validate", lambda params: validated.append(params) or validate(params))
+    out = tmp_path / "s.json"
+    assert run(["--out", str(out), "search-params"]) == EXIT_OK
+    assert len(validated) == len(set(validated)) == 13
+    doc = _load(out)
+    assert doc["search"]["params"] == validated[-1].as_dict()
     assert doc["validation"]["passed"]
 
 
@@ -173,8 +191,9 @@ def test_report_timings_opt_in(star_arg, tmp_path):
     # to the microsecond: every stage takes more than one, none reads 0
     assert all(0.0 < v == round(v, 6) for v in stages.values())
     # 1 + 4 + 6 radius functions (h3 is h1 of the missing form) over
-    # 3 + 8 + 12 spans (h1 and h3 share theirs)
-    assert timings == {"critical_polynomials": 11, "critical_spans": 23}
+    # 3 + 8 + 12 spans (h1 and h3 share theirs); the elimination reads 6 + 8
+    # of those count rows
+    assert timings == {"critical_polynomials": 11, "critical_spans": 23, "count_rows": 14}
 
 
 def test_tangency_timings_opt_in(star_arg, tmp_path):
@@ -501,3 +520,57 @@ def test_report_is_built_from_the_subcommands_sections(params_draws, capsys):
         assert report["h_tables"] == {key: docs["critical"][key] for key in ("rows", "passed")}
         assert report["classification"] == docs["classify"]["classification"]
         assert report["psi"] == docs["psi"]["psi"]
+
+
+# ---------------------------------------------------------------------------
+# the document writer: json.dumps(indent=2, sort_keys=True,
+# default=_json_safe) and a newline, from a plain recursive writer
+
+
+@dataclasses.dataclass(frozen=True)
+class _Leaf:
+    name: str
+    value: float
+    count: int | None
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    _FLOATS,
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+    st.builds(_Leaf, st.text(), _FLOATS, st.none() | st.integers()),
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_DOCUMENTS)
+def test_writer_writes_what_json_dumps_writes(doc):
+    expected = json.dumps(doc, indent=2, sort_keys=True, default=cli._json_safe) + "\n"
+    assert cli._json_text(doc) == expected
+
+
+@pytest.mark.parametrize("doc", [{1: "x"}, {None: 0}, {1.5: 0}, {("a",): 0}, {"a": [{"b": {2: 0}}]}, {"a": 0, 3: 0}])
+def test_writer_refuses_keys_that_are_not_str(doc):
+    with pytest.raises(TypeError):
+        cli._json_text(doc)
+
+
+def test_writer_refuses_what_json_safe_leaves_as_it_is():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        cli._json_text({"a": {1, 2}})
