@@ -358,13 +358,17 @@ def _cmd_tangency(args):
     else:
         sweeps = [("special", angles, ("Special",))]
     rows = []
+    decide_s = 0.0
     for family, knobs, accepted in sweeps:
-        make = _CONICS[family]
-        for knob in knobs:
-            kind = plane.conic_type(make(plane, knob)).value
-            rows.append({"family": family, "knob": knob, "type": kind, "passed": kind in accepted})
+        t1 = time.perf_counter()
+        kinds = plane.conic_types(family, knobs)
+        decide_s += time.perf_counter() - t1
+        for knob, kind in zip(knobs, kinds):
+            label = kind.value
+            rows.append({"family": family, "knob": knob, "type": label, "passed": label in accepted})
     ok = all(r["passed"] for r in rows)
-    return {"rows": rows, "passed": ok}, ok, {"tangency_s": _elapsed(t0), "conics": len(rows)}
+    timings = {"tangency_s": _elapsed(t0), "decide_s": round(decide_s, 6), "conics": len(rows)}
+    return {"rows": rows, "passed": ok}, ok, timings
 
 
 def _cmd_hscan(args):

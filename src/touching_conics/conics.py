@@ -12,15 +12,20 @@ Plane coordinates are ordered (y1, y2, y3); the real structure acts by
 (y1 : y2 : y3) -> (conj y1 : conj y3 : conj y2).
 
 A conic's matrix is kept as nested Python complex rows, and the surface data
-of a plane is read once per `Plane`: on a 3x3 matrix, numpy's cost per call
-exceeds the arithmetic, and a family sweep builds hundreds of conics on one
-plane.
+of a plane is read once per `Plane`.  On one 3x3 matrix numpy's cost per call
+exceeds the arithmetic, so a conic that is built, exported or certified on
+its own stays in Python numbers.  A family sweep types hundreds of conics on
+one plane, so the type decision runs on a batch: the matrices as (re, im)
+float arrays, with Python's complex arithmetic spelled out on the parts, so
+that every value and verdict is the per-conic one to the bit.  A single conic
+is decided as a batch of one.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,7 +40,7 @@ from .errors import (
     InputError,
     PreconditionError,
 )
-from .poly import evaluate, square_root_roots
+from .poly import EQUALITY_REL, evaluate, square_root_roots
 from .surface import SurfaceParams, f_value, q_value, s_minus_q, sqrt_disc
 
 _SWAP23 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
@@ -67,6 +72,26 @@ ORBIT_CONTAINMENT_REL = 1e-9
 # so its least eigenvalue moves by about this share of the largest entry.
 REALITY_TOL = 1e-8
 
+# Default mismatch of ConicCoeffs.is_real, in the same units: the families'
+# matrices miss invariance by a few ulps, and 1e-9 keeps seven orders of
+# magnitude above that, as the square tests' EQUALITY_REL does.
+INVARIANCE_TOL = 1e-9
+
+# The symmetry test of a matrix given to ConicCoeffs.from_matrix is
+# numpy.allclose(m, m.T) with these: mirrored entries pass when they agree to
+# SYMMETRY_REL of their own size, numpy's default rtol, or to SYMMETRY_TOL of
+# 1 + the largest modulus, about twelve digits, which lets an entry opposite
+# an exact zero differ from it by rounding.  The families' matrices are
+# symmetric by construction.
+SYMMETRY_TOL = 1e-12
+SYMMETRY_REL = 1e-5
+
+_SINGULAR = (
+    f"conic matrix is singular: |det| is at most {REL_EPS:g} times its Hadamard bound, so the conic "
+    "cannot be told from a union of lines"
+)
+_ALPHA_ZERO = "alpha = 0 gives a line pair, not a conic"
+
 
 class ConicType(enum.Enum):
     GENERIC = "Generic"
@@ -93,7 +118,7 @@ class ConicCoeffs:
         rows = m.tolist()
         try:
             top = max(abs(z) for row in rows for z in row)
-            symmetric = _symmetric(rows, 1e-12 * (1.0 + top))
+            symmetric = _symmetric(rows, SYMMETRY_TOL * (1.0 + top))
         except OverflowError:
             top, symmetric = math.inf, True
         if not symmetric:
@@ -117,7 +142,7 @@ class ConicCoeffs:
     def det(self) -> complex:
         return complex(np.linalg.det(self.m))
 
-    def is_real(self, tol: float = 1e-9) -> bool:
+    def is_real(self, tol: float = INVARIANCE_TOL) -> bool:
         """Invariance of the zero set under the plane real structure.
 
         Conjugating and swapping the last two coordinates must reproduce the
@@ -155,8 +180,8 @@ def _conic(rows) -> ConicCoeffs:
 
 
 def _isclose(x: complex, y: complex, atol: float) -> bool:
-    """numpy.isclose(x, y, rtol=1e-5, atol=atol) on Python numbers."""
-    return x == y or (abs(x - y) <= atol + 1e-5 * abs(y) and cmath.isfinite(y))
+    """numpy.isclose(x, y, rtol=SYMMETRY_REL, atol=atol) on Python numbers."""
+    return x == y or (abs(x - y) <= atol + SYMMETRY_REL * abs(y) and cmath.isfinite(y))
 
 
 def _symmetric(rows, atol: float) -> bool:
@@ -193,19 +218,6 @@ class TangencyReport:
     pinf_contact: int
     pinfbar_contact: int
     detail: str = ""
-
-
-class _Contact(NamedTuple):
-    """What decides a conic's type.  branches holds, per branch examined,
-    (name, normalised restriction, roots of its square root or None, contact
-    at Pinf, contact at PinfBar); it is None for an orbit-shaped conic, whose
-    type is read off alpha."""
-
-    kind: ConicType
-    detail: str
-    pinf: int
-    pinfbar: int
-    branches: tuple | None
 
 
 # ---------------------------------------------------------------------------
@@ -293,69 +305,146 @@ class Plane:
 
     def conic_type(self, conic: ConicCoeffs) -> ConicType:
         """The type verify_touching reports, without its contact records."""
-        return self._contact(conic.rows).kind
+        return _OUTCOMES[self._decide(*_batch_of(conic), _Pending(1)).code[0]][0]
 
-    def _contact(self, rows) -> _Contact:
-        """The one decision of a conic's type; see verify_touching."""
-        if _degenerate(rows):
-            raise DegenerateConicError(
-                f"conic matrix is singular: |det| is at most {REL_EPS:g} times its Hadamard bound, so the conic "
-                "cannot be told from a union of lines"
-            )
-        gm, gp = self.branch_factors
+    def conic_types(self, family: str, knobs) -> list[ConicType]:
+        """conic_type of the members of a family, "generic", "special" or
+        "orbit", at the knobs (angles, or alphas for the orbit family), decided
+        in one batch.  Where a member cannot be built or typed, this raises
+        what building and typing the members one by one, in knob order, raises
+        first."""
+        knobs = np.asarray(knobs, dtype=float)
+        if knobs.size == 0:
+            return []
+        pending = _Pending(knobs.size)
+        members = self._members(family, knobs, pending)
+        return [_OUTCOMES[c][0] for c in self._decide(*members, pending).code.tolist()]
 
-        alpha = _orbit_alpha(rows)
-        if alpha is not None:
-            resid = (alpha + self.q) ** 2 - self.f
-            scale = 1.0 + (alpha + self.q) ** 2 + abs(self.f)
-            if abs(resid) <= ORBIT_CONTAINMENT_REL * scale:
-                return _Contact(ConicType.CONTAINED_IN_B, "orbit conic lies on the surface", 4, 4, None)
-            return _Contact(ConicType.ORBIT, f"orbit residual {resid:.6e}", 4, 4, None)
+    def _members(self, family: str, knobs: np.ndarray, pending: "_Pending"):
+        """The normalised matrices of the family's members at the knobs, as a
+        batch: equal to the rows of generic, special and orbit_conic to the
+        bit.  alpha = 0 fails its conic, as orbit_conic raises there."""
+        if family == "orbit":
+            pending.fail(knobs == 0.0, lambda i: DomainError(_ALPHA_ZERO))
+            entries = ((-knobs, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.5, 0.0))
+        else:
+            if family == "generic":
+                two_d, radius, q = self._generic_entries
+            else:
+                s, radius = self._special_entries
+            rot = np.exp(1j * knobs)
+            rot = (rot.real, rot.imag)
+            with np.errstate(divide="ignore", invalid="ignore"):  # the branch of the quotient not taken
+                w, w_bar = _mul((radius, 0.0), rot), _quot((radius, 0.0), rot)
+            if family == "generic":
+                entries = ((two_d, 0.0, 0.0), (0.0, w, q), (0.0, q, w_bar))
+            else:
+                entries = ((s, w, w_bar), (w, 0.0, 0.5), (w_bar, 0.5, 0.0))
+        re = np.empty((3, 3, knobs.size))
+        im = np.zeros((3, 3, knobs.size))
+        for i, row in enumerate(entries):
+            for j, z in enumerate(row):
+                if isinstance(z, tuple):
+                    re[i, j], im[i, j] = z
+                else:
+                    re[i, j] = z
+        # as _conic scales: by the reciprocal of the largest modulus, each
+        # part as Python's complex times float rounds it
+        scale = 1.0 / np.hypot(re, im).max(axis=(0, 1))
+        return (re + im * 0.0) * scale, (im - re * 0.0) * scale
 
-        branches = []
-        pinf_total = 0
-        pinfbar_total = 0
-        touching = True
-        for name, g in (("g-", gm), ("g+", gp)):
-            rest = _restriction(rows, g)
-            if not any(rest):
-                return _Contact(
-                    ConicType.CONTAINED_IN_B,
-                    f"branch {name} restriction vanishes identically",
-                    pinf_total,
-                    pinfbar_total,
-                    tuple(branches),
-                )
+    def _decide(self, re: np.ndarray, im: np.ndarray, pending: "_Pending") -> "_Decision":
+        """The one type decision, on a batch of normalised matrices (re, im),
+        arrays of shape (3, 3, n); see verify_touching.  Each conic takes the
+        steps it would take alone, in order: the degeneracy test; the orbit
+        shape and its containment residual; then per branch, g- before g+,
+        identical vanishing, the cancellation floor, normalisation, the
+        fixed-point contact and the square test of what remains.  A conic that
+        raises drops out of the later steps, and the batch raises the error of
+        its first such conic."""
+        with np.errstate(all="ignore"):
+            decision = self._decide_parts(re, im, pending)
+        pending.raise_first()
+        return decision
+
+    def _decide_parts(self, re, im, pending: "_Pending") -> "_Decision":
+        n = re.shape[-1]
+        code = np.zeros(n, dtype=np.int8)
+        mods = np.hypot(re, im)
+        pending.fail(_degenerate(re, im, mods), lambda i: DegenerateConicError(_SINGULAR))
+        # every conic that is not degenerate reads the branch factors, so on
+        # the double-root plane the first of them fails
+        try:
+            branch_factors = self.branch_factors
+        except DegeneratePlaneError as exc:
+            pending.fail(pending.live, lambda i: exc)
+            pending.raise_first()
+
+        (m00, m01, m02), (_, m11, m12), (_, _, m22) = [[(re[i, j], im[i, j]) for j in range(3)] for i in range(3)]
+        two_m01, two_m02, two_m12 = (_mul((2.0, 0.0), z) for z in (m01, m02, m12))
+        # the orbit shape y2 y3 = alpha y1^2: orbit_conic writes literal zeros
+        # and the normaliser scales by a positive real, so the shape and the
+        # reality of alpha are read exactly
+        alpha, alpha_im = _quot((-m00[0], -m00[1]), two_m12)
+        zero = mods == 0.0
+        orbit = pending.live & zero[0, 1] & zero[0, 2] & zero[1, 1] & zero[2, 2] & ~zero[1, 2] & (alpha_im == 0)
+        resid = np.full(n, math.nan)
+        if orbit.any():
+            shifted = pending.power(alpha + self.q, 2, orbit)
+            resid = shifted - self.f
+            on_surface = np.abs(resid) <= ORBIT_CONTAINMENT_REL * (1.0 + shifted + abs(self.f))
+            code[orbit] = np.where(on_surface, _ON_SURFACE, _ORBIT_SHAPE)[orbit]
+            pending.settle(orbit)
+
+        norms, lows, highs, squares = [], [], [], []
+        for b, g in enumerate(branch_factors):
+            g = (g.real, g.imag)
+            parts = (m22, two_m02, _sub(m00, _mul(g, two_m12)), _mul((-g[0], -g[1]), two_m01), _mul(_mul(m11, g), g))
+            rest_re = np.array([part[0] for part in parts])
+            rest_im = np.array([part[1] for part in parts])
+            rest_mods = np.hypot(rest_re, rest_im)
+            vanishes = pending.live & (rest_mods.max(axis=0) == 0.0)  # a NaN part is not zero
+            code[vanishes] = _VANISHES + b
+            pending.settle(vanishes)
             # rest[2] = m00 - 2 g m12 cancels only where its two terms are
             # close, so comparing it with |m00| alone finds the same
             # cancellations
-            if abs(rest[2]) < CANCELLATION_FLOOR * abs(rows[0][0]):
-                raise DomainError(
-                    f"lost precision at lam={self.lam!r}: the x1^2 coefficient of the branch {name} restriction "
-                    f"keeps {abs(rest[2] / rows[0][0]):.1e} of its terms, below {CANCELLATION_FLOOR:g}"
-                )
-            norm = _normalized(rest)
-            nonzero = [k for k, c in enumerate(norm) if c != 0]
-            pinf_mult = nonzero[0]
-            pinfbar_mult = 4 - nonzero[-1]
-            roots = square_root_roots(norm[nonzero[0] : nonzero[-1] + 1])
-            touching = touching and roots is not None
-            pinf_total += pinf_mult
-            pinfbar_total += pinfbar_mult
-            branches.append((name, norm, roots, pinf_mult, pinfbar_mult))
+            pending.fail(
+                rest_mods[2] < CANCELLATION_FLOOR * mods[0, 0],
+                lambda i, b=b, x=parts[2]: self._lost_precision(_BRANCHES[b], complex(x[0][i], x[1][i]), m00, i),
+            )
+            top = _pymax(*rest_mods)
+            top = np.where(top == 0.0, 1.0, top)  # all-zero coefficients stay as they are
+            norm_re = (rest_re + rest_im * 0.0) / top
+            norm_im = (rest_im - rest_re * 0.0) / top
+            nonzero = (norm_re != 0.0) | (norm_im != 0.0)
+            low = nonzero.argmax(axis=0)
+            high = 4 - nonzero[::-1].argmax(axis=0)
+            norms.append((norm_re, norm_im))
+            lows.append(low)
+            highs.append(high)
+            squares.append(_square(norm_re, norm_im, low, high, pending))
 
-        if not touching:
-            kind, detail = ConicType.NOT_TOUCHING, "a contact of odd order exists"
-        elif pinf_total == 0 and pinfbar_total == 0:
-            kind, detail = ConicType.GENERIC, ""
-        elif pinf_total == 2 and pinfbar_total == 2:
-            kind, detail = ConicType.SPECIAL, ""
-        elif pinf_total == 4 and pinfbar_total == 4:
-            kind, detail = ConicType.ORBIT, ""
-        else:
-            kind = ConicType.NOT_TOUCHING
-            detail = f"unbalanced fixed-point contact ({pinf_total}, {pinfbar_total})"
-        return _Contact(kind, detail, pinf_total, pinfbar_total, tuple(branches))
+        live = pending.live
+        pinf = lows[0] + lows[1]
+        pinfbar = 8 - highs[0] - highs[1]
+        code[live] = np.select(
+            [
+                ~(squares[0] & squares[1]),
+                (pinf == 0) & (pinfbar == 0),
+                (pinf == 2) & (pinfbar == 2),
+                (pinf == 4) & (pinfbar == 4),
+            ],
+            [_ODD, _GENERIC, _SPECIAL, _ORBIT],
+            _UNBALANCED,
+        )[live]
+        return _Decision(code, resid, norms, lows, highs)
+
+    def _lost_precision(self, name: str, x2: complex, m00, i: int) -> DomainError:
+        return DomainError(
+            f"lost precision at lam={self.lam!r}: the x1^2 coefficient of the branch {name} restriction "
+            f"keeps {abs(x2 / complex(m00[0][i], m00[1][i])):.1e} of its terms, below {CANCELLATION_FLOOR:g}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -365,39 +454,153 @@ class Plane:
 def orbit_conic(alpha: float) -> ConicCoeffs:
     """The orbit-closure conic y2 y3 = alpha y1^2."""
     if alpha == 0.0:
-        raise DomainError("alpha = 0 gives a line pair, not a conic")
+        raise DomainError(_ALPHA_ZERO)
     return _conic(((-alpha, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.5, 0.0)))
 
 
-def _orbit_alpha(rows) -> float | None:
-    """Recover alpha if the conic (nested rows of its matrix) has the orbit
-    shape, else None.  orbit_conic writes literal zeros and the normaliser
-    scales by a positive real, so the shape and the reality of alpha are
-    read exactly."""
-    if rows[0][1] != 0 or rows[0][2] != 0 or rows[1][1] != 0 or rows[2][2] != 0 or rows[1][2] == 0:
-        return None
-    ratio = -rows[0][0] / (2.0 * rows[1][2])
-    if ratio.imag != 0:
-        return None
-    return ratio.real
-
-
 # ---------------------------------------------------------------------------
-# tangency certification
+# the type decision on a batch of conics
+#
+# A batch is n normalised matrices as a pair (re, im) of float arrays of shape
+# (3, 3, n).  Every step is the one Python takes on complex numbers, spelled
+# out on the parts, so each value, and so each verdict, equals the per-conic
+# arithmetic's to the bit: products as CPython multiplies (a float operand is
+# the complex (x, 0.0)), quotients by Smith's method in CPython's order,
+# moduli as hypot.  numpy's own complex * and / round otherwise.  numpy's pow
+# and the 3-argument math.hypot round otherwise too, so those run per element
+# in Python.  Where Python raises on a value, an overflowing power or modulus,
+# the conic fails with the same error.
+
+_BRANCHES = ("g-", "g+")
+
+# the outcomes of the decision by code: the type, and verify_touching's detail
+_OUTCOMES = (
+    (ConicType.GENERIC, ""),
+    (ConicType.SPECIAL, ""),
+    (ConicType.ORBIT, ""),
+    (ConicType.NOT_TOUCHING, "a contact of odd order exists"),
+    (ConicType.NOT_TOUCHING, "unbalanced fixed-point contact ({pinf}, {pinfbar})"),
+    (ConicType.ORBIT, "orbit residual {resid:.6e}"),
+    (ConicType.CONTAINED_IN_B, "orbit conic lies on the surface"),
+    (ConicType.CONTAINED_IN_B, "branch g- restriction vanishes identically"),
+    (ConicType.CONTAINED_IN_B, "branch g+ restriction vanishes identically"),
+)
+_GENERIC, _SPECIAL, _ORBIT, _ODD, _UNBALANCED, _ORBIT_SHAPE, _ON_SURFACE, _VANISHES = range(8)
 
 
-def _restriction(rows, g: complex) -> tuple[complex, ...]:
-    """Substitute the branch x2 = -g x1^2 into the conic, given by the nested
-    rows of its matrix, in the chart x1 = y1/y3, x2 = y2/y3; ascending
-    coefficients, degree 4."""
-    (m00, m01, m02), (_, m11, m12), (_, _, m22) = rows
-    return (m22, 2.0 * m02, m00 - g * (2.0 * m12), -g * (2.0 * m01), m11 * g * g)
+class _Decision(NamedTuple):
+    """The decision on a batch: each conic's outcome code, its orbit residual
+    (NaN off the orbit shape), and per branch the normalised restriction
+    (arrays of shape (5, n)) with the positions of its first and last nonzero
+    coefficients."""
+
+    code: np.ndarray
+    resid: np.ndarray
+    norms: list
+    lows: list
+    highs: list
 
 
-def _degenerate(rows) -> bool:
+class _Pending:
+    """Which conics of a batch are still undecided, and the error of each
+    that failed.  A conic fails at most once, at its first error, and the
+    batch raises the error of its first failed conic: what a loop over the
+    conics in order raises."""
+
+    def __init__(self, n: int):
+        self.live = np.ones(n, dtype=bool)
+        self.errors: dict[int, Exception] = {}
+
+    def settle(self, mask: np.ndarray) -> None:
+        self.live &= ~mask
+
+    def fail(self, mask: np.ndarray, error) -> None:
+        """Fail the live conics in mask with error(index)."""
+        for i in np.flatnonzero(mask & self.live).tolist():
+            self.errors[i] = error(i)
+        self.settle(mask)
+
+    def raise_first(self) -> None:
+        if self.errors:
+            raise self.errors[min(self.errors)]
+
+    def power(self, x: np.ndarray, y: float, where: np.ndarray) -> np.ndarray:
+        """x ** y per element with Python's float power; where that raises
+        OverflowError, the conics in where fail with it."""
+        values = x.tolist()
+        try:
+            return np.array(list(map(pow, values, itertools.repeat(y, len(values)))))
+        except OverflowError:
+            pass
+        out = []
+        for i, v in enumerate(values):
+            try:
+                out.append(pow(v, y))
+            except OverflowError as exc:
+                if where[i] and self.live[i]:
+                    self.errors[i] = exc
+                    self.live[i] = False
+                out.append(math.inf)
+        return np.array(out)
+
+    def modulus(self, z, where: np.ndarray) -> np.ndarray:
+        """abs(z) per element, for z of shape (n,) or (k, n); where Python's
+        abs raises OverflowError, on finite parts whose modulus passes the
+        float range, the conics in where fail as it does."""
+        h = np.hypot(*z)
+        if np.isinf(h).any():
+            over = np.isinf(h) & np.isfinite(z[0]) & np.isfinite(z[1])
+            self.fail(where & over.reshape(-1, where.size).any(axis=0), lambda i: OverflowError("absolute value too large"))
+        return h
+
+
+def _batch_of(conic: ConicCoeffs) -> tuple[np.ndarray, np.ndarray]:
+    m = np.array(conic.rows, dtype=complex)[..., None]
+    return m.real, m.imag
+
+
+def _mul(a, b):
+    """a * b on (re, im) pairs, as CPython multiplies complex numbers."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quot(a, b):
+    """a / b on (re, im) pairs, b nonzero, as CPython divides complex numbers:
+    Smith's method, scaled by the part of b of larger modulus."""
+    (ar, ai), (br, bi) = a, b
+    by_re = np.abs(br) >= np.abs(bi)
+    ratio = bi / br
+    denom = br + bi * ratio
+    ratio_t = br / bi
+    denom_t = br * ratio_t + bi
+    return (
+        np.where(by_re, (ar + ai * ratio) / denom, (ar * ratio_t + ai) / denom_t),
+        np.where(by_re, (ai - ar * ratio) / denom, (ai * ratio_t - ar) / denom_t),
+    )
+
+
+def _sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _pymax(first, *rest):
+    """Python's max of floats per element: a later value replaces the one
+    kept only where it is larger."""
+    for x in rest:
+        first = np.where(x > first, x, first)
+    return first
+
+
+def _degenerate(re: np.ndarray, im: np.ndarray, mods: np.ndarray) -> np.ndarray:
     """|det| within REL_EPS of the Hadamard bound, the product of the row
     norms, of the matrix balanced by the congruence S m S, S = diag(s_i) with
-    s_i = 2^-e_i and e_i half the binary exponent of row i's norm.
+    s_i = 2^-e_i and e_i half the binary exponent of row i's norm.  mods holds
+    the entries' moduli.
 
     Rows whose scales differ by a factor k lower the ratio of |det| to the
     bound by about k, so without the congruence a smooth conic far out reads
@@ -405,20 +608,84 @@ def _degenerate(rows) -> bool:
     it is exact: det(S m S) = det(m) (s_0 s_1 s_2)^2, with det by cofactors
     along the first row, and row i of S m S has norm s_i |row_i S|.
     """
-    (a, b, c), (d, e, f), (g, h, k) = rows
-    (ma, mb, mc), (md, me, mf), (mg, mh, mk) = [map(abs, row) for row in rows]
-    s0 = math.ldexp(1.0, -(math.frexp(math.hypot(ma, mb, mc))[1] // 2))
-    s1 = math.ldexp(1.0, -(math.frexp(math.hypot(md, me, mf))[1] // 2))
-    s2 = math.ldexp(1.0, -(math.frexp(math.hypot(mg, mh, mk))[1] // 2))
-    det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
-    norms = (
-        math.hypot(ma * s0, mb * s1, mc * s2)
-        * math.hypot(md * s0, me * s1, mf * s2)
-        * math.hypot(mg * s0, mh * s1, mk * s2)
+    norms = [list(map(math.hypot, *row)) for row in mods.tolist()]
+    s = np.ldexp(1.0, -(np.frexp(norms)[1] // 2))
+    bounds = [np.array(list(map(math.hypot, *row))) for row in (mods * s).tolist()]
+    # the three 2x2 minors of the last two rows, e k - f h, d k - f g and
+    # d h - e g, then a minor_0 - b minor_1 + c minor_2
+    left, right = [1, 0, 0], [2, 2, 1]
+    minors = _sub(
+        _mul((re[1, left], im[1, left]), (re[2, right], im[2, right])),
+        _mul((re[1, right], im[1, right]), (re[2, left], im[2, left])),
     )
+    terms = _mul((re[0], im[0]), minors)
+    det = _add(_sub((terms[0][0], terms[1][0]), (terms[0][1], terms[1][1])), (terms[0][2], terms[1][2]))
     # |det(S m S)| / prod_i s_i |row_i S|, multiplied out so that no
     # partial product overflows
-    return abs(det) * s0 * s1 * s2 <= REL_EPS * norms
+    return np.hypot(*det) * s[0] * s[1] * s[2] <= REL_EPS * (bounds[0] * bounds[1] * bounds[2])
+
+
+def _square(norm_re, norm_im, low, high, pending: _Pending) -> np.ndarray:
+    """Whether the part of each live restriction between its first and last
+    nonzero coefficients is a constant times a square: poly.square_root_roots'
+    test, without its roots.  Degree 0 is the empty square, degree 2 needs
+    b^2 = 4ac and degree 4 two double roots, both to EQUALITY_REL; odd
+    degrees never are squares."""
+    degree = high - low
+    square = degree == 0
+    quadratic = pending.live & (degree == 2)
+    if quadratic.any():
+        cols = np.arange(low.size)
+        k = np.where(quadratic, low, 0)
+        c, b, a = ((norm_re[k + j, cols], norm_im[k + j, cols]) for j in range(3))
+        bb = _mul(b, b)
+        ac4 = _mul(_mul((4.0, 0.0), a), c)
+        tol = EQUALITY_REL * _pymax(np.hypot(*bb), np.hypot(*ac4))
+        square = np.where(quadratic, ~(np.hypot(*_sub(bb, ac4)) > tol), square)
+    quartic = pending.live & (degree == 4)
+    if quartic.any():
+        square = np.where(quartic, _two_double_roots(norm_re, norm_im, quartic, pending), square)
+    return square
+
+
+def _two_double_roots(norm_re, norm_im, where: np.ndarray, pending: _Pending) -> np.ndarray:
+    """poly.two_double_roots_criterion of the monic quartic of each
+    restriction of degree 4, with the default tolerance."""
+    # the monic coefficients (a4, a3, a2, a1), by rows
+    a_re, a_im = _quot((norm_re[:4], norm_im[:4]), (norm_re[4], norm_im[4]))
+    a4, a3, a2, a1 = zip(a_re, a_im)
+    m4, m3, m2, m1 = pending.modulus((a_re, a_im), where)
+    s = 1.0 + _pymax(m1, pending.power(m2, 0.5, where), pending.power(m3, 1.0 / 3.0, where), pending.power(m4, 0.25, where))
+
+    def close(lhs, rhs, floor, where):
+        """abs(lhs - rhs) <= EQUALITY_REL * max(abs(lhs), abs(rhs), floor)."""
+        gap = _sub(lhs, rhs)
+        mods = pending.modulus((np.array([gap[0], lhs[0], rhs[0]]), np.array([gap[1], lhs[1], rhs[1]])), where)
+        return mods[0] <= EQUALITY_REL * _pymax(mods[1], mods[2], floor)
+
+    small = m1 <= EQUALITY_REL * s
+    square = np.zeros(s.size, dtype=bool)
+    # x^4 + a2 x^2 + a4 (a1 = 0): a3 = 0 and 4 a4 = a2^2
+    first = where & small & pending.live
+    if first.any():
+        zero = np.zeros(s.size)
+        held = close(a3, (zero, zero), pending.power(s, 3, first), first)
+        second = first & held & pending.live
+        if second.any():
+            held = held & close(_mul((4.0, 0.0), a4), _mul(a2, a2), pending.power(s, 4, second), second)
+        square = np.where(first, held, square)
+    # otherwise 4 a1 a2 = a1^3 + 8 a3 and a1^2 a4 = a3^2
+    first = where & ~small & pending.live
+    if first.any():
+        cube = _mul(_mul((1.0, 0.0), a1), _mul(a1, a1))  # a1 ** 3, by repeated squaring
+        pending.fail(first & (np.isinf(cube[0]) | np.isinf(cube[1])), lambda i: OverflowError("complex exponentiation"))
+        rhs = _add(cube, _mul((8.0, 0.0), a3))
+        held = close(_mul(_mul((4.0, 0.0), a1), a2), rhs, pending.power(s, 3, first), first)
+        second = first & held & pending.live
+        if second.any():
+            held = held & close(_mul(_mul(a1, a1), a4), _mul(a3, a3), pending.power(s, 6, second), second)
+        square = np.where(first, held, square)
+    return square
 
 
 def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> TangencyReport:
@@ -444,42 +711,37 @@ def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> Ta
     y2 y3 = alpha y1^2 leaves ((alpha + Q)^2 - f) y1^4, so containment in the
     surface is the vanishing of that residual, to ORBIT_CONTAINMENT_REL.
 
-    The type is Plane.conic_type's; this adds the contact records: the
-    sorted finite contacts, their residuals and the fixed-point contacts.
+    The type is Plane.conic_type's, the decision on a batch of one; this adds
+    the contact records: the sorted finite contacts, their residuals and the
+    fixed-point contacts.
     """
-    plane = Plane(params, lam)
-    rows = conic.rows
-    contact = plane._contact(rows)
-    if contact.branches is None:
-        records = tuple(
-            BranchRecord(
-                branch=name,
-                restriction=_normalized(_restriction(rows, g)),
-                contacts=(("Pinf", 2), ("PinfBar", 2)),
-                residual=0.0,
-            )
-            for name, g in zip(("g-", "g+"), plane.branch_factors)
-        )
+    decision = Plane(params, lam)._decide(*_batch_of(conic), _Pending(1))
+    code = int(decision.code[0])
+    norms = [tuple(map(complex, re[:, 0].tolist(), im[:, 0].tolist())) for re, im in decision.norms]
+    lows = [int(low[0]) for low in decision.lows]
+    highs = [int(high[0]) for high in decision.highs]
+    if code in (_ORBIT_SHAPE, _ON_SURFACE):
+        pinf = pinfbar = 4
+        contacts = (("Pinf", 2), ("PinfBar", 2))
+        records = tuple(BranchRecord(name, norm, contacts, 0.0) for name, norm in zip(_BRANCHES, norms))
     else:
-        records = tuple(_branch_record(*branch) for branch in contact.branches)
-    return TangencyReport(contact.kind, records, contact.pinf, contact.pinfbar, contact.detail)
+        examined = code - _VANISHES if code >= _VANISHES else 2
+        pinf = sum(lows[:examined])
+        pinfbar = sum(4 - high for high in highs[:examined])
+        records = tuple(_branch_record(_BRANCHES[b], norms[b], lows[b], highs[b]) for b in range(examined))
+    kind, detail = _OUTCOMES[code]
+    return TangencyReport(kind, records, pinf, pinfbar, detail.format(pinf=pinf, pinfbar=pinfbar, resid=float(decision.resid[0])))
 
 
-def _branch_record(name: str, norm, roots, pinf_mult: int, pinfbar_mult: int) -> BranchRecord:
-    roots = roots or []
+def _branch_record(name: str, norm, low: int, high: int) -> BranchRecord:
+    roots = square_root_roots(norm[low : high + 1]) or []
     contacts: list[tuple[object, int]] = [(complex(z), 2) for z in sorted(roots, key=lambda z: (z.real, z.imag))]
     residual = max((abs(evaluate(norm, z)) for z in roots), default=0.0)
-    if pinf_mult:
-        contacts.append(("Pinf", pinf_mult))
-    if pinfbar_mult:
-        contacts.append(("PinfBar", pinfbar_mult))
+    if low:
+        contacts.append(("Pinf", low))
+    if high < 4:
+        contacts.append(("PinfBar", 4 - high))
     return BranchRecord(branch=name, restriction=norm, contacts=tuple(contacts), residual=residual)
-
-
-def _normalized(coeffs) -> tuple[complex, ...]:
-    """Scaled to max modulus 1; all-zero coefficients are kept as they are."""
-    top = max(map(abs, coeffs)) or 1.0
-    return tuple([c / top for c in coeffs])
 
 
 # ---------------------------------------------------------------------------

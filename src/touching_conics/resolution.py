@@ -5,8 +5,8 @@ A small resolution is an ordered choice of three of the four linear factors;
 three blow-ups produce a chain of exceptional curves G1, G2, G3 carrying the
 affine coordinates u = xi/l1, v = xi/(l1*l2), w = xi/(l1*l2*l3).  On the
 plane x0 = lam*x1 each form reduces to L(lam)*x1 with L in
-{lam, 1, lam+1, a*lam-b}, so every intersection coordinate below is a scalar
-function of lam.
+{lam, 1, lam+1, a*lam-b}, so every radius below is a scalar function of
+lam.
 
 The radius functions:
 
@@ -16,21 +16,19 @@ The radius functions:
     h3 = (-f) / (2 B |L1 L2 L3|)                (f < 0; circles on G3)
 
 with B = sqrt((sqrt(Q^2 - f) - Q)/2).  h2 is stored with the absolute value
-(radius semantics); the signed ratio is available separately.
+(radius semantics).
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, RealityError
-from .poly import RealPolynomial, evaluate
-from .series import TruncatedSeries
-from .surface import SurfaceParams, disc_value, f_value, q_value, s_minus_q, sqrt_disc
+from .errors import DomainError
+from .poly import RealPolynomial
+from .surface import SurfaceParams, disc_value, f_value, q_value, s_minus_q
 
 
 class Edge(enum.Enum):
@@ -166,130 +164,3 @@ def h_function(kind: HKind, choice: ResolutionChoice, params: SurfaceParams, lam
         raise DomainError(f"h3 needs f < 0; f({lam}) = {f:.3e}")
     l1, l2, l3 = _form_values(choice, params, lam, 3)
     return -f / (2.0 * Bfun(params, lam) * abs(l1 * l2 * l3))
-
-
-def h2_signed(choice: ResolutionChoice, params: SurfaceParams, lam: float) -> float:
-    """sqrt(f) * x1^2/(l1 l2) with its sign, for callers that need the actual
-    coordinate ratio rather than the radius."""
-    f = f_value(params, lam)
-    if f <= 0.0:
-        raise DomainError(f"h2 needs f > 0; f({lam}) = {f:.3e}")
-    l1, l2 = _form_values(choice, params, lam, 2)
-    return math.sqrt(f) / (l1 * l2)
-
-
-def special_intersections(
-    choice: ResolutionChoice,
-    params: SurfaceParams,
-    lam: float,
-    theta: float,
-) -> tuple[complex, complex]:
-    """Where the two special-family components meet the exceptional chain.
-
-    The plus component meets only G1, at u = -2i B e^{-i t} / L1; the minus
-    component meets only G3, at w = -i e^{i t} f / (2 B L1 L2 L3).  Radii are
-    h1 and h3 respectively.
-    """
-    f = f_value(params, lam)
-    if f >= 0.0:
-        raise DomainError(f"special intersections need f < 0; f({lam}) = {f:.3e}")
-    b = Bfun(params, lam)
-    l1, l2, l3 = _form_values(choice, params, lam, 3)
-    u = -2.0j * b * cmath.exp(-1j * theta) / l1
-    w = -1j * cmath.exp(1j * theta) * f / (2.0 * b * l1 * l2 * l3)
-    return u, w
-
-
-def orbit_intersections(
-    choice: ResolutionChoice,
-    params: SurfaceParams,
-    lam: float,
-    alpha: float,
-) -> tuple[complex, complex]:
-    """Where the two orbit-family components meet G2.
-
-    v = (+-sqrt(f - (alpha+Q)^2) + i (alpha+Q)) / (L1 L2); both moduli equal
-    h2 independently of alpha.  Raises when alpha leaves the window where the
-    components stay real.
-    """
-    f = f_value(params, lam)
-    if f <= 0.0:
-        raise DomainError(f"orbit intersections need f > 0; f({lam}) = {f:.3e}")
-    q = q_value(params, lam)
-    rad = f - (alpha + q) ** 2
-    if rad < 0.0:
-        raise RealityError(
-            f"alpha={alpha} outside [-Q-sqrt(f), -Q+sqrt(f)] at lam={lam}: components are not real"
-        )
-    l1, l2 = _form_values(choice, params, lam, 2)
-    ratio = 1.0 / (l1 * l2)
-    root = math.sqrt(rad)
-    v_plus = complex(root, alpha + q) * ratio
-    v_minus = complex(-root, alpha + q) * ratio
-    return v_plus, v_minus
-
-
-@dataclass(frozen=True)
-class SeriesPresentation:
-    """Local expansions, in the plane coordinate x1, of the special-family
-    component through the worse fixed point: the plane slice x2(x1) of the
-    conic and the two cover coordinates xi(x1), eta(x1)."""
-
-    lam: float
-    theta: float
-    order: int
-    x2: tuple[complex, ...]
-    xi: tuple[complex, ...]
-    eta: tuple[complex, ...]
-
-
-def series_presentation(
-    params: SurfaceParams,
-    lam: float,
-    theta: float,
-    order: int,
-) -> SeriesPresentation:
-    """Maclaurin data of the plus component of a special conic.
-
-    Solving the conic for x2 gives x2 = -g(x1) x1 with
-    g = (B e^{-it} + sqrt(Q^2-f) x1) / (1 + B e^{it} x1); the cover branch is
-    z = k(x1) x1 with k^2 = (f - Q^2) x1^2 + 2 Q g x1 - g^2 and
-    k(0) = -i B e^{-it}, from which xi = (k - ig) x1 + iQ x1^2 and
-    eta = (k + ig) x1 - iQ x1^2.
-    """
-    if order < 1 or order > 6:
-        raise DomainError("series order must be between 1 and 6")
-    f = f_value(params, lam)
-    if f >= 0.0:
-        raise DomainError(f"series presentation needs f < 0; f({lam}) = {f:.3e}")
-    q = q_value(params, lam)
-    s = sqrt_disc(params, lam)
-    b = Bfun(params, lam)
-    rot = cmath.exp(-1j * theta)
-
-    x = TruncatedSeries.identity(order)
-    one = TruncatedSeries.constant(1.0, order)
-    num = TruncatedSeries.of([b * rot, s], order)
-    den = one + x.scale(b / rot)
-    g = num * den.reciprocal()
-
-    x2 = g.shift(1).scale(-1.0)
-
-    radicand = x.scale(f - q * q) * x + g.shift(1).scale(2.0 * q) - g * g
-    k = radicand.sqrt(branch=-1j * b * rot)
-
-    xi = (k - g.scale(1j)).shift(1) + x.scale(1j * q) * x
-    eta = (k + g.scale(1j)).shift(1) - x.scale(1j * q) * x
-    return SeriesPresentation(lam=lam, theta=theta, order=order, x2=x2.coeffs, xi=xi.coeffs, eta=eta.coeffs)
-
-
-def cover_residual(pres: SeriesPresentation, params: SurfaceParams, x1: complex) -> float:
-    """|z^2 + (x2 + Q x1^2)^2 - f x1^4| with z and x2 taken from the truncated
-    series; should vanish to one order beyond the truncation."""
-    q = q_value(params, pres.lam)
-    f = f_value(params, pres.lam)
-    xi = evaluate(pres.xi, x1)
-    eta = evaluate(pres.eta, x1)
-    z = 0.5 * (xi + eta)
-    w = evaluate(pres.x2, x1) + q * x1 * x1
-    return abs(z * z + w * w - f * x1**4)

@@ -16,7 +16,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,9 +29,10 @@ from touching_conics.classifier import (
     Verdict,
     _match_reason,
 )
-from touching_conics.errors import DomainError, InputError
-from touching_conics.poly import RealPolynomial, companion_roots, evaluate
-from touching_conics.resolution import Edge, HKind, ResolutionChoice, all_resolutions, h_function
+from touching_conics.conics import CANCELLATION_FLOOR, ORBIT_CONTAINMENT_REL, REL_EPS, ConicType, Plane
+from touching_conics.errors import DegenerateConicError, DomainError, InputError, RealityError
+from touching_conics.poly import RealPolynomial, companion_roots, evaluate, square_root_roots
+from touching_conics.resolution import Bfun, Edge, HKind, ResolutionChoice, _form_values, all_resolutions, h_function
 from touching_conics.surface import Interval, SurfaceParams, disc_value, f_value, intervals, q_value, s_minus_q, sqrt_disc
 
 
@@ -738,3 +739,352 @@ def linf_radii(params: SurfaceParams, lam: float) -> LinfIntersections:
         x2_outer=(-q - s) / sf,
         x2_inner=(-q + s) / sf,
     )
+
+
+# ---------------------------------------------------------------------------
+# the type decision one conic at a time, in Python complex arithmetic: the
+# reference the batched decision of `conics.Plane` reproduces to the bit
+
+
+class Contact(NamedTuple):
+    """What decides a conic's type.  branches holds, per branch examined,
+    (name, normalised restriction, roots of its square root or None, contact
+    at Pinf, contact at PinfBar); it is None for an orbit-shaped conic, whose
+    type is read off alpha."""
+
+    kind: ConicType
+    detail: str
+    pinf: int
+    pinfbar: int
+    branches: tuple | None
+
+
+def conic_contact(plane: Plane, rows) -> Contact:
+    """The type of a conic, given by the nested rows of its normalised
+    matrix, on the plane, with what decides it; see `verify_touching`."""
+    if _degenerate(rows):
+        raise DegenerateConicError(
+            f"conic matrix is singular: |det| is at most {REL_EPS:g} times its Hadamard bound, so the conic "
+            "cannot be told from a union of lines"
+        )
+    gm, gp = plane.branch_factors
+
+    alpha = _orbit_alpha(rows)
+    if alpha is not None:
+        resid = (alpha + plane.q) ** 2 - plane.f
+        scale = 1.0 + (alpha + plane.q) ** 2 + abs(plane.f)
+        if abs(resid) <= ORBIT_CONTAINMENT_REL * scale:
+            return Contact(ConicType.CONTAINED_IN_B, "orbit conic lies on the surface", 4, 4, None)
+        return Contact(ConicType.ORBIT, f"orbit residual {resid:.6e}", 4, 4, None)
+
+    branches = []
+    pinf_total = 0
+    pinfbar_total = 0
+    touching = True
+    for name, g in (("g-", gm), ("g+", gp)):
+        rest = restriction(rows, g)
+        if not any(rest):
+            return Contact(
+                ConicType.CONTAINED_IN_B,
+                f"branch {name} restriction vanishes identically",
+                pinf_total,
+                pinfbar_total,
+                tuple(branches),
+            )
+        if abs(rest[2]) < CANCELLATION_FLOOR * abs(rows[0][0]):
+            raise DomainError(
+                f"lost precision at lam={plane.lam!r}: the x1^2 coefficient of the branch {name} restriction "
+                f"keeps {abs(rest[2] / rows[0][0]):.1e} of its terms, below {CANCELLATION_FLOOR:g}"
+            )
+        norm = normalized(rest)
+        nonzero = [k for k, c in enumerate(norm) if c != 0]
+        pinf_mult = nonzero[0]
+        pinfbar_mult = 4 - nonzero[-1]
+        roots = square_root_roots(norm[nonzero[0] : nonzero[-1] + 1])
+        touching = touching and roots is not None
+        pinf_total += pinf_mult
+        pinfbar_total += pinfbar_mult
+        branches.append((name, norm, roots, pinf_mult, pinfbar_mult))
+
+    if not touching:
+        kind, detail = ConicType.NOT_TOUCHING, "a contact of odd order exists"
+    elif pinf_total == 0 and pinfbar_total == 0:
+        kind, detail = ConicType.GENERIC, ""
+    elif pinf_total == 2 and pinfbar_total == 2:
+        kind, detail = ConicType.SPECIAL, ""
+    elif pinf_total == 4 and pinfbar_total == 4:
+        kind, detail = ConicType.ORBIT, ""
+    else:
+        kind = ConicType.NOT_TOUCHING
+        detail = f"unbalanced fixed-point contact ({pinf_total}, {pinfbar_total})"
+    return Contact(kind, detail, pinf_total, pinfbar_total, tuple(branches))
+
+
+def _orbit_alpha(rows) -> float | None:
+    """Recover alpha if the conic (nested rows of its matrix) has the orbit
+    shape, else None.  orbit_conic writes literal zeros and the normaliser
+    scales by a positive real, so the shape and the reality of alpha are
+    read exactly."""
+    if rows[0][1] != 0 or rows[0][2] != 0 or rows[1][1] != 0 or rows[2][2] != 0 or rows[1][2] == 0:
+        return None
+    ratio = -rows[0][0] / (2.0 * rows[1][2])
+    if ratio.imag != 0:
+        return None
+    return ratio.real
+
+
+def restriction(rows, g: complex) -> tuple[complex, ...]:
+    """Substitute the branch x2 = -g x1^2 into the conic, given by the nested
+    rows of its matrix, in the chart x1 = y1/y3, x2 = y2/y3; ascending
+    coefficients, degree 4."""
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = rows
+    return (m22, 2.0 * m02, m00 - g * (2.0 * m12), -g * (2.0 * m01), m11 * g * g)
+
+
+def normalized(coeffs) -> tuple[complex, ...]:
+    """Scaled to max modulus 1; all-zero coefficients are kept as they are."""
+    top = max(map(abs, coeffs)) or 1.0
+    return tuple([c / top for c in coeffs])
+
+
+def _degenerate(rows) -> bool:
+    """|det| within REL_EPS of the Hadamard bound, the product of the row
+    norms, of the matrix balanced by the congruence S m S, S = diag(s_i) with
+    s_i = 2^-e_i and e_i half the binary exponent of row i's norm."""
+    (a, b, c), (d, e, f), (g, h, k) = rows
+    (ma, mb, mc), (md, me, mf), (mg, mh, mk) = [map(abs, row) for row in rows]
+    s0 = math.ldexp(1.0, -(math.frexp(math.hypot(ma, mb, mc))[1] // 2))
+    s1 = math.ldexp(1.0, -(math.frexp(math.hypot(md, me, mf))[1] // 2))
+    s2 = math.ldexp(1.0, -(math.frexp(math.hypot(mg, mh, mk))[1] // 2))
+    det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+    norms = (
+        math.hypot(ma * s0, mb * s1, mc * s2)
+        * math.hypot(md * s0, me * s1, mf * s2)
+        * math.hypot(mg * s0, mh * s1, mk * s2)
+    )
+    return abs(det) * s0 * s1 * s2 <= REL_EPS * norms
+
+
+# ---------------------------------------------------------------------------
+# the local picture on the exceptional chain, which the command line does not
+# reach: the special and orbit families' intersection coordinates and the
+# series of the special family's component through the worse fixed point,
+# against which tests and acceptance gate 9 check the radius functions and
+# the cover equation.  A truncated series of order n represents
+# f(x) + O(x^(n+1)); its coefficients are ascending, and every operation
+# truncates back to the common order.
+
+
+@dataclass(frozen=True)
+class TruncatedSeries:
+    coeffs: tuple[complex, ...]
+
+    @staticmethod
+    def of(values, order: int) -> "TruncatedSeries":
+        vals = [complex(v) for v in values][: order + 1]
+        vals += [0.0 + 0.0j] * (order + 1 - len(vals))
+        return TruncatedSeries(tuple(vals))
+
+    @staticmethod
+    def constant(value: complex, order: int) -> "TruncatedSeries":
+        return TruncatedSeries.of([value], order)
+
+    @staticmethod
+    def identity(order: int) -> "TruncatedSeries":
+        return TruncatedSeries.of([0.0, 1.0], order)
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        self._check(other)
+        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        self._check(other)
+        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        self._check(other)
+        n = self.order
+        out = [0.0 + 0.0j] * (n + 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j in range(0, n + 1 - i):
+                out[i + j] += a * other.coeffs[j]
+        return TruncatedSeries(tuple(out))
+
+    def scale(self, k: complex) -> "TruncatedSeries":
+        k = complex(k)
+        return TruncatedSeries(tuple(k * c for c in self.coeffs))
+
+    def shift(self, powers: int) -> "TruncatedSeries":
+        """Multiply by x^powers, truncating at the same order."""
+        out = [0.0 + 0.0j] * powers + list(self.coeffs)
+        return TruncatedSeries(tuple(out[: self.order + 1]))
+
+    def reciprocal(self) -> "TruncatedSeries":
+        if self.coeffs[0] == 0:
+            raise InputError("reciprocal needs a unit constant term")
+        n = self.order
+        out = [1.0 / self.coeffs[0]] + [0.0 + 0.0j] * n
+        for k in range(1, n + 1):
+            acc = 0.0 + 0.0j
+            for j in range(1, k + 1):
+                acc += self.coeffs[j] * out[k - j]
+            out[k] = -acc / self.coeffs[0]
+        return TruncatedSeries(tuple(out))
+
+    def sqrt(self, branch: complex) -> "TruncatedSeries":
+        """Square root with prescribed constant term (branch^2 must equal the
+        constant coefficient)."""
+        c0 = self.coeffs[0]
+        branch = complex(branch)
+        if abs(branch * branch - c0) > 1e-9 * (1.0 + abs(c0)):
+            raise InputError("branch value does not square to the constant term")
+        if branch == 0:
+            raise InputError("sqrt at a zero constant term is not a power series")
+        n = self.order
+        out = [branch] + [0.0 + 0.0j] * n
+        for k in range(1, n + 1):
+            acc = 0.0 + 0.0j
+            for j in range(1, k):
+                acc += out[j] * out[k - j]
+            out[k] = (self.coeffs[k] - acc) / (2.0 * branch)
+        return TruncatedSeries(tuple(out))
+
+    def __call__(self, x: complex) -> complex:
+        return evaluate(self.coeffs, x)
+
+    def _check(self, other: "TruncatedSeries") -> None:
+        if self.order != other.order:
+            raise InputError("series orders differ")
+
+
+def h2_signed(choice: ResolutionChoice, params: SurfaceParams, lam: float) -> float:
+    """sqrt(f) * x1^2/(l1 l2) with its sign, for callers that need the actual
+    coordinate ratio rather than the radius."""
+    f = f_value(params, lam)
+    if f <= 0.0:
+        raise DomainError(f"h2 needs f > 0; f({lam}) = {f:.3e}")
+    l1, l2 = _form_values(choice, params, lam, 2)
+    return math.sqrt(f) / (l1 * l2)
+
+
+def special_intersections(
+    choice: ResolutionChoice,
+    params: SurfaceParams,
+    lam: float,
+    theta: float,
+) -> tuple[complex, complex]:
+    """Where the two special-family components meet the exceptional chain.
+
+    The plus component meets only G1, at u = -2i B e^{-i t} / L1; the minus
+    component meets only G3, at w = -i e^{i t} f / (2 B L1 L2 L3).  Radii are
+    h1 and h3 respectively.
+    """
+    f = f_value(params, lam)
+    if f >= 0.0:
+        raise DomainError(f"special intersections need f < 0; f({lam}) = {f:.3e}")
+    b = Bfun(params, lam)
+    l1, l2, l3 = _form_values(choice, params, lam, 3)
+    u = -2.0j * b * cmath.exp(-1j * theta) / l1
+    w = -1j * cmath.exp(1j * theta) * f / (2.0 * b * l1 * l2 * l3)
+    return u, w
+
+
+def orbit_intersections(
+    choice: ResolutionChoice,
+    params: SurfaceParams,
+    lam: float,
+    alpha: float,
+) -> tuple[complex, complex]:
+    """Where the two orbit-family components meet G2.
+
+    v = (+-sqrt(f - (alpha+Q)^2) + i (alpha+Q)) / (L1 L2); both moduli equal
+    h2 independently of alpha.  Raises when alpha leaves the window where the
+    components stay real.
+    """
+    f = f_value(params, lam)
+    if f <= 0.0:
+        raise DomainError(f"orbit intersections need f > 0; f({lam}) = {f:.3e}")
+    q = q_value(params, lam)
+    rad = f - (alpha + q) ** 2
+    if rad < 0.0:
+        raise RealityError(
+            f"alpha={alpha} outside [-Q-sqrt(f), -Q+sqrt(f)] at lam={lam}: components are not real"
+        )
+    l1, l2 = _form_values(choice, params, lam, 2)
+    ratio = 1.0 / (l1 * l2)
+    root = math.sqrt(rad)
+    v_plus = complex(root, alpha + q) * ratio
+    v_minus = complex(-root, alpha + q) * ratio
+    return v_plus, v_minus
+
+
+@dataclass(frozen=True)
+class SeriesPresentation:
+    """Local expansions, in the plane coordinate x1, of the special-family
+    component through the worse fixed point: the plane slice x2(x1) of the
+    conic and the two cover coordinates xi(x1), eta(x1)."""
+
+    lam: float
+    theta: float
+    order: int
+    x2: tuple[complex, ...]
+    xi: tuple[complex, ...]
+    eta: tuple[complex, ...]
+
+
+def series_presentation(
+    params: SurfaceParams,
+    lam: float,
+    theta: float,
+    order: int,
+) -> SeriesPresentation:
+    """Maclaurin data of the plus component of a special conic.
+
+    Solving the conic for x2 gives x2 = -g(x1) x1 with
+    g = (B e^{-it} + sqrt(Q^2-f) x1) / (1 + B e^{it} x1); the cover branch is
+    z = k(x1) x1 with k^2 = (f - Q^2) x1^2 + 2 Q g x1 - g^2 and
+    k(0) = -i B e^{-it}, from which xi = (k - ig) x1 + iQ x1^2 and
+    eta = (k + ig) x1 - iQ x1^2.
+    """
+    if order < 1 or order > 6:
+        raise DomainError("series order must be between 1 and 6")
+    f = f_value(params, lam)
+    if f >= 0.0:
+        raise DomainError(f"series presentation needs f < 0; f({lam}) = {f:.3e}")
+    q = q_value(params, lam)
+    s = sqrt_disc(params, lam)
+    b = Bfun(params, lam)
+    rot = cmath.exp(-1j * theta)
+
+    x = TruncatedSeries.identity(order)
+    one = TruncatedSeries.constant(1.0, order)
+    num = TruncatedSeries.of([b * rot, s], order)
+    den = one + x.scale(b / rot)
+    g = num * den.reciprocal()
+
+    x2 = g.shift(1).scale(-1.0)
+
+    radicand = x.scale(f - q * q) * x + g.shift(1).scale(2.0 * q) - g * g
+    k = radicand.sqrt(branch=-1j * b * rot)
+
+    xi = (k - g.scale(1j)).shift(1) + x.scale(1j * q) * x
+    eta = (k + g.scale(1j)).shift(1) - x.scale(1j * q) * x
+    return SeriesPresentation(lam=lam, theta=theta, order=order, x2=x2.coeffs, xi=xi.coeffs, eta=eta.coeffs)
+
+
+def cover_residual(pres: SeriesPresentation, params: SurfaceParams, x1: complex) -> float:
+    """|z^2 + (x2 + Q x1^2)^2 - f x1^4| with z and x2 taken from the truncated
+    series; should vanish to one order beyond the truncation."""
+    q = q_value(params, pres.lam)
+    f = f_value(params, pres.lam)
+    xi = evaluate(pres.xi, x1)
+    eta = evaluate(pres.eta, x1)
+    z = 0.5 * (xi + eta)
+    w = evaluate(pres.x2, x1) + q * x1 * x1
+    return abs(z * z + w * w - f * x1**4)

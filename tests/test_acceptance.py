@@ -16,6 +16,7 @@ import numpy as np
 from oracles import (
     analysis_of,
     central_difference,
+    cover_residual,
     critical_points,
     dense_grid_certificate,
     endpoint_limit,
@@ -23,6 +24,7 @@ from oracles import (
     expand_two_double_roots,
     h_handle,
     quartic_double_double,
+    series_presentation,
 )
 from touching_conics.analysis import (
     h0_pairing,
@@ -43,8 +45,6 @@ from touching_conics.resolution import (
     Bfun,
     HKind,
     all_resolutions,
-    cover_residual,
-    series_presentation,
 )
 from touching_conics.surface import (
     SearchConfig,

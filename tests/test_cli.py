@@ -210,6 +210,10 @@ def test_tangency_timings_opt_in(star_arg, tmp_path):
     # 32 generic and 31 orbit conics on an f > 0 plane
     assert doc["timings"]["conics"] == len(doc["rows"]) == 63
     assert 0.0 < doc["timings"]["tangency_s"] == round(doc["timings"]["tangency_s"], 6)
+    # the two batched decisions, one per family, are part of the sweep
+    assert 0.0 < doc["timings"]["decide_s"] == round(doc["timings"]["decide_s"], 6)
+    assert doc["timings"]["decide_s"] <= doc["timings"]["tangency_s"]
+    assert sorted(doc["timings"]) == ["conics", "decide_s", "tangency_s"]
     del doc["timings"]
     assert doc == untimed
 
@@ -484,14 +488,17 @@ def test_report_bytes_equal_the_golden_documents(params_draws, capsys, which):
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 
-# planes of params_star in I1, I2, I3, I4minus and I4plus, and one conic of
-# each family; the flags after --params of each golden document
+# planes of params_star in I1, I2, I3, I4minus and I4plus, one f > 0 and one
+# f < 0 plane at the benchmark's --grid 256, and one conic of each family;
+# the flags after --params of each golden document
 _GOLDEN_PLANES = {
     "tangency_I1": ["--lambda=-2.5", "--grid", "64", "tangency"],
     "tangency_I2": ["--lambda=-0.5", "--grid", "64", "tangency"],
     "tangency_I3": ["--lambda", "0.5", "--grid", "64", "tangency"],
     "tangency_I4minus": ["--lambda", "1.5", "--grid", "64", "tangency"],
     "tangency_I4plus": ["--lambda", "3.0", "--grid", "64", "tangency"],
+    "tangency_I2_grid256": ["--lambda=-0.5", "--grid", "256", "tangency"],
+    "tangency_I1_grid256": ["--lambda=-2.5", "--grid", "256", "tangency"],
     "conic_generic": ["--lambda=-0.5", "--theta", "0.4", "conic", "--type", "generic"],
     "conic_special": ["--lambda=-2.0", "--theta", "0.7", "conic", "--type", "special"],
     "conic_orbit": ["--lambda", "3.0", "--alpha", "0.7", "conic", "--type", "orbit"],

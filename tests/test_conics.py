@@ -4,19 +4,26 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 from oracles import (
+    Contact,
     allclose_symmetric,
+    conic_contact,
     conic_through_points,
     generic_positivity_bound,
     grid_minimum_on_slice,
     lapack_degenerate,
     linf_radii,
+    normalized,
     polarized_gram,
     quartic_double_double,
+    restriction,
     special_positivity_bound,
 )
 from touching_conics.conics import (
@@ -24,6 +31,7 @@ from touching_conics.conics import (
     ConicCoeffs,
     ConicType,
     Plane,
+    _Pending,
     min_real_form,
     orbit_conic,
     real_slice_gram,
@@ -34,10 +42,11 @@ from touching_conics.errors import (
     DegeneratePlaneError,
     DomainError,
     InputError,
+    NotFoundError,
     PreconditionError,
 )
 from touching_conics.poly import two_double_roots_criterion
-from touching_conics.surface import disc_value, f_value, intervals, q_value, s_minus_q
+from touching_conics.surface import SearchConfig, disc_value, f_value, find_valid_params, intervals, q_value, s_minus_q
 
 
 def test_branch_factors_real_when_f_positive(params_star):
@@ -323,6 +332,33 @@ def test_normalised_rows_round_as_numpy_division():
     assert entries > 3000 and signed_zeros > 100
 
 
+# each family's constructor, as a function of (plane, knob)
+_FAMILIES = {"generic": Plane.generic, "special": Plane.special, "orbit": lambda plane, alpha: orbit_conic(alpha)}
+
+
+def test_batched_members_equal_the_constructors_rows(params_draws):
+    # the batch's matrices are the rows of Plane.generic / Plane.special /
+    # orbit_conic to the bit and the sign of zero
+    rng = np.random.default_rng(47)
+    angles = [2.0 * math.pi * k / 256 for k in range(256)] + list(rng.uniform(-10.0, 10.0, 64))
+    entries = 0
+    for p in params_draws:
+        part = intervals(p)
+        for lam in (-2.5, -0.5, 0.5 * part.i3[1], part.lambda0 + 1.0, 1e8, -1e8):
+            plane = Plane(p, lam)
+            circles = "generic" if plane.f > 0.0 else "special"
+            sf = math.sqrt(abs(plane.f))
+            alphas = [-plane.q - sf + 2.0 * sf * k / 256 for k in range(1, 256)] + list(rng.normal(size=16) * 10.0)
+            for family, knobs in ((circles, angles), ("orbit", alphas)):
+                re, im = plane._members(family, np.array(knobs), _Pending(len(knobs)))
+                for k, knob in enumerate(knobs):
+                    rows = _FAMILIES[family](plane, knob).rows
+                    got = [[(repr(float(re[i, j, k])), repr(float(im[i, j, k]))) for j in range(3)] for i in range(3)]
+                    assert got == [[(repr(z.real), repr(z.imag)) for z in row] for row in rows], (lam, family, knob)
+                    entries += 9
+    assert entries > 30000
+
+
 def _raises_degenerate(conic, params, lam) -> bool:
     try:
         verify_touching(conic, params, lam)
@@ -473,3 +509,191 @@ def test_family_sweep_reality_and_classification(params_star):
                     assert conic.is_real()
                     assert verify_touching(conic, params_star, lam).kind is kind
                     assert min_real_form(conic) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the batched type decision against the per-conic reference in oracles.py:
+# type for type, and on error the same class and text at the same conic
+
+# the targets of the three reference draws
+_DRAWS = (
+    SearchConfig(),
+    SearchConfig(a=2.0, b=1.0, lambda0=1.5, q0_min=0.1),
+    SearchConfig(a=1.0, b=2.0, lambda0=4.0, q0_min=0.05),
+)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _sweep_box(a: float, b: float, gap: float, q0_min: float) -> SearchConfig:
+    """A target in the box of the benchmark's sweep: a, b log-uniform in
+    [1/4, 4], lambda0 - b/a in [0.25, 6.25], q0_min in [0.05, 3]."""
+    return SearchConfig(a=a, b=b, lambda0=b / a + gap, q0_min=q0_min)
+
+
+def _outcome(call):
+    """The value of call(), or the class and text of what it raised."""
+    try:
+        return call()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _one_by_one(plane: Plane, family: str, knobs):
+    """Each member built and typed on its own, in knob order, up to the first
+    that raises: the reference of Plane.conic_types."""
+    kinds = []
+    for knob in knobs:
+        kind = _outcome(lambda: conic_contact(plane, _FAMILIES[family](plane, knob).rows).kind)
+        if isinstance(kind, tuple):
+            return kind
+        kinds.append(kind)
+    return kinds
+
+
+def _plane(params, where: str, u: float) -> float:
+    part = intervals(params)
+    spans = {
+        "I1": (part.i2[0] - 5.0, part.i2[0]),
+        "I2": part.i2,
+        "I3": part.i3,
+        "I4minus": part.i4minus,
+        "I4plus": (part.lambda0, part.lambda0 + 5.0),
+    }
+    if where == "far":  # out past the lost-precision edge near 1e12, on both sides
+        return math.copysign(10.0 ** (6.0 + 24.0 * abs(u)), u)
+    if where == "lambda0":  # within 1e-5 of the double-root plane, and on it
+        return part.lambda0 + 1e-5 * u
+    lo, hi = spans[where]
+    return lo + (0.5 + 0.5 * u) * (hi - lo)
+
+
+@given(
+    target=st.one_of(
+        st.sampled_from(_DRAWS),
+        st.builds(_sweep_box, _log_uniform(0.25, 4.0), _log_uniform(0.25, 4.0), st.floats(0.25, 6.25), st.floats(0.05, 3.0)),
+    ),
+    where=st.sampled_from(["I1", "I2", "I3", "I4minus", "I4plus", "far", "lambda0"]),
+    u=st.floats(-1.0, 1.0),
+    grid=st.integers(16, 48),
+    alpha_zero_at=st.none() | st.integers(0, 48),
+)
+def test_batched_types_equal_the_per_conic_oracle(target, where, u, grid, alpha_zero_at):
+    try:
+        params = find_valid_params(target)
+    except NotFoundError:
+        reject()
+    plane = Plane(params, _plane(params, where, u))
+    angles = [2.0 * math.pi * k / grid for k in range(grid)]
+    # orbit alphas across [-Q - sqrt|f|, -Q + sqrt|f|], both ends exactly
+    # (ContainedInB where f > 0), and alpha = 0 where drawn
+    sf = math.sqrt(abs(plane.f))
+    alphas = [-plane.q - sf, -plane.q + sf] + [-plane.q - sf + 2.0 * sf * k / grid for k in range(1, grid)]
+    if alpha_zero_at is not None:
+        alphas.insert(min(alpha_zero_at, len(alphas)), 0.0)
+    for family, knobs in (("generic", angles), ("special", angles), ("orbit", alphas)):
+        expected = _one_by_one(plane, family, knobs)
+        assert _outcome(lambda: plane.conic_types(family, knobs)) == expected, (plane.lam, family)
+
+
+def test_batched_types_cover_every_outcome_of_the_sweeps(params_draws):
+    # the property above reaches each type and each error of a sweep
+    seen = set()
+    for p in params_draws:
+        part = intervals(p)
+        for lam in (-2.5, -0.5, 0.5, 0.5 * (part.i4minus[0] + part.lambda0), part.lambda0 + 1.0, 1e13, -1e13):
+            plane = Plane(p, lam)
+            sf = math.sqrt(abs(plane.f))
+            for family, knobs in (("generic", [0.0, 1.0]), ("special", [0.0, 1.0]), ("orbit", [-plane.q + sf, 0.7])):
+                result = _outcome(lambda: plane.conic_types(family, knobs))
+                seen.update(result if isinstance(result, list) else [(result[0], result[1].split(" at ")[0])])
+    assert {ConicType.GENERIC, ConicType.SPECIAL, ConicType.ORBIT, ConicType.CONTAINED_IN_B} <= seen
+    assert (DomainError, "lost precision") in seen
+
+
+def test_batch_raises_at_its_first_failing_conic(params_star):
+    # the degenerate plane, alpha = 0 after and before a degenerate conic,
+    # and a g- cancellation that ends its conic before its g+ check
+    part = intervals(params_star)
+    plane = Plane(params_star, part.lambda0)
+    with pytest.raises(DegeneratePlaneError):
+        plane.conic_types("orbit", [0.7, 1.2])
+    with pytest.raises(DomainError, match="alpha = 0"):
+        plane.conic_types("orbit", [0.0, 0.7])
+    far = Plane(params_star, 1e15)
+    expected = _one_by_one(far, "generic", [0.3, 0.4])
+    assert expected[0] is DomainError and "branch g-" in expected[1]
+    assert _outcome(lambda: far.conic_types("generic", [0.3, 0.4])) == expected
+
+
+def test_single_conic_decision_equals_the_per_conic_oracle(params_draws):
+    # conic_type and verify_touching read the batch of one: the same type,
+    # detail and fixed-point contacts as the reference, and the records
+    # built from its restrictions; on random, perturbed, orbit-shaped and
+    # line-pair matrices too
+    rng = np.random.default_rng(43)
+
+    def sym(scale=1.0):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        return scale * (a + a.T)
+
+    p = params_draws[0]
+    cases = []
+    for params in params_draws:
+        part = intervals(params)
+        for lam in (-2.5, -0.5, 0.5 * part.i3[1], part.lambda0 + 1.0):
+            plane = Plane(params, lam)
+            make = plane.generic if plane.f > 0.0 else plane.special
+            cases += [(plane, make(t)) for t in (0.0, 1.1, 4.0)]
+            cases += [(plane, orbit_conic(a)) for a in (-plane.q, -0.7, 1.3)]
+    plane = Plane(p, -0.5)
+    for conic in [plane.generic(0.2), Plane(p, -2.0).special(0.2)]:
+        for k in range(9):
+            moved = conic.m.copy()
+            moved[k // 3, k % 3] += 1e-3
+            moved[k % 3, k // 3] = moved[k // 3, k % 3]
+            cases.append((plane, ConicCoeffs.from_matrix(moved)))
+    cases += [(plane, ConicCoeffs.from_matrix(sym())) for _ in range(20)]
+    # the y2^2 coefficient tiny beside the rest: the monic quartic of a
+    # branch restriction overflows, and Python raises on its modulus, on a
+    # float power or on a1 ** 3
+    for m11, m01 in ((1.3e-309 + 1.3e-309j, 0.0), (2e-309 + 2e-309j, 0.0), (1e-300, 0.0), (1e-110, 0.5)):
+        m = [[1.0, m01, 0.0], [m01, m11, 0.3], [0.0, 0.3, 1.0]]
+        cases.append((plane, ConicCoeffs.from_matrix(m)))
+    # the x1^4 coefficient zero: a restriction of degree 2 or 3
+    cases.append((plane, ConicCoeffs.from_matrix([[1.0, 0.2, 0.1], [0.2, 0, 0.3], [0.1, 0.3, 1.0]])))
+    errors = 0
+    for plane, conic in cases:
+        expected = _outcome(lambda: conic_contact(plane, conic.rows))
+        raised = not isinstance(expected, Contact)
+        assert _outcome(lambda: plane.conic_type(conic)) == (expected if raised else expected.kind), conic.rows
+        rep = _outcome(lambda: verify_touching(conic, plane.params, plane.lam))
+        if raised:
+            assert rep == expected
+            errors += 1
+            continue
+        assert (rep.kind, rep.detail, rep.pinf_contact, rep.pinfbar_contact) == expected[:4]
+        if expected.branches is None:
+            restrictions = [normalized(restriction(conic.rows, g)) for g in plane.branch_factors]
+        else:
+            restrictions = [branch[1] for branch in expected.branches]
+        assert [br.restriction for br in rep.branches] == restrictions
+    assert errors == 4
+
+
+def test_sweeps_emit_no_runtime_warning(params_draws):
+    # Smith's quotient computes both of its branches, one of them dividing by
+    # a zero part, and conics that already failed are computed on: none of
+    # it may warn, since the suite turns warnings into errors
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for p in params_draws:
+            part = intervals(p)
+            for lam in (-2.5, -0.5, 0.5, part.lambda0, part.lambda0 + 1e-7, 1e13, -1e13, 1e30):
+                plane = Plane(p, lam)
+                angles = [2.0 * math.pi * k / 256 for k in range(256)]
+                for family, knobs in (("generic", angles), ("special", angles), ("orbit", [0.7, 0.0, -plane.q])):
+                    _outcome(lambda: plane.conic_types(family, knobs))
+    assert caught == []

@@ -9,6 +9,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    TruncatedSeries,
+    cover_residual,
+    h2_signed,
+    orbit_intersections,
+    series_presentation,
+    special_intersections,
+)
 from touching_conics.errors import DomainError, RealityError
 from touching_conics.resolution import (
     Bfun,
@@ -17,14 +25,8 @@ from touching_conics.resolution import (
     LinearForm,
     ResolutionChoice,
     all_resolutions,
-    cover_residual,
-    h2_signed,
     h_function,
-    orbit_intersections,
-    series_presentation,
-    special_intersections,
 )
-from touching_conics.series import TruncatedSeries
 from touching_conics.surface import f_value, q_value, sqrt_disc
 
 
