@@ -29,7 +29,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, InputError, PreconditionError
-from .poly import RealPolynomial, companion_roots, deflate, derivative
+from .poly import (
+    companion_roots,
+    evaluate,
+    poly_add,
+    poly_deflate,
+    poly_derivative,
+    poly_mul,
+    poly_scale,
+    poly_sub,
+    stacked_companion_roots,
+)
 from .resolution import Edge, HKind, LinearForm, ResolutionChoice
 from .surface import Interval, IntervalPartition, Q_restricted, SurfaceParams, f_poly, f_value, q_value, s_minus_q
 
@@ -53,10 +63,10 @@ def _triple_key(choice: ResolutionChoice) -> frozenset:
     return frozenset(choice.forms())
 
 
-def _product(polys) -> RealPolynomial:
-    out = RealPolynomial((1.0,))
+def _product(polys) -> tuple[float, ...]:
+    out = (1.0,)
     for p in polys:
-        out = out * p
+        out = poly_mul(out, p)
     return out
 
 
@@ -91,29 +101,33 @@ class RadiusAnalysis:
 
     A radius function is keyed by the data it depends on (h1: first form;
     h2: unordered pair; h3: unordered triple, read as h1 of the missing
-    form, since h3 = 1/h1 there).  Two memos serve every stage of a run:
-    the companion roots of the critical polynomial and the derivative's
-    sign function per (kind, key), built once per radius function, and the
-    critical points per (kind, key, span), read off those roots.  A third,
-    per count row (kind, key, interval), keeps the first critical point
-    alone: all the elimination reads of a row."""
+    form, since h3 = 1/h1 there), and numbered by its place in
+    _radius_functions().  The first call for critical points builds all 11
+    critical polynomials and solves them together, one eigenvalue call per
+    degree; the roots and the derivative's sign function are kept per
+    function.  Two memos, keyed by function number and span, serve every
+    stage of a run: the critical points per span, read off those roots,
+    and the first of them alone, all the elimination reads of a count
+    row."""
 
     def __init__(self, params: SurfaceParams, partition: IntervalPartition):
         self.params = params
         self.partition = partition
         self.f = f_poly(params)
         self.q = Q_restricted(params)
-        self._forms = {form: form.polynomial(params) for form in LinearForm}
-        self._roots: dict = {}
+        self._solved: list | None = None
+        self._root_solves = 0
         self._critical: dict = {}
         self._first: dict = {}
 
     def work_counts(self) -> dict[str, int]:
-        """Distinct radius functions whose critical polynomial was solved,
-        distinct spans whose critical points were served, and distinct count
-        rows whose first critical point was read, so far."""
+        """Radius functions whose critical polynomial was solved, eigenvalue
+        calls that solved them, distinct spans whose critical points were
+        served, and distinct count rows whose first critical point was read,
+        so far."""
         return {
-            "critical_polynomials": len(self._roots),
+            "critical_polynomials": len(self._solved or ()),
+            "root_solves": self._root_solves,
             "critical_spans": len(self._critical),
             "count_rows": len(self._first),
         }
@@ -127,57 +141,102 @@ class RadiusAnalysis:
 
     def critical(self, kind: HKind, key, span: tuple[float, float]) -> tuple[float, ...]:
         """Critical points of the radius function on the open span, ascending."""
-        if kind is HKind.H3:
-            kind, key = HKind.H1, _missing(key)
-        k = (kind, key, span)
-        if k not in self._critical:
-            if (kind, key) not in self._roots:
-                poly, sign = self._derivative_data(kind, key)
-                self._roots[kind, key] = ([float(r.real) for r in companion_roots(poly.coefficients)], sign)
-            roots, sign = self._roots[kind, key]
-            self._critical[k] = _sign_changes(roots, span[0], span[1], sign)
-        return self._critical[k]
+        return self._critical_at(_function_index()[kind, key], span)
 
     def first_critical(self, kind: HKind, key, which: Interval) -> float | None:
         """The least critical point of the radius function on the interval,
         or None when it has none."""
-        row = (kind, key, which)
+        row = (_function_index()[kind, key], self.span(which, kind))
         if row not in self._first:
-            locs = self.critical(kind, key, self.span(which, kind))
+            locs = self._critical_at(*row)
             self._first[row] = locs[0] if locs else None
         return self._first[row]
 
-    def _derivative_data(self, kind: HKind, key) -> tuple[RealPolynomial, Callable[[float], float]]:
+    def _critical_at(self, index: int, span: tuple[float, float]) -> tuple[float, ...]:
+        found = self._critical.get((index, span))
+        if found is None:
+            if self._solved is None:
+                self._solve()
+            roots, sign = self._solved[index]
+            found = self._critical[index, span] = _sign_changes(roots, span[0], span[1], sign)
+        return found
+
+    def _solve(self) -> None:
+        """Build the 11 critical polynomials and solve them at once.  They
+        are checked in the order of _radius_functions(), the order in which
+        verify_h_tables first reads them, so the first that cannot be solved
+        raises its DomainError on the first call, whichever it was."""
+        forms = [form.polynomial(self.params).coefficients for form in LinearForm]
+        data = [self._derivative_data(kind, own, forms) for kind, _, own in _radius_functions()]
+        polys = [poly for poly, _ in data]
+        roots = stacked_companion_roots(polys)
+        self._root_solves = len({len(poly) for poly in polys if len(poly) > 1})
+        self._solved = [([float(r.real) for r in rs], sign) for rs, (_, sign) in zip(roots, data)]
+
+    def _derivative_data(
+        self, kind: HKind, own: tuple[int, ...], forms: list[tuple[float, ...]]
+    ) -> tuple[tuple[float, ...], Callable[[float], float]]:
         """A polynomial whose real roots include every critical point, and a
         function with the sign of the derivative up to a factor of constant
-        sign on each interval of the partition."""
-        q, dq = self.q, derivative(self.q)
+        sign on each interval of the partition.  own holds the places, in
+        forms, of the forms in the key."""
+        f, q = self.f.coefficients, self.q.coefficients
+        dq = poly_derivative(q)
         if kind is HKind.H0:
             # h0 increases with Q / sqrt(f), whose derivative has the sign of
             # 2 f Q' - f' Q; that vanishes at the double root, an interval
             # end, so the factor is divided out
-            num = self.f * dq.scale(2.0) - derivative(self.f) * q
-            poly = deflate(num, self.partition.lambda0)
-            return poly, poly
+            num = poly_sub(poly_mul(f, poly_scale(dq, 2.0)), poly_mul(poly_derivative(f), q))
+            poly = poly_deflate(num, self.partition.lambda0)
+            return poly, functools.partial(evaluate, poly)
+        r = _product(form for place, form in enumerate(forms) if place not in own)
         if kind is HKind.H2:
-            # h2^2 = R / P with P = L1 L2 and R the product of the other forms
-            p = _product(self._forms[form] for form in key)
-            r = _product(self._forms[form] for form in LinearForm if form not in key)
-            poly = derivative(r) * p - r * derivative(p)
-            return poly, poly
+            # h2^2 = R / P with P = L1 L2 and R the product of the other
+            # forms; P's bits do not depend on the order of the pair, as
+            # each of its coefficients sums at most two products from 0.0
+            p = _product(forms[place] for place in own)
+            poly = poly_sub(poly_mul(poly_derivative(r), p), poly_mul(r, poly_derivative(p)))
+            return poly, functools.partial(evaluate, poly)
         # h1^2 = 2 u / L1^2.  Its derivative has the sign of A + s C, where
         # A = L1 D' - 4 L1' D and C = 4 L1' Q - 2 L1 Q'; with f = L1 R this is
         # L1 E + u C, E = 3 L1' R - L1 R'.  A^2 - D C^2 = L1 (L1 E^2 - 2 Q C E
         # + R C^2); the factor L1 is left out, as its root is an interval end
         # where h1 blows up rather than turns.
-        ell = self._forms[key]
-        dell = derivative(ell)
-        r = _product(self._forms[form] for form in LinearForm if form is not key)
-        e = (dell * r).scale(3.0) - ell * derivative(r)
-        c = (dell * q).scale(4.0) - (ell * dq).scale(2.0)
-        poly = ell * e * e - (q * c * e).scale(2.0) + r * c * c
+        (place,) = own
+        ell = forms[place]
+        dell = poly_derivative(ell)
+        e = poly_sub(poly_scale(poly_mul(dell, r), 3.0), poly_mul(ell, poly_derivative(r)))
+        c = poly_sub(poly_scale(poly_mul(dell, q), 4.0), poly_scale(poly_mul(ell, dq), 2.0))
+        poly = poly_add(
+            poly_sub(poly_mul(poly_mul(ell, e), e), poly_scale(poly_mul(poly_mul(q, c), e), 2.0)),
+            poly_mul(poly_mul(r, c), c),
+        )
         params = self.params
-        return poly, lambda x: ell(x) * e(x) + s_minus_q(params, x) * c(x)
+        return poly, lambda x: evaluate(ell, x) * evaluate(e, x) + s_minus_q(params, x) * evaluate(c, x)
+
+
+@functools.cache
+def _radius_functions() -> tuple[tuple[HKind, object, tuple[int, ...]], ...]:
+    """The 11 radius functions an analysis solves, as (kind, key, places in
+    LinearForm of the key's forms), in the order verify_h_tables first
+    reads them: h0, h1 of each form (h3 of a triple is h1 of its missing
+    form), h2 of each pair.  A constant of the region, built on first use."""
+    order = list(LinearForm)
+    return (
+        (HKind.H0, None, ()),
+        *((HKind.H1, form, (order.index(form),)) for form in _H1_TABLE),
+        *((HKind.H2, pair, tuple(order.index(form) for form in pair)) for pair, *_ in _H2_TABLE),
+    )
+
+
+@functools.cache
+def _function_index() -> dict:
+    """The number of each (kind, key) in _radius_functions(); h3 of a triple
+    has the number of h1 of its missing form."""
+    index = {(kind, key): i for i, (kind, key, _) in enumerate(_radius_functions())}
+    for form in LinearForm:
+        index[HKind.H3, frozenset(f for f in LinearForm if f is not form)] = index[HKind.H1, form]
+    return index
 
 
 def _missing(triple: frozenset) -> LinearForm:
@@ -320,12 +379,28 @@ def _pair_label(key: frozenset) -> str:
 def verify_h_tables(analysis: RadiusAnalysis) -> HTableReport:
     """Recompute every critical-point count and endpoint limit the
     classification relies on, and compare with the expected tables."""
-    rows: list[TableRow] = []
+    rows = []
+    for row in _table_rows():
+        if isinstance(row, TableRow):
+            rows.append(row)
+            continue
+        fn, label, check, expected, index, which, kind = row
+        count = len(analysis._critical_at(index, analysis.span(which, kind)))
+        rows.append(TableRow(fn, label, check, str(expected), str(count), count == expected))
+    return HTableReport(rows=tuple(rows))
+
+
+@functools.cache
+def _table_rows() -> tuple:
+    """The rows of verify_h_tables in their order, as constants of the
+    region: a limit row is its TableRow, since the limits depend on no
+    parameter; a count row is (function, choice, check, expected count,
+    function number, interval, kind)."""
+    index = _function_index()
+    rows: list = []
 
     def count_row(fn: str, label: str, kind: HKind, key, which: Interval, expected: int, name: str = ""):
-        count = len(analysis.critical(kind, key, analysis.span(which, kind)))
-        check = f"count on {name or which.value}"
-        rows.append(TableRow(fn, label, check, str(expected), str(count), count == expected))
+        rows.append((fn, label, f"count on {name or which.value}", expected, index[kind, key], which, kind))
 
     def limit_row(fn: str, label: str, kind: HKind, key, edge: Edge, expected: LimitKind):
         got = limit(kind, key, edge)
@@ -360,7 +435,7 @@ def verify_h_tables(analysis: RadiusAnalysis) -> HTableReport:
         for edge, expected in limits:
             limit_row("h2", label, HKind.H2, pair, edge, expected)
 
-    return HTableReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -437,28 +512,42 @@ class PsiReport:
         )
 
 
+# The step of the one-sided difference quotient of k(1/s) at s = 0.  Its
+# truncation error grows like s (k(1/s) = 1 - s + s^2/2 - ...) and its
+# rounding error like eps / s, since k(1/s) - 1 cancels all but the last bits
+# of k; a step near sqrt(eps) = 1.5e-8 balances the two, leaving the quotient
+# within about 1e-8 of the derivative -1, far from the 0.1 the check needs.
+PSI_DIFFERENCE_STEP = 1e-8
+
+# How close to its cap of 1 the profile must come at r = 1e6.  There
+# k = 1 - 1/r + O(r^-2) lies 1e-6 below 1; ten times that leaves room for the
+# rounding of k while still telling a profile that tends to 1 from one that
+# levels off below it.
+PSI_CAP_MARGIN = 1e-5
+
+
 @functools.cache
 def psi_check(samples: int = 1000) -> PsiReport:
     """Monotonicity and boundary behavior of the radial profile.
 
     Strict increase on a log-spaced grid, k(0) = 0, values capped below 1
-    with k(10^6) within 1e-5 of it, and a nonvanishing derivative of k(1/s)
-    at s = 0 (numerically, the one-sided difference quotient).  It depends
-    on no parameter set, so each sample count is checked once per process;
-    the frozen report is shared."""
+    with k(10^6) within PSI_CAP_MARGIN of it, and a nonvanishing derivative
+    of k(1/s) at s = 0 (numerically, the one-sided difference quotient with
+    step PSI_DIFFERENCE_STEP).  It depends on no parameter set, so each
+    sample count is checked once per process; the frozen report is shared."""
     if samples < 10:
         raise InputError("need at least 10 samples")
     rs = [10.0 ** (-6.0 + 12.0 * i / (samples - 1)) for i in range(samples)]
     ks = [k_profile(r) for r in rs]
     monotone = all(ks[i + 1] > ks[i] for i in range(len(ks) - 1))
     sup_value = ks[-1]
-    s = 1e-8
+    s = PSI_DIFFERENCE_STEP
     boundary = (k_profile(1.0 / s) - 1.0) / s
     return PsiReport(
         k_at_zero=k_profile(0.0),
         monotone=monotone,
         sup_value=sup_value,
         sup_below_one=all(k < 1.0 for k in ks),
-        limit_ok=k_profile(1e6) > 1.0 - 1e-5,
+        limit_ok=k_profile(1e6) > 1.0 - PSI_CAP_MARGIN,
         boundary_derivative=boundary,
     )

@@ -249,7 +249,8 @@ EXPECTED_SURVIVORS = (
 
 
 def component_schedule(choice: ResolutionChoice, analysis: RadiusAnalysis) -> ComponentSchedule:
-    """Which irreducible component carries the candidate fibers per interval.
+    """Which irreducible component carries the candidate fibers per interval,
+    under the first hypothesis the choice survives.
 
     I1 follows the surviving hypothesis and I3 is its opposite; over I2 both
     components of each orbit preimage must be taken together.  Over I4 the
@@ -264,7 +265,12 @@ def component_schedule(choice: ResolutionChoice, analysis: RadiusAnalysis) -> Co
     matching = [tr for tr in (_trace(_plan(choice, h), firsts) for h in Hypothesis) if tr.verdict is Verdict.SURVIVES]
     if not matching:
         raise PreconditionError(f"{choice.label()} is not a surviving resolution")
-    hyp = matching[0].hypothesis
+    return _schedule(choice, matching[0].hypothesis)
+
+
+def _schedule(choice: ResolutionChoice, hyp: Hypothesis) -> ComponentSchedule:
+    """component_schedule of a choice surviving under hyp: a function of the
+    limits alone."""
     if hyp is Hypothesis.PLUS_OVER_I1:
         i1, i3 = ComponentChoice.PLUS, ComponentChoice.MINUS
         govern = (HKind.H3, _triple_key(choice))
@@ -288,5 +294,10 @@ def classify(analysis: RadiusAnalysis) -> ClassificationReport:
     """Full pipeline: type table, elimination with traces, and the component
     schedules of the survivors."""
     outcome = eliminate(analysis)
-    schedules = tuple((choice, hyp, component_schedule(choice, analysis)) for choice, hyp in outcome.survivors)
+    # each survivor's schedule follows component_schedule, from the outcome:
+    # the first hypothesis its choice survives, in the order of the traces
+    schedules = tuple(
+        (choice, hyp, _schedule(choice, next(h for c, h in outcome.survivors if c == choice)))
+        for choice, hyp in outcome.survivors
+    )
     return ClassificationReport(assignment=assign_types(), outcome=outcome, schedules=schedules)

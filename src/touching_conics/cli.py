@@ -23,7 +23,7 @@ from dataclasses import is_dataclass
 
 from . import __version__
 from .analysis import RadiusAnalysis, h0_critical_on_i2, h0_pairing, psi_check, verify_h_tables
-from .classifier import EXPECTED_SURVIVORS, classify
+from .classifier import EXPECTED_SURVIVORS, _plans, classify
 from .conics import REALITY_TOL, ConicCoeffs, Plane, min_real_form, orbit_conic
 from .errors import (
     DegenerateConicError,
@@ -413,31 +413,44 @@ def _critical(analysis: RadiusAnalysis):
     return {"rows": [_record(r) for r in rep.rows], "passed": rep.passed}, rep.passed, {"h_tables_s": _elapsed(t0)}
 
 
+@functools.cache
+def _trace_skeletons() -> tuple[tuple[str, str, list[dict]], ...]:
+    """Per classifier plan, in the order of the traces, what its trace record
+    shares with every parameter set: the resolution label, the hypothesis
+    and the C reasons, which rest on the limits alone.  Built on first use;
+    every report of the process shares the C reason records."""
+    return tuple(
+        (
+            plan.choice.label(),
+            plan.hypothesis.value,
+            [{"code": r.code, "description": r.description, "witness": r.witness} for r in plan.matches],
+        )
+        for plan in _plans()
+    )
+
+
 def _classification(analysis: RadiusAnalysis):
     t0 = time.perf_counter()
     rep = classify(analysis)
+    survivors = rep.outcome.survivors
+    traces = []
+    for (resolution, hypothesis, matches), t in zip(_trace_skeletons(), rep.outcome.traces):
+        # the A and B reasons come first, one per count row with a critical
+        # point, which lies inside its span and so is a finite float
+        measured = t.reasons[: len(t.reasons) - len(matches)]
+        reasons = [{"code": r.code, "description": r.description, "witness": r.witness} for r in measured]
+        traces.append(
+            {"resolution": resolution, "hypothesis": hypothesis, "verdict": t.verdict.value, "reasons": reasons + matches}
+        )
     body = {
         "type_assignment": [
             {"interval": name, "type": kind.value, "justification": why}
             for name, kind, why in rep.assignment.by_interval
         ],
-        "survivors": [
-            {"resolution": ch.label(), "hypothesis": hyp.value} for ch, hyp in rep.outcome.survivors
-        ],
+        "survivors": [{"resolution": ch.label(), "hypothesis": hyp.value} for ch, hyp in survivors],
         # kept in the report-v1 schema; every verdict is decided
         "inconclusive": False,
-        "traces": [
-            {
-                "resolution": t.choice.label(),
-                "hypothesis": t.hypothesis.value,
-                "verdict": t.verdict.value,
-                "reasons": [
-                    {"code": r.code, "description": r.description, "witness": _json_safe(r.witness)}
-                    for r in t.reasons
-                ],
-            }
-            for t in rep.outcome.traces
-        ],
+        "traces": traces,
         "component_schedules": [
             {
                 "resolution": ch.label(),
@@ -453,7 +466,7 @@ def _classification(analysis: RadiusAnalysis):
         ],
         "broken_pairing": _pairing_samples(analysis),
     }
-    ok = set(rep.outcome.survivors) == set(EXPECTED_SURVIVORS)
+    ok = set(survivors) == set(EXPECTED_SURVIVORS)
     return {"classification": body}, ok, {"classify_s": _elapsed(t0)}
 
 

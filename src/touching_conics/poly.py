@@ -28,18 +28,15 @@ class RealPolynomial:
     """Coefficients in ascending degree order.
 
     Trailing zeros are stripped on construction so the leading coefficient is
-    nonzero unless the polynomial is identically zero.
+    nonzero unless the polynomial is identically zero.  The arithmetic is the
+    coefficient-tuple functions below, which strip their results the same
+    way, so a computation gives the same bits either way.
     """
 
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            coeffs = (0.0,)
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", _stripped([float(c) for c in self.coefficients]))
 
     @property
     def degree(self) -> int:
@@ -53,25 +50,75 @@ class RealPolynomial:
         return evaluate(self, x)
 
     def __add__(self, other: "RealPolynomial") -> "RealPolynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        a = list(self.coefficients) + [0.0] * (n - len(self.coefficients))
-        b = list(other.coefficients) + [0.0] * (n - len(other.coefficients))
-        return RealPolynomial(tuple(x + y for x, y in zip(a, b)))
+        return RealPolynomial(poly_add(self.coefficients, other.coefficients))
 
     def __sub__(self, other: "RealPolynomial") -> "RealPolynomial":
-        return self + other.scale(-1.0)
+        return RealPolynomial(poly_sub(self.coefficients, other.coefficients))
 
     def __mul__(self, other: "RealPolynomial") -> "RealPolynomial":
-        if self.is_zero or other.is_zero:
-            return RealPolynomial((0.0,))
-        out = [0.0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, ci in enumerate(self.coefficients):
-            for j, cj in enumerate(other.coefficients):
-                out[i + j] += ci * cj
-        return RealPolynomial(tuple(out))
+        return RealPolynomial(poly_mul(self.coefficients, other.coefficients))
 
     def scale(self, k: float) -> "RealPolynomial":
-        return RealPolynomial(tuple(k * c for c in self.coefficients))
+        return RealPolynomial(poly_scale(self.coefficients, k))
+
+
+# Arithmetic on ascending coefficient tuples of floats, each result stripped
+# of trailing zeros ((0.0,) when nothing is left).  The order of the float
+# operations is part of the contract: the critical polynomials' bits, and so
+# every critical point a report prints, follow from it.
+
+
+def _stripped(cs: list[float]) -> tuple[float, ...]:
+    n = len(cs)
+    while n > 1 and cs[n - 1] == 0.0:
+        n -= 1
+    return tuple(cs[:n]) if n else (0.0,)
+
+
+def poly_add(p: tuple[float, ...], q: tuple[float, ...]) -> tuple[float, ...]:
+    """p + q, the shorter padded with 0.0 and added term by term."""
+    n = max(len(p), len(q))
+    a = list(p) + [0.0] * (n - len(p))
+    b = list(q) + [0.0] * (n - len(q))
+    return _stripped([x + y for x, y in zip(a, b)])
+
+
+def poly_sub(p: tuple[float, ...], q: tuple[float, ...]) -> tuple[float, ...]:
+    """p + (-1.0) q."""
+    return poly_add(p, poly_scale(q, -1.0))
+
+
+def poly_mul(p: tuple[float, ...], q: tuple[float, ...]) -> tuple[float, ...]:
+    """p q, each term accumulated from 0.0 in the order of p's index, then
+    q's."""
+    if p == (0.0,) or q == (0.0,):
+        return (0.0,)
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, ci in enumerate(p):
+        for j, cj in enumerate(q):
+            out[i + j] += ci * cj
+    return _stripped(out)
+
+
+def poly_scale(p: tuple[float, ...], k: float) -> tuple[float, ...]:
+    return _stripped([k * c for c in p])
+
+
+def poly_derivative(p: tuple[float, ...]) -> tuple[float, ...]:
+    if len(p) == 1:
+        return (0.0,)
+    return _stripped([k * c for k, c in enumerate(p) if k > 0])
+
+
+def poly_deflate(p: tuple[float, ...], root: float) -> tuple[float, ...]:
+    """Quotient of p by (x - root), by synthetic division; the remainder,
+    which vanishes when root is a root of p, is dropped."""
+    out = [0.0] * (len(p) - 1)
+    acc = 0.0
+    for k in range(len(p) - 1, 0, -1):
+        acc = acc * root + p[k]
+        out[k - 1] = acc
+    return _stripped(out)
 
 
 def evaluate(p, x):
@@ -85,9 +132,7 @@ def evaluate(p, x):
 
 
 def derivative(p: RealPolynomial) -> RealPolynomial:
-    if p.degree == 0:
-        return RealPolynomial((0.0,))
-    return RealPolynomial(tuple(k * c for k, c in enumerate(p.coefficients) if k > 0))
+    return RealPolynomial(poly_derivative(p.coefficients))
 
 
 def companion_roots(coeffs) -> list[complex]:
@@ -100,21 +145,60 @@ def companion_roots(coeffs) -> list[complex]:
     overflows, the comparison fails on inf or NaN and the eigenvalue is kept
     as it is; the caller sees the overflow in its own arithmetic.
     """
+    cs, column = _last_column(coeffs)
+    if not column:
+        return []
+    return _polished(cs, list(np.linalg.eigvals(_companions([column]))[0]))
+
+
+def stacked_companion_roots(polys) -> list[list[complex]]:
+    """companion_roots of each polynomial, in order, with one eigenvalue
+    call per degree on the stacked companion matrices of that degree.
+
+    LAPACK factors each matrix of a stack on its own, so every root equals
+    companion_roots' bit for bit.  The polynomials are checked in order
+    before any is solved: the first whose monic form is not finite raises
+    companion_roots' DomainError."""
+    built = [_last_column(coeffs) for coeffs in polys]
+    by_degree: dict[int, list[int]] = {}
+    for i, (_, column) in enumerate(built):
+        if column:
+            by_degree.setdefault(len(column), []).append(i)
+    eigenvalues: list[list] = [[] for _ in built]
+    for members in by_degree.values():
+        for i, values in zip(members, np.linalg.eigvals(_companions([built[i][1] for i in members]))):
+            eigenvalues[i] = list(values)
+    return [_polished(cs, values) if values else [] for (cs, _), values in zip(built, eigenvalues)]
+
+
+def _last_column(coeffs) -> tuple[list[complex], list[complex]]:
+    """The coefficients as complex numbers with trailing zeros dropped, and
+    the last column of their companion matrix: minus the lower ones over the
+    leading one, empty below degree 1."""
     cs = [complex(c) for c in coeffs]
     while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
-    n = len(cs) - 1
-    if n < 1:
-        return []
+    if len(cs) < 2:
+        return cs, []
     lead = cs[-1]
     monic = [c / lead for c in cs]
     if not all(cmath.isfinite(c) for c in monic):
         raise DomainError(f"roots need finite coefficients over the leading one, of size {abs(lead):.3e}")
-    comp = np.zeros((n, n), dtype=complex)
-    if n > 1:
-        comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = [-monic[k] for k in range(n)]
-    roots = list(np.linalg.eigvals(comp))
+    return cs, [-c for c in monic[:-1]]
+
+
+def _companions(columns: list[list[complex]]) -> np.ndarray:
+    """The companion matrices of one degree n, stacked (k, n, n): ones below
+    the diagonal and each last column given."""
+    k, n = len(columns), len(columns[0])
+    comp = np.zeros((k, n * n), dtype=complex)
+    comp[:, n :: n + 1] = 1.0
+    comp[:, n - 1 :: n] = columns
+    return comp.reshape(k, n, n)
+
+
+def _polished(cs: list[complex], roots: list) -> list[complex]:
+    """One guarded Newton step from each eigenvalue (see companion_roots)."""
     dcs = [k * cs[k] for k in range(1, len(cs))]
     polished = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -186,11 +270,4 @@ def square_root_roots(coeffs) -> list[complex] | None:
 
 
 def deflate(p: RealPolynomial, root: float) -> RealPolynomial:
-    """Quotient of p by (x - root), by synthetic division; the remainder,
-    which vanishes when root is a root of p, is dropped."""
-    out = [0.0] * p.degree
-    acc = 0.0
-    for k in range(p.degree, 0, -1):
-        acc = acc * root + p.coefficients[k]
-        out[k - 1] = acc
-    return RealPolynomial(tuple(out))
+    return RealPolynomial(poly_deflate(p.coefficients, root))

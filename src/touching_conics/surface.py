@@ -56,13 +56,20 @@ class IntervalPartition:
     i4plus: tuple[float, float]
 
     def bounds(self, which: Interval) -> tuple[float, float]:
-        return {
-            Interval.I1: self.i1,
-            Interval.I2: self.i2,
-            Interval.I3: self.i3,
-            Interval.I4MINUS: self.i4minus,
-            Interval.I4PLUS: self.i4plus,
-        }[which]
+        # matched by identity: a dict keyed by the intervals would hash five
+        # enum members per call, in Python
+        match which:
+            case Interval.I1:
+                return self.i1
+            case Interval.I2:
+                return self.i2
+            case Interval.I3:
+                return self.i3
+            case Interval.I4MINUS:
+                return self.i4minus
+            case Interval.I4PLUS:
+                return self.i4plus
+        raise KeyError(which)
 
 
 @dataclass(frozen=True)

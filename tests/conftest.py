@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 from hypothesis import settings
 
+from touching_conics.errors import NotFoundError
 from touching_conics.surface import SearchConfig, find_valid_params
 
 # Property tests draw the same examples on every run and keep no example
@@ -28,3 +32,21 @@ def params_draws(params_star):
         find_valid_params(SearchConfig(a=2.0, b=1.0, lambda0=1.5, q0_min=0.1)),
         find_valid_params(SearchConfig(a=1.0, b=2.0, lambda0=4.0, q0_min=0.05)),
     ]
+
+
+@pytest.fixture(scope="session")
+def region_sets(params_draws):
+    """The reference draws and 32 seeded admissible sets over the box of the
+    benchmark's sweep: a and b log-uniform in [1/4, 4], lambda0 - b/a in
+    [0.25, 6.25] and q0_min in [0.05, 3]; targets without an admissible set
+    are skipped."""
+    rng = random.Random(18)
+    sets = list(params_draws)
+    while len(sets) < len(params_draws) + 32:
+        a, b = (math.exp(rng.uniform(math.log(0.25), math.log(4.0))) for _ in range(2))
+        search = SearchConfig(a=a, b=b, lambda0=b / a + rng.uniform(0.25, 6.25), q0_min=rng.uniform(0.05, 3.0))
+        try:
+            sets.append(find_valid_params(search))
+        except NotFoundError:
+            continue
+    return sets

@@ -3,10 +3,11 @@
 Everything here is deliberately written from scratch: brute-force grids,
 raw companion-matrix roots through numpy, greedy pairing, single-linkage
 root clustering.  None of it calls back into the validation paths it
-certifies; the clustering starts from `poly.companion_roots`.  The last
-three sections, the radius-function handles and normal-bundle verdicts,
-the elimination one trace at a time, and the closed forms of the conic
-families, are the exception: those wrap the package for the tests.
+certifies; the clustering starts from `poly.companion_roots`.  The
+radius-function handles and normal-bundle verdicts, the elimination one
+trace at a time, the analysis one radius function at a time and the closed
+forms of the conic families are the exception: those wrap the package for
+the tests.
 """
 
 from __future__ import annotations
@@ -14,26 +15,58 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import time
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from touching_conics.analysis import RadiusAnalysis, _pair_key, _triple_key, limit
+from touching_conics.analysis import (
+    _H1_TABLE,
+    _H2_TABLE,
+    _H3_TABLE,
+    HTableReport,
+    RadiusAnalysis,
+    TableRow,
+    _missing,
+    _pair_key,
+    _pair_label,
+    _sign_changes,
+    _triple_key,
+    domain_side,
+    limit,
+)
+from touching_conics.analysis import LimitKind as AnalysisLimit
 from touching_conics.classifier import (
+    EXPECTED_SURVIVORS,
     EliminationOutcome,
     EliminationTrace,
     Hypothesis,
     Reason,
     Verdict,
     _match_reason,
+    assign_types,
+    component_schedule,
+    eliminate,
 )
+from touching_conics.cli import _json_safe, _pairing_samples
 from touching_conics.conics import CANCELLATION_FLOOR, ORBIT_CONTAINMENT_REL, REL_EPS, ConicType, Plane
 from touching_conics.errors import DegenerateConicError, DomainError, InputError, RealityError
 from touching_conics.poly import RealPolynomial, companion_roots, evaluate, square_root_roots
-from touching_conics.resolution import Bfun, Edge, HKind, ResolutionChoice, _form_values, all_resolutions, h_function
-from touching_conics.surface import Interval, SurfaceParams, disc_value, f_value, intervals, q_value, s_minus_q, sqrt_disc
+from touching_conics.resolution import Bfun, Edge, HKind, LinearForm, ResolutionChoice, _form_values, all_resolutions, h_function
+from touching_conics.surface import (
+    Interval,
+    Q_restricted,
+    SurfaceParams,
+    disc_value,
+    f_poly,
+    f_value,
+    intervals,
+    q_value,
+    s_minus_q,
+    sqrt_disc,
+)
 
 
 def dense_grid_certificate(params, lam0: float, n: int = 100_001) -> dict:
@@ -660,6 +693,281 @@ def eliminate_by_lookup(analysis: RadiusAnalysis) -> EliminationOutcome:
     traces = tuple(trace_by_lookup(analysis, choice, hyp) for choice in all_resolutions() for hyp in Hypothesis)
     survivors = tuple((t.choice, t.hypothesis) for t in traces if t.verdict is Verdict.SURVIVES)
     return EliminationOutcome(survivors=survivors, traces=traces)
+
+
+# ---------------------------------------------------------------------------
+# the analysis one radius function at a time, as the package solved it before
+# the stacked solve: polynomial arithmetic on a frozen dataclass that converts
+# and strips every result, one companion-matrix eigenvalue call per critical
+# polynomial, lazy memos keyed by (kind, key, span), the h tables read row by
+# row and the classification section built trace by trace.  The production
+# analysis must give the same bits.  Like the sections above, it calls the
+# package for the limits, the tables and the elimination.
+
+
+@dataclass(frozen=True)
+class ReferencePolynomial:
+    """Ascending coefficients, converted to float and stripped of trailing
+    zeros on construction; each operation builds its result from scratch."""
+
+    coefficients: tuple[float, ...]
+
+    def __post_init__(self):
+        coeffs = tuple(float(c) for c in self.coefficients)
+        while len(coeffs) > 1 and coeffs[-1] == 0.0:
+            coeffs = coeffs[:-1]
+        if not coeffs:
+            coeffs = (0.0,)
+        object.__setattr__(self, "coefficients", coeffs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coefficients) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return self.coefficients == (0.0,)
+
+    def __call__(self, x: float) -> float:
+        return evaluate(self.coefficients, x)
+
+    def __add__(self, other: "ReferencePolynomial") -> "ReferencePolynomial":
+        n = max(len(self.coefficients), len(other.coefficients))
+        a = list(self.coefficients) + [0.0] * (n - len(self.coefficients))
+        b = list(other.coefficients) + [0.0] * (n - len(other.coefficients))
+        return ReferencePolynomial(tuple(x + y for x, y in zip(a, b)))
+
+    def __sub__(self, other: "ReferencePolynomial") -> "ReferencePolynomial":
+        return self + other.scale(-1.0)
+
+    def __mul__(self, other: "ReferencePolynomial") -> "ReferencePolynomial":
+        if self.is_zero or other.is_zero:
+            return ReferencePolynomial((0.0,))
+        out = [0.0] * (len(self.coefficients) + len(other.coefficients) - 1)
+        for i, ci in enumerate(self.coefficients):
+            for j, cj in enumerate(other.coefficients):
+                out[i + j] += ci * cj
+        return ReferencePolynomial(tuple(out))
+
+    def scale(self, k: float) -> "ReferencePolynomial":
+        return ReferencePolynomial(tuple(k * c for c in self.coefficients))
+
+
+def reference_derivative(p: ReferencePolynomial) -> ReferencePolynomial:
+    if p.degree == 0:
+        return ReferencePolynomial((0.0,))
+    return ReferencePolynomial(tuple(k * c for k, c in enumerate(p.coefficients) if k > 0))
+
+
+def reference_deflate(p: ReferencePolynomial, root: float) -> ReferencePolynomial:
+    out = [0.0] * p.degree
+    acc = 0.0
+    for k in range(p.degree, 0, -1):
+        acc = acc * root + p.coefficients[k]
+        out[k - 1] = acc
+    return ReferencePolynomial(tuple(out))
+
+
+def reference_companion_roots(coeffs) -> list[complex]:
+    """poly.companion_roots as one polynomial's own eigenvalue call: the
+    companion matrix built alone, then the guarded Newton polish."""
+    cs = [complex(c) for c in coeffs]
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    n = len(cs) - 1
+    if n < 1:
+        return []
+    lead = cs[-1]
+    monic = [c / lead for c in cs]
+    if not all(cmath.isfinite(c) for c in monic):
+        raise DomainError(f"roots need finite coefficients over the leading one, of size {abs(lead):.3e}")
+    comp = np.zeros((n, n), dtype=complex)
+    if n > 1:
+        comp[1:, :-1] = np.eye(n - 1)
+    comp[:, -1] = [-monic[k] for k in range(n)]
+    roots = list(np.linalg.eigvals(comp))
+    dcs = [k * cs[k] for k in range(1, len(cs))]
+    polished = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in roots:
+            pr = evaluate(cs, r)
+            dpr = evaluate(dcs, r)
+            if abs(dpr) > 0:
+                cand = r - pr / dpr
+                if abs(evaluate(cs, cand)) < abs(pr):
+                    step = abs(cand - r)
+                    for other in roots:
+                        if other is not r and abs(cand - other) <= step:
+                            break
+                    else:
+                        r = cand
+            polished.append(r)
+    return polished
+
+
+def _reference_product(polys) -> ReferencePolynomial:
+    out = ReferencePolynomial((1.0,))
+    for p in polys:
+        out = out * p
+    return out
+
+
+class LazyAnalysis:
+    """RadiusAnalysis solving each radius function on first demand, alone,
+    with ReferencePolynomial arithmetic: the interface the classifier, the
+    pairing and the oracle tables below read."""
+
+    def __init__(self, params: SurfaceParams, partition):
+        self.params = params
+        self.partition = partition
+        self.f = ReferencePolynomial(f_poly(params).coefficients)
+        self.q = ReferencePolynomial(Q_restricted(params).coefficients)
+        self._forms = {form: ReferencePolynomial(form.polynomial(params).coefficients) for form in LinearForm}
+        self._roots: dict = {}
+        self._critical: dict = {}
+        self._first: dict = {}
+
+    def work_counts(self) -> dict[str, int]:
+        return {
+            "critical_polynomials": len(self._roots),
+            "critical_spans": len(self._critical),
+            "count_rows": len(self._first),
+        }
+
+    def span(self, which: Interval, kind: HKind | None = None) -> tuple[float, float]:
+        if kind is HKind.H2 and which in (Interval.I4MINUS, Interval.I4PLUS):
+            return (self.partition.i4minus[0], math.inf)
+        return self.partition.bounds(which)
+
+    def roots(self, kind: HKind, key) -> list[float]:
+        """Real parts of the critical polynomial's roots, in eigenvalue order."""
+        if kind is HKind.H3:
+            kind, key = HKind.H1, _missing(key)
+        if (kind, key) not in self._roots:
+            poly, sign = self.derivative_data(kind, key)
+            self._roots[kind, key] = ([float(r.real) for r in reference_companion_roots(poly.coefficients)], sign)
+        return self._roots[kind, key][0]
+
+    def critical(self, kind: HKind, key, span: tuple[float, float]) -> tuple[float, ...]:
+        if kind is HKind.H3:
+            kind, key = HKind.H1, _missing(key)
+        k = (kind, key, span)
+        if k not in self._critical:
+            self.roots(kind, key)
+            roots, sign = self._roots[kind, key]
+            self._critical[k] = _sign_changes(roots, span[0], span[1], sign)
+        return self._critical[k]
+
+    def first_critical(self, kind: HKind, key, which: Interval) -> float | None:
+        row = (kind, key, which)
+        if row not in self._first:
+            locs = self.critical(kind, key, self.span(which, kind))
+            self._first[row] = locs[0] if locs else None
+        return self._first[row]
+
+    def derivative_data(self, kind: HKind, key) -> tuple[ReferencePolynomial, Callable[[float], float]]:
+        q, dq = self.q, reference_derivative(self.q)
+        if kind is HKind.H0:
+            num = self.f * dq.scale(2.0) - reference_derivative(self.f) * q
+            poly = reference_deflate(num, self.partition.lambda0)
+            return poly, poly
+        if kind is HKind.H2:
+            p = _reference_product(self._forms[form] for form in key)
+            r = _reference_product(self._forms[form] for form in LinearForm if form not in key)
+            poly = reference_derivative(r) * p - r * reference_derivative(p)
+            return poly, poly
+        ell = self._forms[key]
+        dell = reference_derivative(ell)
+        r = _reference_product(self._forms[form] for form in LinearForm if form is not key)
+        e = (dell * r).scale(3.0) - ell * reference_derivative(r)
+        c = (dell * q).scale(4.0) - (ell * dq).scale(2.0)
+        poly = ell * e * e - (q * c * e).scale(2.0) + r * c * c
+        params = self.params
+        return poly, lambda x: ell(x) * e(x) + s_minus_q(params, x) * c(x)
+
+
+def verify_h_tables_by_row(analysis) -> HTableReport:
+    """analysis.verify_h_tables, every row worked out where it is read."""
+    rows: list[TableRow] = []
+
+    def count_row(fn: str, label: str, kind: HKind, key, which: Interval, expected: int, name: str = ""):
+        count = len(analysis.critical(kind, key, analysis.span(which, kind)))
+        check = f"count on {name or which.value}"
+        rows.append(TableRow(fn, label, check, str(expected), str(count), count == expected))
+
+    def limit_row(fn: str, label: str, kind: HKind, key, edge: Edge, expected: AnalysisLimit):
+        got = limit(kind, key, edge)
+        check = f"limit at {edge.value} ({domain_side(kind, edge)})"
+        rows.append(TableRow(fn, label, check, expected.value, got.value, got is expected))
+
+    count_row("h0", "-", HKind.H0, None, Interval.I2, 1)
+    count_row("h0", "-", HKind.H0, None, Interval.I4MINUS, 0)
+    count_row("h0", "-", HKind.H0, None, Interval.I4PLUS, 0)
+    limit_row("h0", "-", HKind.H0, None, Edge.MINUS_ONE, AnalysisLimit.INFINITY)
+    limit_row("h0", "-", HKind.H0, None, Edge.ZERO, AnalysisLimit.INFINITY)
+    for ell1, (c1, c3, limits) in _H1_TABLE.items():
+        count_row("h1", ell1.value, HKind.H1, ell1, Interval.I1, c1)
+        count_row("h1", ell1.value, HKind.H1, ell1, Interval.I3, c3)
+        for edge, expected in limits:
+            limit_row("h1", ell1.value, HKind.H1, ell1, edge, expected)
+    for missing, (c1, c3, limits) in _H3_TABLE.items():
+        triple = frozenset(f for f in LinearForm if f is not missing)
+        label = _pair_label(triple)
+        count_row("h3", label, HKind.H3, triple, Interval.I1, c1)
+        count_row("h3", label, HKind.H3, triple, Interval.I3, c3)
+        for edge, expected in limits:
+            limit_row("h3", label, HKind.H3, triple, edge, expected)
+    for pair, c2, c4, limits in _H2_TABLE:
+        label = _pair_label(pair)
+        count_row("h2", label, HKind.H2, pair, Interval.I2, c2)
+        count_row("h2", label, HKind.H2, pair, Interval.I4MINUS, c4, name="I4")
+        for edge, expected in limits:
+            limit_row("h2", label, HKind.H2, pair, edge, expected)
+    return HTableReport(rows=tuple(rows))
+
+
+def classification_by_trace(analysis):
+    """cli._classification, each trace record built from its trace and each
+    survivor's schedule from component_schedule."""
+    t0 = time.perf_counter()
+    outcome = eliminate(analysis)
+    schedules = tuple((choice, hyp, component_schedule(choice, analysis)) for choice, hyp in outcome.survivors)
+    body = {
+        "type_assignment": [
+            {"interval": name, "type": kind.value, "justification": why}
+            for name, kind, why in assign_types().by_interval
+        ],
+        "survivors": [{"resolution": ch.label(), "hypothesis": hyp.value} for ch, hyp in outcome.survivors],
+        "inconclusive": False,
+        "traces": [
+            {
+                "resolution": t.choice.label(),
+                "hypothesis": t.hypothesis.value,
+                "verdict": t.verdict.value,
+                "reasons": [
+                    {"code": r.code, "description": r.description, "witness": _json_safe(r.witness)}
+                    for r in t.reasons
+                ],
+            }
+            for t in outcome.traces
+        ],
+        "component_schedules": [
+            {
+                "resolution": ch.label(),
+                "hypothesis": hyp.value,
+                "I1": s.i1.value,
+                "I2": s.i2.value,
+                "I3": s.i3.value,
+                "I4minus": s.i4minus.value,
+                "I4plus": s.i4plus.value,
+                "gamma_progression": list(s.gamma_progression()),
+            }
+            for ch, hyp, s in schedules
+        ],
+        "broken_pairing": _pairing_samples(analysis),
+    }
+    ok = set(outcome.survivors) == set(EXPECTED_SURVIVORS)
+    return {"classification": body}, ok, {"classify_s": round(time.perf_counter() - t0, 6)}
 
 
 # ---------------------------------------------------------------------------

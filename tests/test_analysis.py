@@ -11,7 +11,9 @@ import pytest
 
 from oracles import (
     FamilyLabel,
+    ReferencePolynomial,
     LadderGaveUpError,
+    LazyAnalysis,
     LimitKind,
     NormalBundleVerdict,
     ScanConfig,
@@ -23,8 +25,11 @@ from oracles import (
     normal_bundle_at,
     pairing_by_bisection,
     vanishing_order,
+    verify_h_tables_by_row,
 )
 from touching_conics.analysis import (
+    _function_index,
+    _radius_functions,
     domain_side,
     h0_critical_on_i2,
     h0_pairing,
@@ -35,7 +40,7 @@ from touching_conics.analysis import (
 )
 from touching_conics.errors import DomainError, InputError
 from touching_conics.resolution import Edge, HKind, LinearForm, ResolutionChoice, all_resolutions
-from touching_conics.surface import SearchConfig, f_value, intervals, params_for_q0, q_value
+from touching_conics.surface import Interval, SearchConfig, f_value, intervals, params_for_q0, q_value
 
 
 CH0 = all_resolutions()[0]
@@ -373,3 +378,81 @@ def test_memoized_limits_and_psi_are_transparent():
     for _ in range(2):
         with pytest.raises(InputError):
             psi_check(5)
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _all_keys():
+    """Every (kind, key) of a radius function, h3 of each triple included."""
+    yield HKind.H0, None
+    for form in LinearForm:
+        yield HKind.H1, form
+        yield HKind.H3, frozenset(f for f in LinearForm if f is not form)
+    for pair in itertools.combinations(LinearForm, 2):
+        yield HKind.H2, frozenset(pair)
+
+
+def test_one_solve_equals_the_one_at_a_time_analysis(region_sets):
+    # the 11 critical polynomials built on coefficient tuples and solved by
+    # one eigenvalue call per degree give the coefficients, roots, critical
+    # points and h tables of the dataclass arithmetic solved one at a time,
+    # bit for bit, on the reference draws and 32 sets across the region
+    for params in region_sets:
+        exact, lazy = analysis_of(params), LazyAnalysis(params, intervals(params))
+        exact.critical(HKind.H0, None, exact.span(Interval.I2))
+        forms = [form.polynomial(params).coefficients for form in LinearForm]
+        for index, (kind, key, own) in enumerate(_radius_functions()):
+            poly, _ = exact._derivative_data(kind, own, forms)
+            reference, _ = lazy.derivative_data(kind, key)
+            assert _bits(poly) == _bits(reference.coefficients), (params, kind, key)
+            roots = exact._solved[index][0]
+            assert _bits(roots) == _bits(lazy.roots(kind, key)), (params, kind, key)
+        for kind, key in _all_keys():
+            assert _bits(sorted(exact._solved[_function_index()[kind, key]][0])) == _bits(sorted(lazy.roots(kind, key)))
+            for which in Interval:
+                span = exact.span(which, kind)
+                assert exact.critical(kind, key, span) == lazy.critical(kind, key, span)
+                assert exact.first_critical(kind, key, which) == lazy.first_critical(kind, key, which)
+        assert verify_h_tables(exact) == verify_h_tables_by_row(lazy)
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_the_first_unsolvable_polynomial_raises_on_the_first_call(params_star, k):
+    # when the k-th critical polynomial (and, after it, the last one) has a
+    # monic form that is not finite, the one solve raises on the first call
+    # for critical points, whichever it is, the DomainError that reading the
+    # h tables one function at a time met first
+    bad = {k, 10}
+
+    def corrupt(data, index, make):
+        def derivative_data(*args):
+            poly, sign = data(*args)
+            return (make((1.0, 1.0, 10.0 ** -(310 + index))) if index in bad else poly), sign
+
+        return derivative_data
+
+    lazy = LazyAnalysis(params_star, intervals(params_star))
+    lazy_data = lazy.derivative_data
+    by_key = {(kind, key): i for i, (kind, key, _) in enumerate(_radius_functions())}
+    by_places = {(kind, own): i for i, (kind, _, own) in enumerate(_radius_functions())}
+    lazy.derivative_data = lambda kind, key: corrupt(lazy_data, by_key[kind, key], ReferencePolynomial)(kind, key)
+    with pytest.raises(DomainError) as expected:
+        verify_h_tables_by_row(lazy)
+
+    for first_call in (
+        lambda a: a.critical(HKind.H0, None, a.span(Interval.I2)),
+        lambda a: a.first_critical(HKind.H2, frozenset((LinearForm.X0, LinearForm.X1)), Interval.I2),
+        verify_h_tables,
+    ):
+        exact = analysis_of(params_star)
+        exact_data = exact._derivative_data
+        exact._derivative_data = lambda kind, own, forms: corrupt(exact_data, by_places[kind, own], tuple)(
+            kind, own, forms
+        )
+        with pytest.raises(DomainError) as got:
+            first_call(exact)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        assert exact.work_counts()["critical_polynomials"] == 0

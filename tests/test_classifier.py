@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
-from touching_conics.analysis import _order, domain_side, verify_h_tables
+from touching_conics.analysis import _order, domain_side, limit, verify_h_tables
 from touching_conics.classifier import (
+    _COUNT_ROWS,
     EXPECTED_SURVIVORS,
     ComponentChoice,
     Hypothesis,
@@ -27,7 +28,7 @@ from touching_conics.conics import ConicType
 from touching_conics.errors import NotFoundError, PreconditionError
 from touching_conics.poly import derivative
 from touching_conics.resolution import Edge, HKind, LinearForm, ResolutionChoice
-from touching_conics.surface import SearchConfig, f_poly, find_valid_params, q_value
+from touching_conics.surface import Interval, SearchConfig, f_poly, find_valid_params, q_value
 from oracles import analysis_of, central_difference, eliminate_by_lookup, h_handle
 
 
@@ -238,4 +239,36 @@ def test_elimination_reads_14_count_rows(params_draws):
         assert cache.work_counts()["count_rows"] == 0
         classify(cache)
         # h2 of 6 pairs on I2, h1 of 4 forms on I1 and on I3
-        assert cache.work_counts() == {"critical_polynomials": 11, "critical_spans": 23, "count_rows": 14}
+        assert cache.work_counts() == {"critical_polynomials": 11, "root_solves": 3, "critical_spans": 23, "count_rows": 14}
+
+
+# ---------------------------------------------------------------------------
+# the parity of a count follows from the limits at the interval's ends: a
+# radius function tending to the same class at both ends has a derivative of
+# opposite signs near them, so it changes sign an odd number of times; with
+# different classes, an even number
+
+
+_ENDS = {
+    Interval.I1: (Edge.MINUS_INF, Edge.MINUS_ONE),
+    Interval.I2: (Edge.MINUS_ONE, Edge.ZERO),
+    Interval.I3: (Edge.ZERO, Edge.B_OVER_A),
+    # h2 is smooth through the double root: I4 is one interval up to +inf
+    Interval.I4MINUS: (Edge.B_OVER_A, Edge.PLUS_INF),
+}
+
+
+@given(a=_log_uniform(0.25, 4.0), b=_log_uniform(0.25, 4.0), gap=st.floats(0.25, 6.25), q0_min=st.floats(0.05, 3.0))
+def test_every_count_has_the_parity_of_its_end_limits(a, b, gap, q0_min):
+    # the 14 count rows of the elimination, and h2 of each pair on I4, over
+    # the box of the benchmark's sweep
+    try:
+        params = find_valid_params(SearchConfig(a=a, b=b, lambda0=b / a + gap, q0_min=q0_min))
+    except NotFoundError:
+        reject()
+    cache = analysis_of(params)
+    rows = [*_COUNT_ROWS, *((HKind.H2, key, Interval.I4MINUS) for key in _keys(HKind.H2))]
+    for kind, key, which in rows:
+        count = len(cache.critical(kind, key, cache.span(which, kind)))
+        start, end = (limit(kind, key, edge) for edge in _ENDS[which])
+        assert count % 2 == (1 if start is end else 0), (params, kind, key, which, count)

@@ -19,6 +19,7 @@ from touching_conics import analysis, cli, surface
 from touching_conics.analysis import RadiusAnalysis
 from touching_conics.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from touching_conics.surface import SearchConfig, lambda0, params_for_q0
+from oracles import LazyAnalysis, classification_by_trace, verify_h_tables_by_row
 
 SURVIVOR_NAMES = {"(X1, X0plusX1, X0)", "(AX0minusBX1, X0, X0plusX1)"}
 
@@ -182,18 +183,22 @@ def test_report_bundle_and_determinism(star_arg, tmp_path):
 def test_report_timings_opt_in(star_arg, tmp_path):
     out = tmp_path / "rt.json"
     assert run(["--params", star_arg, "--out", str(out), "report"]) == EXIT_OK
-    untimed = _load(out)
+    untimed = out.read_text(encoding="utf-8")
     assert run(["--params", star_arg, "--timings", "--out", str(out), "report"]) == EXIT_OK
-    doc = _load(out)
-    timings = doc.pop("timings")
-    assert doc == untimed
+    timed = out.read_text(encoding="utf-8")
+    # the body is byte-identical: cutting the flat timings object out of the
+    # timed document leaves the untimed one
+    start = timed.index('\n  "timings": {')
+    end = timed.index("\n  }", start) + len("\n  },")
+    assert timed[:start] + timed[end:] == untimed
+    timings = json.loads(timed)["timings"]
     stages = {key: timings.pop(key) for key in ("validate_s", "h_tables_s", "classify_s")}
     # to the microsecond: every stage takes more than one, none reads 0
     assert all(0.0 < v == round(v, 6) for v in stages.values())
-    # 1 + 4 + 6 radius functions (h3 is h1 of the missing form) over
-    # 3 + 8 + 12 spans (h1 and h3 share theirs); the elimination reads 6 + 8
-    # of those count rows
-    assert timings == {"critical_polynomials": 11, "critical_spans": 23, "count_rows": 14}
+    # 1 + 4 + 6 radius functions (h3 is h1 of the missing form), solved by one
+    # eigenvalue call per degree (2, 3 and 5), over 3 + 8 + 12 spans (h1 and
+    # h3 share theirs); the elimination reads 6 + 8 of those count rows
+    assert timings == {"critical_polynomials": 11, "root_solves": 3, "critical_spans": 23, "count_rows": 14}
 
 
 def test_tangency_timings_opt_in(star_arg, tmp_path):
@@ -245,24 +250,46 @@ def test_report_builds_one_analysis(star_arg, tmp_path, monkeypatch):
 
 
 def test_report_solves_each_radius_function_once(params_draws, capsys, monkeypatch):
-    # one companion-root call per distinct (kind, key), h3 read as h1 of the
-    # missing form, plus one per broken-pairing sample, and one validation,
-    # in every report
+    # one stacked solve of the 11 critical polynomials, one per distinct
+    # (kind, key) with h3 read as h1 of the missing form, one companion-root
+    # call per broken-pairing sample, and one validation, in every report
     calls = []
     roots = analysis.companion_roots
     monkeypatch.setattr(analysis, "companion_roots", lambda coeffs: calls.append(coeffs) or roots(coeffs))
+    stacked = []
+    solve = analysis.stacked_companion_roots
+    monkeypatch.setattr(analysis, "stacked_companion_roots", lambda polys: stacked.append(polys) or solve(polys))
     validated = []
     validate = surface.validate
     for module in (surface, cli):
         monkeypatch.setattr(module, "validate", lambda params: validated.append(params) or validate(params))
     for p in params_draws * 2:
         calls.clear()
+        stacked.clear()
         validated.clear()
         assert run(["--params", f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}", "report"]) == EXIT_OK
         samples = json.loads(capsys.readouterr().out)["classification"]["broken_pairing"]["samples"]
         assert len(samples) == 4
-        assert len(calls) == 11 + len(samples)
+        assert [len(set(polys)) for polys in stacked] == [11]
+        assert len(calls) == len(samples)
         assert validated == [p]
+
+
+def test_report_documents_equal_the_one_at_a_time_path(region_sets, capsys, monkeypatch):
+    # the whole document, byte for byte, against the analysis solved one
+    # radius function at a time, the h tables read row by row and the
+    # classification section built trace by trace, on the reference draws
+    # and 32 sets across the region
+    argvs = [["--params", f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}", "report"] for p in region_sets]
+    produced = []
+    for argv in argvs:
+        code = run(argv)
+        produced.append((code, capsys.readouterr()))
+    monkeypatch.setattr(cli, "RadiusAnalysis", LazyAnalysis)
+    monkeypatch.setattr(cli, "verify_h_tables", verify_h_tables_by_row)
+    monkeypatch.setattr(cli, "_classification", classification_by_trace)
+    for argv, (code, out) in zip(argvs, produced):
+        assert (run(argv), capsys.readouterr()) == (code, out), argv
 
 
 def _q0_set(a, b, lambda0, q0):

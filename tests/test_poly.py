@@ -2,23 +2,37 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from oracles import (
+    ReferencePolynomial,
     central_difference,
     expand_from_roots,
     expand_two_double_roots,
     poly_from_roots,
     real_roots_with_multiplicity,
+    reference_companion_roots,
+    reference_deflate,
+    reference_derivative,
     root_clusters,
 )
 from touching_conics.errors import DomainError, InputError
 from touching_conics.poly import (
     RealPolynomial,
     companion_roots,
+    deflate,
     derivative,
     evaluate,
+    poly_add,
+    poly_deflate,
+    poly_derivative,
+    poly_mul,
+    poly_scale,
+    poly_sub,
+    stacked_companion_roots,
     two_double_roots_criterion,
 )
 
@@ -101,6 +115,80 @@ def test_companion_roots_refuses_a_monic_form_that_is_not_finite(coeffs):
     # dividing by the leading coefficient overflows, or a coefficient already has
     with pytest.raises(DomainError, match="finite"):
         companion_roots(coeffs)
+
+
+def _bits(values) -> list[str]:
+    """Each number's exact bits, so that -0.0 differs from 0.0 and NaN
+    equals NaN."""
+    return [f"{complex(v).real.hex()} {complex(v).imag.hex()}" for v in values]
+
+
+def _random_coefficients(rng: random.Random, size: int) -> list[float]:
+    # signed zeros, trailing zeros, huge and tiny values, and now and then an
+    # infinity, so that rounding, stripping and overflow all show
+    pool = (0.0, -0.0, 1.0, -2.5, 1e-300, 1e300, float("inf"))
+    return [rng.choice(pool) if rng.random() < 0.3 else rng.uniform(-4.0, 4.0) * 10.0 ** rng.randint(-8, 8)
+            for _ in range(size)]
+
+
+def test_tuple_arithmetic_equals_the_dataclass_reference_bit_for_bit():
+    # poly_add, poly_sub, poly_mul, poly_scale, poly_derivative and
+    # poly_deflate make the float operations of the frozen-dataclass
+    # arithmetic in its order, and RealPolynomial's operators are them
+    rng = random.Random(7)
+    for _ in range(3000):
+        p = ReferencePolynomial(tuple(_random_coefficients(rng, rng.randint(1, 6))))
+        q = ReferencePolynomial(tuple(_random_coefficients(rng, rng.randint(1, 6))))
+        k = rng.choice((2.0, 3.0, 4.0, -1.0, 0.0, rng.uniform(-1e3, 1e3)))
+        root = rng.uniform(-5.0, 5.0)
+        pairs = [
+            (poly_add(p.coefficients, q.coefficients), (p + q).coefficients),
+            (poly_sub(p.coefficients, q.coefficients), (p - q).coefficients),
+            (poly_mul(p.coefficients, q.coefficients), (p * q).coefficients),
+            (poly_scale(p.coefficients, k), p.scale(k).coefficients),
+            (poly_derivative(p.coefficients), reference_derivative(p).coefficients),
+            (poly_deflate(p.coefficients, root), reference_deflate(p, root).coefficients),
+        ]
+        rp, rq = RealPolynomial(p.coefficients), RealPolynomial(q.coefficients)
+        pairs += [
+            ((rp + rq).coefficients, (p + q).coefficients),
+            ((rp - rq).coefficients, (p - q).coefficients),
+            ((rp * rq).coefficients, (p * q).coefficients),
+            (rp.scale(k).coefficients, p.scale(k).coefficients),
+            (derivative(rp).coefficients, reference_derivative(p).coefficients),
+            (deflate(rp, root).coefficients, reference_deflate(p, root).coefficients),
+        ]
+        for got, expected in pairs:
+            assert _bits(got) == _bits(expected), (p, q, k, root)
+
+
+def test_stacked_roots_equal_one_eigenvalue_call_per_polynomial():
+    # LAPACK factors each matrix of the stack on its own: degrees 0 to 8 mixed,
+    # real and complex coefficients, trailing zeros, in one call and alone
+    rng = random.Random(11)
+    polys = []
+    for _ in range(400):
+        cs = [rng.uniform(-5.0, 5.0) * 10.0 ** rng.randint(-3, 3) for _ in range(rng.randint(1, 9))]
+        if rng.random() < 0.2:
+            cs.append(0.0)
+        if rng.random() < 0.1:
+            cs = [complex(c, rng.uniform(-1.0, 1.0)) for c in cs]
+        polys.append(tuple(cs))
+    expected = [_bits(reference_companion_roots(p)) for p in polys]
+    assert [_bits(roots) for roots in stacked_companion_roots(polys)] == expected
+    assert [_bits(companion_roots(p)) for p in polys] == expected
+    assert stacked_companion_roots([]) == []
+
+
+def test_stacked_roots_raise_the_first_refusal_in_order():
+    # every polynomial is checked before any is solved, in the order given
+    good = (2.0, -3.0, 1.0)
+    polys = [good, (1.0, 1.0, 1e-310), good, (1.0, 1.0, 1e-320)]
+    with pytest.raises(DomainError) as first:
+        companion_roots(polys[1])
+    with pytest.raises(DomainError) as stacked:
+        stacked_companion_roots(polys)
+    assert str(stacked.value) == str(first.value)
 
 
 def test_two_double_roots_examples():
