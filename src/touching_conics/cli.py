@@ -342,8 +342,9 @@ def _cmd_conic(args):
         knob = args.alpha if args.alpha is not None else -plane.q
     conic = _CONICS[args.type](plane, knob)
     record = _conic_record(conic, args.type, plane.lam, knob)
+    t0 = time.perf_counter()
     record["tangency"] = plane.conic_type(conic).value
-    return {"conic": record}, True, None
+    return {"conic": record}, True, {"decide_s": _elapsed(t0)}
 
 
 def _cmd_tangency(args):
@@ -371,6 +372,12 @@ def _cmd_tangency(args):
     return {"rows": rows, "passed": ok}, ok, timings
 
 
+# h0's window on I4minus ends this far short of lambda0: on the double-root
+# plane Q^2 - f vanishes and h0 is undefined, and beside it h0 has a corner,
+# where sqrt(Q^2 - f) leaves zero like |lam - lambda0|.
+H0_LAMBDA0_MARGIN = 1e-3
+
+
 def _cmd_hscan(args):
     params = _require_params(args)
     part = intervals(params)
@@ -378,7 +385,7 @@ def _cmd_hscan(args):
     rows = []
     n = args.grid
     windows = {
-        HKind.H0: (part.i2, (part.i4minus[0], part.lambda0 - 1e-3)),
+        HKind.H0: (part.i2, (part.i4minus[0], part.lambda0 - H0_LAMBDA0_MARGIN)),
         HKind.H1: (part.i1, part.i3),
         HKind.H2: (part.i2, (part.i4minus[0], part.lambda0 + 10.0)),
         HKind.H3: (part.i1, part.i3),

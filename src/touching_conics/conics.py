@@ -18,7 +18,10 @@ its own stays in Python numbers.  A family sweep types hundreds of conics on
 one plane, so the type decision runs on a batch: the matrices as (re, im)
 float arrays, with Python's complex arithmetic spelled out on the parts, so
 that every value and verdict is the per-conic one to the bit.  A single conic
-is decided as a batch of one.
+is decided as a batch of one.  The decision reads both branches of every
+conic in one pass, over the g- and g+ restrictions stacked side by side, and
+a batch whose conics are all settled before the branches, as the orbit
+family's are, reads no branch at all.
 """
 
 from __future__ import annotations
@@ -361,7 +364,14 @@ class Plane:
         identical vanishing, the cancellation floor, normalisation, the
         fixed-point contact and the square test of what remains.  A conic that
         raises drops out of the later steps, and the batch raises the error of
-        its first such conic."""
+        its first such conic.
+
+        The branch steps run once, on the 2n lanes of _restrictions: each
+        conic's g- lane and its g+ lane.  A lane that vanishes or fails ends
+        its conic unless the conic's g- lane ended it first, so what the g+
+        lane of a conic settled or failed on g- computes counts for nothing.
+        Where no conic is left after the orbit step, the branches are not
+        read."""
         with np.errstate(all="ignore"):
             decision = self._decide_parts(re, im, pending)
         pending.raise_first()
@@ -380,12 +390,11 @@ class Plane:
             pending.fail(pending.live, lambda i: exc)
             pending.raise_first()
 
-        (m00, m01, m02), (_, m11, m12), (_, _, m22) = [[(re[i, j], im[i, j]) for j in range(3)] for i in range(3)]
-        two_m01, two_m02, two_m12 = (_mul((2.0, 0.0), z) for z in (m01, m02, m12))
         # the orbit shape y2 y3 = alpha y1^2: orbit_conic writes literal zeros
         # and the normaliser scales by a positive real, so the shape and the
         # reality of alpha are read exactly
-        alpha, alpha_im = _quot((-m00[0], -m00[1]), two_m12)
+        m00 = re[0, 0], im[0, 0]
+        alpha, alpha_im = _quot((-m00[0], -m00[1]), _mul((2.0, 0.0), (re[1, 2], im[1, 2])))
         zero = mods == 0.0
         orbit = pending.live & zero[0, 1] & zero[0, 2] & zero[1, 1] & zero[2, 2] & ~zero[1, 2] & (alpha_im == 0)
         resid = np.full(n, math.nan)
@@ -396,49 +405,43 @@ class Plane:
             code[orbit] = np.where(on_surface, _ON_SURFACE, _ORBIT_SHAPE)[orbit]
             pending.settle(orbit)
 
-        norms, lows, highs, squares = [], [], [], []
-        for b, g in enumerate(branch_factors):
-            g = (g.real, g.imag)
-            parts = (m22, two_m02, _sub(m00, _mul(g, two_m12)), _mul((-g[0], -g[1]), two_m01), _mul(_mul(m11, g), g))
-            rest_re = np.array([part[0] for part in parts])
-            rest_im = np.array([part[1] for part in parts])
-            rest_mods = np.hypot(rest_re, rest_im)
-            vanishes = pending.live & (rest_mods.max(axis=0) == 0.0)  # a NaN part is not zero
-            code[vanishes] = _VANISHES + b
-            pending.settle(vanishes)
-            # rest[2] = m00 - 2 g m12 cancels only where its two terms are
-            # close, so comparing it with |m00| alone finds the same
-            # cancellations
-            pending.fail(
-                rest_mods[2] < CANCELLATION_FLOOR * mods[0, 0],
-                lambda i, b=b, x=parts[2]: self._lost_precision(_BRANCHES[b], complex(x[0][i], x[1][i]), m00, i),
-            )
-            top = _pymax(*rest_mods)
-            top = np.where(top == 0.0, 1.0, top)  # all-zero coefficients stay as they are
-            norm_re = (rest_re + rest_im * 0.0) / top
-            norm_im = (rest_im - rest_re * 0.0) / top
-            nonzero = (norm_re != 0.0) | (norm_im != 0.0)
-            low = nonzero.argmax(axis=0)
-            high = 4 - nonzero[::-1].argmax(axis=0)
-            norms.append((norm_re, norm_im))
-            lows.append(low)
-            highs.append(high)
-            squares.append(_square(norm_re, norm_im, low, high, pending))
+        if not pending.live.any():  # every conic settled or failed: no branch to read
+            return _Decision(code, resid, None, None, None)
+
+        # the branch steps, once, on lane i (g-) and lane n + i (g+) of conic i
+        (rest_re, rest_im), rest_mods, (norm_re, norm_im) = _restrictions(re, im, branch_factors)
+        lanes = _Pending(2 * n)
+        lanes.live = np.concatenate((pending.live, pending.live))
+        vanishes = lanes.live & (rest_mods.max(axis=0) == 0.0)  # a NaN part is not zero
+        lanes.settle(vanishes)
+        # rest[2] = m00 - 2 g m12 cancels only where its two terms are close,
+        # so comparing it with |m00| alone finds the same cancellations
+        lanes.fail(
+            rest_mods[2] < CANCELLATION_FLOOR * np.concatenate((mods[0, 0], mods[0, 0])),
+            lambda k: self._lost_precision(_BRANCHES[k // n], complex(rest_re[2, k], rest_im[2, k]), m00, k % n),
+        )
+        nonzero = (norm_re != 0.0) | (norm_im != 0.0)
+        low = nonzero.argmax(axis=0)
+        high = 4 - nonzero[::-1].argmax(axis=0)
+        square = _square(norm_re, norm_im, low, high, lanes)
+
+        # a conic ends at its g- lane where that lane vanished or failed, else
+        # at its g+ lane where that one did
+        failed = np.zeros(2 * n, dtype=bool)
+        failed[list(lanes.errors)] = True
+        ends = vanishes | failed
+        lane = np.where(ends[:n], 0, n) + np.arange(n)
+        ended = ends[lane]
+        code[ended] = (_VANISHES + lane // n)[ended]
+        pending.fail(ended & failed[lane], lambda i: lanes.errors[int(lane[i])])
+        pending.settle(ended)
 
         live = pending.live
-        pinf = lows[0] + lows[1]
-        pinfbar = 8 - highs[0] - highs[1]
-        code[live] = np.select(
-            [
-                ~(squares[0] & squares[1]),
-                (pinf == 0) & (pinfbar == 0),
-                (pinf == 2) & (pinfbar == 2),
-                (pinf == 4) & (pinfbar == 4),
-            ],
-            [_ODD, _GENERIC, _SPECIAL, _ORBIT],
-            _UNBALANCED,
-        )[live]
-        return _Decision(code, resid, norms, lows, highs)
+        pinf = low[:n] + low[n:]
+        pinfbar = 8 - high[:n] - high[n:]
+        both = (square[:n] & square[n:]).astype(np.intp)
+        code[live] = _BY_CONTACT[both, pinf, pinfbar][live]
+        return _Decision(code, resid, (norm_re, norm_im), low, high)
 
     def _lost_precision(self, name: str, x2: complex, m00, i: int) -> DomainError:
         return DomainError(
@@ -487,18 +490,26 @@ _OUTCOMES = (
 )
 _GENERIC, _SPECIAL, _ORBIT, _ODD, _UNBALANCED, _ORBIT_SHAPE, _ON_SURFACE, _VANISHES = range(8)
 
+# the code of a conic whose restrictions both pass the earlier steps, by
+# [both squares, contact at Pinf, contact at PinfBar], each contact summed
+# over the branches (0 to 8)
+_BY_CONTACT = np.full((2, 9, 9), _UNBALANCED, dtype=np.int8)
+_BY_CONTACT[0] = _ODD
+_BY_CONTACT[1, [0, 2, 4], [0, 2, 4]] = _GENERIC, _SPECIAL, _ORBIT
+
 
 class _Decision(NamedTuple):
-    """The decision on a batch: each conic's outcome code, its orbit residual
-    (NaN off the orbit shape), and per branch the normalised restriction
-    (arrays of shape (5, n)) with the positions of its first and last nonzero
-    coefficients."""
+    """The decision on a batch of n conics: each conic's outcome code, its
+    orbit residual (NaN off the orbit shape), and the normalised branch
+    restrictions of _restrictions, arrays of shape (5, 2n) as a (re, im)
+    pair, with the positions of each lane's first and last nonzero
+    coefficients; these three are None where no conic reached the branches."""
 
     code: np.ndarray
     resid: np.ndarray
-    norms: list
-    lows: list
-    highs: list
+    norm: tuple | None
+    low: np.ndarray | None
+    high: np.ndarray | None
 
 
 class _Pending:
@@ -557,6 +568,30 @@ class _Pending:
 def _batch_of(conic: ConicCoeffs) -> tuple[np.ndarray, np.ndarray]:
     m = np.array(conic.rows, dtype=complex)[..., None]
     return m.real, m.imag
+
+
+def _restrictions(re: np.ndarray, im: np.ndarray, branch_factors):
+    """Each conic's restriction to each branch x2 = -g x1^2, in the chart
+    x1 = y1/y3, x2 = y2/y3: the ascending coefficients of the quartic
+
+        m22 + 2 m02 x1 + (m00 - 2 g m12) x1^2 - 2 g m01 x1^3 + m11 g^2 x1^4,
+
+    stacked as arrays of shape (5, 2n), the g- lanes of the n conics of the
+    batch (re, im) and then their g+ lanes.  Returns the coefficients as a
+    (re, im) pair, their moduli, and the coefficients scaled to max modulus
+    1 as a pair (all-zero lanes stay as they are)."""
+    n = re.shape[-1]
+    re, im = np.concatenate((re, re), axis=-1), np.concatenate((im, im), axis=-1)
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = [[(re[i, j], im[i, j]) for j in range(3)] for i in range(3)]
+    g = np.repeat([[z.real for z in branch_factors], [z.imag for z in branch_factors]], n, axis=1)
+    two_m01, two_m02, two_m12 = (_mul((2.0, 0.0), z) for z in (m01, m02, m12))
+    parts = (m22, two_m02, _sub(m00, _mul(g, two_m12)), _mul(-g, two_m01), _mul(_mul(m11, g), g))
+    rest_re = np.array([part[0] for part in parts])
+    rest_im = np.array([part[1] for part in parts])
+    rest_mods = np.hypot(rest_re, rest_im)
+    top = _pymax(*rest_mods)
+    top = np.where(top == 0.0, 1.0, top)
+    return (rest_re, rest_im), rest_mods, ((rest_re + rest_im * 0.0) / top, (rest_im - rest_re * 0.0) / top)
 
 
 def _mul(a, b):
@@ -715,16 +750,21 @@ def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> Ta
     the contact records: the sorted finite contacts, their residuals and the
     fixed-point contacts.
     """
-    decision = Plane(params, lam)._decide(*_batch_of(conic), _Pending(1))
+    plane = Plane(params, lam)
+    batch = _batch_of(conic)
+    decision = plane._decide(*batch, _Pending(1))
     code = int(decision.code[0])
-    norms = [tuple(map(complex, re[:, 0].tolist(), im[:, 0].tolist())) for re, im in decision.norms]
-    lows = [int(low[0]) for low in decision.lows]
-    highs = [int(high[0]) for high in decision.highs]
+    norm = decision.norm
+    if norm is None:  # an orbit conic: decided before the branches, which its records still show
+        with np.errstate(all="ignore"):
+            norm = _restrictions(*batch, plane.branch_factors)[2]
+    norms = [tuple(map(complex, norm[0][:, b].tolist(), norm[1][:, b].tolist())) for b in range(2)]
     if code in (_ORBIT_SHAPE, _ON_SURFACE):
         pinf = pinfbar = 4
         contacts = (("Pinf", 2), ("PinfBar", 2))
         records = tuple(BranchRecord(name, norm, contacts, 0.0) for name, norm in zip(_BRANCHES, norms))
     else:
+        lows, highs = decision.low.tolist(), decision.high.tolist()
         examined = code - _VANISHES if code >= _VANISHES else 2
         pinf = sum(lows[:examined])
         pinfbar = sum(4 - high for high in highs[:examined])

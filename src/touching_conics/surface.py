@@ -146,13 +146,21 @@ def disc_value(params: SurfaceParams, lam: float) -> float:
     return q * q - f_value(params, lam)
 
 
+# Size of a negative Q^2 - f, relative to 1 + Q^2 + |f|, that sqrt_disc reads
+# as zero.  Q^2 - f touches zero at the double root, and rounding leaves it a
+# few ulps of those terms below zero there; 1e-12, about 4500 ulps, keeps
+# three orders of magnitude above that, the share conics.REL_EPS reads as a
+# vanishing Q^2 - f.
+DISC_CLAMP_REL = 1e-12
+
+
 def sqrt_disc(params: SurfaceParams, lam: float) -> float:
     """sqrt(Q^2 - f), clamping the tiny negatives that rounding produces near
-    the double root."""
+    the double root (down to DISC_CLAMP_REL of the terms)."""
     d = disc_value(params, lam)
     if d < 0.0:
         scale = q_value(params, lam) ** 2 + abs(f_value(params, lam))
-        if d > -1e-12 * (1.0 + scale):
+        if d > -DISC_CLAMP_REL * (1.0 + scale):
             return 0.0
         raise InvalidParameterError(f"Q^2 - f < 0 at lam={lam}; parameters not admissible")
     return math.sqrt(d)
@@ -208,8 +216,15 @@ def _require_ab(params: SurfaceParams) -> None:
         raise InvalidParameterError(f"need a > 0 and b > 0, got a={params.a}, b={params.b}")
 
 
+# Newton step, relative to 1 + |x|, below which _polish_double_root stops:
+# about four ulps of 1 + |x|, where the step is the rounding of the iterate
+# and a further one moves x by a few ulps at most.
+NEWTON_STOP_REL = 1e-15
+
+
 def _polish_double_root(params: SurfaceParams, x0: float) -> float:
-    """Newton on (Q^2 - f)' starting from x0."""
+    """Newton on (Q^2 - f)' starting from x0, for at most 60 steps or until
+    a step falls below NEWTON_STOP_REL of 1 + |x|."""
     p = discriminant_poly(params)
     dp = derivative(p)
     ddp = derivative(dp)
@@ -221,7 +236,7 @@ def _polish_double_root(params: SurfaceParams, x0: float) -> float:
             break
         step = d1 / d2
         x -= step
-        if abs(step) < 1e-15 * (1.0 + abs(x)):
+        if abs(step) < NEWTON_STOP_REL * (1.0 + abs(x)):
             break
     return x
 

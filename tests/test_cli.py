@@ -221,6 +221,18 @@ def test_tangency_timings_opt_in(star_arg, tmp_path):
     assert sorted(doc["timings"]) == ["conics", "decide_s", "tangency_s"]
     del doc["timings"]
     assert doc == untimed
+    # a conic export times its one decision, a batch of one
+    for family in ("generic", "orbit"):
+        assert run(argv + ["--out", str(plain), "conic", "--type", family]) == EXIT_OK
+        untimed = plain.read_text(encoding="utf-8")
+        assert "timings" not in json.loads(untimed)
+        assert run(argv + ["--timings", "--out", str(plain), "conic", "--type", family]) == EXIT_OK
+        timed = plain.read_text(encoding="utf-8")
+        start = timed.index('\n  "timings": {')
+        end = timed.index("\n  }", start) + len("\n  },")
+        assert timed[:start] + timed[end:] == untimed
+        timings = json.loads(timed)["timings"]
+        assert list(timings) == ["decide_s"] and 0.0 < timings["decide_s"] == round(timings["decide_s"], 6)
 
 
 def test_malformed_numbers_are_usage_errors(tmp_path):

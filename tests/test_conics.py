@@ -28,6 +28,7 @@ from oracles import (
 )
 from touching_conics.conics import (
     REL_EPS,
+    _OUTCOMES,
     ConicCoeffs,
     ConicType,
     Plane,
@@ -613,6 +614,30 @@ def test_batched_types_cover_every_outcome_of_the_sweeps(params_draws):
     assert (DomainError, "lost precision") in seen
 
 
+def _in_order(plane: Plane, conics):
+    """Each conic typed on its own, in order, up to the first that raises."""
+    kinds = []
+    for conic in conics:
+        kind = _outcome(lambda: conic_contact(plane, conic.rows).kind)
+        if isinstance(kind, tuple):
+            return kind
+        kinds.append(kind)
+    return kinds
+
+
+def _batch(plane: Plane, conics):
+    """The types of the conics decided as one batch, as Plane.conic_types
+    decides a family's members."""
+    m = np.array([conic.rows for conic in conics]).transpose(1, 2, 0)
+    return [_OUTCOMES[code][0] for code in plane._decide(m.real, m.imag, _Pending(len(conics))).code.tolist()]
+
+
+def _cancelling(g: complex) -> ConicCoeffs:
+    """A smooth conic whose restriction to the branch g cancels to an exact
+    zero x1^2 coefficient, m00 = 2 g m12."""
+    return ConicCoeffs.from_matrix([[g, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
+
+
 def test_batch_raises_at_its_first_failing_conic(params_star):
     # the degenerate plane, alpha = 0 after and before a degenerate conic,
     # and a g- cancellation that ends its conic before its g+ check
@@ -626,6 +651,41 @@ def test_batch_raises_at_its_first_failing_conic(params_star):
     expected = _one_by_one(far, "generic", [0.3, 0.4])
     assert expected[0] is DomainError and "branch g-" in expected[1]
     assert _outcome(lambda: far.conic_types("generic", [0.3, 0.4])) == expected
+
+
+def test_batch_keeps_the_branch_order_of_each_conic(params_star):
+    # one pass decides both branches of every conic; the batch still raises
+    # what deciding the conics in order, g- before g+, raises first
+    plane = Plane(params_star, -0.5)
+    fails_on_plus, fails_on_minus = (_cancelling(g) for g in reversed(plane.branch_factors))
+    for conics, branch in (([fails_on_plus, fails_on_minus], "g+"), ([fails_on_minus, fails_on_plus], "g-")):
+        expected = _in_order(plane, conics)
+        assert expected[0] is DomainError and f"branch {branch} restriction" in expected[1]
+        assert _outcome(lambda: _batch(plane, conics)) == expected
+    # within 2e-14 of lam = -1 the branch factors agree to 2e-7, so the
+    # x1^2 coefficient of a g+ restriction cancels wherever the g- one does;
+    # a conic that g- settles (f < 0: the restriction vanishes) or fails
+    # (f > 0: it cancels) ends there, and its g+ arithmetic counts for nothing
+    for lam in (-1.0 - 1e-14, -1.0 + 1e-14):
+        near = Plane(params_star, lam)
+        g_minus, g_plus = near.branch_factors
+        assert abs(g_plus - g_minus) < 1e-6 * abs(g_minus)
+        ends_on_minus = (
+            ConicCoeffs.from_matrix([[g_minus, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
+            if near.f < 0.0
+            else _cancelling(g_minus)
+        )
+        later = _cancelling(g_plus)
+        for conics in ([ends_on_minus], [ends_on_minus, later], [later, ends_on_minus]):
+            expected = _in_order(near, conics)
+            assert _outcome(lambda: _batch(near, conics)) == expected, (lam, len(conics))
+        if near.f < 0.0:
+            assert _in_order(near, [ends_on_minus]) == [ConicType.CONTAINED_IN_B]
+            rep = verify_touching(ends_on_minus, params_star, lam)
+            assert rep.detail == "branch g- restriction vanishes identically" and len(rep.branches) == 0
+            assert _in_order(near, [ends_on_minus, later])[1].startswith("lost precision")
+        else:
+            assert "branch g- restriction" in _in_order(near, [ends_on_minus])[1]
 
 
 def test_single_conic_decision_equals_the_per_conic_oracle(params_draws):
@@ -697,3 +757,54 @@ def test_sweeps_emit_no_runtime_warning(params_draws):
                 for family, knobs in (("generic", angles), ("special", angles), ("orbit", [0.7, 0.0, -plane.q])):
                     _outcome(lambda: plane.conic_types(family, knobs))
     assert caught == []
+
+
+def test_touching_identities_hold_symbolically():
+    # each family's square test passes by an identity in Q, r = sqrt(f),
+    # s = sqrt(Q^2 - f) and w = e^{i theta}, on both branches g = Q -+ r:
+    # the discriminant of its branch restriction vanishes whatever theta
+    sp = pytest.importorskip("sympy")
+    q, r, s, b, w, x, alpha = sp.symbols("Q r s B w x alpha")
+    f = r**2
+
+    def restriction(m, g):
+        """Ascending coefficients in x of the conic m at (y1, y2, y3) =
+        (x, -g x^2, 1), its restriction to the branch y2 y3 = -g y1^2."""
+        v = sp.Matrix([x, -g * x**2, 1])
+        form = sp.expand((v.T * m * v)[0])
+        assert sp.degree(form, x) <= 4
+        return [form.coeff(x, k) for k in range(5)]
+
+    # the restriction the decision computes, on any symmetric matrix
+    e = sp.symbols("m00 m01 m02 m11 m12 m22")
+    m = sp.Matrix([[e[0], e[1], e[2]], [e[1], e[3], e[4]], [e[2], e[4], e[5]]])
+    g = sp.Symbol("g")
+    coeffs = [e[5], 2 * e[2], e[0] - 2 * g * e[4], -2 * g * e[1], e[3] * g**2]
+    assert [sp.expand(c - k) for c, k in zip(restriction(m, g), coeffs)] == [0] * 5
+
+    for g in (q - r, q + r):
+        # generic: r/w + 2 (D - g Q) x^2 + r w g^2 x^4, a quadratic in x^2
+        # whose b^2 and 4ac are both 4 f g^2
+        d = q**2 - f
+        c0, c1, c2, c3, c4 = restriction(sp.Matrix([[2 * d, 0, 0], [0, r * w, q], [0, q, r / w]]), g)
+        assert (c1, c3) == (0, 0)
+        assert sp.expand(c2**2 - 4 * f * g**2) == 0 and sp.expand(4 * c4 * c0 - 4 * f * g**2) == 0
+        # special, its exact zeros stripped: B/w + (s - g) x - g B w x^2 with
+        # B^2 = (s - Q)/2, whose discriminant (s - g)^2 + 2 g (s - Q) is
+        # s^2 - Q^2 + f = 0
+        half = sp.Rational(1, 2)
+        special = sp.Matrix([[s, b * w / 2, b / (2 * w)], [b * w / 2, 0, half], [b / (2 * w), half, 0]])
+        c0, c1, c2, c3, c4 = restriction(special, g)
+        assert (c0, c4) == (0, 0)
+        disc = sp.expand(c2**2 - 4 * c3 * c1).subs(b**2, (s - q) / 2)
+        assert sp.expand(disc - ((s - g) ** 2 + 2 * g * (s - q))) == 0
+        assert sp.rem(sp.expand(disc), s**2 - (q**2 - f), s) == 0
+        # orbit: y2 y3 = alpha y1^2 restricts to -(alpha + g) x^2
+        orbit = sp.Matrix([[-alpha, 0, 0], [0, 0, half], [0, half, 0]])
+        assert restriction(orbit, g) == [0, 0, -(alpha + g), 0, 0]
+    # and on the plane curve (y2 y3 + g- y1^2)(y2 y3 + g+ y1^2) it leaves
+    # the residual ((alpha + Q)^2 - f) y1^4, so the orbit conic lies on the
+    # surface exactly where that vanishes
+    y1 = sp.Symbol("y1")
+    curve = (alpha * y1**2 + (q - r) * y1**2) * (alpha * y1**2 + (q + r) * y1**2)
+    assert sp.expand(curve - ((alpha + q) ** 2 - f) * y1**4) == 0
