@@ -166,7 +166,7 @@ class RadiusAnalysis:
         are checked in the order of _radius_functions(), the order in which
         verify_h_tables first reads them, so the first that cannot be solved
         raises its DomainError on the first call, whichever it was."""
-        forms = [form.polynomial(self.params).coefficients for form in LinearForm]
+        forms = [form.polynomial(self.params) for form in LinearForm]
         data = [self._derivative_data(kind, own, forms) for kind, _, own in _radius_functions()]
         polys = [poly for poly, _ in data]
         roots = stacked_companion_roots(polys)
@@ -180,7 +180,7 @@ class RadiusAnalysis:
         function with the sign of the derivative up to a factor of constant
         sign on each interval of the partition.  own holds the places, in
         forms, of the forms in the key."""
-        f, q = self.f.coefficients, self.q.coefficients
+        f, q = self.f, self.q
         dq = poly_derivative(q)
         if kind is HKind.H0:
             # h0 increases with Q / sqrt(f), whose derivative has the sign of
@@ -473,9 +473,9 @@ def h0_pairing(analysis: RadiusAnalysis, lam: float) -> float:
     if abs(lam - crit) <= CRITICAL_PLANE_TOL:
         raise DomainError("lam is the critical plane; no partner exists")
     c = q_value(analysis.params, lam) ** 2 / f_value(analysis.params, lam)
-    quartic = analysis.q * analysis.q - analysis.f.scale(c)
+    quartic = poly_sub(poly_mul(analysis.q, analysis.q), poly_scale(analysis.f, c))
     lo, hi = (crit, 0.0) if lam < crit else (-1.0, crit)
-    roots = [r for r in companion_roots(quartic.coefficients) if lo < r.real < hi]
+    roots = [r for r in companion_roots(quartic) if lo < r.real < hi]
     if not roots:
         raise PreconditionError(f"no partner of {lam} in ({lo}, {hi})")
     return float(min(roots, key=lambda r: abs(r.imag)).real)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .analysis import LimitKind, RadiusAnalysis, _pair_key, _triple_key, limit
 from .conics import ConicType
-from .errors import PreconditionError
 from .resolution import Edge, HKind, LinearForm, ResolutionChoice, all_resolutions
 from .surface import Interval
 
@@ -248,9 +247,9 @@ EXPECTED_SURVIVORS = (
 )
 
 
-def component_schedule(choice: ResolutionChoice, analysis: RadiusAnalysis) -> ComponentSchedule:
+def _schedule(choice: ResolutionChoice, hyp: Hypothesis) -> ComponentSchedule:
     """Which irreducible component carries the candidate fibers per interval,
-    under the first hypothesis the choice survives.
+    for a choice surviving under hyp: a function of the limits alone.
 
     I1 follows the surviving hypothesis and I3 is its opposite; over I2 both
     components of each orbit preimage must be taken together.  Over I4 the
@@ -261,16 +260,6 @@ def component_schedule(choice: ResolutionChoice, analysis: RadiusAnalysis) -> Co
     singles out the reciprocal-radius side.  By convention Plus over I4 names
     the component meeting the fixed line in the larger circle.
     """
-    firsts = _firsts(analysis)
-    matching = [tr for tr in (_trace(_plan(choice, h), firsts) for h in Hypothesis) if tr.verdict is Verdict.SURVIVES]
-    if not matching:
-        raise PreconditionError(f"{choice.label()} is not a surviving resolution")
-    return _schedule(choice, matching[0].hypothesis)
-
-
-def _schedule(choice: ResolutionChoice, hyp: Hypothesis) -> ComponentSchedule:
-    """component_schedule of a choice surviving under hyp: a function of the
-    limits alone."""
     if hyp is Hypothesis.PLUS_OVER_I1:
         i1, i3 = ComponentChoice.PLUS, ComponentChoice.MINUS
         govern = (HKind.H3, _triple_key(choice))
@@ -294,8 +283,8 @@ def classify(analysis: RadiusAnalysis) -> ClassificationReport:
     """Full pipeline: type table, elimination with traces, and the component
     schedules of the survivors."""
     outcome = eliminate(analysis)
-    # each survivor's schedule follows component_schedule, from the outcome:
-    # the first hypothesis its choice survives, in the order of the traces
+    # each survivor's schedule under the first hypothesis its choice
+    # survives, in the order of the traces
     schedules = tuple(
         (choice, hyp, _schedule(choice, next(h for c, h in outcome.survivors if c == choice)))
         for choice, hyp in outcome.survivors

@@ -85,16 +85,20 @@ def _parse_params_arg(text: str) -> SurfaceParams:
 
 def _parse_params_file(path: str) -> SurfaceParams:
     values: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split("=", 1) if "=" in line else line.split(None, 1)
-            if len(parts) != 2:
-                raise InputError(f"params file line {line!r} is not 'key = value'")
-            key = parts[0].strip()
-            values[key] = _number(parts[1], f"params file key {key}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"params file {path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split("=", 1) if "=" in line else line.split(None, 1)
+        if len(parts) != 2:
+            raise InputError(f"params file line {line!r} is not 'key = value'")
+        key = parts[0].strip()
+        values[key] = _number(parts[1], f"params file key {key}")
     try:
         return SurfaceParams(values["q0"], values["q1"], values["q2"], values["a"], values["b"])
     except KeyError as exc:
@@ -116,7 +120,10 @@ def _parse_resolution(text: str) -> ResolutionChoice:
     names = [n for n in text.split(",") if n.strip()]
     if len(names) != 3:
         raise InputError("--resolution expects ELL1,ELL2,ELL3")
-    return ResolutionChoice(*(LinearForm.parse(n) for n in names))
+    try:
+        return ResolutionChoice(*(LinearForm.parse(n) for n in names))
+    except DomainError as exc:
+        raise InputError(f"--resolution: {exc}") from None
 
 
 def _require_params(args) -> SurfaceParams:
@@ -380,8 +387,8 @@ H0_LAMBDA0_MARGIN = 1e-3
 
 def _cmd_hscan(args):
     params = _require_params(args)
-    part = intervals(params)
     choices = [_parse_resolution(args.resolution)] if args.resolution else all_resolutions()
+    part = intervals(params)
     rows = []
     n = args.grid
     windows = {
@@ -607,7 +614,7 @@ def run(argv: list[str]) -> int:
         args.params = _surface_params(args)
         body, passed, timings = args.cmd(args)
         _emit(_envelope(args, body, timings), args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (

@@ -1,16 +1,17 @@
 """Univariate polynomial arithmetic, companion-matrix roots and the exact
 square tests.
 
-Real-coefficient polynomials are the primary citizens (degree <= 8 is all this
-project ever needs); evaluation, companion roots, the two-double-roots
-criterion and the square test also accept complex coefficient sequences
-because branch restrictions of conics are genuinely complex.
+A real polynomial is a tuple of float coefficients in ascending degree order,
+stripped of trailing zeros ((0.0,) for the zero polynomial); degree <= 8 is
+all this project ever needs.  Evaluation, companion roots, the
+two-double-roots criterion and the square test also accept complex
+coefficient sequences because branch restrictions of conics are genuinely
+complex.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,45 +22,6 @@ from .errors import DomainError
 # per operation; 1e-9 leaves seven orders of magnitude for the few dozen
 # operations behind each coefficient of a branch restriction.
 EQUALITY_REL = 1e-9
-
-
-@dataclass(frozen=True)
-class RealPolynomial:
-    """Coefficients in ascending degree order.
-
-    Trailing zeros are stripped on construction so the leading coefficient is
-    nonzero unless the polynomial is identically zero.  The arithmetic is the
-    coefficient-tuple functions below, which strip their results the same
-    way, so a computation gives the same bits either way.
-    """
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", _stripped([float(c) for c in self.coefficients]))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coefficients == (0.0,)
-
-    def __call__(self, x: float) -> float:
-        return evaluate(self, x)
-
-    def __add__(self, other: "RealPolynomial") -> "RealPolynomial":
-        return RealPolynomial(poly_add(self.coefficients, other.coefficients))
-
-    def __sub__(self, other: "RealPolynomial") -> "RealPolynomial":
-        return RealPolynomial(poly_sub(self.coefficients, other.coefficients))
-
-    def __mul__(self, other: "RealPolynomial") -> "RealPolynomial":
-        return RealPolynomial(poly_mul(self.coefficients, other.coefficients))
-
-    def scale(self, k: float) -> "RealPolynomial":
-        return RealPolynomial(poly_scale(self.coefficients, k))
 
 
 # Arithmetic on ascending coefficient tuples of floats, each result stripped
@@ -122,43 +84,28 @@ def poly_deflate(p: tuple[float, ...], root: float) -> tuple[float, ...]:
 
 
 def evaluate(p, x):
-    """Horner evaluation of a RealPolynomial or of an ascending coefficient
-    sequence, at a real or complex point; exact for degree 0."""
-    coeffs = p.coefficients if isinstance(p, RealPolynomial) else p
+    """Horner evaluation of an ascending coefficient sequence at a real or
+    complex point; exact for degree 0."""
     acc = 0.0
-    for c in reversed(coeffs):
+    for c in reversed(p):
         acc = acc * x + c
     return acc
 
 
-def derivative(p: RealPolynomial) -> RealPolynomial:
-    return RealPolynomial(poly_derivative(p.coefficients))
-
-
 def companion_roots(coeffs) -> list[complex]:
-    """All complex roots of a polynomial given by ascending coefficients.
-
-    Eigenvalues of the companion matrix, each polished by one Newton step.
-    The step is kept only when it reduces |p| and lands nearer its own
-    eigenvalue than any other: near a multiple root p' almost vanishes and
-    an unguarded step can jump onto a different root.  Where evaluating p
-    overflows, the comparison fails on inf or NaN and the eigenvalue is kept
-    as it is; the caller sees the overflow in its own arithmetic.
-    """
-    cs, column = _last_column(coeffs)
-    if not column:
-        return []
-    return _polished(cs, list(np.linalg.eigvals(_companions([column]))[0]))
+    """All complex roots of a polynomial given by ascending coefficients:
+    the stack of one."""
+    return stacked_companion_roots([coeffs])[0]
 
 
 def stacked_companion_roots(polys) -> list[list[complex]]:
-    """companion_roots of each polynomial, in order, with one eigenvalue
-    call per degree on the stacked companion matrices of that degree.
-
-    LAPACK factors each matrix of a stack on its own, so every root equals
-    companion_roots' bit for bit.  The polynomials are checked in order
-    before any is solved: the first whose monic form is not finite raises
-    companion_roots' DomainError."""
+    """All complex roots of each polynomial given by ascending coefficients,
+    in order: the eigenvalues of its companion matrix, _polished.  One
+    eigenvalue call per degree solves the stacked matrices of that degree;
+    LAPACK factors each matrix of a stack on its own, so a root does not
+    depend on the polynomials stacked with it.  The polynomials are checked
+    in order before any is solved: the first whose monic form is not finite
+    raises DomainError."""
     built = [_last_column(coeffs) for coeffs in polys]
     by_degree: dict[int, list[int]] = {}
     for i, (_, column) in enumerate(built):
@@ -198,7 +145,12 @@ def _companions(columns: list[list[complex]]) -> np.ndarray:
 
 
 def _polished(cs: list[complex], roots: list) -> list[complex]:
-    """One guarded Newton step from each eigenvalue (see companion_roots)."""
+    """One Newton step from each eigenvalue, kept only when it reduces |p|
+    and lands nearer its own eigenvalue than any other: near a multiple root
+    p' almost vanishes and an unguarded step can jump onto a different root.
+    Where evaluating p overflows, the comparison fails on inf or NaN and the
+    eigenvalue is kept as it is; the caller sees the overflow in its own
+    arithmetic."""
     dcs = [k * cs[k] for k in range(1, len(cs))]
     polished = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -268,6 +220,3 @@ def square_root_roots(coeffs) -> list[complex] | None:
         return [z, r / z]
     return None
 
-
-def deflate(p: RealPolynomial, root: float) -> RealPolynomial:
-    return RealPolynomial(poly_deflate(p.coefficients, root))

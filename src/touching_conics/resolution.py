@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .poly import RealPolynomial
+from .poly import _stripped
 from .surface import SurfaceParams, disc_value, f_value, q_value, s_minus_q
 
 
@@ -58,15 +58,15 @@ class LinearForm(enum.Enum):
             return lam + 1.0
         return params.a * lam - params.b
 
-    def polynomial(self, params: SurfaceParams) -> RealPolynomial:
+    def polynomial(self, params: SurfaceParams) -> tuple[float, ...]:
         """The restricted value as a polynomial in lam."""
         if self is LinearForm.X0:
-            return RealPolynomial((0.0, 1.0))
+            return (0.0, 1.0)
         if self is LinearForm.X1:
-            return RealPolynomial((1.0,))
+            return (1.0,)
         if self is LinearForm.X0_PLUS_X1:
-            return RealPolynomial((1.0, 1.0))
-        return RealPolynomial((-params.b, params.a))
+            return (1.0, 1.0)
+        return _stripped([float(c) for c in (-params.b, params.a)])
 
     @property
     def zero(self) -> Edge | None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NotFoundError, PreconditionError
-from .poly import RealPolynomial, companion_roots, deflate, derivative, evaluate, square_root_roots
+from .poly import _stripped, companion_roots, evaluate, poly_deflate, poly_derivative, poly_mul, poly_sub, square_root_roots
 
 
 @dataclass(frozen=True)
@@ -181,21 +181,21 @@ def s_minus_q(params: SurfaceParams, lam: float) -> float:
 # polynomial views
 
 
-def f_poly(params: SurfaceParams) -> RealPolynomial:
+def f_poly(params: SurfaceParams) -> tuple[float, ...]:
     """lam*(lam + 1)*(a*lam - b), expanded."""
     a, b = params.a, params.b
-    return RealPolynomial((0.0, -b, a - b, a))
+    return _stripped([float(c) for c in (0.0, -b, a - b, a)])
 
 
-def Q_restricted(params: SurfaceParams) -> RealPolynomial:
+def Q_restricted(params: SurfaceParams) -> tuple[float, ...]:
     """Q restricted to the plane parameter: q0*lam^2 + q1*lam + q2."""
-    return RealPolynomial((params.q2, params.q1, params.q0))
+    return _stripped([float(c) for c in (params.q2, params.q1, params.q0)])
 
 
-def discriminant_poly(params: SurfaceParams) -> RealPolynomial:
+def discriminant_poly(params: SurfaceParams) -> tuple[float, ...]:
     """The tangency quartic Q(lam)^2 - f(lam); degree drops when q0 = 0."""
     q = Q_restricted(params)
-    return q * q - f_poly(params)
+    return poly_sub(poly_mul(q, q), f_poly(params))
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +225,8 @@ NEWTON_STOP_REL = 1e-15
 def _polish_double_root(params: SurfaceParams, x0: float) -> float:
     """Newton on (Q^2 - f)' starting from x0, for at most 60 steps or until
     a step falls below NEWTON_STOP_REL of 1 + |x|."""
-    p = discriminant_poly(params)
-    dp = derivative(p)
-    ddp = derivative(dp)
+    dp = poly_derivative(discriminant_poly(params))
+    ddp = poly_derivative(dp)
     x = x0
     for _ in range(60):
         d1 = evaluate(dp, x)
@@ -263,12 +262,12 @@ def _vanishing_order(params: SurfaceParams, derivs, x: float) -> int:
     return next((k for k, d in enumerate(derivs) if abs(evaluate(d, x)) > tol), len(derivs))
 
 
-def _double_root_candidates(params: SurfaceParams, p: RealPolynomial, dp: RealPolynomial) -> list[float]:
+def _double_root_candidates(params: SurfaceParams, p: tuple[float, ...], dp: tuple[float, ...]) -> list[float]:
     """The real parts of the roots of D' = dp, each Newton-polished, least
     D = p first: validate takes the first as lambda0, singular_locus the
     first that passes the double-root test."""
     return sorted(
-        (_polish_double_root(params, float(r.real)) for r in companion_roots(dp.coefficients)),
+        (_polish_double_root(params, float(r.real)) for r in companion_roots(dp)),
         key=lambda x: evaluate(p, x),
     )
 
@@ -298,14 +297,14 @@ def validate(params: SurfaceParams) -> ValidationReport:
     _require_ab(params)
     not_evaluated = CheckResult(False, None, "not evaluated: needs condition (i)")
     p = discriminant_poly(params)
-    if p.degree < 4:
+    if len(p) < 5:
         return ValidationReport(
             condition_i=CheckResult(False, None, "degree of Q^2 - f dropped below 4 (q0 = 0); cannot be >= 0 on R"),
             condition_star=not_evaluated,
             lambda0_in_i4=not_evaluated,
         )
 
-    dp = derivative(p)
+    dp = poly_derivative(p)
     lam0 = _double_root_candidates(params, p, dp)[0]
     if _vanishing_order(params, (p, dp), lam0) < 2:
         d0 = evaluate(p, lam0)
@@ -321,7 +320,7 @@ def validate(params: SurfaceParams) -> ValidationReport:
     # Q^2 - f = (lam - lam0)^2 r; at the vertex v of r, (v - lam0)^2 r(v) is
     # <= 0 when disc r >= 0, and within the double-root tolerance when v is a
     # second double root
-    c, b, a = deflate(deflate(p, lam0), lam0).coefficients
+    c, b, a = poly_deflate(poly_deflate(p, lam0), lam0)
     v = -b / (2.0 * a)
     tol = _double_root_tol(params, v)  # first: it raises where dv would overflow
     dv = (v - lam0) ** 2 * (c - b * b / (4.0 * a))
@@ -422,17 +421,17 @@ def singular_locus(params: SurfaceParams) -> list[SingularPoint]:
         SingularPoint("PinfBar", SingularKind.ELLIPTIC_E7),
     ]
     p = discriminant_poly(params)
-    dp = derivative(p)
-    ddp = derivative(dp)
-    dddp = derivative(ddp)
+    dp = poly_derivative(p)
+    ddp = poly_derivative(dp)
+    dddp = poly_derivative(ddp)
     # a root of D is a root of at most deg D - 1 of its derivatives
-    derivs = (p, dp, ddp, dddp)[: p.degree]
+    derivs = (p, dp, ddp, dddp)[: len(p) - 1]
 
     def axis_point(lam: float, multiplicity: int) -> SingularPoint:
         kind = SingularKind.ODP if multiplicity == 2 else SingularKind.NON_ODP
         return SingularPoint(f"A(lam={lam:.12g})", kind, lam=lam, multiplicity=multiplicity)
 
-    for r in companion_roots(dddp.coefficients) + companion_roots(ddp.coefficients):
+    for r in companion_roots(dddp) + companion_roots(ddp):
         lam = float(r.real)
         m = _vanishing_order(params, derivs, lam)
         if m > 2:
@@ -442,7 +441,7 @@ def singular_locus(params: SurfaceParams) -> list[SingularPoint]:
     first = next((x for x in cands if _vanishing_order(params, (p, dp), x) == 2), None)
     if first is None:
         return out
-    second = square_root_roots(deflate(deflate(p, first), first).coefficients) or []
+    second = square_root_roots(poly_deflate(poly_deflate(p, first), first)) or []
     return out + [axis_point(lam, 2) for lam in sorted([first, *second])]
 
 

@@ -45,15 +45,18 @@ from touching_conics.classifier import (
     Hypothesis,
     Reason,
     Verdict,
+    _firsts,
     _match_reason,
+    _plan,
+    _schedule,
+    _trace,
     assign_types,
-    component_schedule,
     eliminate,
 )
 from touching_conics.cli import _json_safe, _pairing_samples
 from touching_conics.conics import CANCELLATION_FLOOR, ORBIT_CONTAINMENT_REL, REL_EPS, ConicType, Plane
-from touching_conics.errors import DegenerateConicError, DomainError, InputError, RealityError
-from touching_conics.poly import RealPolynomial, companion_roots, evaluate, square_root_roots
+from touching_conics.errors import DegenerateConicError, DomainError, InputError, PreconditionError, RealityError
+from touching_conics.poly import companion_roots, evaluate, square_root_roots
 from touching_conics.resolution import Bfun, Edge, HKind, LinearForm, ResolutionChoice, _form_values, all_resolutions, h_function
 from touching_conics.surface import (
     Interval,
@@ -193,17 +196,17 @@ def root_clusters(coeffs, tol: float) -> list[RootCluster]:
     return out
 
 
-def real_roots_with_multiplicity(p: RealPolynomial, tol: float = 1e-7) -> list[RootCluster]:
+def real_roots_with_multiplicity(p: tuple[float, ...], tol: float = 1e-7) -> list[RootCluster]:
     """Real roots of p grouped by multiplicity.
 
     A cluster counts as real when its centroid sits on the real axis within
     the clustering radius; its value is reported with the imaginary part
     dropped.  Raises InputError for constant input.
     """
-    if p.degree < 1:
+    if len(p) < 2:
         raise InputError("root finding needs degree >= 1")
     out = []
-    for cl in root_clusters(p.coefficients, tol):
+    for cl in root_clusters(p, tol):
         if abs(cl.value.imag) <= tol * (1.0 + abs(cl.value)):
             out.append(
                 RootCluster(
@@ -215,7 +218,7 @@ def real_roots_with_multiplicity(p: RealPolynomial, tol: float = 1e-7) -> list[R
     return out
 
 
-def poly_from_roots(roots) -> RealPolynomial:
+def poly_from_roots(roots) -> tuple[float, ...]:
     """Monic real polynomial with the given (conjugation-closed) roots."""
     coeffs = [1.0 + 0.0j]
     for r in roots:
@@ -227,7 +230,7 @@ def poly_from_roots(roots) -> RealPolynomial:
     imag = max(abs(c.imag) for c in coeffs)
     if imag > 1e-9 * max(1.0, max(abs(c) for c in coeffs)):
         raise InputError("root set is not closed under conjugation")
-    return RealPolynomial(tuple(c.real for c in coeffs))
+    return tuple(c.real for c in coeffs)
 
 
 def conic_through_points(points) -> np.ndarray:
@@ -820,9 +823,9 @@ class LazyAnalysis:
     def __init__(self, params: SurfaceParams, partition):
         self.params = params
         self.partition = partition
-        self.f = ReferencePolynomial(f_poly(params).coefficients)
-        self.q = ReferencePolynomial(Q_restricted(params).coefficients)
-        self._forms = {form: ReferencePolynomial(form.polynomial(params).coefficients) for form in LinearForm}
+        self.f = f_poly(params)
+        self.q = Q_restricted(params)
+        self._forms = {form: ReferencePolynomial(form.polynomial(params)) for form in LinearForm}
         self._roots: dict = {}
         self._critical: dict = {}
         self._first: dict = {}
@@ -866,9 +869,10 @@ class LazyAnalysis:
         return self._first[row]
 
     def derivative_data(self, kind: HKind, key) -> tuple[ReferencePolynomial, Callable[[float], float]]:
-        q, dq = self.q, reference_derivative(self.q)
+        f, q = ReferencePolynomial(self.f), ReferencePolynomial(self.q)
+        dq = reference_derivative(q)
         if kind is HKind.H0:
-            num = self.f * dq.scale(2.0) - reference_derivative(self.f) * q
+            num = f * dq.scale(2.0) - reference_derivative(f) * q
             poly = reference_deflate(num, self.partition.lambda0)
             return poly, poly
         if kind is HKind.H2:
@@ -924,6 +928,16 @@ def verify_h_tables_by_row(analysis) -> HTableReport:
         for edge, expected in limits:
             limit_row("h2", label, HKind.H2, pair, edge, expected)
     return HTableReport(rows=tuple(rows))
+
+
+def component_schedule(choice: ResolutionChoice, analysis):
+    """classifier._schedule of the choice under the first hypothesis it
+    survives, that one choice's two traces built alone."""
+    firsts = _firsts(analysis)
+    matching = [tr for tr in (_trace(_plan(choice, h), firsts) for h in Hypothesis) if tr.verdict is Verdict.SURVIVES]
+    if not matching:
+        raise PreconditionError(f"{choice.label()} is not a surviving resolution")
+    return _schedule(choice, matching[0].hypothesis)
 
 
 def classification_by_trace(analysis):

@@ -402,7 +402,7 @@ def test_one_solve_equals_the_one_at_a_time_analysis(region_sets):
     for params in region_sets:
         exact, lazy = analysis_of(params), LazyAnalysis(params, intervals(params))
         exact.critical(HKind.H0, None, exact.span(Interval.I2))
-        forms = [form.polynomial(params).coefficients for form in LinearForm]
+        forms = [form.polynomial(params) for form in LinearForm]
         for index, (kind, key, own) in enumerate(_radius_functions()):
             poly, _ = exact._derivative_data(kind, own, forms)
             reference, _ = lazy.derivative_data(kind, key)

@@ -20,16 +20,15 @@ from touching_conics.classifier import (
     Verdict,
     assign_types,
     classify,
-    component_schedule,
     eliminate,
 )
 from touching_conics.cli import EXIT_FAIL, run
 from touching_conics.conics import ConicType
 from touching_conics.errors import NotFoundError, PreconditionError
-from touching_conics.poly import derivative
+from touching_conics.poly import evaluate, poly_derivative
 from touching_conics.resolution import Edge, HKind, LinearForm, ResolutionChoice
 from touching_conics.surface import Interval, SearchConfig, f_poly, find_valid_params, q_value
-from oracles import analysis_of, central_difference, eliminate_by_lookup, h_handle
+from oracles import analysis_of, central_difference, component_schedule, eliminate_by_lookup, h_handle
 
 
 SURVIVOR_PLUS = ResolutionChoice(LinearForm.X1, LinearForm.X0_PLUS_X1, LinearForm.X0)
@@ -180,11 +179,11 @@ def test_every_vanishing_order_is_half_on_the_admissible_region(a, b, gap, q0_mi
     # leading coefficient, so f < 0 toward -inf and f > 0 toward +inf, and at
     # each root f > 0 on the side the table gives for h0 and h2
     f = f_poly(params)
-    assert f.degree == 3 and f.coefficients[-1] > 0.0
+    assert len(f) == 4 and f[-1] > 0.0
     assert domain_side(HKind.H1, Edge.MINUS_INF) == domain_side(HKind.H3, Edge.MINUS_INF) == "left"
     assert domain_side(HKind.H0, Edge.PLUS_INF) == domain_side(HKind.H2, Edge.PLUS_INF) == "right"
     for edge, x in zip((Edge.MINUS_ONE, Edge.ZERO, Edge.B_OVER_A), roots):
-        positive = "right" if derivative(f)(x) > 0.0 else "left"
+        positive = "right" if evaluate(poly_derivative(f), x) > 0.0 else "left"
         assert domain_side(HKind.H0, edge) == domain_side(HKind.H2, edge) == positive, edge
         assert domain_side(HKind.H1, edge) == domain_side(HKind.H3, edge) != positive, edge
     for kind in HKind:

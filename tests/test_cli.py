@@ -478,17 +478,33 @@ def test_negative_exponent_values_parse_like_the_equals_form(star_arg, capsys, f
         (["--params", "STAR", "--lambda", "1e50", "conic", "--type", "generic"], EXIT_FAIL,
          "error: lost precision at lam=1e+50: the x1^2 coefficient of the branch g- restriction keeps 0.0e+00"),
         (["--params", "STAR", "--lambda", "1e50", "tangency"], EXIT_FAIL, "error: lost precision at lam=1e+50"),
+        # malformed flags and unusable paths are usage errors, not tracebacks
+        (["--params", "STAR", "--resolution", "X0,X1,foo", "hscan"], EXIT_USAGE,
+         "error: --resolution: unknown linear form 'foo'"),
+        (["--params", "STAR", "--resolution", "X0,X0,X1", "hscan"], EXIT_USAGE,
+         "error: --resolution: resolution choice needs three distinct forms"),
+        # before the set is found inadmissible
+        (["--params", "0.4,0.1,1,1,1", "--resolution", "X0,X1,foo", "hscan"], EXIT_USAGE,
+         "error: --resolution: unknown linear form 'foo'"),
+        (["--params-file", "DIR", "validate"], EXIT_USAGE, "Is a directory"),
+        (["--params-file", "LATIN1", "validate"], EXIT_USAGE, "is not UTF-8 text: invalid continuation byte at byte 6"),
+        (["--params", "STAR", "--out", "DIR", "validate"], EXIT_USAGE, "Is a directory"),
     ],
     ids=["params-nan", "params-inf", "params-overflow", "params-file-inf", "q0-min-nan", "alpha-inf", "lambda-nan",
          "theta-inf", "leading-underflow", "coefficient-overflow", "double-root-terms-overflow",
          "vertex-terms-overflow", "orbit-residual-overflow", "orbit-residual-far-overflow", "tangency-plane-overflow",
          "conic-plane-overflow", "special-far-plane", "tangency-far-negative-plane", "generic-far-plane",
-         "tangency-far-plane"],
+         "tangency-far-plane", "resolution-unknown-form", "resolution-repeated-form",
+         "resolution-on-inadmissible-set", "params-file-directory",
+         "params-file-not-utf8", "out-directory"],
 )
 def test_numbers_the_program_cannot_use_end_in_an_error_line(star_arg, tmp_path, capsys, argv, code, message):
     cfgfile = tmp_path / "params.cfg"
     cfgfile.write_text("q0 = 1\nq1 = inf\nq2 = 1\na = 1\nb = 1\n")
-    argv = [{"STAR": star_arg, "FILE": str(cfgfile)}.get(a, a) for a in argv]
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("q0 = 1\u00e9\n".encode("latin-1"))
+    paths = {"STAR": star_arg, "FILE": str(cfgfile), "DIR": str(tmp_path), "LATIN1": str(latin1)}
+    argv = [paths.get(a, a) for a in argv]
     assert run(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import dense_grid_certificate, poly_from_roots, root_clusters
 from touching_conics.errors import InvalidParameterError, NotFoundError, PreconditionError
-from touching_conics.poly import evaluate
+from touching_conics.poly import evaluate, poly_derivative, poly_mul, poly_sub
+from touching_conics.resolution import LinearForm
 from touching_conics.surface import (
     SearchConfig,
     SingularPoint,
@@ -42,8 +43,24 @@ TRIPLE_ROOT_PARAMS = SurfaceParams(
 )
 
 
+def _floats(p):
+    """p, once it is checked to be a plain tuple of floats with no trailing
+    zero unless it is the zero polynomial (0.0,)."""
+    assert type(p) is tuple and all(type(c) is float for c in p), p
+    assert len(p) == 1 or p[-1] != 0.0, p
+    return p
+
+
 def test_f_poly_unit_case():
-    assert f_poly(SurfaceParams(0, 0, 0, 1.0, 1.0)).coefficients == (0.0, -1.0, 0.0, 1.0)
+    assert _floats(f_poly(SurfaceParams(0, 0, 0, 1.0, 1.0))) == (0.0, -1.0, 0.0, 1.0)
+    # int parameters come back as floats, in f and in the linear forms whose
+    # product it is
+    p = SurfaceParams(1, 0, 0, 2, 3)
+    assert _floats(f_poly(p)) == (0.0, -3.0, -1.0, 2.0)
+    assert _floats(LinearForm.AX0_MINUS_BX1.polynomial(p)) == (-3.0, 2.0)
+    forms = [_floats(form.polynomial(p)) for form in LinearForm]
+    assert forms == [(0.0, 1.0), (1.0,), (1.0, 1.0), (-3.0, 2.0)]
+    assert poly_mul(poly_mul(forms[0], forms[1]), poly_mul(forms[2], forms[3])) == f_poly(p)
 
 
 def test_f_poly_roots_by_construction():
@@ -58,20 +75,21 @@ def test_f_direct_arithmetic():
 
 
 def test_Q_restricted_shapes():
-    assert Q_restricted(SurfaceParams(1, 0, 0, 1, 1)).coefficients == (0.0, 0.0, 1.0)
-    assert Q_restricted(SurfaceParams(0, 0, 2.5, 1, 1)).coefficients == (2.5,)
+    assert _floats(Q_restricted(SurfaceParams(1, 0, 0, 1, 1))) == (0.0, 0.0, 1.0)
+    assert _floats(Q_restricted(SurfaceParams(0, 0, 2.5, 1, 1))) == (2.5,)
+    assert _floats(Q_restricted(SurfaceParams(0, 0, 0, 1, 1))) == (0.0,)
 
 
 def test_defining_identity_as_polynomials():
     p = SurfaceParams(0.7, -0.3, 1.1, 1.3, 0.6)
     q = Q_restricted(p)
-    identity = q * q - discriminant_poly(p)
-    assert np.allclose(identity.coefficients, f_poly(p).coefficients, atol=1e-12)
+    identity = poly_sub(poly_mul(q, q), discriminant_poly(p))
+    assert np.allclose(identity, f_poly(p), atol=1e-12)
 
 
 def test_discriminant_degree_drop():
     p = SurfaceParams(0, 0, 1, 1, 1)
-    assert discriminant_poly(p).coefficients == (1.0, 1.0, 0.0, -1.0)
+    assert _floats(discriminant_poly(p)) == (1.0, 1.0, 0.0, -1.0)
 
 
 def test_discriminant_pointwise_identity():
@@ -85,7 +103,7 @@ def test_discriminant_pointwise_identity():
 
 
 def test_params_star_has_unique_double_root(params_star):
-    clusters = root_clusters(discriminant_poly(params_star).coefficients, CLUSTER_TOL)
+    clusters = root_clusters(discriminant_poly(params_star), CLUSTER_TOL)
     real = [c for c in clusters if abs(c.value.imag) < 1e-4]
     assert len(real) == 1 and real[0].multiplicity == 2
     cert = dense_grid_certificate(params_star, 2.0)
@@ -129,10 +147,8 @@ def test_lambda0_hits_target(params_star):
     lam0 = lambda0(params_star)
     assert abs(lam0 - 2.0) < 1e-8
     d = discriminant_poly(params_star)
-    from touching_conics.poly import derivative
-
     assert abs(evaluate(d, lam0)) < 1e-9
-    assert abs(evaluate(derivative(d), lam0)) < 1e-9
+    assert abs(evaluate(poly_derivative(d), lam0)) < 1e-9
     assert f_value(params_star, lam0) > 0.0
     assert lam0 > params_star.b / params_star.a
 
@@ -192,7 +208,7 @@ def test_singular_locus_lists_an_odp_only_where_validate_finds_a_double_root():
 
 
 def test_no_complex_multiple_roots_for_params_star(params_star):
-    clusters = root_clusters(discriminant_poly(params_star).coefficients, CLUSTER_TOL)
+    clusters = root_clusters(discriminant_poly(params_star), CLUSTER_TOL)
     nonreal = [c for c in clusters if abs(c.value.imag) > CLUSTER_TOL * (1.0 + abs(c.value))]
     assert all(c.multiplicity < 2 for c in nonreal)
     assert all(p.lam is None or abs(p.lam - 2.0) < 1e-6 for p in singular_locus(params_star))
@@ -207,7 +223,7 @@ def _params_with_roots(roots, q0: float, sign_q2: float, sign_q1: float) -> Surf
     q1^2 - 2 (q0 + q2) q1 + 2 q0 q2 + q0^2 (e3 + e1 - e2) = 0.
     """
     k = q0 * q0
-    e0, e1, e2, e3, _ = poly_from_roots(roots).coefficients
+    e0, e1, e2, e3, _ = poly_from_roots(roots)
     if e0 < 0.0:
         return None
     q2 = sign_q2 * q0 * math.sqrt(e0)
