@@ -320,9 +320,6 @@ class HTableReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def failures(self) -> list[TableRow]:
-        return [r for r in self.rows if not r.passed]
-
 
 # expected critical-point counts (interval I1, I3) per first form, and the
 # stated endpoint behavior of h1

@@ -24,7 +24,7 @@ from dataclasses import is_dataclass
 from . import __version__
 from .analysis import RadiusAnalysis, h0_critical_on_i2, h0_pairing, psi_check, verify_h_tables
 from .classifier import EXPECTED_SURVIVORS, _plans, classify
-from .conics import REALITY_TOL, ConicCoeffs, Plane, min_real_form, orbit_conic
+from .conics import FAMILIES, REALITY_TOL, ConicCoeffs, Plane, min_real_form
 from .errors import (
     DegenerateConicError,
     DomainError,
@@ -153,14 +153,6 @@ def _record(rep) -> dict:
     """A report dataclass as a JSON object: its fields, in their order, and
     its pass flag.  A nested report dataclass is left to _json_safe."""
     return {**vars(rep), "passed": rep.passed}
-
-
-# each conic family's constructor, as a function of (plane, knob)
-_CONICS = {
-    "generic": Plane.generic,
-    "special": Plane.special,
-    "orbit": lambda plane, alpha: orbit_conic(alpha),
-}
 
 
 def _conic_record(conic: ConicCoeffs, label: str, lam: float | None, knob: float) -> dict:
@@ -347,11 +339,11 @@ def _cmd_conic(args):
     knob = args.theta
     if args.type == "orbit":
         knob = args.alpha if args.alpha is not None else -plane.q
-    conic = _CONICS[args.type](plane, knob)
+    conic = FAMILIES[args.type](plane, knob)
     record = _conic_record(conic, args.type, plane.lam, knob)
     t0 = time.perf_counter()
     record["tangency"] = plane.conic_type(conic).value
-    return {"conic": record}, True, {"decide_s": _elapsed(t0)}
+    return {"conic": record}, True, {"decide_s": _elapsed(t0), "exact_conics": plane.exact_conics}
 
 
 def _cmd_tangency(args):
@@ -375,7 +367,12 @@ def _cmd_tangency(args):
             label = kind.value
             rows.append({"family": family, "knob": knob, "type": label, "passed": label in accepted})
     ok = all(r["passed"] for r in rows)
-    timings = {"tangency_s": _elapsed(t0), "decide_s": round(decide_s, 6), "conics": len(rows)}
+    timings = {
+        "tangency_s": _elapsed(t0),
+        "decide_s": round(decide_s, 6),
+        "exact_conics": plane.exact_conics,
+        "conics": len(rows),
+    }
     return {"rows": rows, "passed": ok}, ok, timings
 
 

@@ -12,23 +12,19 @@ Plane coordinates are ordered (y1, y2, y3); the real structure acts by
 (y1 : y2 : y3) -> (conj y1 : conj y3 : conj y2).
 
 A conic's matrix is kept as nested Python complex rows, and the surface data
-of a plane is read once per `Plane`.  On one 3x3 matrix numpy's cost per call
-exceeds the arithmetic, so a conic that is built, exported or certified on
-its own stays in Python numbers.  A family sweep types hundreds of conics on
-one plane, so the type decision runs on a batch: the matrices as (re, im)
-float arrays, with Python's complex arithmetic spelled out on the parts, so
-that every value and verdict is the per-conic one to the bit.  A single conic
-is decided as a batch of one.  The decision reads both branches of every
-conic in one pass, over the g- and g+ restrictions stacked side by side, and
-a batch whose conics are all settled before the branches, as the orbit
-family's are, reads no branch at all.
+of a plane is read once per `Plane`.  The type of one conic is decided by
+`conic_contact`, in Python's complex arithmetic; that decision defines the
+type.  A family sweep types hundreds of conics on one plane, so it runs a
+floating-point filter first: the same steps on the whole batch in numpy
+complex128, where each comparison counts only when its margin exceeds a
+stated bound on the rounding of both evaluations.  The conics the filter
+cannot settle, and those whose decision would raise, go to `conic_contact`.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,14 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateConicError,
-    DegeneratePlaneError,
-    DomainError,
-    InputError,
-    PreconditionError,
-)
-from .poly import EQUALITY_REL, evaluate, square_root_roots
+from .errors import DegenerateConicError, DegeneratePlaneError, DomainError, PreconditionError
+from .poly import EQUALITY_REL, square_root_roots
 from .surface import SurfaceParams, f_value, q_value, s_minus_q, sqrt_disc
 
 _SWAP23 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
@@ -80,15 +70,6 @@ REALITY_TOL = 1e-8
 # magnitude above that, as the square tests' EQUALITY_REL does.
 INVARIANCE_TOL = 1e-9
 
-# The symmetry test of a matrix given to ConicCoeffs.from_matrix is
-# numpy.allclose(m, m.T) with these: mirrored entries pass when they agree to
-# SYMMETRY_REL of their own size, numpy's default rtol, or to SYMMETRY_TOL of
-# 1 + the largest modulus, about twelve digits, which lets an entry opposite
-# an exact zero differ from it by rounding.  The families' matrices are
-# symmetric by construction.
-SYMMETRY_TOL = 1e-12
-SYMMETRY_REL = 1e-5
-
 _SINGULAR = (
     f"conic matrix is singular: |det| is at most {REL_EPS:g} times its Hadamard bound, so the conic "
     "cannot be told from a union of lines"
@@ -112,27 +93,6 @@ class ConicCoeffs:
     numbers."""
 
     rows: tuple[tuple[complex, complex, complex], ...]
-
-    @staticmethod
-    def from_matrix(m) -> "ConicCoeffs":
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (3, 3):
-            raise InputError("conic matrix must be 3x3")
-        rows = m.tolist()
-        try:
-            top = max(abs(z) for row in rows for z in row)
-            symmetric = _symmetric(rows, SYMMETRY_TOL * (1.0 + top))
-        except OverflowError:
-            top, symmetric = math.inf, True
-        if not symmetric:
-            raise InputError("conic matrix must be symmetric")
-        if top == 0.0:
-            raise InputError("zero matrix is not a conic")
-        # an infinite entry passes the symmetry test (inf == inf) and would
-        # scale to NaN
-        if top == math.inf:
-            raise InputError("conic matrix entries exceed the float range")
-        return _conic(rows)
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -182,47 +142,6 @@ def _conic(rows) -> ConicCoeffs:
     return ConicCoeffs((tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9])))
 
 
-def _isclose(x: complex, y: complex, atol: float) -> bool:
-    """numpy.isclose(x, y, rtol=SYMMETRY_REL, atol=atol) on Python numbers."""
-    return x == y or (abs(x - y) <= atol + SYMMETRY_REL * abs(y) and cmath.isfinite(y))
-
-
-def _symmetric(rows, atol: float) -> bool:
-    """numpy.allclose(m, m.T, atol=atol) on the nested rows of m: each
-    off-diagonal pair close in both orders, and no NaN on the diagonal."""
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        x, y = rows[i][j], rows[j][i]
-        if not (_isclose(x, y, atol) and _isclose(y, x, atol)):
-            return False
-    return all(rows[k][k] == rows[k][k] for k in range(3))
-
-
-@dataclass(frozen=True)
-class BranchRecord:
-    """Contact data of the conic against one branch of the plane curve.
-
-    restriction     ascending complex coefficients of the substituted
-                    polynomial, scaled to max modulus 1
-    contacts        (location, multiplicity) pairs; location is the affine
-                    y1/y3 value, or the labels 'Pinf' / 'PinfBar'
-    residual        max |restriction| over the finite contacts
-    """
-
-    branch: str
-    restriction: tuple[complex, ...]
-    contacts: tuple[tuple[object, int], ...]
-    residual: float
-
-
-@dataclass(frozen=True)
-class TangencyReport:
-    kind: ConicType
-    branches: tuple[BranchRecord, ...]
-    pinf_contact: int
-    pinfbar_contact: int
-    detail: str = ""
-
-
 # ---------------------------------------------------------------------------
 # one plane: its surface data, the families on it, and the type of a conic
 
@@ -236,6 +155,9 @@ class Plane:
     The families' entries are sums and doublings of Q^2 and |f|, so a plane
     where four times their sum overflows is refused: on every other plane
     the families' matrices are finite, and symmetric by construction.
+
+    exact_conics counts the conics typed by conic_contact: each conic_type
+    call, and each member of a sweep that the filter left to it.
     """
 
     def __init__(self, params: SurfaceParams, lam: float):
@@ -245,6 +167,7 @@ class Plane:
         self.f = f = f_value(params, lam)
         if not math.isfinite(4.0 * (q * q + abs(f))):
             raise DomainError(f"Q^2 + |f| at lambda={lam!r} overflows the float range")
+        self.exact_conics = 0
 
     @cached_property
     def branch_factors(self) -> tuple[complex, complex]:
@@ -307,28 +230,30 @@ class Plane:
         return _conic(((s, half_b * rot, half_b / rot), (half_b * rot, 0.0, 0.5), (half_b / rot, 0.5, 0.0)))
 
     def conic_type(self, conic: ConicCoeffs) -> ConicType:
-        """The type verify_touching reports, without its contact records."""
-        return _OUTCOMES[self._decide(*_batch_of(conic), _Pending(1)).code[0]][0]
+        """The conic's type on this plane: conic_contact's, without what
+        decides it."""
+        self.exact_conics += 1
+        return conic_contact(self, conic.rows).kind
 
     def conic_types(self, family: str, knobs) -> list[ConicType]:
         """conic_type of the members of a family, "generic", "special" or
-        "orbit", at the knobs (angles, or alphas for the orbit family), decided
-        in one batch.  Where a member cannot be built or typed, this raises
-        what building and typing the members one by one, in knob order, raises
-        first."""
+        "orbit", at the knobs (angles, or alphas for the orbit family).  The
+        filter decides the batch, and each member it leaves open is built and
+        typed on its own, in knob order; so where a member cannot be built or
+        typed, this raises what building and typing the members one by one
+        raises first."""
         knobs = np.asarray(knobs, dtype=float)
         if knobs.size == 0:
             return []
-        pending = _Pending(knobs.size)
-        members = self._members(family, knobs, pending)
-        return [_OUTCOMES[c][0] for c in self._decide(*members, pending).code.tolist()]
+        build = FAMILIES[family]
+        return self._decide(self._members(family, knobs), lambda i: build(self, float(knobs[i])))
 
-    def _members(self, family: str, knobs: np.ndarray, pending: "_Pending"):
-        """The normalised matrices of the family's members at the knobs, as a
-        batch: equal to the rows of generic, special and orbit_conic to the
-        bit.  alpha = 0 fails its conic, as orbit_conic raises there."""
+    def _members(self, family: str, knobs: np.ndarray) -> np.ndarray:
+        """The normalised matrices of the family's members at the knobs, an
+        array of shape (3, 3, n): equal to the rows of generic, special and
+        orbit_conic to the bit.  At alpha = 0, which orbit_conic refuses, the
+        matrix is a line pair, which the filter leaves to orbit_conic."""
         if family == "orbit":
-            pending.fail(knobs == 0.0, lambda i: DomainError(_ALPHA_ZERO))
             entries = ((-knobs, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.5, 0.0))
         else:
             if family == "generic":
@@ -336,118 +261,77 @@ class Plane:
             else:
                 s, radius = self._special_entries
             rot = np.exp(1j * knobs)
-            rot = (rot.real, rot.imag)
-            with np.errstate(divide="ignore", invalid="ignore"):  # the branch of the quotient not taken
-                w, w_bar = _mul((radius, 0.0), rot), _quot((radius, 0.0), rot)
+            w, w_bar = radius * rot, _quot(radius, rot)
             if family == "generic":
                 entries = ((two_d, 0.0, 0.0), (0.0, w, q), (0.0, q, w_bar))
             else:
                 entries = ((s, w, w_bar), (w, 0.0, 0.5), (w_bar, 0.5, 0.0))
-        re = np.empty((3, 3, knobs.size))
-        im = np.zeros((3, 3, knobs.size))
+        m = np.zeros((3, 3, knobs.size), dtype=complex)
         for i, row in enumerate(entries):
             for j, z in enumerate(row):
-                if isinstance(z, tuple):
-                    re[i, j], im[i, j] = z
-                else:
-                    re[i, j] = z
+                m[i, j] = z
+        re, im = m.real.copy(), m.imag.copy()
         # as _conic scales: by the reciprocal of the largest modulus, each
         # part as Python's complex times float rounds it
         scale = 1.0 / np.hypot(re, im).max(axis=(0, 1))
-        return (re + im * 0.0) * scale, (im - re * 0.0) * scale
+        m.real, m.imag = (re + im * 0.0) * scale, (im - re * 0.0) * scale
+        return m
 
-    def _decide(self, re: np.ndarray, im: np.ndarray, pending: "_Pending") -> "_Decision":
-        """The one type decision, on a batch of normalised matrices (re, im),
-        arrays of shape (3, 3, n); see verify_touching.  Each conic takes the
-        steps it would take alone, in order: the degeneracy test; the orbit
-        shape and its containment residual; then per branch, g- before g+,
-        identical vanishing, the cancellation floor, normalisation, the
-        fixed-point contact and the square test of what remains.  A conic that
-        raises drops out of the later steps, and the batch raises the error of
-        its first such conic.
-
-        The branch steps run once, on the 2n lanes of _restrictions: each
-        conic's g- lane and its g+ lane.  A lane that vanishes or fails ends
-        its conic unless the conic's g- lane ended it first, so what the g+
-        lane of a conic settled or failed on g- computes counts for nothing.
-        Where no conic is left after the orbit step, the branches are not
-        read."""
+    def _decide(self, m: np.ndarray, member) -> list[ConicType]:
+        """The types of a batch of normalised matrices, shape (3, 3, n): the
+        filter's where it is sure, else conic_type(member(i)) for conic i, in
+        order, so the batch raises the error of its first failing conic."""
         with np.errstate(all="ignore"):
-            decision = self._decide_parts(re, im, pending)
-        pending.raise_first()
-        return decision
+            code, sure = self._filter(m)
+        kinds = list(_TYPES[code])
+        for i in np.flatnonzero(~sure):
+            kinds[i] = self.conic_type(member(i))
+        return kinds
 
-    def _decide_parts(self, re, im, pending: "_Pending") -> "_Decision":
-        n = re.shape[-1]
-        code = np.zeros(n, dtype=np.int8)
-        mods = np.hypot(re, im)
-        pending.fail(_degenerate(re, im, mods), lambda i: DegenerateConicError(_SINGULAR))
-        # every conic that is not degenerate reads the branch factors, so on
-        # the double-root plane the first of them fails
+    def _filter(self, m: np.ndarray):
+        """conic_contact's steps on every conic of the batch at once: the
+        type code of each conic, and whether conic_contact surely returns
+        that type.  It is not sure of a conic that conic_contact would
+        fail, whose arithmetic leaves FILTER_RANGE, or where a comparison
+        falls within its margin."""
+        n = m.shape[-1]
+        code = np.full(n, _NOT_TOUCHING)
         try:
-            branch_factors = self.branch_factors
-        except DegeneratePlaneError as exc:
-            pending.fail(pending.live, lambda i: exc)
-            pending.raise_first()
+            g = np.array(self.branch_factors)
+        except DegeneratePlaneError:  # every conic fails: the first one's error
+            return code, np.zeros(n, dtype=bool)
+        mods = np.abs(m)
+        sure = _inside(mods).all(axis=(0, 1)) & _inside(np.abs(g)).all() & _surely_smooth(m, mods)
 
-        # the orbit shape y2 y3 = alpha y1^2: orbit_conic writes literal zeros
-        # and the normaliser scales by a positive real, so the shape and the
-        # reality of alpha are read exactly
-        m00 = re[0, 0], im[0, 0]
-        alpha, alpha_im = _quot((-m00[0], -m00[1]), _mul((2.0, 0.0), (re[1, 2], im[1, 2])))
+        # the orbit shape y2 y3 = alpha y1^2, read off literal zeros; alpha is
+        # one float division, the same in both, where m00 and m12 are real
         zero = mods == 0.0
-        orbit = pending.live & zero[0, 1] & zero[0, 2] & zero[1, 1] & zero[2, 2] & ~zero[1, 2] & (alpha_im == 0)
-        resid = np.full(n, math.nan)
-        if orbit.any():
-            shifted = pending.power(alpha + self.q, 2, orbit)
-            resid = shifted - self.f
-            on_surface = np.abs(resid) <= ORBIT_CONTAINMENT_REL * (1.0 + shifted + abs(self.f))
-            code[orbit] = np.where(on_surface, _ON_SURFACE, _ORBIT_SHAPE)[orbit]
-            pending.settle(orbit)
+        orbit = zero[0, 1] & zero[0, 2] & zero[1, 1] & zero[2, 2] & ~zero[1, 2]
+        shifted = -m[0, 0].real / (2.0 * m[1, 2].real) + self.q
+        scale = 1.0 + shifted * shifted + abs(self.f)
+        gap = np.abs(shifted * shifted - self.f) - ORBIT_CONTAINMENT_REL * scale
+        code[orbit] = np.where(gap <= 0.0, _CONTAINED_IN_B, _ORBIT)[orbit]
+        orbit_sure = (m[0, 0].imag == 0.0) & (m[1, 2].imag == 0.0) & _inside(np.abs(shifted))
+        sure &= np.where(orbit, orbit_sure & (np.abs(gap) > ORBIT_MARGIN * scale), True)
+        branches = sure & ~orbit
+        if not branches.any():
+            return code, sure
 
-        if not pending.live.any():  # every conic settled or failed: no branch to read
-            return _Decision(code, resid, None, None, None)
-
-        # the branch steps, once, on lane i (g-) and lane n + i (g+) of conic i
-        (rest_re, rest_im), rest_mods, (norm_re, norm_im) = _restrictions(re, im, branch_factors)
-        lanes = _Pending(2 * n)
-        lanes.live = np.concatenate((pending.live, pending.live))
-        vanishes = lanes.live & (rest_mods.max(axis=0) == 0.0)  # a NaN part is not zero
-        lanes.settle(vanishes)
-        # rest[2] = m00 - 2 g m12 cancels only where its two terms are close,
-        # so comparing it with |m00| alone finds the same cancellations
-        lanes.fail(
-            rest_mods[2] < CANCELLATION_FLOOR * np.concatenate((mods[0, 0], mods[0, 0])),
-            lambda k: self._lost_precision(_BRANCHES[k // n], complex(rest_re[2, k], rest_im[2, k]), m00, k % n),
-        )
-        nonzero = (norm_re != 0.0) | (norm_im != 0.0)
+        # both branches at once: lane i restricts conic i to g-, lane n + i to g+
+        rest, terms = _restrictions(np.concatenate((m, m), axis=-1), np.repeat(g, n))
+        rest_mods = np.abs(rest)
+        m00 = np.concatenate((mods[0, 0], mods[0, 0]))
+        passes = rest_mods[2] - CANCELLATION_FLOOR * m00 > FLOOR_MARGIN * terms
+        norm = rest / rest_mods.max(axis=0)
+        nonzero = norm != 0.0
         low = nonzero.argmax(axis=0)
         high = 4 - nonzero[::-1].argmax(axis=0)
-        square = _square(norm_re, norm_im, low, high, lanes)
-
-        # a conic ends at its g- lane where that lane vanished or failed, else
-        # at its g+ lane where that one did
-        failed = np.zeros(2 * n, dtype=bool)
-        failed[list(lanes.errors)] = True
-        ends = vanishes | failed
-        lane = np.where(ends[:n], 0, n) + np.arange(n)
-        ended = ends[lane]
-        code[ended] = (_VANISHES + lane // n)[ended]
-        pending.fail(ended & failed[lane], lambda i: lanes.errors[int(lane[i])])
-        pending.settle(ended)
-
-        live = pending.live
-        pinf = low[:n] + low[n:]
-        pinfbar = 8 - high[:n] - high[n:]
-        both = (square[:n] & square[n:]).astype(np.intp)
-        code[live] = _BY_CONTACT[both, pinf, pinfbar][live]
-        return _Decision(code, resid, (norm_re, norm_im), low, high)
-
-    def _lost_precision(self, name: str, x2: complex, m00, i: int) -> DomainError:
-        return DomainError(
-            f"lost precision at lam={self.lam!r}: the x1^2 coefficient of the branch {name} restriction "
-            f"keeps {abs(x2 / complex(m00[0][i], m00[1][i])):.1e} of its terms, below {CANCELLATION_FLOOR:g}"
-        )
+        square, square_sure = _square(norm, low, high, (9.0 * terms / rest_mods[2] + 3.0) * _U)
+        lane_sure = passes & _inside(np.abs(norm)).all(axis=0) & square_sure
+        code[branches] = _BY_CONTACT[
+            (square[:n] & square[n:]).astype(np.intp), low[:n] + low[n:], 8 - high[:n] - high[n:]
+        ][branches]
+        return code, sure & np.where(orbit, True, lane_sure[:n] & lane_sure[n:])
 
 
 # ---------------------------------------------------------------------------
@@ -461,270 +345,45 @@ def orbit_conic(alpha: float) -> ConicCoeffs:
     return _conic(((-alpha, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.5, 0.0)))
 
 
+# each family's constructor, as a function of (plane, knob)
+FAMILIES = {"generic": Plane.generic, "special": Plane.special, "orbit": lambda plane, alpha: orbit_conic(alpha)}
+
+
+def _quot(x: float, z: np.ndarray) -> np.ndarray:
+    """x / z per element, for a float x, as CPython divides (x + 0j) by z:
+    Smith's method, scaled by the part of z of larger modulus.  numpy's
+    complex quotient rounds otherwise."""
+    zr, zi = z.real, z.imag
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken
+        ratio, ratio_t = zi / zr, zr / zi
+        denom, denom_t = zr + zi * ratio, zr * ratio_t + zi
+        by_re = np.abs(zr) >= np.abs(zi)
+        out = np.empty(z.shape, dtype=complex)
+        out.real = np.where(by_re, (x + 0.0 * ratio) / denom, (x * ratio_t + 0.0) / denom_t)
+        out.imag = np.where(by_re, (0.0 - x * ratio) / denom, (0.0 * ratio_t - x) / denom_t)
+    return out
+
+
 # ---------------------------------------------------------------------------
-# the type decision on a batch of conics
-#
-# A batch is n normalised matrices as a pair (re, im) of float arrays of shape
-# (3, 3, n).  Every step is the one Python takes on complex numbers, spelled
-# out on the parts, so each value, and so each verdict, equals the per-conic
-# arithmetic's to the bit: products as CPython multiplies (a float operand is
-# the complex (x, 0.0)), quotients by Smith's method in CPython's order,
-# moduli as hypot.  numpy's own complex * and / round otherwise.  numpy's pow
-# and the 3-argument math.hypot round otherwise too, so those run per element
-# in Python.  Where Python raises on a value, an overflowing power or modulus,
-# the conic fails with the same error.
-
-_BRANCHES = ("g-", "g+")
-
-# the outcomes of the decision by code: the type, and verify_touching's detail
-_OUTCOMES = (
-    (ConicType.GENERIC, ""),
-    (ConicType.SPECIAL, ""),
-    (ConicType.ORBIT, ""),
-    (ConicType.NOT_TOUCHING, "a contact of odd order exists"),
-    (ConicType.NOT_TOUCHING, "unbalanced fixed-point contact ({pinf}, {pinfbar})"),
-    (ConicType.ORBIT, "orbit residual {resid:.6e}"),
-    (ConicType.CONTAINED_IN_B, "orbit conic lies on the surface"),
-    (ConicType.CONTAINED_IN_B, "branch g- restriction vanishes identically"),
-    (ConicType.CONTAINED_IN_B, "branch g+ restriction vanishes identically"),
-)
-_GENERIC, _SPECIAL, _ORBIT, _ODD, _UNBALANCED, _ORBIT_SHAPE, _ON_SURFACE, _VANISHES = range(8)
-
-# the code of a conic whose restrictions both pass the earlier steps, by
-# [both squares, contact at Pinf, contact at PinfBar], each contact summed
-# over the branches (0 to 8)
-_BY_CONTACT = np.full((2, 9, 9), _UNBALANCED, dtype=np.int8)
-_BY_CONTACT[0] = _ODD
-_BY_CONTACT[1, [0, 2, 4], [0, 2, 4]] = _GENERIC, _SPECIAL, _ORBIT
+# the type decision of one conic
 
 
-class _Decision(NamedTuple):
-    """The decision on a batch of n conics: each conic's outcome code, its
-    orbit residual (NaN off the orbit shape), and the normalised branch
-    restrictions of _restrictions, arrays of shape (5, 2n) as a (re, im)
-    pair, with the positions of each lane's first and last nonzero
-    coefficients; these three are None where no conic reached the branches."""
+class Contact(NamedTuple):
+    """What decides a conic's type.  branches holds, per branch examined,
+    (name, normalised restriction, roots of its square root or None, contact
+    at Pinf, contact at PinfBar); it is None for an orbit-shaped conic, whose
+    type is read off alpha."""
 
-    code: np.ndarray
-    resid: np.ndarray
-    norm: tuple | None
-    low: np.ndarray | None
-    high: np.ndarray | None
-
-
-class _Pending:
-    """Which conics of a batch are still undecided, and the error of each
-    that failed.  A conic fails at most once, at its first error, and the
-    batch raises the error of its first failed conic: what a loop over the
-    conics in order raises."""
-
-    def __init__(self, n: int):
-        self.live = np.ones(n, dtype=bool)
-        self.errors: dict[int, Exception] = {}
-
-    def settle(self, mask: np.ndarray) -> None:
-        self.live &= ~mask
-
-    def fail(self, mask: np.ndarray, error) -> None:
-        """Fail the live conics in mask with error(index)."""
-        for i in np.flatnonzero(mask & self.live).tolist():
-            self.errors[i] = error(i)
-        self.settle(mask)
-
-    def raise_first(self) -> None:
-        if self.errors:
-            raise self.errors[min(self.errors)]
-
-    def power(self, x: np.ndarray, y: float, where: np.ndarray) -> np.ndarray:
-        """x ** y per element with Python's float power; where that raises
-        OverflowError, the conics in where fail with it."""
-        values = x.tolist()
-        try:
-            return np.array(list(map(pow, values, itertools.repeat(y, len(values)))))
-        except OverflowError:
-            pass
-        out = []
-        for i, v in enumerate(values):
-            try:
-                out.append(pow(v, y))
-            except OverflowError as exc:
-                if where[i] and self.live[i]:
-                    self.errors[i] = exc
-                    self.live[i] = False
-                out.append(math.inf)
-        return np.array(out)
-
-    def modulus(self, z, where: np.ndarray) -> np.ndarray:
-        """abs(z) per element, for z of shape (n,) or (k, n); where Python's
-        abs raises OverflowError, on finite parts whose modulus passes the
-        float range, the conics in where fail as it does."""
-        h = np.hypot(*z)
-        if np.isinf(h).any():
-            over = np.isinf(h) & np.isfinite(z[0]) & np.isfinite(z[1])
-            self.fail(where & over.reshape(-1, where.size).any(axis=0), lambda i: OverflowError("absolute value too large"))
-        return h
+    kind: ConicType
+    detail: str
+    pinf: int
+    pinfbar: int
+    branches: tuple | None
 
 
-def _batch_of(conic: ConicCoeffs) -> tuple[np.ndarray, np.ndarray]:
-    m = np.array(conic.rows, dtype=complex)[..., None]
-    return m.real, m.imag
-
-
-def _restrictions(re: np.ndarray, im: np.ndarray, branch_factors):
-    """Each conic's restriction to each branch x2 = -g x1^2, in the chart
-    x1 = y1/y3, x2 = y2/y3: the ascending coefficients of the quartic
-
-        m22 + 2 m02 x1 + (m00 - 2 g m12) x1^2 - 2 g m01 x1^3 + m11 g^2 x1^4,
-
-    stacked as arrays of shape (5, 2n), the g- lanes of the n conics of the
-    batch (re, im) and then their g+ lanes.  Returns the coefficients as a
-    (re, im) pair, their moduli, and the coefficients scaled to max modulus
-    1 as a pair (all-zero lanes stay as they are)."""
-    n = re.shape[-1]
-    re, im = np.concatenate((re, re), axis=-1), np.concatenate((im, im), axis=-1)
-    (m00, m01, m02), (_, m11, m12), (_, _, m22) = [[(re[i, j], im[i, j]) for j in range(3)] for i in range(3)]
-    g = np.repeat([[z.real for z in branch_factors], [z.imag for z in branch_factors]], n, axis=1)
-    two_m01, two_m02, two_m12 = (_mul((2.0, 0.0), z) for z in (m01, m02, m12))
-    parts = (m22, two_m02, _sub(m00, _mul(g, two_m12)), _mul(-g, two_m01), _mul(_mul(m11, g), g))
-    rest_re = np.array([part[0] for part in parts])
-    rest_im = np.array([part[1] for part in parts])
-    rest_mods = np.hypot(rest_re, rest_im)
-    top = _pymax(*rest_mods)
-    top = np.where(top == 0.0, 1.0, top)
-    return (rest_re, rest_im), rest_mods, ((rest_re + rest_im * 0.0) / top, (rest_im - rest_re * 0.0) / top)
-
-
-def _mul(a, b):
-    """a * b on (re, im) pairs, as CPython multiplies complex numbers."""
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _quot(a, b):
-    """a / b on (re, im) pairs, b nonzero, as CPython divides complex numbers:
-    Smith's method, scaled by the part of b of larger modulus."""
-    (ar, ai), (br, bi) = a, b
-    by_re = np.abs(br) >= np.abs(bi)
-    ratio = bi / br
-    denom = br + bi * ratio
-    ratio_t = br / bi
-    denom_t = br * ratio_t + bi
-    return (
-        np.where(by_re, (ar + ai * ratio) / denom, (ar * ratio_t + ai) / denom_t),
-        np.where(by_re, (ai - ar * ratio) / denom, (ai * ratio_t - ar) / denom_t),
-    )
-
-
-def _sub(a, b):
-    return a[0] - b[0], a[1] - b[1]
-
-
-def _add(a, b):
-    return a[0] + b[0], a[1] + b[1]
-
-
-def _pymax(first, *rest):
-    """Python's max of floats per element: a later value replaces the one
-    kept only where it is larger."""
-    for x in rest:
-        first = np.where(x > first, x, first)
-    return first
-
-
-def _degenerate(re: np.ndarray, im: np.ndarray, mods: np.ndarray) -> np.ndarray:
-    """|det| within REL_EPS of the Hadamard bound, the product of the row
-    norms, of the matrix balanced by the congruence S m S, S = diag(s_i) with
-    s_i = 2^-e_i and e_i half the binary exponent of row i's norm.  mods holds
-    the entries' moduli.
-
-    Rows whose scales differ by a factor k lower the ratio of |det| to the
-    bound by about k, so without the congruence a smooth conic far out reads
-    as a line pair.  The congruence keeps the rank, and with powers of two
-    it is exact: det(S m S) = det(m) (s_0 s_1 s_2)^2, with det by cofactors
-    along the first row, and row i of S m S has norm s_i |row_i S|.
-    """
-    norms = [list(map(math.hypot, *row)) for row in mods.tolist()]
-    s = np.ldexp(1.0, -(np.frexp(norms)[1] // 2))
-    bounds = [np.array(list(map(math.hypot, *row))) for row in (mods * s).tolist()]
-    # the three 2x2 minors of the last two rows, e k - f h, d k - f g and
-    # d h - e g, then a minor_0 - b minor_1 + c minor_2
-    left, right = [1, 0, 0], [2, 2, 1]
-    minors = _sub(
-        _mul((re[1, left], im[1, left]), (re[2, right], im[2, right])),
-        _mul((re[1, right], im[1, right]), (re[2, left], im[2, left])),
-    )
-    terms = _mul((re[0], im[0]), minors)
-    det = _add(_sub((terms[0][0], terms[1][0]), (terms[0][1], terms[1][1])), (terms[0][2], terms[1][2]))
-    # |det(S m S)| / prod_i s_i |row_i S|, multiplied out so that no
-    # partial product overflows
-    return np.hypot(*det) * s[0] * s[1] * s[2] <= REL_EPS * (bounds[0] * bounds[1] * bounds[2])
-
-
-def _square(norm_re, norm_im, low, high, pending: _Pending) -> np.ndarray:
-    """Whether the part of each live restriction between its first and last
-    nonzero coefficients is a constant times a square: poly.square_root_roots'
-    test, without its roots.  Degree 0 is the empty square, degree 2 needs
-    b^2 = 4ac and degree 4 two double roots, both to EQUALITY_REL; odd
-    degrees never are squares."""
-    degree = high - low
-    square = degree == 0
-    quadratic = pending.live & (degree == 2)
-    if quadratic.any():
-        cols = np.arange(low.size)
-        k = np.where(quadratic, low, 0)
-        c, b, a = ((norm_re[k + j, cols], norm_im[k + j, cols]) for j in range(3))
-        bb = _mul(b, b)
-        ac4 = _mul(_mul((4.0, 0.0), a), c)
-        tol = EQUALITY_REL * _pymax(np.hypot(*bb), np.hypot(*ac4))
-        square = np.where(quadratic, ~(np.hypot(*_sub(bb, ac4)) > tol), square)
-    quartic = pending.live & (degree == 4)
-    if quartic.any():
-        square = np.where(quartic, _two_double_roots(norm_re, norm_im, quartic, pending), square)
-    return square
-
-
-def _two_double_roots(norm_re, norm_im, where: np.ndarray, pending: _Pending) -> np.ndarray:
-    """poly.two_double_roots_criterion of the monic quartic of each
-    restriction of degree 4, with the default tolerance."""
-    # the monic coefficients (a4, a3, a2, a1), by rows
-    a_re, a_im = _quot((norm_re[:4], norm_im[:4]), (norm_re[4], norm_im[4]))
-    a4, a3, a2, a1 = zip(a_re, a_im)
-    m4, m3, m2, m1 = pending.modulus((a_re, a_im), where)
-    s = 1.0 + _pymax(m1, pending.power(m2, 0.5, where), pending.power(m3, 1.0 / 3.0, where), pending.power(m4, 0.25, where))
-
-    def close(lhs, rhs, floor, where):
-        """abs(lhs - rhs) <= EQUALITY_REL * max(abs(lhs), abs(rhs), floor)."""
-        gap = _sub(lhs, rhs)
-        mods = pending.modulus((np.array([gap[0], lhs[0], rhs[0]]), np.array([gap[1], lhs[1], rhs[1]])), where)
-        return mods[0] <= EQUALITY_REL * _pymax(mods[1], mods[2], floor)
-
-    small = m1 <= EQUALITY_REL * s
-    square = np.zeros(s.size, dtype=bool)
-    # x^4 + a2 x^2 + a4 (a1 = 0): a3 = 0 and 4 a4 = a2^2
-    first = where & small & pending.live
-    if first.any():
-        zero = np.zeros(s.size)
-        held = close(a3, (zero, zero), pending.power(s, 3, first), first)
-        second = first & held & pending.live
-        if second.any():
-            held = held & close(_mul((4.0, 0.0), a4), _mul(a2, a2), pending.power(s, 4, second), second)
-        square = np.where(first, held, square)
-    # otherwise 4 a1 a2 = a1^3 + 8 a3 and a1^2 a4 = a3^2
-    first = where & ~small & pending.live
-    if first.any():
-        cube = _mul(_mul((1.0, 0.0), a1), _mul(a1, a1))  # a1 ** 3, by repeated squaring
-        pending.fail(first & (np.isinf(cube[0]) | np.isinf(cube[1])), lambda i: OverflowError("complex exponentiation"))
-        rhs = _add(cube, _mul((8.0, 0.0), a3))
-        held = close(_mul(_mul((4.0, 0.0), a1), a2), rhs, pending.power(s, 3, first), first)
-        second = first & held & pending.live
-        if second.any():
-            held = held & close(_mul(_mul(a1, a1), a4), _mul(a3, a3), pending.power(s, 6, second), second)
-        square = np.where(first, held, square)
-    return square
-
-
-def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> TangencyReport:
-    """Contact analysis of the conic against the plane section of the surface.
+def conic_contact(plane: Plane, rows) -> Contact:
+    """The type of a conic, given by the nested rows of its normalised
+    matrix, on the plane, with what decides it.
 
     Substituting each branch x2 = -g x1^2 gives a quartic in the chart
     coordinate x1 = y1/y3.  Its exactly vanishing low coefficients are the
@@ -745,43 +404,282 @@ def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> Ta
     The orbit-shaped conics are certified symbolically: substituting
     y2 y3 = alpha y1^2 leaves ((alpha + Q)^2 - f) y1^4, so containment in the
     surface is the vanishing of that residual, to ORBIT_CONTAINMENT_REL.
-
-    The type is Plane.conic_type's, the decision on a batch of one; this adds
-    the contact records: the sorted finite contacts, their residuals and the
-    fixed-point contacts.
     """
-    plane = Plane(params, lam)
-    batch = _batch_of(conic)
-    decision = plane._decide(*batch, _Pending(1))
-    code = int(decision.code[0])
-    norm = decision.norm
-    if norm is None:  # an orbit conic: decided before the branches, which its records still show
-        with np.errstate(all="ignore"):
-            norm = _restrictions(*batch, plane.branch_factors)[2]
-    norms = [tuple(map(complex, norm[0][:, b].tolist(), norm[1][:, b].tolist())) for b in range(2)]
-    if code in (_ORBIT_SHAPE, _ON_SURFACE):
-        pinf = pinfbar = 4
-        contacts = (("Pinf", 2), ("PinfBar", 2))
-        records = tuple(BranchRecord(name, norm, contacts, 0.0) for name, norm in zip(_BRANCHES, norms))
+    if _degenerate(rows):
+        raise DegenerateConicError(_SINGULAR)
+    gm, gp = plane.branch_factors
+
+    alpha = _orbit_alpha(rows)
+    if alpha is not None:
+        resid = (alpha + plane.q) ** 2 - plane.f
+        scale = 1.0 + (alpha + plane.q) ** 2 + abs(plane.f)
+        if abs(resid) <= ORBIT_CONTAINMENT_REL * scale:
+            return Contact(ConicType.CONTAINED_IN_B, "orbit conic lies on the surface", 4, 4, None)
+        return Contact(ConicType.ORBIT, f"orbit residual {resid:.6e}", 4, 4, None)
+
+    branches = []
+    pinf_total = 0
+    pinfbar_total = 0
+    touching = True
+    for name, g in (("g-", gm), ("g+", gp)):
+        rest = restriction(rows, g)
+        if not any(rest):
+            return Contact(
+                ConicType.CONTAINED_IN_B,
+                f"branch {name} restriction vanishes identically",
+                pinf_total,
+                pinfbar_total,
+                tuple(branches),
+            )
+        if abs(rest[2]) < CANCELLATION_FLOOR * abs(rows[0][0]):
+            raise DomainError(
+                f"lost precision at lam={plane.lam!r}: the x1^2 coefficient of the branch {name} restriction "
+                f"keeps {abs(rest[2] / rows[0][0]):.1e} of its terms, below {CANCELLATION_FLOOR:g}"
+            )
+        norm = normalized(rest)
+        nonzero = [k for k, c in enumerate(norm) if c != 0]
+        pinf_mult = nonzero[0]
+        pinfbar_mult = 4 - nonzero[-1]
+        roots = square_root_roots(norm[nonzero[0] : nonzero[-1] + 1])
+        touching = touching and roots is not None
+        pinf_total += pinf_mult
+        pinfbar_total += pinfbar_mult
+        branches.append((name, norm, roots, pinf_mult, pinfbar_mult))
+
+    if not touching:
+        kind, detail = ConicType.NOT_TOUCHING, "a contact of odd order exists"
+    elif pinf_total == 0 and pinfbar_total == 0:
+        kind, detail = ConicType.GENERIC, ""
+    elif pinf_total == 2 and pinfbar_total == 2:
+        kind, detail = ConicType.SPECIAL, ""
+    elif pinf_total == 4 and pinfbar_total == 4:
+        kind, detail = ConicType.ORBIT, ""
     else:
-        lows, highs = decision.low.tolist(), decision.high.tolist()
-        examined = code - _VANISHES if code >= _VANISHES else 2
-        pinf = sum(lows[:examined])
-        pinfbar = sum(4 - high for high in highs[:examined])
-        records = tuple(_branch_record(_BRANCHES[b], norms[b], lows[b], highs[b]) for b in range(examined))
-    kind, detail = _OUTCOMES[code]
-    return TangencyReport(kind, records, pinf, pinfbar, detail.format(pinf=pinf, pinfbar=pinfbar, resid=float(decision.resid[0])))
+        kind = ConicType.NOT_TOUCHING
+        detail = f"unbalanced fixed-point contact ({pinf_total}, {pinfbar_total})"
+    return Contact(kind, detail, pinf_total, pinfbar_total, tuple(branches))
 
 
-def _branch_record(name: str, norm, low: int, high: int) -> BranchRecord:
-    roots = square_root_roots(norm[low : high + 1]) or []
-    contacts: list[tuple[object, int]] = [(complex(z), 2) for z in sorted(roots, key=lambda z: (z.real, z.imag))]
-    residual = max((abs(evaluate(norm, z)) for z in roots), default=0.0)
-    if low:
-        contacts.append(("Pinf", low))
-    if high < 4:
-        contacts.append(("PinfBar", 4 - high))
-    return BranchRecord(branch=name, restriction=norm, contacts=tuple(contacts), residual=residual)
+def _orbit_alpha(rows) -> float | None:
+    """Recover alpha if the conic (nested rows of its matrix) has the orbit
+    shape, else None.  orbit_conic writes literal zeros and the normaliser
+    scales by a positive real, so the shape and the reality of alpha are
+    read exactly."""
+    if rows[0][1] != 0 or rows[0][2] != 0 or rows[1][1] != 0 or rows[2][2] != 0 or rows[1][2] == 0:
+        return None
+    ratio = -rows[0][0] / (2.0 * rows[1][2])
+    if ratio.imag != 0:
+        return None
+    return ratio.real
+
+
+def restriction(rows, g: complex) -> tuple[complex, ...]:
+    """Substitute the branch x2 = -g x1^2 into the conic, given by the nested
+    rows of its matrix, in the chart x1 = y1/y3, x2 = y2/y3; ascending
+    coefficients, degree 4."""
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = rows
+    return (m22, 2.0 * m02, m00 - g * (2.0 * m12), -g * (2.0 * m01), m11 * g * g)
+
+
+def normalized(coeffs) -> tuple[complex, ...]:
+    """Scaled to max modulus 1; all-zero coefficients are kept as they are."""
+    top = max(map(abs, coeffs)) or 1.0
+    return tuple([c / top for c in coeffs])
+
+
+def _degenerate(rows) -> bool:
+    """|det| within REL_EPS of the Hadamard bound, the product of the row
+    norms, of the matrix balanced by the congruence S m S, S = diag(s_i) with
+    s_i = 2^-e_i and e_i half the binary exponent of row i's norm.
+
+    Rows whose scales differ by a factor k lower the ratio of |det| to the
+    bound by about k, so without the congruence a smooth conic far out reads
+    as a line pair.  The congruence keeps the rank, and with powers of two
+    it is exact: det(S m S) = det(m) (s_0 s_1 s_2)^2, and row i of S m S has
+    norm s_i |row_i S|.
+    """
+    (a, b, c), (d, e, f), (g, h, k) = rows
+    (ma, mb, mc), (md, me, mf), (mg, mh, mk) = [map(abs, row) for row in rows]
+    s0 = math.ldexp(1.0, -(math.frexp(math.hypot(ma, mb, mc))[1] // 2))
+    s1 = math.ldexp(1.0, -(math.frexp(math.hypot(md, me, mf))[1] // 2))
+    s2 = math.ldexp(1.0, -(math.frexp(math.hypot(mg, mh, mk))[1] // 2))
+    det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+    norms = (
+        math.hypot(ma * s0, mb * s1, mc * s2)
+        * math.hypot(md * s0, me * s1, mf * s2)
+        * math.hypot(mg * s0, mh * s1, mk * s2)
+    )
+    return abs(det) * s0 * s1 * s2 <= REL_EPS * norms
+
+
+# ---------------------------------------------------------------------------
+# the type decision on a batch: a floating-point filter over conic_contact
+#
+# The filter takes conic_contact's steps on n normalised matrices, an array
+# of shape (3, 3, n), in numpy complex128, whose products, quotients and
+# moduli round otherwise than Python's.  Each comparison x <= t of the
+# decision counts only where |x - t| exceeds a bound on how far either
+# evaluation can be from exact arithmetic, so that both land on the same
+# side.  The bounds follow the standard model, with u = 2^-53: a real
+# operation, and each part of a complex sum, is off by at most u of its
+# result; a complex product by sqrt(5) u of |a| |b|, with or without fused
+# multiply-adds; a complex quotient by 16 u of its modulus, Smith's method
+# as both CPython and numpy divide; a modulus by 2 u; a power by 8 u.  They
+# hold where no operation underflows or overflows, which FILTER_RANGE
+# secures.
+
+_U = 2.0**-53
+
+# Range of the nonzero moduli the filter reads: the matrix entries, the
+# branch factors, alpha + Q, and the normalised and the monic restriction
+# coefficients.  A conic with one outside it goes to conic_contact.  Inside
+# it no product of up to three entries or six monic coefficients leaves the
+# normal floats, so the error model holds, and an exact zero of one
+# evaluation is an exact zero of the other: the only coefficient that can
+# cancel, the x1^2 one, is guarded by FLOOR_MARGIN.
+FILTER_RANGE = (2.0**-300, 2.0**150)
+
+# |det| <= REL_EPS H on the balanced matrix B, with H its Hadamard bound:
+# each evaluation of |det| by cofactors is off by at most (2 sqrt 5 + 3) u
+# times the sum of the moduli of its six products, the permanent of |B|,
+# plus u |det|; the permanent is at most 3^(3/2) H, and REL_EPS H is off by
+# less than 1e-10 u H.  So the two evaluations are sure of the same verdict
+# where |det| - REL_EPS H differs from 0 by more than
+# 2 (3^(3/2) (2 sqrt 5 + 3) + 1) u H = 79.6 u H.
+DET_MARGIN = 80 * _U
+
+# Each takes the balancing exponents from row norms it rounds its own way,
+# each within 4 u of the exact norm: a norm within EXPONENT_BAND of a power
+# of two that changes e_i // 2 may give the two evaluations different
+# balancings, and its conic goes to conic_contact.
+EXPONENT_BAND = 16 * _U
+
+# |(alpha + Q)^2 - f| <= ORBIT_CONTAINMENT_REL S, S = 1 + (alpha + Q)^2 + |f|:
+# alpha + Q is the same float in both; the square (2 u), the residual (u S)
+# and its modulus (u S) leave 4 u S per evaluation, the threshold 5e-9 u S.
+ORBIT_MARGIN = 9 * _U
+
+# |m00 - 2 g m12| < CANCELLATION_FLOOR |m00|, with T = |m00| + 2 |g| |m12|:
+# the coefficient is off by (sqrt 5 + 1) u T per evaluation, its modulus by
+# u T more, the threshold by 3e-6 u T.
+FLOOR_MARGIN = 9 * _U
+
+# The square tests compare expressions in the normalised restriction
+# coefficients c_k, or in the monic ones a_k = c_k / c_4, which the two
+# evaluations already hold rounded apart.  With kappa = T / |m00 - 2 g m12|
+# from the floor above (kappa >= 1), each restriction coefficient is off by
+# at most 4.5 kappa u of its modulus (the x1^4 one, two products, by
+# 2 sqrt 5 u), each c_k by rho_c = (9 kappa + 3) u (the largest modulus and
+# the division), and each a_k by rho_a = 2 rho_c + 16 u.  A test
+# |l - r| <= EQUALITY_REL max(|l|, |r|, s^k) on inputs off by rho is then off
+# by at most (6 rho + 68 u) times P + EQUALITY_REL (P + s^k) per evaluation,
+# P summing the moduli of the products in l and r: that is the test with the
+# s^6 floor, s off by rho + 10 u; the others, and |a1| <= EQUALITY_REL s,
+# are off by less.  Two evaluations, and 1% for the terms of second order
+# (rho < 1e-8 wherever the floor passes): 2.02 (6 rho + 68 u) < 13 rho + 140 u.
+SQUARE_MARGIN = (13.0, 140 * _U)
+
+# the types the filter decides, by code
+_TYPES = np.array(
+    [ConicType.GENERIC, ConicType.SPECIAL, ConicType.ORBIT, ConicType.NOT_TOUCHING, ConicType.CONTAINED_IN_B],
+    dtype=object,
+)
+_GENERIC, _SPECIAL, _ORBIT, _NOT_TOUCHING, _CONTAINED_IN_B = range(5)
+
+# the code of a conic whose restrictions both pass the floor, by
+# [both squares, contact at Pinf, contact at PinfBar], each contact summed
+# over the branches (0 to 8)
+_BY_CONTACT = np.full((2, 9, 9), _NOT_TOUCHING)
+_BY_CONTACT[1, [0, 2, 4], [0, 2, 4]] = _GENERIC, _SPECIAL, _ORBIT
+
+
+def _inside(mods: np.ndarray) -> np.ndarray:
+    """Whether each modulus is zero or within FILTER_RANGE."""
+    lo, hi = FILTER_RANGE
+    return (mods == 0.0) | ((mods >= lo) & (mods <= hi))
+
+
+def _surely_smooth(m: np.ndarray, mods: np.ndarray) -> np.ndarray:
+    """Where _degenerate surely passes: the rows balanced as it balances
+    them, and |det| of the balanced matrix above REL_EPS times its Hadamard
+    bound by DET_MARGIN of the bound.  mods holds the entries' moduli."""
+    norms = np.sqrt((mods * mods).sum(axis=1))
+    low, high = (np.frexp(norms * (1.0 + band))[1] // 2 for band in (-EXPONENT_BAND, EXPONENT_BAND))
+    s = np.ldexp(1.0, -high)
+    ss = s[:, None] * s[None, :]
+    b = m * ss
+    bound = np.sqrt(((mods * ss) ** 2).sum(axis=1)).prod(axis=0)
+    # the minors of the last two rows, e k - f h, d k - f g and d h - e g,
+    # then a minor_0 - b minor_1 + c minor_2
+    left, right = [1, 0, 0], [2, 2, 1]
+    terms = b[0] * (b[1, left] * b[2, right] - b[1, right] * b[2, left])
+    det = terms[0] - terms[1] + terms[2]
+    return (low == high).all(axis=0) & (np.abs(det) - REL_EPS * bound > DET_MARGIN * bound)
+
+
+def _restrictions(m: np.ndarray, g: np.ndarray):
+    """restriction() of each conic of the batch to its branch factor, as an
+    array of shape (5, n), and the moduli sum T = |m00| + 2 |g| |m12| of the
+    terms of each x1^2 coefficient."""
+    two_m12 = 2.0 * m[1, 2]
+    rest = np.array([m[2, 2], 2.0 * m[0, 2], m[0, 0] - g * two_m12, -g * (2.0 * m[0, 1]), m[1, 1] * g * g])
+    return rest, np.abs(m[0, 0]) + np.abs(g) * np.abs(two_m12)
+
+
+def _close(lhs, rhs, floor, products, rho):
+    """poly._close(lhs, rhs, EQUALITY_REL, floor) per lane, and where both
+    evaluations surely agree on it; products sums the moduli of the products
+    in lhs and rhs, whose factors are off by rho (SQUARE_MARGIN)."""
+    gap = np.abs(lhs - rhs) - EQUALITY_REL * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
+    margin = (SQUARE_MARGIN[0] * rho + SQUARE_MARGIN[1]) * (products + EQUALITY_REL * (products + floor))
+    return gap <= 0.0, np.abs(gap) > margin
+
+
+def _square(norm: np.ndarray, low: np.ndarray, high: np.ndarray, rho: np.ndarray):
+    """square_root_roots' test, without its roots, on the part of each
+    normalised restriction (shape (5, n)) between its first and last nonzero
+    coefficients, whose moduli are off by rho: degree 0 is the empty square,
+    degree 2 needs b^2 = 4ac and degree 4 two double roots, both to
+    EQUALITY_REL, and odd degrees never are squares.  Returns the verdicts and
+    where they are sure."""
+    degree = high - low
+    square, sure = degree == 0, np.ones(low.size, dtype=bool)
+    quadratic = degree == 2
+    if quadratic.any():
+        cols = np.arange(low.size)
+        c, b, a = (norm[np.minimum(low + j, 4), cols] for j in range(3))
+        held, held_sure = _close(b * b, 4.0 * a * c, 0.0, np.abs(b) ** 2 + 4.0 * np.abs(a) * np.abs(c), rho)
+        square, sure = np.where(quadratic, held, square), np.where(quadratic, held_sure, sure)
+    quartic = degree == 4
+    if quartic.any():
+        held, held_sure = _two_double_roots(norm, 2.0 * rho + 16.0 * _U)
+        square, sure = np.where(quartic, held, square), np.where(quartic, held_sure, sure)
+    return square, sure
+
+
+def _two_double_roots(norm: np.ndarray, rho: np.ndarray):
+    """poly.two_double_roots_criterion, with the default tolerance, of the
+    monic quartic of each normalised restriction, whose monic coefficients
+    are off by rho; and where it is sure."""
+    a4, a3, a2, a1 = norm[:4] / norm[4]
+    m1, m2, m3, m4 = mods = np.abs([a1, a2, a3, a4])
+    s = 1.0 + np.maximum(np.maximum(m1, m2**0.5), np.maximum(m3 ** (1.0 / 3.0), m4**0.25))
+    small = m1 <= EQUALITY_REL * s
+    margin = (SQUARE_MARGIN[0] * rho + SQUARE_MARGIN[1]) * (m1 + EQUALITY_REL * s)
+    sure = _inside(mods).all(axis=0) & (np.abs(m1 - EQUALITY_REL * s) > margin)
+    square = np.zeros(s.size, dtype=bool)
+    if small.any():  # a1 = 0: a3 = 0 and 4 a4 = a2^2
+        odd, odd_sure = _close(a3, 0.0, s**3, m3, rho)
+        even, even_sure = _close(4.0 * a4, a2 * a2, s**4, 4.0 * m4 + m2 * m2, rho)
+        square = np.where(small, odd & even, square)
+        sure &= ~small | (odd_sure & (~odd | even_sure))
+    if not small.all():  # otherwise 4 a1 a2 = a1^3 + 8 a3 and a1^2 a4 = a3^2
+        cube = a1 * a1 * a1
+        first, first_sure = _close(4.0 * a1 * a2, cube + 8.0 * a3, s**3, 4.0 * m1 * m2 + m1**3 + 8.0 * m3, rho)
+        second, second_sure = _close(a1 * a1 * a4, a3 * a3, s**6, m1 * m1 * m4 + m3 * m3, rho)
+        square = np.where(small, square, first & second)
+        sure &= small | (first_sure & (~first | second_sure))
+    return square, sure
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -54,9 +54,9 @@ from touching_conics.classifier import (
     eliminate,
 )
 from touching_conics.cli import _json_safe, _pairing_samples
-from touching_conics.conics import CANCELLATION_FLOOR, ORBIT_CONTAINMENT_REL, REL_EPS, ConicType, Plane
-from touching_conics.errors import DegenerateConicError, DomainError, InputError, PreconditionError, RealityError
-from touching_conics.poly import companion_roots, evaluate, square_root_roots
+from touching_conics.conics import ConicCoeffs, ConicType, Plane, _conic, conic_contact, normalized, restriction
+from touching_conics.errors import DomainError, InputError, PreconditionError, RealityError
+from touching_conics.poly import companion_roots, evaluate
 from touching_conics.resolution import Bfun, Edge, HKind, LinearForm, ResolutionChoice, _form_values, all_resolutions, h_function
 from touching_conics.surface import (
     Interval,
@@ -244,7 +244,7 @@ def conic_through_points(points) -> np.ndarray:
 
 
 def allclose_symmetric(m) -> bool:
-    """The symmetry test `ConicCoeffs.from_matrix` made through numpy."""
+    """The symmetry test `from_matrix` makes, through numpy."""
     m = np.asarray(m, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # atol is NaN or inf on such entries
@@ -252,7 +252,7 @@ def allclose_symmetric(m) -> bool:
 
 
 def lapack_degenerate(m, rel_eps: float) -> bool:
-    """The degeneracy test `verify_touching` made through numpy: the matrix
+    """The degeneracy test of `conic_contact`, through numpy: the matrix
     balanced by the congruence with diag(2^-e_i), e_i half the binary
     exponent of row i's norm, then |det| by LU factorization against the
     product of the row norms."""
@@ -1064,127 +1064,109 @@ def linf_radii(params: SurfaceParams, lam: float) -> LinfIntersections:
 
 
 # ---------------------------------------------------------------------------
-# the type decision one conic at a time, in Python complex arithmetic: the
-# reference the batched decision of `conics.Plane` reproduces to the bit
+# a conic given by any symmetric matrix, and the contact records of the type
+# decision: the tests' and the acceptance gates' view of conics.conic_contact
+
+# The symmetry test of a matrix given to from_matrix is
+# numpy.allclose(m, m.T) with these: mirrored entries pass when they agree to
+# SYMMETRY_REL of their own size, numpy's default rtol, or to SYMMETRY_TOL of
+# 1 + the largest modulus, about twelve digits, which lets an entry opposite
+# an exact zero differ from it by rounding.  The families' matrices are
+# symmetric by construction.
+SYMMETRY_TOL = 1e-12
+SYMMETRY_REL = 1e-5
 
 
-class Contact(NamedTuple):
-    """What decides a conic's type.  branches holds, per branch examined,
-    (name, normalised restriction, roots of its square root or None, contact
-    at Pinf, contact at PinfBar); it is None for an orbit-shaped conic, whose
-    type is read off alpha."""
+def from_matrix(m) -> ConicCoeffs:
+    """The conic of a symmetric 3x3 matrix, scaled as the families' are."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (3, 3):
+        raise InputError("conic matrix must be 3x3")
+    rows = m.tolist()
+    try:
+        top = max(abs(z) for row in rows for z in row)
+        symmetric = _symmetric(rows, SYMMETRY_TOL * (1.0 + top))
+    except OverflowError:
+        top, symmetric = math.inf, True
+    if not symmetric:
+        raise InputError("conic matrix must be symmetric")
+    if top == 0.0:
+        raise InputError("zero matrix is not a conic")
+    # an infinite entry passes the symmetry test (inf == inf) and would
+    # scale to NaN
+    if top == math.inf:
+        raise InputError("conic matrix entries exceed the float range")
+    return _conic(rows)
 
+
+def _isclose(x: complex, y: complex, atol: float) -> bool:
+    """numpy.isclose(x, y, rtol=SYMMETRY_REL, atol=atol) on Python numbers."""
+    return x == y or (abs(x - y) <= atol + SYMMETRY_REL * abs(y) and cmath.isfinite(y))
+
+
+def _symmetric(rows, atol: float) -> bool:
+    """numpy.allclose(m, m.T, atol=atol) on the nested rows of m: each
+    off-diagonal pair close in both orders, and no NaN on the diagonal."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        x, y = rows[i][j], rows[j][i]
+        if not (_isclose(x, y, atol) and _isclose(y, x, atol)):
+            return False
+    return all(rows[k][k] == rows[k][k] for k in range(3))
+
+
+@dataclass(frozen=True)
+class BranchRecord:
+    """Contact data of the conic against one branch of the plane curve.
+
+    restriction     ascending complex coefficients of the substituted
+                    polynomial, scaled to max modulus 1
+    contacts        (location, multiplicity) pairs; location is the affine
+                    y1/y3 value, or the labels 'Pinf' / 'PinfBar'
+    residual        max |restriction| over the finite contacts
+    """
+
+    branch: str
+    restriction: tuple[complex, ...]
+    contacts: tuple[tuple[object, int], ...]
+    residual: float
+
+
+@dataclass(frozen=True)
+class TangencyReport:
     kind: ConicType
-    detail: str
-    pinf: int
-    pinfbar: int
-    branches: tuple | None
+    branches: tuple[BranchRecord, ...]
+    pinf_contact: int
+    pinfbar_contact: int
+    detail: str = ""
 
 
-def conic_contact(plane: Plane, rows) -> Contact:
-    """The type of a conic, given by the nested rows of its normalised
-    matrix, on the plane, with what decides it; see `verify_touching`."""
-    if _degenerate(rows):
-        raise DegenerateConicError(
-            f"conic matrix is singular: |det| is at most {REL_EPS:g} times its Hadamard bound, so the conic "
-            "cannot be told from a union of lines"
+def verify_touching(conic: ConicCoeffs, params: SurfaceParams, lam: float) -> TangencyReport:
+    """conic_contact's decision on the plane y0 = lam y1, with the contact
+    records of each branch it examined: the sorted finite contacts, their
+    residuals and the fixed-point contacts.  An orbit conic is decided
+    before the branches, which its records still show."""
+    plane = Plane(params, lam)
+    contact = conic_contact(plane, conic.rows)
+    if contact.branches is None:
+        fixed = (("Pinf", 2), ("PinfBar", 2))
+        records = tuple(
+            BranchRecord(name, normalized(restriction(conic.rows, g)), fixed, 0.0)
+            for name, g in zip(("g-", "g+"), plane.branch_factors)
         )
-    gm, gp = plane.branch_factors
-
-    alpha = _orbit_alpha(rows)
-    if alpha is not None:
-        resid = (alpha + plane.q) ** 2 - plane.f
-        scale = 1.0 + (alpha + plane.q) ** 2 + abs(plane.f)
-        if abs(resid) <= ORBIT_CONTAINMENT_REL * scale:
-            return Contact(ConicType.CONTAINED_IN_B, "orbit conic lies on the surface", 4, 4, None)
-        return Contact(ConicType.ORBIT, f"orbit residual {resid:.6e}", 4, 4, None)
-
-    branches = []
-    pinf_total = 0
-    pinfbar_total = 0
-    touching = True
-    for name, g in (("g-", gm), ("g+", gp)):
-        rest = restriction(rows, g)
-        if not any(rest):
-            return Contact(
-                ConicType.CONTAINED_IN_B,
-                f"branch {name} restriction vanishes identically",
-                pinf_total,
-                pinfbar_total,
-                tuple(branches),
-            )
-        if abs(rest[2]) < CANCELLATION_FLOOR * abs(rows[0][0]):
-            raise DomainError(
-                f"lost precision at lam={plane.lam!r}: the x1^2 coefficient of the branch {name} restriction "
-                f"keeps {abs(rest[2] / rows[0][0]):.1e} of its terms, below {CANCELLATION_FLOOR:g}"
-            )
-        norm = normalized(rest)
-        nonzero = [k for k, c in enumerate(norm) if c != 0]
-        pinf_mult = nonzero[0]
-        pinfbar_mult = 4 - nonzero[-1]
-        roots = square_root_roots(norm[nonzero[0] : nonzero[-1] + 1])
-        touching = touching and roots is not None
-        pinf_total += pinf_mult
-        pinfbar_total += pinfbar_mult
-        branches.append((name, norm, roots, pinf_mult, pinfbar_mult))
-
-    if not touching:
-        kind, detail = ConicType.NOT_TOUCHING, "a contact of odd order exists"
-    elif pinf_total == 0 and pinfbar_total == 0:
-        kind, detail = ConicType.GENERIC, ""
-    elif pinf_total == 2 and pinfbar_total == 2:
-        kind, detail = ConicType.SPECIAL, ""
-    elif pinf_total == 4 and pinfbar_total == 4:
-        kind, detail = ConicType.ORBIT, ""
     else:
-        kind = ConicType.NOT_TOUCHING
-        detail = f"unbalanced fixed-point contact ({pinf_total}, {pinfbar_total})"
-    return Contact(kind, detail, pinf_total, pinfbar_total, tuple(branches))
+        records = tuple(_branch_record(*branch) for branch in contact.branches)
+    return TangencyReport(contact.kind, records, contact.pinf, contact.pinfbar, contact.detail)
 
 
-def _orbit_alpha(rows) -> float | None:
-    """Recover alpha if the conic (nested rows of its matrix) has the orbit
-    shape, else None.  orbit_conic writes literal zeros and the normaliser
-    scales by a positive real, so the shape and the reality of alpha are
-    read exactly."""
-    if rows[0][1] != 0 or rows[0][2] != 0 or rows[1][1] != 0 or rows[2][2] != 0 or rows[1][2] == 0:
-        return None
-    ratio = -rows[0][0] / (2.0 * rows[1][2])
-    if ratio.imag != 0:
-        return None
-    return ratio.real
-
-
-def restriction(rows, g: complex) -> tuple[complex, ...]:
-    """Substitute the branch x2 = -g x1^2 into the conic, given by the nested
-    rows of its matrix, in the chart x1 = y1/y3, x2 = y2/y3; ascending
-    coefficients, degree 4."""
-    (m00, m01, m02), (_, m11, m12), (_, _, m22) = rows
-    return (m22, 2.0 * m02, m00 - g * (2.0 * m12), -g * (2.0 * m01), m11 * g * g)
-
-
-def normalized(coeffs) -> tuple[complex, ...]:
-    """Scaled to max modulus 1; all-zero coefficients are kept as they are."""
-    top = max(map(abs, coeffs)) or 1.0
-    return tuple([c / top for c in coeffs])
-
-
-def _degenerate(rows) -> bool:
-    """|det| within REL_EPS of the Hadamard bound, the product of the row
-    norms, of the matrix balanced by the congruence S m S, S = diag(s_i) with
-    s_i = 2^-e_i and e_i half the binary exponent of row i's norm."""
-    (a, b, c), (d, e, f), (g, h, k) = rows
-    (ma, mb, mc), (md, me, mf), (mg, mh, mk) = [map(abs, row) for row in rows]
-    s0 = math.ldexp(1.0, -(math.frexp(math.hypot(ma, mb, mc))[1] // 2))
-    s1 = math.ldexp(1.0, -(math.frexp(math.hypot(md, me, mf))[1] // 2))
-    s2 = math.ldexp(1.0, -(math.frexp(math.hypot(mg, mh, mk))[1] // 2))
-    det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
-    norms = (
-        math.hypot(ma * s0, mb * s1, mc * s2)
-        * math.hypot(md * s0, me * s1, mf * s2)
-        * math.hypot(mg * s0, mh * s1, mk * s2)
-    )
-    return abs(det) * s0 * s1 * s2 <= REL_EPS * norms
+def _branch_record(name: str, norm, roots, pinf: int, pinfbar: int) -> BranchRecord:
+    roots = roots or []
+    contacts: list[tuple[object, int]] = [(complex(z), 2) for z in sorted(roots, key=lambda z: (z.real, z.imag))]
+    residual = max((abs(evaluate(norm, z)) for z in roots), default=0.0)
+    if pinf:
+        contacts.append(("Pinf", pinf))
+    if pinfbar:
+        contacts.append(("PinfBar", pinfbar))
+    return BranchRecord(branch=name, restriction=norm, contacts=tuple(contacts), residual=residual)
 
 
 # ---------------------------------------------------------------------------

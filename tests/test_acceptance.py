@@ -25,6 +25,7 @@ from oracles import (
     h_handle,
     quartic_double_double,
     series_presentation,
+    verify_touching,
 )
 from touching_conics.analysis import (
     h0_pairing,
@@ -38,7 +39,6 @@ from touching_conics.conics import (
     Plane,
     min_real_form,
     orbit_conic,
-    verify_touching,
 )
 from touching_conics.poly import two_double_roots_criterion
 from touching_conics.resolution import (
@@ -152,6 +152,7 @@ def test_acceptance_3_tangency_certification(params_star):
                     ok &= abs(det_raw - expected_det) < 1e-9 * abs(expected_det)
                     rep = verify_touching(conic, params_star, lam)
                     ok &= rep.kind is family
+                    ok &= Plane(params_star, lam).conic_type(conic) is family
                     for br in rep.branches:
                         ok &= br.residual < 1e-8
                         mults = sorted(m for _, m in br.contacts)
@@ -194,7 +195,7 @@ def test_acceptance_5_h_tables(params_draws):
     for params in params_draws:
         rep = verify_h_tables(analysis_of(params))
         ok &= rep.passed
-        failures.extend(rep.failures())
+        failures.extend(r for r in rep.rows if not r.passed)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
     _gate(5, f"h tables on 3 parameter sets ({elapsed:.1f}s, {len(failures)} failing rows)", ok)

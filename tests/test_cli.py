@@ -202,7 +202,7 @@ def test_report_timings_opt_in(star_arg, tmp_path):
 
 
 def test_tangency_timings_opt_in(star_arg, tmp_path):
-    argv = ["--params", star_arg, "--lambda", "-0.5", "--grid", "32"]
+    argv = ["--params", star_arg, "--lambda", "-0.5", "--grid", "256"]
     plain = tmp_path / "t.json"
     assert run(argv + ["--out", str(plain), "tangency"]) == EXIT_OK
     first = plain.read_bytes()
@@ -212,16 +212,18 @@ def test_tangency_timings_opt_in(star_arg, tmp_path):
     untimed = _load(plain)
     assert run(argv + ["--timings", "--out", str(plain), "tangency"]) == EXIT_OK
     doc = _load(plain)
-    # 32 generic and 31 orbit conics on an f > 0 plane
-    assert doc["timings"]["conics"] == len(doc["rows"]) == 63
+    # 256 generic and 255 orbit conics on an f > 0 plane, every one settled
+    # by the filter: none left to the exact decision
+    assert doc["timings"]["conics"] == len(doc["rows"]) == 511
+    assert doc["timings"]["exact_conics"] == 0
     assert 0.0 < doc["timings"]["tangency_s"] == round(doc["timings"]["tangency_s"], 6)
     # the two batched decisions, one per family, are part of the sweep
     assert 0.0 < doc["timings"]["decide_s"] == round(doc["timings"]["decide_s"], 6)
     assert doc["timings"]["decide_s"] <= doc["timings"]["tangency_s"]
-    assert sorted(doc["timings"]) == ["conics", "decide_s", "tangency_s"]
+    assert sorted(doc["timings"]) == ["conics", "decide_s", "exact_conics", "tangency_s"]
     del doc["timings"]
     assert doc == untimed
-    # a conic export times its one decision, a batch of one
+    # a conic export times its one decision, the exact one
     for family in ("generic", "orbit"):
         assert run(argv + ["--out", str(plain), "conic", "--type", family]) == EXIT_OK
         untimed = plain.read_text(encoding="utf-8")
@@ -232,7 +234,8 @@ def test_tangency_timings_opt_in(star_arg, tmp_path):
         end = timed.index("\n  }", start) + len("\n  },")
         assert timed[:start] + timed[end:] == untimed
         timings = json.loads(timed)["timings"]
-        assert list(timings) == ["decide_s"] and 0.0 < timings["decide_s"] == round(timings["decide_s"], 6)
+        assert list(timings) == ["decide_s", "exact_conics"] and timings["exact_conics"] == 1
+        assert 0.0 < timings["decide_s"] == round(timings["decide_s"], 6)
 
 
 def test_malformed_numbers_are_usage_errors(tmp_path):
@@ -544,8 +547,10 @@ def test_report_bytes_equal_the_golden_documents(params_draws, capsys, which):
 
 
 # planes of params_star in I1, I2, I3, I4minus and I4plus, one f > 0 and one
-# f < 0 plane at the benchmark's --grid 256, and one conic of each family;
-# the flags after --params of each golden document
+# f < 0 plane at the benchmark's --grid 256, the two planes 1e-5 either side
+# of lambda0 = 2, where the generic family's degeneracy ratio
+# (Q^2 - f) / (f + Q^2) is smallest, and one conic of each family; the flags
+# after --params of each golden document
 _GOLDEN_PLANES = {
     "tangency_I1": ["--lambda=-2.5", "--grid", "64", "tangency"],
     "tangency_I2": ["--lambda=-0.5", "--grid", "64", "tangency"],
@@ -554,6 +559,8 @@ _GOLDEN_PLANES = {
     "tangency_I4plus": ["--lambda", "3.0", "--grid", "64", "tangency"],
     "tangency_I2_grid256": ["--lambda=-0.5", "--grid", "256", "tangency"],
     "tangency_I1_grid256": ["--lambda=-2.5", "--grid", "256", "tangency"],
+    "tangency_I4minus_grid256": ["--lambda", "1.99999", "--grid", "256", "tangency"],
+    "tangency_I4plus_grid256": ["--lambda", "2.00001", "--grid", "256", "tangency"],
     "conic_generic": ["--lambda=-0.5", "--theta", "0.4", "conic", "--type", "generic"],
     "conic_special": ["--lambda=-2.0", "--theta", "0.7", "conic", "--type", "special"],
     "conic_orbit": ["--lambda", "3.0", "--alpha", "0.7", "conic", "--type", "orbit"],

@@ -12,31 +12,32 @@ from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from oracles import (
-    Contact,
     allclose_symmetric,
-    conic_contact,
     conic_through_points,
+    from_matrix,
     generic_positivity_bound,
     grid_minimum_on_slice,
     lapack_degenerate,
     linf_radii,
-    normalized,
     polarized_gram,
     quartic_double_double,
-    restriction,
     special_positivity_bound,
+    verify_touching,
 )
 from touching_conics.conics import (
+    FAMILIES,
     REL_EPS,
-    _OUTCOMES,
+    Contact,
     ConicCoeffs,
     ConicType,
     Plane,
-    _Pending,
+    conic_contact,
     min_real_form,
+    normalized,
     orbit_conic,
     real_slice_gram,
-    verify_touching,
+    restriction,
+    _square,
 )
 from touching_conics.errors import (
     DegenerateConicError,
@@ -46,7 +47,7 @@ from touching_conics.errors import (
     NotFoundError,
     PreconditionError,
 )
-from touching_conics.poly import two_double_roots_criterion
+from touching_conics.poly import square_root_roots, two_double_roots_criterion
 from touching_conics.surface import SearchConfig, disc_value, f_value, find_valid_params, intervals, q_value, s_minus_q
 
 
@@ -204,7 +205,7 @@ def test_verify_touching_agrees_with_root_pairing_oracle(params_draws):
                     conic = Plane(p, lam).generic(theta)
                     moved = conic.m.copy()
                     moved[0, 0] *= 1.001
-                    for c in (conic, ConicCoeffs.from_matrix(moved)):
+                    for c in (conic, from_matrix(moved)):
                         rep = verify_touching(c, p, lam)
                         for br in rep.branches:
                             oracle = quartic_double_double(br.restriction)
@@ -246,7 +247,7 @@ def test_far_planes_certify_or_end_in_an_error(params_star):
 def test_verify_touching_random_conic(params_star):
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-    conic = ConicCoeffs.from_matrix(conic_through_points(pts))
+    conic = from_matrix(conic_through_points(pts))
     assert verify_touching(conic, params_star, -0.5).kind is ConicType.NOT_TOUCHING
 
 
@@ -254,12 +255,12 @@ def test_verify_touching_degenerate_conic(params_star):
     line_pair = np.zeros((3, 3), dtype=complex)
     line_pair[0, 1] = line_pair[1, 0] = 0.5  # y1 * y2 = 0
     with pytest.raises(DegenerateConicError):
-        verify_touching(ConicCoeffs.from_matrix(line_pair), params_star, -0.5)
+        verify_touching(from_matrix(line_pair), params_star, -0.5)
 
 
 def _accepted(m) -> bool:
     try:
-        ConicCoeffs.from_matrix(m)
+        from_matrix(m)
     except InputError:
         return False
     return True
@@ -295,12 +296,12 @@ def test_symmetry_check_matches_allclose_oracle():
     ):
         assert not allclose_symmetric(m)
         with pytest.raises(InputError):
-            ConicCoeffs.from_matrix(m)
+            from_matrix(m)
     # moduli beyond the float range: numpy scaled these to a zero matrix,
     # and an infinite entry, symmetric as inf == inf, to NaN
     for m in (np.full((3, 3), 1.5e308 + 1.5e308j), np.diag([math.inf, 1.0, 1.0]), np.diag([1.0, -math.inf, 1.0])):
         with pytest.raises(InputError, match="exceed the float range"):
-            ConicCoeffs.from_matrix(m)
+            from_matrix(m)
 
 
 def test_normalised_rows_round_as_numpy_division():
@@ -324,17 +325,13 @@ def test_normalised_rows_round_as_numpy_division():
         # complex number can differ from it in the last bit
         top = max(abs(z) for z in m.ravel().tolist())
         expected = np.asarray(m, dtype=complex) / top
-        rows = ConicCoeffs.from_matrix(m).rows
+        rows = from_matrix(m).rows
         for i in range(3):
             for j in range(3):
                 z, w = rows[i][j], expected[i, j]
                 assert (repr(z.real), repr(z.imag)) == (repr(float(w.real)), repr(float(w.imag))), (m, i, j)
                 entries += 1
     assert entries > 3000 and signed_zeros > 100
-
-
-# each family's constructor, as a function of (plane, knob)
-_FAMILIES = {"generic": Plane.generic, "special": Plane.special, "orbit": lambda plane, alpha: orbit_conic(alpha)}
 
 
 def test_batched_members_equal_the_constructors_rows(params_draws):
@@ -351,10 +348,10 @@ def test_batched_members_equal_the_constructors_rows(params_draws):
             sf = math.sqrt(abs(plane.f))
             alphas = [-plane.q - sf + 2.0 * sf * k / 256 for k in range(1, 256)] + list(rng.normal(size=16) * 10.0)
             for family, knobs in ((circles, angles), ("orbit", alphas)):
-                re, im = plane._members(family, np.array(knobs), _Pending(len(knobs)))
+                m = plane._members(family, np.array(knobs))
                 for k, knob in enumerate(knobs):
-                    rows = _FAMILIES[family](plane, knob).rows
-                    got = [[(repr(float(re[i, j, k])), repr(float(im[i, j, k]))) for j in range(3)] for i in range(3)]
+                    rows = FAMILIES[family](plane, knob).rows
+                    got = [[(repr(float(m[i, j, k].real)), repr(float(m[i, j, k].imag))) for j in range(3)] for i in range(3)]
                     assert got == [[(repr(z.real), repr(z.imag)) for z in row] for row in rows], (lam, family, knob)
                     entries += 9
     assert entries > 30000
@@ -386,10 +383,10 @@ def test_degeneracy_verdict_matches_lapack_oracle(params_draws):
         cases += [(p, -2.0, Plane(p, -2.0).special(t)) for t in (0.3, 2.5)]
         cases += [(p, -0.5, orbit_conic(a)) for a in (-0.7, 1.3)]
     p = params_draws[0]
-    cases += [(p, -0.5, ConicCoeffs.from_matrix(sym())) for _ in range(30)]
+    cases += [(p, -0.5, from_matrix(sym())) for _ in range(30)]
     # a line pair moved off degeneracy by 1e-4 .. 1e-16: both verdicts
     for k in range(4, 17):
-        cases.append((p, -0.5, ConicCoeffs.from_matrix(line_pair() + sym(10.0**-k))))
+        cases.append((p, -0.5, from_matrix(line_pair() + sym(10.0**-k))))
     verdicts = {True: 0, False: 0}
     for params, lam, conic in cases:
         expected = lapack_degenerate(conic.m, REL_EPS)
@@ -400,7 +397,7 @@ def test_degeneracy_verdict_matches_lapack_oracle(params_draws):
     pairs.append(np.diag([1.0, 0.0, 0.0]))  # the double line y1^2
     pairs.append(np.diag([0.0, 1.0, -1.0]))  # (y2 - y3)(y2 + y3)
     for m in pairs:
-        conic = ConicCoeffs.from_matrix(m)
+        conic = from_matrix(m)
         assert lapack_degenerate(conic.m, REL_EPS)
         with pytest.raises(DegenerateConicError):
             verify_touching(conic, p, -0.5)
@@ -468,7 +465,7 @@ def test_min_real_form_requires_reality():
     skew[0, 0] = 1.0
     skew[1, 1] = 1.0j
     with pytest.raises(PreconditionError):
-        min_real_form(ConicCoeffs.from_matrix(skew))
+        min_real_form(from_matrix(skew))
 
 
 def test_linf_radii(params_star):
@@ -513,7 +510,7 @@ def test_family_sweep_reality_and_classification(params_star):
 
 
 # ---------------------------------------------------------------------------
-# the batched type decision against the per-conic reference in oracles.py:
+# the filtered batch decision against the exact per-conic one, conic_contact:
 # type for type, and on error the same class and text at the same conic
 
 # the targets of the three reference draws
@@ -547,7 +544,7 @@ def _one_by_one(plane: Plane, family: str, knobs):
     that raises: the reference of Plane.conic_types."""
     kinds = []
     for knob in knobs:
-        kind = _outcome(lambda: conic_contact(plane, _FAMILIES[family](plane, knob).rows).kind)
+        kind = _outcome(lambda: conic_contact(plane, FAMILIES[family](plane, knob).rows).kind)
         if isinstance(kind, tuple):
             return kind
         kinds.append(kind)
@@ -627,15 +624,16 @@ def _in_order(plane: Plane, conics):
 
 def _batch(plane: Plane, conics):
     """The types of the conics decided as one batch, as Plane.conic_types
-    decides a family's members."""
+    decides a family's members: the filter, then conic_contact on each conic
+    it leaves open."""
     m = np.array([conic.rows for conic in conics]).transpose(1, 2, 0)
-    return [_OUTCOMES[code][0] for code in plane._decide(m.real, m.imag, _Pending(len(conics))).code.tolist()]
+    return plane._decide(m, conics.__getitem__)
 
 
 def _cancelling(g: complex) -> ConicCoeffs:
     """A smooth conic whose restriction to the branch g cancels to an exact
     zero x1^2 coefficient, m00 = 2 g m12."""
-    return ConicCoeffs.from_matrix([[g, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
+    return from_matrix([[g, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
 
 
 def test_batch_raises_at_its_first_failing_conic(params_star):
@@ -671,7 +669,7 @@ def test_batch_keeps_the_branch_order_of_each_conic(params_star):
         g_minus, g_plus = near.branch_factors
         assert abs(g_plus - g_minus) < 1e-6 * abs(g_minus)
         ends_on_minus = (
-            ConicCoeffs.from_matrix([[g_minus, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
+            from_matrix([[g_minus, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
             if near.f < 0.0
             else _cancelling(g_minus)
         )
@@ -688,9 +686,132 @@ def test_batch_keeps_the_branch_order_of_each_conic(params_star):
             assert "branch g- restriction" in _in_order(near, [ends_on_minus])[1]
 
 
+def _crossing(make, side, lo: float, hi: float) -> float:
+    """The float x in [lo, hi] at which side(make(x)) changes, found by
+    bisection to adjacent floats; side differs at lo and hi."""
+    start = side(make(lo))
+    assert side(make(hi)) != start
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if side(make(mid)) == start:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _band(x: float) -> list[float]:
+    """x, its neighbours 1 and 2 ulps away, and x moved by 1e-14, 1e-12 and
+    1e-10 of itself, on both sides."""
+    below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+    near = [math.nextafter(below, -math.inf), below, x, above, math.nextafter(above, math.inf)]
+    return sorted(near + [x + d * abs(x) for d in (-1e-10, -1e-12, -1e-14, 1e-14, 1e-12, 1e-10)])
+
+
+def _moved(conic: ConicCoeffs, i: int, j: int, t: float) -> ConicCoeffs:
+    """The conic with entry (i, j), and its mirror, moved by t of itself, or
+    to t where it is zero."""
+    m = np.array(conic.rows)
+    m[i, j] = m[j, i] = m[i, j] * (1.0 + t) if m[i, j] != 0 else t
+    return from_matrix(m)
+
+
+def _kind(plane: Plane):
+    """The outcome of conic_contact on the plane, as a function of a conic."""
+    return lambda conic: _outcome(lambda: conic_contact(plane, conic.rows).kind)
+
+
+def _raises(plane: Plane):
+    """Whether conic_contact raises on the plane, as a function of a conic."""
+    return lambda conic: isinstance(_kind(plane)(conic), tuple)
+
+
+def _branch_square(plane: Plane, branch: int):
+    """Whether conic_contact finds the restriction to the branch a square."""
+    return lambda conic: conic_contact(plane, conic.rows).branches[branch][2] is not None
+
+
+def test_batch_decides_each_threshold_band_as_the_exact_decision(params_star):
+    # conics 1 ulp to 1e-10 on either side of each threshold of the decision,
+    # found by bisection on conic_contact's own outcome, decided as one batch:
+    # the filter must leave every conic it cannot settle to conic_contact,
+    # which gives each its verdict or error
+    f_pos, f_neg = Plane(params_star, -0.5), Plane(params_star, -2.0)
+    generic, special = f_pos.generic(0.4), f_neg.special(0.7)
+    # complex entries, whose products numpy and Python round apart
+    rng = np.random.default_rng(53)
+    u, v, w = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    line_pair, opening = np.outer(u, v) + np.outer(v, u), np.outer(w, w)
+    m12 = complex(rng.normal(), rng.normal())
+    # restrictions to g- whose x1^2 coefficient keeps four digits fewer than
+    # its terms: m11 g^2 x1^4 + 2 g z 1e-4 x1^2 + 1, a square in x1^2
+    g = f_neg.branch_factors[0]
+    cancelled = [
+        from_matrix([[2 * g * z * (1 + 1e-4), 0, 0], [0, (1e-4 * z) ** 2, z], [0, z, 1]])
+        for z in rng.normal(size=4) + 1j * rng.normal(size=4)
+    ]
+    # a restriction to g- that is (x1^2 + 0.7 x1 + 0.4)^2, so a1 = 1.4
+    p, r, g = 0.7, 0.4, f_pos.branch_factors[0].real
+    squared = from_matrix([[p * p + 2 * r + 0.6 * g, -p / g, p * r], [-p / g, 1 / g**2, 0.3], [p * r, 0.3, r * r]])
+
+    def opened(g, t):
+        """A smooth conic whose restriction to g has m00 = 2 g m12 (1 + t)."""
+        return from_matrix([[2 * g * m12 * (1 + t), 0, 0], [0, 1, m12], [0, m12, 1]])
+
+    cases = [
+        # the degeneracy ratio REL_EPS: a line pair opened by t
+        (f_pos, lambda t: from_matrix(line_pair + t * opening), _raises(f_pos), 0.0, 1e-6),
+        # CANCELLATION_FLOOR on g- and on g+: m00 = 2 g m12 (1 + t)
+        *(
+            (plane, lambda t, g=g: opened(g, t), _raises(plane), 0.0, side * 1e-5)
+            for plane in (f_pos, f_neg)
+            for g in plane.branch_factors
+            for side in (-1.0, 1.0)
+        ),
+        # EQUALITY_REL in the quadratic test of a special conic's restrictions
+        *((f_neg, lambda t: _moved(special, 0, 0, t), _kind(f_neg), 0.0, side * 1e-6) for side in (-1.0, 1.0)),
+        # the quartic test with a1 = 0 on a generic conic: 4 a4 = a2^2, a3 = 0,
+        # and |a1| against EQUALITY_REL s
+        *((f_pos, lambda t: _moved(generic, 0, 0, t), _kind(f_pos), 0.0, side * 1e-6) for side in (-1.0, 1.0)),
+        (f_pos, lambda t: _moved(generic, 0, 2, t), _kind(f_pos), 0.0, 1e-6),
+        (f_pos, lambda t: _moved(generic, 0, 1, t), _branch_square(f_pos, 0), 1e-12, 1e-6),
+        # 4 a4 = a2^2 on restrictions whose x1^2 coefficient has cancelled
+        *(
+            (f_neg, lambda t, c=c: _moved(c, 1, 1, t), _branch_square(f_neg, 0), 0.0, side * 1e-6)
+            for c in cancelled
+            for side in (-1.0, 1.0)
+        ),
+        # the quartic test with a1 != 0: 4 a1 a2 = a1^3 + 8 a3 and a1^2 a4 = a3^2
+        *((f_pos, lambda t, k=k: _moved(squared, k, k, t), _branch_square(f_pos, 0), 0.0, 1e-6) for k in (0, 2)),
+        # ORBIT_CONTAINMENT_REL at both ends of the orbit family's span
+        *(
+            (f_pos, lambda t, end=end: orbit_conic(end + t), _kind(f_pos), 0.0, math.copysign(1e-6, end + f_pos.q))
+            for end in (-f_pos.q - math.sqrt(f_pos.f), -f_pos.q + math.sqrt(f_pos.f))
+        ),
+    ]
+    for plane, make, side, lo, hi in cases:
+        conics = [make(t) for t in _band(_crossing(make, side, lo, hi))]
+        assert len({side(conic) for conic in conics}) == 2
+        before = plane.exact_conics
+        assert _outcome(lambda: _batch(plane, conics)) == _in_order(plane, conics)
+        for conic in conics:
+            assert _outcome(lambda: _batch(plane, [conic])) == _in_order(plane, [conic])
+        assert plane.exact_conics > before  # the filter left the band to conic_contact
+        # where the filter settles a branch's square test on conic_contact's
+        # own restriction, it settles it as square_root_roots does
+        for conic in conics:
+            for g in plane.branch_factors:
+                norm = normalized(restriction(conic.rows, g))
+                nonzero = [k for k, c in enumerate(norm) if c != 0]
+                square, sure = _square(np.array(norm)[:, None], np.array(nonzero[:1]), np.array(nonzero[-1:]), 0.0)
+                if sure[0]:
+                    assert square[0] == (square_root_roots(norm[nonzero[0] : nonzero[-1] + 1]) is not None)
+
+
 def test_single_conic_decision_equals_the_per_conic_oracle(params_draws):
-    # conic_type and verify_touching read the batch of one: the same type,
-    # detail and fixed-point contacts as the reference, and the records
+    # conic_type, verify_touching's records and a batch of one give the
+    # type, detail and fixed-point contacts of conic_contact, and the records
     # built from its restrictions; on random, perturbed, orbit-shaped and
     # line-pair matrices too
     rng = np.random.default_rng(43)
@@ -714,21 +835,22 @@ def test_single_conic_decision_equals_the_per_conic_oracle(params_draws):
             moved = conic.m.copy()
             moved[k // 3, k % 3] += 1e-3
             moved[k % 3, k // 3] = moved[k // 3, k % 3]
-            cases.append((plane, ConicCoeffs.from_matrix(moved)))
-    cases += [(plane, ConicCoeffs.from_matrix(sym())) for _ in range(20)]
+            cases.append((plane, from_matrix(moved)))
+    cases += [(plane, from_matrix(sym())) for _ in range(20)]
     # the y2^2 coefficient tiny beside the rest: the monic quartic of a
     # branch restriction overflows, and Python raises on its modulus, on a
     # float power or on a1 ** 3
     for m11, m01 in ((1.3e-309 + 1.3e-309j, 0.0), (2e-309 + 2e-309j, 0.0), (1e-300, 0.0), (1e-110, 0.5)):
         m = [[1.0, m01, 0.0], [m01, m11, 0.3], [0.0, 0.3, 1.0]]
-        cases.append((plane, ConicCoeffs.from_matrix(m)))
+        cases.append((plane, from_matrix(m)))
     # the x1^4 coefficient zero: a restriction of degree 2 or 3
-    cases.append((plane, ConicCoeffs.from_matrix([[1.0, 0.2, 0.1], [0.2, 0, 0.3], [0.1, 0.3, 1.0]])))
+    cases.append((plane, from_matrix([[1.0, 0.2, 0.1], [0.2, 0, 0.3], [0.1, 0.3, 1.0]])))
     errors = 0
     for plane, conic in cases:
         expected = _outcome(lambda: conic_contact(plane, conic.rows))
         raised = not isinstance(expected, Contact)
         assert _outcome(lambda: plane.conic_type(conic)) == (expected if raised else expected.kind), conic.rows
+        assert _outcome(lambda: _batch(plane, [conic])) == (expected if raised else [expected.kind]), conic.rows
         rep = _outcome(lambda: verify_touching(conic, plane.params, plane.lam))
         if raised:
             assert rep == expected
