@@ -17,6 +17,10 @@ forms; an endpoint limit is Zero or Infinity by the sign of the function's
 vanishing order there, read off the valuations of f, u and the forms.  On
 admissible input those valuations depend only on which forms vanish at the
 edge, so a limit is a function of (kind, key, edge) alone.
+
+The module also holds the broken pairing of the generic family inside I2,
+and PSI: the claims about the radial profile of the line correspondence,
+each stated exactly, with the identity it follows from.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, InputError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .poly import (
     companion_roots,
     evaluate,
@@ -482,21 +486,19 @@ def h0_pairing(analysis: RadiusAnalysis, lam: float) -> float:
 # the radial profile of the line correspondence at the ordinary double point
 
 
-def k_profile(r: float) -> float:
-    """k(r) = r / (1 + sqrt(1 + r^2)), the radial profile of the
-    correspondence between real lines through the double point and the
-    exceptional curve."""
-    return r / (1.0 + math.sqrt(1.0 + r * r))
-
-
 @dataclass(frozen=True)
 class PsiReport:
+    """The claims about the radial profile k(r) = r / (1 + sqrt(1 + r^2)),
+    which relates real lines through the double point to the exceptional
+    curve, and the identity they rest on."""
+
     k_at_zero: float
     monotone: bool
     sup_value: float
     sup_below_one: bool
     limit_ok: bool
     boundary_derivative: float
+    identity: str
 
     @property
     def passed(self) -> bool:
@@ -509,42 +511,15 @@ class PsiReport:
         )
 
 
-# The step of the one-sided difference quotient of k(1/s) at s = 0.  Its
-# truncation error grows like s (k(1/s) = 1 - s + s^2/2 - ...) and its
-# rounding error like eps / s, since k(1/s) - 1 cancels all but the last bits
-# of k; a step near sqrt(eps) = 1.5e-8 balances the two, leaving the quotient
-# within about 1e-8 of the derivative -1, far from the 0.1 the check needs.
-PSI_DIFFERENCE_STEP = 1e-8
-
-# How close to its cap of 1 the profile must come at r = 1e6.  There
-# k = 1 - 1/r + O(r^-2) lies 1e-6 below 1; ten times that leaves room for the
-# rounding of k while still telling a profile that tends to 1 from one that
-# levels off below it.
-PSI_CAP_MARGIN = 1e-5
-
-
-@functools.cache
-def psi_check(samples: int = 1000) -> PsiReport:
-    """Monotonicity and boundary behavior of the radial profile.
-
-    Strict increase on a log-spaced grid, k(0) = 0, values capped below 1
-    with k(10^6) within PSI_CAP_MARGIN of it, and a nonvanishing derivative
-    of k(1/s) at s = 0 (numerically, the one-sided difference quotient with
-    step PSI_DIFFERENCE_STEP).  It depends on no parameter set, so each
-    sample count is checked once per process; the frozen report is shared."""
-    if samples < 10:
-        raise InputError("need at least 10 samples")
-    rs = [10.0 ** (-6.0 + 12.0 * i / (samples - 1)) for i in range(samples)]
-    ks = [k_profile(r) for r in rs]
-    monotone = all(ks[i + 1] > ks[i] for i in range(len(ks) - 1))
-    sup_value = ks[-1]
-    s = PSI_DIFFERENCE_STEP
-    boundary = (k_profile(1.0 / s) - 1.0) / s
-    return PsiReport(
-        k_at_zero=k_profile(0.0),
-        monotone=monotone,
-        sup_value=sup_value,
-        sup_below_one=all(k < 1.0 for k in ks),
-        limit_ok=k_profile(1e6) > 1.0 - PSI_CAP_MARGIN,
-        boundary_derivative=boundary,
-    )
+# Every claim holds in closed form.  k = tan(arctan(r) / 2), so k(0) = 0, k
+# increases, k < 1 and k -> 1: the supremum 1 is not attained.  k(1/s) =
+# sqrt(1 + s^2) - s, whose derivative at s = 0 is exactly -1.
+PSI = PsiReport(
+    k_at_zero=0.0,
+    monotone=True,
+    sup_value=1.0,
+    sup_below_one=True,
+    limit_ok=True,
+    boundary_derivative=-1.0,
+    identity="k(r) = tan(arctan(r) / 2); k(1/s) = sqrt(1 + s^2) - s",
+)

@@ -3,9 +3,10 @@
 Exit status: 0 all checks passed, 1 some check failed, 3 usage error.
 Inadmissible parameters are a failed check: the later stages are not
 computed.  On admissible ones every endpoint limit is Zero or Infinity, so
-no verdict is left undecided.  Reports are JSON (optionally CSV for hscan
-rows) and are byte-identical across reruns with the same configuration;
-wall-clock timings are only embedded when explicitly requested.
+no verdict is left undecided.  Reports are JSON (optionally CSV for the
+rows of critical and tangency) and are byte-identical across reruns with the
+same configuration; wall-clock timings are only embedded when explicitly
+requested.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import time
 from dataclasses import is_dataclass
 
 from . import __version__
-from .analysis import RadiusAnalysis, h0_critical_on_i2, h0_pairing, psi_check, verify_h_tables
+from .analysis import PSI, RadiusAnalysis, h0_critical_on_i2, h0_pairing, verify_h_tables
 from .classifier import EXPECTED_SURVIVORS, _plans, classify
-from .conics import FAMILIES, REALITY_TOL, ConicCoeffs, Plane, min_real_form
+from .conics import FAMILIES, ConicCoeffs, Plane, min_real_form
 from .errors import (
     DegenerateConicError,
     DomainError,
@@ -34,10 +35,9 @@ from .errors import (
     PreconditionError,
     RealityError,
 )
-from .resolution import HKind, LinearForm, ResolutionChoice, all_resolutions, h_function
 from .surface import SearchConfig, SurfaceParams, first_admissible, intervals, partition, singular_locus, validate
 
-SCHEMA = "report-v1"
+SCHEMA = "report-v2"
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -116,16 +116,6 @@ def _surface_params(args) -> SurfaceParams | None:
     return None
 
 
-def _parse_resolution(text: str) -> ResolutionChoice:
-    names = [n for n in text.split(",") if n.strip()]
-    if len(names) != 3:
-        raise InputError("--resolution expects ELL1,ELL2,ELL3")
-    try:
-        return ResolutionChoice(*(LinearForm.parse(n) for n in names))
-    except DomainError as exc:
-        raise InputError(f"--resolution: {exc}") from None
-
-
 def _require_params(args) -> SurfaceParams:
     if args.params is None:
         raise InputError("surface parameters required: pass --params or --params-file")
@@ -163,7 +153,7 @@ def _conic_record(conic: ConicCoeffs, label: str, lam: float | None, knob: float
         "type": label,
         "matrix": [[_complex_pair(z) for z in row] for row in conic.rows],
         "det": _complex_pair(det),
-        "min_real_form": min_real_form(conic) if conic.is_real(REALITY_TOL) else None,
+        "min_real_form": min_real_form(conic) if conic.is_real() else None,
     }
 
 
@@ -281,7 +271,6 @@ def _envelope(args, body: dict, timings: dict | None) -> dict:
         "lambda": args.lam,
         "theta": args.theta,
         "alpha": args.alpha,
-        "resolution": args.resolution,
         "grid": args.grid,
         "out": args.out,
         "format": args.fmt,
@@ -376,48 +365,6 @@ def _cmd_tangency(args):
     return {"rows": rows, "passed": ok}, ok, timings
 
 
-# h0's window on I4minus ends this far short of lambda0: on the double-root
-# plane Q^2 - f vanishes and h0 is undefined, and beside it h0 has a corner,
-# where sqrt(Q^2 - f) leaves zero like |lam - lambda0|.
-H0_LAMBDA0_MARGIN = 1e-3
-
-
-def _cmd_hscan(args):
-    params = _require_params(args)
-    choices = [_parse_resolution(args.resolution)] if args.resolution else all_resolutions()
-    part = intervals(params)
-    rows = []
-    n = args.grid
-    windows = {
-        HKind.H0: (part.i2, (part.i4minus[0], part.lambda0 - H0_LAMBDA0_MARGIN)),
-        HKind.H1: (part.i1, part.i3),
-        HKind.H2: (part.i2, (part.i4minus[0], part.lambda0 + 10.0)),
-        HKind.H3: (part.i1, part.i3),
-    }
-    for choice in choices:
-        for kind, spans in windows.items():
-            for lo, hi in spans:
-                lo = max(lo, -50.0)
-                hi = min(hi, 50.0)
-                for k in range(1, n):
-                    lam = lo + (hi - lo) * k / n
-                    try:
-                        val = h_function(kind, choice, params, lam)
-                    except DomainError:
-                        continue
-                    rows.append(
-                        {
-                            "kind": kind.value,
-                            "ell1": choice.ell1.value,
-                            "ell2": choice.ell2.value,
-                            "ell3": choice.ell3.value,
-                            "lambda": lam,
-                            "value": val,
-                        }
-                    )
-    return {"rows": rows}, True, None
-
-
 def _critical(analysis: RadiusAnalysis):
     t0 = time.perf_counter()
     rep = verify_h_tables(analysis)
@@ -434,7 +381,7 @@ def _trace_skeletons() -> tuple[tuple[str, str, list[dict]], ...]:
         (
             plan.choice.label(),
             plan.hypothesis.value,
-            [{"code": r.code, "description": r.description, "witness": r.witness} for r in plan.matches],
+            [vars(r) for r in plan.matches],
         )
         for plan in _plans()
     )
@@ -449,7 +396,7 @@ def _classification(analysis: RadiusAnalysis):
         # the A and B reasons come first, one per count row with a critical
         # point, which lies inside its span and so is a finite float
         measured = t.reasons[: len(t.reasons) - len(matches)]
-        reasons = [{"code": r.code, "description": r.description, "witness": r.witness} for r in measured]
+        reasons = [vars(r) for r in measured]
         traces.append(
             {"resolution": resolution, "hypothesis": hypothesis, "verdict": t.verdict.value, "reasons": reasons + matches}
         )
@@ -459,7 +406,7 @@ def _classification(analysis: RadiusAnalysis):
             for name, kind, why in rep.assignment.by_interval
         ],
         "survivors": [{"resolution": ch.label(), "hypothesis": hyp.value} for ch, hyp in survivors],
-        # kept in the report-v1 schema; every verdict is decided
+        # kept in the report schema; every verdict is decided
         "inconclusive": False,
         "traces": traces,
         "component_schedules": [
@@ -482,8 +429,7 @@ def _classification(analysis: RadiusAnalysis):
 
 
 def _cmd_psi(args):
-    rep = psi_check()
-    return {"psi": _record(rep)}, rep.passed, None
+    return {"psi": _record(PSI)}, PSI.passed, None
 
 
 def _cmd_report(args):
@@ -520,7 +466,6 @@ _COMMON_DEFAULTS = {
     "lam": None,
     "theta": 0.0,
     "alpha": None,
-    "resolution": None,
     "grid": 24,
     "out": None,
     "fmt": "json",
@@ -537,8 +482,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--lambda", dest="lam", type=_finite_float, help="plane parameter")
     common.add_argument("--theta", type=_finite_float, help="family angle")
     common.add_argument("--alpha", type=_finite_float, help="orbit family parameter")
-    common.add_argument("--resolution", help="ELL1,ELL2,ELL3 out of X0,X1,X0plusX1,AX0minusBX1")
-    common.add_argument("--grid", type=int, help="sample density (>= 16)")
+    common.add_argument("--grid", type=int, help="tangency sweep density (>= 16)")
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument("--format", dest="fmt", choices=("json", "csv"))
     common.add_argument("--timings", action="store_true", help="embed wall-clock timings in the report")
@@ -588,10 +532,9 @@ def build_parser() -> _Parser:
     cp = command("conic", _cmd_conic, "construct and export one conic")
     cp.add_argument("--type", choices=("generic", "special", "orbit"), required=True)
     command("tangency", _cmd_tangency, "verify the touching structure over a family sweep")
-    command("hscan", _cmd_hscan, "radius-function samples over the legal windows")
     command("critical", lambda args: _critical(_analysis(args)), "critical-point and limit tables")
     command("classify", lambda args: _classification(_analysis(args)), "type assignment, elimination, component schedules")
-    command("psi", _cmd_psi, "radial-profile checks of the line correspondence")
+    command("psi", _cmd_psi, "exact radial-profile claims of the line correspondence")
     command("report", _cmd_report, "full pipeline bundle")
     return ap
 

@@ -1,4 +1,5 @@
-"""Small resolutions of the compound A3 point and the radius functions.
+"""Small resolutions of the compound A3 point, and the names of the radius
+functions.
 
 The double cover near the worse fixed point is xi*eta = x0*x1*(x0+x1)*(a*x0-b*x1).
 A small resolution is an ordered choice of three of the four linear factors;
@@ -15,20 +16,22 @@ The radius functions:
     h2 = sqrt(f) / |L1 L2|                      (f > 0; circles on G2)
     h3 = (-f) / (2 B |L1 L2 L3|)                (f < 0; circles on G3)
 
-with B = sqrt((sqrt(Q^2 - f) - Q)/2).  h2 is stored with the absolute value
-(radius semantics).
+with B = sqrt((sqrt(Q^2 - f) - Q)/2), and h2 taken with its absolute value
+(radius semantics).  This module names them (HKind) and the data they are
+built from: the resolutions, each form's value as a polynomial in lam and
+the edge where it vanishes.  `analysis` works with them exactly, as roots
+of polynomials and signs of vanishing orders; nothing here samples them.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .poly import _stripped
-from .surface import SurfaceParams, disc_value, f_value, q_value, s_minus_q
+from .surface import SurfaceParams
 
 
 class Edge(enum.Enum):
@@ -47,16 +50,6 @@ class LinearForm(enum.Enum):
     X1 = "X1"
     X0_PLUS_X1 = "X0plusX1"
     AX0_MINUS_BX1 = "AX0minusBX1"
-
-    def restricted(self, params: SurfaceParams, lam: float) -> float:
-        """Value of the form along the plane, per unit x1."""
-        if self is LinearForm.X0:
-            return lam
-        if self is LinearForm.X1:
-            return 1.0
-        if self is LinearForm.X0_PLUS_X1:
-            return lam + 1.0
-        return params.a * lam - params.b
 
     def polynomial(self, params: SurfaceParams) -> tuple[float, ...]:
         """The restricted value as a polynomial in lam."""
@@ -78,13 +71,6 @@ class LinearForm(enum.Enum):
         if self is LinearForm.X0_PLUS_X1:
             return Edge.MINUS_ONE
         return Edge.B_OVER_A
-
-    @staticmethod
-    def parse(name: str) -> "LinearForm":
-        for form in LinearForm:
-            if form.value.lower() == name.strip().lower():
-                return form
-        raise DomainError(f"unknown linear form {name!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -120,47 +106,3 @@ class HKind(enum.Enum):
     H1 = "h1"
     H2 = "h2"
     H3 = "h3"
-
-
-def Bfun(params: SurfaceParams, lam: float) -> float:
-    """B(lam) = sqrt((sqrt(Q^2 - f) - Q)/2), positive; defined where f < 0."""
-    f = f_value(params, lam)
-    if f >= 0.0:
-        raise DomainError(f"B needs f < 0; f({lam}) = {f:.3e}")
-    return math.sqrt(0.5 * s_minus_q(params, lam))
-
-
-def _form_values(choice: ResolutionChoice, params: SurfaceParams, lam: float, count: int) -> list[float]:
-    vals = []
-    for form in choice.forms()[:count]:
-        v = form.restricted(params, lam)
-        if v == 0.0:
-            raise DomainError(f"{form.value} vanishes at lam={lam}")
-        vals.append(v)
-    return vals
-
-
-def h_function(kind: HKind, choice: ResolutionChoice, params: SurfaceParams, lam: float) -> float:
-    """Evaluate one of the four radius functions for the given resolution."""
-    f = f_value(params, lam)
-    if kind is HKind.H0:
-        if f <= 0.0:
-            raise DomainError(f"h0 needs f > 0; f({lam}) = {f:.3e}")
-        d = disc_value(params, lam)
-        if d <= 0.0:
-            raise DomainError("h0 not defined on the double-root plane (Q^2 - f = 0)")
-        return (q_value(params, lam) + math.sqrt(d)) / math.sqrt(f)
-    if kind is HKind.H1:
-        if f >= 0.0:
-            raise DomainError(f"h1 needs f < 0; f({lam}) = {f:.3e}")
-        (l1,) = _form_values(choice, params, lam, 1)
-        return 2.0 * Bfun(params, lam) / abs(l1)
-    if kind is HKind.H2:
-        if f <= 0.0:
-            raise DomainError(f"h2 needs f > 0; f({lam}) = {f:.3e}")
-        l1, l2 = _form_values(choice, params, lam, 2)
-        return math.sqrt(f) / abs(l1 * l2)
-    if f >= 0.0:
-        raise DomainError(f"h3 needs f < 0; f({lam}) = {f:.3e}")
-    l1, l2, l3 = _form_values(choice, params, lam, 3)
-    return -f / (2.0 * Bfun(params, lam) * abs(l1 * l2 * l3))

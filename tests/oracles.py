@@ -27,6 +27,7 @@ from touching_conics.analysis import (
     _H2_TABLE,
     _H3_TABLE,
     HTableReport,
+    PsiReport,
     RadiusAnalysis,
     TableRow,
     _missing,
@@ -57,7 +58,7 @@ from touching_conics.cli import _json_safe, _pairing_samples
 from touching_conics.conics import ConicCoeffs, ConicType, Plane, _conic, conic_contact, normalized, restriction
 from touching_conics.errors import DomainError, InputError, PreconditionError, RealityError
 from touching_conics.poly import companion_roots, evaluate
-from touching_conics.resolution import Bfun, Edge, HKind, LinearForm, ResolutionChoice, _form_values, all_resolutions, h_function
+from touching_conics.resolution import Edge, HKind, LinearForm, ResolutionChoice, all_resolutions
 from touching_conics.surface import (
     Interval,
     Q_restricted,
@@ -555,9 +556,121 @@ def pairing_by_bisection(h: Callable[[float], float], lam: float, crit: float, t
 
 
 # ---------------------------------------------------------------------------
-# radius-function handles and normal-bundle verdicts.  Unlike the oracles
-# above these call the package: they are the tests' view of it, and no path
-# from the command line needs them.
+# the radius functions sampled in floating point, from the closed forms of
+# the resolution module's docstring
+
+
+def restricted(form: LinearForm, params: SurfaceParams, lam: float) -> float:
+    """Value of the form along the plane, per unit x1."""
+    if form is LinearForm.X0:
+        return lam
+    if form is LinearForm.X1:
+        return 1.0
+    if form is LinearForm.X0_PLUS_X1:
+        return lam + 1.0
+    return params.a * lam - params.b
+
+
+def Bfun(params: SurfaceParams, lam: float) -> float:
+    """B(lam) = sqrt((sqrt(Q^2 - f) - Q)/2), positive; defined where f < 0."""
+    f = f_value(params, lam)
+    if f >= 0.0:
+        raise DomainError(f"B needs f < 0; f({lam}) = {f:.3e}")
+    return math.sqrt(0.5 * s_minus_q(params, lam))
+
+
+def _form_values(choice: ResolutionChoice, params: SurfaceParams, lam: float, count: int) -> list[float]:
+    vals = []
+    for form in choice.forms()[:count]:
+        v = restricted(form, params, lam)
+        if v == 0.0:
+            raise DomainError(f"{form.value} vanishes at lam={lam}")
+        vals.append(v)
+    return vals
+
+
+def h_function(kind: HKind, choice: ResolutionChoice, params: SurfaceParams, lam: float) -> float:
+    """Evaluate one of the four radius functions for the given resolution."""
+    f = f_value(params, lam)
+    if kind is HKind.H0:
+        if f <= 0.0:
+            raise DomainError(f"h0 needs f > 0; f({lam}) = {f:.3e}")
+        d = disc_value(params, lam)
+        if d <= 0.0:
+            raise DomainError("h0 not defined on the double-root plane (Q^2 - f = 0)")
+        return (q_value(params, lam) + math.sqrt(d)) / math.sqrt(f)
+    if kind is HKind.H1:
+        if f >= 0.0:
+            raise DomainError(f"h1 needs f < 0; f({lam}) = {f:.3e}")
+        (l1,) = _form_values(choice, params, lam, 1)
+        return 2.0 * Bfun(params, lam) / abs(l1)
+    if kind is HKind.H2:
+        if f <= 0.0:
+            raise DomainError(f"h2 needs f > 0; f({lam}) = {f:.3e}")
+        l1, l2 = _form_values(choice, params, lam, 2)
+        return math.sqrt(f) / abs(l1 * l2)
+    if f >= 0.0:
+        raise DomainError(f"h3 needs f < 0; f({lam}) = {f:.3e}")
+    l1, l2, l3 = _form_values(choice, params, lam, 3)
+    return -f / (2.0 * Bfun(params, lam) * abs(l1 * l2 * l3))
+
+
+# ---------------------------------------------------------------------------
+# the radial profile of the line correspondence on a grid, against which
+# analysis.PSI states its claims exactly
+
+
+def k_profile(r: float) -> float:
+    """k(r) = r / (1 + sqrt(1 + r^2)), the radial profile of the
+    correspondence between real lines through the double point and the
+    exceptional curve."""
+    return r / (1.0 + math.sqrt(1.0 + r * r))
+
+
+# The step of the one-sided difference quotient of k(1/s) at s = 0.  Its
+# truncation error grows like s (k(1/s) = 1 - s + s^2/2 - ...) and its
+# rounding error like eps / s, since k(1/s) - 1 cancels all but the last bits
+# of k; a step near sqrt(eps) = 1.5e-8 balances the two, leaving the quotient
+# within about 1e-8 of the derivative -1, far from the 0.1 the check needs.
+PSI_DIFFERENCE_STEP = 1e-8
+
+# How close to its cap of 1 the profile must come at r = 1e6.  There
+# k = 1 - 1/r + O(r^-2) lies 1e-6 below 1; ten times that leaves room for the
+# rounding of k while still telling a profile that tends to 1 from one that
+# levels off below it.
+PSI_CAP_MARGIN = 1e-5
+
+
+def psi_by_grid(samples: int) -> PsiReport:
+    """Monotonicity and boundary behavior of the radial profile, read off a
+    grid.
+
+    Strict increase on a log-spaced grid, k(0) = 0, values capped below 1
+    with k(10^6) within PSI_CAP_MARGIN of it, and a nonvanishing derivative
+    of k(1/s) at s = 0 (numerically, the one-sided difference quotient with
+    step PSI_DIFFERENCE_STEP)."""
+    if samples < 10:
+        raise InputError("need at least 10 samples")
+    rs = [10.0 ** (-6.0 + 12.0 * i / (samples - 1)) for i in range(samples)]
+    ks = [k_profile(r) for r in rs]
+    monotone = all(ks[i + 1] > ks[i] for i in range(len(ks) - 1))
+    sup_value = ks[-1]
+    s = PSI_DIFFERENCE_STEP
+    boundary = (k_profile(1.0 / s) - 1.0) / s
+    return PsiReport(
+        k_at_zero=k_profile(0.0),
+        monotone=monotone,
+        sup_value=sup_value,
+        sup_below_one=all(k < 1.0 for k in ks),
+        limit_ok=k_profile(1e6) > 1.0 - PSI_CAP_MARGIN,
+        boundary_derivative=boundary,
+        identity=f"{samples} log-spaced samples of r in [1e-6, 1e6], difference step {s:g}",
+    )
+
+
+# ---------------------------------------------------------------------------
+# radius-function handles and normal-bundle verdicts: the tests' view of the
+# package, which no path from the command line needs.
 
 
 def h_handle(kind: HKind, choice: ResolutionChoice, params: SurfaceParams) -> Callable[[float], float]:

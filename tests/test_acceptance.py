@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from oracles import (
+    Bfun,
     analysis_of,
     central_difference,
     cover_residual,
@@ -23,14 +24,15 @@ from oracles import (
     expand_from_roots,
     expand_two_double_roots,
     h_handle,
+    k_profile,
+    psi_by_grid,
     quartic_double_double,
     series_presentation,
     verify_touching,
 )
 from touching_conics.analysis import (
+    PSI,
     h0_pairing,
-    k_profile,
-    psi_check,
     verify_h_tables,
 )
 from touching_conics.classifier import EXPECTED_SURVIVORS, Hypothesis, Verdict, eliminate
@@ -42,7 +44,6 @@ from touching_conics.conics import (
 )
 from touching_conics.poly import two_double_roots_criterion
 from touching_conics.resolution import (
-    Bfun,
     HKind,
     all_resolutions,
 )
@@ -265,7 +266,7 @@ def test_acceptance_7_degeneration_locus_and_pairing(params_star):
 
 
 def test_acceptance_8_psi_profile():
-    rep = psi_check(1000)
+    rep = PSI
     ok = (
         rep.monotone
         and rep.k_at_zero == 0.0
@@ -273,6 +274,9 @@ def test_acceptance_8_psi_profile():
         and abs(rep.boundary_derivative) > 0.0
         and rep.sup_below_one
     )
+    # the exact claims agree with what a 1000-point grid reads on every verdict
+    grid = psi_by_grid(1000)
+    ok &= all(getattr(grid, name) == getattr(rep, name) for name in ("monotone", "sup_below_one", "limit_ok", "passed"))
     _gate(8, "radial profile of the line correspondence", ok)
 
 

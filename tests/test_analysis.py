@@ -22,20 +22,21 @@ from oracles import (
     endpoint_limit,
     analysis_of,
     h_handle,
+    k_profile,
     normal_bundle_at,
     pairing_by_bisection,
+    psi_by_grid,
     vanishing_order,
     verify_h_tables_by_row,
 )
 from touching_conics.analysis import (
+    PSI,
     _function_index,
     _radius_functions,
     domain_side,
     h0_critical_on_i2,
     h0_pairing,
-    k_profile,
     limit,
-    psi_check,
     verify_h_tables,
 )
 from touching_conics.errors import DomainError, InputError
@@ -228,17 +229,49 @@ def test_h0_pairing_just_outside_the_critical_window(params_draws, offset):
 
 
 def test_psi_profile():
-    rep = psi_check(1000)
-    assert rep.passed
-    assert rep.k_at_zero == 0.0
-    assert rep.monotone
+    # a 1000-point grid reads what PSI states: k(0) = 0, a strictly
+    # increasing profile below its cap, and the boundary derivative to 1e-6
+    rep = psi_by_grid(1000)
+    assert rep.passed and PSI.passed
+    assert rep.k_at_zero == PSI.k_at_zero == 0.0
+    assert rep.monotone and PSI.monotone
     assert k_profile(1e6) > 1.0 - 1e-5
-    assert abs(rep.boundary_derivative + 1.0) < 1e-6
+    assert 0.0 < PSI.sup_value - rep.sup_value < 1e-5
+    assert abs(rep.boundary_derivative - PSI.boundary_derivative) < 1e-6
 
 
-def test_psi_requires_samples():
-    with pytest.raises(InputError):
-        psi_check(5)
+def test_psi_claims_hold_symbolically():
+    # every field of PSI is the value of a claim proved here about
+    # k(r) = r / (1 + sqrt(1 + r^2)) for r > 0
+    sp = pytest.importorskip("sympy")
+    r, s, w = sp.symbols("r s w", positive=True)
+    root = sp.sqrt(1 + r**2)
+    k = r / (1 + root)
+    # k(tan t) = tan(t / 2) on (0, pi/2): there u = tan(t / 2) runs over
+    # (0, 1), so u = w / (1 + w) with w > 0, and tan t = tan(2 arctan u)
+    u = w / (1 + w)
+    tan_t = sp.factor(sp.expand_trig(sp.tan(2 * sp.atan(u))))
+    assert sp.simplify(k.subs(root, sp.sqrt(sp.factor(1 + tan_t**2))).subs(r, tan_t) - u) == 0
+    # k' = 1 / (sqrt(1 + r^2) (1 + sqrt(1 + r^2))) > 0, and k(0) = 0
+    slope = 1 / (root * (1 + root))
+    assert sp.simplify(sp.diff(k, r) - slope) == 0 and slope.is_positive
+    assert k.subs(r, 0) == 0
+    # 1 - k = (1 + 1 / (sqrt(1 + r^2) + r)) / (1 + sqrt(1 + r^2)) > 0, as
+    # sqrt(1 + r^2) - r = 1 / (sqrt(1 + r^2) + r); and k -> 1
+    gap = (1 + 1 / (root + r)) / (1 + root)
+    assert sp.simplify(1 - k - gap) == 0 and gap.is_positive
+    assert sp.limit(k, r, sp.oo) == 1
+    # k(1/s) = sqrt(1 + s^2) - s, with derivative -1 at s = 0
+    boundary = sp.sqrt(1 + s**2) - s
+    assert sp.simplify(k.subs(r, 1 / s) - boundary) == 0
+    assert sp.diff(boundary, s).subs(s, 0) == -1
+
+    assert PSI.k_at_zero == float(k.subs(r, 0))
+    assert PSI.monotone is True and PSI.sup_below_one is True and PSI.limit_ok is True
+    assert PSI.sup_value == float(sp.limit(k, r, sp.oo))
+    assert PSI.boundary_derivative == float(sp.diff(boundary, s).subs(s, 0))
+    assert PSI.identity == "k(r) = tan(arctan(r) / 2); k(1/s) = sqrt(1 + s^2) - s"
+    assert PSI.passed
 
 
 def test_derivative_residuals_at_reported_criticals(params_star):
@@ -349,10 +382,10 @@ def test_limit_rejects_regular_points_and_wrong_sides():
         limit(HKind.H0, None, Edge.MINUS_INF)
 
 
-def test_memoized_limits_and_psi_are_transparent():
-    # limit and psi_check are worked out once per process: the memo returns
-    # what the function computes, and an undefined pair or a bad sample count
-    # raises on every call, as exceptions are not cached
+def test_memoized_limits_are_transparent():
+    # limit is worked out once per process: the memo returns what the
+    # function computes, and an undefined pair raises on every call, as
+    # exceptions are not cached
     keys = {
         HKind.H0: [None],
         HKind.H1: list(LinearForm),
@@ -374,10 +407,6 @@ def test_memoized_limits_and_psi_are_transparent():
             assert limit(kind, key, edge) is expected
     # every radius function is undefined next to exactly one infinity
     assert undefined == sum(len(k) for k in keys.values())
-    assert psi_check() == psi_check.__wrapped__()
-    for _ in range(2):
-        with pytest.raises(InputError):
-            psi_check(5)
 
 
 def _bits(values) -> list[str]:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -40,7 +42,7 @@ def test_psi_exit_zero(tmp_path):
     assert run(["--out", str(out), "psi"]) == EXIT_OK
     doc = _load(out)
     assert doc["psi"]["passed"]
-    assert doc["version"]["schema"] == "report-v1"
+    assert doc["version"]["schema"] == "report-v2"
 
 
 def test_validate_pass_and_fail(star_arg, tmp_path):
@@ -129,24 +131,6 @@ def test_tangency_sweep(star_arg, tmp_path):
     assert run(["--params", star_arg, "--lambda", "-2.0", "--out", str(out), "tangency"]) == EXIT_OK
     doc = _load(out)
     assert doc["passed"] and len(doc["rows"]) >= 16
-
-
-def test_hscan_csv(star_arg, tmp_path):
-    out = tmp_path / "h.csv"
-    code = run(
-        [
-            "--params", star_arg,
-            "--resolution", "X1,X0plusX1,X0",
-            "--grid", "20",
-            "--format", "csv",
-            "--out", str(out),
-            "hscan",
-        ]
-    )
-    assert code == EXIT_OK
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "kind,ell1,ell2,ell3,lambda,value"
-    assert len(lines) > 40
 
 
 def test_critical_table(star_arg, tmp_path):
@@ -481,14 +465,12 @@ def test_negative_exponent_values_parse_like_the_equals_form(star_arg, capsys, f
         (["--params", "STAR", "--lambda", "1e50", "conic", "--type", "generic"], EXIT_FAIL,
          "error: lost precision at lam=1e+50: the x1^2 coefficient of the branch g- restriction keeps 0.0e+00"),
         (["--params", "STAR", "--lambda", "1e50", "tangency"], EXIT_FAIL, "error: lost precision at lam=1e+50"),
-        # malformed flags and unusable paths are usage errors, not tracebacks
-        (["--params", "STAR", "--resolution", "X0,X1,foo", "hscan"], EXIT_USAGE,
-         "error: --resolution: unknown linear form 'foo'"),
-        (["--params", "STAR", "--resolution", "X0,X0,X1", "hscan"], EXIT_USAGE,
-         "error: --resolution: resolution choice needs three distinct forms"),
-        # before the set is found inadmissible
-        (["--params", "0.4,0.1,1,1,1", "--resolution", "X0,X1,foo", "hscan"], EXIT_USAGE,
-         "error: --resolution: unknown linear form 'foo'"),
+        # the removed radius-function sampler and its flag are usage errors;
+        # critical gives the exact counts it sampled
+        (["--params", "STAR", "hscan"], EXIT_USAGE, "error: argument command: invalid choice: 'hscan'"),
+        (["--params", "STAR", "critical", "--resolution", "X1,X0plusX1,X0"], EXIT_USAGE,
+         "error: unrecognized arguments: --resolution X1,X0plusX1,X0"),
+        # unusable paths are usage errors, not tracebacks
         (["--params-file", "DIR", "validate"], EXIT_USAGE, "Is a directory"),
         (["--params-file", "LATIN1", "validate"], EXIT_USAGE, "is not UTF-8 text: invalid continuation byte at byte 6"),
         (["--params", "STAR", "--out", "DIR", "validate"], EXIT_USAGE, "Is a directory"),
@@ -497,8 +479,7 @@ def test_negative_exponent_values_parse_like_the_equals_form(star_arg, capsys, f
          "theta-inf", "leading-underflow", "coefficient-overflow", "double-root-terms-overflow",
          "vertex-terms-overflow", "orbit-residual-overflow", "orbit-residual-far-overflow", "tangency-plane-overflow",
          "conic-plane-overflow", "special-far-plane", "tangency-far-negative-plane", "generic-far-plane",
-         "tangency-far-plane", "resolution-unknown-form", "resolution-repeated-form",
-         "resolution-on-inadmissible-set", "params-file-directory",
+         "tangency-far-plane", "hscan-removed", "resolution-removed", "params-file-directory",
          "params-file-not-utf8", "out-directory"],
 )
 def test_numbers_the_program_cannot_use_end_in_an_error_line(star_arg, tmp_path, capsys, argv, code, message):
@@ -575,6 +556,18 @@ def test_tangency_and_conic_bytes_equal_the_golden_documents(star_arg, capsys, n
     assert run(["--params", star_arg] + _GOLDEN_PLANES[name]) == EXIT_OK
     golden = Path(__file__).parent / "golden" / f"{name}.json"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+def test_readme_lists_exactly_the_subcommands_and_common_flags():
+    # README's "Subcommands:" and "Flags" sentences name each subcommand and
+    # each flag accepted before or after it, and nothing else
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Subcommands: (.*?)\.\s+Flags \(accepted before or after\s+the subcommand\): (.*?`)\.", readme, re.S)
+    commands, flags = (re.findall(r"`([^`]+)`", part) for part in listed.groups())
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands == list(subparsers.choices)
+    common = [opt for action in cli._common_flags()._actions for opt in action.option_strings]
+    assert [flag.split()[0] for flag in flags] == common
 
 
 def test_report_is_built_from_the_subcommands_sections(params_draws, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from oracles import (
 )
 from touching_conics.conics import (
     FAMILIES,
+    FILTER_RANGE,
     REL_EPS,
     Contact,
     ConicCoeffs,
@@ -37,6 +39,7 @@ from touching_conics.conics import (
     orbit_conic,
     real_slice_gram,
     restriction,
+    _U,
     _square,
 )
 from touching_conics.errors import (
@@ -145,11 +148,21 @@ def test_orbit_conic_rejects_zero():
         orbit_conic(0.0)
 
 
+def _invariant_to(conic: ConicCoeffs, tol: float) -> bool:
+    """is_real's test at tol: the conjugated and swapped matrix is a
+    unimodular multiple of the matrix, to tol of its largest entry."""
+    ms, c = conic._reality
+    return abs(abs(c) - 1.0) <= tol and np.abs(ms - c * conic.m).max() <= tol * np.abs(conic.m).max()
+
+
 def test_reality_invariant_families(params_star):
+    # the families miss invariance by a few ulps: within 1e-9, a tenth of
+    # the REALITY_TOL that is_real reads
+    conics = [orbit_conic(-1.0)]
     for theta in (0.0, math.pi / 3.0, 2.4):
-        assert Plane(params_star, -0.5).generic(theta).is_real()
-        assert Plane(params_star, -2.0).special(theta).is_real()
-    assert orbit_conic(-1.0).is_real()
+        conics += [Plane(params_star, -0.5).generic(theta), Plane(params_star, -2.0).special(theta)]
+    for conic in conics:
+        assert conic.is_real() and _invariant_to(conic, 1e-9)
 
 
 def test_verify_touching_generic_structure(params_star):
@@ -504,7 +517,7 @@ def test_family_sweep_reality_and_classification(params_star):
                         if kind is ConicType.GENERIC
                         else Plane(params_star, lam).special(theta)
                     )
-                    assert conic.is_real()
+                    assert conic.is_real() and _invariant_to(conic, 1e-9)
                     assert verify_touching(conic, params_star, lam).kind is kind
                     assert min_real_form(conic) > 0.0
 
@@ -807,6 +820,64 @@ def test_batch_decides_each_threshold_band_as_the_exact_decision(params_star):
                 square, sure = _square(np.array(norm)[:, None], np.array(nonzero[:1]), np.array(nonzero[-1:]), 0.0)
                 if sure[0]:
                     assert square[0] == (square_root_roots(norm[nonzero[0] : nonzero[-1] + 1]) is not None)
+
+
+def test_batch_leaves_a_row_norm_at_a_balancing_step_to_the_exact_decision(params_star):
+    # a generic conic's first row is (m00, 0, 0); on I4minus its normalised
+    # m00 falls from 1 toward 0, so some planes put that row's norm within 4 u
+    # of 0.5, inside EXPONENT_BAND of the power of two where the balancing
+    # exponent e // 2 of frexp steps from -1 to 0.  The two evaluations may
+    # balance such a conic apart, so the filter leaves it to conic_contact; a
+    # plane 1e-6 away it settles itself
+    part = intervals(params_star)
+
+    def m00(lam: float) -> float:
+        return abs(Plane(params_star, lam).generic(0.4).rows[0][0])
+
+    crossing = _crossing(lambda lam: lam, lambda lam: m00(lam) < 0.5, part.i4minus[0] + 1e-3, part.lambda0 - 1e-3)
+    lams = [lam for lam in _band(crossing) if abs(m00(lam) - 0.5) <= 4 * _U]
+    assert crossing in lams
+    assert {math.frexp(m00(lam))[1] // 2 for lam in lams} == {-1, 0}
+    for lam in lams:
+        plane = Plane(params_star, lam)
+        expected = conic_contact(plane, plane.generic(0.4).rows).kind
+        assert expected is ConicType.GENERIC
+        assert plane.conic_types("generic", [0.4]) == [expected]
+        assert plane.exact_conics == 1
+    away = Plane(params_star, crossing + 1e-6)
+    assert away.conic_types("generic", [0.4]) == [ConicType.GENERIC] and away.exact_conics == 0
+
+
+def test_numpy_stays_within_the_error_model_of_the_filter():
+    # the filter's margins take numpy's power at the exponents it uses within
+    # 8 u, its complex quotient within 16 u and its modulus within 4 u of the
+    # exact value, on operands whose moduli lie in FILTER_RANGE (and powers
+    # that stay normal floats); checked against 60-digit arithmetic.  A
+    # faithful modulus is within 2 u, but numpy's vectorised one reads up to
+    # 2.3 u off, and the margins are derived for 4 u
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(22)
+    lo, hi = (math.log2(x) for x in FILTER_RANGE)
+    mods = np.concatenate((FILTER_RANGE, [1.0], np.exp2(rng.uniform(lo, hi, 600))))
+    phases = np.concatenate(([0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi, 1e-20], rng.uniform(-math.pi, math.pi, 598)))
+    z = mods * np.exp(1j * phases)
+    w = rng.permutation(mods) * np.exp(1j * rng.permutation(phases))
+
+    def off(got, exact) -> float:
+        """|got - exact| in units of u |exact|."""
+        return float(abs(mpmath.mpmathify(got) - exact) / (abs(exact) * mpmath.mpf(_U)))
+
+    with mpmath.workdps(60):
+        for p in (0.5, 1.0 / 3.0, 0.25, 2, 3, 4, 6):
+            powers = mods**p
+            for x, got in zip(mods, powers):
+                exact = mpmath.mpf(x) ** mpmath.mpf(p)
+                if 2.0**-1022 <= exact <= sys.float_info.max:
+                    assert off(got, exact) <= 8.0, (x, p)
+        for a, b, got in zip(z, w, z / w):
+            assert off(got, mpmath.mpc(a) / mpmath.mpc(b)) <= 16.0, (a, b)
+        for a, got in zip(z, np.abs(z)):
+            assert off(got, abs(mpmath.mpc(a))) <= 4.0, a
 
 
 def test_single_conic_decision_equals_the_per_conic_oracle(params_draws):

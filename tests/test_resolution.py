@@ -10,22 +10,23 @@ import numpy as np
 import pytest
 
 from oracles import (
+    Bfun,
     TruncatedSeries,
     cover_residual,
     h2_signed,
+    h_function,
     orbit_intersections,
+    restricted,
     series_presentation,
     special_intersections,
 )
 from touching_conics.errors import DomainError, RealityError
 from touching_conics.resolution import (
-    Bfun,
     Edge,
     HKind,
     LinearForm,
     ResolutionChoice,
     all_resolutions,
-    h_function,
 )
 from touching_conics.surface import f_value, q_value, sqrt_disc
 
@@ -56,7 +57,7 @@ def test_linear_form_zeros(params_star):
     # each zero is a root of the restricted value
     at = {Edge.MINUS_ONE: -1.0, Edge.ZERO: 0.0, Edge.B_OVER_A: params_star.b / params_star.a}
     for form in (LinearForm.X0, LinearForm.X0_PLUS_X1, LinearForm.AX0_MINUS_BX1):
-        assert form.restricted(params_star, at[form.zero]) == 0.0
+        assert restricted(form, params_star, at[form.zero]) == 0.0
 
 
 def test_B_definition_identities(params_star):
@@ -184,7 +185,7 @@ def test_reciprocity_between_h1_and_h3(params_star):
     f = f_value(params_star, lam)
     prod = 1.0
     for form in LinearForm:
-        prod *= form.restricted(params_star, lam)
+        prod *= restricted(form, params_star, lam)
     for ch in all_resolutions()[:8]:
         h3 = h_function(HKind.H3, ch, params_star, lam)
         missing = ch.missing_form()
