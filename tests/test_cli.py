@@ -505,6 +505,12 @@ _GOLDEN_RUNS = {
     "validate": ("validate.json", ["--params", "DRAW0", "validate"], EXIT_OK),
     "critical": ("critical.json", ["--params", "DRAW0", "critical"], EXIT_OK),
     "critical_csv": ("critical.csv", ["--params", "DRAW0", "--format", "csv", "critical"], EXIT_OK),
+    "tangency_I2_csv": (
+        "tangency_I2.csv", ["--params", "DRAW0", "--lambda=-0.5", "--grid", "64", "--format", "csv", "tangency"], EXIT_OK
+    ),
+    "tangency_I1_csv": (
+        "tangency_I1.csv", ["--params", "DRAW0", "--lambda=-2.5", "--grid", "64", "--format", "csv", "tangency"], EXIT_OK
+    ),
     "classify": ("classify.json", ["--params", "DRAW0", "classify"], EXIT_OK),
     "search_params": ("search_params.json", ["search-params"], EXIT_OK),
     "report_inadmissible": ("report_inadmissible.json", ["--params", "INADMISSIBLE", "report"], EXIT_FAIL),
