@@ -3,10 +3,11 @@
 Exit status: 0 all checks passed, 1 some check failed, 3 usage error.
 Inadmissible parameters are a failed check: the later stages are not
 computed.  On admissible ones every endpoint limit is Zero or Infinity, so
-no verdict is left undecided.  Reports are JSON (optionally CSV for the
-rows of critical and tangency) and are byte-identical across reruns with the
-same configuration; wall-clock timings are only embedded when explicitly
-requested.
+no verdict is left undecided.  Reports are JSON and are byte-identical
+across reruns with the same configuration; wall-clock timings are only
+embedded when explicitly requested.  critical and tangency, the subcommands
+with rows, write their rows as CSV under --format csv; the others have no
+rows and refuse it as a usage error.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ import math
 import re
 import sys
 import time
-from dataclasses import is_dataclass
+from dataclasses import fields, is_dataclass
+from typing import NamedTuple
 
 from . import __version__
-from .analysis import PSI, RadiusAnalysis, h0_critical_on_i2, h0_pairing, verify_h_tables
+from .analysis import PSI, RadiusAnalysis, TableRow, h0_critical_on_i2, h0_pairing, verify_h_tables
 from .classifier import EXPECTED_SURVIVORS, _plans, classify
 from .conics import FAMILIES, ConicCoeffs, Plane, min_real_form
 from .errors import (
@@ -186,12 +188,31 @@ def _json_safe(x):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+class _Fragment(NamedTuple):
+    """A JSON value written once per process: its text as _json_text writes
+    it at top level, without the final newline, and for a row of critical or
+    tangency the values of its CSV line.  An encoded string never
+    holds a raw newline, so every newline of the text starts a line of its
+    layout, and one replace nests the text at any depth."""
+
+    text: str
+    values: tuple = ()
+
+
+def _fragment(x, values: tuple = ()) -> _Fragment:
+    """x rendered once, to be written any number of times."""
+    return _Fragment(_json_text(x)[:-1], values)
+
+
 def _write_json(x, indent: str, out: list[str]) -> None:
     """Append to out the text of x, nested at indent (a newline and the
     indentation of x's line), by json.dumps' rules for indent=2,
     sort_keys=True and default=_json_safe.  A key that is not a str raises
-    TypeError from sorted or from the string encoder."""
-    if isinstance(x, str):
+    TypeError from sorted or from the string encoder.  A _Fragment is
+    written as the value it was rendered from."""
+    if type(x) is _Fragment:
+        out.append(x.text.replace("\n", indent))
+    elif isinstance(x, str):
         out.append(_encode_str(x))
     elif isinstance(x, dict):
         if not x:
@@ -241,7 +262,8 @@ def _write_json(x, indent: str, out: list[str]) -> None:
 def _json_text(doc) -> str:
     """json.dumps(doc, indent=2, sort_keys=True, default=_json_safe) and a
     newline, the same string from a plain recursive writer: the stdlib
-    encoder takes its pure-Python path whenever indent is set."""
+    encoder takes its pure-Python path whenever indent is set.  With
+    _Fragments in doc, the text of doc with each one's source in its place."""
     out: list[str] = []
     _write_json(doc, "\n", out)
     out.append("\n")
@@ -249,12 +271,12 @@ def _json_text(doc) -> str:
 
 
 def _emit(doc: dict, args) -> None:
-    if args.fmt == "csv" and "rows" in doc:
+    if args.fmt == "csv":
+        # the rows are _Fragments, and the subcommand names their columns
         buf = io.StringIO()
-        rows = doc["rows"]
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(buf)
+        writer.writerow(args.csv_header)
+        writer.writerows(row.values for row in doc["rows"])
         text = buf.getvalue()
     else:
         text = _json_text(doc)
@@ -335,6 +357,19 @@ def _cmd_conic(args):
     return {"conic": record}, True, {"decide_s": _elapsed(t0), "exact_conics": plane.exact_conics}
 
 
+_TANGENCY_HEADER = ("family", "knob", "type", "passed")
+
+
+@functools.cache
+def _tangency_row_text(family: str, label: str, passed: bool) -> tuple[str, str]:
+    """A tangency row's text before and after its knob.  The cache holds at
+    most 3 families x 6 ConicType labels = 18 entries, since passed follows
+    from the family and the label."""
+    text = _json_text({"family": family, "knob": None, "passed": passed, "type": label})
+    head, tail = text[:-1].split('"knob": null')
+    return head + '"knob": ', tail
+
+
 def _cmd_tangency(args):
     plane = _require_plane(args)
     t0 = time.perf_counter()
@@ -347,15 +382,21 @@ def _cmd_tangency(args):
     else:
         sweeps = [("special", angles, ("Special",))]
     rows = []
+    ok = True
     decide_s = 0.0
     for family, knobs, accepted in sweeps:
         t1 = time.perf_counter()
         kinds = plane.conic_types(family, knobs)
         decide_s += time.perf_counter() - t1
+        last = None
         for knob, kind in zip(knobs, kinds):
-            label = kind.value
-            rows.append({"family": family, "knob": knob, "type": label, "passed": label in accepted})
-    ok = all(r["passed"] for r in rows)
+            # a run of rows of one type shares its text around the knob
+            if kind is not last:
+                last, label = kind, kind.value
+                passed = label in accepted
+                ok = ok and passed
+                head, tail = _tangency_row_text(family, label, passed)
+            rows.append(_Fragment(head + float.__repr__(knob) + tail, (family, knob, label, passed)))
     timings = {
         "tangency_s": _elapsed(t0),
         "decide_s": round(decide_s, 6),
@@ -365,23 +406,35 @@ def _cmd_tangency(args):
     return {"rows": rows, "passed": ok}, ok, timings
 
 
-def _critical(analysis: RadiusAnalysis):
-    t0 = time.perf_counter()
-    rep = verify_h_tables(analysis)
-    return {"rows": [_record(r) for r in rep.rows], "passed": rep.passed}, rep.passed, {"h_tables_s": _elapsed(t0)}
+_TABLE_HEADER = tuple(field.name for field in fields(TableRow))
 
 
 @functools.cache
-def _trace_skeletons() -> tuple[tuple[str, str, list[dict]], ...]:
+def _table_row(row: TableRow) -> _Fragment:
+    """A row of verify_h_tables, written once per process.  The 33 limit
+    rows are constants of the region, and each of the 31 count rows varies
+    only in its count, which is at most the degree of its critical
+    polynomial, 7 at most: the cache holds at most 33 + 31 x 8 entries."""
+    return _fragment(_record(row), tuple(vars(row).values()))
+
+
+def _critical(analysis: RadiusAnalysis):
+    t0 = time.perf_counter()
+    rep = verify_h_tables(analysis)
+    return {"rows": [_table_row(r) for r in rep.rows], "passed": rep.passed}, rep.passed, {"h_tables_s": _elapsed(t0)}
+
+
+@functools.cache
+def _trace_skeletons() -> tuple[tuple[str, str, list[_Fragment]], ...]:
     """Per classifier plan, in the order of the traces, what its trace record
     shares with every parameter set: the resolution label, the hypothesis
     and the C reasons, which rest on the limits alone.  Built on first use;
-    every report of the process shares the C reason records."""
+    every report of the process shares the C reason records' text."""
     return tuple(
         (
             plan.choice.label(),
             plan.hypothesis.value,
-            [vars(r) for r in plan.matches],
+            [_fragment(vars(r)) for r in plan.matches],
         )
         for plan in _plans()
     )
@@ -428,8 +481,11 @@ def _classification(analysis: RadiusAnalysis):
     return {"classification": body}, ok, {"classify_s": _elapsed(t0)}
 
 
+_PSI = _fragment(_record(PSI))
+
+
 def _cmd_psi(args):
-    return {"psi": _record(PSI)}, PSI.passed, None
+    return {"psi": _PSI}, PSI.passed, None
 
 
 def _cmd_report(args):
@@ -516,9 +572,9 @@ def build_parser() -> _Parser:
     ap = _Parser(prog="touching-conics", description=__doc__, parents=[common])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name: str, cmd, summary: str) -> argparse.ArgumentParser:
+    def command(name: str, cmd, summary: str, csv_header: tuple | None = None) -> argparse.ArgumentParser:
         parser = sub.add_parser(name, help=summary, parents=[common])
-        parser.set_defaults(cmd=cmd)
+        parser.set_defaults(cmd=cmd, csv_header=csv_header)
         return parser
 
     command("validate", _cmd_validate, "admissibility checks and singular locus")
@@ -531,8 +587,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--q0-steps", dest="q0_steps", type=int, default=100)
     cp = command("conic", _cmd_conic, "construct and export one conic")
     cp.add_argument("--type", choices=("generic", "special", "orbit"), required=True)
-    command("tangency", _cmd_tangency, "verify the touching structure over a family sweep")
-    command("critical", lambda args: _critical(_analysis(args)), "critical-point and limit tables")
+    command("tangency", _cmd_tangency, "verify the touching structure over a family sweep", _TANGENCY_HEADER)
+    command("critical", lambda args: _critical(_analysis(args)), "critical-point and limit tables", _TABLE_HEADER)
     command("classify", lambda args: _classification(_analysis(args)), "type assignment, elimination, component schedules")
     command("psi", _cmd_psi, "exact radial-profile claims of the line correspondence")
     command("report", _cmd_report, "full pipeline bundle")
@@ -551,6 +607,8 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE
 
     try:
+        if args.fmt == "csv" and args.csv_header is None:
+            raise InputError(f"--format csv: {args.command} has no rows; only critical and tangency write CSV")
         args.params = _surface_params(args)
         body, passed, timings = args.cmd(args)
         _emit(_envelope(args, body, timings), args)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from touching_conics import analysis, cli, surface
 from touching_conics.analysis import RadiusAnalysis
 from touching_conics.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
+from touching_conics.conics import ConicType, Plane
 from touching_conics.surface import SearchConfig, lambda0, params_for_q0
 from oracles import LazyAnalysis, classification_by_trace, verify_h_tables_by_row
 
@@ -220,6 +223,61 @@ def test_tangency_timings_opt_in(star_arg, tmp_path):
         timings = json.loads(timed)["timings"]
         assert list(timings) == ["decide_s", "exact_conics"] and timings["exact_conics"] == 1
         assert 0.0 < timings["decide_s"] == round(timings["decide_s"], 6)
+
+
+# accepted types per family, stated apart from the program's own table
+_ACCEPTED = {"generic": ("Generic",), "orbit": ("Orbit", "ContainedInB"), "special": ("Special",)}
+
+
+@pytest.mark.parametrize("lam", ["-0.5", "-2.5"], ids=["f-positive", "f-negative"])
+def test_tangency_rows_of_every_type_equal_the_dict_rows(star_arg, capsys, monkeypatch, lam):
+    # the goldens hold only passed rows typed Generic, Orbit or Special; here
+    # each family's sweep reads every ConicType in turn, and the document and
+    # the CSV must be what json.dumps and csv.DictWriter make of dict rows
+    swept = []
+
+    def types(knobs):
+        return [list(ConicType)[k % len(ConicType)] for k in range(len(knobs))]
+
+    def every_type(plane, family, knobs):
+        swept.append((family, list(knobs)))
+        return types(knobs)
+
+    monkeypatch.setattr(Plane, "conic_types", every_type)
+    argv = ["--params", star_arg, f"--lambda={lam}", "--grid", "16", "tangency"]
+    code = run(argv)
+    out = capsys.readouterr().out
+    rows = [
+        {"family": family, "knob": knob, "type": kind.value, "passed": kind.value in _ACCEPTED[family]}
+        for family, knobs in swept
+        for knob, kind in zip(knobs, types(knobs))
+    ]
+    assert {row["type"] for row in rows} == {kind.value for kind in ConicType}
+    passed = all(row["passed"] for row in rows)
+    assert not passed and code == EXIT_FAIL
+    doc = json.loads(out)
+    assert doc["passed"] is passed
+    assert out == json.dumps(doc | {"rows": rows}, indent=2, sort_keys=True) + "\n"
+
+    swept.clear()
+    assert run(argv[:-1] + ["--format", "csv", "tangency"]) == EXIT_FAIL
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=["family", "knob", "type", "passed"])
+    writer.writeheader()
+    writer.writerows(rows)
+    assert capsys.readouterr().out == buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["psi"], ["report"], ["classify"], ["--lambda=-0.5", "conic", "--type", "generic"], ["search-params"]],
+    ids=["validate", "psi", "report", "classify", "conic", "search-params"],
+)
+def test_csv_is_refused_where_there_are_no_rows(star_arg, capsys, argv):
+    assert run(["--params", star_arg, "--format", "csv"] + argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: --format csv")
 
 
 def test_malformed_numbers_are_usage_errors(tmp_path):
@@ -627,10 +685,54 @@ _DOCUMENTS = st.recursive(
 )
 
 
-@given(_DOCUMENTS)
-def test_writer_writes_what_json_dumps_writes(doc):
+def _paths(x, path=()):
+    """The paths of x's subtrees, x's own first."""
+    yield path
+    if isinstance(x, dict):
+        for key, value in x.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(x, (list, tuple)):
+        for i, item in enumerate(x):
+            yield from _paths(item, path + (i,))
+
+
+def _replaced(x, path, new):
+    """x with its subtree at path replaced by new."""
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(x, dict):
+        return {**x, head: _replaced(x[head], rest, new)}
+    items = [_replaced(item, rest, new) if i == head else item for i, item in enumerate(x)]
+    return items if isinstance(x, list) else tuple(items)
+
+
+def _at(x, path):
+    for step in path:
+        x = x[step]
+    return x
+
+
+@given(_DOCUMENTS, st.data())
+def test_writer_writes_what_json_dumps_writes(doc, data):
     expected = json.dumps(doc, indent=2, sort_keys=True, default=cli._json_safe) + "\n"
     assert cli._json_text(doc) == expected
+    # a subtree at any depth, pre-rendered as a fragment, writes as itself
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    assert cli._json_text(_replaced(doc, path, cli._fragment(_at(doc, path)))) == expected
+
+
+def test_a_fragment_writes_its_source_at_any_depth():
+    # the source's strings hold a newline and a quote, which are escaped, so
+    # the re-indenting replace meets only the layout's newlines
+    source = {"b": [1.5, {"c": None, "d": []}, {}], "a": 'x\n  "y"', "e": [float("nan"), -0.0]}
+    fragment = cli._fragment(source)
+    assert not fragment.text.endswith("\n")
+    for depth in (0, 1, 4):
+        doc, nested = fragment, source
+        for level in range(depth):
+            doc, nested = ({"k": doc}, {"k": nested}) if level % 2 else ([7, doc], [7, nested])
+        assert cli._json_text(doc) == json.dumps(nested, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("doc", [{1: "x"}, {None: 0}, {1.5: 0}, {("a",): 0}, {"a": [{"b": {2: 0}}]}, {"a": 0, 3: 0}])
