@@ -34,7 +34,7 @@ from typing import Callable
 
 from .errors import DomainError, PreconditionError
 from .poly import (
-    companion_roots,
+    _last_column,
     evaluate,
     poly_add,
     poly_deflate,
@@ -467,19 +467,46 @@ def h0_pairing(analysis: RadiusAnalysis, lam: float) -> float:
     its minimum at the critical point and grows without bound toward both
     ends of I2, so this quartic has one root on each side of the critical
     point inside I2: lam and the partner.  Of the roots whose real part lies
-    on the far side, the partner is the one nearest the real axis."""
-    if not -1.0 < lam < 0.0:
-        raise DomainError(f"pairing is defined for lam in I2, got {lam}")
-    crit = h0_critical_on_i2(analysis)
-    if abs(lam - crit) <= CRITICAL_PLANE_TOL:
-        raise DomainError("lam is the critical plane; no partner exists")
-    c = q_value(analysis.params, lam) ** 2 / f_value(analysis.params, lam)
-    quartic = poly_sub(poly_mul(analysis.q, analysis.q), poly_scale(analysis.f, c))
-    lo, hi = (crit, 0.0) if lam < crit else (-1.0, crit)
-    roots = [r for r in companion_roots(quartic) if lo < r.real < hi]
-    if not roots:
-        raise PreconditionError(f"no partner of {lam} in ({lo}, {hi})")
-    return float(min(roots, key=lambda r: abs(r.imag)).real)
+    on the far side, the partner is the one nearest the real axis.  The
+    stack of one of h0_pairings."""
+    return h0_pairings(analysis, [lam], h0_critical_on_i2(analysis))[0]
+
+
+def h0_pairings(analysis: RadiusAnalysis, lams: list[float], crit: float) -> list[float]:
+    """h0_pairing of each plane in lams, crit being h0_critical_on_i2 of the
+    analysis, with the pairing quartics solved in one stacked call.  Errors
+    come in the order of the planes, as if each were paired alone: the first
+    plane that cannot be set up, or whose quartic the solver would refuse,
+    ends the stack, and its error is raised only after the planes before it
+    have found their partners."""
+    params = analysis.params
+    q_squared = poly_mul(analysis.q, analysis.q)
+    quartics, windows = [], []
+    failure = None
+    for lam in lams:
+        try:
+            if not -1.0 < lam < 0.0:
+                raise DomainError(f"pairing is defined for lam in I2, got {lam}")
+            if abs(lam - crit) <= CRITICAL_PLANE_TOL:
+                raise DomainError("lam is the critical plane; no partner exists")
+            c = q_value(params, lam) ** 2 / f_value(params, lam)
+            quartic = poly_sub(q_squared, poly_scale(analysis.f, c))
+            # the solver's own refusal, made here so that it keeps its place
+            _last_column(quartic)
+        except (DomainError, ArithmeticError) as exc:
+            failure = exc
+            break
+        quartics.append(quartic)
+        windows.append((crit, 0.0) if lam < crit else (-1.0, crit))
+    mus = []
+    for lam, (lo, hi), roots in zip(lams, windows, stacked_companion_roots(quartics)):
+        inside = [r for r in roots if lo < r.real < hi]
+        if not inside:
+            raise PreconditionError(f"no partner of {lam} in ({lo}, {hi})")
+        mus.append(float(min(inside, key=lambda r: abs(r.imag)).real))
+    if failure is not None:
+        raise failure
+    return mus
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .analysis import LimitKind, RadiusAnalysis, _pair_key, _triple_key, limit
@@ -69,8 +70,16 @@ class EliminationTrace:
 
 @dataclass(frozen=True)
 class EliminationOutcome:
+    """The 48 checks on one analysis: the first critical point, or None, of
+    each count row in _COUNT_ROWS, and the (choice, hypothesis) pairs that
+    survive.  The traces are built from those on first read."""
+
+    firsts: tuple[float | None, ...]
     survivors: tuple[tuple[ResolutionChoice, Hypothesis], ...]
-    traces: tuple[EliminationTrace, ...]
+
+    @functools.cached_property
+    def traces(self) -> tuple[EliminationTrace, ...]:
+        return tuple(_trace(plan, self.firsts) for plan in _plans())
 
 
 class ComponentChoice(enum.Enum):
@@ -97,6 +106,7 @@ class ComponentSchedule:
         return (first, 2, third)
 
 
+@functools.cache
 def assign_types() -> TypeAssignment:
     """The interval-to-family table for candidate fiber images.
 
@@ -207,12 +217,12 @@ def _plans() -> tuple[_Plan, ...]:
     return tuple(_plan(choice, hyp) for choice in all_resolutions() for hyp in Hypothesis)
 
 
-def _firsts(analysis: RadiusAnalysis) -> list[float | None]:
+def _firsts(analysis: RadiusAnalysis) -> tuple[float | None, ...]:
     """The first critical point, or None, of each count row."""
-    return [analysis.first_critical(kind, key, which) for kind, key, which in _COUNT_ROWS]
+    return tuple(analysis.first_critical(kind, key, which) for kind, key, which in _COUNT_ROWS)
 
 
-def _trace(plan: _Plan, firsts: list[float | None]) -> EliminationTrace:
+def _trace(plan: _Plan, firsts: Sequence[float | None]) -> EliminationTrace:
     reasons = [
         Reason(code, description, firsts[row]) for row, code, description in plan.reads if firsts[row] is not None
     ]
@@ -222,17 +232,22 @@ def _trace(plan: _Plan, firsts: list[float | None]) -> EliminationTrace:
 
 
 def eliminate(analysis: RadiusAnalysis) -> EliminationOutcome:
-    """Run all 24 x 2 hypothesis checks with full traces.
+    """Run all 24 x 2 hypothesis checks.
 
     Every verdict is decided: the analysis holds an admissible set's
     partition, and on those sets every endpoint limit is Zero or Infinity, so
     each hypothesis either survives or is eliminated with its reasons.  Each
-    of the 14 count rows is read once, and each trace is its plan filled in.
+    of the 14 count rows is read once.  A plan survives when no C reason
+    fires and none of its rows has a critical point; its trace is the plan
+    filled in, built when the outcome's traces are read.
     """
     firsts = _firsts(analysis)
-    traces = tuple(_trace(plan, firsts) for plan in _plans())
-    survivors = tuple((t.choice, t.hypothesis) for t in traces if t.verdict is Verdict.SURVIVES)
-    return EliminationOutcome(survivors=survivors, traces=traces)
+    survivors = tuple(
+        (plan.choice, plan.hypothesis)
+        for plan in _plans()
+        if not plan.matches and all(firsts[row] is None for row, _, _ in plan.reads)
+    )
+    return EliminationOutcome(firsts=firsts, survivors=survivors)
 
 
 EXPECTED_SURVIVORS = (

@@ -25,8 +25,8 @@ from dataclasses import fields, is_dataclass
 from typing import NamedTuple
 
 from . import __version__
-from .analysis import PSI, RadiusAnalysis, TableRow, h0_critical_on_i2, h0_pairing, verify_h_tables
-from .classifier import EXPECTED_SURVIVORS, _plans, classify
+from .analysis import PSI, RadiusAnalysis, TableRow, h0_critical_on_i2, h0_pairings, verify_h_tables
+from .classifier import _COUNT_ROWS, EXPECTED_SURVIVORS, EliminationTrace, _plans, _trace, assign_types, classify
 from .conics import FAMILIES, ConicCoeffs, Plane, min_real_form
 from .errors import (
     DegenerateConicError,
@@ -166,15 +166,12 @@ PAIRING_SAMPLE_MARGIN = 1e-3
 
 
 def _pairing_samples(analysis: RadiusAnalysis) -> dict:
-    """A few partner planes of the degenerate-radius pairing inside I2."""
+    """A few partner planes of the degenerate-radius pairing inside I2,
+    paired in one stacked solve."""
     crit = h0_critical_on_i2(analysis)
-    samples = []
-    for k in range(1, 5):
-        lam = -1.0 + k * 0.18
-        if abs(lam - crit) < PAIRING_SAMPLE_MARGIN:
-            continue
-        samples.append({"lambda": lam, "mu": h0_pairing(analysis, lam)})
-    return {"critical_lambda": crit, "samples": samples}
+    lams = [lam for lam in (-1.0 + k * 0.18 for k in range(1, 5)) if abs(lam - crit) >= PAIRING_SAMPLE_MARGIN]
+    mus = h0_pairings(analysis, lams, crit)
+    return {"critical_lambda": crit, "samples": [{"lambda": lam, "mu": mu} for lam, mu in zip(lams, mus)]}
 
 
 def _json_safe(x):
@@ -189,11 +186,18 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 class _Fragment(NamedTuple):
-    """A JSON value written once per process: its text as _json_text writes
-    it at top level, without the final newline, and for a row of critical or
-    tangency the values of its CSV line.  An encoded string never
-    holds a raw newline, so every newline of the text starts a line of its
-    layout, and one replace nests the text at any depth."""
+    """A JSON value as text: the text _json_text writes for it at top level,
+    without the final newline, and for a row of critical or tangency the
+    values of its CSV line.  An encoded string never holds a raw newline,
+    so every newline of the text starts a line of its layout, and one
+    replace nests the text at any depth.
+
+    The kinds: written once per process, psi and classification's
+    type_assignment (module constants), each h_tables row (_table_row) and
+    each component schedule (_schedule_record); put together per document
+    from per-process text around its numbers, each tangency row
+    (_tangency_row_text around the knob) and classification's traces
+    (_trace_template around the witnesses)."""
 
     text: str
     values: tuple = ()
@@ -371,6 +375,8 @@ def _tangency_row_text(family: str, label: str, passed: bool) -> tuple[str, str]
 
 
 def _cmd_tangency(args):
+    if args.grid < 16:
+        raise InputError("grid density must be at least 16")
     plane = _require_plane(args)
     t0 = time.perf_counter()
     n = args.grid
@@ -424,57 +430,97 @@ def _critical(analysis: RadiusAnalysis):
     return {"rows": [_table_row(r) for r in rep.rows], "passed": rep.passed}, rep.passed, {"h_tables_s": _elapsed(t0)}
 
 
+def _trace_record(trace: EliminationTrace) -> dict:
+    """An elimination trace as a record of classification.traces."""
+    return {
+        "resolution": trace.choice.label(),
+        "hypothesis": trace.hypothesis.value,
+        "verdict": trace.verdict.value,
+        "reasons": [vars(r) for r in trace.reasons],
+    }
+
+
 @functools.cache
-def _trace_skeletons() -> tuple[tuple[str, str, list[_Fragment]], ...]:
-    """Per classifier plan, in the order of the traces, what its trace record
-    shares with every parameter set: the resolution label, the hypothesis
-    and the C reasons, which rest on the limits alone.  Built on first use;
-    every report of the process shares the C reason records' text."""
-    return tuple(
-        (
-            plan.choice.label(),
-            plan.hypothesis.value,
-            [_fragment(vars(r)) for r in plan.matches],
-        )
-        for plan in _plans()
+def _trace_template(index: int, measured: int) -> tuple[str, tuple[tuple[int, str], ...]]:
+    """The text of the trace record of plan index of _plans(), nested as an
+    item of a top-level list and cut at its witnesses: the text before the
+    first, and per witness its count row and the text after it.  measured
+    has bit r set for each count row r of the plan with a critical point; a
+    NaN stands in for that witness while the record is written, and NaN is
+    never a witness.  A plan reads three rows, so the cache holds at most
+    48 x 2^3 = 384 entries."""
+    plan = _plans()[index]
+    firsts = [math.nan if measured >> row & 1 else None for row in range(len(_COUNT_ROWS))]
+    text = _json_text(_trace_record(_trace(plan, firsts)))[:-1].replace("\n", "\n  ")
+    parts = text.split('"witness": NaN')
+    pieces = [part + '"witness": ' for part in parts[:-1]] + parts[-1:]
+    rows = [row for row, _, _ in plan.reads if measured >> row & 1]
+    return pieces[0], tuple(zip(rows, pieces[1:]))
+
+
+@functools.cache
+def _plan_rows() -> tuple[int, ...]:
+    """Per plan of _plans(), the bits of the count rows it reads."""
+    return tuple(sum(1 << row for row, _, _ in plan.reads) for plan in _plans())
+
+
+def _traces(firsts: tuple[float | None, ...]) -> _Fragment:
+    """classification.traces of the count rows' first critical points: each
+    plan's template with its witnesses spliced in.  A witness lies strictly
+    inside its span, so it is finite, and the writer writes a finite float
+    as float.__repr__ does."""
+    texts = [None if w is None else float.__repr__(w) for w in firsts]
+    measured = sum(1 << row for row, w in enumerate(firsts) if w is not None)
+    out = ["["]
+    for index, rows in enumerate(_plan_rows()):
+        head, spliced = _trace_template(index, measured & rows)
+        out += ("\n  ", head)
+        for row, piece in spliced:
+            out += (texts[row], piece)
+        out.append(",")
+    out[-1] = "\n]"
+    return _Fragment("".join(out))
+
+
+_TYPE_ASSIGNMENT = _fragment(
+    [{"interval": name, "type": kind.value, "justification": why} for name, kind, why in assign_types().by_interval]
+)
+
+
+@functools.cache
+def _schedule_record(choice, hyp, s) -> _Fragment:
+    """A survivor's component schedule, written once per process.  The
+    schedule follows from the choice and the first hypothesis it survives
+    under, so the cache holds at most 24 x 2 x 2 = 96 entries."""
+    return _fragment(
+        {
+            "resolution": choice.label(),
+            "hypothesis": hyp.value,
+            "I1": s.i1.value,
+            "I2": s.i2.value,
+            "I3": s.i3.value,
+            "I4minus": s.i4minus.value,
+            "I4plus": s.i4plus.value,
+            "gamma_progression": list(s.gamma_progression()),
+        }
     )
 
 
 def _classification(analysis: RadiusAnalysis):
+    """classify's section.  type_assignment is the module fragment, traces
+    one fragment put together from the per-plan templates, and each
+    component schedule a cached fragment; the survivors and the pairing
+    samples are written value by value."""
     t0 = time.perf_counter()
     rep = classify(analysis)
     survivors = rep.outcome.survivors
-    traces = []
-    for (resolution, hypothesis, matches), t in zip(_trace_skeletons(), rep.outcome.traces):
-        # the A and B reasons come first, one per count row with a critical
-        # point, which lies inside its span and so is a finite float
-        measured = t.reasons[: len(t.reasons) - len(matches)]
-        reasons = [vars(r) for r in measured]
-        traces.append(
-            {"resolution": resolution, "hypothesis": hypothesis, "verdict": t.verdict.value, "reasons": reasons + matches}
-        )
     body = {
-        "type_assignment": [
-            {"interval": name, "type": kind.value, "justification": why}
-            for name, kind, why in rep.assignment.by_interval
-        ],
+        "type_assignment": _TYPE_ASSIGNMENT,
         "survivors": [{"resolution": ch.label(), "hypothesis": hyp.value} for ch, hyp in survivors],
         # kept in the report schema; every verdict is decided
         "inconclusive": False,
-        "traces": traces,
-        "component_schedules": [
-            {
-                "resolution": ch.label(),
-                "hypothesis": hyp.value,
-                "I1": s.i1.value,
-                "I2": s.i2.value,
-                "I3": s.i3.value,
-                "I4minus": s.i4minus.value,
-                "I4plus": s.i4plus.value,
-                "gamma_progression": list(s.gamma_progression()),
-            }
-            for ch, hyp, s in rep.schedules
-        ],
+        "traces": _traces(rep.outcome.firsts),
+        "component_schedules": [_schedule_record(*entry) for entry in rep.schedules],
         "broken_pairing": _pairing_samples(analysis),
     }
     ok = set(survivors) == set(EXPECTED_SURVIVORS)
@@ -601,10 +647,6 @@ def run(argv: list[str]) -> int:
         build_parser().parse_args(_join_negative_numbers(argv), args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-
-    if args.grid < 16:
-        sys.stderr.write("grid density must be at least 16\n")
-        return EXIT_USAGE
 
     try:
         if args.fmt == "csv" and args.csv_header is None:

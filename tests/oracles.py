@@ -18,7 +18,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from touching_conics.analysis import (
 from touching_conics.analysis import LimitKind as AnalysisLimit
 from touching_conics.classifier import (
     EXPECTED_SURVIVORS,
-    EliminationOutcome,
     EliminationTrace,
     Hypothesis,
     Reason,
@@ -804,11 +803,16 @@ def trace_by_lookup(analysis: RadiusAnalysis, choice: ResolutionChoice, hyp: Hyp
     return EliminationTrace(choice=choice, hypothesis=hyp, verdict=verdict, reasons=tuple(reasons))
 
 
-def eliminate_by_lookup(analysis: RadiusAnalysis) -> EliminationOutcome:
-    """classifier.eliminate's outcome, built trace by trace."""
+class OutcomeByLookup(NamedTuple):
+    survivors: tuple[tuple[ResolutionChoice, Hypothesis], ...]
+    traces: tuple[EliminationTrace, ...]
+
+
+def eliminate_by_lookup(analysis: RadiusAnalysis) -> OutcomeByLookup:
+    """classifier.eliminate's survivors and traces, built trace by trace."""
     traces = tuple(trace_by_lookup(analysis, choice, hyp) for choice in all_resolutions() for hyp in Hypothesis)
     survivors = tuple((t.choice, t.hypothesis) for t in traces if t.verdict is Verdict.SURVIVES)
-    return EliminationOutcome(survivors=survivors, traces=traces)
+    return OutcomeByLookup(survivors=survivors, traces=traces)
 
 
 # ---------------------------------------------------------------------------

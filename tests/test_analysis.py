@@ -36,10 +36,11 @@ from touching_conics.analysis import (
     domain_side,
     h0_critical_on_i2,
     h0_pairing,
+    h0_pairings,
     limit,
     verify_h_tables,
 )
-from touching_conics.errors import DomainError, InputError
+from touching_conics.errors import DomainError, InputError, PreconditionError
 from touching_conics.resolution import Edge, HKind, LinearForm, ResolutionChoice, all_resolutions
 from touching_conics.surface import Interval, SearchConfig, f_value, intervals, params_for_q0, q_value
 
@@ -198,6 +199,30 @@ def test_h0_pairing_matches_bisection(params_draws):
                 continue
             mu = h0_pairing(cache, lam)
             assert abs(mu - pairing_by_bisection(h, lam, crit)) <= 1e-9 * abs(mu)
+
+
+def test_stacked_pairings_equal_the_planes_paired_one_at_a_time(params_draws):
+    for params in params_draws:
+        cache = analysis_of(params)
+        crit = h0_critical_on_i2(cache)
+        lams = [lam for lam in (-0.82, -0.64, -0.46, -0.28, -0.1) if abs(lam - crit) >= 1e-3]
+        assert h0_pairings(cache, lams, crit) == [h0_pairing(cache, lam) for lam in lams]
+
+
+def test_pairing_errors_come_in_the_order_of_the_planes(params_star):
+    # -1e-300 has no partner inside I2, and at -5e-324 c = Q^2 / f overflows,
+    # so the solver refuses that quartic: as when the planes are paired one
+    # at a time, the first plane that fails names the error
+    cache = analysis_of(params_star)
+    crit = h0_critical_on_i2(cache)
+    with pytest.raises(PreconditionError, match="no partner of -1e-300"):
+        h0_pairings(cache, [-0.82, -1e-300, -5e-324], crit)
+    with pytest.raises(DomainError, match="finite coefficients"):
+        h0_pairings(cache, [-0.82, -5e-324, -1e-300], crit)
+    with pytest.raises(PreconditionError, match="no partner of -1e-300"):
+        h0_pairings(cache, [-1e-300, 0.5], crit)
+    with pytest.raises(DomainError, match="lam in I2"):
+        h0_pairings(cache, [-0.82, 0.5, -1e-300], crit)
 
 
 def test_h0_pairing_rejects_critical_plane(params_star):

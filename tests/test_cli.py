@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from touching_conics import analysis, cli, surface
 from touching_conics.analysis import RadiusAnalysis
+from touching_conics.classifier import _COUNT_ROWS, _plans, _trace
 from touching_conics.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from touching_conics.conics import ConicType, Plane
 from touching_conics.surface import SearchConfig, lambda0, params_for_q0
@@ -75,9 +76,18 @@ def test_classify_survivors(star_arg, tmp_path):
 def test_usage_errors():
     assert run(["frobnicate"]) == EXIT_USAGE
     assert run(["--params", "1,2,3", "validate"]) == EXIT_USAGE  # wrong arity
-    assert run(["--grid", "4", "psi"]) == EXIT_USAGE
+    assert run(["--grid", "4", "tangency"]) == EXIT_USAGE
     assert run(["--tol", "-1", "psi"]) == EXIT_USAGE
     assert run(["validate"]) == EXIT_USAGE  # params required
+
+
+def test_grid_is_checked_only_by_tangency(star_arg, capsys):
+    # report never reads the grid, and records it in its config as given
+    assert run(["--params", star_arg, "--grid", "8", "report"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["config"]["grid"] == 8
+    assert run(["--params", star_arg, "--lambda=-0.5", "--grid", "8", "tangency"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: grid density must be at least 16\n")
 
 
 def test_parser_is_reused_across_runs(star_arg, capsys):
@@ -308,11 +318,9 @@ def test_report_builds_one_analysis(star_arg, tmp_path, monkeypatch):
 
 def test_report_solves_each_radius_function_once(params_draws, capsys, monkeypatch):
     # one stacked solve of the 11 critical polynomials, one per distinct
-    # (kind, key) with h3 read as h1 of the missing form, one companion-root
-    # call per broken-pairing sample, and one validation, in every report
-    calls = []
-    roots = analysis.companion_roots
-    monkeypatch.setattr(analysis, "companion_roots", lambda coeffs: calls.append(coeffs) or roots(coeffs))
+    # (kind, key) with h3 read as h1 of the missing form, one stacked solve
+    # of the broken-pairing samples' quartics, and one validation, in every
+    # report
     stacked = []
     solve = analysis.stacked_companion_roots
     monkeypatch.setattr(analysis, "stacked_companion_roots", lambda polys: stacked.append(polys) or solve(polys))
@@ -321,23 +329,23 @@ def test_report_solves_each_radius_function_once(params_draws, capsys, monkeypat
     for module in (surface, cli):
         monkeypatch.setattr(module, "validate", lambda params: validated.append(params) or validate(params))
     for p in params_draws * 2:
-        calls.clear()
         stacked.clear()
         validated.clear()
         assert run(["--params", f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}", "report"]) == EXIT_OK
         samples = json.loads(capsys.readouterr().out)["classification"]["broken_pairing"]["samples"]
         assert len(samples) == 4
-        assert [len(set(polys)) for polys in stacked] == [11]
-        assert len(calls) == len(samples)
+        assert [len(set(polys)) for polys in stacked] == [11, len(samples)]
         assert validated == [p]
 
 
 def test_report_documents_equal_the_one_at_a_time_path(region_sets, capsys, monkeypatch):
     # the whole document, byte for byte, against the analysis solved one
     # radius function at a time, the h tables read row by row and the
-    # classification section built trace by trace, on the reference draws
-    # and 32 sets across the region
+    # classification section built trace by trace, on the reference draws,
+    # 32 sets across the region and a set whose h1 (l1 = X0) has two
+    # critical points on I3
     argvs = [["--params", f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}", "report"] for p in region_sets]
+    argvs.append(["--params", _q0_set(0.5, 3.0, 7.5, 0.95), "report"])
     produced = []
     for argv in argvs:
         code = run(argv)
@@ -733,6 +741,30 @@ def test_a_fragment_writes_its_source_at_any_depth():
         for level in range(depth):
             doc, nested = ({"k": doc}, {"k": nested}) if level % 2 else ([7, doc], [7, nested])
         assert cli._json_text(doc) == json.dumps(nested, indent=2, sort_keys=True) + "\n"
+
+
+# a count row's first critical point, or None: finite floats of every kind,
+# with subnormals, negatives and 17-digit values among them
+_WITNESSES = st.one_of(
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -2.225073858507201e-308, 0.30000000000000004, -1.2345678901234567e-05]),
+)
+
+
+@given(st.lists(_WITNESSES, min_size=len(_COUNT_ROWS), max_size=len(_COUNT_ROWS)))
+def test_trace_templates_write_what_the_trace_records_write(firsts):
+    # every plan, with each of its A and B rows measured or not
+    records = [
+        {
+            "resolution": t.choice.label(),
+            "hypothesis": t.hypothesis.value,
+            "verdict": t.verdict.value,
+            "reasons": [{"code": r.code, "description": r.description, "witness": r.witness} for r in t.reasons],
+        }
+        for t in (_trace(plan, firsts) for plan in _plans())
+    ]
+    assert cli._traces(tuple(firsts)).text == json.dumps(records, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("doc", [{1: "x"}, {None: 0}, {1.5: 0}, {("a",): 0}, {"a": [{"b": {2: 0}}]}, {"a": 0, 3: 0}])
