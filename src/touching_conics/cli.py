@@ -22,6 +22,7 @@ import re
 import sys
 import time
 from dataclasses import fields, is_dataclass
+from itertools import groupby, repeat
 from typing import NamedTuple
 
 from . import __version__
@@ -187,25 +188,39 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 class _Fragment(NamedTuple):
     """A JSON value as text: the text _json_text writes for it at top level,
-    without the final newline, and for a row of critical or tangency the
-    values of its CSV line.  An encoded string never holds a raw newline,
-    so every newline of the text starts a line of its layout, and one
-    replace nests the text at any depth.
+    without the final newline, and for the rows of critical or tangency the
+    values of their CSV lines.  An encoded string never holds a raw
+    newline, so every newline of the text starts a line of its layout, and
+    one replace nests the text at any depth.
 
     The kinds: written once per process, psi and classification's
-    type_assignment (module constants), each h_tables row (_table_row) and
-    each component schedule (_schedule_record); put together per document
-    from per-process text around its numbers, each tangency row
-    (_tangency_row_text around the knob) and classification's traces
-    (_trace_template around the witnesses)."""
+    type_assignment (module constants) and each component schedule
+    (_schedule_record); put together per document from per-process text
+    around its numbers, the rows of critical or tangency (_rows, one
+    fragment whose values are their CSV lines, joined from _table_row's
+    item texts or from _tangency_row_text around the knobs) and
+    classification's traces (_trace_template around the witnesses)."""
 
     text: str
     values: tuple = ()
 
 
-def _fragment(x, values: tuple = ()) -> _Fragment:
+def _fragment(x) -> _Fragment:
     """x rendered once, to be written any number of times."""
-    return _Fragment(_json_text(x)[:-1], values)
+    return _Fragment(_json_text(x)[:-1])
+
+
+def _item_text(x) -> str:
+    """The text of x as an item of a top-level list: its lines nested one
+    level deep, after the newline that opens the item."""
+    return "\n  " + _json_text(x)[:-1].replace("\n", "\n  ")
+
+
+def _rows(items: list[str], values: tuple) -> _Fragment:
+    """The rows of critical or tangency as one fragment: the list of the
+    item texts, each of which opens with its newline, and the rows' CSV
+    lines."""
+    return _Fragment("[" + ",".join(items) + "\n]" if items else "[]", values)
 
 
 def _write_json(x, indent: str, out: list[str]) -> None:
@@ -276,11 +291,11 @@ def _json_text(doc) -> str:
 
 def _emit(doc: dict, args) -> None:
     if args.fmt == "csv":
-        # the rows are _Fragments, and the subcommand names their columns
+        # the rows are one _Fragment, and the subcommand names their columns
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(args.csv_header)
-        writer.writerows(row.values for row in doc["rows"])
+        writer.writerows(doc["rows"].values)
         text = buf.getvalue()
     else:
         text = _json_text(doc)
@@ -366,12 +381,23 @@ _TANGENCY_HEADER = ("family", "knob", "type", "passed")
 
 @functools.cache
 def _tangency_row_text(family: str, label: str, passed: bool) -> tuple[str, str]:
-    """A tangency row's text before and after its knob.  The cache holds at
-    most 3 families x 6 ConicType labels = 18 entries, since passed follows
-    from the family and the label."""
-    text = _json_text({"family": family, "knob": None, "passed": passed, "type": label})
-    head, tail = text[:-1].split('"knob": null')
+    """A tangency row's item text (see _item_text) before and after its
+    knob.  The cache holds at most 3 families x 6 ConicType labels = 18
+    entries, since passed follows from the family and the label."""
+    text = _item_text({"family": family, "knob": None, "passed": passed, "type": label})
+    head, tail = text.split('"knob": null')
     return head + '"knob": ', tail
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_angles(n: int) -> tuple[tuple[float, ...], tuple[str, ...]]:
+    """The angles 2 pi k / n of the grid and their texts, float.__repr__ of
+    each.  They depend on the grid alone, and a process sweeps one grid: a
+    CLI run sweeps once, so the cache saves nothing there, and a process
+    that sweeps many planes at one grid, as perfbench's tangency workload
+    does at 256, renders the angles once."""
+    angles = tuple(2.0 * math.pi * k / n for k in range(n))
+    return angles, tuple(map(float.__repr__, angles))
 
 
 def _cmd_tangency(args):
@@ -380,54 +406,64 @@ def _cmd_tangency(args):
     plane = _require_plane(args)
     t0 = time.perf_counter()
     n = args.grid
-    angles = [2.0 * math.pi * k / n for k in range(n)]
+    angles, angle_texts = _grid_angles(n)
     if plane.f > 0.0:
         sf = math.sqrt(plane.f)
         alphas = [-plane.q - sf + 2.0 * sf * k / n for k in range(1, n)]
-        sweeps = [("generic", angles, ("Generic",)), ("orbit", alphas, ("Orbit", "ContainedInB"))]
+        sweeps = [
+            ("generic", angles, angle_texts, ("Generic",)),
+            ("orbit", alphas, list(map(float.__repr__, alphas)), ("Orbit", "ContainedInB")),
+        ]
     else:
-        sweeps = [("special", angles, ("Special",))]
-    rows = []
+        sweeps = [("special", angles, angle_texts, ("Special",))]
+    items = []
+    values = []
     ok = True
     decide_s = 0.0
-    for family, knobs, accepted in sweeps:
+    for family, knobs, texts, accepted in sweeps:
         t1 = time.perf_counter()
         kinds = plane.conic_types(family, knobs)
         decide_s += time.perf_counter() - t1
-        last = None
-        for knob, kind in zip(knobs, kinds):
-            # a run of rows of one type shares its text around the knob
-            if kind is not last:
-                last, label = kind, kind.value
-                passed = label in accepted
-                ok = ok and passed
-                head, tail = _tangency_row_text(family, label, passed)
-            rows.append(_Fragment(head + float.__repr__(knob) + tail, (family, knob, label, passed)))
+        # a run of rows of one type is one item text: the knobs' texts
+        # joined by the text between two of its rows
+        start = 0
+        for kind, run in groupby(kinds):
+            end = start + len(list(run))
+            label = kind.value
+            passed = label in accepted
+            ok = ok and passed
+            head, tail = _tangency_row_text(family, label, passed)
+            items.append(head + (tail + "," + head).join(texts[start:end]) + tail)
+            values += zip(repeat(family), knobs[start:end], repeat(label), repeat(passed))
+            start = end
     timings = {
         "tangency_s": _elapsed(t0),
         "decide_s": round(decide_s, 6),
         "exact_conics": plane.exact_conics,
-        "conics": len(rows),
+        "conics": len(values),
     }
-    return {"rows": rows, "passed": ok}, ok, timings
+    return {"rows": _rows(items, tuple(values)), "passed": ok}, ok, timings
 
 
 _TABLE_HEADER = tuple(field.name for field in fields(TableRow))
 
 
 @functools.cache
-def _table_row(row: TableRow) -> _Fragment:
-    """A row of verify_h_tables, written once per process.  The 33 limit
-    rows are constants of the region, and each of the 31 count rows varies
-    only in its count, which is at most the degree of its critical
-    polynomial, 7 at most: the cache holds at most 33 + 31 x 8 entries."""
-    return _fragment(_record(row), tuple(vars(row).values()))
+def _table_row(row: TableRow) -> tuple[str, tuple]:
+    """A row of verify_h_tables, written once per process: its item text
+    (see _item_text) and its CSV line.  The 33 limit rows are constants of
+    the region, and each of the 31 count rows varies only in its count,
+    which is at most the degree of its critical polynomial, 7 at most: the
+    cache holds at most 33 + 31 x 8 entries."""
+    return _item_text(_record(row)), tuple(vars(row).values())
 
 
 def _critical(analysis: RadiusAnalysis):
     t0 = time.perf_counter()
     rep = verify_h_tables(analysis)
-    return {"rows": [_table_row(r) for r in rep.rows], "passed": rep.passed}, rep.passed, {"h_tables_s": _elapsed(t0)}
+    rows = list(map(_table_row, rep.rows))
+    body = {"rows": _rows([text for text, _ in rows], tuple(line for _, line in rows)), "passed": rep.passed}
+    return body, rep.passed, {"h_tables_s": _elapsed(t0)}
 
 
 def _trace_record(trace: EliminationTrace) -> dict:
@@ -442,16 +478,16 @@ def _trace_record(trace: EliminationTrace) -> dict:
 
 @functools.cache
 def _trace_template(index: int, measured: int) -> tuple[str, tuple[tuple[int, str], ...]]:
-    """The text of the trace record of plan index of _plans(), nested as an
-    item of a top-level list and cut at its witnesses: the text before the
-    first, and per witness its count row and the text after it.  measured
-    has bit r set for each count row r of the plan with a critical point; a
-    NaN stands in for that witness while the record is written, and NaN is
-    never a witness.  A plan reads three rows, so the cache holds at most
+    """The item text (see _item_text) of the trace record of plan index of
+    _plans(), cut at its witnesses: the text before the first, and per
+    witness its count row and the text after it.  measured has bit r set
+    for each count row r of the plan with a critical point; a NaN stands in
+    for that witness while the record is written, and NaN is never a
+    witness.  A plan reads three rows, so the cache holds at most
     48 x 2^3 = 384 entries."""
     plan = _plans()[index]
     firsts = [math.nan if measured >> row & 1 else None for row in range(len(_COUNT_ROWS))]
-    text = _json_text(_trace_record(_trace(plan, firsts)))[:-1].replace("\n", "\n  ")
+    text = _item_text(_trace_record(_trace(plan, firsts)))
     parts = text.split('"witness": NaN')
     pieces = [part + '"witness": ' for part in parts[:-1]] + parts[-1:]
     rows = [row for row, _, _ in plan.reads if measured >> row & 1]
@@ -474,7 +510,7 @@ def _traces(firsts: tuple[float | None, ...]) -> _Fragment:
     out = ["["]
     for index, rows in enumerate(_plan_rows()):
         head, spliced = _trace_template(index, measured & rows)
-        out += ("\n  ", head)
+        out.append(head)
         for row, piece in spliced:
             out += (texts[row], piece)
         out.append(",")

@@ -272,3 +272,34 @@ def test_every_count_has_the_parity_of_its_end_limits(a, b, gap, q0_min):
         count = len(cache.critical(kind, key, cache.span(which, kind)))
         start, end = (limit(kind, key, edge) for edge in _ENDS[which])
         assert count % 2 == (1 if start is end else 0), (params, kind, key, which, count)
+
+
+class _ParityAnalysis:
+    """A stand-in analysis whose count rows hold what the limits force: one
+    critical point inside each row whose end limits are of one class (an odd
+    count), and none on each other row (an even count read as 0)."""
+
+    def __init__(self, params):
+        self.spans = analysis_of(params)
+
+    def first_critical(self, kind, key, which):
+        start, end = (limit(kind, key, edge) for edge in _ENDS[which])
+        if start is not end:
+            return None
+        lo, hi = self.spans.span(which, kind)
+        return (lo + hi) / 2.0 if math.isfinite(lo) else hi - 1.0
+
+
+def test_the_limits_alone_decide_the_elimination(params_star):
+    # the parity of the count rows (item 3 of the roadmap) proves the 46
+    # eliminations: with only the odd rows measured, exactly the two
+    # expected pairs survive, each trace for the reasons it has on params_star
+    stand_in = _ParityAnalysis(params_star)
+    # six of the 14 rows are odd: two h2 rows on I2, two h1 rows on each of I1 and I3
+    assert sum(stand_in.first_critical(*row) is not None for row in _COUNT_ROWS) == 6
+    out = eliminate(stand_in)
+    assert out.survivors == EXPECTED_SURVIVORS
+    measured = classify(analysis_of(params_star)).outcome
+    codes = [[r.code for r in t.reasons] for t in out.traces]
+    assert len(codes) == 48
+    assert codes == [[r.code for r in t.reasons] for t in measured.traces]

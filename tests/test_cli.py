@@ -243,7 +243,9 @@ _ACCEPTED = {"generic": ("Generic",), "orbit": ("Orbit", "ContainedInB"), "speci
 def test_tangency_rows_of_every_type_equal_the_dict_rows(star_arg, capsys, monkeypatch, lam):
     # the goldens hold only passed rows typed Generic, Orbit or Special; here
     # each family's sweep reads every ConicType in turn, and the document and
-    # the CSV must be what json.dumps and csv.DictWriter make of dict rows
+    # the CSV must be what json.dumps and csv.DictWriter make of dict rows.
+    # The grids 16, 17 and 16 in one process catch angles cached under the
+    # wrong grid
     swept = []
 
     def types(knobs):
@@ -254,28 +256,37 @@ def test_tangency_rows_of_every_type_equal_the_dict_rows(star_arg, capsys, monke
         return types(knobs)
 
     monkeypatch.setattr(Plane, "conic_types", every_type)
-    argv = ["--params", star_arg, f"--lambda={lam}", "--grid", "16", "tangency"]
-    code = run(argv)
-    out = capsys.readouterr().out
-    rows = [
-        {"family": family, "knob": knob, "type": kind.value, "passed": kind.value in _ACCEPTED[family]}
-        for family, knobs in swept
-        for knob, kind in zip(knobs, types(knobs))
-    ]
-    assert {row["type"] for row in rows} == {kind.value for kind in ConicType}
-    passed = all(row["passed"] for row in rows)
-    assert not passed and code == EXIT_FAIL
-    doc = json.loads(out)
-    assert doc["passed"] is passed
-    assert out == json.dumps(doc | {"rows": rows}, indent=2, sort_keys=True) + "\n"
+    for grid in (16, 17, 16):
+        swept.clear()
+        argv = ["--params", star_arg, f"--lambda={lam}", "--grid", str(grid), "tangency"]
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert [len(knobs) for _, knobs in swept] == ([grid, grid - 1] if lam == "-0.5" else [grid])
+        assert swept[0][1] == [2.0 * math.pi * k / grid for k in range(grid)]
+        rows = [
+            {"family": family, "knob": knob, "type": kind.value, "passed": kind.value in _ACCEPTED[family]}
+            for family, knobs in swept
+            for knob, kind in zip(knobs, types(knobs))
+        ]
+        assert {row["type"] for row in rows} == {kind.value for kind in ConicType}
+        passed = all(row["passed"] for row in rows)
+        assert not passed and code == EXIT_FAIL
+        doc = json.loads(out)
+        assert doc["passed"] is passed
+        assert out == json.dumps(doc | {"rows": rows}, indent=2, sort_keys=True) + "\n"
 
-    swept.clear()
-    assert run(argv[:-1] + ["--format", "csv", "tangency"]) == EXIT_FAIL
+        swept.clear()
+        assert run(argv[:-1] + ["--format", "csv", "tangency"]) == EXIT_FAIL
+        assert capsys.readouterr().out == _dict_csv(rows)
+
+
+def _dict_csv(rows: list[dict]) -> str:
+    """tangency's rows as csv.DictWriter writes dict rows."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=["family", "knob", "type", "passed"])
     writer.writeheader()
     writer.writerows(rows)
-    assert capsys.readouterr().out == buf.getvalue()
+    return buf.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -628,6 +639,18 @@ def test_tangency_and_conic_bytes_equal_the_golden_documents(star_arg, capsys, n
     assert run(["--params", star_arg] + _GOLDEN_PLANES[name]) == EXIT_OK
     golden = Path(__file__).parent / "golden" / f"{name}.json"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(name for name in _GOLDEN_PLANES if name.startswith("tangency")))
+def test_tangency_csv_holds_the_rows_of_the_document(star_arg, capsys, name):
+    # on every golden tangency plane the CSV is csv.DictWriter of the rows
+    # that the JSON document holds: the one fragment's text and its values
+    # say the same
+    argv = ["--params", star_arg] + _GOLDEN_PLANES[name]
+    assert run(argv) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert run(argv[:-1] + ["--format", "csv", "tangency"]) == EXIT_OK
+    assert capsys.readouterr().out == _dict_csv(rows)
 
 
 def test_readme_lists_exactly_the_subcommands_and_common_flags():
