@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .poly import (
     evaluate,
     poly_add,
     poly_deflate,
+    poly_deflate_composite,
     poly_derivative,
     poly_mul,
     poly_scale,
@@ -74,6 +76,16 @@ def _product(polys) -> tuple[float, ...]:
     return out
 
 
+def _products(forms: list[tuple[float, ...]]) -> dict[tuple[int, ...], tuple[float, ...]]:
+    """The product of each pair and each triple of the forms, keyed by their
+    places in ascending order: _product of the forms in that order, a triple
+    being its first pair times its last form, which is the same fold."""
+    out = {pair: _product(forms[place] for place in pair) for pair in itertools.combinations(range(len(forms)), 2)}
+    for i, j, k in itertools.combinations(range(len(forms)), 3):
+        out[i, j, k] = poly_mul(out[i, j], forms[k])
+    return out
+
+
 def _sign_changes(
     candidates, lo: float, hi: float, g: Callable[[float], float]
 ) -> tuple[float, ...]:
@@ -107,12 +119,13 @@ class RadiusAnalysis:
     h2: unordered pair; h3: unordered triple, read as h1 of the missing
     form, since h3 = 1/h1 there), and numbered by its place in
     _radius_functions().  The first call for critical points builds all 11
-    critical polynomials and solves them together, one eigenvalue call per
-    degree; the roots and the derivative's sign function are kept per
-    function.  Two memos, keyed by function number and span, serve every
-    stage of a run: the critical points per span, read off those roots,
-    and the first of them alone, all the elimination reads of a count
-    row."""
+    critical polynomials, each with the known roots at lambda0 divided out:
+    five cubics (h0 and the four h1) and six quadratics (h2).  It solves
+    them together, one eigenvalue call per degree, and keeps the roots and
+    the derivative's sign function per function.  Two memos, keyed by
+    function number and span, serve every stage of a run: the critical
+    points per span, read off those roots, and the first of them alone, all
+    the elimination reads of a count row."""
 
     def __init__(self, params: SurfaceParams, partition: IntervalPartition):
         self.params = params
@@ -171,50 +184,59 @@ class RadiusAnalysis:
         verify_h_tables first reads them, so the first that cannot be solved
         raises its DomainError on the first call, whichever it was."""
         forms = [form.polynomial(self.params) for form in LinearForm]
-        data = [self._derivative_data(kind, own, forms) for kind, _, own in _radius_functions()]
+        dq, products = poly_derivative(self.q), _products(forms)
+        data = [self._derivative_data(kind, own, forms, dq, products) for kind, _, own in _radius_functions()]
         polys = [poly for poly, _ in data]
         roots = stacked_companion_roots(polys)
         self._root_solves = len({len(poly) for poly in polys if len(poly) > 1})
         self._solved = [([float(r.real) for r in rs], sign) for rs, (_, sign) in zip(roots, data)]
 
     def _derivative_data(
-        self, kind: HKind, own: tuple[int, ...], forms: list[tuple[float, ...]]
+        self,
+        kind: HKind,
+        own: tuple[int, ...],
+        forms: list[tuple[float, ...]],
+        dq: tuple[float, ...],
+        products: dict[tuple[int, ...], tuple[float, ...]],
     ) -> tuple[tuple[float, ...], Callable[[float], float]]:
-        """A polynomial whose real roots include every critical point, and a
-        function with the sign of the derivative up to a factor of constant
-        sign on each interval of the partition.  own holds the places, in
-        forms, of the forms in the key."""
-        f, q = self.f, self.q
-        dq = poly_derivative(q)
+        """A polynomial of degree at most 3 whose real roots include every
+        critical point, and a function with the sign of the derivative up to
+        a factor of constant sign on each interval of the partition.  own
+        holds the places, in forms, of the forms in the key; dq is Q' and
+        products is _products(forms)."""
+        f, q, lam0 = self.f, self.q, self.partition.lambda0
         if kind is HKind.H0:
             # h0 increases with Q / sqrt(f), whose derivative has the sign of
             # 2 f Q' - f' Q; that vanishes at the double root, an interval
             # end, so the factor is divided out
             num = poly_sub(poly_mul(f, poly_scale(dq, 2.0)), poly_mul(poly_derivative(f), q))
-            poly = poly_deflate(num, self.partition.lambda0)
+            poly = poly_deflate(num, lam0)
             return poly, functools.partial(evaluate, poly)
-        r = _product(form for place, form in enumerate(forms) if place not in own)
+        r = products[tuple(place for place in range(len(forms)) if place not in own)]
         if kind is HKind.H2:
             # h2^2 = R / P with P = L1 L2 and R the product of the other
             # forms; P's bits do not depend on the order of the pair, as
             # each of its coefficients sums at most two products from 0.0
-            p = _product(forms[place] for place in own)
+            p = products[tuple(sorted(own))]
             poly = poly_sub(poly_mul(poly_derivative(r), p), poly_mul(r, poly_derivative(p)))
             return poly, functools.partial(evaluate, poly)
         # h1^2 = 2 u / L1^2.  Its derivative has the sign of A + s C, where
         # A = L1 D' - 4 L1' D and C = 4 L1' Q - 2 L1 Q'; with f = L1 R this is
         # L1 E + u C, E = 3 L1' R - L1 R'.  A^2 - D C^2 = L1 (L1 E^2 - 2 Q C E
         # + R C^2); the factor L1 is left out, as its root is an interval end
-        # where h1 blows up rather than turns.
+        # where h1 blows up rather than turns.  The quintic left vanishes to
+        # second order at the double root, where D and D' vanish, another
+        # interval end: the factor (lam - lambda0)^2 is divided out too.
         (place,) = own
         ell = forms[place]
         dell = poly_derivative(ell)
         e = poly_sub(poly_scale(poly_mul(dell, r), 3.0), poly_mul(ell, poly_derivative(r)))
         c = poly_sub(poly_scale(poly_mul(dell, q), 4.0), poly_scale(poly_mul(ell, dq), 2.0))
-        poly = poly_add(
+        quintic = poly_add(
             poly_sub(poly_mul(poly_mul(ell, e), e), poly_scale(poly_mul(poly_mul(q, c), e), 2.0)),
             poly_mul(poly_mul(r, c), c),
         )
+        poly = poly_deflate_composite(poly_deflate_composite(quintic, lam0), lam0)
         params = self.params
         return poly, lambda x: evaluate(ell, x) * evaluate(e, x) + s_minus_q(params, x) * evaluate(c, x)
 
@@ -445,8 +467,8 @@ def _table_rows() -> tuple:
 # A plane this close to the critical one counts as it.  There g = Q / sqrt(f)
 # is within rounding of its minimum: g - g_min grows like g'' d^2 / 2 at a
 # distance d, below the rounding of g out to d = sqrt(2 eps g / g''), at most
-# about 1e-8 on the admissible sets tried.  The pairing quartic's roots lam
-# and the partner are not told apart there: they merge, or fall on one side.
+# about 1e-8 on the admissible sets tried.  The level c = g(lam)^2 does not
+# tell lam from the critical plane there, so it fixes no partner.
 CRITICAL_PLANE_TOL = math.sqrt(sys.float_info.epsilon)
 
 
@@ -466,22 +488,23 @@ def h0_pairing(analysis: RadiusAnalysis, lam: float) -> float:
     exactly where Q(mu)^2 - c f(mu) = 0, c = Q(lam)^2 / f(lam).  g falls to
     its minimum at the critical point and grows without bound toward both
     ends of I2, so this quartic has one root on each side of the critical
-    point inside I2: lam and the partner.  Of the roots whose real part lies
-    on the far side, the partner is the one nearest the real axis.  The
+    point inside I2: lam and the partner.  The known root lam is divided
+    out, and the partner is a root of the cubic left: of the roots whose
+    real part lies on the far side, the one nearest the real axis.  The
     stack of one of h0_pairings."""
     return h0_pairings(analysis, [lam], h0_critical_on_i2(analysis))[0]
 
 
 def h0_pairings(analysis: RadiusAnalysis, lams: list[float], crit: float) -> list[float]:
     """h0_pairing of each plane in lams, crit being h0_critical_on_i2 of the
-    analysis, with the pairing quartics solved in one stacked call.  Errors
+    analysis, with the pairing cubics solved in one stacked call.  Errors
     come in the order of the planes, as if each were paired alone: the first
-    plane that cannot be set up, or whose quartic the solver would refuse,
+    plane that cannot be set up, or whose cubic the solver would refuse,
     ends the stack, and its error is raised only after the planes before it
     have found their partners."""
     params = analysis.params
     q_squared = poly_mul(analysis.q, analysis.q)
-    quartics, windows = [], []
+    cubics, windows = [], []
     failure = None
     for lam in lams:
         try:
@@ -490,16 +513,16 @@ def h0_pairings(analysis: RadiusAnalysis, lams: list[float], crit: float) -> lis
             if abs(lam - crit) <= CRITICAL_PLANE_TOL:
                 raise DomainError("lam is the critical plane; no partner exists")
             c = q_value(params, lam) ** 2 / f_value(params, lam)
-            quartic = poly_sub(q_squared, poly_scale(analysis.f, c))
+            cubic = poly_deflate_composite(poly_sub(q_squared, poly_scale(analysis.f, c)), lam)
             # the solver's own refusal, made here so that it keeps its place
-            _last_column(quartic)
+            _last_column(cubic)
         except (DomainError, ArithmeticError) as exc:
             failure = exc
             break
-        quartics.append(quartic)
+        cubics.append(cubic)
         windows.append((crit, 0.0) if lam < crit else (-1.0, crit))
     mus = []
-    for lam, (lo, hi), roots in zip(lams, windows, stacked_companion_roots(quartics)):
+    for lam, (lo, hi), roots in zip(lams, windows, stacked_companion_roots(cubics)):
         inside = [r for r in roots if lo < r.real < hi]
         if not inside:
             raise PreconditionError(f"no partner of {lam} in ({lo}, {hi})")

@@ -38,7 +38,16 @@ from .errors import (
     PreconditionError,
     RealityError,
 )
-from .surface import SearchConfig, SurfaceParams, first_admissible, intervals, partition, singular_locus, validate
+from .surface import (
+    SearchConfig,
+    SurfaceParams,
+    _Discriminant,
+    _singular_locus,
+    _validate,
+    first_admissible,
+    intervals,
+    partition,
+)
 
 SCHEMA = "report-v2"
 
@@ -330,12 +339,14 @@ def _envelope(args, body: dict, timings: dict | None) -> dict:
 
 
 def _validation(params: SurfaceParams):
-    """validate's section, and the report the later stages partition by."""
+    """validate's section, and the report the later stages partition by:
+    validate and singular_locus read one record of the discriminant data."""
     t0 = time.perf_counter()
-    rep = validate(params)
+    disc = _Discriminant(params)
+    rep = _validate(disc)
     sing = [
         {"location": pt.location, "kind": pt.kind.value, "lambda": pt.lam, "multiplicity": pt.multiplicity}
-        for pt in singular_locus(params)
+        for pt in _singular_locus(disc)
     ]
     return rep, {"validation": _record(rep), "singular_locus": sing}, {"validate_s": _elapsed(t0)}
 

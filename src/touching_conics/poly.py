@@ -83,6 +83,37 @@ def poly_deflate(p: tuple[float, ...], root: float) -> tuple[float, ...]:
     return _stripped(out)
 
 
+def poly_deflate_composite(p: tuple[float, ...], root: float) -> tuple[float, ...]:
+    """Quotient of p by (x - root), each coefficient from the recurrence
+    whose terms weigh less: composite deflation (Peters and Wilkinson,
+    1971).  Coefficient k is sum_{i > k} p_i root^(i-k-1), accumulated from
+    the top as in poly_deflate, and at an exact root also
+    -sum_{i <= k} p_i root^(i-k-1), accumulated from the bottom.  The top
+    sum is kept where its weights |p_i| |root|^i add up to no more than the
+    bottom sum's, which holds from some k on.  Forward deflation alone loses
+    the roots much smaller than the one divided out, as its low
+    coefficients cancel; where the top sum is kept throughout, the quotient
+    is poly_deflate's, bit for bit."""
+    n = len(p) - 1
+    weights, power = [], 1.0
+    for c in p:
+        weights.append(abs(c) * power)
+        power *= abs(root)
+    split = 0
+    while split < n and sum(weights[split + 1 :]) > sum(weights[: split + 1]):
+        split += 1
+    out = [0.0] * n
+    acc = 0.0
+    for k in range(n, split, -1):
+        acc = acc * root + p[k]
+        out[k - 1] = acc
+    acc = 0.0
+    for k in range(split):
+        acc = (acc - p[k]) / root
+        out[k] = acc
+    return _stripped(out)
+
+
 def evaluate(p, x):
     """Horner evaluation of an ascending coefficient sequence at a real or
     complex point; exact for degree 0."""
@@ -115,7 +146,8 @@ def stacked_companion_roots(polys) -> list[list[complex]]:
     for members in by_degree.values():
         for i, values in zip(members, np.linalg.eigvals(_companions([built[i][1] for i in members]))):
             eigenvalues[i] = list(values)
-    return [_polished(cs, values) if values else [] for (cs, _), values in zip(built, eigenvalues)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [_polished(cs, values) if values else [] for (cs, _), values in zip(built, eigenvalues)]
 
 
 def _last_column(coeffs) -> tuple[list[complex], list[complex]]:
@@ -150,23 +182,23 @@ def _polished(cs: list[complex], roots: list) -> list[complex]:
     p' almost vanishes and an unguarded step can jump onto a different root.
     Where evaluating p overflows, the comparison fails on inf or NaN and the
     eigenvalue is kept as it is; the caller sees the overflow in its own
-    arithmetic."""
+    arithmetic.  The caller ignores numpy's overflow and invalid warnings
+    around it, once per stack."""
     dcs = [k * cs[k] for k in range(1, len(cs))]
     polished = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in roots:
-            pr = evaluate(cs, r)
-            dpr = evaluate(dcs, r)
-            if abs(dpr) > 0:
-                cand = r - pr / dpr
-                if abs(evaluate(cs, cand)) < abs(pr):
-                    step = abs(cand - r)
-                    for other in roots:
-                        if other is not r and abs(cand - other) <= step:
-                            break
-                    else:
-                        r = cand
-            polished.append(r)
+    for r in roots:
+        pr = evaluate(cs, r)
+        dpr = evaluate(dcs, r)
+        if abs(dpr) > 0:
+            cand = r - pr / dpr
+            if abs(evaluate(cs, cand)) < abs(pr):
+                step = abs(cand - r)
+                for other in roots:
+                    if other is not r and abs(cand - other) <= step:
+                        break
+                else:
+                    r = cand
+        polished.append(r)
     return polished
 
 

@@ -13,13 +13,24 @@ f(lam) = lam*(lam + 1)*(a*lam - b).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, NotFoundError, PreconditionError
-from .poly import _stripped, companion_roots, evaluate, poly_deflate, poly_derivative, poly_mul, poly_sub, square_root_roots
+from .poly import (
+    _stripped,
+    companion_roots,
+    evaluate,
+    poly_deflate,
+    poly_derivative,
+    poly_mul,
+    poly_sub,
+    square_root_roots,
+    stacked_companion_roots,
+)
 
 
 @dataclass(frozen=True)
@@ -262,14 +273,33 @@ def _vanishing_order(params: SurfaceParams, derivs, x: float) -> int:
     return next((k for k, d in enumerate(derivs) if abs(evaluate(d, x)) > tol), len(derivs))
 
 
-def _double_root_candidates(params: SurfaceParams, p: tuple[float, ...], dp: tuple[float, ...]) -> list[float]:
-    """The real parts of the roots of D' = dp, each Newton-polished, least
-    D = p first: validate takes the first as lambda0, singular_locus the
-    first that passes the double-root test."""
-    return sorted(
-        (_polish_double_root(params, float(r.real)) for r in companion_roots(dp)),
-        key=lambda x: evaluate(p, x),
-    )
+class _Discriminant:
+    """D = Q^2 - f of one set and its derivative D', and on first request the
+    polished double-root candidates: the data validate and singular_locus
+    share, built once when one record serves both.  The candidates wait for
+    a request, as validate needs none on a D of degree below 4.  Raises
+    InvalidParameterError unless the set is finite with a, b > 0."""
+
+    def __init__(self, params: SurfaceParams):
+        _require_ab(params)
+        self.params = params
+        self.p = discriminant_poly(params)
+        self.dp = poly_derivative(self.p)
+        # memoised by hand: functools.cached_property takes a lock on each
+        # instance's first read, about 3% of a parameter search (Python 3.11)
+        self._candidates: list[float] | None = None
+
+    def candidates(self) -> list[float]:
+        """The real parts of the roots of D', each Newton-polished, least D
+        first: validate takes the first as lambda0, singular_locus the first
+        that passes the double-root test."""
+        if self._candidates is None:
+            params, p = self.params, self.p
+            self._candidates = sorted(
+                (_polish_double_root(params, float(r.real)) for r in companion_roots(self.dp)),
+                key=lambda x: evaluate(p, x),
+            )
+        return self._candidates
 
 
 def validate(params: SurfaceParams) -> ValidationReport:
@@ -294,9 +324,13 @@ def validate(params: SurfaceParams) -> ValidationReport:
     Each failure carries as witness the offending point: the least point of
     D, a further real root of D, an endpoint or a root of Q.
     """
-    _require_ab(params)
+    return _validate(_Discriminant(params))
+
+
+def _validate(disc: _Discriminant) -> ValidationReport:
+    """validate, on the set's discriminant data."""
+    params, p = disc.params, disc.p
     not_evaluated = CheckResult(False, None, "not evaluated: needs condition (i)")
-    p = discriminant_poly(params)
     if len(p) < 5:
         return ValidationReport(
             condition_i=CheckResult(False, None, "degree of Q^2 - f dropped below 4 (q0 = 0); cannot be >= 0 on R"),
@@ -304,9 +338,8 @@ def validate(params: SurfaceParams) -> ValidationReport:
             lambda0_in_i4=not_evaluated,
         )
 
-    dp = poly_derivative(p)
-    lam0 = _double_root_candidates(params, p, dp)[0]
-    if _vanishing_order(params, (p, dp), lam0) < 2:
+    lam0 = disc.candidates()[0]
+    if _vanishing_order(params, (p, disc.dp), lam0) < 2:
         d0 = evaluate(p, lam0)
         what = "< 0" if d0 < 0.0 else "> 0 at its least point: no real double root"
         return ValidationReport(
@@ -415,13 +448,16 @@ def singular_locus(params: SurfaceParams) -> list[SingularPoint]:
     root of D / (lam - lambda0)^2 when that quadratic is a constant times a
     square.
     """
-    _require_ab(params)
+    return _singular_locus(_Discriminant(params))
+
+
+def _singular_locus(disc: _Discriminant) -> list[SingularPoint]:
+    """singular_locus, on the set's discriminant data."""
+    params, p, dp = disc.params, disc.p, disc.dp
     out = [
         SingularPoint("Pinf", SingularKind.ELLIPTIC_E7),
         SingularPoint("PinfBar", SingularKind.ELLIPTIC_E7),
     ]
-    p = discriminant_poly(params)
-    dp = poly_derivative(p)
     ddp = poly_derivative(dp)
     dddp = poly_derivative(ddp)
     # a root of D is a root of at most deg D - 1 of its derivatives
@@ -431,14 +467,13 @@ def singular_locus(params: SurfaceParams) -> list[SingularPoint]:
         kind = SingularKind.ODP if multiplicity == 2 else SingularKind.NON_ODP
         return SingularPoint(f"A(lam={lam:.12g})", kind, lam=lam, multiplicity=multiplicity)
 
-    for r in companion_roots(dddp) + companion_roots(ddp):
+    for r in itertools.chain(*stacked_companion_roots([dddp, ddp])):
         lam = float(r.real)
         m = _vanishing_order(params, derivs, lam)
         if m > 2:
             return out + [axis_point(lam, m)]
 
-    cands = _double_root_candidates(params, p, dp)
-    first = next((x for x in cands if _vanishing_order(params, (p, dp), x) == 2), None)
+    first = next((x for x in disc.candidates() if _vanishing_order(params, (p, dp), x) == 2), None)
     if first is None:
         return out
     second = square_root_roots(poly_deflate(poly_deflate(p, first), first)) or []

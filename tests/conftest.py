@@ -50,3 +50,28 @@ def region_sets(params_draws):
         except NotFoundError:
             continue
     return sets
+
+
+def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+@pytest.fixture(scope="session")
+def atlas_sets():
+    """The first 300 admissible sets of the region's atlas, drawn with seed 1:
+    a and b log-uniform in [0.1, 10], lambda0 - b/a log-uniform in
+    [0.02, 20] and q0_min uniform in [0.01, 5], each target's q0 swept up to
+    50 q0_min in 100 steps; targets without an admissible set (3 of the
+    first 303) are skipped."""
+    rng = random.Random(1)
+    sets = []
+    while len(sets) < 300:
+        a, b = _log_uniform(rng, 0.1, 10.0), _log_uniform(rng, 0.1, 10.0)
+        lambda0 = b / a + _log_uniform(rng, 0.02, 20.0)
+        q0_min = rng.uniform(0.01, 5.0)
+        search = SearchConfig(a=a, b=b, lambda0=lambda0, q0_min=q0_min, q0_max=50.0 * q0_min, q0_steps=100)
+        try:
+            sets.append(find_valid_params(search))
+        except NotFoundError:
+            continue
+    return sets

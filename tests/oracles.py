@@ -888,6 +888,25 @@ def reference_deflate(p: ReferencePolynomial, root: float) -> ReferencePolynomia
     return ReferencePolynomial(tuple(out))
 
 
+def reference_deflate_composite(p: ReferencePolynomial, root: float) -> ReferencePolynomial:
+    """poly.poly_deflate_composite, each coefficient of the quotient summed
+    on its own, from the top or from the bottom, whichever side's terms
+    weigh less."""
+    cs, n = p.coefficients, p.degree
+    weights = [abs(c) * math.prod([abs(root)] * i) for i, c in enumerate(cs)]
+    out = []
+    for k in range(n):
+        acc = 0.0
+        if not sum(weights[k + 1 :]) > sum(weights[: k + 1]):
+            for i in range(n, k, -1):
+                acc = acc * root + cs[i]
+        else:
+            for i in range(k + 1):
+                acc = (acc - cs[i]) / root
+        out.append(acc)
+    return ReferencePolynomial(tuple(out))
+
+
 def reference_companion_roots(coeffs) -> list[complex]:
     """poly.companion_roots as one polynomial's own eigenvalue call: the
     companion matrix built alone, then the guarded Newton polish."""
@@ -1002,7 +1021,9 @@ class LazyAnalysis:
         r = _reference_product(self._forms[form] for form in LinearForm if form is not key)
         e = (dell * r).scale(3.0) - ell * reference_derivative(r)
         c = (dell * q).scale(4.0) - (ell * dq).scale(2.0)
-        poly = ell * e * e - (q * c * e).scale(2.0) + r * c * c
+        quintic = ell * e * e - (q * c * e).scale(2.0) + r * c * c
+        lam0 = self.partition.lambda0
+        poly = reference_deflate_composite(reference_deflate_composite(quintic, lam0), lam0)
         params = self.params
         return poly, lambda x: ell(x) * e(x) + s_minus_q(params, x) * c(x)
 

@@ -32,6 +32,7 @@ from oracles import (
 from touching_conics.analysis import (
     PSI,
     _function_index,
+    _products,
     _radius_functions,
     domain_side,
     h0_critical_on_i2,
@@ -41,8 +42,9 @@ from touching_conics.analysis import (
     verify_h_tables,
 )
 from touching_conics.errors import DomainError, InputError, PreconditionError
+from touching_conics.poly import poly_derivative
 from touching_conics.resolution import Edge, HKind, LinearForm, ResolutionChoice, all_resolutions
-from touching_conics.surface import Interval, SearchConfig, f_value, intervals, params_for_q0, q_value
+from touching_conics.surface import Interval, SearchConfig, SurfaceParams, f_value, intervals, params_for_q0, q_value
 
 
 CH0 = all_resolutions()[0]
@@ -211,7 +213,7 @@ def test_stacked_pairings_equal_the_planes_paired_one_at_a_time(params_draws):
 
 def test_pairing_errors_come_in_the_order_of_the_planes(params_star):
     # -1e-300 has no partner inside I2, and at -5e-324 c = Q^2 / f overflows,
-    # so the solver refuses that quartic: as when the planes are paired one
+    # so the solver refuses that cubic: as when the planes are paired one
     # at a time, the first plane that fails names the error
     cache = analysis_of(params_star)
     crit = h0_critical_on_i2(cache)
@@ -233,8 +235,8 @@ def test_h0_pairing_rejects_critical_plane(params_star):
 
 @pytest.mark.parametrize("offset", [2e-9, -2e-9])
 def test_h0_pairing_rejects_planes_within_rounding_of_the_critical_one(params_star, offset):
-    # g = Q / sqrt(f) is within rounding of its minimum here: the quartic's
-    # roots merge into crit itself (+2e-9) or both fall on one side (-2e-9)
+    # g = Q / sqrt(f) is within rounding of its minimum here, so the level
+    # of h0 at lam fixes no partner
     cache = analysis_of(params_star)
     crit = h0_critical_on_i2(cache)
     with pytest.raises(DomainError, match="critical plane"):
@@ -251,6 +253,77 @@ def test_h0_pairing_just_outside_the_critical_window(params_draws, offset):
         # g is quadratic about its minimum, so the partner mirrors lam
         assert -1.01 < (mu - crit) / offset < -0.99
         assert abs(mu - pairing_by_bisection(h_handle(HKind.H0, CH0, params), lam, crit)) <= 1e-9
+
+
+# a set with large q2: 2e-8 to 1e-6 either side of the critical plane, the
+# eigenvalues of the pairing quartic do not tell its roots lam and the
+# partner apart (the partner read crit + 2.3e-13, or no partner at all), so
+# the known root lam is divided out first
+_LARGE_Q2 = SurfaceParams(
+    q0=1.9122091460641801, q1=-89.05745607931861, q2=1065.848025538467, a=0.1124324623148284, b=1.2101102667918628
+)
+
+
+@pytest.mark.parametrize("offset", [2e-8, -2e-8, 5e-8, -5e-8, 1e-7, -1e-7, 1e-6, -1e-6])
+def test_h0_pairing_near_the_critical_plane_of_a_large_q2_set(offset):
+    cache = analysis_of(_LARGE_Q2)
+    crit = h0_critical_on_i2(cache)
+    mu = h0_pairing(cache, crit + offset)
+    # on the far side, mirroring lam, as g is quadratic about its minimum
+    assert -1.01 < (mu - crit) / offset < -0.99
+
+
+@pytest.mark.parametrize("offset", [2e-8, -2e-8, 5e-8, -5e-8, 1e-7, -1e-7, 1e-6, -1e-6])
+def test_h0_pairing_near_the_critical_plane_across_the_atlas(atlas_sets, offset):
+    for params in atlas_sets[:100]:
+        cache = analysis_of(params)
+        crit = h0_critical_on_i2(cache)
+        assert -1.01 < (h0_pairing(cache, crit + offset) - crit) / offset < -0.99, params
+
+
+def _has_real_root_near_lambda0(params, form: LinearForm, lam0: float, radius: float) -> bool:
+    """Whether the h1 critical cubic of the form, worked out exactly for the
+    float inputs, has a real root within radius of lam0 by its 80-digit
+    roots: the quintic L1 E^2 - 2 Q C E + R C^2 over the rationals, divided
+    by (lam - lam0)^2 with the remainder dropped."""
+    sp = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    x = sp.Symbol("x")
+    a, b = sp.Rational(params.a), sp.Rational(params.b)
+    forms = {LinearForm.X0: x, LinearForm.X1: sp.Integer(1), LinearForm.X0_PLUS_X1: x + 1, LinearForm.AX0_MINUS_BX1: a * x - b}
+    forms = {f: sp.Poly(v, x, domain=sp.QQ) for f, v in forms.items()}
+    q = sp.Poly(sp.Rational(params.q0) * x**2 + sp.Rational(params.q1) * x + sp.Rational(params.q2), x, domain=sp.QQ)
+    ell = forms[form]
+    r = sp.Poly(1, x, domain=sp.QQ)
+    for other in LinearForm:
+        if other is not form:
+            r *= forms[other]
+    e = 3 * ell.diff(x) * r - ell * r.diff(x)
+    c = 4 * ell.diff(x) * q - 2 * ell * q.diff(x)
+    quintic = ell * e * e - 2 * q * c * e + r * c * c
+    cubic = sp.div(quintic, sp.Poly((x - sp.Rational(lam0)) ** 2, x, domain=sp.QQ))[0]
+    with mpmath.workdps(80):
+        roots = mpmath.polyroots([mpmath.mpf(sp.Rational(v).p) / sp.Rational(v).q for v in cubic.all_coeffs()], maxsteps=200, extraprec=200)
+        return any(abs(mpmath.im(z)) < 1e-40 and abs(mpmath.re(z) - lam0) <= radius for z in roots)
+
+
+def test_h1_has_no_critical_point_at_the_double_root(atlas_sets):
+    # the h1 critical quintic vanishes to second order at lambda0, where D and
+    # D' vanish; an eigenvalue solve splits that double factor into two roots
+    # about 1e-8 from lambda0, which read as a critical point of h1 on
+    # I4minus or I4plus on most atlas sets.  With it divided out, no critical
+    # point lies within 1e-6 of lambda0 but a real root of the cubic left
+    for params in atlas_sets[:100]:
+        cache = analysis_of(params)
+        lam0 = cache.partition.lambda0
+        for form in LinearForm:
+            near = [
+                x
+                for which in (Interval.I4MINUS, Interval.I4PLUS)
+                for x in cache.critical(HKind.H1, form, cache.span(which, HKind.H1))
+                if abs(x - lam0) <= 1e-6
+            ]
+            assert not near or _has_real_root_near_lambda0(params, form, lam0, 1e-6), (params, form, near)
 
 
 def test_psi_profile():
@@ -457,8 +530,9 @@ def test_one_solve_equals_the_one_at_a_time_analysis(region_sets):
         exact, lazy = analysis_of(params), LazyAnalysis(params, intervals(params))
         exact.critical(HKind.H0, None, exact.span(Interval.I2))
         forms = [form.polynomial(params) for form in LinearForm]
+        shared = (poly_derivative(exact.q), _products(forms))
         for index, (kind, key, own) in enumerate(_radius_functions()):
-            poly, _ = exact._derivative_data(kind, own, forms)
+            poly, _ = exact._derivative_data(kind, own, forms, *shared)
             reference, _ = lazy.derivative_data(kind, key)
             assert _bits(poly) == _bits(reference.coefficients), (params, kind, key)
             roots = exact._solved[index][0]
@@ -502,8 +576,8 @@ def test_the_first_unsolvable_polynomial_raises_on_the_first_call(params_star, k
     ):
         exact = analysis_of(params_star)
         exact_data = exact._derivative_data
-        exact._derivative_data = lambda kind, own, forms: corrupt(exact_data, by_places[kind, own], tuple)(
-            kind, own, forms
+        exact._derivative_data = lambda kind, own, *shared: corrupt(exact_data, by_places[kind, own], tuple)(
+            kind, own, *shared
         )
         with pytest.raises(DomainError) as got:
             first_call(exact)

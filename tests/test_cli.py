@@ -115,8 +115,7 @@ def test_search_params_validates_each_candidate_once(tmp_path, monkeypatch):
     # the report the sweep passed it with
     validated = []
     validate = surface.validate
-    for module in (surface, cli):
-        monkeypatch.setattr(module, "validate", lambda params: validated.append(params) or validate(params))
+    monkeypatch.setattr(surface, "validate", lambda params: validated.append(params) or validate(params))
     out = tmp_path / "s.json"
     assert run(["--out", str(out), "search-params"]) == EXIT_OK
     assert len(validated) == len(set(validated)) == 13
@@ -193,9 +192,9 @@ def test_report_timings_opt_in(star_arg, tmp_path):
     # to the microsecond: every stage takes more than one, none reads 0
     assert all(0.0 < v == round(v, 6) for v in stages.values())
     # 1 + 4 + 6 radius functions (h3 is h1 of the missing form), solved by one
-    # eigenvalue call per degree (2, 3 and 5), over 3 + 8 + 12 spans (h1 and
-    # h3 share theirs); the elimination reads 6 + 8 of those count rows
-    assert timings == {"critical_polynomials": 11, "root_solves": 3, "critical_spans": 23, "count_rows": 14}
+    # eigenvalue call per degree (2 and 3), over 3 + 8 + 12 spans (h1 and h3
+    # share theirs); the elimination reads 6 + 8 of those count rows
+    assert timings == {"critical_polynomials": 11, "root_solves": 2, "critical_spans": 23, "count_rows": 14}
 
 
 def test_tangency_timings_opt_in(star_arg, tmp_path):
@@ -329,24 +328,25 @@ def test_report_builds_one_analysis(star_arg, tmp_path, monkeypatch):
 
 def test_report_solves_each_radius_function_once(params_draws, capsys, monkeypatch):
     # one stacked solve of the 11 critical polynomials, one per distinct
-    # (kind, key) with h3 read as h1 of the missing form, one stacked solve
-    # of the broken-pairing samples' quartics, and one validation, in every
-    # report
+    # (kind, key) with h3 read as h1 of the missing form, cubics (h0, h1) and
+    # quadratics (h2); one stacked solve of the broken-pairing samples'
+    # cubics; and one validation, whose discriminant data the singular locus
+    # reads, in every report
     stacked = []
     solve = analysis.stacked_companion_roots
     monkeypatch.setattr(analysis, "stacked_companion_roots", lambda polys: stacked.append(polys) or solve(polys))
-    validated = []
-    validate = surface.validate
-    for module in (surface, cli):
-        monkeypatch.setattr(module, "validate", lambda params: validated.append(params) or validate(params))
+    read = []
+    for name in ("_validate", "_singular_locus"):
+        monkeypatch.setattr(cli, name, lambda disc, stage=getattr(cli, name): read.append(disc) or stage(disc))
     for p in params_draws * 2:
         stacked.clear()
-        validated.clear()
+        read.clear()
         assert run(["--params", f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}", "report"]) == EXIT_OK
         samples = json.loads(capsys.readouterr().out)["classification"]["broken_pairing"]["samples"]
         assert len(samples) == 4
         assert [len(set(polys)) for polys in stacked] == [11, len(samples)]
-        assert validated == [p]
+        assert [sorted({len(poly) - 1 for poly in polys}) for polys in stacked] == [[2, 3], [3]]
+        assert len(read) == 2 and read[0] is read[1] and read[0].params == p
 
 
 def test_report_documents_equal_the_one_at_a_time_path(region_sets, capsys, monkeypatch):

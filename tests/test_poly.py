@@ -16,6 +16,7 @@ from oracles import (
     real_roots_with_multiplicity,
     reference_companion_roots,
     reference_deflate,
+    reference_deflate_composite,
     reference_derivative,
     root_clusters,
 )
@@ -25,6 +26,7 @@ from touching_conics.poly import (
     evaluate,
     poly_add,
     poly_deflate,
+    poly_deflate_composite,
     poly_derivative,
     poly_mul,
     poly_scale,
@@ -128,9 +130,9 @@ def _random_coefficients(rng: random.Random, size: int) -> list[float]:
 
 
 def test_tuple_arithmetic_equals_the_dataclass_reference_bit_for_bit():
-    # poly_add, poly_sub, poly_mul, poly_scale, poly_derivative and
-    # poly_deflate make the float operations of the frozen-dataclass
-    # arithmetic in its order
+    # poly_add, poly_sub, poly_mul, poly_scale, poly_derivative, poly_deflate
+    # and poly_deflate_composite make the float operations of the
+    # frozen-dataclass arithmetic in its order
     rng = random.Random(7)
     for _ in range(3000):
         p = ReferencePolynomial(tuple(_random_coefficients(rng, rng.randint(1, 6))))
@@ -144,9 +146,27 @@ def test_tuple_arithmetic_equals_the_dataclass_reference_bit_for_bit():
             (poly_scale(p.coefficients, k), p.scale(k).coefficients),
             (poly_derivative(p.coefficients), reference_derivative(p).coefficients),
             (poly_deflate(p.coefficients, root), reference_deflate(p, root).coefficients),
+            (poly_deflate_composite(p.coefficients, root), reference_deflate_composite(p, root).coefficients),
         ]
         for got, expected in pairs:
             assert _bits(got) == _bits(expected), (p, q, k, root)
+
+
+@pytest.mark.parametrize(
+    "roots", [[-4.8e-5, -0.82, 2.0, 3.0], [-1e-6, -0.82, 5 + 4j, 5 - 4j], [-2e-5, -0.5, 40.0, -7.0]]
+)
+def test_composite_deflation_keeps_the_roots_left(roots):
+    # dividing out the second root leaves the others to a few ulps, the one
+    # far smaller than it included; forward deflation alone, whose low
+    # coefficients cancel, is 3e-13 to 1e-10 off the smallest
+    mpmath = pytest.importorskip("mpmath")
+    p = poly_from_roots(roots)
+    with mpmath.workdps(80):
+        exact = mpmath.polyroots(list(reversed(p)), maxsteps=200, extraprec=300)
+        left = sorted(exact, key=lambda z: abs(z - roots[1]))[1:]
+        got = companion_roots(poly_deflate_composite(p, roots[1]))
+        for want in left:
+            assert min(float(abs((z - want) / want)) for z in got) < 1e-14, (roots, want)
 
 
 def test_stacked_roots_equal_one_eigenvalue_call_per_polynomial():
