@@ -38,16 +38,7 @@ from .errors import (
     PreconditionError,
     RealityError,
 )
-from .surface import (
-    SearchConfig,
-    SurfaceParams,
-    _Discriminant,
-    _singular_locus,
-    _validate,
-    first_admissible,
-    intervals,
-    partition,
-)
+from .surface import SearchConfig, SurfaceParams, first_admissible, intervals, partition, validate_with_locus
 
 SCHEMA = "report-v2"
 
@@ -339,14 +330,12 @@ def _envelope(args, body: dict, timings: dict | None) -> dict:
 
 
 def _validation(params: SurfaceParams):
-    """validate's section, and the report the later stages partition by:
-    validate and singular_locus read one record of the discriminant data."""
+    """validate's section, and the report the later stages partition by."""
     t0 = time.perf_counter()
-    disc = _Discriminant(params)
-    rep = _validate(disc)
+    rep, locus = validate_with_locus(params)
     sing = [
         {"location": pt.location, "kind": pt.kind.value, "lambda": pt.lam, "multiplicity": pt.multiplicity}
-        for pt in _singular_locus(disc)
+        for pt in locus
     ]
     return rep, {"validation": _record(rep), "singular_locus": sing}, {"validate_s": _elapsed(t0)}
 

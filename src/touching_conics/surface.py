@@ -13,6 +13,7 @@ f(lam) = lam*(lam + 1)*(a*lam - b).
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -273,33 +274,22 @@ def _vanishing_order(params: SurfaceParams, derivs, x: float) -> int:
     return next((k for k, d in enumerate(derivs) if abs(evaluate(d, x)) > tol), len(derivs))
 
 
-class _Discriminant:
-    """D = Q^2 - f of one set and its derivative D', and on first request the
-    polished double-root candidates: the data validate and singular_locus
-    share, built once when one record serves both.  The candidates wait for
-    a request, as validate needs none on a D of degree below 4.  Raises
+def _discriminant(params: SurfaceParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """D = Q^2 - f of one set and its derivative D'.  Raises
     InvalidParameterError unless the set is finite with a, b > 0."""
+    _require_ab(params)
+    p = discriminant_poly(params)
+    return p, poly_derivative(p)
 
-    def __init__(self, params: SurfaceParams):
-        _require_ab(params)
-        self.params = params
-        self.p = discriminant_poly(params)
-        self.dp = poly_derivative(self.p)
-        # memoised by hand: functools.cached_property takes a lock on each
-        # instance's first read, about 3% of a parameter search (Python 3.11)
-        self._candidates: list[float] | None = None
 
-    def candidates(self) -> list[float]:
-        """The real parts of the roots of D', each Newton-polished, least D
-        first: validate takes the first as lambda0, singular_locus the first
-        that passes the double-root test."""
-        if self._candidates is None:
-            params, p = self.params, self.p
-            self._candidates = sorted(
-                (_polish_double_root(params, float(r.real)) for r in companion_roots(self.dp)),
-                key=lambda x: evaluate(p, x),
-            )
-        return self._candidates
+def _double_root_candidates(params: SurfaceParams, p: tuple[float, ...], dp: tuple[float, ...]) -> list[float]:
+    """The real parts of the roots of D' = dp, each Newton-polished, least
+    D = p first: validate takes the first as lambda0, singular_locus the
+    first that passes the double-root test."""
+    return sorted(
+        (_polish_double_root(params, float(r.real)) for r in companion_roots(dp)),
+        key=lambda x: evaluate(p, x),
+    )
 
 
 def validate(params: SurfaceParams) -> ValidationReport:
@@ -324,12 +314,13 @@ def validate(params: SurfaceParams) -> ValidationReport:
     Each failure carries as witness the offending point: the least point of
     D, a further real root of D, an endpoint or a root of Q.
     """
-    return _validate(_Discriminant(params))
+    p, dp = _discriminant(params)
+    return _validate(params, p, dp, lambda: _double_root_candidates(params, p, dp))
 
 
-def _validate(disc: _Discriminant) -> ValidationReport:
-    """validate, on the set's discriminant data."""
-    params, p = disc.params, disc.p
+def _validate(params: SurfaceParams, p, dp, candidates) -> ValidationReport:
+    """validate, on D = p and D' = dp; candidates() returns the
+    _double_root_candidates, asked for only when D has degree 4."""
     not_evaluated = CheckResult(False, None, "not evaluated: needs condition (i)")
     if len(p) < 5:
         return ValidationReport(
@@ -338,8 +329,8 @@ def _validate(disc: _Discriminant) -> ValidationReport:
             lambda0_in_i4=not_evaluated,
         )
 
-    lam0 = disc.candidates()[0]
-    if _vanishing_order(params, (p, disc.dp), lam0) < 2:
+    lam0 = candidates()[0]
+    if _vanishing_order(params, (p, dp), lam0) < 2:
         d0 = evaluate(p, lam0)
         what = "< 0" if d0 < 0.0 else "> 0 at its least point: no real double root"
         return ValidationReport(
@@ -448,12 +439,14 @@ def singular_locus(params: SurfaceParams) -> list[SingularPoint]:
     root of D / (lam - lambda0)^2 when that quadratic is a constant times a
     square.
     """
-    return _singular_locus(_Discriminant(params))
+    p, dp = _discriminant(params)
+    return _singular_locus(params, p, dp, lambda: _double_root_candidates(params, p, dp))
 
 
-def _singular_locus(disc: _Discriminant) -> list[SingularPoint]:
-    """singular_locus, on the set's discriminant data."""
-    params, p, dp = disc.params, disc.p, disc.dp
+def _singular_locus(params: SurfaceParams, p, dp, candidates) -> list[SingularPoint]:
+    """singular_locus, on D = p and D' = dp; candidates() returns the
+    _double_root_candidates, asked for only when no root of D'' or D'''
+    is an axis point."""
     out = [
         SingularPoint("Pinf", SingularKind.ELLIPTIC_E7),
         SingularPoint("PinfBar", SingularKind.ELLIPTIC_E7),
@@ -473,11 +466,20 @@ def _singular_locus(disc: _Discriminant) -> list[SingularPoint]:
         if m > 2:
             return out + [axis_point(lam, m)]
 
-    first = next((x for x in disc.candidates() if _vanishing_order(params, (p, dp), x) == 2), None)
+    first = next((x for x in candidates() if _vanishing_order(params, (p, dp), x) == 2), None)
     if first is None:
         return out
     second = square_root_roots(poly_deflate(poly_deflate(p, first), first)) or []
     return out + [axis_point(lam, 2) for lam in sorted([first, *second])]
+
+
+def validate_with_locus(params: SurfaceParams) -> tuple[ValidationReport, list[SingularPoint]]:
+    """validate(params) and singular_locus(params), which solve and polish D'
+    once between them: the first to ask for the double-root candidates
+    computes them."""
+    p, dp = _discriminant(params)
+    candidates = functools.cache(lambda: _double_root_candidates(params, p, dp))
+    return _validate(params, p, dp, candidates), _singular_locus(params, p, dp, candidates)
 
 
 def tangency_coefficients(a: float, b: float, lam0: float) -> tuple[float, float]:

@@ -330,23 +330,30 @@ def test_report_solves_each_radius_function_once(params_draws, capsys, monkeypat
     # one stacked solve of the 11 critical polynomials, one per distinct
     # (kind, key) with h3 read as h1 of the missing form, cubics (h0, h1) and
     # quadratics (h2); one stacked solve of the broken-pairing samples'
-    # cubics; and one validation, whose discriminant data the singular locus
-    # reads, in every report
+    # cubics; and one validation with its singular locus, which solve and
+    # polish D' once between them, in every report: no further validate or
+    # singular_locus, from cli or from inside surface
     stacked = []
     solve = analysis.stacked_companion_roots
     monkeypatch.setattr(analysis, "stacked_companion_roots", lambda polys: stacked.append(polys) or solve(polys))
-    read = []
-    for name in ("_validate", "_singular_locus"):
-        monkeypatch.setattr(cli, name, lambda disc, stage=getattr(cli, name): read.append(disc) or stage(disc))
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda params, *rest: calls.append((name, params)) or original(params, *rest))
+
+    counted(cli, "validate_with_locus")
+    for name in ("validate", "singular_locus", "_discriminant", "_double_root_candidates"):
+        counted(surface, name)
     for p in params_draws * 2:
         stacked.clear()
-        read.clear()
+        calls.clear()
         assert run(["--params", f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}", "report"]) == EXIT_OK
         samples = json.loads(capsys.readouterr().out)["classification"]["broken_pairing"]["samples"]
         assert len(samples) == 4
         assert [len(set(polys)) for polys in stacked] == [11, len(samples)]
         assert [sorted({len(poly) - 1 for poly in polys}) for polys in stacked] == [[2, 3], [3]]
-        assert len(read) == 2 and read[0] is read[1] and read[0].params == p
+        assert calls == [("validate_with_locus", p), ("_discriminant", p), ("_double_root_candidates", p)]
 
 
 def test_report_documents_equal_the_one_at_a_time_path(region_sets, capsys, monkeypatch):
