@@ -38,7 +38,6 @@ from .poly import (
     _last_column,
     evaluate,
     poly_add,
-    poly_deflate,
     poly_deflate_composite,
     poly_derivative,
     poly_mul,
@@ -69,18 +68,11 @@ def _triple_key(choice: ResolutionChoice) -> frozenset:
     return frozenset(choice.forms())
 
 
-def _product(polys) -> tuple[float, ...]:
-    out = (1.0,)
-    for p in polys:
-        out = poly_mul(out, p)
-    return out
-
-
 def _products(forms: list[tuple[float, ...]]) -> dict[tuple[int, ...], tuple[float, ...]]:
     """The product of each pair and each triple of the forms, keyed by their
-    places in ascending order: _product of the forms in that order, a triple
-    being its first pair times its last form, which is the same fold."""
-    out = {pair: _product(forms[place] for place in pair) for pair in itertools.combinations(range(len(forms)), 2)}
+    places in ascending order: poly_mul of a pair in that order, and of a
+    triple's first pair and its last form."""
+    out = {(i, j): poly_mul(forms[i], forms[j]) for i, j in itertools.combinations(range(len(forms)), 2)}
     for i, j, k in itertools.combinations(range(len(forms)), 3):
         out[i, j, k] = poly_mul(out[i, j], forms[k])
     return out
@@ -210,7 +202,7 @@ class RadiusAnalysis:
             # 2 f Q' - f' Q; that vanishes at the double root, an interval
             # end, so the factor is divided out
             num = poly_sub(poly_mul(f, poly_scale(dq, 2.0)), poly_mul(poly_derivative(f), q))
-            poly = poly_deflate(num, lam0)
+            poly = poly_deflate_composite(num, lam0)
             return poly, functools.partial(evaluate, poly)
         r = products[tuple(place for place in range(len(forms)) if place not in own)]
         if kind is HKind.H2:

@@ -36,7 +36,6 @@ from .errors import (
     InvalidParameterError,
     NotFoundError,
     PreconditionError,
-    RealityError,
 )
 from .surface import SearchConfig, SurfaceParams, first_admissible, intervals, partition, validate_with_locus
 
@@ -45,6 +44,11 @@ SCHEMA = "report-v2"
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 3
+
+# The densest tangency grid.  A sweep builds its angles and their texts
+# before it types a conic, so a grid from a mistyped number would fill
+# memory first.
+MAX_GRID = 65536
 
 
 class _Parser(argparse.ArgumentParser):
@@ -403,6 +407,8 @@ def _grid_angles(n: int) -> tuple[tuple[float, ...], tuple[str, ...]]:
 def _cmd_tangency(args):
     if args.grid < 16:
         raise InputError("grid density must be at least 16")
+    if args.grid > MAX_GRID:
+        raise InputError(f"grid density must be at most {MAX_GRID}")
     plane = _require_plane(args)
     t0 = time.perf_counter()
     n = args.grid
@@ -694,7 +700,7 @@ def run(argv: list[str]) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (
-        InvalidParameterError, DomainError, DegenerateConicError, RealityError, PreconditionError, NotFoundError
+        InvalidParameterError, DomainError, DegenerateConicError, PreconditionError, NotFoundError
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL

@@ -9,7 +9,11 @@ of real conics touching that curve, certifies the contact structure by
 restricting to each branch, and certifies emptiness of the real locus.
 
 Plane coordinates are ordered (y1, y2, y3); the real structure acts by
-(y1 : y2 : y3) -> (conj y1 : conj y3 : conj y2).
+(y1 : y2 : y3) -> (conj y1 : conj y3 : conj y2).  The circle families are
+real for an exact reason, and are built so that it holds in floats: each
+e^{-i t} entry is the conjugate of its e^{i t} entry, and a matrix is scaled
+by a positive real, so conjugating and swapping y2 and y3 gives back every
+member's matrix to the bit.
 
 A conic's matrix is kept as nested Python complex rows, and the surface data
 of a plane is read once per `Plane`.  The type of one conic is decided by
@@ -60,9 +64,10 @@ ORBIT_CONTAINMENT_REL = 1e-9
 
 # Mismatch, relative to the largest entry, up to which the conjugated and
 # swapped matrix is a unimodular multiple of the matrix (ConicCoeffs.is_real,
-# which the real-slice form needs).  The families' matrices miss invariance
-# by the rounding of exp and sqrt, a few ulps; the Gram matrix drops what is
-# left of the imaginary part, so its least eigenvalue moves by about this
+# which the real-slice form needs).  The families' matrices are invariant
+# exactly, with factor 1; the tolerance admits a matrix given from outside
+# whose invariance a few ulps of rounding spoil.  The Gram matrix drops what
+# is left of the imaginary part, so its least eigenvalue moves by about this
 # share of the largest entry.
 REALITY_TOL = 1e-8
 
@@ -127,15 +132,11 @@ class ConicCoeffs:
 def _conic(rows) -> ConicCoeffs:
     """The conic of a finite, symmetric, nonzero 3x3 matrix, given by its
     nested rows of Python complex or float numbers, scaled so the entry of
-    largest modulus has modulus one.
-
-    The scaling rounds as numpy's m / top: a complex division by top + 0j,
-    which multiplies by the reciprocal (Smith's method with a zero ratio).
-    Plain z / top rounds differently, and the exported matrix would change.
-    """
+    largest modulus has modulus one: each part times the reciprocal of that
+    modulus, a positive real, so the scaling commutes with conjugation."""
     r0, r1, r2 = rows
     s = 1.0 / max(map(abs, (*r0, *r1, *r2)))
-    e = [complex((z.real + z.imag * 0.0) * s, (z.imag - z.real * 0.0) * s) for z in (*r0, *r1, *r2)]
+    e = [complex(z.real * s, z.imag * s) for z in (*r0, *r1, *r2)]
     return ConicCoeffs((tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9])))
 
 
@@ -213,7 +214,7 @@ class Plane:
         """
         two_d, sf, q = self._generic_entries
         rot = cmath.exp(1j * theta)
-        return _conic(((two_d, 0.0, 0.0), (0.0, sf * rot, q), (0.0, q, sf / rot)))
+        return _conic(((two_d, 0.0, 0.0), (0.0, sf * rot, q), (0.0, q, sf * rot.conjugate())))
 
     def special(self, theta: float) -> ConicCoeffs:
         """Member of the circle family through both fixed points:
@@ -224,7 +225,8 @@ class Plane:
         """
         s, half_b = self._special_entries
         rot = cmath.exp(1j * theta)
-        return _conic(((s, half_b * rot, half_b / rot), (half_b * rot, 0.0, 0.5), (half_b / rot, 0.5, 0.0)))
+        w, w_bar = half_b * rot, half_b * rot.conjugate()
+        return _conic(((s, w, w_bar), (w, 0.0, 0.5), (w_bar, 0.5, 0.0)))
 
     def conic_type(self, conic: ConicCoeffs) -> ConicType:
         """The conic's type on this plane: conic_contact's, without what
@@ -258,7 +260,7 @@ class Plane:
             else:
                 s, radius = self._special_entries
             rot = np.exp(1j * knobs)
-            w, w_bar = radius * rot, _quot(radius, rot)
+            w, w_bar = radius * rot, radius * np.conj(rot)
             if family == "generic":
                 entries = ((two_d, 0.0, 0.0), (0.0, w, q), (0.0, q, w_bar))
             else:
@@ -267,11 +269,10 @@ class Plane:
         for i, row in enumerate(entries):
             for j, z in enumerate(row):
                 m[i, j] = z
-        re, im = m.real.copy(), m.imag.copy()
-        # as _conic scales: by the reciprocal of the largest modulus, each
-        # part as Python's complex times float rounds it
-        scale = 1.0 / np.hypot(re, im).max(axis=(0, 1))
-        m.real, m.imag = (re + im * 0.0) * scale, (im - re * 0.0) * scale
+        # as _conic scales: each part by the reciprocal of the largest
+        # modulus, found as Python's abs finds it
+        scale = 1.0 / np.hypot(m.real, m.imag).max(axis=(0, 1))
+        m.real, m.imag = m.real * scale, m.imag * scale
         return m
 
     def _decide(self, m: np.ndarray, member) -> list[ConicType]:
@@ -344,21 +345,6 @@ def orbit_conic(alpha: float) -> ConicCoeffs:
 
 # each family's constructor, as a function of (plane, knob)
 FAMILIES = {"generic": Plane.generic, "special": Plane.special, "orbit": lambda plane, alpha: orbit_conic(alpha)}
-
-
-def _quot(x: float, z: np.ndarray) -> np.ndarray:
-    """x / z per element, for a float x, as CPython divides (x + 0j) by z:
-    Smith's method, scaled by the part of z of larger modulus.  numpy's
-    complex quotient rounds otherwise."""
-    zr, zi = z.real, z.imag
-    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken
-        ratio, ratio_t = zi / zr, zr / zi
-        denom, denom_t = zr + zi * ratio, zr * ratio_t + zi
-        by_re = np.abs(zr) >= np.abs(zi)
-        out = np.empty(z.shape, dtype=complex)
-        out.real = np.where(by_re, (x + 0.0 * ratio) / denom, (x * ratio_t + 0.0) / denom_t)
-        out.imag = np.where(by_re, (0.0 - x * ratio) / denom, (0.0 * ratio_t - x) / denom_t)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +615,7 @@ def _restrictions(m: np.ndarray, g: np.ndarray):
 
 
 def _close(lhs, rhs, floor, products, rho):
-    """poly._close(lhs, rhs, EQUALITY_REL, floor) per lane, and where both
+    """poly._close(lhs, rhs, floor) per lane, and where both
     evaluations surely agree on it; products sums the moduli of the products
     in lhs and rhs, whose factors are off by rho (SQUARE_MARGIN)."""
     gap = np.abs(lhs - rhs) - EQUALITY_REL * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
@@ -660,7 +646,7 @@ def _square(norm: np.ndarray, low: np.ndarray, high: np.ndarray, rho: np.ndarray
 
 
 def _two_double_roots(norm: np.ndarray, rho: np.ndarray):
-    """poly.two_double_roots_criterion, with the default tolerance, of the
+    """poly.two_double_roots_criterion, at its EQUALITY_REL, of the
     monic quartic of each normalised restriction, whose monic coefficients
     are off by rho; and where it is sure."""
     a4, a3, a2, a1 = norm[:4] / norm[4]

@@ -21,10 +21,6 @@ class DegenerateConicError(ValueError):
     """Conic matrix is singular, i.e. the conic is a union of lines."""
 
 
-class RealityError(ValueError):
-    """Requested object would not be invariant under the real structure."""
-
-
 class PreconditionError(RuntimeError):
     """A documented operation precondition does not hold."""
 

@@ -74,7 +74,15 @@ def poly_derivative(p: tuple[float, ...]) -> tuple[float, ...]:
 
 def poly_deflate(p: tuple[float, ...], root: float) -> tuple[float, ...]:
     """Quotient of p by (x - root), by synthetic division; the remainder,
-    which vanishes when root is a root of p, is dropped."""
+    which vanishes when root is a root of p, is dropped.
+
+    This is the quotient of division with remainder whatever root is, so it
+    serves a divisor that need not be a root: surface divides D by its
+    double-root candidates before it knows whether they are double roots.
+    poly_deflate_composite's low coefficients hold only at an exact root.
+    In validate and singular_locus it flipped 168 of 20,574 scanned
+    verdicts, 150 of them to a false pass, all at q0 <= 1.7e-5 and
+    lambda0 >= 1.7e8, where the absolute double-root tolerances decide."""
     out = [0.0] * (len(p) - 1)
     acc = 0.0
     for k in range(len(p) - 1, 0, -1):
@@ -202,25 +210,23 @@ def _polished(cs: list[complex], roots: list) -> list[complex]:
     return polished
 
 
-def _close(lhs: complex, rhs: complex, tol: float, floor: float) -> bool:
-    return abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), floor)
+def _close(lhs: complex, rhs: complex, floor: float) -> bool:
+    return abs(lhs - rhs) <= EQUALITY_REL * max(abs(lhs), abs(rhs), floor)
 
 
-def two_double_roots_criterion(a1, a2, a3, a4, tol: float = EQUALITY_REL) -> bool:
+def two_double_roots_criterion(a1, a2, a3, a4) -> bool:
     """Whether x^4 + a1 x^3 + a2 x^2 + a3 x + a4 factors as (x-u)^2 (x-v)^2.
 
     Exact algebra: with a1 != 0 the conditions are 4*a1*a2 = a1^3 + 8*a3 and
     a1^2*a4 = a3^2; with a1 = 0 they are a3 = 0 and 4*a4 = a2^2.  Works over
-    the complex numbers; equalities are tested to a relative tolerance with an
+    the complex numbers; equalities are tested to EQUALITY_REL with an
     absolute floor scaled by the coefficient magnitudes.
     """
     a1, a2, a3, a4 = complex(a1), complex(a2), complex(a3), complex(a4)
     s = 1.0 + max(abs(a1), abs(a2) ** 0.5, abs(a3) ** (1.0 / 3.0), abs(a4) ** 0.25)
-    if abs(a1) <= tol * s:
-        return _close(a3, 0.0, tol, s**3) and _close(4.0 * a4, a2 * a2, tol, s**4)
-    return _close(4.0 * a1 * a2, a1**3 + 8.0 * a3, tol, s**3) and _close(
-        a1 * a1 * a4, a3 * a3, tol, s**6
-    )
+    if abs(a1) <= EQUALITY_REL * s:
+        return _close(a3, 0.0, s**3) and _close(4.0 * a4, a2 * a2, s**4)
+    return _close(4.0 * a1 * a2, a1**3 + 8.0 * a3, s**3) and _close(a1 * a1 * a4, a3 * a3, s**6)
 
 
 def square_root_roots(coeffs) -> list[complex] | None:

@@ -16,9 +16,8 @@ import enum
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidParameterError, NotFoundError, PreconditionError
 from .poly import (
@@ -508,6 +507,17 @@ def find_valid_params(search: SearchConfig) -> SurfaceParams:
     return first_admissible(search)[0]
 
 
+def q0_sweep(search: SearchConfig) -> Iterator[float]:
+    """The q0 grid of the search, numpy.linspace(q0_min, q0_max, q0_steps)
+    to the bit: q0_min + k step, step the range over q0_steps - 1, and the
+    last point q0_max itself."""
+    n = search.q0_steps - 1
+    step = (search.q0_max - search.q0_min) / n if n else 0.0
+    for k in range(n):
+        yield k * step + search.q0_min
+    yield search.q0_max if n else 0.0 + search.q0_min
+
+
 def first_admissible(search: SearchConfig) -> tuple[SurfaceParams, ValidationReport]:
     """First admissible parameter set along the deterministic q0 sweep, and
     the validate() report that passed it.
@@ -521,9 +531,8 @@ def first_admissible(search: SearchConfig) -> tuple[SurfaceParams, ValidationRep
     if not search.lambda0 > search.b / search.a:
         raise NotFoundError("target lambda0 must satisfy lambda0 > b/a")
     best: tuple[int, SurfaceParams, float | None] | None = None
-    qs = np.linspace(search.q0_min, search.q0_max, search.q0_steps)
-    for q0 in qs:
-        cand = params_for_q0(search, float(q0))
+    for q0 in q0_sweep(search):
+        cand = params_for_q0(search, q0)
         report = validate(cand)
         if report.passed:
             return cand, report

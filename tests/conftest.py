@@ -18,20 +18,24 @@ settings.register_profile("deterministic", derandomize=True, database=None, dead
 settings.load_profile("deterministic")
 
 
+# the targets of the reference draws, the first that of params_star
+REFERENCE_TARGETS = (
+    SearchConfig(),
+    SearchConfig(a=2.0, b=1.0, lambda0=1.5, q0_min=0.1),
+    SearchConfig(a=1.0, b=2.0, lambda0=4.0, q0_min=0.05),
+)
+
+
 @pytest.fixture(scope="session")
 def params_star():
     """The reference admissible parameter set (a = b = 1, double root at 2)."""
-    return find_valid_params(SearchConfig())
+    return find_valid_params(REFERENCE_TARGETS[0])
 
 
 @pytest.fixture(scope="session")
 def params_draws(params_star):
     """Three independently drawn admissible parameter sets."""
-    return [
-        params_star,
-        find_valid_params(SearchConfig(a=2.0, b=1.0, lambda0=1.5, q0_min=0.1)),
-        find_valid_params(SearchConfig(a=1.0, b=2.0, lambda0=4.0, q0_min=0.05)),
-    ]
+    return [params_star] + [find_valid_params(target) for target in REFERENCE_TARGETS[1:]]
 
 
 @pytest.fixture(scope="session")

@@ -55,7 +55,7 @@ from touching_conics.classifier import (
 )
 from touching_conics.cli import _json_safe, _pairing_samples
 from touching_conics.conics import ConicCoeffs, ConicType, Plane, _conic, conic_contact, normalized, restriction
-from touching_conics.errors import DomainError, InputError, PreconditionError, RealityError
+from touching_conics.errors import DomainError, InputError, PreconditionError
 from touching_conics.poly import companion_roots, evaluate
 from touching_conics.resolution import Edge, HKind, LinearForm, ResolutionChoice, all_resolutions
 from touching_conics.surface import (
@@ -1009,7 +1009,7 @@ class LazyAnalysis:
         dq = reference_derivative(q)
         if kind is HKind.H0:
             num = f * dq.scale(2.0) - reference_derivative(f) * q
-            poly = reference_deflate(num, self.partition.lambda0)
+            poly = reference_deflate_composite(num, self.partition.lambda0)
             return poly, poly
         if kind is HKind.H2:
             p = _reference_product(self._forms[form] for form in key)
@@ -1435,6 +1435,10 @@ def special_intersections(
     u = -2.0j * b * cmath.exp(-1j * theta) / l1
     w = -1j * cmath.exp(1j * theta) * f / (2.0 * b * l1 * l2 * l3)
     return u, w
+
+
+class RealityError(ValueError):
+    """Requested object would not be invariant under the real structure."""
 
 
 def orbit_intersections(

@@ -98,7 +98,7 @@ def test_acceptance_2_double_root_criterion():
             v = u * u / 4.0 + rng.uniform(0.3, 2.0)
             coeffs = expand_from_roots(list(np.roots([1.0, u, v])) * 2)
         a4, a3, a2, a1, _ = coeffs
-        mine = two_double_roots_criterion(a1, a2, a3, a4, tol=1e-9)
+        mine = two_double_roots_criterion(a1, a2, a3, a4)
         if mine != quartic_double_double(coeffs):
             disagreements += 1
     for _ in range(500):
@@ -107,7 +107,7 @@ def test_acceptance_2_double_root_criterion():
             roots = rng.uniform(-3.0, 3.0, size=4)
         coeffs = expand_from_roots(list(roots))
         a4, a3, a2, a1, _ = coeffs
-        mine = two_double_roots_criterion(a1, a2, a3, a4, tol=1e-9)
+        mine = two_double_roots_criterion(a1, a2, a3, a4)
         if mine != quartic_double_double(coeffs):
             disagreements += 1
     _gate(2, f"double-root criterion ({disagreements} disagreements)", disagreements == 0)

@@ -326,6 +326,41 @@ def test_h1_has_no_critical_point_at_the_double_root(atlas_sets):
             assert not near or _has_real_root_near_lambda0(params, form, lam0, 1e-6), (params, form, near)
 
 
+def _exact_h0_critical_on_i2(params, mpmath):
+    """The root in I2 of 2 f Q' - f' Q, worked out for the float inputs by
+    its 80-digit roots."""
+    mpf = mpmath.mpf
+    q0, q1, q2, a, b = (mpf(v) for v in (params.q0, params.q1, params.q2, params.a, params.b))
+    # ascending: f = x (x + 1) (a x - b), Q = q0 x^2 + q1 x + q2
+    f, df = [0, -b, a - b, a], [-b, 2 * (a - b), 3 * a]
+    q, dq = [q2, q1, q0], [q1, 2 * q0]
+    num = [mpf(0)] * 5
+    for i, fi in enumerate(f):
+        for j, dqj in enumerate(dq):
+            num[i + j] += 2 * fi * dqj
+    for i, dfi in enumerate(df):
+        for j, qj in enumerate(q):
+            num[i + j] -= dfi * qj
+    roots = mpmath.polyroots(list(reversed(num)), maxsteps=200, extraprec=300)
+    (root,) = [mpmath.re(z) for z in roots if abs(mpmath.im(z)) < 1e-40 and -1 < mpmath.re(z) < 0]
+    return root
+
+
+def test_h0_critical_on_i2_is_the_exact_root_to_1e_13(atlas_sets):
+    # h0's critical quartic loses its root at lambda0 by composite deflation,
+    # like every other known root: forward deflation there cancels in the
+    # low coefficients of the cubic, and left the critical point on I2 up to
+    # 1.3e-11 relative off the exact root
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(80):
+        for params in atlas_sets[:100]:
+            exact = _exact_h0_critical_on_i2(params, mpmath)
+            crit = h0_critical_on_i2(analysis_of(params))
+            worst = max(worst, float(abs(mpmath.mpf(crit) - exact) / abs(exact)))
+    assert worst <= 1e-13, worst
+
+
 def test_psi_profile():
     # a 1000-point grid reads what PSI states: k(0) = 0, a strictly
     # increasing profile below its cap, and the boundary derivative to 1e-6

@@ -90,6 +90,14 @@ def test_grid_is_checked_only_by_tangency(star_arg, capsys):
     assert (captured.out, captured.err) == ("", "error: grid density must be at least 16\n")
 
 
+def test_grid_above_the_cap_is_a_usage_error(star_arg, capsys):
+    # an unbounded grid would build one angle per grid point before the
+    # first conic; the cap refuses it with one error line
+    assert run(["--params", star_arg, "--lambda=-0.5", "--grid", "65537", "tangency"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: grid density must be at most 65536\n")
+
+
 def test_parser_is_reused_across_runs(star_arg, capsys):
     argv = ["--params", star_arg, "--lambda", "-0.5", "tangency"]
     assert run(argv) == EXIT_OK
@@ -601,18 +609,24 @@ _GOLDEN_RUNS = {
 }
 
 
+def golden_argv(argv: list[str], draws) -> list[str]:
+    """A command line of _GOLDEN_RUNS with its DRAW and INADMISSIBLE
+    placeholders replaced by the --params text of those sets."""
+    star = draws[0]
+    sets = {f"DRAW{i}": p for i, p in enumerate(draws)}
+    sets["INADMISSIBLE"] = dataclasses.replace(star, q2=star.q1 - star.q0)
+    values = {key: f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}" for key, p in sets.items()}
+    return [values.get(a, a) for a in argv]
+
+
 @pytest.mark.parametrize("which", list(_GOLDEN_RUNS))
 def test_report_bytes_equal_the_golden_documents(params_draws, capsys, which):
     # tests/golden holds the stdout of the report of each reference draw and
     # of the other subcommands; a deliberate change of a document regenerates
-    # it.  The inadmissible report pins the "not computed" error
+    # it (tests/regen_goldens.py).  The inadmissible report pins the "not
+    # computed" error
     name, argv, code = _GOLDEN_RUNS[which]
-    star = params_draws[0]
-    sets = {f"DRAW{i}": p for i, p in enumerate(params_draws)}
-    sets["INADMISSIBLE"] = dataclasses.replace(star, q2=star.q1 - star.q0)
-    values = {key: f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}" for key, p in sets.items()}
-    argv = [values.get(a, a) for a in argv]
-    assert run(argv) == code
+    assert run(golden_argv(argv, params_draws)) == code
     golden = Path(__file__).parent / "golden" / name
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 

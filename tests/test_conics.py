@@ -156,8 +156,9 @@ def _invariant_to(conic: ConicCoeffs, tol: float) -> bool:
 
 
 def test_reality_invariant_families(params_star):
-    # the families miss invariance by a few ulps: within 1e-9, a tenth of
-    # the REALITY_TOL that is_real reads
+    # each family is invariant within 1e-9, a tenth of the REALITY_TOL that
+    # is_real reads (the circle families exactly: see
+    # test_family_members_are_exactly_real)
     conics = [orbit_conic(-1.0)]
     for theta in (0.0, math.pi / 3.0, 2.4):
         conics += [Plane(params_star, -0.5).generic(theta), Plane(params_star, -2.0).special(theta)]
@@ -317,10 +318,11 @@ def test_symmetry_check_matches_allclose_oracle():
             from_matrix(m)
 
 
-def test_normalised_rows_round_as_numpy_division():
-    # the rows of a conic are its matrix over the largest modulus, rounded as
-    # numpy's m / top rounds them, to the bit and the sign of zero: the
-    # exported matrix is written from the rows
+def test_normalised_rows_scale_each_part_by_the_reciprocal():
+    # the rows of a conic are its matrix with each part times the reciprocal
+    # of the largest modulus, to the bit and the sign of zero: the exported
+    # matrix is written from the rows.  A positive real scale commutes with
+    # conjugation, so the conjugate matrix gives the conjugate rows
     rng = np.random.default_rng(41)
     specials = [0.0, -0.0, 1.0, -1.0]
     entries = signed_zeros = 0
@@ -336,13 +338,15 @@ def test_normalised_rows_round_as_numpy_division():
         signed_zeros += sum(math.copysign(1.0, z.real) < 0.0 and z.real == 0.0 for z in m.ravel().tolist())
         # the largest modulus as Python's abs finds it: numpy's abs of a
         # complex number can differ from it in the last bit
-        top = max(abs(z) for z in m.ravel().tolist())
-        expected = np.asarray(m, dtype=complex) / top
+        scale = 1.0 / max(abs(z) for z in m.ravel().tolist())
+        expected_re, expected_im = m.real * scale, m.imag * scale
         rows = from_matrix(m).rows
+        conj_rows = from_matrix(np.conj(m)).rows
         for i in range(3):
             for j in range(3):
-                z, w = rows[i][j], expected[i, j]
-                assert (repr(z.real), repr(z.imag)) == (repr(float(w.real)), repr(float(w.imag))), (m, i, j)
+                z, w = rows[i][j], conj_rows[i][j]
+                assert (repr(z.real), repr(z.imag)) == (repr(float(expected_re[i, j])), repr(float(expected_im[i, j]))), (m, i, j)
+                assert (repr(w.real), repr(w.imag)) == (repr(z.real), repr(-z.imag)), (m, i, j)
                 entries += 1
     assert entries > 3000 and signed_zeros > 100
 
@@ -368,6 +372,34 @@ def test_batched_members_equal_the_constructors_rows(params_draws):
                     assert got == [[(repr(z.real), repr(z.imag)) for z in row] for row in rows], (lam, family, knob)
                     entries += 9
     assert entries > 30000
+
+
+def test_family_members_are_exactly_real(params_draws):
+    # each e^{-i t} entry is the conjugate of its e^{i t} entry and the
+    # scale is a positive real, so conjugating a member and swapping y2 and
+    # y3 gives back its matrix to the bit, with reality factor 1: on a plane
+    # of each interval and two far planes, the rows of Plane.generic and
+    # Plane.special and the batch's matrices alike
+    rng = np.random.default_rng(53)
+    angles = [2.0 * math.pi * k / 256 for k in range(256)] + list(rng.uniform(-10.0, 10.0, 64))
+    swap = [0, 2, 1]
+    checks = 0
+    for p in params_draws:
+        part = intervals(p)
+        spans = (part.i2, part.i3, part.i4minus)
+        lams = [part.i1[1] - 1.5, part.lambda0 + 1.0, 1e4, -1e4] + [0.5 * (lo + hi) for lo, hi in spans]
+        for lam in lams:
+            plane = Plane(p, lam)
+            family = "generic" if plane.f > 0.0 else "special"
+            for theta in angles:
+                conic = FAMILIES[family](plane, theta)
+                m = conic.m
+                assert np.array_equal(np.conj(m)[swap][:, swap], m), (lam, family, theta)
+                assert conic.reality_factor() == 1.0, (lam, family, theta)
+            m = plane._members(family, np.array(angles))
+            assert np.array_equal(np.conj(m)[swap][:, swap], m), (lam, family)
+            checks += 2 * len(angles) + 1
+    assert checks > 6000
 
 
 def _raises_degenerate(conic, params, lam) -> bool:

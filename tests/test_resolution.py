@@ -11,6 +11,7 @@ import pytest
 
 from oracles import (
     Bfun,
+    RealityError,
     TruncatedSeries,
     cover_residual,
     h2_signed,
@@ -20,7 +21,7 @@ from oracles import (
     series_presentation,
     special_intersections,
 )
-from touching_conics.errors import DomainError, RealityError
+from touching_conics.errors import DomainError
 from touching_conics.resolution import (
     Edge,
     HKind,

@@ -25,6 +25,7 @@ from touching_conics.surface import (
     intervals,
     lambda0,
     params_for_q0,
+    q0_sweep,
     Q_restricted,
     q_value,
     SingularKind,
@@ -305,6 +306,23 @@ def test_find_valid_params_deterministic(params_star):
     assert again == params_star
     assert validate(again) == validate(params_star)
     assert validate(again).passed
+
+
+def test_q0_sweep_is_numpy_linspace_to_the_bit():
+    # the search sweeps q0 over linspace's points without numpy: the same
+    # floats, the last one q0_max itself, on the default target and on
+    # seeded ranges with one step and with an empty width among them
+    rng = np.random.default_rng(61)
+    configs = [SearchConfig()]
+    for k in range(3000):
+        lo = float(rng.uniform(0.0, 5.0) * 10.0 ** rng.uniform(-3.0, 3.0))
+        hi = lo if k % 7 == 0 else lo + float(rng.uniform(0.0, 50.0) * 10.0 ** rng.uniform(-3.0, 3.0))
+        steps = 1 if k % 5 == 0 else int(rng.integers(2, 400))
+        configs.append(SearchConfig(q0_min=lo, q0_max=hi, q0_steps=steps))
+    assert any(c.q0_steps == 1 for c in configs) and any(c.q0_min == c.q0_max for c in configs)
+    for c in configs:
+        expected = np.linspace(c.q0_min, c.q0_max, c.q0_steps).tolist()
+        assert list(map(repr, q0_sweep(c))) == list(map(repr, expected)), c
 
 
 def test_find_valid_params_empty_range():
