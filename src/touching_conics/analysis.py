@@ -35,7 +35,6 @@ from typing import Callable
 
 from .errors import DomainError, PreconditionError
 from .poly import (
-    _last_column,
     evaluate,
     poly_add,
     poly_deflate_composite,
@@ -43,7 +42,7 @@ from .poly import (
     poly_mul,
     poly_scale,
     poly_sub,
-    stacked_companion_roots,
+    roots,
 )
 from .resolution import Edge, HKind, LinearForm, ResolutionChoice
 from .surface import Interval, IntervalPartition, Q_restricted, SurfaceParams, f_poly, f_value, q_value, s_minus_q
@@ -113,8 +112,8 @@ class RadiusAnalysis:
     _radius_functions().  The first call for critical points builds all 11
     critical polynomials, each with the known roots at lambda0 divided out:
     five cubics (h0 and the four h1) and six quadratics (h2).  It solves
-    them together, one eigenvalue call per degree, and keeps the roots and
-    the derivative's sign function per function.  Two memos, keyed by
+    each in closed form (poly.roots) and keeps the roots and the
+    derivative's sign function per function.  Two memos, keyed by
     function number and span, serve every stage of a run: the critical
     points per span, read off those roots, and the first of them alone, all
     the elimination reads of a count row."""
@@ -125,18 +124,15 @@ class RadiusAnalysis:
         self.f = f_poly(params)
         self.q = Q_restricted(params)
         self._solved: list | None = None
-        self._root_solves = 0
         self._critical: dict = {}
         self._first: dict = {}
 
     def work_counts(self) -> dict[str, int]:
-        """Radius functions whose critical polynomial was solved, eigenvalue
-        calls that solved them, distinct spans whose critical points were
-        served, and distinct count rows whose first critical point was read,
-        so far."""
+        """Radius functions whose critical polynomial was solved, distinct
+        spans whose critical points were served, and distinct count rows
+        whose first critical point was read, so far."""
         return {
             "critical_polynomials": len(self._solved or ()),
-            "root_solves": self._root_solves,
             "critical_spans": len(self._critical),
             "count_rows": len(self._first),
         }
@@ -171,17 +167,13 @@ class RadiusAnalysis:
         return found
 
     def _solve(self) -> None:
-        """Build the 11 critical polynomials and solve them at once.  They
-        are checked in the order of _radius_functions(), the order in which
-        verify_h_tables first reads them, so the first that cannot be solved
-        raises its DomainError on the first call, whichever it was."""
+        """Build and solve the 11 critical polynomials in the order in which
+        verify_h_tables first reads them, _radius_functions(): the first that
+        cannot be solved raises its DomainError on the first call."""
         forms = [form.polynomial(self.params) for form in LinearForm]
         dq, products = poly_derivative(self.q), _products(forms)
-        data = [self._derivative_data(kind, own, forms, dq, products) for kind, _, own in _radius_functions()]
-        polys = [poly for poly, _ in data]
-        roots = stacked_companion_roots(polys)
-        self._root_solves = len({len(poly) for poly in polys if len(poly) > 1})
-        self._solved = [([float(r.real) for r in rs], sign) for rs, (_, sign) in zip(roots, data)]
+        data = (self._derivative_data(kind, own, forms, dq, products) for kind, _, own in _radius_functions())
+        self._solved = [([float(r.real) for r in roots(poly)], sign) for poly, sign in data]
 
     def _derivative_data(
         self,
@@ -482,45 +474,28 @@ def h0_pairing(analysis: RadiusAnalysis, lam: float) -> float:
     ends of I2, so this quartic has one root on each side of the critical
     point inside I2: lam and the partner.  The known root lam is divided
     out, and the partner is a root of the cubic left: of the roots whose
-    real part lies on the far side, the one nearest the real axis.  The
-    stack of one of h0_pairings."""
+    real part lies on the far side, the one nearest the real axis."""
     return h0_pairings(analysis, [lam], h0_critical_on_i2(analysis))[0]
 
 
 def h0_pairings(analysis: RadiusAnalysis, lams: list[float], crit: float) -> list[float]:
-    """h0_pairing of each plane in lams, crit being h0_critical_on_i2 of the
-    analysis, with the pairing cubics solved in one stacked call.  Errors
-    come in the order of the planes, as if each were paired alone: the first
-    plane that cannot be set up, or whose cubic the solver would refuse,
-    ends the stack, and its error is raised only after the planes before it
-    have found their partners."""
+    """h0_pairing of each plane in lams, in order, crit being
+    h0_critical_on_i2 of the analysis: the first that fails raises."""
     params = analysis.params
     q_squared = poly_mul(analysis.q, analysis.q)
-    cubics, windows = [], []
-    failure = None
-    for lam in lams:
-        try:
-            if not -1.0 < lam < 0.0:
-                raise DomainError(f"pairing is defined for lam in I2, got {lam}")
-            if abs(lam - crit) <= CRITICAL_PLANE_TOL:
-                raise DomainError("lam is the critical plane; no partner exists")
-            c = q_value(params, lam) ** 2 / f_value(params, lam)
-            cubic = poly_deflate_composite(poly_sub(q_squared, poly_scale(analysis.f, c)), lam)
-            # the solver's own refusal, made here so that it keeps its place
-            _last_column(cubic)
-        except (DomainError, ArithmeticError) as exc:
-            failure = exc
-            break
-        cubics.append(cubic)
-        windows.append((crit, 0.0) if lam < crit else (-1.0, crit))
     mus = []
-    for lam, (lo, hi), roots in zip(lams, windows, stacked_companion_roots(cubics)):
-        inside = [r for r in roots if lo < r.real < hi]
+    for lam in lams:
+        if not -1.0 < lam < 0.0:
+            raise DomainError(f"pairing is defined for lam in I2, got {lam}")
+        if abs(lam - crit) <= CRITICAL_PLANE_TOL:
+            raise DomainError("lam is the critical plane; no partner exists")
+        c = q_value(params, lam) ** 2 / f_value(params, lam)
+        cubic = poly_deflate_composite(poly_sub(q_squared, poly_scale(analysis.f, c)), lam)
+        lo, hi = (crit, 0.0) if lam < crit else (-1.0, crit)
+        inside = [r for r in roots(cubic) if lo < r.real < hi]
         if not inside:
             raise PreconditionError(f"no partner of {lam} in ({lo}, {hi})")
         mus.append(float(min(inside, key=lambda r: abs(r.imag)).real))
-    if failure is not None:
-        raise failure
     return mus
 
 

@@ -47,8 +47,10 @@ EXIT_USAGE = 3
 
 # The densest tangency grid.  A sweep builds its angles and their texts
 # before it types a conic, so a grid from a mistyped number would fill
-# memory first.
+# memory first.  A search validates each q0 step, tens of microseconds each,
+# so a sweep with no admissible step ends within seconds at MAX_Q0_STEPS.
 MAX_GRID = 65536
+MAX_Q0_STEPS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -355,6 +357,8 @@ def _analysis(args) -> RadiusAnalysis:
 
 
 def _cmd_search_params(args):
+    if args.q0_steps > MAX_Q0_STEPS:
+        raise InputError(f"q0 steps must be at most {MAX_Q0_STEPS}")
     search = SearchConfig(
         a=args.a, b=args.b, lambda0=args.lambda0, q0_min=args.q0_min, q0_max=args.q0_max,
         q0_steps=args.q0_steps,

@@ -1,19 +1,19 @@
-"""Univariate polynomial arithmetic, companion-matrix roots and the exact
-square tests.
+"""Univariate polynomial arithmetic, closed-form roots of degree 3 or less,
+and the exact square tests.
 
 A real polynomial is a tuple of float coefficients in ascending degree order,
 stripped of trailing zeros ((0.0,) for the zero polynomial); degree <= 8 is
-all this project ever needs.  Evaluation, companion roots, the
-two-double-roots criterion and the square test also accept complex
-coefficient sequences because branch restrictions of conics are genuinely
-complex.
+all this project ever needs.  Every root the package solves for has degree
+3 or less once the known roots are divided out, and roots() finds them in
+closed form, without numpy.  Evaluation, the two-double-roots criterion and
+the square test also accept complex coefficient sequences because branch
+restrictions of conics are genuinely complex.
 """
 
 from __future__ import annotations
 
 import cmath
-
-import numpy as np
+import math
 
 from .errors import DomainError
 
@@ -131,83 +131,106 @@ def evaluate(p, x):
     return acc
 
 
-def companion_roots(coeffs) -> list[complex]:
-    """All complex roots of a polynomial given by ascending coefficients:
-    the stack of one."""
-    return stacked_companion_roots([coeffs])[0]
+def roots(p) -> list[complex]:
+    """All roots of a real polynomial of degree 3 or less, in the tuple
+    format, in closed form: real ones as floats, a conjugate pair as complex
+    numbers, none below degree 1.  Degree 2 is the quadratic formula without
+    cancellation.  A cubic takes Kahan's method ("To Solve a Real Cubic
+    Equation", 1986): monotone Newton to one real root, deflation there, the
+    quadratic, and one guarded Newton step on the cubic from each real root
+    of the quadratic.  A polynomial with a nonzero coefficient outside
+    [2^-100, 2^100] raises DomainError when a coefficient over the leading
+    one is not finite, and is otherwise solved in the variable and scale,
+    powers of two, that bring every coefficient under 1 and the leading one
+    to [1/2, 1), so that a cubic near the float range has finite roots."""
+    cs = list(p)
+    n = len(cs) - 1
+    if n < 1:
+        return []
+    # inside these sizes every ratio of two coefficients is finite, and every
+    # term within the root bound stays below 2^700; NaN is outside
+    if all(2.0**-100 <= abs(c) <= 2.0**100 for c in cs if c):
+        return _roots(cs)
+    if not all(math.isfinite(c / cs[-1]) for c in cs):
+        raise DomainError(f"roots need finite coefficients over the leading one, of size {abs(cs[-1]):.3e}")
+    top = math.frexp(cs[-1])[1]  # lam = 2^k y, 2^k about the size of the largest root
+    k = max((-((top - math.frexp(c)[1]) // (n - i)) for i, c in enumerate(cs[:-1]) if c), default=0)
+    scaled = _roots([math.ldexp(c, (i - n) * k - top) for i, c in enumerate(cs)])
+    return [complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) if type(z) is complex else math.ldexp(z, k)
+            for z in scaled]
 
 
-def stacked_companion_roots(polys) -> list[list[complex]]:
-    """All complex roots of each polynomial given by ascending coefficients,
-    in order: the eigenvalues of its companion matrix, _polished.  One
-    eigenvalue call per degree solves the stacked matrices of that degree;
-    LAPACK factors each matrix of a stack on its own, so a root does not
-    depend on the polynomials stacked with it.  The polynomials are checked
-    in order before any is solved: the first whose monic form is not finite
-    raises DomainError."""
-    built = [_last_column(coeffs) for coeffs in polys]
-    by_degree: dict[int, list[int]] = {}
-    for i, (_, column) in enumerate(built):
-        if column:
-            by_degree.setdefault(len(column), []).append(i)
-    eigenvalues: list[list] = [[] for _ in built]
-    for members in by_degree.values():
-        for i, values in zip(members, np.linalg.eigvals(_companions([built[i][1] for i in members]))):
-            eigenvalues[i] = list(values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [_polished(cs, values) if values else [] for (cs, _), values in zip(built, eigenvalues)]
+def _roots(cs: list[float]) -> list[complex]:
+    """roots of cs, of degree 1 to 3 with every coefficient's size in range."""
+    if len(cs) == 2:
+        return [-cs[0] / cs[1]]
+    if len(cs) == 3:
+        return _quadratic(cs[2], cs[1], cs[0])
+    d, c, b, a = cs
+    if d == 0.0:
+        x, b1, c2 = 0.0, b, c
+    else:
+        # from beyond the root on the far side of the inflection point x, the
+        # shortened steps stay short of the root and stop once they reach
+        # it; a step past x is rounding in a cluster of roots and stops too
+        x = -(b / a) / 3.0
+        q, dq, b1, c2 = _cubic_at(cs, x)
+        t = q / a
+        s = (t > 0.0) - (t < 0.0)
+        r = abs(t) ** (1.0 / 3.0)
+        if -dq / a > 0.0:
+            r = 1.324718 * max(r, math.sqrt(-dq / a))
+        inflection, x0 = x, x - s * r
+        if x0 != x:
+            while True:
+                x = x0
+                q, dq, b1, c2 = _cubic_at(cs, x)
+                x0 = x if dq == 0.0 else x - (q / dq) / 1.000000000000001
+                if not s * x < s * x0 < s * inflection:
+                    break
+            # the quotient's low coefficients from below where that is stabler
+            if x and abs(a) * x * x > abs(d / x):
+                c2 = -d / x
+                b1 = (c2 - c) / x
+    z1, z2 = _quadratic(a, b1, c2)
+    if type(z1) is complex:
+        return [x, z1, z2]
+    return [x, _polish(cs, z1, (x, z2)), _polish(cs, z2, (x, z1))]
 
 
-def _last_column(coeffs) -> tuple[list[complex], list[complex]]:
-    """The coefficients as complex numbers with trailing zeros dropped, and
-    the last column of their companion matrix: minus the lower ones over the
-    leading one, empty below degree 1."""
-    cs = [complex(c) for c in coeffs]
-    while len(cs) > 1 and cs[-1] == 0:
-        cs.pop()
-    if len(cs) < 2:
-        return cs, []
-    lead = cs[-1]
-    monic = [c / lead for c in cs]
-    if not all(cmath.isfinite(c) for c in monic):
-        raise DomainError(f"roots need finite coefficients over the leading one, of size {abs(lead):.3e}")
-    return cs, [-c for c in monic[:-1]]
+def _cubic_at(cs: list[float], x: float) -> tuple[float, float, float, float]:
+    """(p(x), p'(x), b1, c2) of the cubic p = cs, where a lam^2 + b1 lam + c2
+    is the quotient of p by (lam - x), with remainder p(x)."""
+    d, c, b, a = cs
+    q0 = a * x
+    b1 = q0 + b
+    c2 = b1 * x + c
+    return c2 * x + d, (q0 + b1) * x + c2, b1, c2
 
 
-def _companions(columns: list[list[complex]]) -> np.ndarray:
-    """The companion matrices of one degree n, stacked (k, n, n): ones below
-    the diagonal and each last column given."""
-    k, n = len(columns), len(columns[0])
-    comp = np.zeros((k, n * n), dtype=complex)
-    comp[:, n :: n + 1] = 1.0
-    comp[:, n - 1 :: n] = columns
-    return comp.reshape(k, n, n)
+def _quadratic(a: float, b: float, c: float) -> list[complex]:
+    """a lam^2 + b lam + c = 0: the larger root without cancellation, the other from the product."""
+    h = -0.5 * b
+    disc = h * h - a * c
+    if disc < 0.0:
+        re, im = h / a, math.sqrt(-disc) / a
+        return [complex(re, im), complex(re, -im)]
+    r = h + math.copysign(math.sqrt(disc), h)
+    if r == 0.0:
+        return [c / a, -c / a]
+    return [c / r, r / a]
 
 
-def _polished(cs: list[complex], roots: list) -> list[complex]:
-    """One Newton step from each eigenvalue, kept only when it reduces |p|
-    and lands nearer its own eigenvalue than any other: near a multiple root
-    p' almost vanishes and an unguarded step can jump onto a different root.
-    Where evaluating p overflows, the comparison fails on inf or NaN and the
-    eigenvalue is kept as it is; the caller sees the overflow in its own
-    arithmetic.  The caller ignores numpy's overflow and invalid warnings
-    around it, once per stack."""
-    dcs = [k * cs[k] for k in range(1, len(cs))]
-    polished = []
-    for r in roots:
-        pr = evaluate(cs, r)
-        dpr = evaluate(dcs, r)
-        if abs(dpr) > 0:
-            cand = r - pr / dpr
-            if abs(evaluate(cs, cand)) < abs(pr):
-                step = abs(cand - r)
-                for other in roots:
-                    if other is not r and abs(cand - other) <= step:
-                        break
-                else:
-                    r = cand
-        polished.append(r)
-    return polished
+def _polish(cs: list[float], z: float, others: tuple[float, float]) -> float:
+    """One Newton step on the cubic cs from z, kept if it reduces |p| and stays nearer z than the others."""
+    q, dq, _, _ = _cubic_at(cs, z)
+    if not dq:
+        return z
+    cand = z - q / dq
+    step = abs(cand - z)
+    if abs(_cubic_at(cs, cand)[0]) < abs(q) and all(abs(cand - w) > step for w in others):
+        return cand
+    return z
 
 
 def _close(lhs: complex, rhs: complex, floor: float) -> bool:

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from .errors import InvalidParameterError, NotFoundError, PreconditionError
 from .poly import (
     _stripped,
-    companion_roots,
     evaluate,
     poly_deflate,
     poly_derivative,
     poly_mul,
     poly_sub,
+    roots,
     square_root_roots,
-    stacked_companion_roots,
 )
 
 
@@ -284,11 +283,10 @@ def _discriminant(params: SurfaceParams) -> tuple[tuple[float, ...], tuple[float
 def _double_root_candidates(params: SurfaceParams, p: tuple[float, ...], dp: tuple[float, ...]) -> list[float]:
     """The real parts of the roots of D' = dp, each Newton-polished, least
     D = p first: validate takes the first as lambda0, singular_locus the
-    first that passes the double-root test."""
-    return sorted(
-        (_polish_double_root(params, float(r.real)) for r in companion_roots(dp)),
-        key=lambda x: evaluate(p, x),
-    )
+    first that passes the double-root test.  A candidate where D leaves the
+    float range comes last, as its value there measures nothing."""
+    found = [_polish_double_root(params, r.real) for r in roots(dp)]
+    return sorted(found, key=lambda x: (not math.isfinite(d := evaluate(p, x)), d))
 
 
 def validate(params: SurfaceParams) -> ValidationReport:
@@ -366,10 +364,8 @@ def _validate(params: SurfaceParams, p, dp, candidates) -> ValidationReport:
                 cond_star = CheckResult(False, end, f"Q = {q_value(params, end):.3e} <= 0 at the root {end:.12g} of f")
                 break
         else:
-            # the sign of the discriminant decides whether Q has real roots
-            real = params.q1 * params.q1 >= 4.0 * params.q0 * params.q2
-            roots = companion_roots((params.q2, params.q1, params.q0)) if real else []
-            for root in sorted(float(r.real) for r in roots):
+            # the real roots of Q, if any: a conjugate pair is complex
+            for root in sorted(r for r in roots((params.q2, params.q1, params.q0)) if type(r) is float):
                 if -1.0 <= root <= 0.0 or root >= ba:
                     cond_star = CheckResult(False, root, "Q vanishes where f >= 0")
                     break
@@ -459,7 +455,7 @@ def _singular_locus(params: SurfaceParams, p, dp, candidates) -> list[SingularPo
         kind = SingularKind.ODP if multiplicity == 2 else SingularKind.NON_ODP
         return SingularPoint(f"A(lam={lam:.12g})", kind, lam=lam, multiplicity=multiplicity)
 
-    for r in itertools.chain(*stacked_companion_roots([dddp, ddp])):
+    for r in itertools.chain(roots(dddp), roots(ddp)):
         lam = float(r.real)
         m = _vanishing_order(params, derivs, lam)
         if m > 2:

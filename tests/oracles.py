@@ -3,7 +3,7 @@
 Everything here is deliberately written from scratch: brute-force grids,
 raw companion-matrix roots through numpy, greedy pairing, single-linkage
 root clustering.  None of it calls back into the validation paths it
-certifies; the clustering starts from `poly.companion_roots`.  The
+certifies; the clustering starts from `reference_companion_roots`.  The
 radius-function handles and normal-bundle verdicts, the elimination one
 trace at a time, the analysis one radius function at a time and the closed
 forms of the conic families are the exception: those wrap the package for
@@ -56,7 +56,7 @@ from touching_conics.classifier import (
 from touching_conics.cli import _json_safe, _pairing_samples
 from touching_conics.conics import ConicCoeffs, ConicType, Plane, _conic, conic_contact, normalized, restriction
 from touching_conics.errors import DomainError, InputError, PreconditionError
-from touching_conics.poly import companion_roots, evaluate
+from touching_conics.poly import evaluate, roots
 from touching_conics.resolution import Edge, HKind, LinearForm, ResolutionChoice, all_resolutions
 from touching_conics.surface import (
     Interval,
@@ -185,10 +185,9 @@ def cluster_roots(roots, tol: float) -> list[list[complex]]:
 
 def root_clusters(coeffs, tol: float) -> list[RootCluster]:
     """All roots of the (complex) polynomial, grouped into clusters."""
-    roots = companion_roots(coeffs)
     cs = [complex(c) for c in coeffs]
     out = []
-    for members in cluster_roots(roots, tol):
+    for members in cluster_roots(reference_companion_roots(coeffs), tol):
         center = sum(members) / len(members)
         res = max(abs(evaluate(cs, m)) for m in members)
         out.append(RootCluster(value=center, multiplicity=len(members), residual=res))
@@ -816,11 +815,11 @@ def eliminate_by_lookup(analysis: RadiusAnalysis) -> OutcomeByLookup:
 
 
 # ---------------------------------------------------------------------------
-# the analysis one radius function at a time, as the package solved it before
-# the stacked solve: polynomial arithmetic on a frozen dataclass that converts
-# and strips every result, one companion-matrix eigenvalue call per critical
-# polynomial, lazy memos keyed by (kind, key, span), the h tables read row by
-# row and the classification section built trace by trace.  The production
+# the analysis one radius function at a time: polynomial arithmetic on a
+# frozen dataclass that converts and strips every result, each critical
+# polynomial solved on first demand by poly.roots, lazy memos keyed by (kind,
+# key, span), the h tables read row by row and the classification section
+# built trace by trace.  The production
 # analysis must give the same bits.  Like the sections above, it calls the
 # package for the limits, the tables and the elimination.
 
@@ -908,8 +907,10 @@ def reference_deflate_composite(p: ReferencePolynomial, root: float) -> Referenc
 
 
 def reference_companion_roots(coeffs) -> list[complex]:
-    """poly.companion_roots as one polynomial's own eigenvalue call: the
-    companion matrix built alone, then the guarded Newton polish."""
+    """All complex roots of a real or complex polynomial of any degree, by
+    the eigenvalues of its companion matrix and one guarded Newton step from
+    each; the root solver the package used before poly.roots, whose refusal
+    poly.roots keeps word for word."""
     cs = [complex(c) for c in coeffs]
     while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
@@ -984,7 +985,7 @@ class LazyAnalysis:
             kind, key = HKind.H1, _missing(key)
         if (kind, key) not in self._roots:
             poly, sign = self.derivative_data(kind, key)
-            self._roots[kind, key] = ([float(r.real) for r in reference_companion_roots(poly.coefficients)], sign)
+            self._roots[kind, key] = ([float(r.real) for r in roots(poly.coefficients)], sign)
         return self._roots[kind, key][0]
 
     def critical(self, kind: HKind, key, span: tuple[float, float]) -> tuple[float, ...]:

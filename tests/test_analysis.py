@@ -557,10 +557,10 @@ def _all_keys():
 
 
 def test_one_solve_equals_the_one_at_a_time_analysis(region_sets):
-    # the 11 critical polynomials built on coefficient tuples and solved by
-    # one eigenvalue call per degree give the coefficients, roots, critical
-    # points and h tables of the dataclass arithmetic solved one at a time,
-    # bit for bit, on the reference draws and 32 sets across the region
+    # the 11 critical polynomials built on coefficient tuples and solved in
+    # one pass give the coefficients, roots, critical points and h tables of
+    # the dataclass arithmetic solved one function at a time on demand, bit
+    # for bit, on the reference draws and 32 sets across the region
     for params in region_sets:
         exact, lazy = analysis_of(params), LazyAnalysis(params, intervals(params))
         exact.critical(HKind.H0, None, exact.span(Interval.I2))

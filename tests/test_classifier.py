@@ -239,7 +239,7 @@ def test_elimination_reads_14_count_rows(params_draws):
         assert cache.work_counts()["count_rows"] == 0
         classify(cache)
         # h2 of 6 pairs on I2, h1 of 4 forms on I1 and on I3
-        assert cache.work_counts() == {"critical_polynomials": 11, "root_solves": 2, "critical_spans": 23, "count_rows": 14}
+        assert cache.work_counts() == {"critical_polynomials": 11, "critical_spans": 23, "count_rows": 14}
 
 
 # ---------------------------------------------------------------------------

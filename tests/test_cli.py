@@ -24,6 +24,7 @@ from touching_conics.analysis import RadiusAnalysis
 from touching_conics.classifier import _COUNT_ROWS, _plans, _trace
 from touching_conics.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from touching_conics.conics import ConicType, Plane
+from touching_conics.errors import NotFoundError
 from touching_conics.surface import SearchConfig, lambda0, params_for_q0
 from oracles import LazyAnalysis, classification_by_trace, verify_h_tables_by_row
 
@@ -96,6 +97,26 @@ def test_grid_above_the_cap_is_a_usage_error(star_arg, capsys):
     assert run(["--params", star_arg, "--lambda=-0.5", "--grid", "65537", "tangency"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: grid density must be at most 65536\n")
+
+
+def test_q0_steps_above_the_cap_is_a_usage_error(capsys, monkeypatch):
+    # a sweep with no admissible step validates every step, so an unbounded
+    # count would run for hours; the cap is checked before the sweep starts,
+    # and the sweep itself is stubbed out here
+    swept = []
+
+    def first_admissible(search):
+        swept.append(search.q0_steps)
+        raise NotFoundError("sweep exhausted")
+
+    monkeypatch.setattr(cli, "first_admissible", first_admissible)
+    assert run(["search-params", "--q0-steps", str(cli.MAX_Q0_STEPS)]) == EXIT_FAIL
+    assert swept == [cli.MAX_Q0_STEPS]
+    capsys.readouterr()
+    assert run(["search-params", "--q0-steps", str(cli.MAX_Q0_STEPS + 1)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: q0 steps must be at most {cli.MAX_Q0_STEPS}\n")
+    assert swept == [cli.MAX_Q0_STEPS]
 
 
 def test_parser_is_reused_across_runs(star_arg, capsys):
@@ -199,10 +220,10 @@ def test_report_timings_opt_in(star_arg, tmp_path):
     stages = {key: timings.pop(key) for key in ("validate_s", "h_tables_s", "classify_s")}
     # to the microsecond: every stage takes more than one, none reads 0
     assert all(0.0 < v == round(v, 6) for v in stages.values())
-    # 1 + 4 + 6 radius functions (h3 is h1 of the missing form), solved by one
-    # eigenvalue call per degree (2 and 3), over 3 + 8 + 12 spans (h1 and h3
-    # share theirs); the elimination reads 6 + 8 of those count rows
-    assert timings == {"critical_polynomials": 11, "root_solves": 2, "critical_spans": 23, "count_rows": 14}
+    # 1 + 4 + 6 radius functions (h3 is h1 of the missing form), over 3 + 8
+    # + 12 spans (h1 and h3 share theirs); the elimination reads 6 + 8 of
+    # those count rows
+    assert timings == {"critical_polynomials": 11, "critical_spans": 23, "count_rows": 14}
 
 
 def test_tangency_timings_opt_in(star_arg, tmp_path):
@@ -335,15 +356,15 @@ def test_report_builds_one_analysis(star_arg, tmp_path, monkeypatch):
 
 
 def test_report_solves_each_radius_function_once(params_draws, capsys, monkeypatch):
-    # one stacked solve of the 11 critical polynomials, one per distinct
+    # one solve of each of the 11 critical polynomials, one per distinct
     # (kind, key) with h3 read as h1 of the missing form, cubics (h0, h1) and
-    # quadratics (h2); one stacked solve of the broken-pairing samples'
-    # cubics; and one validation with its singular locus, which solve and
-    # polish D' once between them, in every report: no further validate or
+    # quadratics (h2); then one solve of each broken-pairing sample's cubic;
+    # and one validation with its singular locus, which solve and polish D'
+    # once between them, in every report: no further validate or
     # singular_locus, from cli or from inside surface
-    stacked = []
-    solve = analysis.stacked_companion_roots
-    monkeypatch.setattr(analysis, "stacked_companion_roots", lambda polys: stacked.append(polys) or solve(polys))
+    solved = []
+    solve = analysis.roots
+    monkeypatch.setattr(analysis, "roots", lambda poly: solved.append(poly) or solve(poly))
     calls = []
 
     def counted(module, name):
@@ -354,13 +375,15 @@ def test_report_solves_each_radius_function_once(params_draws, capsys, monkeypat
     for name in ("validate", "singular_locus", "_discriminant", "_double_root_candidates"):
         counted(surface, name)
     for p in params_draws * 2:
-        stacked.clear()
+        solved.clear()
         calls.clear()
         assert run(["--params", f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}", "report"]) == EXIT_OK
         samples = json.loads(capsys.readouterr().out)["classification"]["broken_pairing"]["samples"]
         assert len(samples) == 4
-        assert [len(set(polys)) for polys in stacked] == [11, len(samples)]
-        assert [sorted({len(poly) - 1 for poly in polys}) for polys in stacked] == [[2, 3], [3]]
+        critical, pairing = solved[:11], solved[11:]
+        assert len(set(critical)) == 11 and len(pairing) == len(samples)
+        assert sorted({len(poly) - 1 for poly in critical}) == [2, 3]
+        assert {len(poly) - 1 for poly in pairing} == {3}
         assert calls == [("validate_with_locus", p), ("_discriminant", p), ("_double_root_candidates", p)]
 
 

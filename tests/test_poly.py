@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import cmath
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +25,9 @@ from oracles import (
     reference_derivative,
     root_clusters,
 )
+from touching_conics import poly
 from touching_conics.errors import DomainError, InputError
 from touching_conics.poly import (
-    companion_roots,
     evaluate,
     poly_add,
     poly_deflate,
@@ -31,7 +36,6 @@ from touching_conics.poly import (
     poly_mul,
     poly_scale,
     poly_sub,
-    stacked_companion_roots,
     two_double_roots_criterion,
 )
 
@@ -108,11 +112,18 @@ def test_multiplicity_sum_equals_degree():
     assert sum(c.multiplicity for c in clusters) == 4
 
 
-@pytest.mark.parametrize("coeffs", [(1.0, 1.0, 1e-320), (1.0, float("inf"), 1.0), (1e300, 1.0, 1e-300)])
+@pytest.mark.parametrize(
+    "coeffs", [(1.0, 1.0, 1e-320), (1.0, float("inf"), 1.0), (1e300, 1.0, 1e-300), (1.0, float("nan"), 2.0, 1.0)]
+)
 def test_companion_roots_refuses_a_monic_form_that_is_not_finite(coeffs):
-    # dividing by the leading coefficient overflows, or a coefficient already has
-    with pytest.raises(DomainError, match="finite"):
-        companion_roots(coeffs)
+    # dividing by the leading coefficient overflows, or a coefficient already
+    # has: poly.roots refuses where the companion matrix could not be built,
+    # with the eigenvalue path's message word for word
+    with pytest.raises(DomainError, match="finite") as companion:
+        reference_companion_roots(coeffs)
+    with pytest.raises(DomainError) as closed_form:
+        poly.roots(coeffs)
+    assert str(closed_form.value) == str(companion.value)
 
 
 def _bits(values) -> list[str]:
@@ -164,38 +175,110 @@ def test_composite_deflation_keeps_the_roots_left(roots):
     with mpmath.workdps(80):
         exact = mpmath.polyroots(list(reversed(p)), maxsteps=200, extraprec=300)
         left = sorted(exact, key=lambda z: abs(z - roots[1]))[1:]
-        got = companion_roots(poly_deflate_composite(p, roots[1]))
+        got = poly.roots(poly_deflate_composite(p, roots[1]))
         for want in left:
             assert min(float(abs((z - want) / want)) for z in got) < 1e-14, (roots, want)
 
 
-def test_stacked_roots_equal_one_eigenvalue_call_per_polynomial():
-    # LAPACK factors each matrix of the stack on its own: degrees 0 to 8 mixed,
-    # real and complex coefficients, trailing zeros, in one call and alone
-    rng = random.Random(11)
-    polys = []
-    for _ in range(400):
-        cs = [rng.uniform(-5.0, 5.0) * 10.0 ** rng.randint(-3, 3) for _ in range(rng.randint(1, 9))]
-        if rng.random() < 0.2:
-            cs.append(0.0)
-        if rng.random() < 0.1:
-            cs = [complex(c, rng.uniform(-1.0, 1.0)) for c in cs]
-        polys.append(tuple(cs))
-    expected = [_bits(reference_companion_roots(p)) for p in polys]
-    assert [_bits(roots) for roots in stacked_companion_roots(polys)] == expected
-    assert [_bits(companion_roots(p)) for p in polys] == expected
-    assert stacked_companion_roots([]) == []
+EPS = 2.0**-52
 
 
-def test_stacked_roots_raise_the_first_refusal_in_order():
-    # every polynomial is checked before any is solved, in the order given
-    good = (2.0, -3.0, 1.0)
-    polys = [good, (1.0, 1.0, 1e-310), good, (1.0, 1.0, 1e-320)]
-    with pytest.raises(DomainError) as first:
-        companion_roots(polys[1])
-    with pytest.raises(DomainError) as stacked:
-        stacked_companion_roots(polys)
-    assert str(stacked.value) == str(first.value)
+def _planted(kind: str, rng: random.Random) -> tuple[float, ...]:
+    """A polynomial of degree 1 to 3 of one kind: random coefficients, a
+    near-double real root, a conjugate pair with a tiny imaginary part, a
+    zero constant term, or planted roots with coefficients from 1e-150 to
+    1e150."""
+    if kind == "random":
+        return tuple(rng.uniform(-4.0, 4.0) * 10.0 ** rng.randint(-3, 3) for _ in range(rng.randint(2, 4)))
+    if kind == "near-double":
+        r = rng.uniform(-3.0, 3.0)
+        return poly_from_roots([r, r * (1.0 + 10.0 ** rng.uniform(-12.0, -4.0)), rng.uniform(-3.0, 3.0)])
+    if kind == "tiny-imaginary":
+        u, v = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-12.0, -2.0)
+        return poly_from_roots([complex(u, v), complex(u, -v), rng.uniform(-3.0, 3.0)])
+    if kind == "zero-constant":
+        return (0.0,) + tuple(rng.uniform(-4.0, 4.0) for _ in range(rng.randint(1, 3)))
+    size, lead = 10.0 ** rng.uniform(-40.0, 40.0), 10.0 ** rng.uniform(-30.0, 30.0)
+    roots_ = [rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 4.0) * size for _ in range(rng.randint(1, 3))]
+    return tuple(c * lead for c in poly_from_roots(roots_))
+
+
+def _exact_roots(p, mpmath):
+    """The 80-digit roots of the float polynomial, solved in the variable
+    scaled by its root bound, so that the iteration starts at their size."""
+    cs = [mpmath.mpf(c) for c in p]
+    n = len(cs) - 1
+    bound = max(abs(cs[i] / cs[n]) ** (mpmath.mpf(1) / (n - i)) for i in range(n) if cs[i]) if any(cs[:n]) else 1
+    scaled = [cs[i] * bound**i for i in reversed(range(n + 1))]
+    return [z * bound for z in mpmath.polyroots(scaled, maxsteps=400, extraprec=400)]
+
+
+def _errors(got, exact, mpmath) -> list:
+    """Each exact root with the error of the nearest root got, relative where
+    the root is not zero, each root got matched once."""
+    left = [mpmath.mpc(z) for z in got]
+    out = []
+    for w in exact:
+        z = min(left, key=lambda g: abs(g - w))
+        left.remove(z)
+        out.append((w, abs(z - w) / abs(w) if w else abs(z)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["random", "near-double", "tiny-imaginary", "zero-constant", "wide"])
+def test_roots_match_80_digit_roots_and_the_eigenvalue_oracle(kind):
+    # backward stable: |p(z)| is within 2 eps of the size of its terms at
+    # every root z; and each root is within twice the larger of the
+    # eigenvalue oracle's error and the first-order bound eps S / |w p'(w)|,
+    # S the size of p's terms, at the 80-digit root w: a near-double root or
+    # a tiny imaginary part is only as exact as its conditioning allows
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(sum(map(ord, kind)))
+    with mpmath.workdps(80):
+        for _ in range(150):
+            p = _planted(kind, rng)
+            got = poly.roots(p)
+            assert len(got) == len(p) - 1 and all(cmath.isfinite(z) for z in got), p
+            for z in got:
+                terms = [mpmath.mpf(c) * mpmath.mpc(z) ** i for i, c in enumerate(p)]
+                assert abs(sum(terms)) <= 2 * EPS * sum(map(abs, terms)), (p, z)
+            exact = _exact_roots(p, mpmath)
+            reference = {complex(w): e for w, e in _errors(reference_companion_roots(p), exact, mpmath)}
+            for w, error in _errors(got, exact, mpmath):
+                slope = abs(sum(i * mpmath.mpf(c) * w ** (i - 1) for i, c in enumerate(p) if i))
+                size = sum(abs(mpmath.mpf(c)) * abs(w) ** i for i, c in enumerate(p))
+                conditioned = EPS * size / (abs(w) * slope) if w and slope else 0
+                assert error <= 2 * max(reference[complex(w)], conditioned, EPS if w else 0), (p, w, error)
+            if kind == "zero-constant":
+                assert 0.0 in got
+
+
+def test_roots_of_a_cubic_near_the_float_range_are_finite():
+    # D' of the set (1, 0, 1, 1e300, 1): unscaled, the value of the cubic at
+    # its inflection point overflows and Newton starts from NaN.  Its roots
+    # are 7.5e299, -2/3 and about 5e-301; the terms at the largest and at
+    # the smallest differ by more than the float range, so no one scale
+    # holds both, and the scaled cubic reads the smallest as 0
+    got = sorted(poly.roots((1.0, -2e300, -3e300, 4.0)))
+    assert got == pytest.approx([-2.0 / 3.0, 0.0, 7.5e299], rel=1e-15, abs=1e-300)
+
+
+def test_roots_below_degree_one_and_above_three():
+    assert poly.roots((0.0,)) == [] and poly.roots((5.0,)) == []
+    assert poly.roots((2.0, 4.0)) == [-0.5]
+    # a quartic is refused, not solved as a cubic
+    with pytest.raises(ValueError):
+        poly.roots((1.0, 0.0, 0.0, 0.0, 1.0))
+
+
+def test_report_path_imports_no_numpy():
+    # the modules a report's validation and analysis run on solve every
+    # root in closed form, so importing them leaves numpy unloaded
+    code = "import sys, touching_conics.surface, touching_conics.analysis, touching_conics.resolution; print('numpy' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_two_double_roots_examples():
