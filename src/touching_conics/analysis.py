@@ -31,7 +31,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, PreconditionError
 from .poly import (
@@ -113,10 +113,12 @@ class RadiusAnalysis:
     critical polynomials, each with the known roots at lambda0 divided out:
     five cubics (h0 and the four h1) and six quadratics (h2).  It solves
     each in closed form (poly.roots) and keeps the roots and the
-    derivative's sign function per function.  Two memos, keyed by
-    function number and span, serve every stage of a run: the critical
-    points per span, read off those roots, and the first of them alone, all
-    the elimination reads of a count row."""
+    derivative's sign function per function.  Then it reads off those
+    roots, in one pass, the critical points of every cell of _cells(): the
+    23 (radius function, interval) pairs that the h tables and the
+    elimination read.  A count row reads its cell's length, and the
+    elimination the first point of its cells; critical serves any other
+    span afresh."""
 
     def __init__(self, params: SurfaceParams, partition: IntervalPartition):
         self.params = params
@@ -124,17 +126,17 @@ class RadiusAnalysis:
         self.f = f_poly(params)
         self.q = Q_restricted(params)
         self._solved: list | None = None
-        self._critical: dict = {}
-        self._first: dict = {}
+        self._cells: tuple | None = None
+        self._firsts_read: set = set()
 
     def work_counts(self) -> dict[str, int]:
-        """Radius functions whose critical polynomial was solved, distinct
-        spans whose critical points were served, and distinct count rows
-        whose first critical point was read, so far."""
+        """Radius functions whose critical polynomial was solved, cells whose
+        critical points were read off the roots, and distinct cells whose
+        first critical point was read, so far."""
         return {
             "critical_polynomials": len(self._solved or ()),
-            "critical_spans": len(self._critical),
-            "count_rows": len(self._first),
+            "critical_spans": len(self._cells or ()),
+            "count_rows": len(self._firsts_read),
         }
 
     def span(self, which: Interval, kind: HKind | None = None) -> tuple[float, float]:
@@ -146,34 +148,44 @@ class RadiusAnalysis:
 
     def critical(self, kind: HKind, key, span: tuple[float, float]) -> tuple[float, ...]:
         """Critical points of the radius function on the open span, ascending."""
-        return self._critical_at(_function_index()[kind, key], span)
+        roots, sign = self._solve()[_function_index()[kind, key]]
+        return _sign_changes(roots, span[0], span[1], sign)
 
     def first_critical(self, kind: HKind, key, which: Interval) -> float | None:
         """The least critical point of the radius function on the interval,
         or None when it has none."""
-        row = (_function_index()[kind, key], self.span(which, kind))
-        if row not in self._first:
-            locs = self._critical_at(*row)
-            self._first[row] = locs[0] if locs else None
-        return self._first[row]
+        locs = self.critical(kind, key, self.span(which, kind))
+        return locs[0] if locs else None
 
-    def _critical_at(self, index: int, span: tuple[float, float]) -> tuple[float, ...]:
-        found = self._critical.get((index, span))
-        if found is None:
-            if self._solved is None:
-                self._solve()
-            roots, sign = self._solved[index]
-            found = self._critical[index, span] = _sign_changes(roots, span[0], span[1], sign)
-        return found
+    def cells(self) -> tuple[tuple[float, ...], ...]:
+        """The critical points of each cell of _cells(), ascending."""
+        if self._cells is None:
+            solved = self._solve()
+            cells = []
+            for index, kind, _, which in _cells():
+                roots, sign = solved[index]
+                cells.append(_sign_changes(roots, *self.span(which, kind), sign))
+            self._cells = tuple(cells)
+        return self._cells
 
-    def _solve(self) -> None:
-        """Build and solve the 11 critical polynomials in the order in which
-        verify_h_tables first reads them, _radius_functions(): the first that
-        cannot be solved raises its DomainError on the first call."""
-        forms = [form.polynomial(self.params) for form in LinearForm]
-        dq, products = poly_derivative(self.q), _products(forms)
-        data = (self._derivative_data(kind, own, forms, dq, products) for kind, _, own in _radius_functions())
-        self._solved = [([float(r.real) for r in roots(poly)], sign) for poly, sign in data]
+    def firsts(self, cells: tuple[int, ...]) -> tuple[float | None, ...]:
+        """The least critical point, or None, of each cell numbered in cells."""
+        points = self.cells()
+        self._firsts_read.update(cells)
+        return tuple([locs[0] if (locs := points[cell]) else None for cell in cells])
+
+    def _solve(self) -> list:
+        """Per radius function of _radius_functions(), the real parts of its
+        critical polynomial's roots and the derivative's sign function.  The
+        11 polynomials are built and solved on the first call, in the order
+        in which verify_h_tables first reads them: the first that cannot be
+        solved raises its DomainError there."""
+        if self._solved is None:
+            forms = [form.polynomial(self.params) for form in LinearForm]
+            dq, products = poly_derivative(self.q), _products(forms)
+            data = (self._derivative_data(kind, own, forms, dq, products) for kind, _, own in _radius_functions())
+            self._solved = [([float(r.real) for r in roots(poly)], sign) for poly, sign in data]
+        return self._solved
 
     def _derivative_data(
         self,
@@ -322,9 +334,34 @@ class TableRow:
     passed: bool
 
 
+class _CountRow(NamedTuple):
+    """A count row of the h tables with the limit rows that follow it up to
+    the next count row, and the number in _cells() of the cell it reads."""
+
+    function: str
+    choice: str
+    check: str
+    expected: int
+    cell: int
+    limits: tuple[TableRow, ...]
+
+    def rows(self, count: int) -> tuple[TableRow, ...]:
+        """The count row read as count, then its limit rows."""
+        head = TableRow(self.function, self.choice, self.check, str(self.expected), str(count), count == self.expected)
+        return (head, *self.limits)
+
+
 @dataclass(frozen=True)
 class HTableReport:
-    rows: tuple[TableRow, ...]
+    """The h tables of one analysis: the critical-point count of each count
+    row of _table_rows(), in order.  The limit rows depend on no parameter;
+    rows writes out every row of the tables."""
+
+    counts: tuple[int, ...]
+
+    @property
+    def rows(self) -> tuple[TableRow, ...]:
+        return tuple(itertools.chain.from_iterable(row.rows(n) for row, n in zip(_table_rows(), self.counts)))
 
     @property
     def passed(self) -> bool:
@@ -384,35 +421,52 @@ def _pair_label(key: frozenset) -> str:
 
 
 def verify_h_tables(analysis: RadiusAnalysis) -> HTableReport:
-    """Recompute every critical-point count and endpoint limit the
-    classification relies on, and compare with the expected tables."""
-    rows = []
-    for row in _table_rows():
-        if isinstance(row, TableRow):
-            rows.append(row)
-            continue
-        fn, label, check, expected, index, which, kind = row
-        count = len(analysis._critical_at(index, analysis.span(which, kind)))
-        rows.append(TableRow(fn, label, check, str(expected), str(count), count == expected))
-    return HTableReport(rows=tuple(rows))
+    """Recompute every critical-point count the classification relies on,
+    one per count row, read off the row's cell; the endpoint limits are
+    constants of the region, compared with the expected tables once."""
+    points = analysis.cells()
+    return HTableReport(tuple([len(points[row.cell]) for row in _table_rows()]))
+
+
+def _table_rows() -> tuple[_CountRow, ...]:
+    """The count rows of verify_h_tables in their order, each with the limit
+    rows after it."""
+    return _tables()[0]
+
+
+def _cells() -> tuple[tuple[int, HKind, object, Interval], ...]:
+    """The 23 distinct (radius function, interval) cells that the count rows
+    read, as (function number, kind, key, interval), in the order the rows
+    first read them: h0 on I2 and both halves of I4, h1 of each form on I1
+    and I3 (which h3 of the triple without the form reads too), and h2 of
+    each pair on I2 and on I4, one span named I4minus."""
+    return _tables()[1]
+
+
+def cell_number(kind: HKind, key, which: Interval) -> int:
+    """The number in _cells() of the radius function's cell on the
+    interval; KeyError for a cell no count row reads."""
+    return _tables()[2][_function_index()[kind, key], which]
 
 
 @functools.cache
-def _table_rows() -> tuple:
-    """The rows of verify_h_tables in their order, as constants of the
-    region: a limit row is its TableRow, since the limits depend on no
-    parameter; a count row is (function, choice, check, expected count,
-    function number, interval, kind)."""
+def _tables() -> tuple:
+    """The rows of the h tables, their cells, and each cell's number keyed by
+    (function number, interval): constants of the region, built on first
+    use."""
     index = _function_index()
-    rows: list = []
+    # per count row, its fields before the limits, and its limit rows
+    rows: list[tuple[tuple, list[TableRow]]] = []
+    cells: dict[tuple[int, Interval], int] = {}
 
     def count_row(fn: str, label: str, kind: HKind, key, which: Interval, expected: int, name: str = ""):
-        rows.append((fn, label, f"count on {name or which.value}", expected, index[kind, key], which, kind))
+        cell = cells.setdefault((index[kind, key], which), len(cells))
+        rows.append(((fn, label, f"count on {name or which.value}", expected, cell), []))
 
     def limit_row(fn: str, label: str, kind: HKind, key, edge: Edge, expected: LimitKind):
         got = limit(kind, key, edge)
         check = f"limit at {edge.value} ({domain_side(kind, edge)})"
-        rows.append(TableRow(fn, label, check, expected.value, got.value, got is expected))
+        rows[-1][1].append(TableRow(fn, label, check, expected.value, got.value, got is expected))
 
     count_row("h0", "-", HKind.H0, None, Interval.I2, 1)
     count_row("h0", "-", HKind.H0, None, Interval.I4MINUS, 0)
@@ -442,7 +496,9 @@ def _table_rows() -> tuple:
         for edge, expected in limits:
             limit_row("h2", label, HKind.H2, pair, edge, expected)
 
-    return tuple(rows)
+    functions = _radius_functions()
+    described = tuple((i, *functions[i][:2], which) for i, which in cells)
+    return tuple(_CountRow(*head, tuple(limits)) for head, limits in rows), described, cells
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .analysis import LimitKind, RadiusAnalysis, _pair_key, _triple_key, limit
-from .conics import ConicType
-from .resolution import Edge, HKind, LinearForm, ResolutionChoice, all_resolutions
+from .analysis import LimitKind, RadiusAnalysis, _pair_key, _triple_key, cell_number, limit
+from .resolution import ConicType, Edge, HKind, LinearForm, ResolutionChoice, all_resolutions
 from .surface import Interval
 
 
@@ -217,9 +216,15 @@ def _plans() -> tuple[_Plan, ...]:
     return tuple(_plan(choice, hyp) for choice in all_resolutions() for hyp in Hypothesis)
 
 
+@functools.cache
+def _count_cells() -> tuple[int, ...]:
+    """The number of each count row's cell in the analysis' table."""
+    return tuple(cell_number(*row) for row in _COUNT_ROWS)
+
+
 def _firsts(analysis: RadiusAnalysis) -> tuple[float | None, ...]:
     """The first critical point, or None, of each count row."""
-    return tuple(analysis.first_critical(kind, key, which) for kind, key, which in _COUNT_ROWS)
+    return analysis.firsts(_count_cells())
 
 
 def _trace(plan: _Plan, firsts: Sequence[float | None]) -> EliminationTrace:

@@ -21,14 +21,14 @@ import math
 import re
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import fields, is_dataclass
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from typing import NamedTuple
 
 from . import __version__
-from .analysis import PSI, RadiusAnalysis, TableRow, h0_critical_on_i2, h0_pairings, verify_h_tables
+from .analysis import PSI, RadiusAnalysis, TableRow, _table_rows, h0_critical_on_i2, h0_pairings, verify_h_tables
 from .classifier import _COUNT_ROWS, EXPECTED_SURVIVORS, EliminationTrace, _plans, _trace, assign_types, classify
-from .conics import FAMILIES, ConicCoeffs, Plane, min_real_form
 from .errors import (
     DegenerateConicError,
     DomainError,
@@ -131,10 +131,13 @@ def _require_params(args) -> SurfaceParams:
     return args.params
 
 
-def _require_plane(args, alpha: float | None = None) -> Plane:
-    """The plane of --lambda.  Plane refuses one where the families' entries
-    overflow; an orbit conic's residual is built from (alpha + Q)^2, so four
-    times that must be finite too."""
+def _require_plane(args, alpha: float | None = None):
+    """The plane of --lambda, a conics.Plane.  Plane refuses one where the
+    families' entries overflow; an orbit conic's residual is built from
+    (alpha + Q)^2, so four times that must be finite too.  conics, and numpy
+    with it, is imported here: only the conic subcommands need it."""
+    from .conics import Plane
+
     params = _require_params(args)
     if args.lam is None:
         raise InputError("--lambda required")
@@ -154,7 +157,9 @@ def _record(rep) -> dict:
     return {**vars(rep), "passed": rep.passed}
 
 
-def _conic_record(conic: ConicCoeffs, label: str, lam: float | None, knob: float) -> dict:
+def _conic_record(conic, label: str, lam: float | None, knob: float) -> dict:
+    from .conics import min_real_form
+
     det = conic.det()
     return {
         "lambda": lam,
@@ -193,22 +198,26 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 class _Fragment(NamedTuple):
-    """A JSON value as text: the text _json_text writes for it at top level,
-    without the final newline, and for the rows of critical or tangency the
-    values of their CSV lines.  An encoded string never holds a raw
-    newline, so every newline of the text starts a line of its layout, and
-    one replace nests the text at any depth.
+    """A JSON value as text: the text _json_text writes for it nested depth
+    levels down, without the final newline, and for the rows of critical
+    or tangency the values of their CSV lines (tangency builds them only
+    under --format csv).  An encoded string never holds a raw newline, so
+    every newline of the text starts a line of its layout, and one replace
+    nests the text any number of levels deeper; a fragment is never
+    written shallower than it was built.
 
     The kinds: written once per process, psi and classification's
     type_assignment (module constants) and each component schedule
     (_schedule_record); put together per document from per-process text
     around its numbers, the rows of critical or tangency (_rows, one
     fragment whose values are their CSV lines, joined from _table_row's
-    item texts or from _tangency_row_text around the knobs) and
-    classification's traces (_trace_template around the witnesses)."""
+    texts, one per count, or from _tangency_row_text around the knobs) and
+    classification's traces (_trace_template around the witnesses), built
+    at _TRACES_DEPTH, where report and classify both write them."""
 
     text: str
     values: tuple = ()
+    depth: int = 0
 
 
 def _fragment(x) -> _Fragment:
@@ -216,13 +225,14 @@ def _fragment(x) -> _Fragment:
     return _Fragment(_json_text(x)[:-1])
 
 
-def _item_text(x) -> str:
-    """The text of x as an item of a top-level list: its lines nested one
-    level deep, after the newline that opens the item."""
-    return "\n  " + _json_text(x)[:-1].replace("\n", "\n  ")
+def _item_text(x, depth: int = 0) -> str:
+    """The text of x as an item of a list nested depth levels down: its
+    lines nested one level deeper, after the newline that opens the item."""
+    pad = "\n" + "  " * (depth + 1)
+    return pad + _json_text(x)[:-1].replace("\n", pad)
 
 
-def _rows(items: list[str], values: tuple) -> _Fragment:
+def _rows(items: Sequence[str], values: tuple) -> _Fragment:
     """The rows of critical or tangency as one fragment: the list of the
     item texts, each of which opens with its newline, and the rows' CSV
     lines."""
@@ -234,9 +244,11 @@ def _write_json(x, indent: str, out: list[str]) -> None:
     indentation of x's line), by json.dumps' rules for indent=2,
     sort_keys=True and default=_json_safe.  A key that is not a str raises
     TypeError from sorted or from the string encoder.  A _Fragment is
-    written as the value it was rendered from."""
+    written as the value it was rendered from, re-indented only where it is
+    written deeper than it was built."""
     if type(x) is _Fragment:
-        out.append(x.text.replace("\n", indent))
+        deeper = indent[1 + 2 * x.depth :]
+        out.append(x.text.replace("\n", "\n" + deeper) if deeper else x.text)
     elif isinstance(x, str):
         out.append(_encode_str(x))
     elif isinstance(x, dict):
@@ -373,6 +385,8 @@ def _cmd_search_params(args):
 
 
 def _cmd_conic(args):
+    from .conics import FAMILIES
+
     plane = _require_plane(args, args.alpha if args.type == "orbit" else None)
     knob = args.theta
     if args.type == "orbit":
@@ -427,7 +441,8 @@ def _cmd_tangency(args):
     else:
         sweeps = [("special", angles, angle_texts, ("Special",))]
     items = []
-    values = []
+    # the CSV lines are built only where they are written
+    values = [] if args.fmt == "csv" else None
     ok = True
     decide_s = 0.0
     for family, knobs, texts, accepted in sweeps:
@@ -444,36 +459,41 @@ def _cmd_tangency(args):
             ok = ok and passed
             head, tail = _tangency_row_text(family, label, passed)
             items.append(head + (tail + "," + head).join(texts[start:end]) + tail)
-            values += zip(repeat(family), knobs[start:end], repeat(label), repeat(passed))
+            if values is not None:
+                values += zip(repeat(family), knobs[start:end], repeat(label), repeat(passed))
             start = end
     timings = {
         "tangency_s": _elapsed(t0),
         "decide_s": round(decide_s, 6),
         "exact_conics": plane.exact_conics,
-        "conics": len(values),
+        "conics": sum(len(knobs) for _, knobs, _, _ in sweeps),
     }
-    return {"rows": _rows(items, tuple(values)), "passed": ok}, ok, timings
+    return {"rows": _rows(items, tuple(values or ())), "passed": ok}, ok, timings
 
 
 _TABLE_HEADER = tuple(field.name for field in fields(TableRow))
 
 
 @functools.cache
-def _table_row(row: TableRow) -> tuple[str, tuple]:
-    """A row of verify_h_tables, written once per process: its item text
-    (see _item_text) and its CSV line.  The 33 limit rows are constants of
-    the region, and each of the 31 count rows varies only in its count,
-    which is at most the degree of its critical polynomial, 7 at most: the
-    cache holds at most 33 + 31 x 8 entries."""
-    return _item_text(_record(row)), tuple(vars(row).values())
+def _table_row(row: int, count: int) -> tuple[str, tuple, bool]:
+    """Count row number row of verify_h_tables read as count, and the limit
+    rows after it, written once per process: their item texts (see
+    _item_text) joined by commas, their CSV lines, and whether they all
+    pass.  The limit rows are constants of the region, and a count is at
+    most the degree of its critical polynomial, a cubic or less: the cache
+    holds at most 31 x 4 entries."""
+    rows = _table_rows()[row].rows(count)
+    text = ",".join(_item_text(_record(r)) for r in rows)
+    return text, tuple(tuple(vars(r).values()) for r in rows), all(r.passed for r in rows)
 
 
 def _critical(analysis: RadiusAnalysis):
     t0 = time.perf_counter()
-    rep = verify_h_tables(analysis)
-    rows = list(map(_table_row, rep.rows))
-    body = {"rows": _rows([text for text, _ in rows], tuple(line for _, line in rows)), "passed": rep.passed}
-    return body, rep.passed, {"h_tables_s": _elapsed(t0)}
+    counts = verify_h_tables(analysis).counts
+    texts, lines, passes = zip(*map(_table_row, range(len(counts)), counts))
+    passed = all(passes)
+    body = {"rows": _rows(texts, tuple(chain.from_iterable(lines))), "passed": passed}
+    return body, passed, {"h_tables_s": _elapsed(t0)}
 
 
 def _trace_record(trace: EliminationTrace) -> dict:
@@ -486,18 +506,22 @@ def _trace_record(trace: EliminationTrace) -> dict:
     }
 
 
+# classification.traces is written two levels down, in report and in classify
+_TRACES_DEPTH = 2
+
+
 @functools.cache
 def _trace_template(index: int, measured: int) -> tuple[str, tuple[tuple[int, str], ...]]:
     """The item text (see _item_text) of the trace record of plan index of
-    _plans(), cut at its witnesses: the text before the first, and per
-    witness its count row and the text after it.  measured has bit r set
-    for each count row r of the plan with a critical point; a NaN stands in
-    for that witness while the record is written, and NaN is never a
-    witness.  A plan reads three rows, so the cache holds at most
+    _plans() at _TRACES_DEPTH, cut at its witnesses: the text before the
+    first, and per witness its count row and the text after it.  measured
+    has bit r set for each count row r of the plan with a critical point; a
+    NaN stands in for that witness while the record is written, and NaN is
+    never a witness.  A plan reads three rows, so the cache holds at most
     48 x 2^3 = 384 entries."""
     plan = _plans()[index]
     firsts = [math.nan if measured >> row & 1 else None for row in range(len(_COUNT_ROWS))]
-    text = _item_text(_trace_record(_trace(plan, firsts)))
+    text = _item_text(_trace_record(_trace(plan, firsts)), _TRACES_DEPTH)
     parts = text.split('"witness": NaN')
     pieces = [part + '"witness": ' for part in parts[:-1]] + parts[-1:]
     rows = [row for row, _, _ in plan.reads if measured >> row & 1]
@@ -524,8 +548,8 @@ def _traces(firsts: tuple[float | None, ...]) -> _Fragment:
         for row, piece in spliced:
             out += (texts[row], piece)
         out.append(",")
-    out[-1] = "\n]"
-    return _Fragment("".join(out))
+    out[-1] = "\n" + "  " * _TRACES_DEPTH + "]"
+    return _Fragment("".join(out), depth=_TRACES_DEPTH)
 
 
 _TYPE_ASSIGNMENT = _fragment(
@@ -556,10 +580,14 @@ def _classification(analysis: RadiusAnalysis):
     """classify's section.  type_assignment is the module fragment, traces
     one fragment put together from the per-plan templates, and each
     component schedule a cached fragment; the survivors and the pairing
-    samples are written value by value."""
+    samples are written value by value.  pairing_s, the part of
+    classify_s spent pairing the samples, is timed on its own."""
     t0 = time.perf_counter()
     rep = classify(analysis)
     survivors = rep.outcome.survivors
+    t1 = time.perf_counter()
+    pairing = _pairing_samples(analysis)
+    pairing_s = _elapsed(t1)
     body = {
         "type_assignment": _TYPE_ASSIGNMENT,
         "survivors": [{"resolution": ch.label(), "hypothesis": hyp.value} for ch, hyp in survivors],
@@ -567,10 +595,10 @@ def _classification(analysis: RadiusAnalysis):
         "inconclusive": False,
         "traces": _traces(rep.outcome.firsts),
         "component_schedules": [_schedule_record(*entry) for entry in rep.schedules],
-        "broken_pairing": _pairing_samples(analysis),
+        "broken_pairing": pairing,
     }
     ok = set(survivors) == set(EXPECTED_SURVIVORS)
-    return {"classification": body}, ok, {"classify_s": _elapsed(t0)}
+    return {"classification": body}, ok, {"classify_s": _elapsed(t0), "pairing_s": pairing_s}
 
 
 _PSI = _fragment(_record(PSI))

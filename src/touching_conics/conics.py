@@ -28,7 +28,6 @@ cannot settle, and those whose decision would raise, go to `conic_contact`.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,6 +37,7 @@ import numpy as np
 
 from .errors import DegenerateConicError, DegeneratePlaneError, DomainError, PreconditionError
 from .poly import EQUALITY_REL, square_root_roots
+from .resolution import ConicType
 from .surface import SurfaceParams, f_value, q_value, s_minus_q, sqrt_disc
 
 _SWAP23 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
@@ -76,15 +76,6 @@ _SINGULAR = (
     "cannot be told from a union of lines"
 )
 _ALPHA_ZERO = "alpha = 0 gives a line pair, not a conic"
-
-
-class ConicType(enum.Enum):
-    GENERIC = "Generic"
-    SPECIAL = "Special"
-    ORBIT = "Orbit"
-    NOT_TOUCHING = "NotTouching"
-    CONTAINED_IN_B = "ContainedInB"
-    LINE_IMAGE = "Line-image"
 
 
 @dataclass(frozen=True)

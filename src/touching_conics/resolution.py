@@ -1,5 +1,5 @@
 """Small resolutions of the compound A3 point, and the names of the radius
-functions.
+functions and of the conic types.
 
 The double cover near the worse fixed point is xi*eta = x0*x1*(x0+x1)*(a*x0-b*x1).
 A small resolution is an ordered choice of three of the four linear factors;
@@ -106,3 +106,16 @@ class HKind(enum.Enum):
     H1 = "h1"
     H2 = "h2"
     H3 = "h3"
+
+
+class ConicType(enum.Enum):
+    """The touching-conic families, and what a conic of a plane turns out to
+    be: named here, beside the radius functions, so that the classifier's
+    type table needs no part of the conic machinery (and no numpy)."""
+
+    GENERIC = "Generic"
+    SPECIAL = "Special"
+    ORBIT = "Orbit"
+    NOT_TOUCHING = "NotTouching"
+    CONTAINED_IN_B = "ContainedInB"
+    LINE_IMAGE = "Line-image"

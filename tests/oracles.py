@@ -27,6 +27,7 @@ from touching_conics.analysis import (
     _H2_TABLE,
     _H3_TABLE,
     HTableReport,
+    _cells,
     PsiReport,
     RadiusAnalysis,
     TableRow,
@@ -1005,6 +1006,10 @@ class LazyAnalysis:
             self._first[row] = locs[0] if locs else None
         return self._first[row]
 
+    def firsts(self, cells) -> tuple[float | None, ...]:
+        """RadiusAnalysis.firsts, each cell's row read on its own."""
+        return tuple(self.first_critical(*_cells()[cell][1:]) for cell in cells)
+
     def derivative_data(self, kind: HKind, key) -> tuple[ReferencePolynomial, Callable[[float], float]]:
         f, q = ReferencePolynomial(self.f), ReferencePolynomial(self.q)
         dq = reference_derivative(q)
@@ -1030,7 +1035,9 @@ class LazyAnalysis:
 
 
 def verify_h_tables_by_row(analysis) -> HTableReport:
-    """analysis.verify_h_tables, every row worked out where it is read."""
+    """analysis.verify_h_tables, every row worked out where it is read: the
+    report of the count rows' counts, whose rows must be the ones written
+    out here."""
     rows: list[TableRow] = []
 
     def count_row(fn: str, label: str, kind: HKind, key, which: Interval, expected: int, name: str = ""):
@@ -1066,7 +1073,10 @@ def verify_h_tables_by_row(analysis) -> HTableReport:
         count_row("h2", label, HKind.H2, pair, Interval.I4MINUS, c4, name="I4")
         for edge, expected in limits:
             limit_row("h2", label, HKind.H2, pair, edge, expected)
-    return HTableReport(rows=tuple(rows))
+    rep = HTableReport(tuple(int(row.computed) for row in rows if row.check.startswith("count")))
+    if rep.rows != tuple(rows):
+        raise AssertionError("the h tables' rows differ from the ones written out row by row")
+    return rep
 
 
 def component_schedule(choice: ResolutionChoice, analysis):

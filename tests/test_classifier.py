@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
-from touching_conics.analysis import _order, domain_side, limit, verify_h_tables
+from touching_conics.analysis import _cells, _order, domain_side, limit, verify_h_tables
 from touching_conics.classifier import (
     _COUNT_ROWS,
     EXPECTED_SURVIVORS,
@@ -288,6 +288,9 @@ class _ParityAnalysis:
             return None
         lo, hi = self.spans.span(which, kind)
         return (lo + hi) / 2.0 if math.isfinite(lo) else hi - 1.0
+
+    def firsts(self, cells):
+        return tuple(self.first_critical(*_cells()[cell][1:]) for cell in cells)
 
 
 def test_the_limits_alone_decide_the_elimination(params_star):

@@ -217,7 +217,7 @@ def test_report_timings_opt_in(star_arg, tmp_path):
     end = timed.index("\n  }", start) + len("\n  },")
     assert timed[:start] + timed[end:] == untimed
     timings = json.loads(timed)["timings"]
-    stages = {key: timings.pop(key) for key in ("validate_s", "h_tables_s", "classify_s")}
+    stages = {key: timings.pop(key) for key in ("validate_s", "h_tables_s", "classify_s", "pairing_s")}
     # to the microsecond: every stage takes more than one, none reads 0
     assert all(0.0 < v == round(v, 6) for v in stages.values())
     # 1 + 4 + 6 radius functions (h3 is h1 of the missing form), over 3 + 8
@@ -399,6 +399,31 @@ def test_report_documents_equal_the_one_at_a_time_path(region_sets, capsys, monk
     for argv in argvs:
         code = run(argv)
         produced.append((code, capsys.readouterr()))
+    monkeypatch.setattr(cli, "RadiusAnalysis", LazyAnalysis)
+    monkeypatch.setattr(cli, "verify_h_tables", verify_h_tables_by_row)
+    monkeypatch.setattr(cli, "_classification", classification_by_trace)
+    for argv, (code, out) in zip(argvs, produced):
+        assert (run(argv), capsys.readouterr()) == (code, out), argv
+
+
+def test_atlas_documents_equal_the_row_by_row_path(atlas_sets, capsys, monkeypatch):
+    # the same, on the first 100 sets of the atlas, where some count rows
+    # read other than their expected count: each count row's text is
+    # written per (row, count), so a count that fails must be written as
+    # the row-by-row tables write it
+    argvs = [["--params", f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}", "report"] for p in atlas_sets[:100]]
+    produced = []
+    for argv in argvs:
+        code = run(argv)
+        produced.append((code, capsys.readouterr()))
+    failed = {
+        (row["function"], row["choice"], row["check"], row["computed"])
+        for code, out in produced
+        if code == EXIT_FAIL
+        for row in json.loads(out.out)["h_tables"]["rows"]
+        if not row["passed"]
+    }
+    assert {("h1", "X0", "count on I3", "2"), ("h1", "X0plusX1", "count on I1", "2")} <= failed
     monkeypatch.setattr(cli, "RadiusAnalysis", LazyAnalysis)
     monkeypatch.setattr(cli, "verify_h_tables", verify_h_tables_by_row)
     monkeypatch.setattr(cli, "_classification", classification_by_trace)
@@ -831,7 +856,9 @@ def test_trace_templates_write_what_the_trace_records_write(firsts):
         }
         for t in (_trace(plan, firsts) for plan in _plans())
     ]
-    assert cli._traces(tuple(firsts)).text == json.dumps(records, indent=2, sort_keys=True)
+    # written where report and classify write it, two levels down
+    doc = {"classification": {"traces": cli._traces(tuple(firsts))}}
+    assert cli._json_text(doc) == json.dumps({"classification": {"traces": records}}, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("doc", [{1: "x"}, {None: 0}, {1.5: 0}, {("a",): 0}, {"a": [{"b": {2: 0}}]}, {"a": 0, 3: 0}])

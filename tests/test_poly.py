@@ -271,14 +271,24 @@ def test_roots_below_degree_one_and_above_three():
         poly.roots((1.0, 0.0, 0.0, 0.0, 1.0))
 
 
-def test_report_path_imports_no_numpy():
+def test_report_path_imports_no_numpy(params_star):
     # the modules a report's validation and analysis run on solve every
-    # root in closed form, so importing them leaves numpy unloaded
-    code = "import sys, touching_conics.surface, touching_conics.analysis, touching_conics.resolution; print('numpy' in sys.modules)"
+    # root in closed form, and cli imports conics, the one module on numpy,
+    # only in the conic subcommands: importing them leaves numpy unloaded,
+    # and so does a whole report run from the command line
+    modules = ", ".join(f"touching_conics.{name}" for name in ("surface", "analysis", "resolution", "classifier", "cli"))
+    code = f"import sys, {modules}; print('numpy' in sys.modules)"
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout == "False\n"
+    p = params_star
+    argv = ["-X", "importtime", "-m", "touching_conics", "--params", f"{p.q0!r},{p.q1!r},{p.q2!r},{p.a!r},{p.b!r}", "report"]
+    run = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    assert run.returncode == 0 and '"survivors"' in run.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines() if line.startswith("import time:")]
+    assert "touching_conics.classifier" in imported
+    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
 
 
 def test_two_double_roots_examples():
