@@ -513,8 +513,9 @@ CRITICAL_PLANE_TOL = math.sqrt(sys.float_info.epsilon)
 
 
 def h0_critical_on_i2(analysis: RadiusAnalysis) -> float:
-    """The unique degeneration location of the generic family inside I2."""
-    locs = analysis.critical(HKind.H0, None, analysis.span(Interval.I2))
+    """The unique degeneration location of the generic family inside I2,
+    read off the analysis's cell of h0 on I2."""
+    locs = analysis.cells()[cell_number(HKind.H0, None, Interval.I2)]
     if len(locs) != 1:
         raise PreconditionError(f"expected a unique critical point on I2, found {len(locs)}")
     return locs[0]

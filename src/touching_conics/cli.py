@@ -204,7 +204,8 @@ class _Fragment(NamedTuple):
     under --format csv).  An encoded string never holds a raw newline, so
     every newline of the text starts a line of its layout, and one replace
     nests the text any number of levels deeper; a fragment is never
-    written shallower than it was built.
+    written shallower than it was built.  Each is built at the depth where
+    the documents write it, so none is re-indented.
 
     The kinds: written once per process, psi and classification's
     type_assignment (module constants) and each component schedule
@@ -212,17 +213,17 @@ class _Fragment(NamedTuple):
     around its numbers, the rows of critical or tangency (_rows, one
     fragment whose values are their CSV lines, joined from _table_row's
     texts, one per count, or from _tangency_row_text around the knobs) and
-    classification's traces (_trace_template around the witnesses), built
-    at _TRACES_DEPTH, where report and classify both write them."""
+    classification's traces (_trace_template around the witnesses)."""
 
     text: str
     values: tuple = ()
     depth: int = 0
 
 
-def _fragment(x) -> _Fragment:
-    """x rendered once, to be written any number of times."""
-    return _Fragment(_json_text(x)[:-1])
+def _fragment(x, depth: int = 0) -> _Fragment:
+    """x rendered once, nested depth levels down, to be written any number
+    of times."""
+    return _Fragment(_json_text(x)[:-1].replace("\n", "\n" + "  " * depth), depth=depth)
 
 
 def _item_text(x, depth: int = 0) -> str:
@@ -232,11 +233,11 @@ def _item_text(x, depth: int = 0) -> str:
     return pad + _json_text(x)[:-1].replace("\n", pad)
 
 
-def _rows(items: Sequence[str], values: tuple) -> _Fragment:
-    """The rows of critical or tangency as one fragment: the list of the
-    item texts, each of which opens with its newline, and the rows' CSV
-    lines."""
-    return _Fragment("[" + ",".join(items) + "\n]" if items else "[]", values)
+def _rows(items: Sequence[str], values: tuple, depth: int) -> _Fragment:
+    """The rows of critical or tangency as one fragment nested depth levels
+    down: the list of the item texts (see _item_text at that depth), each
+    of which opens with its newline, and the rows' CSV lines."""
+    return _Fragment("[" + ",".join(items) + "\n" + "  " * depth + "]" if items else "[]", values, depth)
 
 
 def _write_json(x, indent: str, out: list[str]) -> None:
@@ -404,9 +405,10 @@ _TANGENCY_HEADER = ("family", "knob", "type", "passed")
 @functools.cache
 def _tangency_row_text(family: str, label: str, passed: bool) -> tuple[str, str]:
     """A tangency row's item text (see _item_text) before and after its
-    knob.  The cache holds at most 3 families x 6 ConicType labels = 18
-    entries, since passed follows from the family and the label."""
-    text = _item_text({"family": family, "knob": None, "passed": passed, "type": label})
+    knob, in the rows one level down.  The cache holds at most 3 families x
+    6 ConicType labels = 18 entries, since passed follows from the family
+    and the label."""
+    text = _item_text({"family": family, "knob": None, "passed": passed, "type": label}, 1)
     head, tail = text.split('"knob": null')
     return head + '"knob": ', tail
 
@@ -468,31 +470,34 @@ def _cmd_tangency(args):
         "exact_conics": plane.exact_conics,
         "conics": sum(len(knobs) for _, knobs, _, _ in sweeps),
     }
-    return {"rows": _rows(items, tuple(values or ())), "passed": ok}, ok, timings
+    return {"rows": _rows(items, tuple(values or ()), 1), "passed": ok}, ok, timings
 
 
 _TABLE_HEADER = tuple(field.name for field in fields(TableRow))
 
 
 @functools.cache
-def _table_row(row: int, count: int) -> tuple[str, tuple, bool]:
+def _table_row(row: int, count: int, depth: int) -> tuple[str, tuple, bool]:
     """Count row number row of verify_h_tables read as count, and the limit
     rows after it, written once per process: their item texts (see
-    _item_text) joined by commas, their CSV lines, and whether they all
-    pass.  The limit rows are constants of the region, and a count is at
-    most the degree of its critical polynomial, a cubic or less: the cache
-    holds at most 31 x 4 entries."""
+    _item_text) in rows depth levels down, joined by commas, their CSV
+    lines, and whether they all pass.  The limit rows are constants of the
+    region, a count is at most the degree of its critical polynomial, a
+    cubic or less, and critical writes the rows one level down, report two:
+    the cache holds at most 2 x 31 x 4 entries."""
     rows = _table_rows()[row].rows(count)
-    text = ",".join(_item_text(_record(r)) for r in rows)
+    text = ",".join(_item_text(_record(r), depth) for r in rows)
     return text, tuple(tuple(vars(r).values()) for r in rows), all(r.passed for r in rows)
 
 
-def _critical(analysis: RadiusAnalysis):
+def _critical(analysis: RadiusAnalysis, depth: int):
+    """critical's section, its rows depth levels down: one in critical, two
+    in report's h_tables."""
     t0 = time.perf_counter()
     counts = verify_h_tables(analysis).counts
-    texts, lines, passes = zip(*map(_table_row, range(len(counts)), counts))
+    texts, lines, passes = zip(*map(_table_row, range(len(counts)), counts, repeat(depth)))
     passed = all(passes)
-    body = {"rows": _rows(texts, tuple(chain.from_iterable(lines))), "passed": passed}
+    body = {"rows": _rows(texts, tuple(chain.from_iterable(lines)), depth), "passed": passed}
     return body, passed, {"h_tables_s": _elapsed(t0)}
 
 
@@ -552,16 +557,19 @@ def _traces(firsts: tuple[float | None, ...]) -> _Fragment:
     return _Fragment("".join(out), depth=_TRACES_DEPTH)
 
 
+# classification's type_assignment, written two levels down
 _TYPE_ASSIGNMENT = _fragment(
-    [{"interval": name, "type": kind.value, "justification": why} for name, kind, why in assign_types().by_interval]
+    [{"interval": name, "type": kind.value, "justification": why} for name, kind, why in assign_types().by_interval],
+    2,
 )
 
 
 @functools.cache
 def _schedule_record(choice, hyp, s) -> _Fragment:
-    """A survivor's component schedule, written once per process.  The
-    schedule follows from the choice and the first hypothesis it survives
-    under, so the cache holds at most 24 x 2 x 2 = 96 entries."""
+    """A survivor's component schedule, written once per process, three
+    levels down.  The schedule follows from the choice and the first
+    hypothesis it survives under, so the cache holds at most 24 x 2 x 2 =
+    96 entries."""
     return _fragment(
         {
             "resolution": choice.label(),
@@ -572,7 +580,8 @@ def _schedule_record(choice, hyp, s) -> _Fragment:
             "I4minus": s.i4minus.value,
             "I4plus": s.i4plus.value,
             "gamma_progression": list(s.gamma_progression()),
-        }
+        },
+        3,
     )
 
 
@@ -601,7 +610,7 @@ def _classification(analysis: RadiusAnalysis):
     return {"classification": body}, ok, {"classify_s": _elapsed(t0), "pairing_s": pairing_s}
 
 
-_PSI = _fragment(_record(PSI))
+_PSI = _fragment(_record(PSI), 1)
 
 
 def _cmd_psi(args):
@@ -622,7 +631,7 @@ def _cmd_report(args):
         timings["classify_s"] = _elapsed(t0)
         ok = False
     else:
-        body["h_tables"], ok_h, t_h = _critical(analysis)
+        body["h_tables"], ok_h, t_h = _critical(analysis, 2)
         classification, ok_c, t_c = _classification(analysis)
         body |= classification
         timings |= t_h | t_c | analysis.work_counts()
@@ -708,7 +717,7 @@ def build_parser() -> _Parser:
     cp = command("conic", _cmd_conic, "construct and export one conic")
     cp.add_argument("--type", choices=("generic", "special", "orbit"), required=True)
     command("tangency", _cmd_tangency, "verify the touching structure over a family sweep", _TANGENCY_HEADER)
-    command("critical", lambda args: _critical(_analysis(args)), "critical-point and limit tables", _TABLE_HEADER)
+    command("critical", lambda args: _critical(_analysis(args), 1), "critical-point and limit tables", _TABLE_HEADER)
     command("classify", lambda args: _classification(_analysis(args)), "type assignment, elimination, component schedules")
     command("psi", _cmd_psi, "exact radial-profile claims of the line correspondence")
     command("report", _cmd_report, "full pipeline bundle")

@@ -20,9 +20,10 @@ of a plane is read once per `Plane`.  The type of one conic is decided by
 `conic_contact`, in Python's complex arithmetic; that decision defines the
 type.  A family sweep types hundreds of conics on one plane, so it runs a
 floating-point filter first: the same steps on the whole batch in numpy
-complex128, where each comparison counts only when its margin exceeds a
-stated bound on the rounding of both evaluations.  The conics the filter
-cannot settle, and those whose decision would raise, go to `conic_contact`.
+complex128, on only the entries that the family's shape of literal zeros
+leaves, where each comparison counts only when its margin exceeds a stated
+bound on the rounding of both evaluations.  The conics the filter cannot
+settle, and those whose decision would raise, go to `conic_contact`.
 """
 
 from __future__ import annotations
@@ -228,23 +229,28 @@ class Plane:
     def conic_types(self, family: str, knobs) -> list[ConicType]:
         """conic_type of the members of a family, "generic", "special" or
         "orbit", at the knobs (angles, or alphas for the orbit family).  The
-        filter decides the batch, and each member it leaves open is built and
-        typed on its own, in knob order; so where a member cannot be built or
-        typed, this raises what building and typing the members one by one
-        raises first."""
+        family's filter decides the batch, and each member it leaves open is
+        built and typed on its own, in knob order; so where a member cannot
+        be built or typed, this raises what building and typing the members
+        one by one raises first."""
         knobs = np.asarray(knobs, dtype=float)
         if knobs.size == 0:
             return []
+        code, sure = self._filter(family, self._lanes(family, knobs))
+        kinds = list(_TYPES[code])
         build = FAMILIES[family]
-        return self._decide(self._members(family, knobs), lambda i: build(self, float(knobs[i])))
+        for i in np.flatnonzero(~sure):
+            kinds[i] = self.conic_type(build(self, float(knobs[i])))
+        return kinds
 
-    def _members(self, family: str, knobs: np.ndarray) -> np.ndarray:
-        """The normalised matrices of the family's members at the knobs, an
-        array of shape (3, 3, n): equal to the rows of generic, special and
-        orbit_conic to the bit.  At alpha = 0, which orbit_conic refuses, the
-        matrix is a line pair, which the filter leaves to orbit_conic."""
+    def _lanes(self, family: str, knobs: np.ndarray) -> np.ndarray:
+        """The entries the family's members can hold nonzero, at the knobs,
+        as an array of shape (k, n) whose rows are the lanes of _AT[family]:
+        equal to those entries of the rows of generic, special and
+        orbit_conic to the bit.  At alpha = 0, which orbit_conic refuses,
+        m00 is zero: a line pair, which the filter leaves to orbit_conic."""
         if family == "orbit":
-            entries = ((-knobs, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.5, 0.0))
+            entries = (-knobs, 0.5)
         else:
             if family == "generic":
                 two_d, radius, q = self._generic_entries
@@ -252,75 +258,32 @@ class Plane:
                 s, radius = self._special_entries
             rot = np.exp(1j * knobs)
             w, w_bar = radius * rot, radius * np.conj(rot)
-            if family == "generic":
-                entries = ((two_d, 0.0, 0.0), (0.0, w, q), (0.0, q, w_bar))
-            else:
-                entries = ((s, w, w_bar), (w, 0.0, 0.5), (w_bar, 0.5, 0.0))
-        m = np.zeros((3, 3, knobs.size), dtype=complex)
-        for i, row in enumerate(entries):
-            for j, z in enumerate(row):
-                m[i, j] = z
+            entries = (two_d, w, q, w_bar) if family == "generic" else (s, w, w_bar, 0.5)
+        m = np.empty((len(entries), knobs.size), dtype=complex)
+        for i, z in enumerate(entries):
+            m[i] = z
         # as _conic scales: each part by the reciprocal of the largest
         # modulus, found as Python's abs finds it
-        scale = 1.0 / np.hypot(m.real, m.imag).max(axis=(0, 1))
+        scale = 1.0 / np.hypot(m.real, m.imag).max(axis=0)
         m.real, m.imag = m.real * scale, m.imag * scale
         return m
 
-    def _decide(self, m: np.ndarray, member) -> list[ConicType]:
-        """The types of a batch of normalised matrices, shape (3, 3, n): the
-        filter's where it is sure, else conic_type(member(i)) for conic i, in
-        order, so the batch raises the error of its first failing conic."""
-        with np.errstate(all="ignore"):
-            code, sure = self._filter(m)
-        kinds = list(_TYPES[code])
-        for i in np.flatnonzero(~sure):
-            kinds[i] = self.conic_type(member(i))
-        return kinds
-
-    def _filter(self, m: np.ndarray):
-        """conic_contact's steps on every conic of the batch at once: the
-        type code of each conic, and whether conic_contact surely returns
-        that type.  It is not sure of a conic that conic_contact would
-        fail, whose arithmetic leaves FILTER_RANGE, or where a comparison
-        falls within its margin."""
+    def _filter(self, family: str, m: np.ndarray):
+        """conic_contact's steps on a batch of conics of the family's shape,
+        given by their lanes m (see _lanes): the type code of each conic,
+        and whether conic_contact surely returns that type.  It is not sure
+        of a conic that conic_contact would fail, whose arithmetic leaves
+        FILTER_RANGE, or where a comparison falls within its margin."""
         n = m.shape[-1]
-        code = np.full(n, _NOT_TOUCHING)
         try:
             g = np.array(self.branch_factors)
         except DegeneratePlaneError:  # every conic fails: the first one's error
-            return code, np.zeros(n, dtype=bool)
-        mods = np.abs(m)
-        sure = _inside(mods).all(axis=(0, 1)) & _inside(np.abs(g)).all() & _surely_smooth(m, mods)
-
-        # the orbit shape y2 y3 = alpha y1^2, read off literal zeros; alpha is
-        # one float division, the same in both, where m00 and m12 are real
-        zero = mods == 0.0
-        orbit = zero[0, 1] & zero[0, 2] & zero[1, 1] & zero[2, 2] & ~zero[1, 2]
-        shifted = -m[0, 0].real / (2.0 * m[1, 2].real) + self.q
-        scale = 1.0 + shifted * shifted + abs(self.f)
-        gap = np.abs(shifted * shifted - self.f) - ORBIT_CONTAINMENT_REL * scale
-        code[orbit] = np.where(gap <= 0.0, _CONTAINED_IN_B, _ORBIT)[orbit]
-        orbit_sure = (m[0, 0].imag == 0.0) & (m[1, 2].imag == 0.0) & _inside(np.abs(shifted))
-        sure &= np.where(orbit, orbit_sure & (np.abs(gap) > ORBIT_MARGIN * scale), True)
-        branches = sure & ~orbit
-        if not branches.any():
-            return code, sure
-
-        # both branches at once: lane i restricts conic i to g-, lane n + i to g+
-        rest, terms = _restrictions(np.concatenate((m, m), axis=-1), np.repeat(g, n))
-        rest_mods = np.abs(rest)
-        m00 = np.concatenate((mods[0, 0], mods[0, 0]))
-        passes = rest_mods[2] - CANCELLATION_FLOOR * m00 > FLOOR_MARGIN * terms
-        norm = rest / rest_mods.max(axis=0)
-        nonzero = norm != 0.0
-        low = nonzero.argmax(axis=0)
-        high = 4 - nonzero[::-1].argmax(axis=0)
-        square, square_sure = _square(norm, low, high, (9.0 * terms / rest_mods[2] + 5.0) * _U)
-        lane_sure = passes & _inside(np.abs(norm)).all(axis=0) & square_sure
-        code[branches] = _BY_CONTACT[
-            (square[:n] & square[n:]).astype(np.intp), low[:n] + low[n:], 8 - high[:n] - high[n:]
-        ][branches]
-        return code, sure & np.where(orbit, True, lane_sure[:n] & lane_sure[n:])
+            return np.full(n, _NOT_TOUCHING), np.zeros(n, dtype=bool)
+        with np.errstate(all="ignore"):
+            mods = np.abs(m)
+            sure = _inside(mods).all(axis=0) & _inside(np.abs(g)).all() & _surely_smooth(m, mods, family)
+            # both branches at once: row 0 restricts each conic to g-, row 1 to g+
+            return _FILTERS[family](self, g[:, None], m, mods, sure)
 
 
 # ---------------------------------------------------------------------------
@@ -489,20 +452,24 @@ def _degenerate(rows) -> bool:
 # ---------------------------------------------------------------------------
 # the type decision on a batch: a floating-point filter over conic_contact
 #
-# The filter takes conic_contact's steps on n normalised matrices, an array
-# of shape (3, 3, n), in numpy complex128, whose products, quotients and
-# moduli round otherwise than Python's.  Each comparison x <= t of the
-# decision counts only where |x - t| exceeds a bound on how far either
-# evaluation can be from exact arithmetic, so that both land on the same
-# side.  The bounds follow the standard model, with u = 2^-53: a real
-# operation, and each part of a complex sum, is off by at most u of its
-# result; a complex product by sqrt(5) u of |a| |b|, with or without fused
-# multiply-adds; a complex quotient by 16 u of its modulus, Smith's method
-# as both CPython and numpy divide; a modulus by 4 u; a power by 8 u.  They
-# hold where no operation underflows or overflows, which FILTER_RANGE
-# secures.  CPython's modulus, a faithful hypot, is within 2 u, but numpy's
-# vectorised complex modulus is not: numpy 2.4 read up to 2.3 u off on
-# 200,000 seeded samples.
+# One filter per family shape takes conic_contact's steps on n conics of
+# that shape in numpy complex128: generic (m01 = m02 = 0: each restriction
+# a quartic with a1 = a3 = 0), special (m11 = m22 = 0: x1 times a
+# quadratic) or orbit (both: the type read off alpha).  It reads lanes of
+# the entries the shape can hold nonzero and drops the terms of its literal
+# zeros, which conic_contact computes as exact zeros.  numpy's products,
+# quotients and moduli round otherwise than Python's.  Each comparison
+# x <= t of the decision counts only where |x - t| exceeds a bound on how
+# far either evaluation can be from exact arithmetic, so that both land on
+# the same side.  The bounds follow the standard model, with u = 2^-53: a
+# real operation, and each part of a complex sum, is off by at most u of
+# its result; a complex product by sqrt(5) u of |a| |b|, with or without
+# fused multiply-adds; a complex quotient by 16 u of its modulus, Smith's
+# method as both CPython and numpy divide; a modulus by 4 u; a power by
+# 8 u.  They hold where no operation underflows or overflows, which
+# FILTER_RANGE secures.  CPython's modulus, a faithful hypot, is within 2 u,
+# but numpy's vectorised complex modulus is not: numpy 2.4 read up to 2.3 u
+# off on 200,000 seeded samples.
 # tests/test_conics.py checks numpy's power, quotient and modulus against
 # these bounds over FILTER_RANGE.
 
@@ -514,7 +481,9 @@ _U = 2.0**-53
 # it no product of up to three entries or six monic coefficients leaves the
 # normal floats, so the error model holds, and an exact zero of one
 # evaluation is an exact zero of the other: the only coefficient that can
-# cancel, the x1^2 one, is guarded by FLOOR_MARGIN.
+# cancel, the x1^2 one, is guarded by FLOOR_MARGIN.  A conic whose lane of
+# a restriction's end coefficient (generic m11, m22; special m01, m02) reads
+# 0 goes to conic_contact too.
 FILTER_RANGE = (2.0**-300, 2.0**150)
 
 # |det| <= REL_EPS H on the balanced matrix B, with H its Hadamard bound:
@@ -553,9 +522,11 @@ FLOOR_MARGIN = 15 * _U
 # |l - r| <= EQUALITY_REL max(|l|, |r|, s^k) on inputs off by rho is then off
 # by at most (6 rho + 74 u) times P + EQUALITY_REL (P + s^k) per evaluation,
 # P summing the moduli of the products in l and r: that is the test with the
-# s^6 floor, s off by rho + 11 u; the others, and |a1| <= EQUALITY_REL s,
-# are off by less.  Two evaluations, and 1% for the terms of second order
-# (rho < 1e-8 wherever the floor passes): 2.02 (6 rho + 74 u) < 13 rho + 150 u.
+# s^6 floor, s off by rho + 11 u, which no family reaches; the filters' two,
+# b^2 = 4ac and 4 a4 = a2^2, are off by less, and with a1 = a3 = 0 exact in
+# both evaluations the tests |a1| <= EQUALITY_REL s and a3 = 0 hold exactly.
+# Two evaluations, and 1% for the terms of second order (rho < 1e-8
+# wherever the floor passes): 2.02 (6 rho + 74 u) < 13 rho + 150 u.
 SQUARE_MARGIN = (13.0, 150 * _U)
 
 # the types the filter decides, by code
@@ -565,11 +536,18 @@ _TYPES = np.array(
 )
 _GENERIC, _SPECIAL, _ORBIT, _NOT_TOUCHING, _CONTAINED_IN_B = range(5)
 
-# the code of a conic whose restrictions both pass the floor, by
-# [both squares, contact at Pinf, contact at PinfBar], each contact summed
-# over the branches (0 to 8)
-_BY_CONTACT = np.full((2, 9, 9), _NOT_TOUCHING)
-_BY_CONTACT[1, [0, 2, 4], [0, 2, 4]] = _GENERIC, _SPECIAL, _ORBIT
+# per family shape: the row and the column of each lane's entry (on or above
+# the diagonal); the lanes on each row of the matrix in column order, a lane
+# off the diagonal lying on its row and its column's row; and the
+# determinant of the balanced lanes b, _degenerate's cofactor expansion
+# without the products of literal zeros
+_AT = {"generic": ((0, 1, 1, 2), (0, 1, 2, 2)), "special": ((0, 0, 0, 1), (0, 1, 2, 2)), "orbit": ((0, 1), (0, 2))}
+_ROWS = {"generic": ((0,), (1, 2), (2, 3)), "special": ((0, 1, 2), (1, 3), (2, 3)), "orbit": ((0,), (1,), (1,))}
+_DET = {
+    "generic": lambda b: b[0] * (b[1] * b[3] - b[2] * b[2]),
+    "special": lambda b: b[1] * (b[3] * b[2]) - b[0] * (b[3] * b[3]) + b[2] * (b[1] * b[3]),
+    "orbit": lambda b: b[0] * (b[1] * b[1]),
+}
 
 
 def _inside(mods: np.ndarray) -> np.ndarray:
@@ -578,31 +556,34 @@ def _inside(mods: np.ndarray) -> np.ndarray:
     return (mods == 0.0) | ((mods >= lo) & (mods <= hi))
 
 
-def _surely_smooth(m: np.ndarray, mods: np.ndarray) -> np.ndarray:
-    """Where _degenerate surely passes: the rows balanced as it balances
+def _surely_smooth(m: np.ndarray, mods: np.ndarray, shape: str) -> np.ndarray:
+    """Where _degenerate surely passes on the conics of the shape, given by
+    their lanes m and the lanes' moduli: the rows balanced as it balances
     them, and |det| of the balanced matrix above REL_EPS times its Hadamard
-    bound by DET_MARGIN of the bound.  mods holds the entries' moduli."""
-    norms = np.sqrt((mods * mods).sum(axis=1))
+    bound by DET_MARGIN of the bound."""
+    rows = _ROWS[shape]
+    sq = mods * mods
+    norms = np.sqrt([sum((sq[k] for k in row[1:]), sq[row[0]]) for row in rows])
     low, high = (np.frexp(norms * (1.0 + band))[1] // 2 for band in (-EXPONENT_BAND, EXPONENT_BAND))
     s = np.ldexp(1.0, -high)
-    ss = s[:, None] * s[None, :]
-    b = m * ss
-    bound = np.sqrt(((mods * ss) ** 2).sum(axis=1)).prod(axis=0)
-    # the minors of the last two rows, e k - f h, d k - f g and d h - e g,
-    # then a minor_0 - b minor_1 + c minor_2
-    left, right = [1, 0, 0], [2, 2, 1]
-    terms = b[0] * (b[1, left] * b[2, right] - b[1, right] * b[2, left])
-    det = terms[0] - terms[1] + terms[2]
+    i, j = _AT[shape]
+    ss = s[list(i)] * s[list(j)]
+    sq = (mods * ss) ** 2
+    bound = np.sqrt([sum((sq[k] for k in row[1:]), sq[row[0]]) for row in rows]).prod(axis=0)
+    det = _DET[shape](m * ss)
     return (low == high).all(axis=0) & (np.abs(det) - REL_EPS * bound > DET_MARGIN * bound)
 
 
-def _restrictions(m: np.ndarray, g: np.ndarray):
-    """restriction() of each conic of the batch to its branch factor, as an
-    array of shape (5, n), and the moduli sum T = |m00| + 2 |g| |m12| of the
-    terms of each x1^2 coefficient."""
-    two_m12 = 2.0 * m[1, 2]
-    rest = np.array([m[2, 2], 2.0 * m[0, 2], m[0, 0] - g * two_m12, -g * (2.0 * m[0, 1]), m[1, 1] * g * g])
-    return rest, np.abs(m[0, 0]) + np.abs(g) * np.abs(two_m12)
+def _floor(g: np.ndarray, m00: np.ndarray, a00: np.ndarray, m12: np.ndarray):
+    """The x1^2 coefficient m00 - 2 g m12 of the restriction to each branch
+    (the rows of g) and its modulus, the bound rho on the rounding of the
+    normalised coefficients (SQUARE_MARGIN), and where the coefficient
+    surely passes CANCELLATION_FLOOR; a00 is |m00|."""
+    two_m12 = 2.0 * m12
+    c2 = m00 - g * two_m12
+    terms = a00 + np.abs(g) * np.abs(two_m12)
+    r2 = np.abs(c2)
+    return c2, r2, (9.0 * terms / r2 + 5.0) * _U, r2 - CANCELLATION_FLOOR * a00 > FLOOR_MARGIN * terms
 
 
 def _close(lhs, rhs, floor, products, rho):
@@ -614,51 +595,70 @@ def _close(lhs, rhs, floor, products, rho):
     return gap <= 0.0, np.abs(gap) > margin
 
 
-def _square(norm: np.ndarray, low: np.ndarray, high: np.ndarray, rho: np.ndarray):
-    """square_root_roots' test, without its roots, on the part of each
-    normalised restriction (shape (5, n)) between its first and last nonzero
-    coefficients, whose moduli are off by rho: degree 0 is the empty square,
-    degree 2 needs b^2 = 4ac and degree 4 two double roots, both to
-    EQUALITY_REL, and odd degrees never are squares.  Returns the verdicts and
-    where they are sure."""
-    degree = high - low
-    square, sure = degree == 0, np.ones(low.size, dtype=bool)
-    quadratic = degree == 2
-    if quadratic.any():
-        cols = np.arange(low.size)
-        c, b, a = (norm[np.minimum(low + j, 4), cols] for j in range(3))
-        held, held_sure = _close(b * b, 4.0 * a * c, 0.0, np.abs(b) ** 2 + 4.0 * np.abs(a) * np.abs(c), rho)
-        square, sure = np.where(quadratic, held, square), np.where(quadratic, held_sure, sure)
-    quartic = degree == 4
-    if quartic.any():
-        held, held_sure = _two_double_roots(norm, 2.0 * rho + 16.0 * _U)
-        square, sure = np.where(quartic, held, square), np.where(quartic, held_sure, sure)
-    return square, sure
+def _quadratic_square(c, b, a, rho):
+    """square_root_roots' test of the normalised quadratic c + b x + a x^2,
+    whose coefficients are off by rho: b^2 = 4ac to EQUALITY_REL.  Returns
+    the verdicts and where they are sure."""
+    return _close(b * b, 4.0 * a * c, 0.0, np.abs(b) ** 2 + 4.0 * np.abs(a) * np.abs(c), rho)
 
 
-def _two_double_roots(norm: np.ndarray, rho: np.ndarray):
-    """poly.two_double_roots_criterion, at its EQUALITY_REL, of the
-    monic quartic of each normalised restriction, whose monic coefficients
-    are off by rho; and where it is sure."""
-    a4, a3, a2, a1 = norm[:4] / norm[4]
-    m1, m2, m3, m4 = mods = np.abs([a1, a2, a3, a4])
-    s = 1.0 + np.maximum(np.maximum(m1, m2**0.5), np.maximum(m3 ** (1.0 / 3.0), m4**0.25))
-    small = m1 <= EQUALITY_REL * s
-    margin = (SQUARE_MARGIN[0] * rho + SQUARE_MARGIN[1]) * (m1 + EQUALITY_REL * s)
-    sure = _inside(mods).all(axis=0) & (np.abs(m1 - EQUALITY_REL * s) > margin)
-    square = np.zeros(s.size, dtype=bool)
-    if small.any():  # a1 = 0: a3 = 0 and 4 a4 = a2^2
-        odd, odd_sure = _close(a3, 0.0, s**3, m3, rho)
-        even, even_sure = _close(4.0 * a4, a2 * a2, s**4, 4.0 * m4 + m2 * m2, rho)
-        square = np.where(small, odd & even, square)
-        sure &= ~small | (odd_sure & (~odd | even_sure))
-    if not small.all():  # otherwise 4 a1 a2 = a1^3 + 8 a3 and a1^2 a4 = a3^2
-        cube = a1 * a1 * a1
-        first, first_sure = _close(4.0 * a1 * a2, cube + 8.0 * a3, s**3, 4.0 * m1 * m2 + m1**3 + 8.0 * m3, rho)
-        second, second_sure = _close(a1 * a1 * a4, a3 * a3, s**6, m1 * m1 * m4 + m3 * m3, rho)
-        square = np.where(small, square, first & second)
-        sure &= small | (first_sure & (~first | second_sure))
-    return square, sure
+def _even_quartic_square(c0, c2, c4, rho):
+    """square_root_roots' test of the normalised quartic c0 + c2 x^2 + c4 x^4,
+    whose coefficients are off by rho: two_double_roots_criterion with
+    a1 = a3 = 0, that is 4 a4 = a2^2 to EQUALITY_REL in the monic
+    coefficients.  Returns the verdicts and where they are sure."""
+    a4, a2 = c0 / c4, c2 / c4
+    m2, m4 = np.abs(a2), np.abs(a4)
+    s = 1.0 + np.maximum(m2**0.5, m4**0.25)
+    square, sure = _close(4.0 * a4, a2 * a2, s**4, 4.0 * m4 + m2 * m2, 2.0 * rho + 16.0 * _U)
+    return square, sure & _inside(m2) & _inside(m4)
+
+
+def _generic_filter(plane, g, m, mods, sure):
+    """The shape (m00; m11, m12, m22): the restriction to g is the quartic
+    m22 + (m00 - 2 g m12) x1^2 + m11 g^2 x1^4, contact 0 at both fixed
+    points, so the conic is generic where both are squares."""
+    m00, m11, m12, m22 = m
+    sure &= (mods[1] != 0.0) & (mods[3] != 0.0)
+    c2, r2, rho, passes = _floor(g, m00, mods[0], m12)
+    c4 = m11 * g * g
+    top = np.maximum(np.maximum(mods[3], r2), np.abs(c4))
+    norm = (m22 / top, c2 / top, c4 / top)
+    square, square_sure = _even_quartic_square(*norm, rho)
+    lane_sure = passes & _inside(np.abs(norm)).all(axis=0) & square_sure
+    code = np.where(sure & square[0] & square[1], _GENERIC, _NOT_TOUCHING)
+    return code, sure & lane_sure[0] & lane_sure[1]
+
+
+def _special_filter(plane, g, m, mods, sure):
+    """The shape (m00, m01, m02; m12): the restriction to g is x1 times the
+    quadratic 2 m02 + (m00 - 2 g m12) x1 - 2 g m01 x1^2, contact 1 at each
+    fixed point, so the conic is special where both are squares."""
+    m00, m01, m02, m12 = m
+    sure &= (mods[1] != 0.0) & (mods[2] != 0.0)
+    c2, r2, rho, passes = _floor(g, m00, mods[0], m12)
+    c1, c3 = 2.0 * m02, -g * (2.0 * m01)
+    top = np.maximum(np.maximum(np.abs(c1), r2), np.abs(c3))
+    norm = (c1 / top, c2 / top, c3 / top)
+    square, square_sure = _quadratic_square(*norm, rho)
+    lane_sure = passes & _inside(np.abs(norm)).all(axis=0) & square_sure
+    code = np.where(sure & square[0] & square[1], _SPECIAL, _NOT_TOUCHING)
+    return code, sure & lane_sure[0] & lane_sure[1]
+
+
+def _orbit_filter(plane, g, m, mods, sure):
+    """The shape y2 y3 = alpha y1^2, (m00; m12): alpha is one float
+    division, the same in both, where m00 and m12 are real."""
+    m00, m12 = m
+    shifted = -m00.real / (2.0 * m12.real) + plane.q
+    scale = 1.0 + shifted * shifted + abs(plane.f)
+    gap = np.abs(shifted * shifted - plane.f) - ORBIT_CONTAINMENT_REL * scale
+    code = np.where(gap <= 0.0, _CONTAINED_IN_B, _ORBIT)
+    sure &= (m00.imag == 0.0) & (m12.imag == 0.0) & _inside(np.abs(shifted))
+    return code, sure & (np.abs(gap) > ORBIT_MARGIN * scale)
+
+
+_FILTERS = {"generic": _generic_filter, "special": _special_filter, "orbit": _orbit_filter}
 
 
 # ---------------------------------------------------------------------------

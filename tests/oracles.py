@@ -1006,6 +1006,10 @@ class LazyAnalysis:
             self._first[row] = locs[0] if locs else None
         return self._first[row]
 
+    def cells(self) -> tuple[tuple[float, ...], ...]:
+        """RadiusAnalysis.cells, each cell's span read on its own."""
+        return tuple(self.critical(kind, key, self.span(which, kind)) for _, kind, key, which in _cells())
+
     def firsts(self, cells) -> tuple[float | None, ...]:
         """RadiusAnalysis.firsts, each cell's row read on its own."""
         return tuple(self.first_critical(*_cells()[cell][1:]) for cell in cells)

@@ -835,6 +835,42 @@ def test_a_fragment_writes_its_source_at_any_depth():
         assert cli._json_text(doc) == json.dumps(nested, indent=2, sort_keys=True) + "\n"
 
 
+def _fragments(x, depth: int = 0):
+    """Each _Fragment in x with the depth at which x nests it."""
+    if type(x) is cli._Fragment:
+        yield x, depth
+    elif isinstance(x, dict):
+        for value in x.values():
+            yield from _fragments(value, depth + 1)
+    elif isinstance(x, (list, tuple)):
+        for item in x:
+            yield from _fragments(item, depth + 1)
+
+
+def test_every_fragment_is_built_at_the_depth_where_it_is_written(star_arg, monkeypatch):
+    # the rows of tangency and critical, report's h_tables rows, psi, and
+    # classification's type_assignment, traces and component schedules are
+    # each built as text at the depth where their document writes them, so
+    # the writer appends them as they are, without re-indenting
+    docs = []
+    monkeypatch.setattr(cli, "_emit", lambda doc, args: docs.append(doc))
+    for argv in (
+        ["--lambda", "-0.5", "tangency"],
+        ["--lambda", "-2.5", "tangency"],
+        ["critical"],
+        ["classify"],
+        ["psi"],
+        ["report"],
+    ):
+        assert run(["--params", star_arg, *argv]) == EXIT_OK
+    written = [(fragment, depth) for doc in docs for fragment, depth in _fragments(doc)]
+    assert [(fragment.depth, depth) for fragment, depth in written] == [(depth, depth) for _, depth in written]
+    # tangency and critical: the rows; classify: type_assignment, traces and
+    # 2 schedules; psi; report: all but the tangency rows
+    assert len(written) == 2 + 1 + 4 + 1 + 6
+    assert {depth for _, depth in written} == {1, 2, 3}
+
+
 # a count row's first critical point, or None: finite floats of every kind,
 # with subnormals, negatives and 17-digit values among them
 _WITNESSES = st.one_of(

@@ -39,8 +39,11 @@ from touching_conics.conics import (
     orbit_conic,
     real_slice_gram,
     restriction,
+    _AT,
+    _TYPES,
     _U,
-    _square,
+    _even_quartic_square,
+    _quadratic_square,
 )
 from touching_conics.errors import (
     DegenerateConicError,
@@ -351,9 +354,18 @@ def test_normalised_rows_scale_each_part_by_the_reciprocal():
     assert entries > 3000 and signed_zeros > 100
 
 
+def _matrices(family: str, lanes: np.ndarray) -> np.ndarray:
+    """The (3, 3, n) matrices of the family's lanes, zero elsewhere."""
+    m = np.zeros((3, 3, lanes.shape[-1]), dtype=complex)
+    for lane, i, j in zip(lanes, *_AT[family]):
+        m[i, j] = m[j, i] = lane
+    return m
+
+
 def test_batched_members_equal_the_constructors_rows(params_draws):
-    # the batch's matrices are the rows of Plane.generic / Plane.special /
-    # orbit_conic to the bit and the sign of zero
+    # the batch's lanes are the entries of Plane.generic / Plane.special /
+    # orbit_conic to the bit and the sign of zero, and every other entry of
+    # those rows is a literal zero
     rng = np.random.default_rng(47)
     angles = [2.0 * math.pi * k / 256 for k in range(256)] + list(rng.uniform(-10.0, 10.0, 64))
     entries = 0
@@ -365,11 +377,15 @@ def test_batched_members_equal_the_constructors_rows(params_draws):
             sf = math.sqrt(abs(plane.f))
             alphas = [-plane.q - sf + 2.0 * sf * k / 256 for k in range(1, 256)] + list(rng.normal(size=16) * 10.0)
             for family, knobs in ((circles, angles), ("orbit", alphas)):
-                m = plane._members(family, np.array(knobs))
+                m = _matrices(family, plane._lanes(family, np.array(knobs)))
+                lanes = {(i, j) for i, j in zip(*_AT[family])}
                 for k, knob in enumerate(knobs):
                     rows = FAMILIES[family](plane, knob).rows
                     got = [[(repr(float(m[i, j, k].real)), repr(float(m[i, j, k].imag))) for j in range(3)] for i in range(3)]
                     assert got == [[(repr(z.real), repr(z.imag)) for z in row] for row in rows], (lam, family, knob)
+                    for i in range(3):
+                        for j in range(3):
+                            assert (i, j) in lanes or (j, i) in lanes or rows[i][j] == 0, (lam, family, knob, i, j)
                     entries += 9
     assert entries > 30000
 
@@ -379,7 +395,7 @@ def test_family_members_are_exactly_real(params_draws):
     # scale is a positive real, so conjugating a member and swapping y2 and
     # y3 gives back its matrix to the bit, with reality factor 1: on a plane
     # of each interval and two far planes, the rows of Plane.generic and
-    # Plane.special and the batch's matrices alike
+    # Plane.special and the matrices of the batch's lanes alike
     rng = np.random.default_rng(53)
     angles = [2.0 * math.pi * k / 256 for k in range(256)] + list(rng.uniform(-10.0, 10.0, 64))
     swap = [0, 2, 1]
@@ -396,7 +412,7 @@ def test_family_members_are_exactly_real(params_draws):
                 m = conic.m
                 assert np.array_equal(np.conj(m)[swap][:, swap], m), (lam, family, theta)
                 assert conic.reality_factor() == 1.0, (lam, family, theta)
-            m = plane._members(family, np.array(angles))
+            m = _matrices(family, plane._lanes(family, np.array(angles)))
             assert np.array_equal(np.conj(m)[swap][:, swap], m), (lam, family)
             checks += 2 * len(angles) + 1
     assert checks > 6000
@@ -667,12 +683,32 @@ def _in_order(plane: Plane, conics):
     return kinds
 
 
+def _shape(conic: ConicCoeffs) -> str | None:
+    """The family shape of the conic's literal zeros, the orbit shape before
+    the two it lies in, or None."""
+    m = np.array(conic.rows)
+    for shape in ("orbit", "generic", "special"):
+        zero = np.ones((3, 3), dtype=bool)
+        zero[_AT[shape]] = zero[_AT[shape][::-1]] = False
+        if not m[zero].any():
+            return shape
+    return None
+
+
 def _batch(plane: Plane, conics):
     """The types of the conics decided as one batch, as Plane.conic_types
-    decides a family's members: the filter, then conic_contact on each conic
-    it leaves open."""
-    m = np.array([conic.rows for conic in conics]).transpose(1, 2, 0)
-    return plane._decide(m, conics.__getitem__)
+    decides a family's members: the conics of each family shape by that
+    shape's filter, then conic_contact, in order, on each conic a filter
+    leaves open and each of no family's shape."""
+    kinds = [None] * len(conics)
+    for shape in _AT:
+        at = [i for i, conic in enumerate(conics) if _shape(conic) == shape]
+        if at:
+            lanes = np.array([np.array(conics[i].rows)[_AT[shape]] for i in at]).T
+            code, sure = plane._filter(shape, lanes)
+            for i, c, settled in zip(at, code, sure):
+                kinds[i] = _TYPES[c] if settled else None
+    return [plane.conic_type(conic) if kind is None else kind for kind, conic in zip(kinds, conics)]
 
 
 def _cancelling(g: complex) -> ConicCoeffs:
@@ -778,17 +814,23 @@ def _branch_square(plane: Plane, branch: int):
 
 
 def test_batch_decides_each_threshold_band_as_the_exact_decision(params_star):
-    # conics 1 ulp to 1e-10 on either side of each threshold of the decision,
-    # found by bisection on conic_contact's own outcome, decided as one batch:
-    # the filter must leave every conic it cannot settle to conic_contact,
-    # which gives each its verdict or error
+    # conics 1 ulp to 1e-10 on either side of each threshold that a family
+    # shape's filter compares, each on a conic of that shape, found by
+    # bisection on conic_contact's own outcome, decided as one batch: the
+    # filter must leave every conic it cannot settle to conic_contact, which
+    # gives each its verdict or error
     f_pos, f_neg = Plane(params_star, -0.5), Plane(params_star, -2.0)
     generic, special = f_pos.generic(0.4), f_neg.special(0.7)
     # complex entries, whose products numpy and Python round apart
     rng = np.random.default_rng(53)
-    u, v, w = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    line_pair, opening = np.outer(u, v) + np.outer(v, u), np.outer(w, w)
-    m12 = complex(rng.normal(), rng.normal())
+    u, v, w, m12, m01, m02 = rng.normal(size=6) + 1j * rng.normal(size=6)
+    # a line pair of each shape, opened by t in an entry that keeps the shape:
+    # generic, m11 m22 = m12^2; special, m00 m12 = 2 m01 m02; orbit, m00 = 0
+    line_pairs = [
+        lambda t: from_matrix([[w, 0, 0], [0, u * u + t, u * v], [0, u * v, v * v]]),
+        lambda t: from_matrix([[2 * m01 * m02 / m12 + t, m01, m02], [m01, 0, m12], [m02, m12, 0]]),
+        lambda t: from_matrix([[t, 0, 0], [0, 0, 0.5], [0, 0.5, 0]]),
+    ]
     # restrictions to g- whose x1^2 coefficient keeps four digits fewer than
     # its terms: m11 g^2 x1^4 + 2 g z 1e-4 x1^2 + 1, a square in x1^2
     g = f_neg.branch_factors[0]
@@ -796,62 +838,66 @@ def test_batch_decides_each_threshold_band_as_the_exact_decision(params_star):
         from_matrix([[2 * g * z * (1 + 1e-4), 0, 0], [0, (1e-4 * z) ** 2, z], [0, z, 1]])
         for z in rng.normal(size=4) + 1j * rng.normal(size=4)
     ]
-    # a restriction to g- that is (x1^2 + 0.7 x1 + 0.4)^2, so a1 = 1.4
-    p, r, g = 0.7, 0.4, f_pos.branch_factors[0].real
-    squared = from_matrix([[p * p + 2 * r + 0.6 * g, -p / g, p * r], [-p / g, 1 / g**2, 0.3], [p * r, 0.3, r * r]])
 
     def opened(g, t):
-        """A smooth conic whose restriction to g has m00 = 2 g m12 (1 + t)."""
-        return from_matrix([[2 * g * m12 * (1 + t), 0, 0], [0, 1, m12], [0, m12, 1]])
+        """Smooth conics of the generic and the special shape whose
+        restrictions to g have m00 = 2 g m12 (1 + t)."""
+        m00 = 2 * g * m12 * (1 + t)
+        return from_matrix([[m00, 0, 0], [0, 1, m12], [0, m12, 1]]), from_matrix([[m00, m01, m02], [m01, 0, m12], [m02, m12, 0]])
 
     cases = [
-        # the degeneracy ratio REL_EPS: a line pair opened by t
-        (f_pos, lambda t: from_matrix(line_pair + t * opening), _raises(f_pos), 0.0, 1e-6),
+        # the degeneracy ratio REL_EPS
+        *((f_pos, make, _raises(f_pos), 0.0, 1e-6) for make in line_pairs),
         # CANCELLATION_FLOOR on g- and on g+: m00 = 2 g m12 (1 + t)
         *(
-            (plane, lambda t, g=g: opened(g, t), _raises(plane), 0.0, side * 1e-5)
+            (plane, lambda t, g=g, k=k: opened(g, t)[k], _raises(plane), 0.0, side * 1e-5)
             for plane in (f_pos, f_neg)
             for g in plane.branch_factors
+            for k in (0, 1)
             for side in (-1.0, 1.0)
         ),
         # EQUALITY_REL in the quadratic test of a special conic's restrictions
         *((f_neg, lambda t: _moved(special, 0, 0, t), _kind(f_neg), 0.0, side * 1e-6) for side in (-1.0, 1.0)),
-        # the quartic test with a1 = 0 on a generic conic: 4 a4 = a2^2, a3 = 0,
-        # and |a1| against EQUALITY_REL s
+        # EQUALITY_REL in the quartic test of a generic conic's restrictions,
+        # 4 a4 = a2^2
         *((f_pos, lambda t: _moved(generic, 0, 0, t), _kind(f_pos), 0.0, side * 1e-6) for side in (-1.0, 1.0)),
-        (f_pos, lambda t: _moved(generic, 0, 2, t), _kind(f_pos), 0.0, 1e-6),
-        (f_pos, lambda t: _moved(generic, 0, 1, t), _branch_square(f_pos, 0), 1e-12, 1e-6),
         # 4 a4 = a2^2 on restrictions whose x1^2 coefficient has cancelled
         *(
             (f_neg, lambda t, c=c: _moved(c, 1, 1, t), _branch_square(f_neg, 0), 0.0, side * 1e-6)
             for c in cancelled
             for side in (-1.0, 1.0)
         ),
-        # the quartic test with a1 != 0: 4 a1 a2 = a1^3 + 8 a3 and a1^2 a4 = a3^2
-        *((f_pos, lambda t, k=k: _moved(squared, k, k, t), _branch_square(f_pos, 0), 0.0, 1e-6) for k in (0, 2)),
         # ORBIT_CONTAINMENT_REL at both ends of the orbit family's span
         *(
             (f_pos, lambda t, end=end: orbit_conic(end + t), _kind(f_pos), 0.0, math.copysign(1e-6, end + f_pos.q))
             for end in (-f_pos.q - math.sqrt(f_pos.f), -f_pos.q + math.sqrt(f_pos.f))
         ),
     ]
+    shapes = set()
     for plane, make, side, lo, hi in cases:
         conics = [make(t) for t in _band(_crossing(make, side, lo, hi))]
         assert len({side(conic) for conic in conics}) == 2
+        shapes.update(_shape(conic) for conic in conics)
         before = plane.exact_conics
         assert _outcome(lambda: _batch(plane, conics)) == _in_order(plane, conics)
         for conic in conics:
             assert _outcome(lambda: _batch(plane, [conic])) == _in_order(plane, [conic])
         assert plane.exact_conics > before  # the filter left the band to conic_contact
-        # where the filter settles a branch's square test on conic_contact's
+        # where a filter settles a branch's square test on conic_contact's
         # own restriction, it settles it as square_root_roots does
         for conic in conics:
             for g in plane.branch_factors:
                 norm = normalized(restriction(conic.rows, g))
                 nonzero = [k for k, c in enumerate(norm) if c != 0]
-                square, sure = _square(np.array(norm)[:, None], np.array(nonzero[:1]), np.array(nonzero[-1:]), 0.0)
+                if _shape(conic) == "generic":
+                    square, sure = _even_quartic_square(*np.array(norm)[[0, 2, 4], None], 0.0)
+                elif _shape(conic) == "special":
+                    square, sure = _quadratic_square(*np.array(norm)[[1, 2, 3], None], 0.0)
+                else:
+                    continue
                 if sure[0]:
                     assert square[0] == (square_root_roots(norm[nonzero[0] : nonzero[-1] + 1]) is not None)
+    assert shapes == {"generic", "special", "orbit"}
 
 
 def test_batch_leaves_a_row_norm_at_a_balancing_step_to_the_exact_decision(params_star):
@@ -966,6 +1012,33 @@ def test_single_conic_decision_equals_the_per_conic_oracle(params_draws):
             restrictions = [branch[1] for branch in expected.branches]
         assert [br.restriction for br in rep.branches] == restrictions
     assert errors == 4
+
+
+def test_the_filter_settles_every_conic_of_benchmark_like_planes(params_draws):
+    # 16 planes per interval over the middle 90% of I1 to I4plus, the
+    # unbounded I1 and I4plus cut 5 from their finite end, and on each the
+    # sweeps of tangency --grid 256: the circle family at 256 angles and,
+    # where f > 0, the orbit family at 255 alphas.  The filter settles them
+    # all, so none reaches conic_contact: a filter too cautious for the
+    # benchmark's planes shows here
+    grid, planes = 256, 0
+    angles = [2.0 * math.pi * k / grid for k in range(grid)]
+    for p in params_draws:
+        part = intervals(p)
+        spans = ((part.i1[1] - 5.0, part.i1[1]), part.i2, part.i3, part.i4minus, (part.lambda0, part.lambda0 + 5.0))
+        for lo, hi in spans:
+            for k in range(16):
+                plane = Plane(p, lo + (0.05 + 0.9 * (k + 0.5) / 16) * (hi - lo))
+                if plane.f > 0.0:
+                    sf = math.sqrt(plane.f)
+                    alphas = [-plane.q - sf + 2.0 * sf * k / grid for k in range(1, grid)]
+                    assert plane.conic_types("generic", angles) == [ConicType.GENERIC] * grid
+                    assert set(plane.conic_types("orbit", alphas)) <= {ConicType.ORBIT, ConicType.CONTAINED_IN_B}
+                else:
+                    assert plane.conic_types("special", angles) == [ConicType.SPECIAL] * grid
+                assert plane.exact_conics == 0, plane.lam
+                planes += 1
+    assert planes == 240
 
 
 def test_sweeps_emit_no_runtime_warning(params_draws):
