@@ -134,8 +134,8 @@ def _require_params(args) -> SurfaceParams:
 def _require_plane(args, alpha: float | None = None):
     """The plane of --lambda, a conics.Plane.  Plane refuses one where the
     families' entries overflow; an orbit conic's residual is built from
-    (alpha + Q)^2, so four times that must be finite too.  conics, and numpy
-    with it, is imported here: only the conic subcommands need it."""
+    (alpha + Q)^2, so four times that must be finite too.  conics is
+    imported here: only the conic subcommands need it."""
     from .conics import Plane
 
     params = _require_params(args)
@@ -160,13 +160,12 @@ def _record(rep) -> dict:
 def _conic_record(conic, label: str, lam: float | None, knob: float) -> dict:
     from .conics import min_real_form
 
-    det = conic.det()
     return {
         "lambda": lam,
         "theta_or_alpha": knob,
         "type": label,
         "matrix": [[_complex_pair(z) for z in row] for row in conic.rows],
-        "det": _complex_pair(det),
+        "det": _complex_pair(conic.det()),
         "min_real_form": min_real_form(conic) if conic.is_real() else None,
     }
 
@@ -201,11 +200,8 @@ class _Fragment(NamedTuple):
     """A JSON value as text: the text _json_text writes for it nested depth
     levels down, without the final newline, and for the rows of critical
     or tangency the values of their CSV lines (tangency builds them only
-    under --format csv).  An encoded string never holds a raw newline, so
-    every newline of the text starts a line of its layout, and one replace
-    nests the text any number of levels deeper; a fragment is never
-    written shallower than it was built.  Each is built at the depth where
-    the documents write it, so none is re-indented.
+    under --format csv).  Each is built at the depth where the documents
+    write it, so the writer appends its text as it is.
 
     The kinds: written once per process, psi and classification's
     type_assignment (module constants) and each component schedule
@@ -245,11 +241,10 @@ def _write_json(x, indent: str, out: list[str]) -> None:
     indentation of x's line), by json.dumps' rules for indent=2,
     sort_keys=True and default=_json_safe.  A key that is not a str raises
     TypeError from sorted or from the string encoder.  A _Fragment is
-    written as the value it was rendered from, re-indented only where it is
-    written deeper than it was built."""
+    written as the text it was rendered to, at the depth where it is
+    written."""
     if type(x) is _Fragment:
-        deeper = indent[1 + 2 * x.depth :]
-        out.append(x.text.replace("\n", "\n" + deeper) if deeper else x.text)
+        out.append(x.text)
     elif isinstance(x, str):
         out.append(_encode_str(x))
     elif isinstance(x, dict):

@@ -18,12 +18,11 @@ member's matrix to the bit.
 A conic's matrix is kept as nested Python complex rows, and the surface data
 of a plane is read once per `Plane`.  The type of one conic is decided by
 `conic_contact`, in Python's complex arithmetic; that decision defines the
-type.  A family sweep types hundreds of conics on one plane, so it runs a
-floating-point filter first: the same steps on the whole batch in numpy
-complex128, on only the entries that the family's shape of literal zeros
-leaves, where each comparison counts only when its margin exceeds a stated
-bound on the rounding of both evaluations.  The conics the filter cannot
-settle, and those whose decision would raise, go to `conic_contact`.
+type.  A family sweep types one member of a circle family, whose members
+share their type by an identity in e^{i t}, and each orbit member by the
+residual test on its alpha, in plain floats.  The determinant, the reality
+test and the least eigenvalue of the real-slice form are closed forms on the
+rows: the package needs no numpy.
 """
 
 from __future__ import annotations
@@ -32,19 +31,16 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DegenerateConicError, DegeneratePlaneError, DomainError, PreconditionError
-from .poly import EQUALITY_REL, square_root_roots
+from .poly import square_root_roots
 from .resolution import ConicType
 from .surface import SurfaceParams, f_value, q_value, s_minus_q, sqrt_disc
 
-_SWAP23 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
-
-# Columns map (t, u, v) to the real-slice point (t, u + iv, u - iv).
-_REAL_SLICE = np.array([[1, 0, 0], [0, 1, 1j], [0, 1, -1j]])
+# the permutation that swaps y2 and y3
+_SWAP23 = (0, 2, 1)
 
 # Relative size (about 4500 ulps) below which a difference of branch factors
 # or a conic determinant counts as zero.
@@ -62,6 +58,15 @@ CANCELLATION_FLOOR = 1e-6
 # residual vanish exactly: the alphas -Q +- sqrt(f) leave a few ulps of the
 # terms, and 1e-9 keeps seven orders of magnitude above that.
 ORBIT_CONTAINMENT_REL = 1e-9
+
+# Range of an orbit member's scaled entries m00 and m12 (at most 1), from
+# below, and of alpha + Q, from above, inside which Plane.conic_types types
+# it by its residual in plain floats: there no product _degenerate forms
+# leaves the normal floats, so the conic is surely smooth, and (alpha + Q)^2
+# is finite.  A member outside goes to conic_contact.
+ORBIT_RANGE = (2.0**-300, 2.0**150)
+
+_EPS = 2.0**-52
 
 # Mismatch, relative to the largest entry, up to which the conjugated and
 # swapped matrix is a unimodular multiple of the matrix (ConicCoeffs.is_real,
@@ -87,16 +92,8 @@ class ConicCoeffs:
 
     rows: tuple[tuple[complex, complex, complex], ...]
 
-    @cached_property
-    def m(self) -> np.ndarray:
-        """The matrix as a read-only numpy array, built on first use, for the
-        determinant, the reality test and the real-slice form."""
-        m = np.array(self.rows, dtype=complex)
-        m.flags.writeable = False
-        return m
-
     def det(self) -> complex:
-        return complex(np.linalg.det(self.m))
+        return _det(self.rows)
 
     def is_real(self) -> bool:
         """Invariance of the zero set under the plane real structure.
@@ -104,21 +101,23 @@ class ConicCoeffs:
         Conjugating and swapping the last two coordinates must reproduce the
         matrix up to a unimodular scalar, to REALITY_TOL.
         """
-        ms, c = self._reality
-        return bool(
-            abs(abs(c) - 1.0) <= REALITY_TOL
-            and np.abs(ms - c * self.m).max() <= REALITY_TOL * np.abs(self.m).max()
-        )
+        mirror, entries, c = self._reality
+        tol = REALITY_TOL * max(map(abs, entries))
+        return abs(abs(c) - 1.0) <= REALITY_TOL and all(abs(z - c * w) <= tol for z, w in zip(mirror, entries))
 
     def reality_factor(self) -> complex:
-        return complex(self._reality[1])
+        return self._reality[2]
 
     @cached_property
-    def _reality(self):
-        """The conjugate with its last two coordinates swapped, and its ratio to m at m's largest entry."""
-        ms = _SWAP23 @ np.conj(self.m) @ _SWAP23
-        i, j = np.unravel_index(np.argmax(np.abs(self.m)), (3, 3))
-        return ms, ms[i, j] / self.m[i, j]
+    def _reality(self) -> tuple[tuple[complex, ...], tuple[complex, ...], complex]:
+        """The conjugate with its last two coordinates swapped and the
+        matrix, each as its nine entries row by row, and their ratio at the
+        matrix's first entry of largest modulus."""
+        rows = self.rows
+        mirror = tuple(rows[i][j].conjugate() for i in _SWAP23 for j in _SWAP23)
+        entries = tuple(chain(*rows))
+        k = max(range(9), key=lambda k: abs(entries[k]))
+        return mirror, entries, mirror[k] / entries[k]
 
 
 def _conic(rows) -> ConicCoeffs:
@@ -147,7 +146,8 @@ class Plane:
     the families' matrices are finite, and symmetric by construction.
 
     exact_conics counts the conics typed by conic_contact: each conic_type
-    call, and each member of a sweep that the filter left to it.
+    call, so one per circle family sweep, and each orbit member that a
+    sweep leaves to it.
     """
 
     def __init__(self, params: SurfaceParams, lam: float):
@@ -228,62 +228,40 @@ class Plane:
 
     def conic_types(self, family: str, knobs) -> list[ConicType]:
         """conic_type of the members of a family, "generic", "special" or
-        "orbit", at the knobs (angles, or alphas for the orbit family).  The
-        family's filter decides the batch, and each member it leaves open is
-        built and typed on its own, in knob order; so where a member cannot
-        be built or typed, this raises what building and typing the members
-        one by one raises first."""
-        knobs = np.asarray(knobs, dtype=float)
-        if knobs.size == 0:
+        "orbit", at the knobs (angles, or alphas for the orbit family); where
+        a member cannot be built or typed, this raises what building and
+        typing the members one by one, in knob order, raises first.
+
+        A circle family's members share one type: every quantity that
+        conic_contact reads on them is free of theta up to a unimodular
+        factor (tests/test_conics.py proves it), so the first member is
+        typed and its type, or its error, stands for all.  An orbit member's
+        type is conic_contact's residual test on alpha, made here in plain
+        floats on the entries orbit_conic would build; a member that
+        conic_contact could refuse is built and typed."""
+        if len(knobs) == 0:
             return []
-        code, sure = self._filter(family, self._lanes(family, knobs))
-        kinds = list(_TYPES[code])
-        build = FAMILIES[family]
-        for i in np.flatnonzero(~sure):
-            kinds[i] = self.conic_type(build(self, float(knobs[i])))
-        return kinds
-
-    def _lanes(self, family: str, knobs: np.ndarray) -> np.ndarray:
-        """The entries the family's members can hold nonzero, at the knobs,
-        as an array of shape (k, n) whose rows are the lanes of _AT[family]:
-        equal to those entries of the rows of generic, special and
-        orbit_conic to the bit.  At alpha = 0, which orbit_conic refuses,
-        m00 is zero: a line pair, which the filter leaves to orbit_conic."""
-        if family == "orbit":
-            entries = (-knobs, 0.5)
-        else:
-            if family == "generic":
-                two_d, radius, q = self._generic_entries
-            else:
-                s, radius = self._special_entries
-            rot = np.exp(1j * knobs)
-            w, w_bar = radius * rot, radius * np.conj(rot)
-            entries = (two_d, w, q, w_bar) if family == "generic" else (s, w, w_bar, 0.5)
-        m = np.empty((len(entries), knobs.size), dtype=complex)
-        for i, z in enumerate(entries):
-            m[i] = z
-        # as _conic scales: each part by the reciprocal of the largest
-        # modulus, found as Python's abs finds it
-        scale = 1.0 / np.hypot(m.real, m.imag).max(axis=0)
-        m.real, m.imag = m.real * scale, m.imag * scale
-        return m
-
-    def _filter(self, family: str, m: np.ndarray):
-        """conic_contact's steps on a batch of conics of the family's shape,
-        given by their lanes m (see _lanes): the type code of each conic,
-        and whether conic_contact surely returns that type.  It is not sure
-        of a conic that conic_contact would fail, whose arithmetic leaves
-        FILTER_RANGE, or where a comparison falls within its margin."""
-        n = m.shape[-1]
+        if family != "orbit":
+            return [self.conic_type(FAMILIES[family](self, knobs[0]))] * len(knobs)
         try:
-            g = np.array(self.branch_factors)
-        except DegeneratePlaneError:  # every conic fails: the first one's error
-            return np.full(n, _NOT_TOUCHING), np.zeros(n, dtype=bool)
-        with np.errstate(all="ignore"):
-            mods = np.abs(m)
-            sure = _inside(mods).all(axis=0) & _inside(np.abs(g)).all() & _surely_smooth(m, mods, family)
-            # both branches at once: row 0 restricts each conic to g-, row 1 to g+
-            return _FILTERS[family](self, g[:, None], m, mods, sure)
+            self.branch_factors
+        except DegeneratePlaneError:  # every member fails: the first one's error
+            return [self.conic_type(orbit_conic(alpha)) for alpha in knobs]
+        q, f = self.q, self.f
+        lo, hi = ORBIT_RANGE
+        kinds = []
+        for alpha in knobs:
+            # m00 and m12 as orbit_conic scales them, and _orbit_alpha's quotient
+            s = 1.0 / max(abs(alpha), 0.5)
+            m00, m12 = -alpha * s, 0.5 * s
+            shifted = -m00 / (2.0 * m12) + q
+            if not (abs(m00) >= lo and m12 >= lo and abs(shifted) <= hi):
+                kinds.append(self.conic_type(orbit_conic(alpha)))
+            elif abs(shifted**2 - f) <= ORBIT_CONTAINMENT_REL * (1.0 + shifted**2 + abs(f)):
+                kinds.append(ConicType.CONTAINED_IN_B)
+            else:
+                kinds.append(ConicType.ORBIT)
+        return kinds
 
 
 # ---------------------------------------------------------------------------
@@ -435,253 +413,80 @@ def _degenerate(rows) -> bool:
     it is exact: det(S m S) = det(m) (s_0 s_1 s_2)^2, and row i of S m S has
     norm s_i |row_i S|.
     """
-    (a, b, c), (d, e, f), (g, h, k) = rows
     (ma, mb, mc), (md, me, mf), (mg, mh, mk) = [map(abs, row) for row in rows]
     s0 = math.ldexp(1.0, -(math.frexp(math.hypot(ma, mb, mc))[1] // 2))
     s1 = math.ldexp(1.0, -(math.frexp(math.hypot(md, me, mf))[1] // 2))
     s2 = math.ldexp(1.0, -(math.frexp(math.hypot(mg, mh, mk))[1] // 2))
-    det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
     norms = (
         math.hypot(ma * s0, mb * s1, mc * s2)
         * math.hypot(md * s0, me * s1, mf * s2)
         * math.hypot(mg * s0, mh * s1, mk * s2)
     )
-    return abs(det) * s0 * s1 * s2 <= REL_EPS * norms
+    return abs(_det(rows)) * s0 * s1 * s2 <= REL_EPS * norms
 
 
-# ---------------------------------------------------------------------------
-# the type decision on a batch: a floating-point filter over conic_contact
-#
-# One filter per family shape takes conic_contact's steps on n conics of
-# that shape in numpy complex128: generic (m01 = m02 = 0: each restriction
-# a quartic with a1 = a3 = 0), special (m11 = m22 = 0: x1 times a
-# quadratic) or orbit (both: the type read off alpha).  It reads lanes of
-# the entries the shape can hold nonzero and drops the terms of its literal
-# zeros, which conic_contact computes as exact zeros.  numpy's products,
-# quotients and moduli round otherwise than Python's.  Each comparison
-# x <= t of the decision counts only where |x - t| exceeds a bound on how
-# far either evaluation can be from exact arithmetic, so that both land on
-# the same side.  The bounds follow the standard model, with u = 2^-53: a
-# real operation, and each part of a complex sum, is off by at most u of
-# its result; a complex product by sqrt(5) u of |a| |b|, with or without
-# fused multiply-adds; a complex quotient by 16 u of its modulus, Smith's
-# method as both CPython and numpy divide; a modulus by 4 u; a power by
-# 8 u.  They hold where no operation underflows or overflows, which
-# FILTER_RANGE secures.  CPython's modulus, a faithful hypot, is within 2 u,
-# but numpy's vectorised complex modulus is not: numpy 2.4 read up to 2.3 u
-# off on 200,000 seeded samples.
-# tests/test_conics.py checks numpy's power, quotient and modulus against
-# these bounds over FILTER_RANGE.
-
-_U = 2.0**-53
-
-# Range of the nonzero moduli the filter reads: the matrix entries, the
-# branch factors, alpha + Q, and the normalised and the monic restriction
-# coefficients.  A conic with one outside it goes to conic_contact.  Inside
-# it no product of up to three entries or six monic coefficients leaves the
-# normal floats, so the error model holds, and an exact zero of one
-# evaluation is an exact zero of the other: the only coefficient that can
-# cancel, the x1^2 one, is guarded by FLOOR_MARGIN.  A conic whose lane of
-# a restriction's end coefficient (generic m11, m22; special m01, m02) reads
-# 0 goes to conic_contact too.
-FILTER_RANGE = (2.0**-300, 2.0**150)
-
-# |det| <= REL_EPS H on the balanced matrix B, with H its Hadamard bound:
-# each evaluation of |det| by cofactors is off by at most (2 sqrt 5 + 3) u
-# times the sum of the moduli of its six products, the permanent of |B|,
-# plus 4 u |det| for the modulus; the permanent is at most 3^(3/2) H, and
-# REL_EPS H is off by less than 1e-10 u H.  So the two evaluations are sure
-# of the same verdict where |det| - REL_EPS H differs from 0 by more than
-# 2 (3^(3/2) (2 sqrt 5 + 3) + 4) u H = 85.7 u H.
-DET_MARGIN = 86 * _U
-
-# Each takes the balancing exponents from row norms it rounds its own way:
-# CPython's hypot of the moduli within 4 u of the exact norm, numpy's square
-# root of their summed squares within 7 u.  A norm within EXPONENT_BAND of a
-# power of two that changes e_i // 2 may give the two evaluations different
-# balancings, and its conic goes to conic_contact.
-EXPONENT_BAND = 16 * _U
-
-# |(alpha + Q)^2 - f| <= ORBIT_CONTAINMENT_REL S, S = 1 + (alpha + Q)^2 + |f|:
-# alpha + Q is the same float in both; the square (2 u), the residual (u S)
-# and its modulus (u S) leave 4 u S per evaluation, the threshold 5e-9 u S.
-ORBIT_MARGIN = 9 * _U
-
-# |m00 - 2 g m12| < CANCELLATION_FLOOR |m00|, with T = |m00| + 2 |g| |m12|:
-# the coefficient is off by (sqrt 5 + 1) u T per evaluation, its modulus by
-# 4 u T more, the threshold by 5e-6 u T: 2 (sqrt 5 + 5) u T = 14.5 u T.
-FLOOR_MARGIN = 15 * _U
-
-# The square tests compare expressions in the normalised restriction
-# coefficients c_k, or in the monic ones a_k = c_k / c_4, which the two
-# evaluations already hold rounded apart.  With kappa = T / |m00 - 2 g m12|
-# from the floor above (kappa >= 1), each restriction coefficient is off by
-# at most 4.5 kappa u of its modulus (the x1^4 one, two products, by
-# 2 sqrt 5 u), each c_k by rho_c = (9 kappa + 5) u (the largest modulus and
-# the division), and each a_k by rho_a = 2 rho_c + 16 u.  A test
-# |l - r| <= EQUALITY_REL max(|l|, |r|, s^k) on inputs off by rho is then off
-# by at most (6 rho + 74 u) times P + EQUALITY_REL (P + s^k) per evaluation,
-# P summing the moduli of the products in l and r: that is the test with the
-# s^6 floor, s off by rho + 11 u, which no family reaches; the filters' two,
-# b^2 = 4ac and 4 a4 = a2^2, are off by less, and with a1 = a3 = 0 exact in
-# both evaluations the tests |a1| <= EQUALITY_REL s and a3 = 0 hold exactly.
-# Two evaluations, and 1% for the terms of second order (rho < 1e-8
-# wherever the floor passes): 2.02 (6 rho + 74 u) < 13 rho + 150 u.
-SQUARE_MARGIN = (13.0, 150 * _U)
-
-# the types the filter decides, by code
-_TYPES = np.array(
-    [ConicType.GENERIC, ConicType.SPECIAL, ConicType.ORBIT, ConicType.NOT_TOUCHING, ConicType.CONTAINED_IN_B],
-    dtype=object,
-)
-_GENERIC, _SPECIAL, _ORBIT, _NOT_TOUCHING, _CONTAINED_IN_B = range(5)
-
-# per family shape: the row and the column of each lane's entry (on or above
-# the diagonal); the lanes on each row of the matrix in column order, a lane
-# off the diagonal lying on its row and its column's row; and the
-# determinant of the balanced lanes b, _degenerate's cofactor expansion
-# without the products of literal zeros
-_AT = {"generic": ((0, 1, 1, 2), (0, 1, 2, 2)), "special": ((0, 0, 0, 1), (0, 1, 2, 2)), "orbit": ((0, 1), (0, 2))}
-_ROWS = {"generic": ((0,), (1, 2), (2, 3)), "special": ((0, 1, 2), (1, 3), (2, 3)), "orbit": ((0,), (1,), (1,))}
-_DET = {
-    "generic": lambda b: b[0] * (b[1] * b[3] - b[2] * b[2]),
-    "special": lambda b: b[1] * (b[3] * b[2]) - b[0] * (b[3] * b[3]) + b[2] * (b[1] * b[3]),
-    "orbit": lambda b: b[0] * (b[1] * b[1]),
-}
-
-
-def _inside(mods: np.ndarray) -> np.ndarray:
-    """Whether each modulus is zero or within FILTER_RANGE."""
-    lo, hi = FILTER_RANGE
-    return (mods == 0.0) | ((mods >= lo) & (mods <= hi))
-
-
-def _surely_smooth(m: np.ndarray, mods: np.ndarray, shape: str) -> np.ndarray:
-    """Where _degenerate surely passes on the conics of the shape, given by
-    their lanes m and the lanes' moduli: the rows balanced as it balances
-    them, and |det| of the balanced matrix above REL_EPS times its Hadamard
-    bound by DET_MARGIN of the bound."""
-    rows = _ROWS[shape]
-    sq = mods * mods
-    norms = np.sqrt([sum((sq[k] for k in row[1:]), sq[row[0]]) for row in rows])
-    low, high = (np.frexp(norms * (1.0 + band))[1] // 2 for band in (-EXPONENT_BAND, EXPONENT_BAND))
-    s = np.ldexp(1.0, -high)
-    i, j = _AT[shape]
-    ss = s[list(i)] * s[list(j)]
-    sq = (mods * ss) ** 2
-    bound = np.sqrt([sum((sq[k] for k in row[1:]), sq[row[0]]) for row in rows]).prod(axis=0)
-    det = _DET[shape](m * ss)
-    return (low == high).all(axis=0) & (np.abs(det) - REL_EPS * bound > DET_MARGIN * bound)
-
-
-def _floor(g: np.ndarray, m00: np.ndarray, a00: np.ndarray, m12: np.ndarray):
-    """The x1^2 coefficient m00 - 2 g m12 of the restriction to each branch
-    (the rows of g) and its modulus, the bound rho on the rounding of the
-    normalised coefficients (SQUARE_MARGIN), and where the coefficient
-    surely passes CANCELLATION_FLOOR; a00 is |m00|."""
-    two_m12 = 2.0 * m12
-    c2 = m00 - g * two_m12
-    terms = a00 + np.abs(g) * np.abs(two_m12)
-    r2 = np.abs(c2)
-    return c2, r2, (9.0 * terms / r2 + 5.0) * _U, r2 - CANCELLATION_FLOOR * a00 > FLOOR_MARGIN * terms
-
-
-def _close(lhs, rhs, floor, products, rho):
-    """poly._close(lhs, rhs, floor) per lane, and where both
-    evaluations surely agree on it; products sums the moduli of the products
-    in lhs and rhs, whose factors are off by rho (SQUARE_MARGIN)."""
-    gap = np.abs(lhs - rhs) - EQUALITY_REL * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
-    margin = (SQUARE_MARGIN[0] * rho + SQUARE_MARGIN[1]) * (products + EQUALITY_REL * (products + floor))
-    return gap <= 0.0, np.abs(gap) > margin
-
-
-def _quadratic_square(c, b, a, rho):
-    """square_root_roots' test of the normalised quadratic c + b x + a x^2,
-    whose coefficients are off by rho: b^2 = 4ac to EQUALITY_REL.  Returns
-    the verdicts and where they are sure."""
-    return _close(b * b, 4.0 * a * c, 0.0, np.abs(b) ** 2 + 4.0 * np.abs(a) * np.abs(c), rho)
-
-
-def _even_quartic_square(c0, c2, c4, rho):
-    """square_root_roots' test of the normalised quartic c0 + c2 x^2 + c4 x^4,
-    whose coefficients are off by rho: two_double_roots_criterion with
-    a1 = a3 = 0, that is 4 a4 = a2^2 to EQUALITY_REL in the monic
-    coefficients.  Returns the verdicts and where they are sure."""
-    a4, a2 = c0 / c4, c2 / c4
-    m2, m4 = np.abs(a2), np.abs(a4)
-    s = 1.0 + np.maximum(m2**0.5, m4**0.25)
-    square, sure = _close(4.0 * a4, a2 * a2, s**4, 4.0 * m4 + m2 * m2, 2.0 * rho + 16.0 * _U)
-    return square, sure & _inside(m2) & _inside(m4)
-
-
-def _generic_filter(plane, g, m, mods, sure):
-    """The shape (m00; m11, m12, m22): the restriction to g is the quartic
-    m22 + (m00 - 2 g m12) x1^2 + m11 g^2 x1^4, contact 0 at both fixed
-    points, so the conic is generic where both are squares."""
-    m00, m11, m12, m22 = m
-    sure &= (mods[1] != 0.0) & (mods[3] != 0.0)
-    c2, r2, rho, passes = _floor(g, m00, mods[0], m12)
-    c4 = m11 * g * g
-    top = np.maximum(np.maximum(mods[3], r2), np.abs(c4))
-    norm = (m22 / top, c2 / top, c4 / top)
-    square, square_sure = _even_quartic_square(*norm, rho)
-    lane_sure = passes & _inside(np.abs(norm)).all(axis=0) & square_sure
-    code = np.where(sure & square[0] & square[1], _GENERIC, _NOT_TOUCHING)
-    return code, sure & lane_sure[0] & lane_sure[1]
-
-
-def _special_filter(plane, g, m, mods, sure):
-    """The shape (m00, m01, m02; m12): the restriction to g is x1 times the
-    quadratic 2 m02 + (m00 - 2 g m12) x1 - 2 g m01 x1^2, contact 1 at each
-    fixed point, so the conic is special where both are squares."""
-    m00, m01, m02, m12 = m
-    sure &= (mods[1] != 0.0) & (mods[2] != 0.0)
-    c2, r2, rho, passes = _floor(g, m00, mods[0], m12)
-    c1, c3 = 2.0 * m02, -g * (2.0 * m01)
-    top = np.maximum(np.maximum(np.abs(c1), r2), np.abs(c3))
-    norm = (c1 / top, c2 / top, c3 / top)
-    square, square_sure = _quadratic_square(*norm, rho)
-    lane_sure = passes & _inside(np.abs(norm)).all(axis=0) & square_sure
-    code = np.where(sure & square[0] & square[1], _SPECIAL, _NOT_TOUCHING)
-    return code, sure & lane_sure[0] & lane_sure[1]
-
-
-def _orbit_filter(plane, g, m, mods, sure):
-    """The shape y2 y3 = alpha y1^2, (m00; m12): alpha is one float
-    division, the same in both, where m00 and m12 are real."""
-    m00, m12 = m
-    shifted = -m00.real / (2.0 * m12.real) + plane.q
-    scale = 1.0 + shifted * shifted + abs(plane.f)
-    gap = np.abs(shifted * shifted - plane.f) - ORBIT_CONTAINMENT_REL * scale
-    code = np.where(gap <= 0.0, _CONTAINED_IN_B, _ORBIT)
-    sure &= (m00.imag == 0.0) & (m12.imag == 0.0) & _inside(np.abs(shifted))
-    return code, sure & (np.abs(gap) > ORBIT_MARGIN * scale)
-
-
-_FILTERS = {"generic": _generic_filter, "special": _special_filter, "orbit": _orbit_filter}
+def _det(rows) -> complex:
+    """The determinant of the nested rows, by cofactors along the first row."""
+    (a, b, c), (d, e, f), (g, h, k) = rows
+    return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
 
 
 # ---------------------------------------------------------------------------
 # real-point certificates
 
 
-def real_slice_gram(conic: ConicCoeffs) -> np.ndarray:
-    """The real quadratic form induced on the real slice.
+def real_slice_gram(conic: ConicCoeffs) -> tuple[tuple[float, float, float], ...]:
+    """The real quadratic form induced on the real slice, as nested rows.
 
     Points fixed by the real structure can be written (t, z, conj z) with t
     real; after a unimodular rescaling mu of the matrix the restriction of
     the conic form there is a real quadratic form in (t, Re z, Im z).  With P
     the map from (t, Re z, Im z) to the point, its symmetric 3x3 Gram matrix
-    is Re(P^T (mu m) P).
+    is Re(P^T (mu m) P), whose entries are these sums of mu m's.
     """
     if not conic.is_real():
         raise PreconditionError("conic is not invariant under the real structure")
     mu = cmath.exp(0.5j * cmath.phase(conic.reality_factor()))
-    return (_REAL_SLICE.T @ (mu * conic.m) @ _REAL_SLICE).real
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = [[mu * z for z in row] for row in conic.rows]
+    tu, tv, uv = (m01 + m02).real, (m02 - m01).imag, (m22 - m11).imag
+    return (m00.real, tu, tv), (tu, (m11 + 2.0 * m12 + m22).real, uv), (tv, uv, (2.0 * m12 - m11 - m22).real)
 
 
 def min_real_form(conic: ConicCoeffs) -> float:
     """Global minimum of the induced real form over the unit sphere of the
     real slice, i.e. the smallest Gram eigenvalue; strictly positive means
-    the conic has no real point."""
-    return float(np.linalg.eigvalsh(real_slice_gram(conic))[0])
+    the conic has no real point.
+
+    A special or orbit conic's (u, v) block is a multiple of the identity,
+    so the rotation of (u, v) that takes the t row to (a, r, 0) splits the
+    Gram into blocks 1 + 2, and the least eigenvalue is in closed form.
+    Any other Gram is diagonalised by Jacobi rotations: a generic conic's
+    t stands apart from (u, v), and one rotation does it.  (Smith's
+    trigonometric formula would lose half the digits where the least
+    eigenvalue is double.)"""
+    gram = real_slice_gram(conic)
+    (a, b, c), (_, d, e), (_, _, f) = gram
+    if e == 0.0 and d == f:
+        return min(d, 0.5 * (a + d) - math.hypot(0.5 * (a - d), math.hypot(b, c)))
+    m = [list(row) for row in gram]
+    # cyclic sweeps, each rotation zeroing one off-diagonal entry, until
+    # what is left off the diagonal is below the rounding of the diagonal;
+    # they converge quadratically, in a handful
+    for _ in range(16):
+        if max(abs(m[0][1]), abs(m[0][2]), abs(m[1][2])) <= _EPS * max(abs(m[0][0]), abs(m[1][1]), abs(m[2][2])):
+            break
+        for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            if m[i][j] == 0.0:
+                continue
+            theta = 0.5 * (m[j][j] - m[i][i]) / m[i][j]
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            cos = 1.0 / math.hypot(t, 1.0)
+            sin = t * cos
+            m[i][i] -= t * m[i][j]
+            m[j][j] += t * m[i][j]
+            m[i][j] = m[j][i] = 0.0
+            ki, kj = m[k][i], m[k][j]
+            m[k][i] = m[i][k] = cos * ki - sin * kj
+            m[k][j] = m[j][k] = sin * ki + cos * kj
+    return min(m[0][0], m[1][1], m[2][2])
+

@@ -111,7 +111,7 @@ class HKind(enum.Enum):
 class ConicType(enum.Enum):
     """The touching-conic families, and what a conic of a plane turns out to
     be: named here, beside the radius functions, so that the classifier's
-    type table needs no part of the conic machinery (and no numpy)."""
+    type table needs no part of the conic machinery."""
 
     GENERIC = "Generic"
     SPECIAL = "Special"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import dataclasses
 import io
@@ -237,12 +238,13 @@ def test_tangency_timings_opt_in(star_arg, tmp_path):
     untimed = _load(plain)
     assert run(argv + ["--timings", "--out", str(plain), "tangency"]) == EXIT_OK
     doc = _load(plain)
-    # 256 generic and 255 orbit conics on an f > 0 plane, every one settled
-    # by the filter: none left to the exact decision
+    # 256 generic and 255 orbit conics on an f > 0 plane: the exact
+    # decision types one generic member for its family, and the orbit
+    # members' residuals leave none to it
     assert doc["timings"]["conics"] == len(doc["rows"]) == 511
-    assert doc["timings"]["exact_conics"] == 0
+    assert doc["timings"]["exact_conics"] == 1
     assert 0.0 < doc["timings"]["tangency_s"] == round(doc["timings"]["tangency_s"], 6)
-    # the two batched decisions, one per family, are part of the sweep
+    # the two decisions, one per family, are part of the sweep
     assert 0.0 < doc["timings"]["decide_s"] == round(doc["timings"]["decide_s"], 6)
     assert doc["timings"]["decide_s"] <= doc["timings"]["tangency_s"]
     assert sorted(doc["timings"]) == ["conics", "decide_s", "exact_conics", "tangency_s"]
@@ -817,18 +819,20 @@ def _at(x, path):
 def test_writer_writes_what_json_dumps_writes(doc, data):
     expected = json.dumps(doc, indent=2, sort_keys=True, default=cli._json_safe) + "\n"
     assert cli._json_text(doc) == expected
-    # a subtree at any depth, pre-rendered as a fragment, writes as itself
+    # a subtree at any depth, pre-rendered as a fragment at that depth,
+    # writes as itself
     path = data.draw(st.sampled_from(list(_paths(doc))))
-    assert cli._json_text(_replaced(doc, path, cli._fragment(_at(doc, path)))) == expected
+    assert cli._json_text(_replaced(doc, path, cli._fragment(_at(doc, path), len(path)))) == expected
 
 
 def test_a_fragment_writes_its_source_at_any_depth():
     # the source's strings hold a newline and a quote, which are escaped, so
-    # the re-indenting replace meets only the layout's newlines
+    # the indenting replace meets only the layout's newlines; the fragment is
+    # built at the depth where it is written
     source = {"b": [1.5, {"c": None, "d": []}, {}], "a": 'x\n  "y"', "e": [float("nan"), -0.0]}
-    fragment = cli._fragment(source)
-    assert not fragment.text.endswith("\n")
     for depth in (0, 1, 4):
+        fragment = cli._fragment(source, depth)
+        assert not fragment.text.endswith("\n")
         doc, nested = fragment, source
         for level in range(depth):
             doc, nested = ({"k": doc}, {"k": nested}) if level % 2 else ([7, doc], [7, nested])
@@ -906,3 +910,39 @@ def test_writer_refuses_keys_that_are_not_str(doc):
 def test_writer_refuses_what_json_safe_leaves_as_it_is():
     with pytest.raises(TypeError, match="set is not JSON serializable"):
         cli._json_text({"a": {1, 2}})
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_no_module_of_the_package_imports_numpy():
+    # numpy is a test dependency only: no module under src/touching_conics
+    # imports it, at the top or inside a function
+    modules = sorted((_SRC / "touching_conics").glob("*.py"))
+    assert len(modules) >= 9
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert [name for name in names if name.split(".")[0] == "numpy"] == [], path.name
+
+
+def test_conic_subcommands_leave_numpy_unloaded(star_arg):
+    # a tangency sweep and a conic export, in one fresh process, type and
+    # certify their conics without loading numpy
+    code = (
+        "import sys\n"
+        "from touching_conics import cli\n"
+        "argv = ['--params', sys.argv[1], '--lambda', '-0.5', '--out', sys.argv[2]]\n"
+        "codes = [cli.run(argv + ['--grid', '256', 'tangency']), cli.run(argv + ['conic', '--type', 'generic'])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", code, star_arg, os.devnull], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout == "[0, 0] False\n"

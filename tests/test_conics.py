@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
+import random
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +27,19 @@ from oracles import (
     quartic_double_double,
     special_positivity_bound,
     verify_touching,
+    FILTER_RANGE,
+    _AT,
+    _TYPES,
+    _U,
+    _even_quartic_square,
+    _quadratic_square,
+    filter_decide,
+    filter_lanes,
+    filter_types,
+    matrix,
 )
 from touching_conics.conics import (
     FAMILIES,
-    FILTER_RANGE,
     REL_EPS,
     Contact,
     ConicCoeffs,
@@ -39,11 +51,6 @@ from touching_conics.conics import (
     orbit_conic,
     real_slice_gram,
     restriction,
-    _AT,
-    _TYPES,
-    _U,
-    _even_quartic_square,
-    _quadratic_square,
 )
 from touching_conics.errors import (
     DegenerateConicError,
@@ -54,7 +61,16 @@ from touching_conics.errors import (
     PreconditionError,
 )
 from touching_conics.poly import square_root_roots, two_double_roots_criterion
-from touching_conics.surface import SearchConfig, disc_value, f_value, find_valid_params, intervals, q_value, s_minus_q
+from touching_conics.surface import (
+    SearchConfig,
+    SurfaceParams,
+    disc_value,
+    f_value,
+    find_valid_params,
+    intervals,
+    q_value,
+    s_minus_q,
+)
 
 
 def test_branch_factors_real_when_f_positive(params_star):
@@ -119,7 +135,7 @@ def test_special_conic_determinant_closed_form(params_star):
 def test_generic_conic_periodicity(params_star):
     c1 = Plane(params_star, -0.5).generic(0.3)
     c2 = Plane(params_star, -0.5).generic(0.3 + 2.0 * math.pi)
-    assert np.abs(c1.m - c2.m).max() < 1e-12
+    assert np.abs(matrix(c1) - matrix(c2)).max() < 1e-12
 
 
 def test_generic_conic_domain_errors(params_star):
@@ -136,14 +152,14 @@ def test_special_conic_domain_error(params_star):
 
 def test_special_conic_misses_quadratic_fixed_terms(params_star):
     c = Plane(params_star, -2.0).special(1.0)
-    assert abs(c.m[1, 1]) == 0.0 and abs(c.m[2, 2]) == 0.0
+    assert abs(matrix(c)[1, 1]) == 0.0 and abs(matrix(c)[2, 2]) == 0.0
 
 
 def test_orbit_conic_rotation_invariance():
     c = orbit_conic(0.7)
     theta = 0.9
     d = np.diag([1.0, cmath.exp(1j * theta), cmath.exp(-1j * theta)])
-    assert np.abs(d @ c.m @ d - c.m).max() < 1e-15
+    assert np.abs(d @ matrix(c) @ d - matrix(c)).max() < 1e-15
 
 
 def test_orbit_conic_rejects_zero():
@@ -154,8 +170,9 @@ def test_orbit_conic_rejects_zero():
 def _invariant_to(conic: ConicCoeffs, tol: float) -> bool:
     """is_real's test at tol: the conjugated and swapped matrix is a
     unimodular multiple of the matrix, to tol of its largest entry."""
-    ms, c = conic._reality
-    return abs(abs(c) - 1.0) <= tol and np.abs(ms - c * conic.m).max() <= tol * np.abs(conic.m).max()
+    mirror, _, c = conic._reality
+    m = matrix(conic)
+    return abs(abs(c) - 1.0) <= tol and np.abs(np.reshape(mirror, (3, 3)) - c * m).max() <= tol * np.abs(m).max()
 
 
 def test_reality_invariant_families(params_star):
@@ -220,7 +237,7 @@ def test_verify_touching_agrees_with_root_pairing_oracle(params_draws):
             for lam in np.linspace(lo, hi, 8)[1:-1]:
                 for theta in np.linspace(0.0, 2.0 * math.pi, 5)[:-1]:
                     conic = Plane(p, lam).generic(theta)
-                    moved = conic.m.copy()
+                    moved = matrix(conic)
                     moved[0, 0] *= 1.001
                     for c in (conic, from_matrix(moved)):
                         rep = verify_touching(c, p, lam)
@@ -377,7 +394,7 @@ def test_batched_members_equal_the_constructors_rows(params_draws):
             sf = math.sqrt(abs(plane.f))
             alphas = [-plane.q - sf + 2.0 * sf * k / 256 for k in range(1, 256)] + list(rng.normal(size=16) * 10.0)
             for family, knobs in ((circles, angles), ("orbit", alphas)):
-                m = _matrices(family, plane._lanes(family, np.array(knobs)))
+                m = _matrices(family, filter_lanes(plane, family, np.array(knobs)))
                 lanes = {(i, j) for i, j in zip(*_AT[family])}
                 for k, knob in enumerate(knobs):
                     rows = FAMILIES[family](plane, knob).rows
@@ -409,10 +426,10 @@ def test_family_members_are_exactly_real(params_draws):
             family = "generic" if plane.f > 0.0 else "special"
             for theta in angles:
                 conic = FAMILIES[family](plane, theta)
-                m = conic.m
+                m = matrix(conic)
                 assert np.array_equal(np.conj(m)[swap][:, swap], m), (lam, family, theta)
                 assert conic.reality_factor() == 1.0, (lam, family, theta)
-            m = _matrices(family, plane._lanes(family, np.array(angles)))
+            m = _matrices(family, filter_lanes(plane, family, np.array(angles)))
             assert np.array_equal(np.conj(m)[swap][:, swap], m), (lam, family)
             checks += 2 * len(angles) + 1
     assert checks > 6000
@@ -450,8 +467,8 @@ def test_degeneracy_verdict_matches_lapack_oracle(params_draws):
         cases.append((p, -0.5, from_matrix(line_pair() + sym(10.0**-k))))
     verdicts = {True: 0, False: 0}
     for params, lam, conic in cases:
-        expected = lapack_degenerate(conic.m, REL_EPS)
-        assert _raises_degenerate(conic, params, lam) == expected, conic.m
+        expected = lapack_degenerate(matrix(conic), REL_EPS)
+        assert _raises_degenerate(conic, params, lam) == expected, matrix(conic)
         verdicts[expected] += 1
     assert verdicts[True] and verdicts[False]
     pairs = [line_pair() for _ in range(10)]
@@ -459,7 +476,7 @@ def test_degeneracy_verdict_matches_lapack_oracle(params_draws):
     pairs.append(np.diag([0.0, 1.0, -1.0]))  # (y2 - y3)(y2 + y3)
     for m in pairs:
         conic = from_matrix(m)
-        assert lapack_degenerate(conic.m, REL_EPS)
+        assert lapack_degenerate(matrix(conic), REL_EPS)
         with pytest.raises(DegenerateConicError):
             verify_touching(conic, p, -0.5)
 
@@ -504,7 +521,7 @@ def test_min_real_form_matches_brute_grid(params_star):
     eig = min_real_form(conic)
     # same rescaled matrix the production Gram path uses
     c = conic.reality_factor()
-    m = conic.m * cmath.exp(0.5j * cmath.phase(c))
+    m = matrix(conic) * cmath.exp(0.5j * cmath.phase(c))
     brute = grid_minimum_on_slice(m)
     assert brute >= eig - 1e-9
     assert brute - eig < 5e-3  # the grid comes close to the true minimum
@@ -517,8 +534,40 @@ def test_real_slice_gram_matches_polarization(params_draws):
         conics = [Plane(p, -0.5).generic(t) for t in (0.0, 1.1, 4.0)]
         conics += [Plane(p, -2.0).special(t) for t in (0.3, 2.5)] + [orbit_conic(-0.7), orbit_conic(1.3)]
         for conic in conics:
-            m = conic.m * cmath.exp(0.5j * cmath.phase(conic.reality_factor()))
-            assert np.abs(real_slice_gram(conic) - polarized_gram(m)).max() <= 8 * np.finfo(float).eps
+            m = matrix(conic) * cmath.exp(0.5j * cmath.phase(conic.reality_factor()))
+            assert np.abs(np.array(real_slice_gram(conic)) - polarized_gram(m)).max() <= 8 * np.finfo(float).eps
+
+
+def test_closed_forms_match_lapack(params_draws):
+    # det by cofactors, and min_real_form in closed form on the families'
+    # Grams and by Jacobi rotations on any other, against numpy's det and
+    # eigvalsh: on members of each family across the intervals, and on real
+    # conics built from random Grams, with double and near-double
+    # eigenvalues among them, where Smith's trigonometric formula would read
+    # up to 3e-8 off
+    rng = np.random.default_rng(61)
+    eps = np.finfo(float).eps
+    conics = []
+    for p in params_draws:
+        part = intervals(p)
+        for lo, hi in ((-6.0, -1.0), part.i2, part.i3, part.i4minus, (part.lambda0, part.lambda0 + 5.0)):
+            for lam in rng.uniform(lo, hi, 6):
+                plane = Plane(p, float(lam))
+                make = plane.generic if plane.f > 0.0 else plane.special
+                conics += [make(t) for t in rng.uniform(0.0, 7.0, 3)] + [orbit_conic(a) for a in rng.normal(size=2)]
+    slice_map = np.array([[1, 0, 0], [0, 1, 1j], [0, 1, -1j]])
+    back = np.linalg.inv(slice_map)
+    for eigs in ([-1.0, 2.0, 2.0], [-1.0, -1.0, 2.0], [1e-3, 1.0, 1.0], [1.0, 1.0 + 1e-7, 3.0], None):
+        for _ in range(100):
+            rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            diag = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0) if eigs is None else eigs
+            gram = rotation @ np.diag(diag) @ rotation.T
+            # Re(P^T m P) = gram for the real-slice map P, times a phase
+            conics.append(from_matrix(back.T @ gram @ back * cmath.exp(1j * rng.uniform(0.0, 6.0))))
+    for conic in conics:
+        assert abs(conic.det() - np.linalg.det(matrix(conic))) <= 16 * eps, conic.rows
+        gram = np.array(real_slice_gram(conic))
+        assert abs(min_real_form(conic) - np.linalg.eigvalsh(gram)[0]) <= 16 * eps * np.abs(gram).max(), conic.rows
 
 
 def test_min_real_form_requires_reality():
@@ -705,7 +754,7 @@ def _batch(plane: Plane, conics):
         at = [i for i, conic in enumerate(conics) if _shape(conic) == shape]
         if at:
             lanes = np.array([np.array(conics[i].rows)[_AT[shape]] for i in at]).T
-            code, sure = plane._filter(shape, lanes)
+            code, sure = filter_decide(plane, shape, lanes)
             for i, c, settled in zip(at, code, sure):
                 kinds[i] = _TYPES[c] if settled else None
     return [plane.conic_type(conic) if kind is None else kind for kind, conic in zip(kinds, conics)]
@@ -898,6 +947,21 @@ def test_batch_decides_each_threshold_band_as_the_exact_decision(params_star):
                 if sure[0]:
                     assert square[0] == (square_root_roots(norm[nonzero[0] : nonzero[-1] + 1]) is not None)
     assert shapes == {"generic", "special", "orbit"}
+    # an orbit sweep's residual test, in plain floats, decides the bands at
+    # both ends of the span alpha for alpha as conic_contact does, on 12
+    # planes of each f > 0 interval: where |alpha| < 0.5, orbit_conic scales
+    # by 2, and above, by 1 / |alpha|, after which the quotient of the scaled
+    # entries is alpha only up to an ulp
+    part = intervals(params_star)
+    spans = (part.i2, part.i4minus, (part.lambda0, part.lambda0 + 30.0))
+    for lam in (lo + (k + 0.5) / 12 * (hi - lo) for lo, hi in spans for k in range(12)):
+        plane = Plane(params_star, lam)
+        for end in (-plane.q - math.sqrt(plane.f), -plane.q + math.sqrt(plane.f)):
+            crossing = _crossing(lambda t: orbit_conic(end + t), _kind(plane), 0.0, math.copysign(1e-6, end + plane.q))
+            alphas = [end + t for t in _band(crossing)]
+            expected = _one_by_one(plane, "orbit", alphas)
+            assert set(expected) == {ConicType.ORBIT, ConicType.CONTAINED_IN_B}
+            assert plane.conic_types("orbit", alphas) == expected, (lam, end)
 
 
 def test_batch_leaves_a_row_norm_at_a_balancing_step_to_the_exact_decision(params_star):
@@ -920,10 +984,10 @@ def test_batch_leaves_a_row_norm_at_a_balancing_step_to_the_exact_decision(param
         plane = Plane(params_star, lam)
         expected = conic_contact(plane, plane.generic(0.4).rows).kind
         assert expected is ConicType.GENERIC
-        assert plane.conic_types("generic", [0.4]) == [expected]
+        assert filter_types(plane, "generic", [0.4]) == [expected]
         assert plane.exact_conics == 1
     away = Plane(params_star, crossing + 1e-6)
-    assert away.conic_types("generic", [0.4]) == [ConicType.GENERIC] and away.exact_conics == 0
+    assert filter_types(away, "generic", [0.4]) == [ConicType.GENERIC] and away.exact_conics == 0
 
 
 def test_numpy_stays_within_the_error_model_of_the_filter():
@@ -981,7 +1045,7 @@ def test_single_conic_decision_equals_the_per_conic_oracle(params_draws):
     plane = Plane(p, -0.5)
     for conic in [plane.generic(0.2), Plane(p, -2.0).special(0.2)]:
         for k in range(9):
-            moved = conic.m.copy()
+            moved = matrix(conic)
             moved[k // 3, k % 3] += 1e-3
             moved[k % 3, k // 3] = moved[k // 3, k % 3]
             cases.append((plane, from_matrix(moved)))
@@ -1020,7 +1084,9 @@ def test_the_filter_settles_every_conic_of_benchmark_like_planes(params_draws):
     # sweeps of tangency --grid 256: the circle family at 256 angles and,
     # where f > 0, the orbit family at 255 alphas.  The filter settles them
     # all, so none reaches conic_contact: a filter too cautious for the
-    # benchmark's planes shows here
+    # benchmark's planes shows here.  Plane.conic_types gives the same
+    # types from one exact decision per circle family and none per orbit
+    # member
     grid, planes = 256, 0
     angles = [2.0 * math.pi * k / grid for k in range(grid)]
     for p in params_draws:
@@ -1028,23 +1094,83 @@ def test_the_filter_settles_every_conic_of_benchmark_like_planes(params_draws):
         spans = ((part.i1[1] - 5.0, part.i1[1]), part.i2, part.i3, part.i4minus, (part.lambda0, part.lambda0 + 5.0))
         for lo, hi in spans:
             for k in range(16):
-                plane = Plane(p, lo + (0.05 + 0.9 * (k + 0.5) / 16) * (hi - lo))
+                lam = lo + (0.05 + 0.9 * (k + 0.5) / 16) * (hi - lo)
+                plane, swept = Plane(p, lam), Plane(p, lam)
                 if plane.f > 0.0:
                     sf = math.sqrt(plane.f)
                     alphas = [-plane.q - sf + 2.0 * sf * k / grid for k in range(1, grid)]
-                    assert plane.conic_types("generic", angles) == [ConicType.GENERIC] * grid
-                    assert set(plane.conic_types("orbit", alphas)) <= {ConicType.ORBIT, ConicType.CONTAINED_IN_B}
+                    sweeps = (("generic", angles), ("orbit", alphas))
+                    assert filter_types(plane, "generic", angles) == [ConicType.GENERIC] * grid
+                    assert set(filter_types(plane, "orbit", alphas)) <= {ConicType.ORBIT, ConicType.CONTAINED_IN_B}
                 else:
-                    assert plane.conic_types("special", angles) == [ConicType.SPECIAL] * grid
+                    sweeps = (("special", angles),)
+                    assert filter_types(plane, "special", angles) == [ConicType.SPECIAL] * grid
                 assert plane.exact_conics == 0, plane.lam
+                for family, knobs in sweeps:
+                    assert swept.conic_types(family, knobs) == filter_types(plane, family, knobs), (lam, family)
+                assert swept.exact_conics == 1, plane.lam
                 planes += 1
     assert planes == 240
 
 
+def _benchmark_planes() -> list[tuple[SurfaceParams, float]]:
+    """The planes of perfbench's tangency workload at seeds 1 to 4."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are built
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [case.data for seed in (1, 2, 3, 4) for case in workloads.build_tangency(random.Random(seed)).cases]
+
+
+def _floor_crossing(params, family: str, sign: float) -> float:
+    """The plane, to adjacent floats, out past which the circle family's
+    restrictions cancel below CANCELLATION_FLOOR (between 1e10 and 1e15
+    for the reference draws)."""
+    lost = lambda lam: isinstance(_outcome(lambda: Plane(params, lam).conic_types(family, [0.0])), tuple)
+    return _crossing(lambda t: sign * t, lost, 1e10, 1e15)
+
+
+def test_the_filter_types_every_member_as_its_family(params_draws):
+    # the per-knob oracle against Plane.conic_types, type for type, and on
+    # error the same class and text: on the 960 planes of the benchmark's
+    # tangency workload, planes 1e-3 to 1e-6 from the ends -1, 0, b/a and
+    # lambda0, and far planes about and at the adjacent floats of where
+    # CANCELLATION_FLOOR starts to bind; every family on every plane, the
+    # circle families at the 256 angles and the orbit family at 255 alphas
+    # across [-Q - sqrt|f|, -Q + sqrt|f|]
+    planes = _benchmark_planes()
+    assert len(planes) == 960
+    for p in params_draws:
+        for end in (-1.0, 0.0, p.b / p.a, intervals(p).lambda0):
+            planes += [(p, end + side * 10.0**-k) for k in (3, 4, 5, 6) for side in (-1.0, 1.0)]
+        for family, sign in (("generic", 1.0), ("special", -1.0)):
+            crossing = _floor_crossing(p, family, sign)
+            planes += [(p, lam) for lam in _band(crossing)]
+            planes += [(p, sign * 10.0 ** (11.0 + k / 8.0)) for k in range(25)]
+    angles = [2.0 * math.pi * k / 256 for k in range(256)]
+    seen = set()
+    for p, lam in planes:
+        sf = math.sqrt(abs(Plane(p, lam).f))
+        q = Plane(p, lam).q
+        alphas = [-q - sf + 2.0 * sf * k / 256 for k in range(1, 256)]
+        for family, knobs in (("generic", angles), ("special", angles), ("orbit", alphas)):
+            expected = _outcome(lambda: Plane(p, lam).conic_types(family, knobs))
+            assert _outcome(lambda: filter_types(Plane(p, lam), family, knobs)) == expected, (lam, family)
+            seen.update(expected if isinstance(expected, list) else [(expected[0], expected[1].split(" at")[0])])
+    assert {ConicType.GENERIC, ConicType.SPECIAL, ConicType.ORBIT} <= seen
+    assert {(DomainError, "lost precision"), (DomainError, "no generic family"), (DomainError, "no special family")} <= seen
+
+
 def test_sweeps_emit_no_runtime_warning(params_draws):
-    # Smith's quotient computes both of its branches, one of them dividing by
-    # a zero part, and conics that already failed are computed on: none of
-    # it may warn, since the suite turns warnings into errors
+    # in the filter, Smith's quotient computes both of its branches, one of
+    # them dividing by a zero part, and conics that already failed are
+    # computed on: none of it may warn, since the suite turns warnings into
+    # errors; nor may Plane.conic_types on the same sweeps
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for p in params_draws:
@@ -1053,6 +1179,7 @@ def test_sweeps_emit_no_runtime_warning(params_draws):
                 plane = Plane(p, lam)
                 angles = [2.0 * math.pi * k / 256 for k in range(256)]
                 for family, knobs in (("generic", angles), ("special", angles), ("orbit", [0.7, 0.0, -plane.q])):
+                    _outcome(lambda: filter_types(plane, family, knobs))
                     _outcome(lambda: plane.conic_types(family, knobs))
     assert caught == []
 
@@ -1106,3 +1233,50 @@ def test_touching_identities_hold_symbolically():
     y1 = sp.Symbol("y1")
     curve = (alpha * y1**2 + (q - r) * y1**2) * (alpha * y1**2 + (q + r) * y1**2)
     assert sp.expand(curve - ((alpha + q) ** 2 - f) * y1**4) == 0
+
+
+    # Plane.conic_types types one member of a circle family for all: every
+    # quantity conic_contact reads on a member is free of theta up to a
+    # unimodular factor, i.e. it is w^j times an expression free of w, for
+    # an integer j, so its modulus is free of theta.  The quantities: the
+    # entries, whose largest modulus _conic scales by; the row norms, which
+    # balance the matrix; |det| and its Hadamard bound; each branch
+    # restriction's coefficients, its vanishing ones exactly 0 and the
+    # moduli of the others; the x1^2 coefficient over m00, which
+    # CANCELLATION_FLOOR reads; and every side of the square test, on the
+    # monic quartic (generic) or the quadratic (special)
+    def rotates(c) -> bool:
+        """Whether c is w^j times an expression free of w."""
+        num, den = sp.fraction(sp.cancel(sp.together(c)))
+        return all(
+            len({t.as_coeff_exponent(w)[1] for t in sp.Add.make_args(sp.expand(part))}) == 1 for part in (num, den)
+        )
+
+    def free(c) -> bool:
+        """Whether c is free of w, with B^2 = (s - Q)/2 put in."""
+        return w not in sp.expand(c).subs(b**2, (s - q) / 2).free_symbols
+
+    def conj(c):
+        """The complex conjugate, for real Q, r, s, B and |w| = 1."""
+        return c.subs(w, 1 / w)
+
+    members = {
+        "generic": (sp.Matrix([[2 * (q**2 - f), 0, 0], [0, r * w, q], [0, q, r / w]]), (1, 3)),
+        "special": (special, (0, 4)),
+    }
+    for family, (m, zeros) in members.items():
+        assert all(rotates(z) for z in m)
+        norms = [sum(z * conj(z) for z in m.row(i)) for i in range(3)]
+        assert all(free(n) for n in norms), family
+        det = sp.expand(m.det())
+        assert free(det) and free(det * conj(det) / (norms[0] * norms[1] * norms[2])), family
+        for g in (q - r, q + r):
+            c = restriction(m, g)
+            assert [c[k] for k in zeros] == [0, 0], family
+            assert all(rotates(ck) for ck in c) and free(c[2] / m[0, 0]), family
+            if family == "generic":
+                a4, a2 = c[0] / c[4], c[2] / c[4]
+                sides = (a4, a2, 4 * a4 - a2**2)
+            else:
+                sides = (c[2] ** 2, 4 * c[3] * c[1], c[2] ** 2 - 4 * c[3] * c[1])
+            assert all(rotates(side) for side in sides), (family, g)

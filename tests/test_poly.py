@@ -273,9 +273,9 @@ def test_roots_below_degree_one_and_above_three():
 
 def test_report_path_imports_no_numpy(params_star):
     # the modules a report's validation and analysis run on solve every
-    # root in closed form, and cli imports conics, the one module on numpy,
-    # only in the conic subcommands: importing them leaves numpy unloaded,
-    # and so does a whole report run from the command line
+    # root in closed form, and cli imports conics only in the conic
+    # subcommands: importing them leaves numpy unloaded, and so does a
+    # whole report run from the command line
     modules = ", ".join(f"touching_conics.{name}" for name in ("surface", "analysis", "resolution", "classifier", "cli"))
     code = f"import sys, {modules}; print('numpy' in sys.modules)"
     src = Path(__file__).resolve().parent.parent / "src"
