@@ -166,7 +166,7 @@ def _conic_record(conic, label: str, lam: float | None, knob: float) -> dict:
         "type": label,
         "matrix": [[_complex_pair(z) for z in row] for row in conic.rows],
         "det": _complex_pair(conic.det()),
-        "min_real_form": min_real_form(conic) if conic.is_real() else None,
+        "min_real_form": min_real_form(conic),
     }
 
 
@@ -186,8 +186,6 @@ def _pairing_samples(analysis: RadiusAnalysis) -> dict:
 
 
 def _json_safe(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)
     if is_dataclass(x):
         return vars(x)
     return x

@@ -9,11 +9,13 @@ of real conics touching that curve, certifies the contact structure by
 restricting to each branch, and certifies emptiness of the real locus.
 
 Plane coordinates are ordered (y1, y2, y3); the real structure acts by
-(y1 : y2 : y3) -> (conj y1 : conj y3 : conj y2).  The circle families are
+(y1 : y2 : y3) -> (conj y1 : conj y3 : conj y2).  The three families are
 real for an exact reason, and are built so that it holds in floats: each
-e^{-i t} entry is the conjugate of its e^{i t} entry, and a matrix is scaled
-by a positive real, so conjugating and swapping y2 and y3 gives back every
-member's matrix to the bit.
+e^{-i t} entry is the conjugate of its e^{i t} entry, every other entry is
+real, and a matrix is scaled by a positive real, so conjugating and swapping
+y2 and y3 gives back every member's matrix to the bit.  Reality is therefore
+tested exactly, and the Gram of a member's real-slice form has one of two
+shapes, whose least eigenvalues are closed forms.
 
 A conic's matrix is kept as nested Python complex rows, and the surface data
 of a plane is read once per `Plane`.  The type of one conic is decided by
@@ -21,8 +23,8 @@ of a plane is read once per `Plane`.  The type of one conic is decided by
 type.  A family sweep types one member of a circle family, whose members
 share their type by an identity in e^{i t}, and each orbit member by the
 residual test on its alpha, in plain floats.  The determinant, the reality
-test and the least eigenvalue of the real-slice form are closed forms on the
-rows: the package needs no numpy.
+test and the least eigenvalue of the real-slice form are read off the rows
+in closed form: the package needs no numpy.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import DegenerateConicError, DegeneratePlaneError, DomainError, PreconditionError
@@ -68,15 +69,6 @@ ORBIT_RANGE = (2.0**-300, 2.0**150)
 
 _EPS = 2.0**-52
 
-# Mismatch, relative to the largest entry, up to which the conjugated and
-# swapped matrix is a unimodular multiple of the matrix (ConicCoeffs.is_real,
-# which the real-slice form needs).  The families' matrices are invariant
-# exactly, with factor 1; the tolerance admits a matrix given from outside
-# whose invariance a few ulps of rounding spoil.  The Gram matrix drops what
-# is left of the imaginary part, so its least eigenvalue moves by about this
-# share of the largest entry.
-REALITY_TOL = 1e-8
-
 _SINGULAR = (
     f"conic matrix is singular: |det| is at most {REL_EPS:g} times its Hadamard bound, so the conic "
     "cannot be told from a union of lines"
@@ -96,28 +88,11 @@ class ConicCoeffs:
         return _det(self.rows)
 
     def is_real(self) -> bool:
-        """Invariance of the zero set under the plane real structure.
-
-        Conjugating and swapping the last two coordinates must reproduce the
-        matrix up to a unimodular scalar, to REALITY_TOL.
-        """
-        mirror, entries, c = self._reality
-        tol = REALITY_TOL * max(map(abs, entries))
-        return abs(abs(c) - 1.0) <= REALITY_TOL and all(abs(z - c * w) <= tol for z, w in zip(mirror, entries))
-
-    def reality_factor(self) -> complex:
-        return self._reality[2]
-
-    @cached_property
-    def _reality(self) -> tuple[tuple[complex, ...], tuple[complex, ...], complex]:
-        """The conjugate with its last two coordinates swapped and the
-        matrix, each as its nine entries row by row, and their ratio at the
-        matrix's first entry of largest modulus."""
-        rows = self.rows
-        mirror = tuple(rows[i][j].conjugate() for i in _SWAP23 for j in _SWAP23)
-        entries = tuple(chain(*rows))
-        k = max(range(9), key=lambda k: abs(entries[k]))
-        return mirror, entries, mirror[k] / entries[k]
+        """Invariance of the zero set under the plane real structure, exact:
+        conjugating the matrix and swapping y2 and y3 gives back each of its
+        nine entries."""
+        r = self.rows
+        return all(r[i][j] == r[_SWAP23[i]][_SWAP23[j]].conjugate() for i in range(3) for j in range(3))
 
 
 def _conic(rows) -> ConicCoeffs:
@@ -439,15 +414,14 @@ def real_slice_gram(conic: ConicCoeffs) -> tuple[tuple[float, float, float], ...
     """The real quadratic form induced on the real slice, as nested rows.
 
     Points fixed by the real structure can be written (t, z, conj z) with t
-    real; after a unimodular rescaling mu of the matrix the restriction of
-    the conic form there is a real quadratic form in (t, Re z, Im z).  With P
-    the map from (t, Re z, Im z) to the point, its symmetric 3x3 Gram matrix
-    is Re(P^T (mu m) P), whose entries are these sums of mu m's.
+    real, and an invariant conic's form is real there: a real quadratic
+    form in (t, Re z, Im z).  With P the map from (t, Re z, Im z) to the
+    point, its symmetric 3x3 Gram matrix is Re(P^T m P), whose entries are
+    these sums of m's.  Raises PreconditionError unless the conic is real.
     """
     if not conic.is_real():
         raise PreconditionError("conic is not invariant under the real structure")
-    mu = cmath.exp(0.5j * cmath.phase(conic.reality_factor()))
-    (m00, m01, m02), (_, m11, m12), (_, _, m22) = [[mu * z for z in row] for row in conic.rows]
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = conic.rows
     tu, tv, uv = (m01 + m02).real, (m02 - m01).imag, (m22 - m11).imag
     return (m00.real, tu, tv), (tu, (m11 + 2.0 * m12 + m22).real, uv), (tv, uv, (2.0 * m12 - m11 - m22).real)
 
@@ -457,36 +431,22 @@ def min_real_form(conic: ConicCoeffs) -> float:
     real slice, i.e. the smallest Gram eigenvalue; strictly positive means
     the conic has no real point.
 
-    A special or orbit conic's (u, v) block is a multiple of the identity,
-    so the rotation of (u, v) that takes the t row to (a, r, 0) splits the
-    Gram into blocks 1 + 2, and the least eigenvalue is in closed form.
-    Any other Gram is diagonalised by Jacobi rotations: a generic conic's
-    t stands apart from (u, v), and one rotation does it.  (Smith's
-    trigonometric formula would lose half the digits where the least
-    eigenvalue is double.)"""
-    gram = real_slice_gram(conic)
-    (a, b, c), (_, d, e), (_, _, f) = gram
+    Each family's Gram has one of two shapes, and its least eigenvalue is a
+    closed form.  A special or orbit conic's (u, v) block is a multiple of
+    the identity (e = 0, d = f), so the rotation of (u, v) that takes the t
+    row to (a, r, 0) splits the Gram into blocks 1 + 2.  A generic conic's t
+    stands apart from (u, v) (b = c = 0), and one Jacobi rotation, skipped
+    where e is below the rounding of the diagonal, diagonalises the (u, v)
+    block.  (Smith's trigonometric formula would lose half the digits where
+    the least eigenvalue is double.)  Raises PreconditionError on a Gram of
+    neither shape."""
+    (a, b, c), (_, d, e), (_, _, f) = real_slice_gram(conic)
     if e == 0.0 and d == f:
         return min(d, 0.5 * (a + d) - math.hypot(0.5 * (a - d), math.hypot(b, c)))
-    m = [list(row) for row in gram]
-    # cyclic sweeps, each rotation zeroing one off-diagonal entry, until
-    # what is left off the diagonal is below the rounding of the diagonal;
-    # they converge quadratically, in a handful
-    for _ in range(16):
-        if max(abs(m[0][1]), abs(m[0][2]), abs(m[1][2])) <= _EPS * max(abs(m[0][0]), abs(m[1][1]), abs(m[2][2])):
-            break
-        for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            if m[i][j] == 0.0:
-                continue
-            theta = 0.5 * (m[j][j] - m[i][i]) / m[i][j]
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-            cos = 1.0 / math.hypot(t, 1.0)
-            sin = t * cos
-            m[i][i] -= t * m[i][j]
-            m[j][j] += t * m[i][j]
-            m[i][j] = m[j][i] = 0.0
-            ki, kj = m[k][i], m[k][j]
-            m[k][i] = m[i][k] = cos * ki - sin * kj
-            m[k][j] = m[j][k] = sin * ki + cos * kj
-    return min(m[0][0], m[1][1], m[2][2])
-
+    if b != 0.0 or c != 0.0:
+        raise PreconditionError("real-slice Gram has neither family shape: (e = 0, d = f) or (b = c = 0)")
+    if abs(e) <= _EPS * max(abs(a), abs(d), abs(f)):
+        return min(a, d, f)
+    theta = 0.5 * (f - d) / e
+    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+    return min(a, d - t * e, f + t * e)

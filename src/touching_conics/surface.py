@@ -156,24 +156,9 @@ def disc_value(params: SurfaceParams, lam: float) -> float:
     return q * q - f_value(params, lam)
 
 
-# Size of a negative Q^2 - f, relative to 1 + Q^2 + |f|, that sqrt_disc reads
-# as zero.  Q^2 - f touches zero at the double root, and rounding leaves it a
-# few ulps of those terms below zero there; 1e-12, about 4500 ulps, keeps
-# three orders of magnitude above that, the share conics.REL_EPS reads as a
-# vanishing Q^2 - f.
-DISC_CLAMP_REL = 1e-12
-
-
 def sqrt_disc(params: SurfaceParams, lam: float) -> float:
-    """sqrt(Q^2 - f), clamping the tiny negatives that rounding produces near
-    the double root (down to DISC_CLAMP_REL of the terms)."""
-    d = disc_value(params, lam)
-    if d < 0.0:
-        scale = q_value(params, lam) ** 2 + abs(f_value(params, lam))
-        if d > -DISC_CLAMP_REL * (1.0 + scale):
-            return 0.0
-        raise InvalidParameterError(f"Q^2 - f < 0 at lam={lam}; parameters not admissible")
-    return math.sqrt(d)
+    """sqrt(Q^2 - f), where f < 0: there Q^2 - f >= |f| > 0."""
+    return math.sqrt(disc_value(params, lam))
 
 
 def s_minus_q(params: SurfaceParams, lam: float) -> float:

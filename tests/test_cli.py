@@ -548,6 +548,55 @@ def test_report_on_a_set_with_q_negative_at_minus_one_writes_a_document(tmp_path
 
 
 @pytest.mark.parametrize(
+    "params, check, failed, detail",
+    [
+        ("NEGATED", "condition_i", "condition (i)", "need Q = +sqrt(f) > 0"),
+        ("LEFT", "lambda0_in_i4", "lambda0 > b/a", "double root left of b/a"),
+    ],
+    ids=["q-negative-at-the-double-root", "lambda0-left-of-b-over-a"],
+)
+def test_report_on_a_set_failing_one_verdict_is_partial(params_star, tmp_path, params, check, failed, detail):
+    # Q = -sqrt(f) at the double root (q0, q1, q2 of params_star negated),
+    # or a double root at -0.5 < b/a: exit 1, and the later stages say
+    # which condition fails
+    p = params_star
+    sets = {
+        "NEGATED": (-p.q0, -p.q1, -p.q2, p.a, p.b),
+        "LEFT": dataclasses.astuple(params_for_q0(SearchConfig(lambda0=-0.5), 1.0)),
+    }
+    out = tmp_path / "r.json"
+    assert run(["--params", ",".join(map(repr, sets[params])), "--out", str(out), "report"]) == EXIT_FAIL
+    doc = _load(out)
+    verdict = doc["validation"][check]
+    assert not verdict["passed"] and detail in verdict["detail"] and not doc["validation"]["passed"]
+    for part in ("h_tables", "classification"):
+        assert doc[part]["error"] == f"not computed: parameters not admissible: {failed} fails: {verdict['detail']}"
+    assert doc["h_tables"]["rows"] == [] and not doc["h_tables"]["passed"]
+    assert doc["classification"]["survivors"] == [] and not doc["classification"]["inconclusive"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--params", "STAR", "--lambda", "abc", "tangency"],
+         "touching-conics: error: argument --lambda: invalid float value: 'abc'"),
+        (["--params-file", "NO_Q2", "validate"], "error: params file missing key 'q2'"),
+        (["--params", "STAR", "--params-file", "FILE", "validate"], "error: pass only one of --params / --params-file"),
+    ],
+    ids=["lambda-not-a-float", "params-file-without-q2", "params-and-params-file"],
+)
+def test_usage_errors_name_what_is_wrong(star_arg, tmp_path, capsys, argv, message):
+    full = tmp_path / "params.cfg"
+    full.write_text("q0 = 1\nq1 = 0\nq2 = 1\na = 1\nb = 1\n")
+    no_q2 = tmp_path / "no_q2.cfg"
+    no_q2.write_text("q0 = 1\nq1 = 0\na = 1\nb = 1\n")
+    paths = {"STAR": star_arg, "FILE": str(full), "NO_Q2": str(no_q2)}
+    assert run([paths.get(a, a) for a in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[0] == message
+
+
+@pytest.mark.parametrize(
     "flag, key, value, tail",
     [
         ("--lambda", "lambda", "-1e-08", ["tangency"]),

@@ -167,23 +167,21 @@ def test_orbit_conic_rejects_zero():
         orbit_conic(0.0)
 
 
-def _invariant_to(conic: ConicCoeffs, tol: float) -> bool:
-    """is_real's test at tol: the conjugated and swapped matrix is a
-    unimodular multiple of the matrix, to tol of its largest entry."""
-    mirror, _, c = conic._reality
+def _exactly_invariant(conic: ConicCoeffs) -> bool:
+    """is_real's test in numpy: the conjugated matrix with y2 and y3
+    swapped is the matrix, entry for entry."""
     m = matrix(conic)
-    return abs(abs(c) - 1.0) <= tol and np.abs(np.reshape(mirror, (3, 3)) - c * m).max() <= tol * np.abs(m).max()
+    return np.array_equal(np.conj(m)[[0, 2, 1]][:, [0, 2, 1]], m)
 
 
 def test_reality_invariant_families(params_star):
-    # each family is invariant within 1e-9, a tenth of the REALITY_TOL that
-    # is_real reads (the circle families exactly: see
+    # each family is invariant exactly (see also
     # test_family_members_are_exactly_real)
     conics = [orbit_conic(-1.0)]
     for theta in (0.0, math.pi / 3.0, 2.4):
         conics += [Plane(params_star, -0.5).generic(theta), Plane(params_star, -2.0).special(theta)]
     for conic in conics:
-        assert conic.is_real() and _invariant_to(conic, 1e-9)
+        assert conic.is_real() and _exactly_invariant(conic)
 
 
 def test_verify_touching_generic_structure(params_star):
@@ -410,7 +408,7 @@ def test_batched_members_equal_the_constructors_rows(params_draws):
 def test_family_members_are_exactly_real(params_draws):
     # each e^{-i t} entry is the conjugate of its e^{i t} entry and the
     # scale is a positive real, so conjugating a member and swapping y2 and
-    # y3 gives back its matrix to the bit, with reality factor 1: on a plane
+    # y3 gives back its matrix to the bit, as is_real reads it: on a plane
     # of each interval and two far planes, the rows of Plane.generic and
     # Plane.special and the matrices of the batch's lanes alike
     rng = np.random.default_rng(53)
@@ -428,7 +426,7 @@ def test_family_members_are_exactly_real(params_draws):
                 conic = FAMILIES[family](plane, theta)
                 m = matrix(conic)
                 assert np.array_equal(np.conj(m)[swap][:, swap], m), (lam, family, theta)
-                assert conic.reality_factor() == 1.0, (lam, family, theta)
+                assert conic.is_real(), (lam, family, theta)
             m = _matrices(family, filter_lanes(plane, family, np.array(angles)))
             assert np.array_equal(np.conj(m)[swap][:, swap], m), (lam, family)
             checks += 2 * len(angles) + 1
@@ -519,10 +517,7 @@ def test_min_real_form_orbit_sign():
 def test_min_real_form_matches_brute_grid(params_star):
     conic = Plane(params_star, -0.5).generic(0.8)
     eig = min_real_form(conic)
-    # same rescaled matrix the production Gram path uses
-    c = conic.reality_factor()
-    m = matrix(conic) * cmath.exp(0.5j * cmath.phase(c))
-    brute = grid_minimum_on_slice(m)
+    brute = grid_minimum_on_slice(matrix(conic))
     assert brute >= eig - 1e-9
     assert brute - eig < 5e-3  # the grid comes close to the true minimum
 
@@ -534,17 +529,14 @@ def test_real_slice_gram_matches_polarization(params_draws):
         conics = [Plane(p, -0.5).generic(t) for t in (0.0, 1.1, 4.0)]
         conics += [Plane(p, -2.0).special(t) for t in (0.3, 2.5)] + [orbit_conic(-0.7), orbit_conic(1.3)]
         for conic in conics:
-            m = matrix(conic) * cmath.exp(0.5j * cmath.phase(conic.reality_factor()))
-            assert np.abs(np.array(real_slice_gram(conic)) - polarized_gram(m)).max() <= 8 * np.finfo(float).eps
+            gram = np.array(real_slice_gram(conic))
+            assert np.abs(gram - polarized_gram(matrix(conic))).max() <= 8 * np.finfo(float).eps
 
 
 def test_closed_forms_match_lapack(params_draws):
     # det by cofactors, and min_real_form in closed form on the families'
-    # Grams and by Jacobi rotations on any other, against numpy's det and
-    # eigvalsh: on members of each family across the intervals, and on real
-    # conics built from random Grams, with double and near-double
-    # eigenvalues among them, where Smith's trigonometric formula would read
-    # up to 3e-8 off
+    # two Gram shapes, against numpy's det and eigvalsh: on members of each
+    # family across the intervals
     rng = np.random.default_rng(61)
     eps = np.finfo(float).eps
     conics = []
@@ -555,15 +547,6 @@ def test_closed_forms_match_lapack(params_draws):
                 plane = Plane(p, float(lam))
                 make = plane.generic if plane.f > 0.0 else plane.special
                 conics += [make(t) for t in rng.uniform(0.0, 7.0, 3)] + [orbit_conic(a) for a in rng.normal(size=2)]
-    slice_map = np.array([[1, 0, 0], [0, 1, 1j], [0, 1, -1j]])
-    back = np.linalg.inv(slice_map)
-    for eigs in ([-1.0, 2.0, 2.0], [-1.0, -1.0, 2.0], [1e-3, 1.0, 1.0], [1.0, 1.0 + 1e-7, 3.0], None):
-        for _ in range(100):
-            rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-            diag = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0) if eigs is None else eigs
-            gram = rotation @ np.diag(diag) @ rotation.T
-            # Re(P^T m P) = gram for the real-slice map P, times a phase
-            conics.append(from_matrix(back.T @ gram @ back * cmath.exp(1j * rng.uniform(0.0, 6.0))))
     for conic in conics:
         assert abs(conic.det() - np.linalg.det(matrix(conic))) <= 16 * eps, conic.rows
         gram = np.array(real_slice_gram(conic))
@@ -576,6 +559,49 @@ def test_min_real_form_requires_reality():
     skew[1, 1] = 1.0j
     with pytest.raises(PreconditionError):
         min_real_form(from_matrix(skew))
+
+
+def test_family_grams_have_two_closed_form_shapes(params_draws):
+    # what is_real and min_real_form rest on: on the 960 planes of the
+    # benchmark's tangency workload and on far planes +-10^k, k = -6 .. 39,
+    # every member that each family builds is exactly invariant, and its
+    # Gram has the circle shape (e = 0, d = f) or the generic one
+    # (b = c = 0); min_real_form refuses a conic that is not invariant, and
+    # an invariant one whose Gram has neither shape
+    planes = _benchmark_planes()
+    assert len(planes) == 960
+    planes += [(p, sign * 10.0**k) for p in params_draws for k in range(-6, 40) for sign in (-1.0, 1.0)]
+    angles = [2.0 * math.pi * k / 32 for k in range(32)]
+    shapes = {"circle": 0, "generic": 0}
+    for p, lam in planes:
+        plane = Plane(p, lam)
+        sf = math.sqrt(abs(plane.f))
+        alphas = [-plane.q - sf + 2.0 * sf * k / 32 for k in range(1, 32)]
+        for family, knobs in (("generic", angles), ("special", angles), ("orbit", alphas)):
+            for knob in knobs:
+                try:
+                    conic = FAMILIES[family](plane, knob)
+                except DomainError:
+                    continue
+                assert conic.is_real() and _exactly_invariant(conic), (lam, family, knob)
+                (a, b, c), (_, d, e), (_, _, f) = real_slice_gram(conic)
+                shape = "circle" if e == 0.0 and d == f else "generic" if b == c == 0.0 else None
+                assert shape is not None, (lam, family, knob)
+                assert math.isfinite(min_real_form(conic)), (lam, family, knob)
+                shapes[shape] += 1
+    assert min(shapes.values()) > 10000, shapes
+
+    member = Plane(params_draws[0], -0.5).generic(0.8)
+    *head, (m20, m21, m22) = member.rows
+    off_by_an_ulp = ConicCoeffs((*head, (m20, m21, complex(math.nextafter(m22.real, 2.0), m22.imag))))
+    for conic in (off_by_an_ulp, from_matrix(1j * matrix(member))):
+        assert not conic.is_real()
+        with pytest.raises(PreconditionError, match="not invariant"):
+            min_real_form(conic)
+    neither = from_matrix([[1.0, 1 + 2j, 1 - 2j], [1 + 2j, 3 + 1j, 0.5], [1 - 2j, 0.5, 3 - 1j]])
+    assert neither.is_real()
+    with pytest.raises(PreconditionError, match="neither family shape"):
+        min_real_form(neither)
 
 
 def test_linf_radii(params_star):
@@ -614,7 +640,7 @@ def test_family_sweep_reality_and_classification(params_star):
                         if kind is ConicType.GENERIC
                         else Plane(params_star, lam).special(theta)
                     )
-                    assert conic.is_real() and _invariant_to(conic, 1e-9)
+                    assert conic.is_real() and _exactly_invariant(conic)
                     assert verify_touching(conic, params_star, lam).kind is kind
                     assert min_real_form(conic) > 0.0
 

@@ -132,6 +132,27 @@ def test_validate_negative_q_on_i2_fails_star():
     assert not rep.condition_star.passed
 
 
+def test_validate_fails_condition_i_where_q_is_negative_at_the_double_root(params_star):
+    # negating q0, q1 and q2 leaves Q^2 - f and its double root as they are,
+    # and makes Q = -sqrt(f) there
+    neg = replace(params_star, q0=-params_star.q0, q1=-params_star.q1, q2=-params_star.q2)
+    rep = validate(neg)
+    assert not rep.condition_i.passed and rep.condition_i.witness == rep.lambda0
+    assert rep.condition_i.detail.endswith("need Q = +sqrt(f) > 0")
+    assert rep.q_at_lambda0 == -validate(params_star).q_at_lambda0
+    assert rep.condition_star.detail == "not evaluated: needs condition (i)"
+    assert not rep.passed
+
+
+def test_validate_fails_lambda0_in_i4_left_of_b_over_a():
+    # a double root at -0.5, in I2: (i) and (*) pass, and it is not > b/a
+    rep = validate(params_for_q0(SearchConfig(lambda0=-0.5), 1.0))
+    assert rep.condition_i.passed and rep.condition_star.passed
+    assert not rep.lambda0_in_i4.passed and rep.lambda0_in_i4.witness == -0.5
+    assert rep.lambda0_in_i4.detail.startswith("double root left of b/a")
+    assert not rep.passed
+
+
 def test_validate_rejects_nonpositive_ab():
     with pytest.raises(InvalidParameterError):
         validate(SurfaceParams(1, 0, 1, -1.0, 1.0))
