@@ -21,10 +21,10 @@ A conic's matrix is kept as nested Python complex rows, and the surface data
 of a plane is read once per `Plane`.  The type of one conic is decided by
 `conic_contact`, in Python's complex arithmetic; that decision defines the
 type.  A family sweep types one member of a circle family, whose members
-share their type by an identity in e^{i t}, and each orbit member by the
-residual test on its alpha, in plain floats.  The determinant, the reality
-test and the least eigenvalue of the real-slice form are read off the rows
-in closed form: the package needs no numpy.
+share their type by an identity in e^{i t}, and an orbit sweep by one
+certificate on its alpha range, or else member by member.  The determinant,
+the reality test and the least eigenvalue of the real-slice form are read
+off the rows in closed form: the package needs no numpy.
 """
 
 from __future__ import annotations
@@ -60,11 +60,9 @@ CANCELLATION_FLOOR = 1e-6
 # terms, and 1e-9 keeps seven orders of magnitude above that.
 ORBIT_CONTAINMENT_REL = 1e-9
 
-# Range of an orbit member's scaled entries m00 and m12 (at most 1), from
-# below, and of alpha + Q, from above, inside which Plane.conic_types types
-# it by its residual in plain floats: there no product _degenerate forms
-# leaves the normal floats, so the conic is surely smooth, and (alpha + Q)^2
-# is finite.  A member outside goes to conic_contact.
+# Range of |alpha| inside which orbit_conic's scaled m00 and m12 lie in
+# [2^-299, 1], so that no product _degenerate forms leaves the normal floats
+# and the conic is surely smooth: Plane.conic_types certifies only there.
 ORBIT_RANGE = (2.0**-300, 2.0**150)
 
 _EPS = 2.0**-52
@@ -73,7 +71,6 @@ _SINGULAR = (
     f"conic matrix is singular: |det| is at most {REL_EPS:g} times its Hadamard bound, so the conic "
     "cannot be told from a union of lines"
 )
-_ALPHA_ZERO = "alpha = 0 gives a line pair, not a conic"
 
 
 @dataclass(frozen=True)
@@ -121,8 +118,8 @@ class Plane:
     the families' matrices are finite, and symmetric by construction.
 
     exact_conics counts the conics typed by conic_contact: each conic_type
-    call, so one per circle family sweep, and each orbit member that a
-    sweep leaves to it.
+    call, so one per circle family sweep, and every member of an orbit sweep
+    that the certificate of conic_types does not settle.
     """
 
     def __init__(self, params: SurfaceParams, lam: float):
@@ -210,33 +207,36 @@ class Plane:
         A circle family's members share one type: every quantity that
         conic_contact reads on them is free of theta up to a unimodular
         factor (tests/test_conics.py proves it), so the first member is
-        typed and its type, or its error, stands for all.  An orbit member's
-        type is conic_contact's residual test on alpha, made here in plain
-        floats on the entries orbit_conic would build; a member that
-        conic_contact could refuse is built and typed."""
+        typed and its type, or its error, stands for all; an orbit sweep is
+        Orbit where _sure_orbits certifies its alphas, else typed one by one."""
         if len(knobs) == 0:
             return []
         if family != "orbit":
             return [self.conic_type(FAMILIES[family](self, knobs[0]))] * len(knobs)
+        if math.isfinite(sum(knobs)) and self._sure_orbits(min(knobs), max(knobs)):
+            return [ConicType.ORBIT] * len(knobs)
+        return [self.conic_type(orbit_conic(alpha)) for alpha in knobs]
+
+    def _sure_orbits(self, lo: float, hi: float) -> bool:
+        """Whether conic_contact types the orbit member of each alpha in the
+        finite [lo, hi] as Orbit.  One sign inside ORBIT_RANGE, and branch
+        factors, leave it nothing to refuse.  It reads shifted = fl(alpha' +
+        Q), alpha' = fl(fl(alpha s) / s) = alpha (1 + d1) (1 + d2) with |d_i|
+        <= u = 2^-53 (orbit_conic scales by s, _orbit_alpha divides back), so
+        |shifted| <= (m + 3 u a) (1 + u) <= t, a = max |alpha|, m = max |alpha
+        + Q| (at an end; rounded by u m here).  Each |residual| and tolerance
+        is then within a few u (1 + t^2 + f) of f - t^2 and
+        ORBIT_CONTAINMENT_REL (1 + t^2 + f), 1e-6 of the factor 2's margin."""
+        low, high = ORBIT_RANGE
+        if not (low <= lo and hi <= high or low <= -hi and -lo <= high):
+            return False
         try:
             self.branch_factors
-        except DegeneratePlaneError:  # every member fails: the first one's error
-            return [self.conic_type(orbit_conic(alpha)) for alpha in knobs]
-        q, f = self.q, self.f
-        lo, hi = ORBIT_RANGE
-        kinds = []
-        for alpha in knobs:
-            # m00 and m12 as orbit_conic scales them, and _orbit_alpha's quotient
-            s = 1.0 / max(abs(alpha), 0.5)
-            m00, m12 = -alpha * s, 0.5 * s
-            shifted = -m00 / (2.0 * m12) + q
-            if not (abs(m00) >= lo and m12 >= lo and abs(shifted) <= hi):
-                kinds.append(self.conic_type(orbit_conic(alpha)))
-            elif abs(shifted**2 - f) <= ORBIT_CONTAINMENT_REL * (1.0 + shifted**2 + abs(f)):
-                kinds.append(ConicType.CONTAINED_IN_B)
-            else:
-                kinds.append(ConicType.ORBIT)
-        return kinds
+        except DegeneratePlaneError:
+            return False
+        m = max(abs(lo + self.q), abs(hi + self.q))
+        t = m + 2.0**-50 * (m + max(-lo, hi))
+        return self.f - t * t > 2.0 * ORBIT_CONTAINMENT_REL * (1.0 + t * t + self.f)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ class Plane:
 def orbit_conic(alpha: float) -> ConicCoeffs:
     """The orbit-closure conic y2 y3 = alpha y1^2."""
     if alpha == 0.0:
-        raise DomainError(_ALPHA_ZERO)
+        raise DomainError("alpha = 0 gives a line pair, not a conic")
     return _conic(((-alpha, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.5, 0.0)))
 
 

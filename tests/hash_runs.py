@@ -9,6 +9,9 @@ The corpus is built from perfbench/workloads.py's inputs at seeds 1 to 4:
 - on each plane of build_tangency: `tangency --grid 256`, as JSON and as
   CSV, and `conic --type generic|orbit|special` (a family that does not
   exist on the plane exits with its error, which is hashed too);
+- `tangency --grid 256` (JSON) on the f > 0 side of lam = -1, 0 and b/a, at
+  1e-7 and 1e-9 from each, for each reference draw: planes whose orbit sweeps
+  mix ContainedInB and Orbit and reach both branches;
 - `report` on the three reference draws and on each set of build_sweep;
 - `critical` (JSON and CSV), `classify`, `psi` and `validate` on each
   reference draw.
@@ -28,6 +31,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 from workloads import cli_call, params_arg  # noqa: E402
 
+from touching_conics.surface import f_value  # noqa: E402
+
 SEEDS = (1, 2, 3, 4)
 
 
@@ -42,6 +47,11 @@ def corpus():
             yield [*plane, "--grid", str(workloads.TANGENCY_GRID), "--format", "csv", "tangency"]
             for family in ("generic", "orbit", "special"):
                 yield [*plane, "conic", "--type", family]
+    for p in draws:
+        for end in (-1.0, 0.0, p.b / p.a):
+            for d in (1e-7, 1e-9):
+                lam = next(lam for lam in (end - d, end + d) if f_value(p, lam) > 0.0)
+                yield ["--params", params_arg(p), "--lambda", repr(lam), "--grid", "256", "tangency"]
     sets = draws + [case.data for seed in SEEDS for case in workloads.build_sweep(random.Random(seed)).cases]
     for p in sets:
         yield ["--params", params_arg(p), "report"]

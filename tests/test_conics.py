@@ -747,6 +747,51 @@ def test_batched_types_cover_every_outcome_of_the_sweeps(params_draws):
     assert (DomainError, "lost precision") in seen
 
 
+
+def test_the_orbit_certificate_types_as_the_members_do(params_draws):
+    # Plane.conic_types("orbit", knobs) against each member built and typed
+    # by conic_type in knob order, type for type, or the same error class
+    # and text.  Planes: 3 across each f > 0 interval, 1e-5 to 1e-12 from
+    # -1, 0 and b/a on both sides (at -1 + 1e-9 params_star's sweep is 74
+    # ContainedInB and 181 Orbit), lambda0 and lambda0 +- 1e-5.  Knobs: the
+    # tangency grid at n = 16 and 256, and at 4096 on params_star's planes
+    # with f > 1e-7, and lists that fail each condition of the certificate
+    # (finite, one sign, |alpha| in ORBIT_RANGE) or that it must read in
+    # any order
+    nan, inf = float("nan"), float("inf")
+    seen, settled, mixed = set(), 0, 0
+    for p in params_draws:
+        part = intervals(p)
+        lams = [lo + (k + 0.5) / 3 * (hi - lo) for lo, hi in (part.i2, part.i4minus) for k in range(3)]
+        lams += [part.lambda0 + k for k in (0.5, 3.0, 30.0)] + [part.lambda0 + side * 1e-5 for side in (-1.0, 0.0, 1.0)]
+        lams += [end + side * 10.0**-k for end in (-1.0, 0.0, p.b / p.a) for k in range(5, 13) for side in (-1.0, 1.0)]
+        for lam in lams:
+            plane = Plane(p, lam)
+            sf = math.sqrt(abs(plane.f))
+            grids = [
+                [-plane.q - sf + 2.0 * sf * k / n for k in range(1, n)]
+                for n in (16, 256, 4096)
+                if n < 4096 or (p is params_draws[0] and plane.f > 1e-7)
+            ]
+            mid = grids[0][7]
+            lists = [[], [mid], [0.0], [-0.0], [mid, 0.0], grids[0][::-1], [-abs(mid) - 1.0, abs(mid) + 1.0]]
+            lists.append([grids[0][0], 0.0, grids[0][-1]])
+            lists += [[x] for x in (5e-324, -5e-324, 2.0**-301, -(2.0**-301), 2.0**151, -(2.0**151), inf, -inf)]
+            lists += [[nan, *grids[0]], [*grids[0], nan], [*grids[0], 2.0**151], [2.0**-301, *grids[0]]]
+            for knobs in grids + lists:
+                ref = Plane(p, lam)
+                expected = _outcome(lambda: [ref.conic_type(orbit_conic(alpha)) for alpha in knobs])
+                swept = Plane(p, lam)
+                assert _outcome(lambda: swept.conic_types("orbit", knobs)) == expected, (lam, knobs[:2])
+                if isinstance(expected, list):
+                    seen.update(expected)
+                    settled += len(knobs) > 0 and swept.exact_conics == 0
+                    mixed += len(set(expected)) == 2
+                else:
+                    seen.add(expected[0])
+    assert {ConicType.ORBIT, ConicType.CONTAINED_IN_B, ConicType.NOT_TOUCHING, DomainError, DegeneratePlaneError} <= seen
+    assert settled > 0 and mixed > 0
+
 def _in_order(plane: Plane, conics):
     """Each conic typed on its own, in order, up to the first that raises."""
     kinds = []
@@ -973,11 +1018,12 @@ def test_batch_decides_each_threshold_band_as_the_exact_decision(params_star):
                 if sure[0]:
                     assert square[0] == (square_root_roots(norm[nonzero[0] : nonzero[-1] + 1]) is not None)
     assert shapes == {"generic", "special", "orbit"}
-    # an orbit sweep's residual test, in plain floats, decides the bands at
-    # both ends of the span alpha for alpha as conic_contact does, on 12
-    # planes of each f > 0 interval: where |alpha| < 0.5, orbit_conic scales
-    # by 2, and above, by 1 / |alpha|, after which the quotient of the scaled
-    # entries is alpha only up to an ulp
+    # the bands at both ends of the orbit family's span, where the members
+    # turn from Orbit to ContainedInB, are left open by the certificate and
+    # typed alpha for alpha as conic_contact types them, on 12 planes of
+    # each f > 0 interval: where |alpha| < 0.5, orbit_conic scales by 2, and
+    # above, by 1 / |alpha|, after which the quotient of the scaled entries
+    # is alpha only up to an ulp
     part = intervals(params_star)
     spans = (part.i2, part.i4minus, (part.lambda0, part.lambda0 + 30.0))
     for lam in (lo + (k + 0.5) / 12 * (hi - lo) for lo, hi in spans for k in range(12)):
@@ -987,7 +1033,9 @@ def test_batch_decides_each_threshold_band_as_the_exact_decision(params_star):
             alphas = [end + t for t in _band(crossing)]
             expected = _one_by_one(plane, "orbit", alphas)
             assert set(expected) == {ConicType.ORBIT, ConicType.CONTAINED_IN_B}
+            before = plane.exact_conics
             assert plane.conic_types("orbit", alphas) == expected, (lam, end)
+            assert plane.exact_conics - before == len(alphas)
 
 
 def test_batch_leaves_a_row_norm_at_a_balancing_step_to_the_exact_decision(params_star):
